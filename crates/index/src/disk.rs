@@ -9,24 +9,26 @@
 //! ```
 //!
 //! [`DiskIndex`] implements [`IndexAccess`] with real IO: every posting or
-//! zone read seeks into the file and is tallied in [`IoStats`]. Zone maps
-//! make [`IndexAccess::read_postings_for_text`] read `O(list / zone_count)`
-//! bytes instead of the entire list, which is exactly the §3.5 mechanism
-//! that keeps prefix-filtered probes of long lists cheap.
+//! zone read is positioned into the file and tallied in [`IoStats`]. Zone
+//! maps (v3) and block skip entries (v4/v5) make [`IndexAccess::probe_texts`]
+//! read `O(list / zone_count)` bytes per text instead of the entire list,
+//! which is exactly the §3.5 mechanism that keeps prefix-filtered probes of
+//! long lists cheap; [`IndexAccess::shared_list`] hands out the cached
+//! decoded list itself, so a hot list is never copied.
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use ndss_corpus::TextId;
 use ndss_hash::HashValue;
 
 use crate::cache::{CacheConfig, ShardedCache};
 use crate::codec::CompressedFileReader;
-use crate::format::{IndexFileReader, ZoneEntry};
+use crate::format::{DirEntry, IndexFileReader, ZoneEntry};
 use crate::metrics::IndexIoMetrics;
 use crate::packed::PackedFileReader;
 use crate::pread::ReadOptions;
-use crate::{IndexAccess, IndexConfig, IndexError, IoSnapshot, IoStats, Posting};
+use crate::{IndexAccess, IndexConfig, IndexError, IoSnapshot, IoStats, Posting, SharedList};
 
 /// Version-dispatching handle to one inverted-index file: v1/v3 store
 /// fixed-width postings with optional zone maps, v2/v4 store
@@ -170,9 +172,14 @@ pub struct DiskIndex {
     readers: Vec<AnyFileReader>,
     stats: IoStats,
     dir: PathBuf,
-    /// Zone maps read once per (function, hash) and reused across candidate
-    /// probes — they are `O(list / zone_step)` small, and a single query can
-    /// probe the same long list for many candidate texts. Sharded so
+    /// `histograms[func]`: the list-length histogram of one index file,
+    /// computed on first use. The files are immutable while open, and a
+    /// reload opens a new `DiskIndex`, so the memo can never go stale —
+    /// while a daemon that derives `FrequentFraction` cutoffs per request
+    /// stops walking every directory entry each time.
+    histograms: Vec<OnceLock<Vec<(u64, u64)>>>,
+    /// Zone maps read once per (function, hash) and reused across probes
+    /// of the same long list, within a query and across queries. Sharded so
     /// concurrent queries don't serialize on one lock; byte-budgeted so a
     /// long-running process can't grow it without bound.
     zone_cache: ShardedCache<Arc<Vec<ZoneEntry>>>,
@@ -249,6 +256,7 @@ impl DiskIndex {
             readers.push(reader);
         }
         Ok(Self {
+            histograms: (0..config.k).map(|_| OnceLock::new()).collect(),
             config,
             readers,
             stats: IoStats::default(),
@@ -311,91 +319,87 @@ impl DiskIndex {
         }
     }
 
-    /// Full-list read with hot-cache consult, recording IO into `io` only.
-    fn read_list_inner(
+    /// Runs one read with IO recorded into `io`, then folds what the call
+    /// added into the index-wide totals and their registry mirror. The
+    /// accumulator is owned by one query (single-threaded), so the
+    /// before/after diff is exact even while other queries run concurrently.
+    fn attributed<T>(
         &self,
-        func: usize,
-        hash: HashValue,
         io: &IoStats,
-    ) -> Result<Vec<Posting>, IndexError> {
-        if let Some(hit) = self.list_cache.get(func, hash) {
-            io.record_hit();
-            return Ok((*hit).clone());
-        }
-        io.record_miss();
-        let postings = self.readers[func].read_list_by_hash(hash, io)?;
-        // A disabled cache never admits anything; skip the admission clone.
-        if self.list_cache.enabled() {
-            let weight = list_weight(&postings);
-            self.list_cache
-                .insert(func, hash, Arc::new(postings.clone()), weight);
-        }
-        Ok(postings)
+        read: impl FnOnce() -> Result<T, IndexError>,
+    ) -> Result<T, IndexError> {
+        let before = io.snapshot();
+        let result = read();
+        let delta = io.snapshot().since(&before);
+        self.stats.add(&delta);
+        self.metrics.observe(&delta);
+        result
     }
 
-    /// Per-text probe with zone-map bracketing, recording IO into `io` only.
-    fn read_postings_for_text_inner(
+    /// The zone map of a v3 list, through the zone cache: read once per
+    /// (function, hash) and reused by every later probe of the list — it is
+    /// `O(list / zone_step)` small.
+    fn zone_map(
         &self,
         func: usize,
-        hash: HashValue,
-        text: TextId,
+        reader: &IndexFileReader,
+        entry: &DirEntry,
         io: &IoStats,
-    ) -> Result<Vec<Posting>, IndexError> {
-        // A resident full list answers any probe with zero IO.
-        if let Some(hit) = self.list_cache.get(func, hash) {
-            io.record_hit();
-            return Ok(hit.iter().filter(|p| p.text == text).copied().collect());
+    ) -> Result<Arc<Vec<ZoneEntry>>, IndexError> {
+        if let Some(zone) = self.zone_cache.get(func, entry.hash) {
+            io.record_zone_hit();
+            return Ok(zone);
         }
-        io.record_miss();
-        let reader = match &self.readers[func] {
-            AnyFileReader::V2(r) => return r.read_postings_for_text(hash, text, io),
-            // V5: the per-block max-text skip entries seek the probe to the
-            // first candidate block of a long list.
-            AnyFileReader::V5(r) => return r.read_postings_for_text(hash, text, io),
-            AnyFileReader::V1(r) => r,
-        };
+        io.record_zone_miss();
+        let zone = Arc::new(reader.read_zone(entry, io)?);
+        self.zone_cache
+            .insert(func, entry.hash, zone.clone(), zone_weight(&zone));
+        Ok(zone)
+    }
+
+    /// Batched probe of a v3 list: the directory entry and the zone map are
+    /// resolved once, then each text is bracketed between two zone samples
+    /// and only that posting range is read.
+    fn probe_fixed_width(
+        &self,
+        func: usize,
+        reader: &IndexFileReader,
+        hash: HashValue,
+        texts: &[TextId],
+        io: &IoStats,
+        out: &mut Vec<Posting>,
+    ) -> Result<(), IndexError> {
         let Some(entry) = reader.find(hash) else {
-            return Ok(Vec::new());
+            return Ok(());
         };
-        let (rel_lo, rel_hi) = if entry.has_zone_map() {
-            // Zone probe: bracket the text id between two samples. The zone
-            // map is cached after its first read — repeat probes of the same
-            // list (other candidate texts, later queries) cost no IO.
-            let zone = match self.zone_cache.get(func, hash) {
-                Some(z) => {
-                    io.record_zone_hit();
-                    z
-                }
-                None => {
-                    io.record_zone_miss();
-                    let z = Arc::new(reader.read_zone(entry, io)?);
-                    self.zone_cache
-                        .insert(func, hash, z.clone(), zone_weight(&z));
-                    z
-                }
-            };
-            // First sample at or past `text`: postings for `text` cannot
-            // start before the *previous* sample.
-            let first_ge = zone.partition_point(|z| z.text < text);
-            let rel_lo = if first_ge == 0 {
-                0
-            } else {
-                zone[first_ge - 1].rel_idx as u64
-            };
-            // First sample strictly past `text`: postings for `text` end
-            // before it.
-            let first_gt = zone.partition_point(|z| z.text <= text);
-            let rel_hi = if first_gt == zone.len() {
-                entry.count
-            } else {
-                zone[first_gt].rel_idx as u64
-            };
-            (rel_lo, rel_hi)
+        let zone = if entry.has_zone_map() {
+            Some(self.zone_map(func, reader, entry, io)?)
         } else {
-            (0, entry.count)
+            None
         };
-        let chunk = reader.read_postings_range(entry, rel_lo, rel_hi, io)?;
-        Ok(chunk.into_iter().filter(|p| p.text == text).collect())
+        for &text in texts {
+            let (rel_lo, rel_hi) = match &zone {
+                None => (0, entry.count),
+                Some(zone) => {
+                    // First sample at or past `text`: postings for `text`
+                    // cannot start before the *previous* sample.
+                    let first_ge = zone.partition_point(|z| z.text < text);
+                    let rel_lo = match first_ge {
+                        0 => 0,
+                        i => zone[i - 1].rel_idx as u64,
+                    };
+                    // First sample strictly past `text`: postings for `text`
+                    // end before it.
+                    let rel_hi = zone
+                        .get(zone.partition_point(|z| z.text <= text))
+                        .map_or(entry.count, |z| z.rel_idx as u64);
+                    (rel_lo, rel_hi)
+                }
+            };
+            let chunk = reader.read_postings_range(entry, rel_lo, rel_hi, io)?;
+            crate::probe_sorted(&chunk, &[text], out);
+        }
+        Ok(())
     }
 }
 
@@ -409,19 +413,60 @@ impl IndexAccess for DiskIndex {
         Ok(self.readers[func].list_len(hash))
     }
 
-    fn read_list(&self, func: usize, hash: HashValue) -> Result<Vec<Posting>, IndexError> {
-        let scratch = IoStats::default();
-        self.read_list_into(func, hash, &scratch)
-    }
-
-    fn read_postings_for_text(
+    fn shared_list(
         &self,
         func: usize,
         hash: HashValue,
-        text: TextId,
-    ) -> Result<Vec<Posting>, IndexError> {
-        let scratch = IoStats::default();
-        self.read_postings_for_text_into(func, hash, text, &scratch)
+        io: &IoStats,
+    ) -> Result<SharedList<'_>, IndexError> {
+        self.check_func(func)?;
+        self.attributed(io, || {
+            if let Some(hit) = self.list_cache.get(func, hash) {
+                io.record_hit();
+                return Ok(SharedList::Cached(hit));
+            }
+            io.record_miss();
+            let list = Arc::new(self.readers[func].read_list_by_hash(hash, io)?);
+            // A disabled cache never admits anything; skip the shard lock.
+            if self.list_cache.enabled() {
+                self.list_cache
+                    .insert(func, hash, list.clone(), list_weight(&list));
+            }
+            Ok(SharedList::Cached(list))
+        })
+    }
+
+    fn probe_texts(
+        &self,
+        func: usize,
+        hash: HashValue,
+        texts: &[TextId],
+        io: &IoStats,
+        out: &mut Vec<Posting>,
+    ) -> Result<(), IndexError> {
+        self.check_func(func)?;
+        debug_assert!(texts.windows(2).all(|w| w[0] < w[1]));
+        self.attributed(io, || {
+            // A resident full list answers the whole batch with zero IO.
+            if let Some(hit) = self.list_cache.get(func, hash) {
+                io.record_hit();
+                crate::probe_sorted(&hit, texts, out);
+                return Ok(());
+            }
+            io.record_miss();
+            match &self.readers[func] {
+                AnyFileReader::V1(r) => self.probe_fixed_width(func, r, hash, texts, io, out),
+                AnyFileReader::V2(r) => {
+                    for &text in texts {
+                        out.extend(r.read_postings_for_text(hash, text, io)?);
+                    }
+                    Ok(())
+                }
+                // The per-block max-text skip entries seek each text to its
+                // first candidate block; blocks are decoded once per call.
+                AnyFileReader::V5(r) => r.probe_texts(hash, texts, io, out),
+            }
+        })
     }
 
     fn io_snapshot(&self) -> IoSnapshot {
@@ -430,41 +475,9 @@ impl IndexAccess for DiskIndex {
 
     fn list_length_histogram(&self, func: usize) -> Result<Vec<(u64, u64)>, IndexError> {
         self.check_func(func)?;
-        Ok(self.readers[func].length_histogram())
-    }
-
-    fn read_list_into(
-        &self,
-        func: usize,
-        hash: HashValue,
-        io: &IoStats,
-    ) -> Result<Vec<Posting>, IndexError> {
-        self.check_func(func)?;
-        let before = io.snapshot();
-        let result = self.read_list_inner(func, hash, io);
-        // Fold this call's delta into the index-wide totals. The accumulator
-        // is owned by one query (single-threaded), so the before/after diff
-        // is exact even while other queries run concurrently.
-        let delta = io.snapshot().since(&before);
-        self.stats.add(&delta);
-        self.metrics.observe(&delta);
-        result
-    }
-
-    fn read_postings_for_text_into(
-        &self,
-        func: usize,
-        hash: HashValue,
-        text: TextId,
-        io: &IoStats,
-    ) -> Result<Vec<Posting>, IndexError> {
-        self.check_func(func)?;
-        let before = io.snapshot();
-        let result = self.read_postings_for_text_inner(func, hash, text, io);
-        let delta = io.snapshot().since(&before);
-        self.stats.add(&delta);
-        self.metrics.observe(&delta);
-        result
+        Ok(self.histograms[func]
+            .get_or_init(|| self.readers[func].length_histogram())
+            .clone())
     }
 }
 
@@ -518,10 +531,13 @@ mod tests {
                     expect
                 );
             }
-            assert_eq!(
-                disk.list_length_histogram(func).unwrap(),
-                mem.list_length_histogram(func).unwrap()
-            );
+            // Computed on first use, memoised after: both calls agree.
+            for _ in 0..2 {
+                assert_eq!(
+                    disk.list_length_histogram(func).unwrap(),
+                    mem.list_length_histogram(func).unwrap()
+                );
+            }
         }
         assert!(disk.io_snapshot().bytes > 0);
         std::fs::remove_dir_all(&dir).ok();

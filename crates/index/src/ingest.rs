@@ -52,7 +52,9 @@ use crate::generation::GenerationStore;
 use crate::journal::{self, KillPoints};
 use crate::merge::{merge_indexes_with, MergeOptions};
 use crate::wal::{self, WalWriter};
-use crate::{build, IndexAccess, IndexConfig, IndexError, IoSnapshot, Posting};
+use crate::{
+    build, IndexAccess, IndexConfig, IndexError, IoSnapshot, IoStats, Posting, SharedList,
+};
 
 /// Directory inside a store root that holds the mutable state.
 pub const MEMTABLE_DIR: &str = "memtable";
@@ -345,24 +347,31 @@ impl IndexAccess for MemSegment {
         Ok(self.maps[func].get(&hash).map_or(0, |v| v.len() as u64))
     }
 
-    fn read_list(&self, func: usize, hash: HashValue) -> Result<Vec<Posting>, IndexError> {
-        self.check_func(func)?;
-        Ok(self.maps[func].get(&hash).cloned().unwrap_or_default())
-    }
-
-    fn read_postings_for_text(
+    fn shared_list(
         &self,
         func: usize,
         hash: HashValue,
-        text: TextId,
-    ) -> Result<Vec<Posting>, IndexError> {
+        _io: &IoStats,
+    ) -> Result<SharedList<'_>, IndexError> {
         self.check_func(func)?;
-        let Some(list) = self.maps[func].get(&hash) else {
-            return Ok(Vec::new());
-        };
-        let lo = list.partition_point(|p| p.text < text);
-        let hi = list.partition_point(|p| p.text <= text);
-        Ok(list[lo..hi].to_vec())
+        let list = self.maps[func].get(&hash).map_or(&[][..], Vec::as_slice);
+        Ok(SharedList::Borrowed(list))
+    }
+
+    fn probe_texts(
+        &self,
+        func: usize,
+        hash: HashValue,
+        texts: &[TextId],
+        _io: &IoStats,
+        out: &mut Vec<Posting>,
+    ) -> Result<(), IndexError> {
+        self.check_func(func)?;
+        if let Some(list) = self.maps[func].get(&hash) {
+            // Lists are sorted by text id: binary search each contiguous run.
+            crate::probe_sorted(list, texts, out);
+        }
+        Ok(())
     }
 
     fn io_snapshot(&self) -> IoSnapshot {
@@ -604,15 +613,17 @@ impl IngestIndex {
         // watermark past fully-covered WALs, then delete them and any seal
         // directory for a no-longer-frozen sequence.
         if trimmed != manifest.trimmed_below || !manifest.compact_gen.is_empty() {
-            // The pointer is stale once no frozen segment precedes the
-            // generation it was allocated for.
-            let stale_compact = manifest.compact_gen.is_empty()
-                || frozen.is_empty()
-                || trimmed != manifest.trimmed_below;
-            manifest.trimmed_below = trimmed;
-            if stale_compact && frozen.is_empty() {
+            // Compaction takes the oldest frozen segment first, so a WAL
+            // found fully covered is the one `compact_gen` was allocated
+            // for: that compaction reached publish and the pointer names
+            // `CURRENT` now. It must not outlive this recovery — the next
+            // compaction would reuse it as its target and merge `CURRENT`
+            // into itself, rewriting the serving generation in place. With
+            // nothing frozen there is no compaction to resume either.
+            if trimmed != manifest.trimmed_below || frozen.is_empty() {
                 manifest.compact_gen.clear();
             }
+            manifest.trimmed_below = trimmed;
             manifest.save(root)?;
         }
         let mut removed = 0u64;
@@ -780,12 +791,23 @@ impl IngestIndex {
         let _span = ndss_obs::span("ingest.compact");
         let seq = seg.wal_seq();
         let kill = self.opts.kill.clone();
+        let current = self.store.current_dir()?;
+
+        // A recorded target that is `CURRENT` already: an earlier attempt on
+        // this instance published it and failed before the trim (recovery
+        // never leaves this state, it clears the pointer). The segment is
+        // served from disk; merging it again would add its texts twice, and
+        // into the serving generation's own directory. Only the trim is left.
+        if !self.manifest.compact_gen.is_empty()
+            && current == Some(self.root.join(&self.manifest.compact_gen))
+        {
+            return self.trim_compacted(seq);
+        }
 
         // Step 1: seal — deterministically materialize the segment as an
         // index directory, straight from the postings it accumulated on
         // append (no window regeneration). A crashed seal is simply
         // rewritten (same bytes).
-        let current = self.store.current_dir()?;
         let seal = Self::seal_dir(&self.root, seq);
         let merging = current.is_some();
         journal::tick_checkpoint(&kill)?;
@@ -847,9 +869,14 @@ impl IngestIndex {
         self.store.publish(&gen_name, self.opts.keep)?;
         compactions_counter().inc(1);
         journal::tick_checkpoint(&kill)?;
+        self.trim_compacted(seq)
+    }
 
-        // Step 5: trim — watermark first (so a crash mid-delete is
-        // finishable), then delete the WAL and the seal.
+    /// Step 5 of [`Self::compact_once`], once the oldest frozen segment
+    /// (WAL `seq`) is served by `CURRENT`: trim — watermark first (so a
+    /// crash mid-delete is finishable), then delete the WAL and the seal.
+    fn trim_compacted(&mut self, seq: u64) -> Result<bool, IndexError> {
+        let kill = self.opts.kill.clone();
         let seg = self.frozen.remove(0);
         self.covered += seg.len() as u64;
         self.manifest.compact_gen.clear();
@@ -857,6 +884,7 @@ impl IngestIndex {
         self.manifest.save(&self.root)?;
         journal::tick_checkpoint(&kill)?;
         std::fs::remove_file(Self::wal_path(&self.root, seq)).ok();
+        let seal = Self::seal_dir(&self.root, seq);
         if seal.is_dir() {
             std::fs::remove_dir_all(&seal).ok();
         }
@@ -1113,6 +1141,57 @@ mod tests {
             assert!(!IngestIndex::wal_path(&root, seq).exists());
         }
         std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// An attempt that fails *on this instance* (not a crash: the caller
+    /// keeps the `IngestIndex` and calls again, as the daemon's compactor
+    /// does) must converge from every kill point — including the window
+    /// after publish, where the segment is on disk but still frozen in
+    /// memory: the retry must only trim, not merge the segment a second
+    /// time into the generation that serves it.
+    #[test]
+    fn retry_on_the_same_instance_converges_from_every_kill_point() {
+        let config = IndexConfig::new(2, 10, 3).bit_packed(true);
+        let all = texts(12, 9);
+        let prepared = |name: &str, kill: Option<Arc<KillPoints>>| {
+            let root = temp_root(name);
+            let mut ingest = IngestIndex::open(&root, Some(config.clone()), opts()).unwrap();
+            for t in &all[..5] {
+                ingest.append(t).unwrap();
+            }
+            ingest.seal_all().unwrap();
+            for t in &all[5..] {
+                ingest.append(t).unwrap();
+            }
+            ingest.rotate().unwrap();
+            ingest.opts.kill = kill;
+            (root, ingest)
+        };
+        let counter = KillPoints::count_only();
+        let (root, mut ingest) = prepared("retry_count", Some(counter.clone()));
+        assert!(ingest.compact_once().unwrap());
+        let reference = std::fs::read(crate::disk::inv_file_path(
+            &ingest.store.current_dir().unwrap().unwrap(),
+            0,
+        ))
+        .unwrap();
+        std::fs::remove_dir_all(&root).ok();
+
+        for n in 0..counter.checkpoints_seen() {
+            let (root, mut ingest) = prepared("retry", Some(KillPoints::at_checkpoint(n)));
+            assert!(ingest.compact_once().is_err(), "kill point {n}");
+            ingest.opts.kill = None;
+            ingest.compact_all().unwrap();
+            assert_eq!(ingest.covered(), all.len() as u64, "kill point {n}");
+            assert_eq!(ingest.frozen_segments(), 0, "kill point {n}");
+            let current = ingest.store.current_dir().unwrap().unwrap();
+            assert_eq!(
+                std::fs::read(crate::disk::inv_file_path(&current, 0)).unwrap(),
+                reference,
+                "kill point {n}: retried compaction differs from an undisturbed one"
+            );
+            std::fs::remove_dir_all(&root).ok();
+        }
     }
 
     #[test]

@@ -445,16 +445,23 @@ impl IoStats {
     }
 
     /// Folds a snapshot delta into these totals. Used by the disk index to
-    /// add a query's privately-accumulated IO to the global counters.
+    /// add a query's privately-accumulated IO to the global counters. Zero
+    /// fields are skipped: the usual delta is one cache hit, and six
+    /// no-op read-modify-writes on shared lines are not free.
     pub fn add(&self, delta: &IoSnapshot) {
         use std::sync::atomic::Ordering::Relaxed;
-        self.reads.fetch_add(delta.reads, Relaxed);
-        self.bytes.fetch_add(delta.bytes, Relaxed);
-        self.nanos.fetch_add(delta.nanos, Relaxed);
-        self.cache_hits.fetch_add(delta.cache_hits, Relaxed);
-        self.cache_misses.fetch_add(delta.cache_misses, Relaxed);
-        self.zone_hits.fetch_add(delta.zone_hits, Relaxed);
-        self.zone_misses.fetch_add(delta.zone_misses, Relaxed);
+        let fold = |cell: &std::sync::atomic::AtomicU64, v: u64| {
+            if v > 0 {
+                cell.fetch_add(v, Relaxed);
+            }
+        };
+        fold(&self.reads, delta.reads);
+        fold(&self.bytes, delta.bytes);
+        fold(&self.nanos, delta.nanos);
+        fold(&self.cache_hits, delta.cache_hits);
+        fold(&self.cache_misses, delta.cache_misses);
+        fold(&self.zone_hits, delta.zone_hits);
+        fold(&self.zone_misses, delta.zone_misses);
     }
 
     /// Current totals.
@@ -472,11 +479,60 @@ impl IoStats {
     }
 }
 
+/// A whole posting list as handed out by [`IndexAccess::shared_list`]:
+/// lent by a memory-resident index, or shared with the disk index's hot
+/// list cache. Either way the caller reads the index's own copy — nothing
+/// is cloned per query. Dereferences to the postings, ordered by
+/// `(text, l, c, r)`.
+#[derive(Debug)]
+pub enum SharedList<'a> {
+    /// A slice owned by the index itself (memory indexes, absent lists).
+    Borrowed(&'a [Posting]),
+    /// A decoded list co-owned with the list cache: a hit hands out the
+    /// resident allocation, a miss decodes once and the cache keeps the
+    /// same allocation.
+    Cached(std::sync::Arc<Vec<Posting>>),
+}
+
+impl std::ops::Deref for SharedList<'_> {
+    type Target = [Posting];
+
+    #[inline]
+    fn deref(&self) -> &[Posting] {
+        match self {
+            SharedList::Borrowed(list) => list,
+            SharedList::Cached(list) => list,
+        }
+    }
+}
+
+/// Appends to `out` the postings of every text in `texts` (strictly
+/// ascending) found in `list` (ordered by text): one forward pass, two
+/// binary searches per text over the not-yet-passed tail.
+pub(crate) fn probe_sorted(list: &[Posting], texts: &[TextId], out: &mut Vec<Posting>) {
+    let mut rest = list;
+    for &text in texts {
+        rest = &rest[rest.partition_point(|p| p.text < text)..];
+        let run = rest.partition_point(|p| p.text <= text);
+        out.extend_from_slice(&rest[..run]);
+        rest = &rest[run..];
+    }
+}
+
 /// Uniform read access to an inverted index, memory- or disk-resident.
 ///
 /// The query processor (`ndss-query`) is written against this trait, so the
 /// same Algorithm 3 implementation serves both the paper's in-memory and
 /// out-of-core settings.
+///
+/// Implementors provide the two accumulator-threading reads,
+/// [`Self::shared_list`] and [`Self::probe_texts`]; [`Self::read_list`] and
+/// [`Self::read_postings_for_text`] are owned-`Vec` conveniences over them.
+/// Both reads take a caller-owned [`IoStats`] accumulator. This is the
+/// attribution-safe path: under concurrent queries, diffing
+/// [`Self::io_snapshot`] charges one query with another's reads, while an
+/// accumulator passed down the call chain cannot bleed. Memory indexes
+/// perform no IO and ignore it.
 pub trait IndexAccess: Send + Sync {
     /// The index's configuration (k, t, seed, …).
     fn config(&self) -> &IndexConfig;
@@ -486,18 +542,53 @@ pub trait IndexAccess: Send + Sync {
     /// times per query to split short from long lists.
     fn list_len(&self, func: usize, hash: HashValue) -> Result<u64, IndexError>;
 
-    /// Reads the entire list `hash` under function `func` (possibly empty),
-    /// ordered by `(text, l, c, r)`.
-    fn read_list(&self, func: usize, hash: HashValue) -> Result<Vec<Posting>, IndexError>;
+    /// The entire list `hash` under function `func` (empty when absent),
+    /// ordered by `(text, l, c, r)`, without copying it out of its resident
+    /// form: memory indexes lend their slice, the disk index shares the
+    /// allocation its list cache holds. IO caused is recorded into `io`
+    /// (and folded into the index's global counters).
+    fn shared_list(
+        &self,
+        func: usize,
+        hash: HashValue,
+        io: &IoStats,
+    ) -> Result<SharedList<'_>, IndexError>;
 
-    /// Reads only the postings of `text` within list `hash` under `func`,
-    /// using a zone map when available so long lists are not fully scanned.
+    /// Batched probe: appends to `out` the postings of each text of
+    /// `texts` within list `hash` under `func` — exactly the concatenation
+    /// of one per-text probe per entry, in order. `texts` must be strictly
+    /// ascending, which lets the index resolve the list once and make a
+    /// single forward pass over it (binary search on a resident list, the
+    /// per-block skip entries on v5, zone maps on v3), decoding any block
+    /// at most once per call. IO caused is recorded into `io`.
+    fn probe_texts(
+        &self,
+        func: usize,
+        hash: HashValue,
+        texts: &[TextId],
+        io: &IoStats,
+        out: &mut Vec<Posting>,
+    ) -> Result<(), IndexError>;
+
+    /// [`Self::shared_list`] copied into an owned vector, IO accounted to
+    /// the index's global counters only.
+    fn read_list(&self, func: usize, hash: HashValue) -> Result<Vec<Posting>, IndexError> {
+        Ok(self.shared_list(func, hash, &IoStats::default())?.to_vec())
+    }
+
+    /// Only the postings of `text` within list `hash` under `func`:
+    /// [`Self::probe_texts`] for a single text, IO accounted to the index's
+    /// global counters only.
     fn read_postings_for_text(
         &self,
         func: usize,
         hash: HashValue,
         text: TextId,
-    ) -> Result<Vec<Posting>, IndexError>;
+    ) -> Result<Vec<Posting>, IndexError> {
+        let mut out = Vec::new();
+        self.probe_texts(func, hash, &[text], &IoStats::default(), &mut out)?;
+        Ok(out)
+    }
 
     /// Cumulative IO counters (zero for memory indexes).
     fn io_snapshot(&self) -> IoSnapshot;
@@ -505,34 +596,6 @@ pub trait IndexAccess: Send + Sync {
     /// Distribution of list lengths under `func` as `(length, how many
     /// lists)` pairs — used to pick prefix-filtering cutoffs.
     fn list_length_histogram(&self, func: usize) -> Result<Vec<(u64, u64)>, IndexError>;
-
-    /// Like [`Self::read_list`], but accounts the IO it causes into `io`
-    /// (a caller-owned accumulator) rather than only the index's global
-    /// counters. This is the attribution-safe path: under concurrent
-    /// queries, diffing [`Self::io_snapshot`] charges one query with
-    /// another's reads, while an accumulator passed down the call chain
-    /// cannot bleed. Memory indexes perform no IO, so the default simply
-    /// delegates.
-    fn read_list_into(
-        &self,
-        func: usize,
-        hash: HashValue,
-        _io: &IoStats,
-    ) -> Result<Vec<Posting>, IndexError> {
-        self.read_list(func, hash)
-    }
-
-    /// Accumulator-threading variant of [`Self::read_postings_for_text`];
-    /// see [`Self::read_list_into`].
-    fn read_postings_for_text_into(
-        &self,
-        func: usize,
-        hash: HashValue,
-        text: TextId,
-        _io: &IoStats,
-    ) -> Result<Vec<Posting>, IndexError> {
-        self.read_postings_for_text(func, hash, text)
-    }
 }
 
 #[cfg(test)]

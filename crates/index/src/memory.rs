@@ -12,7 +12,7 @@ use ndss_corpus::{CorpusSource, TextId};
 use ndss_hash::HashValue;
 use ndss_windows::{HashedWindow, WindowGenerator};
 
-use crate::{IndexAccess, IndexConfig, IndexError, IoSnapshot, Posting};
+use crate::{IndexAccess, IndexConfig, IndexError, IoSnapshot, IoStats, Posting, SharedList};
 
 /// One fully in-memory inverted index: `maps[func][hash] = postings`.
 #[derive(Debug)]
@@ -158,25 +158,31 @@ impl IndexAccess for MemoryIndex {
         Ok(self.maps[func].get(&hash).map_or(0, |v| v.len() as u64))
     }
 
-    fn read_list(&self, func: usize, hash: HashValue) -> Result<Vec<Posting>, IndexError> {
-        self.check_func(func)?;
-        Ok(self.maps[func].get(&hash).cloned().unwrap_or_default())
-    }
-
-    fn read_postings_for_text(
+    fn shared_list(
         &self,
         func: usize,
         hash: HashValue,
-        text: TextId,
-    ) -> Result<Vec<Posting>, IndexError> {
+        _io: &IoStats,
+    ) -> Result<SharedList<'_>, IndexError> {
         self.check_func(func)?;
-        let Some(list) = self.maps[func].get(&hash) else {
-            return Ok(Vec::new());
-        };
-        // Lists are sorted by text id: binary search the contiguous block.
-        let lo = list.partition_point(|p| p.text < text);
-        let hi = list.partition_point(|p| p.text <= text);
-        Ok(list[lo..hi].to_vec())
+        let list = self.maps[func].get(&hash).map_or(&[][..], Vec::as_slice);
+        Ok(SharedList::Borrowed(list))
+    }
+
+    fn probe_texts(
+        &self,
+        func: usize,
+        hash: HashValue,
+        texts: &[TextId],
+        _io: &IoStats,
+        out: &mut Vec<Posting>,
+    ) -> Result<(), IndexError> {
+        self.check_func(func)?;
+        if let Some(list) = self.maps[func].get(&hash) {
+            // Lists are sorted by text id: binary search each contiguous run.
+            crate::probe_sorted(list, texts, out);
+        }
+        Ok(())
     }
 
     fn io_snapshot(&self) -> IoSnapshot {

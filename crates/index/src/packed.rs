@@ -543,13 +543,11 @@ impl PackedFileReader {
     }
 
     /// Unpacks and decodes blocks `[blk_lo, blk_hi)` (absolute block-index
-    /// positions), appending to `out`. When `only_text` is set, only that
-    /// text's postings are kept.
+    /// positions) of one list.
     fn read_blocks(
         &self,
         blk_lo: usize,
         blk_hi: usize,
-        only_text: Option<TextId>,
         stats: &IoStats,
     ) -> Result<Vec<Posting>, IndexError> {
         if blk_lo >= blk_hi {
@@ -566,21 +564,8 @@ impl PackedFileReader {
         // no intermediate buffer, no copy; the unpack kernel reads the
         // packed planes straight out of the page cache.
         let owned;
-        let bytes: &[u8] = match self.file.mapped() {
-            Some(all) => {
-                let start = HEADER_LEN_CHECKED + byte_lo;
-                let view = usize::try_from(start)
-                    .ok()
-                    .and_then(|s| all.get(s..s + range_len))
-                    .ok_or_else(|| {
-                        IndexError::Malformed(format!(
-                            "mapped {} is shorter than its header promises",
-                            self.path.display()
-                        ))
-                    })?;
-                stats.record(range_len as u64, 0);
-                view
-            }
+        let bytes: &[u8] = match self.mapped_range(byte_lo, range_len, stats)? {
+            Some(view) => view,
             None => {
                 owned = self.read_bytes(byte_lo, range_len, stats)?;
                 &owned
@@ -591,18 +576,41 @@ impl PackedFileReader {
             .map(|b| b.posting_count as usize)
             .sum();
         let mut out = Vec::with_capacity(total);
-        let mut planes = [[0u32; BLOCK_LEN]; PLANES];
+        let mut block = [EMPTY_POSTING; BLOCK_LEN];
         let mut pos = 0usize;
         for entry in &self.blocks[blk_lo..blk_hi] {
-            for (pi, plane) in planes.iter_mut().enumerate() {
-                let len = bitpack::packed_len(entry.bits[pi]);
-                bitpack::unpack(&bytes[pos..pos + len], entry.bits[pi], plane);
-                pos += len;
-            }
-            decode_planes(entry, &planes, only_text, &mut out)?;
+            let len = entry.byte_len() as usize;
+            let count = decode_block(entry, &bytes[pos..pos + len], &mut block)?;
+            out.extend_from_slice(&block[..count]);
+            pos += len;
         }
         debug_assert_eq!(pos as u64, byte_hi - byte_lo);
         Ok(out)
+    }
+
+    /// Blocks-section bytes `[rel_offset, rel_offset + len)` borrowed from
+    /// the mapping (accounted as a zero-time read), or `None` when the file
+    /// is read with `pread`.
+    fn mapped_range(
+        &self,
+        rel_offset: u64,
+        len: usize,
+        stats: &IoStats,
+    ) -> Result<Option<&[u8]>, IndexError> {
+        let Some(all) = self.file.mapped() else {
+            return Ok(None);
+        };
+        let view = usize::try_from(HEADER_LEN_CHECKED + rel_offset)
+            .ok()
+            .and_then(|s| all.get(s..s.checked_add(len)?))
+            .ok_or_else(|| {
+                IndexError::Malformed(format!(
+                    "mapped {} is shorter than its header promises",
+                    self.path.display()
+                ))
+            })?;
+        stats.record(len as u64, 0);
+        Ok(Some(view))
     }
 
     /// Reads a whole list.
@@ -613,45 +621,95 @@ impl PackedFileReader {
         self.read_blocks(
             entry.block_start as usize,
             (entry.block_start + entry.block_count) as usize,
-            None,
             stats,
         )
     }
 
-    /// Reads only the postings of `text` in list `hash`. The per-block
-    /// `max_text` skip entries let the probe **seek**: a binary search lands
-    /// on the first block whose range can contain `text`, so long lists cost
-    /// O(log blocks) index work plus the one or two covering blocks of IO.
-    pub fn read_postings_for_text(
+    /// Appends to `out` the postings of each text of `texts` (strictly
+    /// ascending) in list `hash`, in one forward pass. The per-block
+    /// `max_text` skip entries let the probe **seek**: a `partition_point`
+    /// over the blocks not yet passed lands on the first block whose range
+    /// can contain the next text, so a long list costs O(log blocks) index
+    /// work per text plus IO for the covering blocks only. Each covering
+    /// block is read (into a stack buffer, or borrowed from the mapping)
+    /// and unpacked at most once per call, however many of the texts it
+    /// holds.
+    pub fn probe_texts(
         &self,
         hash: HashValue,
-        text: TextId,
+        texts: &[TextId],
         stats: &IoStats,
-    ) -> Result<Vec<Posting>, IndexError> {
+        out: &mut Vec<Posting>,
+    ) -> Result<(), IndexError> {
+        debug_assert!(texts.windows(2).all(|w| w[0] < w[1]));
         let Some(entry) = self.find(hash) else {
-            return Ok(Vec::new());
+            return Ok(());
         };
         let lo = entry.block_start as usize;
-        let hi = (entry.block_start + entry.block_count) as usize;
-        let index = &self.blocks[lo..hi];
-        // Skip seek: blocks are text-sorted, so the candidate run starts at
-        // the first block whose max_text reaches `text` and ends at the
-        // first block whose first_text passes it.
-        let blk_lo = lo + index.partition_point(|b| b.max_text < text);
-        let blk_hi = lo + index.partition_point(|b| b.first_text <= text);
-        self.read_blocks(blk_lo, blk_hi.max(blk_lo), Some(text), stats)
+        let index = &self.blocks[lo..lo + entry.block_count as usize];
+        let mut bytes = [0u8; MAX_BLOCK_BYTES];
+        let mut block = [EMPTY_POSTING; BLOCK_LEN];
+        // `block[..count]` holds the decoded postings of `index[resident]`.
+        let (mut resident, mut count) = (usize::MAX, 0usize);
+        // First block that can still hold a text at or past the current one.
+        let mut blk = 0usize;
+        for &text in texts {
+            blk += index[blk..].partition_point(|b| b.max_text < text);
+            // A text's run may spill over several blocks; it ends at the
+            // first block that starts past it.
+            let mut b = blk;
+            while b < index.len() && index[b].first_text <= text {
+                if resident != b {
+                    let e = &index[b];
+                    let len = e.byte_len() as usize;
+                    let packed = match self.mapped_range(e.byte_offset, len, stats)? {
+                        Some(view) => view,
+                        None => {
+                            let start = Instant::now();
+                            self.file.read_exact_at(
+                                &mut bytes[..len],
+                                HEADER_LEN_CHECKED + e.byte_offset,
+                            )?;
+                            stats.record(len as u64, start.elapsed().as_nanos() as u64);
+                            &bytes[..len]
+                        }
+                    };
+                    count = decode_block(e, packed, &mut block)?;
+                    resident = b;
+                }
+                crate::probe_sorted(&block[..count], &[text], out);
+                b += 1;
+            }
+        }
+        Ok(())
     }
 }
 
-/// Decodes one block's unpacked planes into postings. Every arithmetic step
-/// is overflow-checked and the final text id is cross-checked against the
-/// block's skip entry, so corrupt payloads yield a clean error.
-fn decode_planes(
+/// Largest packed block: four planes at 32 bits.
+const MAX_BLOCK_BYTES: usize = PLANES * bitpack::packed_len(32);
+
+const EMPTY_POSTING: Posting = Posting {
+    text: 0,
+    window: CompactWindow { l: 0, c: 0, r: 0 },
+};
+
+/// Unpacks and decodes one block from its `packed` bytes into `block`,
+/// returning the posting count. Every arithmetic step is overflow-checked
+/// and the final text id is cross-checked against the block's skip entry,
+/// so corrupt payloads yield a clean error; callers copy out of `block`
+/// only after that validation, so corrupt blocks never leak postings.
+fn decode_block(
     entry: &BlockEntryV5,
-    planes: &[[u32; BLOCK_LEN]; PLANES],
-    only_text: Option<TextId>,
-    out: &mut Vec<Posting>,
-) -> Result<(), IndexError> {
+    packed: &[u8],
+    block: &mut [Posting; BLOCK_LEN],
+) -> Result<usize, IndexError> {
+    let mut planes = [[0u32; BLOCK_LEN]; PLANES];
+    let mut pos = 0usize;
+    for (plane, &bits) in planes.iter_mut().zip(&entry.bits) {
+        let len = bitpack::packed_len(bits);
+        bitpack::unpack(&packed[pos..pos + len], bits, plane);
+        pos += len;
+    }
     let count = entry.posting_count as usize;
     if planes[0][0] != 0 {
         return Err(IndexError::Malformed(
@@ -660,14 +718,7 @@ fn decode_planes(
     }
     // All arithmetic runs branchless in u64 (a 128-delta chain of u32s
     // cannot overflow u64); `wide` accumulates any value that left u32
-    // range and a single check at the end rejects the block. Postings are
-    // decoded into a fixed block buffer and copied out in one shot *after*
-    // validation, so corrupt blocks never leak partial postings.
-    let zero = Posting {
-        text: 0,
-        window: CompactWindow { l: 0, c: 0, r: 0 },
-    };
-    let mut block = [zero; BLOCK_LEN];
+    // range and a single check at the end rejects the block.
     let mut wide = 0u64;
     let mut text = entry.first_text as u64;
     for i in 0..count {
@@ -695,11 +746,7 @@ fn decode_planes(
             "decoded block does not end at its max_text skip entry".into(),
         ));
     }
-    match only_text {
-        None => out.extend_from_slice(&block[..count]),
-        Some(t) => out.extend(block[..count].iter().filter(|p| p.text == t)),
-    }
-    Ok(())
+    Ok(count)
 }
 
 #[cfg(test)]
@@ -718,6 +765,12 @@ mod tests {
         let dir = std::env::temp_dir().join("ndss_packed_tests");
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
+    }
+
+    fn probe_one(r: &PackedFileReader, hash: u64, text: u32, stats: &IoStats) -> Vec<Posting> {
+        let mut out = Vec::new();
+        r.probe_texts(hash, &[text], stats, &mut out).unwrap();
+        out
     }
 
     #[test]
@@ -744,7 +797,7 @@ mod tests {
 
         // Per-text probe equals filter of the full list, and reads less.
         let before = stats.snapshot();
-        let got = r.read_postings_for_text(200, 25, &stats).unwrap();
+        let got = probe_one(&r, 200, 25, &stats);
         let probe_bytes = stats.snapshot().since(&before).bytes;
         let expect: Vec<Posting> = long.iter().filter(|p| p.text == 25).copied().collect();
         assert_eq!(got, expect);
@@ -792,7 +845,7 @@ mod tests {
             for text in 0..140u32 {
                 assert_eq!(
                     r4.read_postings_for_text(*hash, text, &stats).unwrap(),
-                    r5.read_postings_for_text(*hash, text, &stats).unwrap(),
+                    probe_one(&r5, *hash, text, &stats),
                     "hash {hash} text {text}"
                 );
             }
@@ -818,7 +871,7 @@ mod tests {
         let r = PackedFileReader::open(&path).unwrap();
         let stats = IoStats::default();
         for text in 0..=11u32 {
-            let got = r.read_postings_for_text(1, text, &stats).unwrap();
+            let got = probe_one(&r, 1, text, &stats);
             let expect: Vec<Posting> = list.iter().filter(|p| p.text == text).copied().collect();
             assert_eq!(got, expect, "text {text}");
         }

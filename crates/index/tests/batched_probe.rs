@@ -1,0 +1,217 @@
+//! Differential test of [`IndexAccess::probe_texts`]: one batched call
+//! must return exactly the concatenation of one per-text probe per entry
+//! (and both must equal filtering the list itself), for every on-disk
+//! format, both read paths, and with the list cache off, on but cold, and
+//! holding the whole list — on lists built to sit on the boundaries the
+//! forward pass has to get right.
+
+use std::path::{Path, PathBuf};
+
+use ndss_corpus::TextId;
+use ndss_hash::HashValue;
+use ndss_index::codec::CompressedFileWriter;
+use ndss_index::format::IndexFileWriter;
+use ndss_index::packed::PackedFileWriter;
+use ndss_index::{
+    inv_file_path, CacheConfig, DiskIndex, IndexAccess, IndexConfig, IoStats, Posting, ReadOptions,
+};
+use ndss_windows::CompactWindow;
+
+/// Zone step (v3) and block length (v4); v5 blocks are always 128.
+const STEP: u32 = 8;
+
+fn posting(text: TextId, i: u32) -> Posting {
+    Posting {
+        text,
+        window: CompactWindow::new(i, i + 2, i + 30),
+    }
+}
+
+/// `runs` as `(text, postings of that text)`, ascending by text.
+fn list(runs: &[(TextId, u32)]) -> Vec<Posting> {
+    runs.iter()
+        .flat_map(|&(text, n)| (0..n).map(move |i| posting(text, i)))
+        .collect()
+}
+
+/// The lists under test, keyed by hash (ascending).
+fn fixture() -> Vec<(HashValue, Vec<Posting>)> {
+    vec![
+        // Fits one block of any format.
+        (10, list(&[(3, 2), (4, 1), (9, 3)])),
+        // One text spanning several blocks of every format (128-posting v5
+        // blocks included), between texts that share its first and last
+        // block; ids start above 0 so "before the first block" exists.
+        (20, list(&[(5, 3), (7, 2), (8, 300), (9, 1), (400, 2)])),
+        // Many single-posting texts: every block boundary falls between
+        // two texts, and each v5 block holds 128 candidates.
+        (30, list(&(10..700).map(|t| (t * 3, 1)).collect::<Vec<_>>())),
+        // Runs exactly one block long, so runs end where blocks end.
+        (40, list(&[(2, STEP), (6, 128), (11, STEP), (12, 128)])),
+    ]
+}
+
+fn build(dir: &Path, format: &str) -> IndexConfig {
+    std::fs::remove_dir_all(dir).ok();
+    std::fs::create_dir_all(dir).unwrap();
+    let path = inv_file_path(dir, 0);
+    let config = IndexConfig::new(1, 25, 1).zone_map(STEP, 16);
+    let lists = fixture();
+    let config = match format {
+        "v3" => {
+            let mut w = IndexFileWriter::create(&path, 0, STEP, 16).unwrap();
+            for (hash, postings) in &lists {
+                w.write_list(*hash, postings).unwrap();
+            }
+            w.finish().unwrap();
+            config
+        }
+        "v4" => {
+            let mut w = CompressedFileWriter::create(&path, 0, STEP).unwrap();
+            for (hash, postings) in &lists {
+                w.write_list(*hash, postings).unwrap();
+            }
+            w.finish().unwrap();
+            config.compressed(true)
+        }
+        _ => {
+            let mut w = PackedFileWriter::create(&path, 0).unwrap();
+            for (hash, postings) in &lists {
+                w.write_list(*hash, postings).unwrap();
+            }
+            w.finish().unwrap();
+            config.bit_packed(true)
+        }
+    };
+    DiskIndex::write_meta(dir, &config).unwrap();
+    config
+}
+
+/// Candidate sets for a list whose texts are `present` (ascending).
+fn candidate_sets(present: &[TextId]) -> Vec<Vec<TextId>> {
+    let (first, last) = (present[0], *present.last().unwrap());
+    let mut sets = vec![
+        Vec::new(),
+        vec![first - 1],
+        vec![last + 1],
+        vec![first - 1, last + 1, last + 1000],
+        present.to_vec(),
+        // Every id in range: present and absent interleaved.
+        (first - 1..=last + 1).collect(),
+        // Sparse picks: most blocks are skipped over.
+        present.iter().copied().step_by(97).collect(),
+    ];
+    // Each present text alone, and with its absent neighbours.
+    for &t in present.iter().take(12) {
+        sets.push(vec![t]);
+        sets.push(vec![t - 1, t, t + 1]);
+    }
+    for set in &mut sets {
+        set.dedup();
+    }
+    sets
+}
+
+#[test]
+fn batched_probe_equals_per_text_probes() {
+    let base: PathBuf =
+        std::env::temp_dir().join(format!("ndss_batched_probe_{}", std::process::id()));
+    let lists = fixture();
+    for format in ["v3", "v4", "v5"] {
+        let dir = base.join(format);
+        build(&dir, format);
+        for mmap in [false, true] {
+            for cache in ["off", "cold", "resident"] {
+                let label = format!("{format} mmap={mmap} cache={cache}");
+                let open = || {
+                    let io = if mmap {
+                        ReadOptions::with_mmap()
+                    } else {
+                        ReadOptions::default()
+                    };
+                    let sizing = if cache == "off" {
+                        CacheConfig::disabled()
+                    } else {
+                        CacheConfig::default()
+                    };
+                    DiskIndex::open_with_io(&dir, sizing, io).unwrap()
+                };
+                for (hash, postings) in &lists {
+                    let mut present: Vec<TextId> = postings.iter().map(|p| p.text).collect();
+                    present.dedup();
+                    for texts in candidate_sets(&present) {
+                        // A fresh index per probe keeps "cold" cold.
+                        let index = open();
+                        if cache == "resident" {
+                            let whole = index.shared_list(0, *hash, &IoStats::default()).unwrap();
+                            assert_eq!(&whole[..], &postings[..], "{label} hash {hash}");
+                        }
+                        let io = IoStats::default();
+                        let mut batched = vec![posting(u32::MAX, 0)]; // appended to, not cleared
+                        index
+                            .probe_texts(0, *hash, &texts, &io, &mut batched)
+                            .unwrap();
+                        let per_text: Vec<Posting> = texts
+                            .iter()
+                            .flat_map(|&t| open().read_postings_for_text(0, *hash, t).unwrap())
+                            .collect();
+                        let filtered: Vec<Posting> = texts
+                            .iter()
+                            .flat_map(|t| postings.iter().filter(move |p| p.text == *t))
+                            .copied()
+                            .collect();
+                        assert_eq!(batched[0], posting(u32::MAX, 0), "{label}");
+                        assert_eq!(batched[1..], filtered[..], "{label} hash {hash} {texts:?}");
+                        assert_eq!(per_text, filtered, "{label} hash {hash} {texts:?}");
+                        // One list consult per call (none for an empty
+                        // batch is fine too), and a resident list costs no IO.
+                        let s = io.snapshot();
+                        assert!(s.cache_hits + s.cache_misses <= 1, "{label}");
+                        if cache == "resident" {
+                            assert_eq!((s.cache_hits, s.bytes), (1, 0), "{label}");
+                        }
+                    }
+                }
+                // An absent hash answers empty on every path.
+                let mut out = Vec::new();
+                open()
+                    .probe_texts(0, 15, &[1, 2, 3], &IoStats::default(), &mut out)
+                    .unwrap();
+                assert!(out.is_empty(), "{label}");
+            }
+        }
+    }
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// v5 decodes a block at most once per call: a batch covering the whole
+/// list reads no more bytes than the list occupies, where per-text probes
+/// re-read a block for every text in it.
+#[test]
+fn v5_batch_reads_each_block_once() {
+    let dir = std::env::temp_dir().join(format!("ndss_batched_probe_once_{}", std::process::id()));
+    build(&dir, "v5");
+    let index = DiskIndex::open_with_cache(&dir, CacheConfig::disabled()).unwrap();
+    let (hash, postings) = &fixture()[2];
+    let mut texts: Vec<TextId> = postings.iter().map(|p| p.text).collect();
+    texts.dedup();
+
+    let whole = IoStats::default();
+    index.shared_list(0, *hash, &whole).unwrap();
+    let batch = IoStats::default();
+    let mut out = Vec::new();
+    index
+        .probe_texts(0, *hash, &texts, &batch, &mut out)
+        .unwrap();
+    assert_eq!(&out, postings);
+    assert_eq!(batch.snapshot().bytes, whole.snapshot().bytes);
+
+    let single = IoStats::default();
+    for &t in &texts {
+        index
+            .probe_texts(0, *hash, &[t], &single, &mut out)
+            .unwrap();
+    }
+    assert!(single.snapshot().bytes > 50 * batch.snapshot().bytes);
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -4,15 +4,16 @@
 //! registry):
 //!
 //! 1. **Exact attribution** — per-caller accumulators threaded through
-//!    `read_list_into` / `read_postings_for_text_into` partition the global
-//!    totals: the sum of all accumulator snapshots equals the index-wide
-//!    `io_snapshot` delta exactly, under any thread interleaving. No reads
-//!    or bytes are double-counted, none leak between callers.
-//! 2. **Complete cache accounting** — every posting-list consult records
-//!    exactly one of `cache_hits`/`cache_misses`, and every zone-map
-//!    consult exactly one of `zone_hits`/`zone_misses` (the zone counters
-//!    are separate: a probe can miss the list cache yet hit the zone
-//!    cache, and folding those together overstated miss rates).
+//!    `shared_list` / `probe_texts` partition the global totals: the sum of
+//!    all accumulator snapshots equals the index-wide `io_snapshot` delta
+//!    exactly, under any thread interleaving. No reads or bytes are
+//!    double-counted, none leak between callers.
+//! 2. **Complete cache accounting** — every posting-list consult (one
+//!    `shared_list` call, or one `probe_texts` call however many texts it
+//!    batches) records exactly one of `cache_hits`/`cache_misses`, and
+//!    every zone-map consult exactly one of `zone_hits`/`zone_misses` (the
+//!    zone counters are separate: a probe can miss the list cache yet hit
+//!    the zone cache, and folding those together overstated miss rates).
 
 use std::path::{Path, PathBuf};
 
@@ -94,19 +95,24 @@ fn concurrent_accumulators_partition_global_totals_exactly() {
                 s.spawn(move || {
                     let io = IoStats::default();
                     let mut list_consults = 0u64;
+                    let mut probed = Vec::new();
                     for round in 0..3 {
                         for (i, &(func, hash)) in keys.iter().enumerate() {
                             // Interleave full reads and per-text probes.
                             if (i + t + round) % 3 == 0 {
-                                let postings = disk.read_list_into(func, hash, &io).unwrap();
+                                let postings = disk.shared_list(func, hash, &io).unwrap();
                                 list_consults += 1;
-                                if let Some(p) = postings.first() {
-                                    disk.read_postings_for_text_into(func, hash, p.text, &io)
-                                        .unwrap();
-                                    list_consults += 1;
-                                }
+                                // One batched probe of the list's first and
+                                // last text: one consult, however many texts.
+                                let mut texts = vec![postings[0].text];
+                                texts.extend(postings.last().map(|p| p.text));
+                                texts.dedup();
+                                probed.clear();
+                                disk.probe_texts(func, hash, &texts, &io, &mut probed)
+                                    .unwrap();
+                                list_consults += 1;
                             } else {
-                                disk.read_list_into(func, hash, &io).unwrap();
+                                disk.shared_list(func, hash, &io).unwrap();
                                 list_consults += 1;
                             }
                         }
@@ -151,23 +157,33 @@ fn zone_consults_are_counted_separately_from_list_cache() {
     // as misses, one per probe.
     let cold = DiskIndex::open_with_cache(&dir, CacheConfig::disabled()).unwrap();
     let io_cold = IoStats::default();
-    cold.read_postings_for_text_into(func, hash, text, &io_cold)
-        .unwrap();
-    cold.read_postings_for_text_into(func, hash, text, &io_cold)
-        .unwrap();
+    let mut out = Vec::new();
+    for _ in 0..2 {
+        cold.probe_texts(func, hash, &[text], &io_cold, &mut out)
+            .unwrap();
+    }
     let s = io_cold.snapshot();
     assert_eq!(s.zone_hits, 0, "disabled cache cannot hit");
     assert_eq!(s.zone_misses, 2, "each probe reads the zone map from disk");
     assert_eq!(s.cache_misses, 2);
 
+    // A batched probe resolves the list once: one list-cache consult and
+    // one zone-map consult for the whole batch, not one per text.
+    let io_batch = IoStats::default();
+    cold.probe_texts(func, hash, &[text, text + 1, text + 2], &io_batch, &mut out)
+        .unwrap();
+    let s = io_batch.snapshot();
+    assert_eq!((s.cache_hits, s.cache_misses), (0, 1));
+    assert_eq!((s.zone_hits, s.zone_misses), (0, 1));
+
     // With caches on, the second probe of the same list is served by the
     // zone cache.
     let warm = DiskIndex::open_with_cache(&dir, CacheConfig::default()).unwrap();
     let io_warm = IoStats::default();
-    warm.read_postings_for_text_into(func, hash, text, &io_warm)
+    warm.probe_texts(func, hash, &[text], &io_warm, &mut out)
         .unwrap();
     let first = io_warm.snapshot();
-    warm.read_postings_for_text_into(func, hash, text, &io_warm)
+    warm.probe_texts(func, hash, &[text], &io_warm, &mut out)
         .unwrap();
     let second = io_warm.snapshot().since(&first);
     assert_eq!(first.zone_misses, 1);

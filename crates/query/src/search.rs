@@ -7,12 +7,10 @@ use ndss_corpus::{CorpusSource, SeqRef, SeqSpan, TextId};
 use ndss_hash::jaccard::distinct_jaccard;
 use ndss_hash::minhash::collision_threshold;
 use ndss_hash::{MinHasher, TokenId};
-use ndss_index::{IndexAccess, IoStats, Posting};
+use ndss_index::{IndexAccess, IoStats, Posting, SharedList};
 use ndss_windows::CompactWindow;
 
-use crate::collision::{
-    collision_count_fn_into, collision_count_into, CollisionScratch, Rectangle,
-};
+use crate::collision::{collision_count_fn_into, CollisionScratch, Rectangle};
 use crate::governor::{BudgetTracker, CancelToken, QueryBudget, Resource, Verdict};
 use crate::QueryError;
 
@@ -388,29 +386,33 @@ impl<'a, I: IndexAccess + ?Sized> NearDupSearcher<'a, I> {
         // The budget-governed pipeline. `checkpoint!` is the cooperative
         // yield point: an unlimited budget resolves it to a single branch
         // (plus one relaxed load when a cancel token is attached); a tripped
-        // budget breaks out with the exhausted resource, keeping every
-        // fully-verified match accumulated so far. A stage interrupted
-        // mid-flight leaves its `stage_*` duration at zero — its time still
-        // shows up in `total`/`cpu_time`.
-        let stopped: Option<Resource> = 'run: {
+        // budget records the exhausted resource and leaves the named block,
+        // keeping every fully-verified match accumulated so far. A stage
+        // interrupted mid-flight leaves its `stage_*` duration at zero — its
+        // time still shows up in `total`/`cpu_time`.
+        let mut stopped: Option<Resource> = None;
+        'run: {
             macro_rules! checkpoint {
-                ($candidates:expr, $matches:expr) => {
+                ($candidates:expr, $matches:expr, $leave:lifetime) => {
                     match tracker.check(
                         if tracker.is_limited() {
                             io_acc.snapshot().bytes
                         } else {
                             0
                         },
-                        $candidates,
-                        $matches,
+                        $candidates as u64,
+                        $matches as u64,
                     ) {
                         Verdict::Proceed => {}
                         Verdict::Cancelled => return Err(QueryError::Cancelled),
-                        Verdict::Over(resource) => break 'run Some(resource),
+                        Verdict::Over(resource) => {
+                            stopped = Some(resource);
+                            break $leave;
+                        }
                     }
                 };
             }
-            checkpoint!(0, 0);
+            checkpoint!(0, 0, 'run);
             let plan_start = Instant::now();
 
             // Classify lists. Soundness of the reduced threshold
@@ -447,84 +449,110 @@ impl<'a, I: IndexAccess + ?Sized> NearDupSearcher<'a, I> {
             stats.lists_long = long_funcs.len();
             stats.stage_plan = plan_start.elapsed();
 
-            // Lines 3–4: load the short lists and group windows by text.
-            // Grouping is sort-based: the short lists are concatenated and
-            // sorted by text id once, then candidates are walked as runs of
-            // the sorted vector. This is the hottest per-posting loop of a
-            // query, and one cache-friendly sort beats a hash-map insert
-            // per posting (collision counting is order-insensitive, so the
-            // unstable sort is fine).
+            // Phase 1 (lines 3–4): fetch the short lists and keep the
+            // postings of every text that could reach the reduced threshold.
+            // The lists are borrowed — a cache hit is the resident
+            // allocation, not a copy — and a text can only reach α₀
+            // collisions if at least α₀ of their postings name it, so the
+            // lists are first *counted* per text and only the few texts
+            // whose count reaches α₀ are copied out (`kept`, grouped by
+            // text). This is the hottest per-posting loop of a query.
             let gather_start = Instant::now();
-            let short_total: u64 = (0..k).filter(|&f| !is_long[f]).map(|f| lens[f]).sum();
-            let mut gathered: Vec<Posting> = Vec::with_capacity(short_total as usize);
+            let mut lists: Vec<SharedList<'_>> = Vec::with_capacity(p);
+            let mut short_total = 0usize;
             let mut max_text: TextId = 0;
             for (func, &long) in is_long.iter().enumerate() {
                 if long {
                     continue;
                 }
-                checkpoint!(0, 0);
-                let list = self
-                    .index
-                    .read_list_into(func, sketch.value(func), &io_acc)?;
+                checkpoint!(0, 0, 'run);
+                let list = self.index.shared_list(func, sketch.value(func), &io_acc)?;
                 stats.lists_loaded += 1;
-                stats.postings_read += list.len() as u64;
+                short_total += list.len();
                 if let Some(last) = list.last() {
                     // Lists are text-sorted; their last entry is their max.
                     max_text = max_text.max(last.text);
                 }
-                gathered.extend_from_slice(&list);
+                lists.push(list);
             }
+            stats.postings_read += short_total as u64;
             // Text ids are dense, so when their span is within a small
-            // factor of the posting count a two-pass counting sort beats
-            // the comparison sort; very sparse id spaces (huge corpus, tiny
-            // query) fall back to it.
+            // factor of the posting count a counting pass groups by text
+            // without sorting: count postings per text, give each text that
+            // reaches α₀ its slice of `kept` (the counter becomes its write
+            // cursor, every other text is marked skipped), then copy just
+            // those texts' postings into place. Very sparse id spaces (huge
+            // corpus, tiny query) sort all the postings instead, and phase 2
+            // skips the runs below α₀.
+            const SKIP: u32 = u32::MAX;
             let t_span = max_text as usize + 1;
-            if !gathered.is_empty() && t_span / 8 <= gathered.len() {
-                let mut starts = vec![0u32; t_span + 1];
-                for p in &gathered {
-                    starts[p.text as usize + 1] += 1;
+            let kept: Vec<Posting> = if t_span / 8 <= short_total && short_total < SKIP as usize {
+                let mut slots = vec![0u32; t_span];
+                for list in &lists {
+                    for p in list.iter() {
+                        slots[p.text as usize] += 1;
+                    }
                 }
-                for i in 1..starts.len() {
-                    starts[i] += starts[i - 1];
+                let mut total = 0u32;
+                for slot in &mut slots {
+                    if (*slot as usize) < alpha0 {
+                        *slot = SKIP;
+                    } else {
+                        total += std::mem::replace(slot, total);
+                    }
                 }
-                let mut sorted = vec![gathered[0]; gathered.len()];
-                for p in &gathered {
-                    let slot = &mut starts[p.text as usize];
-                    sorted[*slot as usize] = *p;
-                    *slot += 1;
+                let unset = Posting {
+                    text: 0,
+                    window: CompactWindow { l: 0, c: 0, r: 0 },
+                };
+                let mut kept = vec![unset; total as usize];
+                for list in &lists {
+                    for p in list.iter() {
+                        let slot = &mut slots[p.text as usize];
+                        if *slot != SKIP {
+                            kept[*slot as usize] = *p;
+                            *slot += 1;
+                        }
+                    }
                 }
-                gathered = sorted;
+                kept
             } else {
-                gathered.sort_unstable_by_key(|p| p.text);
-            }
-
+                let mut all = Vec::with_capacity(short_total);
+                for list in &lists {
+                    all.extend_from_slice(list);
+                }
+                // Collision counting is insensitive to the order windows
+                // arrive in, so the unstable sort is fine.
+                all.sort_unstable_by_key(|p| p.text);
+                all
+            };
+            drop(lists);
             stats.stage_gather = gather_start.elapsed();
 
-            // Lines 5–12: per candidate text, count collisions. Texts are
-            // visited in ascending id order and a text's match is appended
-            // only after its final collision count, so breaking between
-            // texts (or mid-probe, before the append) always leaves a sound
-            // prefix of the full result set.
+            // Phase 2 (lines 5–6): CollisionCount at the reduced threshold
+            // over each kept text, in ascending id order, fixes the
+            // candidate set. With no long lists α₀ = β and the rectangles
+            // are already final: matches are appended here, so a trip
+            // between texts leaves a sound prefix of the full result set.
             let count_start = Instant::now();
-            let mut windows: Vec<CompactWindow> = Vec::new();
             let mut scratch = CollisionScratch::default();
             let mut rect_buf: Vec<Rectangle> = Vec::new();
+            // `(text, its run in kept)` per candidate.
+            let mut candidates: Vec<(TextId, std::ops::Range<usize>)> = Vec::new();
             let mut run_start = 0usize;
-            while run_start < gathered.len() {
-                let text = gathered[run_start].text;
-                let mut run_end = run_start + 1;
-                while run_end < gathered.len() && gathered[run_end].text == text {
-                    run_end += 1;
-                }
-                let run = &gathered[run_start..run_end];
-                run_start = run_end;
-                checkpoint!(stats.candidate_texts as u64, matches.len() as u64);
-                if run.len() < alpha0 {
+            'select: while run_start < kept.len() {
+                let text = kept[run_start].text;
+                let run_len = kept[run_start..]
+                    .iter()
+                    .take_while(|p| p.text == text)
+                    .count();
+                let range = run_start..run_start + run_len;
+                run_start = range.end;
+                if run_len < alpha0 {
                     continue;
                 }
-                // Line 6: candidate check at the reduced threshold, fed
-                // straight from the posting run (no window copy for the
-                // common non-candidate case).
+                checkpoint!(stats.candidate_texts, matches.len(), 'select);
+                let run = &kept[range.clone()];
                 collision_count_fn_into(
                     run.len(),
                     |i| run[i].window,
@@ -532,47 +560,76 @@ impl<'a, I: IndexAccess + ?Sized> NearDupSearcher<'a, I> {
                     &mut scratch,
                     &mut rect_buf,
                 );
-                let has_candidate = rect_buf.iter().any(|r| r.sequences_at_least(t) > 0);
-                if !has_candidate {
+                rect_buf.retain(|r| r.sequences_at_least(t) > 0);
+                if rect_buf.is_empty() {
                     continue;
                 }
                 stats.candidate_texts += 1;
-                if !long_funcs.is_empty() {
-                    // Lines 8–9: locate this text's windows in the long lists
-                    // (zone-map probes) and re-count at the full threshold.
-                    let probe_start = Instant::now();
-                    windows.clear();
-                    windows.extend(run.iter().map(|p| p.window));
-                    for &func in &long_funcs {
-                        checkpoint!(stats.candidate_texts as u64, matches.len() as u64);
-                        let postings = self.index.read_postings_for_text_into(
-                            func,
-                            sketch.value(func),
-                            text,
-                            &io_acc,
-                        )?;
-                        stats.long_probes += 1;
-                        stats.postings_read += postings.len() as u64;
-                        windows.extend(postings.into_iter().map(|p| p.window));
-                    }
-                    probe_time += probe_start.elapsed();
-                    collision_count_into(&windows, beta, &mut scratch, &mut rect_buf);
-                }
-                // With no long lists, alpha0 == beta and the reduced-threshold
-                // rectangles are already final.
-                let rects: Vec<Rectangle> = rect_buf
-                    .iter()
-                    .copied()
-                    .filter(|r| r.sequences_at_least(t) > 0)
-                    .collect();
-                if !rects.is_empty() {
-                    matches.push(TextMatch { text, rects });
+                if long_funcs.is_empty() {
+                    matches.push(TextMatch {
+                        text,
+                        rects: rect_buf.clone(),
+                    });
+                } else {
+                    candidates.push((text, range));
                 }
             }
+            // `max_candidates` caps how many texts are *admitted* to
+            // verification: the ones admitted before the trip are still
+            // verified below. Any other exhausted resource ends the query.
+            if stopped.is_some_and(|r| r != Resource::Candidates) || candidates.is_empty() {
+                stats.stage_count = count_start.elapsed();
+                break 'run;
+            }
 
+            // Phase 3 (lines 8–9): one batched probe per long list locates
+            // the windows of *all* candidates in it (ascending text ids: a
+            // single forward pass through zone maps / skip entries).
+            let probe_start = Instant::now();
+            let texts: Vec<TextId> = candidates.iter().map(|(text, _)| *text).collect();
+            let mut probed: Vec<Posting> = Vec::new();
+            for &func in &long_funcs {
+                checkpoint!(0, 0, 'run);
+                self.index
+                    .probe_texts(func, sketch.value(func), &texts, &io_acc, &mut probed)?;
+                stats.long_probes += texts.len();
+            }
+            stats.postings_read += probed.len() as u64;
+            // Each list contributed an ascending slice; regroup by text.
+            probed.sort_unstable_by_key(|p| p.text);
+            probe_time = probe_start.elapsed();
+
+            // Phase 4 (lines 10–12): re-count each candidate at the full
+            // threshold over its short-list and long-list windows together.
+            // A text's match is appended only after this final count, so
+            // breaking between candidates keeps the verified prefix.
+            let mut extra_start = 0usize;
+            for (text, range) in candidates {
+                checkpoint!(0, matches.len(), 'run);
+                let run = &kept[range];
+                let rest = &probed[extra_start..];
+                let extra = &rest[..rest.partition_point(|p| p.text == text)];
+                extra_start += extra.len();
+                collision_count_fn_into(
+                    run.len() + extra.len(),
+                    |i| match i.checked_sub(run.len()) {
+                        None => run[i].window,
+                        Some(j) => extra[j].window,
+                    },
+                    beta,
+                    &mut scratch,
+                    &mut rect_buf,
+                );
+                rect_buf.retain(|r| r.sequences_at_least(t) > 0);
+                if !rect_buf.is_empty() {
+                    matches.push(TextMatch {
+                        text,
+                        rects: rect_buf.clone(),
+                    });
+                }
+            }
             stats.stage_count = count_start.elapsed().saturating_sub(probe_time);
-            None
-        };
+        }
 
         stats.stage_probe = probe_time;
         stats.matched_texts = matches.len();

@@ -375,3 +375,119 @@ fn budgets_and_faults_compose() {
         }
     }
 }
+
+/// With long lists the searcher runs in phases — select every candidate,
+/// then one batched probe per long list, then verify each candidate — so
+/// a budget can run out *between* phases, when candidates are known but
+/// none is verified. Whatever dimension trips and wherever, the partial
+/// outcome holds only fully verified matches, in ascending text order,
+/// each bit-identical to its counterpart in the unbudgeted run.
+#[test]
+fn trips_between_phases_return_only_verified_matches() {
+    let (corpus, queries) = workload(9009);
+    for (compress, packed, sub) in [
+        (false, false, "v3"),
+        (true, false, "v4"),
+        (false, true, "v5"),
+    ] {
+        let dir = temp_dir(&format!("phases_{sub}"));
+        let config = IndexConfig::new(16, 25, 5)
+            .zone_map(16, 64)
+            .compressed(compress)
+            .bit_packed(packed);
+        ndss::index::build_and_write(&corpus, config, &dir, true).unwrap();
+        // No cache: IO bytes are a deterministic function of the work done.
+        let index = DiskIndex::open_with_cache(&dir, CacheConfig::disabled()).unwrap();
+        let searcher =
+            NearDupSearcher::with_prefix_filter(&index, PrefixFilter::MaxListLen(24)).unwrap();
+
+        let assert_sound = |full: &SearchOutcome, partial: &SearchOutcome, what: &str| {
+            assert!(!partial.complete, "{sub} {what}");
+            let mut rest = full.matches.iter();
+            for m in &partial.matches {
+                // Ascending and bit-identical: each partial match is the
+                // next full match with that text, rectangles and all.
+                assert!(
+                    rest.any(|f| f == m),
+                    "{sub} {what}: match for text {} is out of order or differs",
+                    m.text
+                );
+            }
+        };
+
+        let (mut candidate_trips, mut io_trips, mut unverified_trips) = (0, 0, 0);
+        for query in &queries {
+            let full = searcher.search(query, 0.8).unwrap();
+            if full.stats.lists_long == 0 || full.stats.candidate_texts < 2 {
+                continue;
+            }
+            let (long, candidates) = (full.stats.lists_long, full.stats.candidate_texts);
+            assert_eq!(full.stats.long_probes, long * candidates);
+
+            // max_candidates trips in the select phase: the candidates
+            // admitted before the trip — cap + 1 of them — are all probed
+            // and verified, nothing past them is.
+            for cap in 0..candidates as u64 - 1 {
+                let budget = QueryBudget::unlimited().max_candidates(cap);
+                match searcher.search_governed(query, 0.8, &budget) {
+                    Err(QueryError::BudgetExceeded { resource, partial }) => {
+                        candidate_trips += 1;
+                        assert_eq!(resource, Resource::Candidates);
+                        assert_eq!(partial.stats.candidate_texts as u64, cap + 1);
+                        assert_eq!(partial.stats.long_probes as u64, long as u64 * (cap + 1));
+                        assert_sound(&full, &partial, "max_candidates");
+                        let admitted = full
+                            .matches
+                            .iter()
+                            .take_while(|m| Some(m.text) <= partial.matches.last().map(|l| l.text))
+                            .count();
+                        assert_eq!(partial.matches.len(), admitted, "a prefix, no gaps");
+                    }
+                    other => panic!("{sub}: cap {cap} of {candidates} must trip, got {other:?}"),
+                }
+            }
+
+            // max_io_bytes trips between short-list reads and between
+            // long-list probes; in both places no candidate is verified yet.
+            for bytes in (0..full.stats.io_bytes).step_by(full.stats.io_bytes as usize / 23 + 1) {
+                let budget = QueryBudget::unlimited().max_io_bytes(bytes);
+                match searcher.search_governed(query, 0.8, &budget) {
+                    Err(QueryError::BudgetExceeded { resource, partial }) => {
+                        io_trips += 1;
+                        assert_eq!(resource, Resource::IoBytes);
+                        assert_sound(&full, &partial, "max_io_bytes");
+                        if partial.stats.candidate_texts > 0 && partial.matches.is_empty() {
+                            unverified_trips += 1;
+                        }
+                    }
+                    Ok(outcome) => assert_eq!(outcome.matches, full.matches),
+                    Err(e) => panic!("{sub}: unexpected error {e}"),
+                }
+            }
+
+            // Deadlines land wherever the clock says; soundness must not
+            // depend on where.
+            for micros in [0u64, 20, 50, 100, 200, 400, 800] {
+                let budget =
+                    QueryBudget::unlimited().time_limit(std::time::Duration::from_micros(micros));
+                match searcher.search_governed(query, 0.8, &budget) {
+                    Err(QueryError::BudgetExceeded { resource, partial }) => {
+                        assert_eq!(resource, Resource::Deadline);
+                        assert_sound(&full, &partial, "deadline");
+                    }
+                    Ok(outcome) => assert_eq!(outcome.matches, full.matches),
+                    Err(e) => panic!("{sub}: unexpected error {e}"),
+                }
+            }
+        }
+        assert!(
+            candidate_trips > 0,
+            "{sub}: no multi-candidate query with long lists"
+        );
+        assert!(io_trips > 0, "{sub}: no IO budget tripped");
+        assert!(
+            unverified_trips > 0,
+            "{sub}: no IO budget tripped after selection and before verification"
+        );
+    }
+}

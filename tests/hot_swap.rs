@@ -234,6 +234,25 @@ fn reload_under_live_batch_queries_is_bit_identical_to_cold_open() {
         after, ref_b,
         "post-swap queries must serve the new generation"
     );
+    // `FrequentFraction` cutoffs come from per-file list-length histograms
+    // memoised on the opened index. The memo belongs to that index: the
+    // swapped-in generation plans from its own histograms, so the
+    // long/short split (not only the results) equals a cold open's.
+    let filter = PrefixFilter::FrequentFraction(0.2);
+    let swapped = ServingSearcher::with_prefix_filter(serving.clone(), filter);
+    let cold_index = DiskIndex::open(&resolve_index_dir(&root)).unwrap();
+    let cold = NearDupSearcher::with_prefix_filter(&cold_index, filter).unwrap();
+    let mut deferred = 0;
+    for query in &queries {
+        for _ in 0..2 {
+            let got = swapped.search(query, 0.8).unwrap();
+            let want = cold.search(query, 0.8).unwrap();
+            assert_eq!(got.matches, want.matches);
+            assert_eq!(got.stats.lists_long, want.stats.lists_long);
+            deferred += want.stats.lists_long;
+        }
+    }
+    assert!(deferred > 0, "a 20% cutoff must defer some list");
     done.store(true, Ordering::Relaxed);
 
     let mut total = 0usize;

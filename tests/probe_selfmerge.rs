@@ -1,11 +1,17 @@
-// Probe: does a crash between publish and trim leave compact_gen pointing
-// at the CURRENT generation, causing a subsequent in-place self-merge?
-use std::path::{Path, PathBuf};
+//! A crash between a compaction's publish and its trim leaves the memtable
+//! manifest's `compact_gen` naming the generation that is `CURRENT` now.
+//! If another frozen segment is pending, recovery used to keep that
+//! pointer, and the next compaction reused it as its merge target:
+//! `merge(CURRENT, seal) → CURRENT`, rewriting the serving generation in
+//! place. This sweep crashes the ingest path at every kill point and pins
+//! that a published generation is never written again.
+
+use std::os::unix::fs::MetadataExt;
+use std::path::Path;
 use std::sync::Arc;
 
 use ndss::corpus::{CorpusSource, SyntheticCorpusBuilder};
-use ndss::index::{IngestIndex, IngestOptions, KillPoints, GenerationStore, IndexError};
-use ndss::IndexConfig;
+use ndss::index::{IndexConfig, IndexError, IngestIndex, IngestOptions, KillPoints};
 
 fn texts() -> Vec<Vec<u32>> {
     let (corpus, _) = SyntheticCorpusBuilder::new(93)
@@ -18,73 +24,119 @@ fn texts() -> Vec<Vec<u32>> {
         .collect()
 }
 
-fn config() -> IndexConfig { IndexConfig::new(3, 20, 11).bit_packed(true) }
-
 fn opts(kill: Option<Arc<KillPoints>>) -> IngestOptions {
-    IngestOptions { flush_bytes: 2_000, fsync_every: 1, keep: 1, kill }
+    IngestOptions {
+        // Small enough that several segments freeze before the first
+        // compaction: the stale pointer only bites with one still pending.
+        flush_bytes: 2_000,
+        fsync_every: 1,
+        keep: 1,
+        kill,
+    }
 }
 
+/// Appends whatever is missing of `texts()` and compacts everything.
 fn drive(root: &Path, kill: Option<Arc<KillPoints>>) -> Result<(), IndexError> {
     let texts = texts();
-    let mut ing = IngestIndex::open(root, Some(config()), opts(kill))?;
-    let mut next = ing.next_text_id();
-    while (next as usize) < texts.len() {
-        ing.append(&texts[next as usize])?;
-        next += 1;
+    let config = IndexConfig::new(3, 20, 11).bit_packed(true);
+    let mut ingest = IngestIndex::open(root, Some(config), opts(kill))?;
+    for text in &texts[ingest.next_text_id() as usize..] {
+        ingest.append(text)?;
     }
-    ing.seal_all()?;
+    ingest.seal_all()?;
     Ok(())
 }
 
-fn read_manifest(root: &Path) -> String {
-    std::fs::read_to_string(root.join("memtable").join("MEMTABLE")).unwrap_or_default()
+fn current(root: &Path) -> String {
+    std::fs::read_to_string(root.join("CURRENT"))
+        .unwrap_or_default()
+        .trim()
+        .to_string()
 }
 
-fn current(root: &Path) -> String {
-    std::fs::read_to_string(root.join("CURRENT")).unwrap_or_default().trim().to_string()
+/// `compact_gen` as recorded in the memtable manifest ("" when unset).
+fn compact_gen(root: &Path) -> String {
+    let manifest =
+        std::fs::read_to_string(root.join("memtable").join("MEMTABLE")).unwrap_or_default();
+    let doc = ndss::json::Json::parse(&manifest).expect("memtable manifest parses");
+    doc.get("compact_gen")
+        .and_then(|v| v.as_str())
+        .expect("manifest carries compact_gen")
+        .to_string()
+}
+
+/// Every file of a generation directory as `(name, inode, bytes)`, sorted.
+fn fingerprint(dir: &Path) -> Vec<(String, u64, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let entry = entry.unwrap();
+            (
+                entry.file_name().to_string_lossy().into_owned(),
+                entry.metadata().unwrap().ino(),
+                std::fs::read(entry.path()).unwrap(),
+            )
+        })
+        .collect();
+    files.sort();
+    files
 }
 
 #[test]
-fn probe() {
-    let count = KillPoints::count_only();
-    let base = std::env::temp_dir().join("ndss_probe");
+fn published_generation_is_never_a_merge_target() {
+    let base = std::env::temp_dir().join(format!("ndss_it_selfmerge_{}", std::process::id()));
     std::fs::remove_dir_all(&base).ok();
-    let croot = base.join("count");
-    std::fs::create_dir_all(&croot).unwrap();
-    drive(&croot, Some(count.clone())).unwrap();
-    let checkpoints = count.checkpoints_seen();
-    eprintln!("checkpoints = {checkpoints}");
+    let counted = base.join("count");
+    std::fs::create_dir_all(&counted).unwrap();
+    let counter = KillPoints::count_only();
+    drive(&counted, Some(counter.clone())).unwrap();
+    let checkpoints = counter.checkpoints_seen();
+    assert!(checkpoints > 20, "the drive must cross several compactions");
 
+    let mut windows_hit = 0;
     for n in 0..checkpoints {
-        let root = base.join(format!("sweep"));
-        std::fs::remove_dir_all(&root).ok();
+        let root = base.join(format!("kill_{n}"));
         std::fs::create_dir_all(&root).unwrap();
-        let r = drive(&root, Some(KillPoints::at_checkpoint(n)));
-        assert!(r.is_err());
-        let cur_before = current(&root);
-        // recover
-        let frozen = {
-            let ing = IngestIndex::open(&root, None, opts(None)).unwrap();
-            ing.frozen_segments()
-        };
-        let man = read_manifest(&root);
-        let cur = current(&root);
-        // extract compact_gen from manifest json crudely
-        let cg = man.split("\"compact_gen\"").nth(1)
-            .and_then(|s| s.split('"').nth(1)).unwrap_or("").to_string();
-        if !cg.is_empty() && cg == cur && frozen > 0 {
-            eprintln!("checkpoint {n}: STALE compact_gen={cg} == CURRENT={cur}, frozen={frozen} (was CURRENT before recovery: {cur_before})");
-            // inode of an inv file in CURRENT before resume
-            let inv = root.join(&cur).join("inv_0.ndsi");
-            use std::os::unix::fs::MetadataExt;
-            let ino_before = std::fs::metadata(&inv).map(|m| m.ino()).unwrap_or(0);
-            let meta_before = std::fs::read_to_string(root.join(&cur).join("meta.json")).unwrap_or_default();
-            drive(&root, None).unwrap();
-            let cur_after = current(&root);
-            let ino_after = std::fs::metadata(root.join(&cur).join("inv_0.ndsi")).map(|m| m.ino()).unwrap_or(0);
-            let meta_after = std::fs::read_to_string(root.join(&cur).join("meta.json")).unwrap_or_default();
-            eprintln!("  resume: CURRENT now {cur_after}; gen {cg} inv_0 inode {ino_before} -> {ino_after}; meta changed: {}",
-                meta_before != meta_after);
+        assert!(drive(&root, Some(KillPoints::at_checkpoint(n))).is_err());
+
+        // Recovery alone (no compaction yet) must already drop a pointer
+        // whose compaction reached publish.
+        let frozen = IngestIndex::open(&root, None, opts(None))
+            .unwrap()
+            .frozen_segments();
+        let serving = current(&root);
+        if !serving.is_empty() {
+            assert_ne!(
+                compact_gen(&root),
+                serving,
+                "kill point {n}: recovery kept compact_gen on CURRENT with {frozen} frozen segments"
+            );
         }
+        let before = (!serving.is_empty()).then(|| fingerprint(&root.join(&serving)));
+        if before.is_some() && frozen > 0 {
+            windows_hit += 1;
+        }
+
+        // Finish the work. The generation that was serving at the crash is
+        // retained (`keep: 1`) unless two more were published; while it
+        // exists it is the same files, byte for byte and inode for inode.
+        drive(&root, None).unwrap();
+        if let Some(before) = before {
+            let dir = root.join(&serving);
+            if dir.is_dir() {
+                assert!(
+                    before == fingerprint(&dir),
+                    "kill point {n}: published generation {serving} was rewritten in place"
+                );
+            }
+        }
+        let done = IngestIndex::open(&root, None, opts(None)).unwrap();
+        assert_eq!(done.covered(), texts().len() as u64, "kill point {n}");
+        assert_eq!(done.pending_texts(), 0, "kill point {n}");
     }
+    assert!(
+        windows_hit > 0,
+        "no kill point left a serving generation with frozen segments pending"
+    );
+    std::fs::remove_dir_all(&base).ok();
 }
