@@ -1,11 +1,11 @@
-//! Storage-format ablation: fixed-width (v1) vs delta-compressed (v2)
+//! Storage-format ablation: fixed-width (v3) vs varint delta-block (v4)
 //! posting lists — full-list reads, per-text zone probes, and raw
 //! encode/decode throughput.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-use ndss::index::codec::{decode_block, encode_block};
+use ndss::index::varint::{decode_block, encode_block};
 use ndss::index::Posting;
 use ndss::prelude::*;
 use ndss::windows::CompactWindow;
@@ -17,16 +17,16 @@ fn build_pair() -> (DiskIndex, DiskIndex, Vec<u64>) {
         .vocab_size(1_000)
         .build();
     let base = IndexConfig::new(1, 15, 7).zone_map(64, 128);
-    let dir1 = std::env::temp_dir().join("ndss_bench_storage_v1");
-    let dir2 = std::env::temp_dir().join("ndss_bench_storage_v2");
-    for d in [&dir1, &dir2] {
+    let dir3 = std::env::temp_dir().join("ndss_bench_storage_v3");
+    let dir4 = std::env::temp_dir().join("ndss_bench_storage_v4");
+    for d in [&dir3, &dir4] {
         std::fs::remove_dir_all(d).ok();
         std::fs::create_dir_all(d).unwrap();
     }
     let mem = MemoryIndex::build(&corpus, base.clone()).unwrap();
-    let v1 = ndss::index::write_memory_index(&mem, &dir1).unwrap();
-    let mem2 = MemoryIndex::build(&corpus, base.compressed(true)).unwrap();
-    let v2 = ndss::index::write_memory_index(&mem2, &dir2).unwrap();
+    let v3 = ndss::index::write_memory_index(&mem, &dir3).unwrap();
+    let mem4 = MemoryIndex::build(&corpus, base.compressed(true)).unwrap();
+    let v4 = ndss::index::write_memory_index(&mem4, &dir4).unwrap();
     // The ten longest lists (by key) to hammer.
     let mut keys: Vec<(u64, u64)> = mem
         .sorted_lists(0)
@@ -35,40 +35,40 @@ fn build_pair() -> (DiskIndex, DiskIndex, Vec<u64>) {
         .collect();
     keys.sort_unstable_by_key(|&(len, _)| std::cmp::Reverse(len));
     let hot: Vec<u64> = keys.iter().take(10).map(|&(_, h)| h).collect();
-    (v1, v2, hot)
+    (v3, v4, hot)
 }
 
 fn bench_list_reads(c: &mut Criterion) {
-    let (v1, v2, hot) = build_pair();
+    let (v3, v4, hot) = build_pair();
     let mut group = c.benchmark_group("storage_read_list");
-    group.bench_function("v1_fixed_width", |b| {
+    group.bench_function("v3_fixed_width", |b| {
         b.iter(|| {
             for &h in &hot {
-                black_box(v1.read_list(0, h).unwrap());
+                black_box(v3.read_list(0, h).unwrap());
             }
         });
     });
-    group.bench_function("v2_compressed", |b| {
+    group.bench_function("v4_varint_blocks", |b| {
         b.iter(|| {
             for &h in &hot {
-                black_box(v2.read_list(0, h).unwrap());
+                black_box(v4.read_list(0, h).unwrap());
             }
         });
     });
     group.finish();
 
     let mut group = c.benchmark_group("storage_probe_text");
-    group.bench_function("v1_zone_map", |b| {
+    group.bench_function("v3_zone_map", |b| {
         b.iter(|| {
             for &h in &hot {
-                black_box(v1.read_postings_for_text(0, h, 200).unwrap());
+                black_box(v3.read_postings_for_text(0, h, 200).unwrap());
             }
         });
     });
-    group.bench_function("v2_block_index", |b| {
+    group.bench_function("v4_block_index", |b| {
         b.iter(|| {
             for &h in &hot {
-                black_box(v2.read_postings_for_text(0, h, 200).unwrap());
+                black_box(v4.read_postings_for_text(0, h, 200).unwrap());
             }
         });
     });
@@ -85,7 +85,7 @@ fn bench_codec(c: &mut Criterion) {
     let mut encoded = Vec::new();
     encode_block(&postings, &mut encoded);
     println!(
-        "codec: {} postings, v1 = {} B, v2 = {} B ({:.2}x smaller)",
+        "codec: {} postings, v3 = {} B, v4 = {} B ({:.2}x smaller)",
         postings.len(),
         postings.len() * Posting::ENCODED_LEN,
         encoded.len(),

@@ -29,12 +29,8 @@ pub fn run(args: &Args) -> Result<(), String> {
     let t: usize = args.get_or("t", 25)?;
     let seed: u64 = args.get_or("seed", 7)?;
     let external = args.flag("external");
-    let compress = args.flag("compress");
-    // --format v3|v4|v5 is the explicit spelling; --compress remains a
-    // shorthand for v4.
     let (compress, packed) = match args.get("format") {
-        None => (compress, false),
-        Some("v3") => (false, false),
+        None | Some("v3") => (false, false),
         Some("v4") => (true, false),
         Some("v5") => (false, true),
         Some(other) => {

@@ -4,8 +4,6 @@
 //! the checksums of everything loaded into memory; this command additionally
 //! streams the payload sections (postings/blocks, zone maps, token data)
 //! against their stored CRC-32Cs, so together every byte on disk is covered.
-//! Legacy (pre-checksum) files open fine but carry nothing to verify
-//! against; they are reported as such.
 //!
 //! `--store` verifies a generation store's `CURRENT` generation (or every
 //! generation with `--all-generations`, one status line each). The exit

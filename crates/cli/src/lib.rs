@@ -83,7 +83,8 @@ COMMANDS:
                --input FILE --out FILE [--tokenizer FILE] [--vocab-size N=32000]
   index      build the inverted indexes for a corpus
                --corpus FILE --out DIR [--k N=32] [--t N=25] [--seed N=7]
-               [--external] [--memory-budget BYTES=268435456] [--compress]
+               [--external] [--memory-budget BYTES=268435456]
+               [--format v3|v4|v5=v3]
                [--resume (continue an interrupted --external build)]
                [--store (treat --out as a generation store: build lands in
                 gen-NNNN/, verified, then published as CURRENT)]

@@ -124,7 +124,8 @@ fn compressed_and_external_index_workflow() {
             "4",
             "--t",
             "20",
-            "--compress",
+            "--format",
+            "v4",
             "--external",
             "--memory-budget",
             "65536",
@@ -157,6 +158,48 @@ fn compressed_and_external_index_workflow() {
         )
         .unwrap();
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--format` is the one spelling of the posting encoding: each value
+/// lands in the index-file header, v3 is the default, anything else is an
+/// error.
+#[test]
+fn format_flag_selects_the_encoding() {
+    let dir = workdir("format");
+    let corpus = dir.join("c.ndsc").display().to_string();
+    dispatch(
+        "synth",
+        &args(&["--out", &corpus, "--texts", "30", "--seed", "11"]),
+    )
+    .unwrap();
+    for (format, version) in [
+        (None, 3u32),
+        (Some("v3"), 3),
+        (Some("v4"), 4),
+        (Some("v5"), 5),
+    ] {
+        let out = dir.join(format.unwrap_or("default"));
+        let out_arg = out.display().to_string();
+        let mut tokens = vec!["--corpus", &corpus, "--out", &out_arg, "--k", "2"];
+        if let Some(format) = format {
+            tokens.extend(["--format", format]);
+        }
+        dispatch("index", &args(&tokens)).unwrap();
+        let header = std::fs::read(out.join("inv_0.ndsi")).unwrap();
+        assert_eq!(
+            u32::from_le_bytes(header[4..8].try_into().unwrap()),
+            version,
+            "--format {format:?}"
+        );
+    }
+    let out = dir.join("bad").display().to_string();
+    let err = dispatch(
+        "index",
+        &args(&["--corpus", &corpus, "--out", &out, "--format", "v2"]),
+    )
+    .unwrap_err();
+    assert!(err.contains("--format"), "got: {err}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

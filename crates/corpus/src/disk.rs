@@ -7,8 +7,8 @@
 //! ```text
 //! ┌──────────────────────────────────────────────────────────┐
 //! │ magic "NDSC" │ version u32 │ num_texts u64 │ tokens u64  │  header
-//! │ (v2 adds: data_crc u32 │ offsets_crc u32 │ reserved u32  │
-//! │  header_crc u32)                                         │
+//! │ data_crc u32 │ offsets_crc u32 │ reserved u32 │            │  (40 B)
+//! │ header_crc u32                                           │
 //! ├──────────────────────────────────────────────────────────┤
 //! │ data: tokens × u32 little-endian                         │
 //! ├──────────────────────────────────────────────────────────┤
@@ -27,12 +27,13 @@
 //! Corpora are published atomically ([`ndss_durable::AtomicFile`]): the
 //! destination path appears only when [`DiskCorpusWriter::finish`] commits,
 //! so a crash mid-write can never leave a parseable half-corpus. The
-//! current format (v2) carries CRC-32C checksums over the data section, the
+//! format (version 2) carries CRC-32C checksums over the data section, the
 //! offsets table, and the header itself; [`DiskCorpus::open`] validates
 //! every header-derived size against the real file length with
 //! overflow-checked arithmetic *before* allocating, and
 //! [`DiskCorpus::verify`] streams the data section against its checksum.
-//! Legacy v1 files (no checksums) still open and read identically.
+//! The checksum-less version 1 is no longer read: such a file fails `open`
+//! with a clean "unsupported corpus version" error.
 
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
@@ -46,12 +47,10 @@ use ndss_hash::TokenId;
 use crate::types::{CorpusError, CorpusSource, TextId};
 
 const MAGIC: &[u8; 4] = b"NDSC";
-/// Legacy format: 24-byte header, no checksums.
-const VERSION_V1: u32 = 1;
-/// Current format: 40-byte header with data/offsets/header CRC-32Cs.
-const VERSION_V2: u32 = 2;
-const HEADER_LEN_V1: u64 = 24;
-const HEADER_LEN_V2: u64 = 40;
+/// The one supported format: 40-byte header with data/offsets/header
+/// CRC-32Cs.
+const VERSION: u32 = 2;
+const HEADER_LEN: u64 = 40;
 const OFF_DATA_CRC: usize = 24;
 const OFF_OFFSETS_CRC: usize = 28;
 const OFF_HEADER_CRC: usize = 36;
@@ -78,37 +77,22 @@ pub struct DiskCorpusWriter {
     offsets: Vec<u64>,
     tokens_written: u64,
     data_crc: Crc32c,
-    /// Write the legacy checksum-less v1 layout (back-compat tests only).
-    legacy: bool,
 }
 
 impl DiskCorpusWriter {
     /// Creates the corpus writer for `path`. The destination file appears
     /// only when [`Self::finish`] commits.
     pub fn create(path: &Path) -> Result<Self, CorpusError> {
-        Self::create_inner(path, false)
-    }
-
-    /// Creates a writer emitting the **legacy v1** (checksum-less) layout.
-    /// Exists so back-compat tests can manufacture pre-checksum corpora; new
-    /// artifacts should always use [`Self::create`].
-    pub fn create_legacy(path: &Path) -> Result<Self, CorpusError> {
-        Self::create_inner(path, true)
-    }
-
-    fn create_inner(path: &Path, legacy: bool) -> Result<Self, CorpusError> {
         let file = AtomicFile::create(path)?;
         let mut data = BufWriter::new(file);
         // Reserve header space; real values land in `finish`.
-        let header_len = if legacy { HEADER_LEN_V1 } else { HEADER_LEN_V2 };
-        data.write_all(&vec![0u8; header_len as usize])?;
+        data.write_all(&[0u8; HEADER_LEN as usize])?;
         Ok(Self {
             path: path.to_owned(),
             data,
             offsets: vec![0],
             tokens_written: 0,
             data_crc: Crc32c::new(),
-            legacy,
         })
     }
 
@@ -138,26 +122,18 @@ impl DiskCorpusWriter {
         self.data.flush()?;
         let mut file = self.data.into_inner().map_err(|e| e.into_error())?;
 
-        let header_len = if self.legacy {
-            HEADER_LEN_V1
-        } else {
-            HEADER_LEN_V2
-        } as usize;
-        let mut header = vec![0u8; header_len];
+        let mut header = [0u8; HEADER_LEN as usize];
         header[0..4].copy_from_slice(MAGIC);
-        let version = if self.legacy { VERSION_V1 } else { VERSION_V2 };
-        header[4..8].copy_from_slice(&version.to_le_bytes());
+        header[4..8].copy_from_slice(&VERSION.to_le_bytes());
         header[8..16].copy_from_slice(&((self.offsets.len() - 1) as u64).to_le_bytes());
         header[16..24].copy_from_slice(&self.tokens_written.to_le_bytes());
-        if !self.legacy {
-            header[OFF_DATA_CRC..OFF_DATA_CRC + 4]
-                .copy_from_slice(&self.data_crc.finalize().to_le_bytes());
-            header[OFF_OFFSETS_CRC..OFF_OFFSETS_CRC + 4]
-                .copy_from_slice(&offsets_crc.finalize().to_le_bytes());
-            // bytes 32..36 reserved
-            let header_crc = crc32c::crc32c(&header[..OFF_HEADER_CRC]);
-            header[OFF_HEADER_CRC..OFF_HEADER_CRC + 4].copy_from_slice(&header_crc.to_le_bytes());
-        }
+        header[OFF_DATA_CRC..OFF_DATA_CRC + 4]
+            .copy_from_slice(&self.data_crc.finalize().to_le_bytes());
+        header[OFF_OFFSETS_CRC..OFF_OFFSETS_CRC + 4]
+            .copy_from_slice(&offsets_crc.finalize().to_le_bytes());
+        // bytes 32..36 reserved
+        let header_crc = crc32c::crc32c(&header[..OFF_HEADER_CRC]);
+        header[OFF_HEADER_CRC..OFF_HEADER_CRC + 4].copy_from_slice(&header_crc.to_le_bytes());
         file.seek(SeekFrom::Start(0))?;
         file.write_all(&header)?;
         file.commit()?;
@@ -175,10 +151,8 @@ pub struct DiskCorpus {
     path: PathBuf,
     file: Mutex<File>,
     offsets: Vec<u64>,
-    /// Byte position where token data starts (24 for v1, 40 for v2).
-    data_start: u64,
-    /// CRC-32C of the data section; `None` on legacy v1 files.
-    data_crc: Option<u32>,
+    /// CRC-32C of the data section.
+    data_crc: u32,
     /// Registry handles (registered once per open, atomic adds per read).
     reads: ndss_obs::Counter,
     read_bytes: ndss_obs::Counter,
@@ -195,22 +169,17 @@ impl std::fmt::Debug for DiskCorpus {
 
 impl DiskCorpus {
     /// Opens a corpus file: checks the magic and version, verifies the
-    /// header and offsets-table checksums (v2), and validates the exact
+    /// header and offsets-table checksums, and validates the exact
     /// file length implied by the header counts — overflow-checked, before
     /// any allocation — so a corrupt `num_texts` or `total_tokens` can
     /// never drive a huge allocation or a bogus read.
     pub fn open(path: &Path) -> Result<Self, CorpusError> {
         let mut file = File::open(path)?;
         let file_len = file.metadata()?.len();
-        if file_len < HEADER_LEN_V1 {
-            return Err(CorpusError::Malformed(format!(
-                "{} is too short ({file_len} B) to hold a corpus header",
-                path.display()
-            )));
-        }
-        let mut header = vec![0u8; HEADER_LEN_V2.min(file_len) as usize];
-        file.read_exact(&mut header)?;
-        if &header[0..4] != MAGIC {
+        let mut header = [0u8; HEADER_LEN as usize];
+        let have = HEADER_LEN.min(file_len) as usize;
+        file.read_exact(&mut header[..have])?;
+        if have < 8 || &header[0..4] != MAGIC {
             return Err(CorpusError::Malformed(format!(
                 "bad magic in {}",
                 path.display()
@@ -218,37 +187,29 @@ impl DiskCorpus {
         }
         let u32_at = |o: usize| u32::from_le_bytes(header[o..o + 4].try_into().expect("4 bytes"));
         let u64_at = |o: usize| u64::from_le_bytes(header[o..o + 8].try_into().expect("8 bytes"));
+        // Version before length and checksum, so a pre-checksum v1 file is
+        // named for what it is.
         let version = u32_at(4);
-        let (data_start, data_crc, offsets_crc) = match version {
-            VERSION_V1 => (HEADER_LEN_V1, None, None),
-            VERSION_V2 => {
-                if (header.len() as u64) < HEADER_LEN_V2 {
-                    return Err(CorpusError::Malformed(format!(
-                        "{} is too short ({file_len} B) for a v2 corpus header",
-                        path.display()
-                    )));
-                }
-                let stored = u32_at(OFF_HEADER_CRC);
-                let actual = crc32c::crc32c(&header[..OFF_HEADER_CRC]);
-                if stored != actual {
-                    return Err(CorpusError::Malformed(format!(
-                        "header checksum mismatch in {} (stored {stored:#010x}, computed {actual:#010x})",
-                        path.display()
-                    )));
-                }
-                (
-                    HEADER_LEN_V2,
-                    Some(u32_at(OFF_DATA_CRC)),
-                    Some(u32_at(OFF_OFFSETS_CRC)),
-                )
-            }
-            v => {
-                return Err(CorpusError::Malformed(format!(
-                    "unsupported corpus version {v} in {}",
-                    path.display()
-                )))
-            }
-        };
+        if version != VERSION {
+            return Err(CorpusError::Malformed(format!(
+                "unsupported corpus version {version} in {}",
+                path.display()
+            )));
+        }
+        if (have as u64) < HEADER_LEN {
+            return Err(CorpusError::Malformed(format!(
+                "{} is too short ({file_len} B) to hold a corpus header",
+                path.display()
+            )));
+        }
+        let stored = u32_at(OFF_HEADER_CRC);
+        let actual = crc32c::crc32c(&header[..OFF_HEADER_CRC]);
+        if stored != actual {
+            return Err(CorpusError::Malformed(format!(
+                "header checksum mismatch in {} (stored {stored:#010x}, computed {actual:#010x})",
+                path.display()
+            )));
+        }
         let num_texts = u64_at(8);
         let total_tokens = u64_at(16);
 
@@ -257,7 +218,7 @@ impl DiskCorpus {
         let data_len = mul(total_tokens, 4, "data-section size")?;
         let offsets_len = mul(add(num_texts, 1, "offsets count")?, 8, "offsets-table size")?;
         let expected = add(
-            add(data_start, data_len, "file size")?,
+            add(HEADER_LEN, data_len, "file size")?,
             offsets_len,
             "file size",
         )?;
@@ -268,18 +229,16 @@ impl DiskCorpus {
                 path.display()
             )));
         }
-        let offsets_start = data_start + data_len;
-        file.seek(SeekFrom::Start(offsets_start))?;
+        file.seek(SeekFrom::Start(HEADER_LEN + data_len))?;
         let mut offset_bytes = vec![0u8; offsets_len as usize];
         file.read_exact(&mut offset_bytes)?;
-        if let Some(expect) = offsets_crc {
-            let actual = crc32c::crc32c(&offset_bytes);
-            if actual != expect {
-                return Err(CorpusError::Malformed(format!(
-                    "offsets-table checksum mismatch in {} (stored {expect:#010x}, computed {actual:#010x})",
-                    path.display()
-                )));
-            }
+        let expect = u32_at(OFF_OFFSETS_CRC);
+        let actual = crc32c::crc32c(&offset_bytes);
+        if actual != expect {
+            return Err(CorpusError::Malformed(format!(
+                "offsets-table checksum mismatch in {} (stored {expect:#010x}, computed {actual:#010x})",
+                path.display()
+            )));
         }
         let offsets: Vec<u64> = offset_bytes
             .chunks_exact(8)
@@ -298,26 +257,21 @@ impl DiskCorpus {
             path: path.to_owned(),
             file: Mutex::new(file),
             offsets,
-            data_start,
-            data_crc,
+            data_crc: u32_at(OFF_DATA_CRC),
             reads: reg.counter("corpus.io.reads", "Text reads served by disk corpora"),
             read_bytes: reg.counter("corpus.io.bytes", "Bytes read from disk corpora"),
         })
     }
 
-    /// Streams the data section against its header checksum. A no-op on
-    /// legacy (v1) files, which carry no checksums. `open` plus `verify`
-    /// together cover every byte of the file.
+    /// Streams the data section against its header checksum. `open` plus
+    /// `verify` together cover every byte of the file.
     pub fn verify(&self) -> Result<(), CorpusError> {
-        let Some(expect) = self.data_crc else {
-            return Ok(());
-        };
         let data_len = self.total_tokens() * 4;
         let mut crc = Crc32c::new();
         let mut buf = vec![0u8; (1 << 20).min(data_len.max(1)) as usize];
         let mut remaining = data_len;
         let mut file = self.file.lock().expect("corpus file lock poisoned");
-        file.seek(SeekFrom::Start(self.data_start))?;
+        file.seek(SeekFrom::Start(HEADER_LEN))?;
         while remaining > 0 {
             let take = remaining.min(buf.len() as u64) as usize;
             file.read_exact(&mut buf[..take]).map_err(|e| {
@@ -331,10 +285,11 @@ impl DiskCorpus {
         }
         drop(file);
         let actual = crc.finalize();
-        if actual != expect {
+        if actual != self.data_crc {
             return Err(CorpusError::Malformed(format!(
-                "data-section checksum mismatch in {} (stored {expect:#010x}, computed {actual:#010x})",
-                self.path.display()
+                "data-section checksum mismatch in {} (stored {:#010x}, computed {actual:#010x})",
+                self.path.display(),
+                self.data_crc
             )));
         }
         Ok(())
@@ -372,7 +327,7 @@ impl CorpusSource for DiskCorpus {
         let mut bytes = vec![0u8; len * 4];
         {
             let mut file = self.file.lock().expect("corpus file lock poisoned");
-            file.seek(SeekFrom::Start(self.data_start + start * 4))?;
+            file.seek(SeekFrom::Start(HEADER_LEN + start * 4))?;
             file.read_exact(&mut bytes)?;
         }
         self.reads.inc(1);
@@ -408,7 +363,9 @@ mod tests {
     use crate::types::BatchIter;
 
     fn temp_path(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("ndss_corpus_tests");
+        // Unique per process: concurrent `cargo test` runs must not clobber
+        // each other's files.
+        let dir = std::env::temp_dir().join(format!("ndss_corpus_tests_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
     }
@@ -454,40 +411,26 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// The checksum-less v1 layout (24-byte header) is rejected by version,
+    /// before its counts — here sized to promise exabytes — are believed.
     #[test]
-    fn legacy_v1_files_open_and_read_identically() {
-        let new_path = temp_path("compat_new.ndsc");
-        let old_path = temp_path("compat_old.ndsc");
-        let texts: Vec<Vec<u32>> = vec![vec![1, 2, 3], vec![], vec![9; 50]];
-        for (path, legacy) in [(&new_path, false), (&old_path, true)] {
-            let mut w = if legacy {
-                DiskCorpusWriter::create_legacy(path).unwrap()
-            } else {
-                DiskCorpusWriter::create(path).unwrap()
-            };
-            for t in &texts {
-                w.push_text(t).unwrap();
+    fn v1_header_is_rejected() {
+        let path = temp_path("v1.ndsc");
+        let mut bytes = [0u8; 24 + 64];
+        bytes[0..4].copy_from_slice(MAGIC);
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        bytes[8..16].copy_from_slice(&(u64::MAX / 16).to_le_bytes());
+        bytes[16..24].copy_from_slice(&(u64::MAX / 8).to_le_bytes());
+        for len in [bytes.len(), 24, 12] {
+            std::fs::write(&path, &bytes[..len]).unwrap();
+            match DiskCorpus::open(&path) {
+                Err(CorpusError::Malformed(msg)) => {
+                    assert!(msg.contains("unsupported corpus version 1"), "{msg}")
+                }
+                other => panic!("v1 corpus of {len} B: {other:?}"),
             }
-            w.finish().unwrap();
         }
-        let old_bytes = std::fs::read(&old_path).unwrap();
-        let new_bytes = std::fs::read(&new_path).unwrap();
-        // Legacy layout: exactly the old 24-byte header, version 1.
-        assert_eq!(old_bytes.len() + 16, new_bytes.len());
-        assert_eq!(u32::from_le_bytes(old_bytes[4..8].try_into().unwrap()), 1);
-        assert_eq!(u32::from_le_bytes(new_bytes[4..8].try_into().unwrap()), 2);
-
-        let old = DiskCorpus::open(&old_path).unwrap();
-        let new = DiskCorpus::open(&new_path).unwrap();
-        old.verify().unwrap(); // no-op, but must not error
-        new.verify().unwrap();
-        assert_eq!(old.num_texts(), new.num_texts());
-        for id in 0..texts.len() as u32 {
-            assert_eq!(old.text_to_vec(id).unwrap(), new.text_to_vec(id).unwrap());
-            assert_eq!(old.text_to_vec(id).unwrap(), texts[id as usize]);
-        }
-        std::fs::remove_file(&old_path).ok();
-        std::fs::remove_file(&new_path).ok();
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -539,7 +482,7 @@ mod tests {
         ));
         // Data corruption → caught by verify().
         let mut bytes = pristine.clone();
-        bytes[HEADER_LEN_V2 as usize + 11] ^= 0x01;
+        bytes[HEADER_LEN as usize + 11] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         let c = DiskCorpus::open(&path).unwrap();
         assert!(matches!(c.verify(), Err(CorpusError::Malformed(_))));

@@ -10,7 +10,7 @@
 //!   partition is then loaded, grouped, and appended to the final index
 //!   files in hash order. A partition that exceeds the memory budget is
 //!   **recursively re-partitioned** on the next bits of the hash (the
-//!   paper's "recursive partitioning [52]"); a partition that consists of a
+//!   paper's "recursive partitioning \[52\]"); a partition that consists of a
 //!   single hash value can no longer be split and is loaded whole — the same
 //!   implicit assumption the paper makes.
 //!
@@ -29,72 +29,15 @@ use ndss_corpus::CorpusSource;
 use ndss_hash::{HashValue, MinHasher};
 use ndss_windows::{HashedWindow, WindowGenerator};
 
-use crate::codec::CompressedFileWriter;
+use crate::container::{Encoding, Writer};
 use crate::disk::{inv_file_path, DiskIndex};
-use crate::format::IndexFileWriter;
 use crate::journal::{self, BuildJournal, JournalKind, KillPoints};
 use crate::memory::MemoryIndex;
-use crate::packed::PackedFileWriter;
 use crate::{gc, IndexAccess, IndexConfig, IndexError, Posting};
 
 /// Name of the spill scratch directory an external build keeps inside its
 /// output directory.
 pub(crate) const SPILL_DIR: &str = "tmp_spill";
-
-/// Version-dispatching list writer: v1 fixed-width postings + zone maps,
-/// v2 delta-compressed varint blocks ([`IndexConfig::compress`]), or v5
-/// bitpacked blocks with skip entries ([`IndexConfig::packed`], which wins
-/// when both flags are set).
-pub(crate) enum ListWriter {
-    V1(IndexFileWriter),
-    V2(CompressedFileWriter),
-    V5(Box<PackedFileWriter>),
-}
-
-impl ListWriter {
-    pub(crate) fn create(
-        path: &std::path::Path,
-        func: u32,
-        config: &IndexConfig,
-    ) -> Result<Self, IndexError> {
-        if config.packed {
-            Ok(Self::V5(Box::new(PackedFileWriter::create(path, func)?)))
-        } else if config.compress {
-            Ok(Self::V2(CompressedFileWriter::create(
-                path,
-                func,
-                config.zone_step,
-            )?))
-        } else {
-            Ok(Self::V1(IndexFileWriter::create(
-                path,
-                func,
-                config.zone_step,
-                config.zone_min_len,
-            )?))
-        }
-    }
-
-    pub(crate) fn write_list(
-        &mut self,
-        hash: ndss_hash::HashValue,
-        postings: &[Posting],
-    ) -> Result<(), IndexError> {
-        match self {
-            Self::V1(w) => w.write_list(hash, postings),
-            Self::V2(w) => w.write_list(hash, postings),
-            Self::V5(w) => w.write_list(hash, postings),
-        }
-    }
-
-    pub(crate) fn finish(self) -> Result<u64, IndexError> {
-        match self {
-            Self::V1(w) => w.finish(),
-            Self::V2(w) => w.finish(),
-            Self::V5(w) => (*w).finish(),
-        }
-    }
-}
 
 /// Writes a built [`MemoryIndex`] to `dir` (created if needed) and returns
 /// the opened [`DiskIndex`].
@@ -117,7 +60,8 @@ pub(crate) fn write_lists<'a>(
     let fsyncs_before = ndss_durable::fsync_count();
     std::fs::create_dir_all(dir)?;
     for func in 0..config.k {
-        let mut writer = ListWriter::create(&inv_file_path(dir, func), func as u32, config)?;
+        let mut writer =
+            Writer::create(&inv_file_path(dir, func), func as u32, Encoding::of(config))?;
         for (hash, postings) in lists(func) {
             writer.write_list(hash, postings)?;
             postings_written.inc(postings.len() as u64);
@@ -544,7 +488,7 @@ impl ExternalIndexBuilder {
                     return Ok(());
                 }
                 let mut writer =
-                    ListWriter::create(&inv_file_path(dir, func), func as u32, config)?;
+                    Writer::create(&inv_file_path(dir, func), func as u32, Encoding::of(config))?;
                 for p in 0..fanout {
                     let path = spill_path(spill_dir, func, 0, p);
                     self.process_partition(
@@ -760,7 +704,7 @@ impl ExternalIndexBuilder {
         consumed_bits: u32,
         func: usize,
         spill_dir: &Path,
-        writer: &mut ListWriter,
+        writer: &mut Writer,
     ) -> Result<(), IndexError> {
         journal::tick_io(&self.kill)?;
         let keep_spill = self.use_journal;
@@ -920,7 +864,7 @@ mod tests {
     use ndss_corpus::SyntheticCorpusBuilder;
 
     fn temp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("ndss_build_tests").join(name);
+        let dir = crate::tests::test_root("ndss_build_tests").join(name);
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         dir

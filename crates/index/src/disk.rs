@@ -23,140 +23,11 @@ use ndss_corpus::TextId;
 use ndss_hash::HashValue;
 
 use crate::cache::{CacheConfig, ShardedCache};
-use crate::codec::CompressedFileReader;
-use crate::format::{DirEntry, IndexFileReader, ZoneEntry};
+use crate::container::Reader;
+use crate::fixed::ZoneCache;
 use crate::metrics::IndexIoMetrics;
-use crate::packed::PackedFileReader;
 use crate::pread::ReadOptions;
 use crate::{IndexAccess, IndexConfig, IndexError, IoSnapshot, IoStats, Posting, SharedList};
-
-/// Version-dispatching handle to one inverted-index file: v1/v3 store
-/// fixed-width postings with optional zone maps, v2/v4 store
-/// delta-compressed varint blocks (see [`crate::codec`]), v5 stores
-/// bitpacked SIMD-unpackable blocks with per-block skip entries (see
-/// [`crate::packed`]). The version is sniffed from the header so mixed
-/// deployments can open any of them transparently.
-pub(crate) enum AnyFileReader {
-    V1(IndexFileReader),
-    V2(CompressedFileReader),
-    V5(PackedFileReader),
-}
-
-impl AnyFileReader {
-    pub(crate) fn open(path: &Path) -> Result<Self, IndexError> {
-        Self::open_with(path, &ReadOptions::default())
-    }
-
-    pub(crate) fn open_with(path: &Path, io: &ReadOptions) -> Result<Self, IndexError> {
-        let mut header = [0u8; 8];
-        {
-            use std::io::Read;
-            let mut f = std::fs::File::open(path)?;
-            f.read_exact(&mut header).map_err(|e| {
-                IndexError::Malformed(format!(
-                    "{} is not an index file (cannot read header: {e})",
-                    path.display()
-                ))
-            })?;
-        }
-        // Check the magic before dispatching on the version: a non-index
-        // file whose bytes 4..8 happen to match a known version must not
-        // reach a version-specific parser.
-        if &header[0..4] != crate::format::MAGIC {
-            return Err(IndexError::Malformed(format!(
-                "{} is not an index file (bad magic)",
-                path.display()
-            )));
-        }
-        match u32::from_le_bytes(header[4..8].try_into().expect("4 bytes")) {
-            crate::format::VERSION_V1 | crate::format::VERSION_V3 => {
-                Ok(Self::V1(IndexFileReader::open_with(path, io)?))
-            }
-            crate::codec::VERSION_V2 | crate::codec::VERSION_V4 => {
-                Ok(Self::V2(CompressedFileReader::open_with(path, io)?))
-            }
-            crate::packed::VERSION_V5 => Ok(Self::V5(PackedFileReader::open_with(path, io)?)),
-            v => Err(IndexError::Malformed(format!(
-                "unsupported index file version {v} in {}",
-                path.display()
-            ))),
-        }
-    }
-
-    /// Streams the payload sections not already covered by `open` against
-    /// their header checksums (no-op for legacy checksum-less files).
-    pub(crate) fn verify(&self, stats: &IoStats) -> Result<(), IndexError> {
-        match self {
-            Self::V1(r) => r.verify(stats),
-            Self::V2(r) => r.verify(stats),
-            Self::V5(r) => r.verify(stats),
-        }
-    }
-
-    fn func_idx(&self) -> u32 {
-        match self {
-            Self::V1(r) => r.func_idx(),
-            Self::V2(r) => r.func_idx(),
-            Self::V5(r) => r.func_idx(),
-        }
-    }
-
-    fn num_postings(&self) -> u64 {
-        match self {
-            Self::V1(r) => r.num_postings(),
-            Self::V2(r) => r.num_postings(),
-            Self::V5(r) => r.num_postings(),
-        }
-    }
-
-    fn list_len(&self, hash: HashValue) -> u64 {
-        match self {
-            Self::V1(r) => r.find(hash).map_or(0, |e| e.count),
-            Self::V2(r) => r.list_len(hash),
-            Self::V5(r) => r.list_len(hash),
-        }
-    }
-
-    /// The `i`-th smallest hash key (directories are hash-sorted).
-    pub(crate) fn hash_at(&self, i: usize) -> Option<HashValue> {
-        match self {
-            Self::V1(r) => r.dir().get(i).map(|d| d.hash),
-            Self::V2(r) => r.hash_at(i),
-            Self::V5(r) => r.hash_at(i),
-        }
-    }
-
-    pub(crate) fn read_list_by_hash(
-        &self,
-        hash: HashValue,
-        stats: &IoStats,
-    ) -> Result<Vec<Posting>, IndexError> {
-        match self {
-            Self::V1(r) => match r.find(hash) {
-                Some(entry) => r.read_postings(entry, stats),
-                None => Ok(Vec::new()),
-            },
-            Self::V2(r) => r.read_list(hash, stats),
-            Self::V5(r) => r.read_list(hash, stats),
-        }
-    }
-
-    fn length_histogram(&self) -> Vec<(u64, u64)> {
-        match self {
-            Self::V1(r) => {
-                let mut hist = std::collections::HashMap::new();
-                for entry in r.dir() {
-                    *hist.entry(entry.count).or_insert(0u64) += 1;
-                }
-                let mut out: Vec<(u64, u64)> = hist.into_iter().collect();
-                out.sort_unstable();
-                out
-            }
-            Self::V2(r) => r.length_histogram(),
-            Self::V5(r) => r.length_histogram(),
-        }
-    }
-}
 
 /// File name of the metadata JSON inside an index directory.
 pub const META_FILE: &str = "meta.json";
@@ -169,7 +40,7 @@ pub fn inv_file_path(dir: &Path, func: usize) -> PathBuf {
 /// Read-only handle to an index directory.
 pub struct DiskIndex {
     config: IndexConfig,
-    readers: Vec<AnyFileReader>,
+    readers: Vec<Reader>,
     stats: IoStats,
     dir: PathBuf,
     /// `histograms[func]`: the list-length histogram of one index file,
@@ -178,11 +49,11 @@ pub struct DiskIndex {
     /// while a daemon that derives `FrequentFraction` cutoffs per request
     /// stops walking every directory entry each time.
     histograms: Vec<OnceLock<Vec<(u64, u64)>>>,
-    /// Zone maps read once per (function, hash) and reused across probes
-    /// of the same long list, within a query and across queries. Sharded so
-    /// concurrent queries don't serialize on one lock; byte-budgeted so a
-    /// long-running process can't grow it without bound.
-    zone_cache: ShardedCache<Arc<Vec<ZoneEntry>>>,
+    /// Zone maps of v3 lists, read once per (function, hash) and reused
+    /// across probes of the same long list, within a query and across
+    /// queries. Sharded so concurrent queries don't serialize on one lock;
+    /// byte-budgeted so a long-running process can't grow it without bound.
+    zone_cache: ZoneCache,
     /// Hot decoded posting lists. Skewed workloads fetch the same min-hash
     /// keys over and over; serving those from memory removes the reread
     /// entirely. Hits and misses are tallied in [`IoStats`].
@@ -195,11 +66,6 @@ pub struct DiskIndex {
 /// Approximate heap weight of a cached posting list, in bytes.
 fn list_weight(postings: &[Posting]) -> usize {
     postings.len() * Posting::ENCODED_LEN + 64
-}
-
-/// Approximate heap weight of a cached zone map, in bytes.
-fn zone_weight(zone: &[ZoneEntry]) -> usize {
-    std::mem::size_of_val(zone) + 64
 }
 
 impl std::fmt::Debug for DiskIndex {
@@ -246,7 +112,7 @@ impl DiskIndex {
             .map_err(|e| IndexError::Malformed(format!("bad meta.json: {e}")))?;
         let mut readers = Vec::with_capacity(config.k);
         for func in 0..config.k {
-            let reader = AnyFileReader::open_with(&inv_file_path(dir, func), &io)?;
+            let reader = Reader::open_with(&inv_file_path(dir, func), &io)?;
             if reader.func_idx() as usize != func {
                 return Err(IndexError::Malformed(format!(
                     "inv_{func}.ndsi claims function {}",
@@ -276,9 +142,8 @@ impl DiskIndex {
 
     /// Streams every inverted-index file against its stored checksums,
     /// verifying the sections `open` did not already load. Together with the
-    /// validation done at open time this covers every byte of the index.
-    /// Legacy (pre-checksum v1/v2) files are skipped — they carry nothing to
-    /// verify against. IO performed is tallied in the index's global stats.
+    /// validation done at open time this covers every byte of the index. IO
+    /// performed is tallied in the index's global stats.
     pub fn verify_integrity(&self) -> Result<(), IndexError> {
         let before = self.stats.snapshot();
         let result = (|| {
@@ -335,72 +200,6 @@ impl DiskIndex {
         self.metrics.observe(&delta);
         result
     }
-
-    /// The zone map of a v3 list, through the zone cache: read once per
-    /// (function, hash) and reused by every later probe of the list — it is
-    /// `O(list / zone_step)` small.
-    fn zone_map(
-        &self,
-        func: usize,
-        reader: &IndexFileReader,
-        entry: &DirEntry,
-        io: &IoStats,
-    ) -> Result<Arc<Vec<ZoneEntry>>, IndexError> {
-        if let Some(zone) = self.zone_cache.get(func, entry.hash) {
-            io.record_zone_hit();
-            return Ok(zone);
-        }
-        io.record_zone_miss();
-        let zone = Arc::new(reader.read_zone(entry, io)?);
-        self.zone_cache
-            .insert(func, entry.hash, zone.clone(), zone_weight(&zone));
-        Ok(zone)
-    }
-
-    /// Batched probe of a v3 list: the directory entry and the zone map are
-    /// resolved once, then each text is bracketed between two zone samples
-    /// and only that posting range is read.
-    fn probe_fixed_width(
-        &self,
-        func: usize,
-        reader: &IndexFileReader,
-        hash: HashValue,
-        texts: &[TextId],
-        io: &IoStats,
-        out: &mut Vec<Posting>,
-    ) -> Result<(), IndexError> {
-        let Some(entry) = reader.find(hash) else {
-            return Ok(());
-        };
-        let zone = if entry.has_zone_map() {
-            Some(self.zone_map(func, reader, entry, io)?)
-        } else {
-            None
-        };
-        for &text in texts {
-            let (rel_lo, rel_hi) = match &zone {
-                None => (0, entry.count),
-                Some(zone) => {
-                    // First sample at or past `text`: postings for `text`
-                    // cannot start before the *previous* sample.
-                    let first_ge = zone.partition_point(|z| z.text < text);
-                    let rel_lo = match first_ge {
-                        0 => 0,
-                        i => zone[i - 1].rel_idx as u64,
-                    };
-                    // First sample strictly past `text`: postings for `text`
-                    // end before it.
-                    let rel_hi = zone
-                        .get(zone.partition_point(|z| z.text <= text))
-                        .map_or(entry.count, |z| z.rel_idx as u64);
-                    (rel_lo, rel_hi)
-                }
-            };
-            let chunk = reader.read_postings_range(entry, rel_lo, rel_hi, io)?;
-            crate::probe_sorted(&chunk, &[text], out);
-        }
-        Ok(())
-    }
 }
 
 impl IndexAccess for DiskIndex {
@@ -426,7 +225,7 @@ impl IndexAccess for DiskIndex {
                 return Ok(SharedList::Cached(hit));
             }
             io.record_miss();
-            let list = Arc::new(self.readers[func].read_list_by_hash(hash, io)?);
+            let list = Arc::new(self.readers[func].read_list(hash, io)?);
             // A disabled cache never admits anything; skip the shard lock.
             if self.list_cache.enabled() {
                 self.list_cache
@@ -454,18 +253,7 @@ impl IndexAccess for DiskIndex {
                 return Ok(());
             }
             io.record_miss();
-            match &self.readers[func] {
-                AnyFileReader::V1(r) => self.probe_fixed_width(func, r, hash, texts, io, out),
-                AnyFileReader::V2(r) => {
-                    for &text in texts {
-                        out.extend(r.read_postings_for_text(hash, text, io)?);
-                    }
-                    Ok(())
-                }
-                // The per-block max-text skip entries seek each text to its
-                // first candidate block; blocks are decoded once per call.
-                AnyFileReader::V5(r) => r.probe_texts(hash, texts, io, out),
-            }
+            self.readers[func].probe_texts(hash, texts, &self.zone_cache, io, out)
         })
     }
 
@@ -489,7 +277,7 @@ mod tests {
     use ndss_corpus::SyntheticCorpusBuilder;
 
     fn temp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("ndss_disk_index").join(name);
+        let dir = crate::tests::test_root("ndss_disk_index").join(name);
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }

@@ -197,7 +197,7 @@ mod tests {
     use std::path::PathBuf;
 
     fn temp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("ndss_gc_tests").join(name);
+        let dir = crate::tests::test_root("ndss_gc_tests").join(name);
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         dir

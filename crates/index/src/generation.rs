@@ -292,9 +292,7 @@ mod tests {
     use super::*;
 
     fn temp_store(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join("ndss_generation_tests")
-            .join(name);
+        let dir = crate::tests::test_root("ndss_generation_tests").join(name);
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         dir

@@ -34,7 +34,7 @@
 //! replay skips records whose id is already covered by the published
 //! generation (the crash landed between publish and trim), seals are
 //! rewritten deterministically, and an interrupted merge resumes from its
-//! own journal. The open-path GC ([`crate::gc`]) never touches a WAL
+//! own journal. The open-path GC (`gc.rs`) never touches a WAL
 //! referenced by a live manifest — even a corrupt manifest protects its
 //! WALs, exactly like a corrupt build journal protects its spill files.
 
@@ -1040,7 +1040,7 @@ mod tests {
     use ndss_corpus::{CorpusSource, InMemoryCorpus, SyntheticCorpusBuilder};
 
     fn temp_root(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("ndss_ingest_tests").join(name);
+        let dir = crate::tests::test_root("ndss_ingest_tests").join(name);
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         dir

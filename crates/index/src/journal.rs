@@ -247,8 +247,8 @@ pub const INJECTED_CRASH: &str = "injected crash (kill point)";
 
 /// Deterministic crash injector for the build/merge pipelines.
 ///
-/// The pipelines call [`KillPoints::checkpoint`] immediately before and
-/// after every journal publication and [`KillPoints::io_point`] at
+/// The pipelines call `KillPoints::checkpoint` immediately before and
+/// after every journal publication and `KillPoints::io_point` at
 /// fine-grained IO steps (per text spilled, per partition aggregated, per
 /// list merged). Each call bumps the matching counter; when a counter
 /// reaches the configured kill value the call returns an
@@ -353,7 +353,7 @@ mod tests {
     use super::*;
 
     fn temp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("ndss_journal_tests").join(name);
+        let dir = crate::tests::test_root("ndss_journal_tests").join(name);
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         dir

@@ -11,47 +11,32 @@
 //! * [`MemoryIndex`] — hash maps of posting vectors, built directly from a
 //!   corpus. The paper's medium-scale path ("first builds an inverted index
 //!   in memory and then writes it back to disk").
-//! * [`DiskIndex`] — the on-disk format: one file per hash function with a
-//!   sorted key directory, fixed-width posting lists, and **zone maps** for
-//!   long lists so a single text's postings can be located without reading
-//!   the whole list (§3.5). All reads are instrumented with [`IoStats`], the
-//!   source of the IO/CPU split in the paper's latency figures.
+//! * [`DiskIndex`] — the on-disk format: one [`container`] file per hash
+//!   function holding a hash-sorted key directory, the encoded posting
+//!   lists (fixed-width v3, varint blocks v4, bitpacked blocks v5), and
+//!   **zone maps** / block skip entries for long lists so a single text's
+//!   postings can be located without reading the whole list (§3.5). All
+//!   reads are instrumented with [`IoStats`], the source of the IO/CPU
+//!   split in the paper's latency figures.
 //! * the builders in [`build`] — [`build::write_memory_index`] (Algorithm 1)
 //!   and [`build::ExternalIndexBuilder`] (hash aggregation with recursive
 //!   partitioning for corpora larger than memory). Both emit byte-identical
 //!   files for the same corpus and configuration, which integration tests
 //!   assert.
 //!
-//! # Layout of one inverted-index file (`inv_<i>.ndsi`)
-//!
-//! ```text
-//! ┌───────────────────────────────────────────────────────────────────┐
-//! │ header: magic "NDSI", version, func_idx, num_keys, num_postings,  │
-//! │         zone_entries, zone_step, zone_min_len                     │
-//! ├───────────────────────────────────────────────────────────────────┤
-//! │ postings: num_postings × { text u32, l u32, c u32, r u32 }        │
-//! │           (each list sorted by (text, l, c, r))                   │
-//! ├───────────────────────────────────────────────────────────────────┤
-//! │ zones: zone_entries × { text u32, rel_idx u32 }                   │
-//! ├───────────────────────────────────────────────────────────────────┤
-//! │ directory: num_keys × { hash u64, start u64, count u64,           │
-//! │            zone_start u64, zone_count u64 }   (sorted by hash;    │
-//! │            written last so construction streams in one pass)      │
-//! └───────────────────────────────────────────────────────────────────┘
-//! ```
-//!
-//! A posting is 16 bytes, matching the paper's "4 integers per compact
-//! window" accounting that yields the `8/t` index-to-corpus size ratio.
+//! The layout of one inverted-index file (`inv_<i>.ndsi`) is documented in
+//! [`container`]. A fixed-width posting is 16 bytes, matching the paper's
+//! "4 integers per compact window" accounting that yields the `8/t`
+//! index-to-corpus size ratio.
 
 pub mod build;
 pub mod cache;
-pub mod codec;
+pub mod container;
 pub mod disk;
-pub mod format;
+pub mod fixed;
 mod gc;
 pub mod generation;
 pub mod ingest;
-mod integrity;
 pub mod journal;
 pub mod memory;
 pub mod merge;
@@ -59,6 +44,7 @@ mod metrics;
 pub mod packed;
 mod pread;
 pub mod shard;
+pub mod varint;
 pub mod wal;
 
 pub use build::{build_and_write, write_memory_index, ExternalIndexBuilder};
@@ -198,14 +184,15 @@ pub struct IndexConfig {
     /// Total tokens in the indexed corpus.
     pub total_tokens: u64,
     /// Zone-map sampling step `s`: one zone entry per `s` postings. In the
-    /// compressed (v2) format this is the block length.
+    /// varint-block (v4) format this is the block length.
     pub zone_step: u32,
     /// Minimum list length (postings) for a list to receive a zone map
-    /// (v1 format only; v2 blocks every list).
+    /// (fixed-width v3 only; v4 and v5 block every list).
     pub zone_min_len: u32,
-    /// Store posting lists delta-compressed (file format v2). Trades decode
-    /// CPU for ~3–4× smaller lists — usually a win in the IO-dominated
-    /// query regime. Defaults to off (v1, fixed-width postings).
+    /// Store posting lists as varint delta blocks (file format v4). Trades
+    /// decode CPU for ~3–4× smaller lists — usually a win in the
+    /// IO-dominated query regime. Defaults to off (v3, fixed-width
+    /// postings).
     pub compress: bool,
     /// Store posting lists as 128-entry bitpacked blocks with per-block
     /// skip entries (file format v5, SIMD-unpacked at query time). Takes
@@ -248,7 +235,7 @@ impl IndexConfig {
         self
     }
 
-    /// Enables or disables compressed (v2) posting storage.
+    /// Enables or disables varint-block (v4) posting storage.
     pub fn compressed(mut self, compress: bool) -> Self {
         self.compress = compress;
         self
@@ -599,8 +586,14 @@ pub trait IndexAccess: Send + Sync {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A scratch root for one unit-test suite, unique to this process so
+    /// concurrent `cargo test` runs on one host do not clobber each other.
+    pub(crate) fn test_root(suite: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("{suite}_{}", std::process::id()))
+    }
 
     #[test]
     fn posting_encode_decode_roundtrip() {

@@ -18,8 +18,8 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use crate::build::ListWriter;
-use crate::disk::{inv_file_path, AnyFileReader, DiskIndex};
+use crate::container::{Encoding, Reader, Writer};
+use crate::disk::{inv_file_path, DiskIndex};
 use crate::journal::{self, BuildJournal, JournalKind, KillPoints};
 use crate::{gc, IndexConfig, IndexError, IoStats};
 
@@ -240,11 +240,15 @@ fn merge_one_function(
 ) -> Result<(), IndexError> {
     let postings_written = crate::build::build_postings_counter();
     let stats = IoStats::default();
-    let readers: Vec<AnyFileReader> = inputs
+    let readers: Vec<Reader> = inputs
         .iter()
-        .map(|dir| AnyFileReader::open(&inv_file_path(dir, func)))
+        .map(|dir| Reader::open(&inv_file_path(dir, func)))
         .collect::<Result<_, _>>()?;
-    let mut writer = ListWriter::create(&inv_file_path(out_dir, func), func as u32, base)?;
+    let mut writer = Writer::create(
+        &inv_file_path(out_dir, func),
+        func as u32,
+        Encoding::of(base),
+    )?;
     // K-way merge over the sorted directories by (hash, shard order).
     let mut cursors = vec![0usize; readers.len()];
     let mut merged: Vec<crate::Posting> = Vec::new();
@@ -267,7 +271,7 @@ fn merge_one_function(
             if reader.hash_at(cursors[r]) != Some(hash) {
                 continue;
             }
-            let postings = reader.read_list_by_hash(hash, &stats)?;
+            let postings = reader.read_list(hash, &stats)?;
             let offset = offsets[r];
             merged.extend(postings.into_iter().map(|mut p| {
                 p.text += offset;
@@ -309,7 +313,7 @@ mod tests {
     use std::path::PathBuf;
 
     fn temp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("ndss_merge_tests").join(name);
+        let dir = crate::tests::test_root("ndss_merge_tests").join(name);
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         dir

@@ -102,7 +102,7 @@ impl FaultStats {
     }
 }
 
-/// Deterministic fault-injection plan for a [`FlakyFile`].
+/// Deterministic fault-injection plan for a `FlakyFile`.
 ///
 /// Clones share one [`FaultStats`], so the handle a test keeps observes
 /// faults injected by every reader opened from the same config.
@@ -724,7 +724,7 @@ mod tests {
     use std::io::Write;
 
     fn data_file(name: &str, bytes: &[u8]) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("ndss_pread");
+        let dir = crate::tests::test_root("ndss_pread");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(name);
         let mut f = File::create(&path).unwrap();

@@ -635,7 +635,7 @@ mod tests {
     use ndss_corpus::InMemoryCorpus;
 
     fn temp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("ndss_shard_unit").join(name);
+        let dir = crate::tests::test_root("ndss_shard_unit").join(name);
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         dir

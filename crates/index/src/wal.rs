@@ -336,7 +336,7 @@ mod tests {
     use super::*;
 
     fn temp_file(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("ndss_wal_tests");
+        let dir = crate::tests::test_root("ndss_wal_tests");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(name);
         std::fs::remove_file(&path).ok();

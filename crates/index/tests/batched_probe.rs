@@ -9,9 +9,7 @@ use std::path::{Path, PathBuf};
 
 use ndss_corpus::TextId;
 use ndss_hash::HashValue;
-use ndss_index::codec::CompressedFileWriter;
-use ndss_index::format::IndexFileWriter;
-use ndss_index::packed::PackedFileWriter;
+use ndss_index::container::{Encoding, Writer};
 use ndss_index::{
     inv_file_path, CacheConfig, DiskIndex, IndexAccess, IndexConfig, IoStats, Posting, ReadOptions,
 };
@@ -56,33 +54,16 @@ fn build(dir: &Path, format: &str) -> IndexConfig {
     std::fs::create_dir_all(dir).unwrap();
     let path = inv_file_path(dir, 0);
     let config = IndexConfig::new(1, 25, 1).zone_map(STEP, 16);
-    let lists = fixture();
     let config = match format {
-        "v3" => {
-            let mut w = IndexFileWriter::create(&path, 0, STEP, 16).unwrap();
-            for (hash, postings) in &lists {
-                w.write_list(*hash, postings).unwrap();
-            }
-            w.finish().unwrap();
-            config
-        }
-        "v4" => {
-            let mut w = CompressedFileWriter::create(&path, 0, STEP).unwrap();
-            for (hash, postings) in &lists {
-                w.write_list(*hash, postings).unwrap();
-            }
-            w.finish().unwrap();
-            config.compressed(true)
-        }
-        _ => {
-            let mut w = PackedFileWriter::create(&path, 0).unwrap();
-            for (hash, postings) in &lists {
-                w.write_list(*hash, postings).unwrap();
-            }
-            w.finish().unwrap();
-            config.bit_packed(true)
-        }
+        "v3" => config,
+        "v4" => config.compressed(true),
+        _ => config.bit_packed(true),
     };
+    let mut w = Writer::create(&path, 0, Encoding::of(&config)).unwrap();
+    for (hash, postings) in fixture() {
+        w.write_list(hash, &postings).unwrap();
+    }
+    w.finish().unwrap();
     DiskIndex::write_meta(dir, &config).unwrap();
     config
 }

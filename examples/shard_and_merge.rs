@@ -2,7 +2,7 @@
 //! (as separate machines would), merge them into one index, and verify the
 //! merged index answers exactly like an index built over the whole corpus.
 //!
-//! Also demonstrates the compressed (v2) storage format and the parallel
+//! Also demonstrates the compressed (v4) storage format and the parallel
 //! batch-search API.
 //!
 //! ```text

@@ -29,7 +29,7 @@ fn truncated_index_file_is_rejected() {
         assert!(
             CorpusIndex::open(&dir, PrefixFilter::Disabled).is_err(),
             "truncated v{} file must fail to open",
-            if compress { 2 } else { 1 }
+            if compress { 4 } else { 3 }
         );
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -214,7 +214,7 @@ fn compressed_index_is_transparent_to_search() {
             );
         }
     }
-    // Reopening a v2 directory also works (version sniffing).
+    // Reopening a v4 directory also works (the header names the encoding).
     drop(packed);
     let reopened = CorpusIndex::open(&d2, PrefixFilter::FrequentFraction(0.1)).unwrap();
     let query = corpus.sequence_to_vec(planted[0].dst).unwrap();

@@ -12,20 +12,19 @@
 //! Because the checksummed formats cover every byte (header CRC + one CRC
 //! per section) and validate exact file length, an *effective* mutation can
 //! never read back clean — the sweeps assert all of them are rejected.
-//! Legacy (v1/v2) files carry no checksums, so their sweeps only demand
-//! memory safety: no panics and no unbounded allocations; corrupt data may
-//! surface as either an error or wrong bytes.
+//! The pre-checksum layouts (index v1/v2, corpus v1) are no longer read at
+//! all: a file carrying one of their headers, pristine or mutated, must be
+//! rejected with a clean `Malformed` before any of its counts is believed.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use ndss::index::codec::{CompressedFileReader, CompressedFileWriter};
-use ndss::index::format::{IndexFileReader, IndexFileWriter};
-use ndss::index::{IoStats, Posting};
+use ndss::corpus::CorpusError;
+use ndss::index::container::Reader;
+use ndss::index::IndexError;
 use ndss::prelude::*;
-use ndss::windows::CompactWindow;
 
 use ndss_integration::mutate::mutate;
 
@@ -224,115 +223,88 @@ fn corpus_survives_mutation_sweep() {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy (checksum-less) formats: corruption may go undetected, but it must
-// never panic or provoke an OOM-sized allocation.
+// Pre-checksum layouts (index v1/v2, corpus v1): support is deleted, so the
+// only acceptable outcome is a clean rejection.
 // ---------------------------------------------------------------------------
 
-/// A small but non-trivial posting-list fixture: strictly ascending hashes,
-/// per-list postings sorted by `(text, l, c, r)`.
-fn fixture_lists() -> Vec<(u64, Vec<Posting>)> {
-    (0..40u64)
-        .map(|h| {
-            let postings = (0..1 + (h % 4) as u32)
-                .map(|text| {
-                    let l = (h % 5) as u32;
-                    let c = l + text % 3;
-                    Posting {
-                        text,
-                        window: CompactWindow::new(l, c, c + 2),
-                    }
-                })
-                .collect();
-            (h * 17 + 3, postings)
-        })
-        .collect()
+/// A file opening with `header_len` bytes of a checksum-less header —
+/// `magic`, `version`, then 8-byte counts that, were they believed, would
+/// size exabyte sections — followed by filler.
+fn pre_checksum_file(magic: &[u8; 4], version: u32, header_len: usize) -> Vec<u8> {
+    let mut bytes = vec![0x5Au8; header_len + 300];
+    bytes[0..4].copy_from_slice(magic);
+    bytes[4..8].copy_from_slice(&version.to_le_bytes());
+    for field in bytes[8..header_len].chunks_exact_mut(8) {
+        field.copy_from_slice(&(u64::MAX / 5).to_le_bytes());
+    }
+    bytes
 }
 
-fn legacy_sweep<F>(name: &str, pristine: &[u8], path: &Path, seeds: u64, read: F)
+/// Writes `pristine` and then seeded mutations of it to `path`; every one
+/// must make `open` fail with its `Malformed` error (`Err(None)` marks any
+/// other error) — never a panic, never an allocation sized by the file's
+/// counts — and the pristine file must be refused by version.
+fn rejection_sweep<F>(name: &str, pristine: &[u8], path: &Path, version: u32, open: F)
 where
-    F: Fn(&Path) -> Result<(), String>,
+    F: Fn(&Path) -> Result<(), Option<String>>,
 {
-    for seed in 0..seeds {
+    std::fs::write(path, pristine).unwrap();
+    match open(path) {
+        Err(Some(msg)) => assert!(
+            msg.contains(&format!("version {version}")) && msg.contains("unsupported"),
+            "{name}: rejected for the wrong reason: {msg}"
+        ),
+        other => panic!("{name}: pristine pre-checksum file gave {other:?}"),
+    }
+    for seed in 0..80 {
         let (mutated, mutation) = mutate(pristine, seed);
         std::fs::write(path, &mutated).unwrap();
-        if let Err(panic) = catch_unwind(AssertUnwindSafe(|| {
-            // Errors and silently wrong bytes are both acceptable for
-            // checksum-less files; only panics and huge allocations are not.
-            let _ = read(path);
-        })) {
-            drop(panic);
-            panic!("{name} seed {seed}: {mutation:?} caused a panic");
+        match catch_unwind(AssertUnwindSafe(|| open(path))) {
+            Err(_) => panic!("{name} seed {seed}: {mutation:?} caused a panic"),
+            Ok(Err(Some(_))) => {}
+            Ok(other) => panic!("{name} seed {seed}: {mutation:?} gave {other:?}"),
         }
     }
     assert_alloc_cap(name);
 }
 
 #[test]
-fn legacy_v1_index_never_panics() {
-    let dir = temp_dir("legacy_v1");
+fn pre_checksum_index_files_are_rejected() {
+    let dir = temp_dir("pre_checksum_index");
     let path = dir.join("inv_0.ndsi");
-    let mut writer = IndexFileWriter::create_legacy(&path, 0, 8, 16).unwrap();
-    for (hash, postings) in fixture_lists() {
-        writer.write_list(hash, &postings).unwrap();
+    for version in [1u32, 2] {
+        let pristine = pre_checksum_file(b"NDSI", version, 48);
+        rejection_sweep(
+            &format!("index v{version}"),
+            &pristine,
+            &path,
+            version,
+            |p| match Reader::open(p) {
+                Ok(_) => Ok(()),
+                Err(IndexError::Malformed(msg)) => Err(Some(msg)),
+                Err(_) => Err(None),
+            },
+        );
     }
-    writer.finish().unwrap();
-    let pristine = std::fs::read(&path).unwrap();
-    legacy_sweep("legacy v1", &pristine, &path, 80, |p| {
-        let reader = IndexFileReader::open(p).map_err(|e| e.to_string())?;
-        let stats = IoStats::default();
-        for entry in reader.dir().to_vec() {
-            reader
-                .read_postings(&entry, &stats)
-                .map_err(|e| e.to_string())?;
-        }
-        Ok(())
-    });
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn legacy_v2_index_never_panics() {
-    let dir = temp_dir("legacy_v2");
-    let path = dir.join("inv_0.ndsi");
-    let mut writer = CompressedFileWriter::create_legacy(&path, 0, 8).unwrap();
-    let lists = fixture_lists();
-    for (hash, postings) in &lists {
-        writer.write_list(*hash, postings).unwrap();
-    }
-    writer.finish().unwrap();
-    let pristine = std::fs::read(&path).unwrap();
-    let hashes: Vec<u64> = lists.iter().map(|(h, _)| *h).collect();
-    legacy_sweep("legacy v2", &pristine, &path, 80, move |p| {
-        let reader = CompressedFileReader::open(p).map_err(|e| e.to_string())?;
-        let stats = IoStats::default();
-        for &hash in &hashes {
-            reader.read_list(hash, &stats).map_err(|e| e.to_string())?;
-        }
-        Ok(())
-    });
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn legacy_v1_corpus_never_panics() {
-    let dir = temp_dir("legacy_corpus");
+fn pre_checksum_corpus_file_is_rejected() {
+    let dir = temp_dir("pre_checksum_corpus");
     let path = dir.join("c.ndsc");
-    let mut writer = DiskCorpusWriter::create_legacy(&path).unwrap();
-    for text in 0..20u32 {
-        let tokens: Vec<TokenId> = (0..50).map(|i| text * 100 + i).collect();
-        writer.push_text(&tokens).unwrap();
-    }
-    writer.finish().unwrap();
-    let pristine = std::fs::read(&path).unwrap();
-    legacy_sweep("legacy corpus", &pristine, &path, 80, |p| {
-        let corpus = DiskCorpus::open(p).map_err(|e| e.to_string())?;
-        for id in 0..corpus.num_texts() {
-            corpus
-                .text_to_vec(id as TextId)
-                .map_err(|e| e.to_string())?;
-        }
-        Ok(())
-    });
+    let pristine = pre_checksum_file(b"NDSC", 1, 24);
+    rejection_sweep(
+        "corpus v1",
+        &pristine,
+        &path,
+        1,
+        |p| match DiskCorpus::open(p) {
+            Ok(_) => Ok(()),
+            Err(CorpusError::Malformed(msg)) => Err(Some(msg)),
+            Err(_) => Err(None),
+        },
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,9 +1,9 @@
-//! Property tests of the storage layer: the compressed codec, zone/block
+//! Property tests of the storage layer: the varint block codec, zone/block
 //! probes, and index merging, over arbitrary inputs.
 
 use proptest::prelude::*;
 
-use ndss::index::codec::{decode_block, encode_block, read_varint, write_varint};
+use ndss::index::varint::{decode_block, encode_block, read_varint, write_varint};
 use ndss::index::{inv_file_path, merge_indexes, IndexAccess, Posting};
 use ndss::prelude::*;
 use ndss::windows::CompactWindow;
@@ -96,7 +96,7 @@ proptest! {
         let base = std::env::temp_dir()
             .join("ndss_prop_probe")
             .join(format!("{seed}"));
-        for (compress, sub) in [(false, "v1"), (true, "v2")] {
+        for (compress, sub) in [(false, "v3"), (true, "v4")] {
             let dir = base.join(sub);
             std::fs::remove_dir_all(&dir).ok();
             std::fs::create_dir_all(&dir).unwrap();
