@@ -37,6 +37,21 @@ impl Args {
         Ok(args)
     }
 
+    /// The flags given (with or without a value) that are not in `known`,
+    /// sorted.
+    pub fn unknown(&self, known: &[&str]) -> Vec<&str> {
+        let mut unknown: Vec<&str> = self
+            .values
+            .keys()
+            .chain(&self.flags)
+            .map(String::as_str)
+            .filter(|key| !known.contains(key))
+            .collect();
+        unknown.sort_unstable();
+        unknown.dedup();
+        unknown
+    }
+
     /// Whether a bare boolean flag was given.
     pub fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
@@ -118,6 +133,16 @@ mod tests {
             vec![1.0, 0.9, 0.8]
         );
         assert_eq!(args.list_or("missing", &[0.5f64]).unwrap(), vec![0.5]);
+    }
+
+    #[test]
+    fn unknown_lists_flags_outside_the_declared_set() {
+        let args = parse(&["--out", "x", "--fromat", "v4", "--compress", "--k", "8"]);
+        assert_eq!(
+            args.unknown(&["out", "k", "format"]),
+            ["compress", "fromat"]
+        );
+        assert!(args.unknown(&["out", "k", "fromat", "compress"]).is_empty());
     }
 
     #[test]

@@ -22,6 +22,23 @@ use ndss::prelude::*;
 
 use crate::args::Args;
 
+/// Every flag `ndss index` reads; any other is refused before it runs.
+pub const FLAGS: &[&str] = &[
+    "corpus",
+    "out",
+    "k",
+    "t",
+    "seed",
+    "external",
+    "memory-budget",
+    "format",
+    "resume",
+    "store",
+    "keep",
+    "shards",
+    "metrics-out",
+];
+
 pub fn run(args: &Args) -> Result<(), String> {
     let corpus_path = args.required("corpus")?;
     let out = args.required("out")?;
@@ -29,16 +46,6 @@ pub fn run(args: &Args) -> Result<(), String> {
     let t: usize = args.get_or("t", 25)?;
     let seed: u64 = args.get_or("seed", 7)?;
     let external = args.flag("external");
-    let (compress, packed) = match args.get("format") {
-        None | Some("v3") => (false, false),
-        Some("v4") => (true, false),
-        Some("v5") => (false, true),
-        Some(other) => {
-            return Err(format!(
-                "invalid value for --format: {other} (expected v3, v4, or v5)"
-            ))
-        }
-    };
     let resume = args.flag("resume");
     let store_mode = args.flag("store");
     let keep: usize = args.get_or("keep", 1)?;
@@ -64,9 +71,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         return Err("--shards requires --store (shards are generational stores)".into());
     }
 
-    let config = IndexConfig::new(k, t, seed)
-        .compressed(compress)
-        .bit_packed(packed);
+    let config = super::with_format(IndexConfig::new(k, t, seed), args)?;
     if shards > 0 {
         return run_sharded(
             args,

@@ -13,7 +13,7 @@
 //! compactor.
 //!
 //! A fresh store (no generation, no memtable) needs the index shape:
-//! `--k`, `--t`, `--seed`, and optionally `--format v3|v4|v5`. An existing
+//! `--k`, `--t`, `--seed`, and optionally `--format v3|v4|v6`. An existing
 //! store ignores these and keeps its configuration.
 
 use std::io::{BufRead, BufReader};
@@ -23,6 +23,22 @@ use std::time::Instant;
 use ndss::prelude::*;
 
 use crate::args::Args;
+
+/// Every flag `ndss ingest` reads; any other is refused before it runs.
+pub const FLAGS: &[&str] = &[
+    "store",
+    "input",
+    "flush-bytes",
+    "fsync-every",
+    "keep",
+    "seal",
+    "no-compact",
+    "k",
+    "t",
+    "seed",
+    "format",
+    "metrics-out",
+];
 
 /// Parses one input line into a token sequence. Tokens are unsigned 32-bit
 /// ids separated by commas and/or whitespace.
@@ -70,20 +86,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     if k == 0 || t == 0 {
         return Err("--k and --t must be positive".into());
     }
-    let (compress, packed) = match args.get("format") {
-        None => (false, true),
-        Some("v3") => (false, false),
-        Some("v4") => (true, false),
-        Some("v5") => (false, true),
-        Some(other) => {
-            return Err(format!(
-                "invalid value for --format: {other} (expected v3, v4, or v5)"
-            ))
-        }
-    };
-    let config = ndss::index::IndexConfig::new(k, t, seed)
-        .compressed(compress)
-        .bit_packed(packed);
+    let config = super::with_format(ndss::index::IndexConfig::new(k, t, seed), args)?;
 
     let start = Instant::now();
     let mut ingest =

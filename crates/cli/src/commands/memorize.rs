@@ -8,6 +8,19 @@ use ndss::prelude::*;
 
 use crate::args::Args;
 
+/// Every flag `ndss memorize` reads; any other is refused before it runs.
+pub const FLAGS: &[&str] = &[
+    "corpus",
+    "index",
+    "order",
+    "texts",
+    "len",
+    "window",
+    "thetas",
+    "seed",
+    "metrics-out",
+];
+
 pub fn run(args: &Args) -> Result<(), String> {
     let corpus_path = args.required("corpus")?;
     let index_dir = args.required("index")?;

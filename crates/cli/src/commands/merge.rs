@@ -11,6 +11,9 @@ use ndss::prelude::{IndexAccess, MergeOptions};
 
 use crate::args::Args;
 
+/// Every flag `ndss merge` reads; any other is refused before it runs.
+pub const FLAGS: &[&str] = &["out", "inputs", "resume", "metrics-out"];
+
 pub fn run(args: &Args) -> Result<(), String> {
     let out = args.required("out")?;
     let inputs_raw = args.required("inputs")?;

@@ -16,6 +16,9 @@ use ndss::prelude::*;
 
 use crate::args::Args;
 
+/// Every flag `ndss publish` reads; any other is refused before it runs.
+pub const FLAGS: &[&str] = &["store", "generation", "keep", "shard", "metrics-out"];
+
 /// `--shard I` on a sharded store: publish inside one shard, bump the
 /// manifest atomically.
 fn run_sharded(args: &Args, root: &str, keep: usize) -> Result<(), String> {

@@ -14,6 +14,9 @@ use ndss::prelude::*;
 
 use crate::args::Args;
 
+/// Every flag `ndss rollback` reads; any other is refused before it runs.
+pub const FLAGS: &[&str] = &["store", "to", "shard", "metrics-out"];
+
 pub fn run(args: &Args) -> Result<(), String> {
     let root = args.required("store")?;
     if ShardedStore::is_sharded(Path::new(root)) {

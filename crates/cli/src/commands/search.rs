@@ -10,6 +10,30 @@ use ndss::prelude::*;
 
 use crate::args::Args;
 
+/// Every flag `ndss search` reads; any other is refused before it runs.
+pub const FLAGS: &[&str] = &[
+    "index",
+    "theta",
+    "query-tokens",
+    "query-span",
+    "query",
+    "tokenizer",
+    "corpus",
+    "top",
+    "profile",
+    "mmap",
+    "deadline-ms",
+    "max-io-bytes",
+    "max-candidates",
+    "max-matches",
+    "queries-file",
+    "threads",
+    "failure-policy",
+    "batch-deadline-ms",
+    "admission-cap",
+    "metrics-out",
+];
+
 /// Opens the index with `--mmap` honored: memory-mapped reads when the flag
 /// is present, the default pread path otherwise.
 fn open_index(args: &Args, index_dir: &str) -> Result<CorpusIndex<ndss::index::DiskIndex>, String> {

@@ -29,6 +29,25 @@ use ndss::serve::{IngestServeConfig, ServeConfig, Server, DEFAULT_ADDR};
 
 use crate::args::Args;
 
+/// Every flag `ndss serve` reads; any other is refused before it runs.
+pub const FLAGS: &[&str] = &[
+    "index",
+    "addr",
+    "workers",
+    "admission-cap",
+    "deadline-ms",
+    "max-body-bytes",
+    "metrics-out",
+    "ingest",
+    "ingest-flush-bytes",
+    "ingest-fsync-every",
+    "ingest-compact-ms",
+    "probe-interval-ms",
+    "quarantine-threshold",
+    "quarantine-backoff-ms",
+    "quarantine-max-backoff-ms",
+];
+
 /// `--ingest` on a store that has never published a generation: publish an
 /// empty one (shaped by the memtable's configuration) so the serving layer
 /// has a disk view to overlay the memtable on. The memtable must already

@@ -7,6 +7,9 @@ use ndss::prelude::*;
 
 use crate::args::Args;
 
+/// Every flag `ndss stats` reads; any other is refused before it runs.
+pub const FLAGS: &[&str] = &["corpus", "index", "top", "metrics", "metrics-out"];
+
 pub fn run(args: &Args) -> Result<(), String> {
     let corpus_path = args.required("corpus")?;
     let corpus = DiskCorpus::open(Path::new(corpus_path)).map_err(|e| e.to_string())?;

@@ -7,6 +7,19 @@ use ndss::prelude::*;
 
 use crate::args::Args;
 
+/// Every flag `ndss synth` reads; any other is refused before it runs.
+pub const FLAGS: &[&str] = &[
+    "out",
+    "texts",
+    "vocab",
+    "seed",
+    "min-len",
+    "max-len",
+    "dup-rate",
+    "mutation",
+    "provenance",
+];
+
 pub fn run(args: &Args) -> Result<(), String> {
     let out = args.required("out")?;
     let texts: usize = args.get_or("texts", 10_000)?;

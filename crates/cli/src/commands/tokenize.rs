@@ -7,6 +7,9 @@ use ndss::prelude::*;
 
 use crate::args::Args;
 
+/// Every flag `ndss tokenize` reads; any other is refused before it runs.
+pub const FLAGS: &[&str] = &["input", "out", "tokenizer", "vocab-size"];
+
 pub fn run(args: &Args) -> Result<(), String> {
     let input = args.required("input")?;
     let out = args.required("out")?;

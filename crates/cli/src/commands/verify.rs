@@ -28,6 +28,9 @@ use ndss::prelude::*;
 
 use crate::args::Args;
 
+/// Every flag `ndss verify` reads; any other is refused before it runs.
+pub const FLAGS: &[&str] = &["corpus", "index", "store", "all-generations"];
+
 /// Verifies one generation directory; returns its status-line suffix.
 fn verify_generation(dir: &Path) -> Result<String, String> {
     let start = Instant::now();

@@ -48,51 +48,54 @@ pub fn run_cli(mut raw: Vec<String>) -> ExitCode {
     }
 }
 
-/// Runs one subcommand; the entry point integration tests call.
-pub fn dispatch(command: &str, args: &args::Args) -> Result<(), String> {
-    match command {
-        "synth" => commands::synth::run(args),
-        "tokenize" => commands::tokenize::run(args),
-        "index" => commands::index::run(args),
-        "ingest" => commands::ingest::run(args),
-        "search" => commands::search::run(args),
-        "serve" => commands::serve::run(args),
-        "stats" => commands::stats::run(args),
-        "memorize" => commands::memorize::run(args),
-        "merge" => commands::merge::run(args),
-        "publish" => commands::publish::run(args),
-        "rollback" => commands::rollback::run(args),
-        "verify" => commands::verify::run(args),
-        other => Err(format!("unknown command '{other}'; try 'ndss help'")),
-    }
+/// One subcommand: the flags it reads, its entry point, and its block of
+/// the help text.
+struct Command {
+    name: &'static str,
+    flags: &'static [&'static str],
+    run: fn(&args::Args) -> Result<(), String>,
+    usage: &'static str,
 }
 
-fn print_usage() {
-    println!(
-        "ndss — near-duplicate sequence search at scale
-
-USAGE:
-  ndss <command> [--flag value]...
-
-COMMANDS:
-  synth      generate a synthetic Zipfian corpus with planted near-duplicates
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "synth",
+        flags: commands::synth::FLAGS,
+        run: commands::synth::run,
+        usage: "  synth      generate a synthetic Zipfian corpus with planted near-duplicates
                --out FILE [--texts N=10000] [--vocab N=32000] [--seed N=7]
                [--min-len N=200] [--max-len N=600] [--dup-rate F=0.4]
-               [--mutation F=0.05] [--provenance FILE]
-  tokenize   train a BPE tokenizer and tokenize raw text (one doc per line)
-               --input FILE --out FILE [--tokenizer FILE] [--vocab-size N=32000]
-  index      build the inverted indexes for a corpus
+               [--mutation F=0.05] [--provenance FILE]",
+    },
+    Command {
+        name: "tokenize",
+        flags: commands::tokenize::FLAGS,
+        run: commands::tokenize::run,
+        usage: "  tokenize   train a BPE tokenizer and tokenize raw text (one doc per line)
+               --input FILE --out FILE [--tokenizer FILE] [--vocab-size N=32000]",
+    },
+    Command {
+        name: "index",
+        flags: commands::index::FLAGS,
+        run: commands::index::run,
+        usage: "  index      build the inverted indexes for a corpus
                --corpus FILE --out DIR [--k N=32] [--t N=25] [--seed N=7]
                [--external] [--memory-budget BYTES=268435456]
-               [--format v3|v4|v5=v3]
+               [--format v3|v4|v6=v6 (v6: bitpacked blocks, the smallest and
+                the one the daemon and the benchmark use)]
                [--resume (continue an interrupted --external build)]
                [--store (treat --out as a generation store: build lands in
                 gen-NNNN/, verified, then published as CURRENT)]
                [--keep N=1 (previous generations retained on publish)]
                [--shards N (with --store: partition the corpus by text-id
                 range into N independent shards, build them in parallel,
-                and publish all with one atomic manifest bump)]
-  ingest     stream texts into a generation store's crash-safe memtable
+                and publish all with one atomic manifest bump)]",
+    },
+    Command {
+        name: "ingest",
+        flags: commands::ingest::FLAGS,
+        run: commands::ingest::run,
+        usage: "  ingest     stream texts into a generation store's crash-safe memtable
                --store DIR [--input FILE (default: stdin; one text per line,
                 token ids separated by commas and/or whitespace)]
                [--flush-bytes N=64MiB (rotate the active WAL past this)]
@@ -100,19 +103,39 @@ COMMANDS:
                [--keep N=1] [--seal (rotate + compact everything: memtable
                 ends empty)] [--no-compact (leave frozen segments pending)]
                fresh stores also take [--k N=32] [--t N=25] [--seed N=7]
-               [--format v3|v4|v5=v5]; texts are WAL-durable when acked and
-               served live by 'ndss serve --ingest' before compaction
-  merge      merge shard indexes (built with identical parameters)
+               [--format v3|v4|v6=v6]; texts are WAL-durable when acked and
+               served live by 'ndss serve --ingest' before compaction",
+    },
+    Command {
+        name: "merge",
+        flags: commands::merge::FLAGS,
+        run: commands::merge::run,
+        usage: "  merge      merge shard indexes (built with identical parameters)
                --out DIR --inputs DIR,DIR,...
-               [--resume (continue an interrupted merge)]
-  publish    verify a generation and atomically point CURRENT at it
+               [--resume (continue an interrupted merge)]",
+    },
+    Command {
+        name: "publish",
+        flags: commands::publish::FLAGS,
+        run: commands::publish::run,
+        usage: "  publish    verify a generation and atomically point CURRENT at it
                --store DIR [--generation gen-NNNN (default: newest complete)]
                [--keep N=1] [--shard I (required for sharded stores: publish
-                within shard I and bump the store manifest atomically)]
-  rollback   re-point CURRENT at an older (re-verified) generation
+                within shard I and bump the store manifest atomically)]",
+    },
+    Command {
+        name: "rollback",
+        flags: commands::rollback::FLAGS,
+        run: commands::rollback::run,
+        usage: "  rollback   re-point CURRENT at an older (re-verified) generation
                --store DIR [--to gen-NNNN (default: newest older complete)]
-               [--shard I (required for sharded stores)]
-  search     query an index for near-duplicate sequences
+               [--shard I (required for sharded stores)]",
+    },
+    Command {
+        name: "search",
+        flags: commands::search::FLAGS,
+        run: commands::search::run,
+        usage: "  search     query an index for near-duplicate sequences
                --index DIR (plain index, generation store, or sharded store;
                 sharded stores scatter-gather with identical results)
                --theta F [--query-tokens a,b,c |
@@ -120,6 +143,7 @@ COMMANDS:
                --query TEXT --tokenizer FILE] [--top N=10]
                [--corpus FILE (decodes matches)]
                [--profile (per-stage timing/IO breakdown)]
+               [--mmap (read the index through a memory mapping)]
              per-query resource budgets (a tripped budget reports the partial
              result set found so far, flagged incomplete)
                [--deadline-ms N] [--max-io-bytes N] [--max-candidates N]
@@ -128,8 +152,13 @@ COMMANDS:
                --index DIR --queries-file FILE [--theta F=0.8]
                [--threads N=all cores] [--profile]
                [--failure-policy failfast|isolate (default failfast)]
-               [--batch-deadline-ms N] [--admission-cap N]
-  serve      run the network daemon over an index or generation store
+               [--batch-deadline-ms N] [--admission-cap N]",
+    },
+    Command {
+        name: "serve",
+        flags: commands::serve::FLAGS,
+        run: commands::serve::run,
+        usage: "  serve      run the network daemon over an index or generation store
                --index DIR [--addr HOST:PORT=127.0.0.1:7700]
                [--workers N=2*cores] [--admission-cap N=cores]
                [--deadline-ms N (per-request default deadline)]
@@ -140,27 +169,83 @@ COMMANDS:
                 publishes them)] [--ingest-flush-bytes N=64MiB]
                [--ingest-fsync-every N=8] [--ingest-compact-ms N=500
                 (0 disables background compaction)]
+               [--quarantine-threshold N=3 (consecutive transient failures
+                before a shard's breaker opens; 0 disables)]
+               [--quarantine-backoff-ms N=1000]
+               [--quarantine-max-backoff-ms N=60000]
+               [--probe-interval-ms N=1000 (0 disables self-healing)]
              one port, two protocols: HTTP/1.1 (POST /search JSON,
              POST /ingest, GET /metrics, GET /healthz, POST /reload,
              POST /shutdown) and NDSB length-prefixed binary framing;
-             SIGTERM drains (ingest WAL fsynced before the drain report)
-  stats      corpus and index statistics
+             SIGTERM drains (ingest WAL fsynced before the drain report)",
+    },
+    Command {
+        name: "stats",
+        flags: commands::stats::FLAGS,
+        run: commands::stats::run,
+        usage: "  stats      corpus and index statistics
                --corpus FILE [--index DIR] [--top N=10]
-               [--metrics (render process metrics registry)]
-  verify     stream stored checksums over an index, corpus, and/or store
+               [--metrics (render process metrics registry)]",
+    },
+    Command {
+        name: "verify",
+        flags: commands::verify::FLAGS,
+        run: commands::verify::run,
+        usage: "  verify     stream stored checksums over an index, corpus, and/or store
                [--corpus FILE] [--index DIR]
                [--store DIR [--all-generations] (per-generation status;
                 exit is nonzero iff the CURRENT generation fails; sharded
                 stores get manifest validation plus one line per shard;
                 a memtable, when present, gets its manifest checksum, WAL
-                frame CRCs, id continuity, and trim watermark walked)]
-  memorize   train an n-gram LM on the corpus and measure memorization
+                frame CRCs, id continuity, and trim watermark walked)]",
+    },
+    Command {
+        name: "memorize",
+        flags: commands::memorize::FLAGS,
+        run: commands::memorize::run,
+        usage: "  memorize   train an n-gram LM on the corpus and measure memorization
                --corpus FILE --index DIR [--order N=4] [--texts N=20]
                [--len N=256] [--window N=32] [--thetas F,F=1.0,0.9,0.8]
-               [--seed N=1]
-  help       print this message
+               [--seed N=1]",
+    },
+];
 
-Long-running commands (index, merge, search, memorize, stats) accept
+/// Runs one subcommand; the entry point integration tests call. A flag the
+/// command does not read is an error carrying the command's usage, not a
+/// silently ignored token.
+pub fn dispatch(command: &str, args: &args::Args) -> Result<(), String> {
+    let Some(cmd) = COMMANDS.iter().find(|c| c.name == command) else {
+        return Err(format!("unknown command '{command}'; try 'ndss help'"));
+    };
+    let unknown = args.unknown(cmd.flags);
+    if !unknown.is_empty() {
+        let unknown: Vec<String> = unknown.iter().map(|f| format!("--{f}")).collect();
+        return Err(format!(
+            "unknown flag {} for 'ndss {command}'\n\nUSAGE:\n{}",
+            unknown.join(", "),
+            cmd.usage
+        ));
+    }
+    (cmd.run)(args)
+}
+
+fn print_usage() {
+    println!(
+        "ndss — near-duplicate sequence search at scale
+
+USAGE:
+  ndss <command> [--flag value]...
+
+COMMANDS:"
+    );
+    for cmd in COMMANDS {
+        println!("{}", cmd.usage);
+    }
+    println!(
+        "  help       print this message
+
+Long-running commands (index, ingest, merge, publish, rollback, search,
+memorize, stats, serve) accept
   --metrics-out PATH   write a metrics snapshot on exit: Prometheus text
                        exposition for .prom/.txt, JSON otherwise"
     );

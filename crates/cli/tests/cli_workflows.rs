@@ -109,7 +109,7 @@ fn compressed_and_external_index_workflow() {
     dispatch(
         "index",
         &args(&[
-            "--corpus", &corpus, "--out", &plain, "--k", "4", "--t", "20",
+            "--corpus", &corpus, "--out", &plain, "--k", "4", "--t", "20", "--format", "v3",
         ]),
     )
     .unwrap();
@@ -162,8 +162,9 @@ fn compressed_and_external_index_workflow() {
 }
 
 /// `--format` is the one spelling of the posting encoding: each value
-/// lands in the index-file header, v3 is the default, anything else is an
-/// error.
+/// lands in the index-file header, v6 (packed — what `ndss ingest`, the
+/// daemon's stores and the benchmark build) is the default, anything else
+/// is an error, the retired v5 included.
 #[test]
 fn format_flag_selects_the_encoding() {
     let dir = workdir("format");
@@ -174,10 +175,10 @@ fn format_flag_selects_the_encoding() {
     )
     .unwrap();
     for (format, version) in [
-        (None, 3u32),
+        (None, 6u32),
         (Some("v3"), 3),
         (Some("v4"), 4),
-        (Some("v5"), 5),
+        (Some("v6"), 6),
     ] {
         let out = dir.join(format.unwrap_or("default"));
         let out_arg = out.display().to_string();
@@ -194,12 +195,53 @@ fn format_flag_selects_the_encoding() {
         );
     }
     let out = dir.join("bad").display().to_string();
-    let err = dispatch(
-        "index",
-        &args(&["--corpus", &corpus, "--out", &out, "--format", "v2"]),
+    for bad in ["v2", "v5"] {
+        let err = dispatch(
+            "index",
+            &args(&["--corpus", &corpus, "--out", &out, "--format", bad]),
+        )
+        .unwrap_err();
+        assert!(err.contains("--format"), "got: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A flag the command does not read is refused with the command's usage —
+/// the removed `--compress` and a misspelt `--fromat` used to build the
+/// default format without a word.
+#[test]
+fn unknown_flags_are_an_error_with_the_usage_line() {
+    let dir = workdir("unknown_flags");
+    let corpus = dir.join("c.ndsc").display().to_string();
+    dispatch(
+        "synth",
+        &args(&["--out", &corpus, "--texts", "10", "--seed", "3"]),
     )
-    .unwrap_err();
-    assert!(err.contains("--format"), "got: {err}");
+    .unwrap();
+    let out = dir.join("idx");
+    let out_arg = out.display().to_string();
+    for (extra, named) in [
+        (&["--compress"][..], "--compress"),
+        (&["--fromat", "v4"][..], "--fromat"),
+    ] {
+        let mut tokens = vec!["--corpus", &corpus, "--out", &out_arg, "--k", "2"];
+        tokens.extend(extra);
+        let err = dispatch("index", &args(&tokens)).unwrap_err();
+        assert!(err.contains(&format!("unknown flag {named}")), "got: {err}");
+        assert!(
+            err.contains("--corpus FILE --out DIR") && err.contains("--format v3|v4|v6"),
+            "no usage line in: {err}"
+        );
+        assert!(!out.exists(), "{named}: the build ran anyway");
+    }
+    // Every command checks, including the ones with no optional flags.
+    for command in ["synth", "search", "serve", "verify", "rollback"] {
+        let err = dispatch(command, &args(&["--no-such-flag"])).unwrap_err();
+        assert!(
+            err.contains("unknown flag --no-such-flag") && err.contains(command),
+            "{command}: {err}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

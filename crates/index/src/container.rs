@@ -7,7 +7,7 @@
 //! ├────────────────────────────────────────────────────────────────────┤
 //! │ section 1 — payload: the encoded posting lists, ascending by hash  │
 //! ├────────────────────────────────────────────────────────────────────┤
-//! │ section 2 — fixed-size entries: zone samples (v3) / blocks (v4,v5) │
+//! │ section 2 — fixed-size entries: zone samples (v3) / blocks (v4,v6) │
 //! ├────────────────────────────────────────────────────────────────────┤
 //! │ directory: num_keys × 40 B, sorted by hash (written last so        │
 //! │            construction streams in one pass)                       │
@@ -20,7 +20,7 @@
 //! CRC-checked section loads, the directory walk, and the lookups that need
 //! only the directory ([`Reader`]). An [`Encoding`] knows only how one
 //! list's bytes are laid out — [`crate::fixed`] (v3), [`crate::varint`]
-//! (v4), [`crate::packed`] (v5) each supply "encode this list", "parse and
+//! (v4), [`crate::packed`] (v6) each supply "encode this list", "parse and
 //! validate my section-2 entries", "decode a whole list" and "probe
 //! ascending texts". Dispatch is one `match` per list-level call.
 //!
@@ -32,7 +32,7 @@
 //! half-index under the final name. [`Reader::open`] verifies the header
 //! checksum, checks every header-derived size against the file length, and
 //! verifies the checksum of every section it loads (the directory, and the
-//! block index of v4/v5); [`Reader::verify`] streams the sections `open`
+//! block index of v4/v6); [`Reader::verify`] streams the sections `open`
 //! left on disk. Together they cover every byte of the file.
 
 use std::io::{BufWriter, Seek, SeekFrom, Write};
@@ -59,7 +59,7 @@ const OFF_FUNC_IDX: usize = 8;
 const OFF_NUM_KEYS: usize = 16;
 const OFF_NUM_POSTINGS: usize = 24;
 const OFF_SECTION2_ENTRIES: usize = 32;
-/// Zone step (v3) / postings per block (v4, v5).
+/// Zone step (v3) / postings per block (v4, v6).
 const OFF_STEP: usize = 40;
 /// Minimum zone-mapped list length (v3; zero otherwise).
 const OFF_ZONE_MIN_LEN: usize = 44;
@@ -87,7 +87,9 @@ pub enum Encoding {
         /// Postings per block.
         block_len: u32,
     },
-    /// Format v5: 128-entry bitpacked blocks with per-block skip entries.
+    /// Format v6: bitpacked blocks of up to 128 postings (a list's tail at
+    /// its true length) with per-block skip entries. Version 5, the same
+    /// entries over tails zero-filled to 128, is no longer read.
     Packed,
 }
 
@@ -112,7 +114,7 @@ impl Encoding {
         match self {
             Self::Fixed { .. } => 3,
             Self::Varint { .. } => 4,
-            Self::Packed => 5,
+            Self::Packed => 6,
         }
     }
 
@@ -175,7 +177,7 @@ pub(crate) struct DirEntry {
     /// Number of postings in the list.
     pub count: u64,
     /// Where the list starts in section 1, in the encoding's unit: a
-    /// posting index (v3) or a byte offset (v4, v5).
+    /// posting index (v3) or a byte offset (v4, v6).
     pub start: u64,
     /// Index of the list's first section-2 entry; `u64::MAX` on a v3 list
     /// too short for a zone map.
@@ -442,7 +444,7 @@ enum Lists {
 }
 
 /// Read-only handle to one inverted-index file. The directory (and the
-/// block index of v4/v5) lives in memory; list bytes are read on demand
+/// block index of v4/v6) lives in memory; list bytes are read on demand
 /// with IO accounting.
 ///
 /// All reads are *positioned* (`pread`, or plain memory copies when the
@@ -495,8 +497,8 @@ impl Reader {
         file.read_exact_at(&mut header[..have], 0)?;
         // Magic before version, version before length and checksum: a
         // non-index file never reaches a parser, and a pre-checksum (v1/v2)
-        // file is named for what it is rather than failing a CRC it never
-        // carried.
+        // or zero-filled-tail (v5) file is named for what it is rather than
+        // failing a CRC it never carried or a layout check it cannot pass.
         if have < 8 || &header[0..4] != MAGIC {
             return Err(malformed("not an index file (bad magic)".into()));
         }
@@ -509,7 +511,7 @@ impl Reader {
                 zone_min_len: u32_at(OFF_ZONE_MIN_LEN),
             },
             4 => Encoding::Varint { block_len: step },
-            5 => Encoding::Packed,
+            6 => Encoding::Packed,
             v => return Err(malformed(format!("unsupported index file version {v}"))),
         };
         if (have as u64) < HEADER_LEN {
@@ -523,7 +525,7 @@ impl Reader {
             return Err(crc_mismatch("header", path, stored, actual));
         }
         if encoding == Encoding::Packed && step as usize != packed::BLOCK_LEN {
-            return Err(malformed(format!("unsupported v5 block length {step}")));
+            return Err(malformed(format!("unsupported packed block length {step}")));
         }
         let func_idx = u32_at(OFF_FUNC_IDX);
         let num_keys = u64_at(OFF_NUM_KEYS);
@@ -737,7 +739,7 @@ impl Reader {
     /// ascending) in list `hash`, reading only the covering part of the
     /// list: zone-bracketed posting ranges (v3, zone maps shared through
     /// `zones`), covering blocks (v4), or one forward pass over the skip
-    /// entries (v5).
+    /// entries (v6).
     pub(crate) fn probe_texts(
         &self,
         hash: HashValue,
@@ -943,7 +945,7 @@ pub(crate) mod tests {
     }
 
     /// A short list, an empty one (skipped), and one long enough for
-    /// several zone samples, v4 blocks and v5 blocks.
+    /// several zone samples, v4 blocks and packed blocks.
     fn sample_lists() -> Vec<(u64, Vec<Posting>)> {
         vec![
             (10, (0..5).map(|i| posting(i, i)).collect()),
@@ -1083,12 +1085,12 @@ pub(crate) mod tests {
         for encoding in ENCODINGS {
             write_file(&path, encoding, &sample_lists());
             let mut bytes = std::fs::read(&path).unwrap();
-            bytes[OFF_VERSION] = 6;
+            bytes[OFF_VERSION] = 7;
             std::fs::write(&path, &bytes).unwrap();
             assert_malformed(
                 Reader::open(&path),
-                "unsupported index file version 6",
-                "v6",
+                "unsupported index file version 7",
+                "v7",
             );
         }
         std::fs::remove_file(&path).ok();
@@ -1096,7 +1098,7 @@ pub(crate) mod tests {
 
     /// Every header byte is covered at `open`; a flipped bit in a section
     /// is caught at `open` when the section is loaded there (directory,
-    /// v4/v5 block index) and by `verify` otherwise.
+    /// v4/v6 block index) and by `verify` otherwise.
     #[test]
     fn header_tampering_and_section_corruption_detected() {
         for encoding in ENCODINGS {
@@ -1155,7 +1157,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn encoding_follows_config_with_v5_taking_precedence() {
+    fn encoding_follows_config_with_packed_taking_precedence() {
         let config = IndexConfig::new(4, 25, 1).zone_map(64, 128);
         assert_eq!(
             Encoding::of(&config),

@@ -10,7 +10,7 @@
 //!
 //! [`DiskIndex`] implements [`IndexAccess`] with real IO: every posting or
 //! zone read is positioned into the file and tallied in [`IoStats`]. Zone
-//! maps (v3) and block skip entries (v4/v5) make [`IndexAccess::probe_texts`]
+//! maps (v3) and block skip entries (v4/v6) make [`IndexAccess::probe_texts`]
 //! read `O(list / zone_count)` bytes per text instead of the entire list,
 //! which is exactly the §3.5 mechanism that keeps prefix-filtered probes of
 //! long lists cheap; [`IndexAccess::shared_list`] hands out the cached

@@ -13,7 +13,7 @@
 //!   in memory and then writes it back to disk").
 //! * [`DiskIndex`] — the on-disk format: one [`container`] file per hash
 //!   function holding a hash-sorted key directory, the encoded posting
-//!   lists (fixed-width v3, varint blocks v4, bitpacked blocks v5), and
+//!   lists (fixed-width v3, varint blocks v4, bitpacked blocks v6), and
 //!   **zone maps** / block skip entries for long lists so a single text's
 //!   postings can be located without reading the whole list (§3.5). All
 //!   reads are instrumented with [`IoStats`], the source of the IO/CPU
@@ -187,16 +187,17 @@ pub struct IndexConfig {
     /// varint-block (v4) format this is the block length.
     pub zone_step: u32,
     /// Minimum list length (postings) for a list to receive a zone map
-    /// (fixed-width v3 only; v4 and v5 block every list).
+    /// (fixed-width v3 only; v4 and v6 block every list).
     pub zone_min_len: u32,
     /// Store posting lists as varint delta blocks (file format v4). Trades
     /// decode CPU for ~3–4× smaller lists — usually a win in the
     /// IO-dominated query regime. Defaults to off (v3, fixed-width
     /// postings).
     pub compress: bool,
-    /// Store posting lists as 128-entry bitpacked blocks with per-block
-    /// skip entries (file format v5, SIMD-unpacked at query time). Takes
-    /// precedence over [`Self::compress`]. Defaults to off.
+    /// Store posting lists as bitpacked blocks of up to 128 postings with
+    /// per-block skip entries (file format v6: full blocks SIMD-unpacked at
+    /// query time, tails stored at their true length). Takes precedence
+    /// over [`Self::compress`]. Defaults to off.
     pub packed: bool,
 }
 
@@ -241,7 +242,7 @@ impl IndexConfig {
         self
     }
 
-    /// Enables or disables block-bitpacked (v5) posting storage.
+    /// Enables or disables block-bitpacked (v6) posting storage.
     pub fn bit_packed(mut self, packed: bool) -> Self {
         self.packed = packed;
         self
@@ -250,7 +251,7 @@ impl IndexConfig {
     /// The on-disk format name new index files will use.
     pub fn format_name(&self) -> &'static str {
         if self.packed {
-            "v5"
+            "v6"
         } else if self.compress {
             "v4"
         } else {
@@ -546,7 +547,7 @@ pub trait IndexAccess: Send + Sync {
     /// of one per-text probe per entry, in order. `texts` must be strictly
     /// ascending, which lets the index resolve the list once and make a
     /// single forward pass over it (binary search on a resident list, the
-    /// per-block skip entries on v5, zone maps on v3), decoding any block
+    /// per-block skip entries on v6, zone maps on v3), decoding any block
     /// at most once per call. IO caused is recorded into `io`.
     fn probe_texts(
         &self,

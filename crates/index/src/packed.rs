@@ -1,8 +1,9 @@
-//! Block-bitpacked posting encoding (index file format v5).
+//! Block-bitpacked posting encoding (index file format v6).
 //!
-//! v4 spends most of its decode time in the branchy one-varint-at-a-time
-//! loop. v5 stores each posting list as fixed **128-entry blocks** of four
-//! independently bitpacked planes:
+//! The varint encoding spends most of its decode time in the branchy
+//! one-varint-at-a-time loop. This one stores each posting list as blocks
+//! of up to **128 postings**, each block four independently bitpacked
+//! planes:
 //!
 //! ```text
 //! plane 0: text-id deltas   (delta[0] = 0 relative to the block's first_text)
@@ -11,21 +12,29 @@
 //! plane 3: r − c
 //! ```
 //!
-//! Each plane is packed at its own bit width by [`bitpack`] (4-lane
-//! interleaved `BitPacker4x` layout, SIMD-unpacked at query time), so a
-//! block's byte length is exactly `16·(b₀+b₁+b₂+b₃)` — derivable from the
-//! per-block widths alone, which the open-time validator exploits as a
-//! whole-file prefix-sum cross-check. The per-block index entry in
-//! section 2 carries `first_text`, **`max_text`** (a skip entry: probes
-//! binary-search it to seek directly to the first candidate block of a long
-//! list), `byte_offset`, `posting_count`, and the four bit widths.
+//! Each plane is packed at its own bit width `bᵢ` by [`bitpack`], in one of
+//! two layouts chosen by the block's `posting_count` alone:
 //!
-//! Short blocks (a list's tail) are zero-padded to 128 entries before
-//! packing; zeros never raise a plane's bit width and the decoder stops at
-//! `posting_count`. All delta arithmetic on the read side is
-//! overflow-checked and the decoded last text id must equal the stored
-//! `max_text`, so corrupt widths or payload bytes surface as
-//! [`IndexError::Malformed`], never a panic or a wrapped posting.
+//! * a **full block** (exactly 128 postings) uses the 4-lane interleaved
+//!   `BitPacker4x` layout, SIMD-unpacked at query time: `16·bᵢ` bytes per
+//!   plane;
+//! * a list's **tail block** (1–127 postings) packs its `count` values
+//!   horizontally, `⌈count·bᵢ / 8⌉` bytes per plane, decoded by a scalar
+//!   loop that produces only `count` entries. Nine lists in ten are a
+//!   single short tail, so a tail pays for the postings it has, not for
+//!   the 128 it could have had.
+//!
+//! Either way a block's byte length is derivable from its index entry
+//! alone, which the open-time validator exploits as a whole-file
+//! prefix-sum cross-check. The per-block index entry in section 2 carries
+//! `first_text`, **`max_text`** (a skip entry: probes binary-search it to
+//! seek directly to the first candidate block of a long list),
+//! `byte_offset`, `posting_count`, and the four bit widths.
+//!
+//! All delta arithmetic on the read side is overflow-checked and the
+//! decoded last text id must equal the stored `max_text`, so corrupt widths
+//! or payload bytes surface as [`IndexError::Malformed`], never a panic or
+//! a wrapped posting.
 
 use std::path::Path;
 
@@ -35,11 +44,21 @@ use ndss_windows::CompactWindow;
 use crate::container::{self, BlockSpan, Payload, Reader};
 use crate::{IndexError, IoStats, Posting};
 
-/// Postings per block (fixed: the bitpack kernel's block size).
+/// Postings per full block (fixed: the bitpack kernel's block size).
 pub(crate) const BLOCK_LEN: usize = bitpack::BLOCK_LEN;
 /// Planes per block: text delta, l, c−l, r−c.
 const PLANES: usize = 4;
 pub(crate) const BLOCK_ENTRY_LEN: usize = 24;
+
+/// Packed byte length of one plane of a `count`-posting block at `bits`.
+#[inline]
+fn plane_len(count: usize, bits: u8) -> usize {
+    if count == BLOCK_LEN {
+        bitpack::packed_len(bits)
+    } else {
+        bitpack::tail_len(count, bits)
+    }
+}
 
 /// One block-index (section 2) entry.
 #[derive(Debug, Clone, Copy)]
@@ -55,13 +74,12 @@ pub(crate) struct Block {
 }
 
 impl Block {
-    /// Packed byte length of the block (16 bytes per plane bit).
+    /// Packed byte length of the block: `16·Σbits` when full,
+    /// `Σ⌈count·bits/8⌉` for a tail.
     #[inline]
-    fn byte_len(&self) -> u64 {
-        self.bits
-            .iter()
-            .map(|&b| bitpack::packed_len(b) as u64)
-            .sum()
+    fn byte_len(&self) -> usize {
+        let count = self.posting_count as usize;
+        self.bits.iter().map(|&b| plane_len(count, b)).sum()
     }
 }
 
@@ -75,19 +93,19 @@ impl BlockSpan for Block {
     }
 }
 
-/// Appends `postings` to the payload as 128-entry bitpacked blocks, and one
-/// block-index entry per block to `section2`.
+/// Appends `postings` to the payload as bitpacked blocks — full ones of 128,
+/// then the tail at its true length — and one block-index entry per block
+/// to `section2`.
 pub(crate) fn encode_list(
     postings: &[Posting],
     scratch: &mut Vec<u8>,
     payload: &mut Payload,
     section2: &mut Vec<u8>,
 ) -> std::io::Result<()> {
+    let mut planes = [[0u32; BLOCK_LEN]; PLANES];
     for chunk in postings.chunks(BLOCK_LEN) {
         let first_text = chunk[0].text;
         let max_text = chunk[chunk.len() - 1].text;
-        // Zeroed per block: a short tail block is zero-padded to 128.
-        let mut planes = [[0u32; BLOCK_LEN]; PLANES];
         let mut prev_text = first_text;
         for (i, p) in chunk.iter().enumerate() {
             planes[0][i] = p.text - prev_text;
@@ -99,10 +117,14 @@ pub(crate) fn encode_list(
         let mut bits = [0u8; PLANES];
         scratch.clear();
         for (pi, plane) in planes.iter().enumerate() {
-            bits[pi] = bitpack::num_bits(plane);
-            let start = scratch.len();
-            scratch.resize(start + bitpack::packed_len(bits[pi]), 0);
-            bitpack::pack(plane, bits[pi], &mut scratch[start..]);
+            bits[pi] = bitpack::num_bits(&plane[..chunk.len()]);
+            if chunk.len() == BLOCK_LEN {
+                let start = scratch.len();
+                scratch.resize(start + bitpack::packed_len(bits[pi]), 0);
+                bitpack::pack(plane, bits[pi], &mut scratch[start..]);
+            } else {
+                bitpack::pack_tail(&plane[..chunk.len()], bits[pi], scratch);
+            }
         }
         let mut entry = [0u8; BLOCK_ENTRY_LEN];
         entry[0..4].copy_from_slice(&first_text.to_le_bytes());
@@ -117,9 +139,10 @@ pub(crate) fn encode_list(
 }
 
 /// Parses and validates the block index. Block byte offsets are fully
-/// determined by the bit widths (each block is exactly 16·Σbits bytes), so
-/// the whole `payload_len`-byte section 1 is validated as one prefix sum —
-/// a corrupt width or offset anywhere breaks the chain.
+/// determined by the posting counts and bit widths (see
+/// [`Block::byte_len`]), so the whole `payload_len`-byte section 1 is
+/// validated as one prefix sum — a corrupt count, width or offset anywhere
+/// breaks the chain.
 pub(crate) fn parse_blocks(
     bytes: &[u8],
     payload_len: u64,
@@ -161,7 +184,7 @@ pub(crate) fn parse_blocks(
                 path.display()
             )));
         }
-        expected_offset = container::add(expected_offset, b.byte_len(), "blocks size")?;
+        expected_offset = container::add(expected_offset, b.byte_len() as u64, "blocks size")?;
     }
     if expected_offset != payload_len {
         return Err(IndexError::Malformed(format!(
@@ -182,29 +205,36 @@ pub(crate) fn read_blocks(
     let Some(first) = blocks.first() else {
         return Ok(Vec::new());
     };
-    let range_len = blocks.iter().map(|b| b.byte_len() as usize).sum();
+    let range_len = blocks.iter().map(Block::byte_len).sum();
     // A mapped file hands out the block range as a borrowed slice —
     // no intermediate buffer, no copy; the unpack kernel reads the
-    // packed planes straight out of the page cache.
-    let owned;
+    // packed planes straight out of the page cache. Otherwise a range the
+    // size of one block (nine lists in ten are a single short tail) is
+    // read into a stack buffer, and only a longer one into a heap buffer.
+    let mut stack = [0u8; MAX_BLOCK_BYTES];
+    let mut heap = Vec::new();
     let bytes: &[u8] = match file.mapped_payload(first.byte_offset, range_len, stats)? {
         Some(view) => view,
         None => {
-            let mut buf = vec![0u8; range_len];
-            file.read_payload(first.byte_offset, &mut buf, stats)?;
-            owned = buf;
-            &owned
+            let buf = match stack.get_mut(..range_len) {
+                Some(buf) => buf,
+                None => {
+                    heap.resize(range_len, 0);
+                    &mut heap[..]
+                }
+            };
+            file.read_payload(first.byte_offset, buf, stats)?;
+            buf
         }
     };
     let total: usize = blocks.iter().map(|b| b.posting_count as usize).sum();
-    let mut out = Vec::with_capacity(total);
-    let mut block = [EMPTY_POSTING; BLOCK_LEN];
-    let mut pos = 0usize;
+    let mut out = vec![EMPTY_POSTING; total];
+    let (mut pos, mut done) = (0usize, 0usize);
     for entry in blocks {
-        let len = entry.byte_len() as usize;
-        let count = decode_block(entry, &bytes[pos..pos + len], &mut block)?;
-        out.extend_from_slice(&block[..count]);
+        let (len, count) = (entry.byte_len(), entry.posting_count as usize);
+        decode_block(entry, &bytes[pos..pos + len], &mut out[done..done + count])?;
         pos += len;
+        done += count;
     }
     Ok(out)
 }
@@ -239,7 +269,7 @@ pub(crate) fn probe_texts(
         while b < index.len() && index[b].first_text <= text {
             if resident != b {
                 let e = &index[b];
-                let len = e.byte_len() as usize;
+                let len = e.byte_len();
                 let packed = match file.mapped_payload(e.byte_offset, len, stats)? {
                     Some(view) => view,
                     None => {
@@ -247,7 +277,8 @@ pub(crate) fn probe_texts(
                         &bytes[..len]
                     }
                 };
-                count = decode_block(e, packed, &mut block)?;
+                count = e.posting_count as usize;
+                decode_block(e, packed, &mut block[..count])?;
                 resident = b;
             }
             crate::probe_sorted(&block[..count], &[text], out);
@@ -257,7 +288,7 @@ pub(crate) fn probe_texts(
     Ok(())
 }
 
-/// Largest packed block: four planes at 32 bits.
+/// Largest packed block: four full planes at 32 bits.
 const MAX_BLOCK_BYTES: usize = PLANES * bitpack::packed_len(32);
 
 const EMPTY_POSTING: Posting = Posting {
@@ -265,41 +296,65 @@ const EMPTY_POSTING: Posting = Posting {
     window: CompactWindow { l: 0, c: 0, r: 0 },
 };
 
-/// Unpacks and decodes one block from its `packed` bytes into `block`,
-/// returning the posting count. Every arithmetic step is overflow-checked
-/// and the final text id is cross-checked against the block's skip entry,
-/// so corrupt payloads yield a clean error; callers copy out of `block`
-/// only after that validation, so corrupt blocks never leak postings.
-fn decode_block(
+/// Unpacks and decodes one block from its `packed` bytes
+/// (`entry.byte_len()` of them) into `block` (`entry.posting_count`
+/// entries): the SIMD kernel over four 128-entry planes for a full block,
+/// four scalar bit cursors for a tail. Corrupt payloads yield a clean
+/// error; callers use `block` only after it, so corrupt blocks never leak
+/// postings.
+fn decode_block(entry: &Block, packed: &[u8], block: &mut [Posting]) -> Result<(), IndexError> {
+    let count = block.len();
+    debug_assert_eq!(count, entry.posting_count as usize);
+    debug_assert_eq!(packed.len(), entry.byte_len());
+    let mut rest = packed;
+    let mut next_plane = |bits: u8| {
+        let (plane, tail) = rest.split_at(plane_len(count, bits));
+        rest = tail;
+        plane
+    };
+    if count == BLOCK_LEN {
+        let mut planes = [[0u32; BLOCK_LEN]; PLANES];
+        for (plane, &bits) in planes.iter_mut().zip(&entry.bits) {
+            bitpack::unpack(next_plane(bits), bits, plane);
+        }
+        let [texts, ls, cls, rcs] = &planes;
+        let rows = texts.iter().zip(ls).zip(cls.iter().zip(rcs));
+        decode_rows(
+            entry,
+            rows.map(|((&d, &l), (&cl, &rc))| [d, l, cl, rc]),
+            block,
+        )
+    } else {
+        let [texts, ls, cls, rcs] = entry.bits.map(|bits| {
+            bitpack::unpack_tail(next_plane(bits), bits, count)
+                .expect("plane_len is tail_len for a validated tail entry")
+        });
+        let rows = texts.zip(ls).zip(cls.zip(rcs));
+        decode_rows(entry, rows.map(|((d, l), (cl, rc))| [d, l, cl, rc]), block)
+    }
+}
+
+/// Turns one `[text delta, l, c − l, r − c]` row per posting into `block`.
+/// Every arithmetic step is overflow-checked and the first and last text
+/// ids are cross-checked against the block's index entry.
+#[inline]
+fn decode_rows(
     entry: &Block,
-    packed: &[u8],
-    block: &mut [Posting; BLOCK_LEN],
-) -> Result<usize, IndexError> {
-    let mut planes = [[0u32; BLOCK_LEN]; PLANES];
-    let mut pos = 0usize;
-    for (plane, &bits) in planes.iter_mut().zip(&entry.bits) {
-        let len = bitpack::packed_len(bits);
-        bitpack::unpack(&packed[pos..pos + len], bits, plane);
-        pos += len;
-    }
-    let count = entry.posting_count as usize;
-    if planes[0][0] != 0 {
-        return Err(IndexError::Malformed(
-            "first packed delta of a block is nonzero".into(),
-        ));
-    }
+    rows: impl Iterator<Item = [u32; PLANES]>,
+    block: &mut [Posting],
+) -> Result<(), IndexError> {
     // All arithmetic runs branchless in u64 (a 128-delta chain of u32s
     // cannot overflow u64); `wide` accumulates any value that left u32
     // range and a single check at the end rejects the block.
     let mut wide = 0u64;
     let mut text = entry.first_text as u64;
-    for i in 0..count {
-        text += planes[0][i] as u64;
-        let l = planes[1][i] as u64;
-        let c = l + planes[2][i] as u64;
-        let r = c + planes[3][i] as u64;
+    for (slot, [delta, l, cl, rc]) in block.iter_mut().zip(rows) {
+        text += delta as u64;
+        let l = l as u64;
+        let c = l + cl as u64;
+        let r = c + rc as u64;
         wide |= (text | r) >> 32;
-        block[i] = Posting {
+        *slot = Posting {
             text: text as u32,
             window: CompactWindow {
                 l: l as u32,
@@ -313,12 +368,17 @@ fn decode_block(
             "packed delta chain overflows u32".into(),
         ));
     }
+    if block[0].text != entry.first_text {
+        return Err(IndexError::Malformed(
+            "first packed delta of a block is nonzero".into(),
+        ));
+    }
     if text != entry.max_text as u64 {
         return Err(IndexError::Malformed(
             "decoded block does not end at its max_text skip entry".into(),
         ));
     }
-    Ok(count)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -422,34 +482,44 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Where the block index (section 2) sits in the file `bytes`.
+    fn block_index_range(bytes: &[u8]) -> std::ops::Range<usize> {
+        let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().unwrap()) as usize;
+        let start = container::HEADER_LEN as usize + u64_at(OFF_SECTION1_LEN);
+        start..start + u64_at(32) * BLOCK_ENTRY_LEN
+    }
+
+    /// `bytes` with `edit` applied to its header and its block index, and
+    /// the section and header CRCs recomputed — what an attacker who fixes
+    /// the checksums would write.
+    fn edit_with_fixed_crcs(bytes: &[u8], edit: impl FnOnce(&mut [u8], &mut [u8])) -> Vec<u8> {
+        let mut bytes = bytes.to_vec();
+        let index = block_index_range(&bytes);
+        let (header, rest) = bytes.split_at_mut(container::HEADER_LEN as usize);
+        let index = &mut rest[index.start - header.len()..index.end - header.len()];
+        edit(header, index);
+        let crc = crc32c::crc32c(index);
+        header[OFF_SECTION2_CRC..OFF_SECTION2_CRC + 4].copy_from_slice(&crc.to_le_bytes());
+        let hcrc = crc32c::crc32c(&header[..OFF_HEADER_CRC]);
+        header[OFF_HEADER_CRC..OFF_HEADER_CRC + 4].copy_from_slice(&hcrc.to_le_bytes());
+        bytes
+    }
+
     #[test]
     fn corrupt_bit_widths_and_truncated_skip_tables_rejected() {
         let path = temp("packed_widths.ndsi");
         let list: Vec<Posting> = (0..500).map(|i| posting(i / 5, i % 5)).collect();
         write_file(&path, Encoding::Packed, &[(7, list)]);
         let pristine = std::fs::read(&path).unwrap();
-        let blocks_bytes = u64::from_le_bytes(
-            pristine[OFF_SECTION1_LEN..OFF_SECTION1_LEN + 8]
-                .try_into()
-                .unwrap(),
-        ) as usize;
-        let index_start = container::HEADER_LEN as usize + blocks_bytes;
 
         // Corrupt the first block's bit-width bytes (with and without a
         // recomputed section CRC, to show the structural prefix-sum check
         // catches it even if an attacker fixes the checksum).
-        for fix_crc in [false, true] {
-            let mut bytes = pristine.clone();
-            bytes[index_start + 20] = 33; // plane-0 width out of range
-            if fix_crc {
-                let num_blocks = u64::from_le_bytes(pristine[32..40].try_into().unwrap()) as usize;
-                let index_len = num_blocks * BLOCK_ENTRY_LEN;
-                let crc = crc32c::crc32c(&bytes[index_start..index_start + index_len]);
-                bytes[OFF_SECTION2_CRC..OFF_SECTION2_CRC + 4].copy_from_slice(&crc.to_le_bytes());
-                let hcrc = crc32c::crc32c(&bytes[..OFF_HEADER_CRC]);
-                bytes[OFF_HEADER_CRC..OFF_HEADER_CRC + 4].copy_from_slice(&hcrc.to_le_bytes());
-            }
-            std::fs::write(&path, &bytes).unwrap();
+        let mut flipped = pristine.clone();
+        flipped[block_index_range(&pristine).start + 20] = 33; // plane-0 width out of range
+        let fixed_crc = edit_with_fixed_crcs(&pristine, |_, index| index[20] = 33);
+        for (bytes, fix_crc) in [(&flipped, false), (&fixed_crc, true)] {
+            std::fs::write(&path, bytes).unwrap();
             assert!(
                 matches!(Reader::open(&path), Err(IndexError::Malformed(_))),
                 "corrupt bit width survived open (fix_crc = {fix_crc})"
@@ -465,6 +535,76 @@ mod tests {
                 matches!(Reader::open(&path), Err(IndexError::Malformed(_))),
                 "truncated skip table ({cut} B) survived open"
             );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A tail block's byte length depends on its `posting_count` as well as
+    /// its widths, so an edit to either — checksums recomputed, directory
+    /// untouched — breaks the whole-file prefix sum at open; nothing is
+    /// left for the decoder to mis-slice.
+    #[test]
+    fn tail_count_or_width_edits_with_recomputed_crcs_refused_by_the_prefix_sum() {
+        let path = temp("packed_tail_edit.ndsi");
+        // Two single-tail lists and one with three full blocks and a tail.
+        let lists = [
+            (1u64, (0..5).map(|i| posting(i * 9, i)).collect::<Vec<_>>()),
+            (2, (0..500).map(|i| posting(i / 5, i % 5)).collect()),
+            (3, (0..40).map(|i| posting(i, 1000 * i)).collect()),
+        ];
+        write_file(&path, Encoding::Packed, &lists);
+        let pristine = std::fs::read(&path).unwrap();
+        assert!(Reader::open(&path).is_ok());
+        // Blocks: 0 = list 1's tail, 1..=3 full, 4 = list 2's tail (100
+        // postings), 5 = list 3's tail (the last block of the file).
+        for (what, block, offset, delta) in [
+            ("first tail count + 1", 0usize, 16usize, 1i8),
+            ("first tail count - 1", 0, 16, -1),
+            ("inner tail count + 1", 4, 16, 1),
+            ("last tail count - 1", 5, 16, -1),
+            ("first tail text width + 1", 0, 20, 1),
+            ("inner tail l width - 1", 4, 21, -1),
+            ("last tail r-c width + 1", 5, 23, 1),
+            // Narrow planes: ⌈127·b/8⌉ = 16·b below 8 bits, so this one
+            // passes the prefix sum and falls to the directory cross-check.
+            ("full block relabelled a 127-posting tail", 1, 16, -1),
+        ] {
+            let bytes = edit_with_fixed_crcs(&pristine, |_, index| {
+                let at = block * BLOCK_ENTRY_LEN + offset;
+                index[at] = index[at].wrapping_add_signed(delta);
+            });
+            std::fs::write(&path, &bytes).unwrap();
+            match Reader::open(&path) {
+                Err(IndexError::Malformed(msg)) => assert!(
+                    msg.contains("prefix sum")
+                        || msg.contains("widths sum")
+                        || (block == 1 && msg.contains("its blocks hold 499")),
+                    "{what}: refused, but not by the prefix sum: {msg}"
+                ),
+                Err(other) => panic!("{what}: {other}"),
+                Ok(_) => panic!("{what} survived open"),
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Version 5 wrote the same header, directory and block entries over
+    /// tails zero-filled to 128 entries; such a file is refused by its
+    /// version, before any of its (valid) checksums or counts are believed.
+    #[test]
+    fn version_5_file_is_refused_by_version() {
+        let path = temp("packed_v5.ndsi");
+        write_file(&path, Encoding::Packed, &[(7, vec![posting(1, 2)])]);
+        let bytes = edit_with_fixed_crcs(&std::fs::read(&path).unwrap(), |header, _| {
+            assert_eq!(header[4], 6);
+            header[4] = 5;
+        });
+        std::fs::write(&path, &bytes).unwrap();
+        match Reader::open(&path) {
+            Err(IndexError::Malformed(msg)) => {
+                assert!(msg.contains("unsupported index file version 5"), "{msg}")
+            }
+            other => panic!("a v5 file must be refused by version, got {other:?}"),
         }
         std::fs::remove_file(&path).ok();
     }

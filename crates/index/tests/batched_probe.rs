@@ -15,7 +15,7 @@ use ndss_index::{
 };
 use ndss_windows::CompactWindow;
 
-/// Zone step (v3) and block length (v4); v5 blocks are always 128.
+/// Zone step (v3) and block length (v4); packed blocks are always 128.
 const STEP: u32 = 8;
 
 fn posting(text: TextId, i: u32) -> Posting {
@@ -37,16 +37,29 @@ fn fixture() -> Vec<(HashValue, Vec<Posting>)> {
     vec![
         // Fits one block of any format.
         (10, list(&[(3, 2), (4, 1), (9, 3)])),
-        // One text spanning several blocks of every format (128-posting v5
-        // blocks included), between texts that share its first and last
+        // One text spanning several blocks of every format (128-posting
+        // packed blocks included), between texts that share its first and last
         // block; ids start above 0 so "before the first block" exists.
         (20, list(&[(5, 3), (7, 2), (8, 300), (9, 1), (400, 2)])),
         // Many single-posting texts: every block boundary falls between
-        // two texts, and each v5 block holds 128 candidates.
+        // two texts, and each packed block holds 128 candidates.
         (30, list(&(10..700).map(|t| (t * 3, 1)).collect::<Vec<_>>())),
         // Runs exactly one block long, so runs end where blocks end.
         (40, list(&[(2, STEP), (6, 128), (11, STEP), (12, 128)])),
+        // A run that starts inside a full packed block and ends inside the
+        // tail block after it (120 + 8 | 12 + 3), so one text's postings
+        // come out of both block layouts.
+        (50, list(&[(5, 120), (6, 20), (9, 3)])),
     ]
+    .into_iter()
+    // Lengths on either side of the packed block size: a tail alone (1,
+    // 127), full blocks alone (128), and full blocks followed by the
+    // shortest and the longest tail (129, 255, 257).
+    .chain([1u32, 127, 128, 129, 255, 257].into_iter().map(|n| {
+        let runs: Vec<(TextId, u32)> = (0..n).map(|i| (2 + i * 2 + i / 7, 1)).collect();
+        (100 + n as HashValue, list(&runs))
+    }))
+    .collect()
 }
 
 fn build(dir: &Path, format: &str) -> IndexConfig {
@@ -98,7 +111,7 @@ fn batched_probe_equals_per_text_probes() {
     let base: PathBuf =
         std::env::temp_dir().join(format!("ndss_batched_probe_{}", std::process::id()));
     let lists = fixture();
-    for format in ["v3", "v4", "v5"] {
+    for format in ["v3", "v4", "packed"] {
         let dir = base.join(format);
         build(&dir, format);
         for mmap in [false, true] {
@@ -165,13 +178,13 @@ fn batched_probe_equals_per_text_probes() {
     std::fs::remove_dir_all(&base).ok();
 }
 
-/// v5 decodes a block at most once per call: a batch covering the whole
-/// list reads no more bytes than the list occupies, where per-text probes
-/// re-read a block for every text in it.
+/// The packed encoding decodes a block at most once per call: a batch
+/// covering the whole list reads no more bytes than the list occupies,
+/// where per-text probes re-read a block for every text in it.
 #[test]
-fn v5_batch_reads_each_block_once() {
+fn packed_batch_reads_each_block_once() {
     let dir = std::env::temp_dir().join(format!("ndss_batched_probe_once_{}", std::process::id()));
-    build(&dir, "v5");
+    build(&dir, "packed");
     let index = DiskIndex::open_with_cache(&dir, CacheConfig::disabled()).unwrap();
     let (hash, postings) = &fixture()[2];
     let mut texts: Vec<TextId> = postings.iter().map(|p| p.text).collect();

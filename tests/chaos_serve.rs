@@ -8,7 +8,7 @@
 //! live reader. The sweep grid is
 //!
 //! ```text
-//! 3 formats (v3, v4, v5) × 2 read paths (pread, mmap)
+//! 3 formats (v3, v4, v6) × 2 read paths (pread, mmap)
 //!   × 5 fault kinds (transient storm, corruption, eof/truncation,
 //!                    permission denial, deletion+repair)
 //!   × 2 corpus seeds  =  60 seeded scenarios
@@ -48,7 +48,7 @@ const SEEDS: [u64; 2] = [11, 23];
 const FORMATS: [(bool, bool, &str); 3] = [
     (false, false, "v3"),
     (true, false, "v4"),
-    (false, true, "v5"),
+    (false, true, "v6"),
 ];
 const CHAOS_MODES: [(ChaosMode, &str); 4] = [
     (ChaosMode::TransientStorm, "storm"),

@@ -281,13 +281,13 @@ fn batch_equals_sequential_for_all_thread_counts() {
 }
 
 /// The on-disk formats are pure storage encodings: for every corpus shape
-/// and grid cell, v5 (bitpacked + SIMD unpack + skip gather) answers
+/// and grid cell, v6 (bitpacked + SIMD unpack + skip gather) answers
 /// bit-identically to v4 (varint) and v3 (fixed width), whether the file is
 /// read cold (caches disabled), warm (second pass over populated caches),
-/// or through the mmap read path — and batch execution over the v5 index
+/// or through the mmap read path — and batch execution over the v6 index
 /// agrees at 1/2/4/8 threads.
 #[test]
-fn format_v5_matches_v4_and_v3_cold_warm_mmap_threaded() {
+fn format_v6_matches_v4_and_v3_cold_warm_mmap_threaded() {
     use ndss::index::ReadOptions;
 
     let root = std::env::temp_dir().join("ndss_def2_format_equiv");
@@ -302,7 +302,7 @@ fn format_v5_matches_v4_and_v3_cold_warm_mmap_threaded() {
         let configs = [
             ("v3", base.clone()),
             ("v4", base.clone().compressed(true)),
-            ("v5", base.clone().bit_packed(true)),
+            ("v6", base.clone().bit_packed(true)),
         ];
         for (fmt, config) in configs {
             assert_eq!(config.format_name(), fmt);

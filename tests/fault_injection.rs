@@ -1,7 +1,7 @@
 //! Fault-injection sweeps over every on-disk format.
 //!
 //! For each artifact (fixed-width v3 index, compressed v4 index, bitpacked
-//! v5 index, corpus v2) the harness applies hundreds of seed-deterministic
+//! v6 index, corpus v2) the harness applies hundreds of seed-deterministic
 //! mutations — bit
 //! flips, truncations, zeroed pages, adversarial header fields, trailing
 //! garbage — and requires that every case either fails with a clean typed
@@ -87,13 +87,13 @@ fn run_queries(dir: &Path, queries: &[Vec<TokenId>]) -> Result<Vec<SeqRef>, Stri
     Ok(out)
 }
 
-/// Builds an index in the named on-disk format (`"v3"`, `"v4"`, `"v5"`)
+/// Builds an index in the named on-disk format (`"v3"`, `"v4"`, `"v6"`)
 /// and runs the mutation sweep against its `inv_0.ndsi`.
 fn index_sweep(version: &str, seeds: u64) {
     let (compress, packed) = match version {
         "v3" => (false, false),
         "v4" => (true, false),
-        "v5" => (false, true),
+        "v6" => (false, true),
         other => panic!("unknown index format {other}"),
     };
     let dir = temp_dir(&format!("index_{version}"));
@@ -159,13 +159,13 @@ fn compressed_index_survives_mutation_sweep() {
     index_sweep("v4", 220);
 }
 
-/// v5's every byte is covered by the header CRC, the per-section CRCs, and
+/// v6's every byte is covered by the header CRC, the per-section CRCs, and
 /// the structural prefix-sum check over per-block bit widths — so the
 /// sweep's truncations (which shear the skip table) and bit flips (which
 /// corrupt per-block widths) must all reject cleanly.
 #[test]
 fn bitpacked_index_survives_mutation_sweep() {
-    index_sweep("v5", 220);
+    index_sweep("v6", 220);
 }
 
 // ---------------------------------------------------------------------------

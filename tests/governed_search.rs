@@ -388,7 +388,7 @@ fn trips_between_phases_return_only_verified_matches() {
     for (compress, packed, sub) in [
         (false, false, "v3"),
         (true, false, "v4"),
-        (false, true, "v5"),
+        (false, true, "v6"),
     ] {
         let dir = temp_dir(&format!("phases_{sub}"));
         let config = IndexConfig::new(16, 25, 5)

@@ -2,7 +2,7 @@
 //! segments} must be **identical** to a cold full rebuild of the same
 //! texts — the CI-gated exactness contract of the ingest path.
 //!
-//! The grid covers every on-disk format (v3 fixed-width, v4 compressed, v5
+//! The grid covers every on-disk format (v3 fixed-width, v4 compressed, v6
 //! block-bitpacked) × query concurrency 1/2/4/8 threads. The store is
 //! arranged so matches span all three text populations at once: published
 //! (sealed and compacted to disk), frozen (rotated, awaiting compaction),
@@ -26,7 +26,7 @@ fn config(version: &str) -> IndexConfig {
     let (compress, packed) = match version {
         "v3" => (false, false),
         "v4" => (true, false),
-        "v5" => (false, true),
+        "v6" => (false, true),
         other => panic!("unknown index format {other}"),
     };
     IndexConfig::new(4, 15, 9)
@@ -162,7 +162,7 @@ fn overlay_equals_full_rebuild_compressed() {
 
 #[test]
 fn overlay_equals_full_rebuild_bitpacked() {
-    overlay_grid("v5");
+    overlay_grid("v6");
 }
 
 /// The publish-races-pin window, deterministically: pin the disk view,

@@ -20,7 +20,7 @@ const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const FORMATS: [(bool, bool, &str); 3] = [
     (false, false, "v3"),
     (true, false, "v4"),
-    (false, true, "v5"),
+    (false, true, "v6"),
 ];
 
 fn temp_dir(name: &str) -> std::path::PathBuf {
