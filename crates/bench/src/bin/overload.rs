@@ -35,14 +35,14 @@ fn main() {
     let raw = DiskIndex::open_with_cache(&dir, CacheConfig::disabled()).unwrap();
 
     let batch = |deadline: Option<Duration>| {
-        let mut b = BatchSearcher::with_prefix_filter(&raw, PrefixFilter::FrequentFraction(0.05))
+        let mut governor = BatchGovernor::default().failure_policy(FailurePolicy::Isolate);
+        if let Some(d) = deadline {
+            governor = governor.batch_deadline(d);
+        }
+        BatchSearcher::with_prefix_filter(&raw, PrefixFilter::FrequentFraction(0.05))
             .unwrap()
             .threads(THREADS)
-            .failure_policy(FailurePolicy::Isolate);
-        if let Some(d) = deadline {
-            b = b.batch_deadline(d);
-        }
-        b
+            .governor(governor)
     };
 
     // Ungoverned baseline: exact results for every query, and the natural

@@ -389,8 +389,12 @@ fn main() {
     let opts = ShardedBuildOptions::default();
     build_sharded(&corpus, shard_config.clone(), &dir_s1, 1, &opts).unwrap();
     build_sharded(&corpus, shard_config, &dir_s4, 4, &opts).unwrap();
-    let view_s1 = ShardedIndex::open_with_cache(&dir_s1, CacheConfig::disabled()).unwrap();
-    let view_s4 = ShardedIndex::open_with_cache(&dir_s4, CacheConfig::disabled()).unwrap();
+    let uncached = ServingOptions {
+        cache: CacheConfig::disabled(),
+        ..ServingOptions::default()
+    };
+    let view_s1 = ShardedIndex::open_with(&dir_s1, &uncached).unwrap();
+    let view_s4 = ShardedIndex::open_with(&dir_s4, &uncached).unwrap();
     let search_s1 = view_s1
         .searcher_with_filter(PrefixFilter::FrequentFraction(0.05))
         .unwrap()

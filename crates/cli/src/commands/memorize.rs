@@ -35,7 +35,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     }
 
     let corpus = DiskCorpus::open(Path::new(corpus_path)).map_err(|e| e.to_string())?;
-    let index = CorpusIndex::open(Path::new(index_dir), PrefixFilter::Adaptive)
+    let index = CorpusIndex::open(Path::new(index_dir), PrefixFilter::default())
         .map_err(|e| e.to_string())?;
     let searcher = index.searcher().map_err(|e| e.to_string())?;
 

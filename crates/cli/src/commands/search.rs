@@ -1,8 +1,9 @@
 //! `ndss search`: query an index for near-duplicate sequences.
 //!
 //! The `--index` argument accepts a plain index directory, a generation
-//! store, or a sharded store (built with `ndss index --shards N`) — sharded
-//! stores scatter-gather across shards with bit-identical results.
+//! store, or a sharded store (built with `ndss index --shards N`). All
+//! three open as a [`ShardedIndex`] — the first two with one shard — and
+//! run the same scatter-gather with bit-identical results.
 
 use std::path::Path;
 
@@ -34,36 +35,15 @@ pub const FLAGS: &[&str] = &[
     "metrics-out",
 ];
 
-/// Opens the index with `--mmap` honored: memory-mapped reads when the flag
-/// is present, the default pread path otherwise.
-fn open_index(args: &Args, index_dir: &str) -> Result<CorpusIndex<ndss::index::DiskIndex>, String> {
-    if args.flag("mmap") {
-        CorpusIndex::open_with(
-            Path::new(index_dir),
-            PrefixFilter::Adaptive,
-            ndss::index::CacheConfig::default(),
-            ndss::index::ReadOptions::with_mmap(),
-        )
-        .map_err(|e| e.to_string())
-    } else {
-        CorpusIndex::open(Path::new(index_dir), PrefixFilter::Adaptive).map_err(|e| e.to_string())
-    }
-}
-
-/// Opens a sharded store as a scatter-gather view, honoring `--mmap` for
+/// Opens `--index` — a plain directory, a generation store or a sharded
+/// store; the first two are the one-shard case — honoring `--mmap` for
 /// every shard.
-fn open_sharded_view(args: &Args, index_dir: &str) -> Result<ShardedIndex, String> {
-    let io = if args.flag("mmap") {
-        ndss::index::ReadOptions::with_mmap()
-    } else {
-        ndss::index::ReadOptions::default()
-    };
-    ShardedIndex::open_with(
-        Path::new(index_dir),
-        ndss::index::CacheConfig::default(),
-        io,
-    )
-    .map_err(|e| e.to_string())
+fn open_view(args: &Args, index_dir: &str) -> Result<ShardedIndex, String> {
+    let mut options = ServingOptions::default();
+    if args.flag("mmap") {
+        options.io = ndss::index::ReadOptions::with_mmap();
+    }
+    ShardedIndex::open_with(Path::new(index_dir), &options).map_err(|e| e.to_string())
 }
 
 pub fn run(args: &Args) -> Result<(), String> {
@@ -118,37 +98,29 @@ pub fn run(args: &Args) -> Result<(), String> {
     }
 
     let budget = parse_budget(args)?;
-    // Sharded stores and single indexes run the same contract through
-    // different searchers; both produce the same outcome/rank types.
-    let (outcome, ranked, k) = if ShardedStore::is_sharded(Path::new(index_dir)) {
-        let view = open_sharded_view(args, index_dir)?;
-        let t = view.config().t;
-        if query.len() < t {
+    let view = open_view(args, index_dir)?;
+    let (k, t) = (view.config().k, view.config().t);
+    if query.len() < t {
+        eprintln!(
+            "note: query has {} tokens but the index only contains sequences of ≥ {t} tokens",
+            query.len()
+        );
+    }
+    let searcher = view
+        .searcher_with_filter(PrefixFilter::default())
+        .map_err(|e| e.to_string())?;
+    let outcome = match searcher.search_governed(&query, theta, &budget) {
+        Ok(outcome) => outcome,
+        Err(QueryError::BudgetExceeded { resource, partial }) => {
             eprintln!(
-                "note: query has {} tokens but the index only contains sequences of ≥ {t} tokens",
-                query.len()
+                "warning: {resource} budget exhausted — showing the partial (incomplete) \
+                 result set found before stopping"
             );
+            *partial
         }
-        let searcher = view
-            .searcher_with_filter(PrefixFilter::Adaptive)
-            .map_err(|e| e.to_string())?;
-        let outcome = run_governed(|| searcher.search_governed(&query, theta, &budget))?;
-        let ranked = searcher.rank(&outcome, top);
-        (outcome, ranked, view.config().k)
-    } else {
-        let index = open_index(args, index_dir)?;
-        let t = index.config().t;
-        if query.len() < t {
-            eprintln!(
-                "note: query has {} tokens but the index only contains sequences of ≥ {t} tokens",
-                query.len()
-            );
-        }
-        let searcher = index.searcher().map_err(|e| e.to_string())?;
-        let outcome = run_governed(|| searcher.search_governed(&query, theta, &budget))?;
-        let ranked = searcher.rank(&outcome, top);
-        (outcome, ranked, index.config().k)
+        Err(e) => return Err(e.to_string()),
     };
+    let ranked = searcher.rank(&outcome, top);
 
     if ranked.is_empty() {
         println!("no near-duplicate sequences at θ = {theta}");
@@ -205,24 +177,6 @@ pub fn run(args: &Args) -> Result<(), String> {
     crate::obs::maybe_write_metrics(args)
 }
 
-/// Runs one governed search, downgrading a tripped budget to the sound
-/// partial (with a warning) instead of an error.
-fn run_governed(
-    search: impl FnOnce() -> Result<SearchOutcome, QueryError>,
-) -> Result<SearchOutcome, String> {
-    match search() {
-        Ok(outcome) => Ok(outcome),
-        Err(QueryError::BudgetExceeded { resource, partial }) => {
-            eprintln!(
-                "warning: {resource} budget exhausted — showing the partial (incomplete) \
-                 result set found before stopping"
-            );
-            Ok(*partial)
-        }
-        Err(e) => Err(e.to_string()),
-    }
-}
-
 /// Assembles a per-query [`QueryBudget`] from `--deadline-ms`,
 /// `--max-io-bytes`, `--max-candidates`, and `--max-matches`. Omitted flags
 /// leave that dimension unlimited.
@@ -257,8 +211,9 @@ fn parse_budget(args: &Args) -> Result<QueryBudget, String> {
 
 /// `--queries-file FILE [--threads N]`: one query per line as
 /// comma-separated token ids; blank lines and `#` comments are skipped.
-/// Queries run through [`ndss::prelude::BatchSearcher`]; results print in
-/// input order with an aggregate throughput/IO summary.
+/// Queries run through [`ShardedSearcher::search_all_governed`] — the one
+/// batch driver, whatever the layout of `--index`; results print in input
+/// order with an aggregate throughput/IO summary.
 ///
 /// Governance flags: `--failure-policy failfast|isolate` picks whether one
 /// failing query aborts the batch or is confined to its own slot;
@@ -300,29 +255,8 @@ fn run_batch(
         threads
     };
 
-    let (results, elapsed) = if ShardedStore::is_sharded(Path::new(index_dir)) {
-        // Sharded batch: the scatter-gather searcher applies the per-query
-        // budget; batch-level governance knobs belong to the single-index
-        // batch engine and are rejected rather than silently ignored.
-        for flag in ["failure-policy", "batch-deadline-ms", "admission-cap"] {
-            if args.get(flag).is_some() {
-                return Err(format!(
-                    "--{flag} is not supported over sharded stores (per-query \
-                     budget flags still apply)"
-                ));
-            }
-        }
-        let view = open_sharded_view(args, index_dir)?;
-        let searcher = view
-            .searcher_with_filter(PrefixFilter::Adaptive)
-            .map_err(|e| e.to_string())?
-            .threads(threads);
-        let budget = parse_budget(args)?;
-        let start = std::time::Instant::now();
-        let results = searcher.search_all_governed(&queries, theta, &budget);
-        (results, start.elapsed())
-    } else {
-        let policy = match args.get("failure-policy").unwrap_or("failfast") {
+    let mut governor = BatchGovernor::default()
+        .failure_policy(match args.get("failure-policy").unwrap_or("failfast") {
             "failfast" => FailurePolicy::FailFast,
             "isolate" => FailurePolicy::Isolate,
             other => {
@@ -330,30 +264,28 @@ fn run_batch(
                     "invalid --failure-policy '{other}' (expected failfast or isolate)"
                 ))
             }
-        };
-        let index = open_index(args, index_dir)?;
-        let mut batch = index
-            .batch_searcher()
-            .map_err(|e| e.to_string())?
-            .threads(threads)
-            .failure_policy(policy)
-            .budget(parse_budget(args)?);
-        if let Some(raw) = args.get("batch-deadline-ms") {
-            let ms: u64 = raw
-                .parse()
-                .map_err(|e| format!("invalid --batch-deadline-ms: {e}"))?;
-            batch = batch.batch_deadline(std::time::Duration::from_millis(ms));
-        }
-        if let Some(raw) = args.get("admission-cap") {
-            let cap: usize = raw
-                .parse()
-                .map_err(|e| format!("invalid --admission-cap: {e}"))?;
-            batch = batch.admission_cap(cap);
-        }
-        let start = std::time::Instant::now();
-        let results = batch.search_all_governed(&queries, theta);
-        (results, start.elapsed())
-    };
+        })
+        .budget(parse_budget(args)?);
+    if let Some(raw) = args.get("batch-deadline-ms") {
+        let ms: u64 = raw
+            .parse()
+            .map_err(|e| format!("invalid --batch-deadline-ms: {e}"))?;
+        governor = governor.batch_deadline(std::time::Duration::from_millis(ms));
+    }
+    if let Some(raw) = args.get("admission-cap") {
+        let cap: usize = raw
+            .parse()
+            .map_err(|e| format!("invalid --admission-cap: {e}"))?;
+        governor = governor.admission_cap(cap);
+    }
+    let view = open_view(args, index_dir)?;
+    let searcher = view
+        .searcher_with_filter(PrefixFilter::default())
+        .map_err(|e| e.to_string())?
+        .threads(threads);
+    let start = std::time::Instant::now();
+    let results = searcher.search_all_governed(&queries, theta, &governor);
+    let elapsed = start.elapsed();
 
     let mut io_bytes = 0u64;
     let mut cache_hits = 0u64;
@@ -433,7 +365,10 @@ fn run_batch(
     if profile {
         // Stage times are summed across queries (total thread-time per
         // stage); latency percentiles come from the registry histogram.
-        let summed = crate::obs::sum_stats(stats.iter().copied());
+        let mut summed = ndss::query::QueryStats::default();
+        for s in &stats {
+            summed.accumulate(s);
+        }
         crate::obs::print_profile(&summed, stats.len().max(1));
         crate::obs::print_latency_percentiles();
     }

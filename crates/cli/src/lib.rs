@@ -149,6 +149,7 @@ const COMMANDS: &[Command] = &[
                [--deadline-ms N] [--max-io-bytes N] [--max-candidates N]
                [--max-matches N]
              batch mode: one comma-separated query per line, run in parallel
+             (every flag applies to every --index layout, sharded included)
                --index DIR --queries-file FILE [--theta F=0.8]
                [--threads N=all cores] [--profile]
                [--failure-policy failfast|isolate (default failfast)]

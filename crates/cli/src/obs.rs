@@ -124,33 +124,6 @@ pub fn print_profile(stats: &QueryStats, queries: usize) {
     );
 }
 
-/// Element-wise sum of per-query stats (for batch profiles).
-pub fn sum_stats<'a>(all: impl Iterator<Item = &'a QueryStats>) -> QueryStats {
-    let mut acc = QueryStats::default();
-    for s in all {
-        acc.total += s.total;
-        acc.io_time += s.io_time;
-        acc.cpu_time += s.cpu_time;
-        acc.io_bytes += s.io_bytes;
-        acc.cache_hits += s.cache_hits;
-        acc.cache_misses += s.cache_misses;
-        acc.zone_hits += s.zone_hits;
-        acc.zone_misses += s.zone_misses;
-        acc.stage_sketch += s.stage_sketch;
-        acc.stage_plan += s.stage_plan;
-        acc.stage_gather += s.stage_gather;
-        acc.stage_count += s.stage_count;
-        acc.stage_probe += s.stage_probe;
-        acc.lists_loaded += s.lists_loaded;
-        acc.lists_long += s.lists_long;
-        acc.long_probes += s.long_probes;
-        acc.postings_read += s.postings_read;
-        acc.candidate_texts += s.candidate_texts;
-        acc.matched_texts += s.matched_texts;
-    }
-    acc
-}
-
 /// Prints the p50/p95/p99 of the process-wide per-query latency histogram
 /// (populated by every `search` call through the registry).
 pub fn print_latency_percentiles() {

@@ -19,7 +19,9 @@ fn args(tokens: &[&str]) -> Args {
 }
 
 fn workdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("ndss_obs_it").join(name);
+    let dir = std::env::temp_dir()
+        .join(format!("ndss_obs_it_{}", std::process::id()))
+        .join(name);
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     dir

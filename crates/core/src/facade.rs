@@ -9,9 +9,7 @@ use ndss_index::{
     ShardedBuildOptions,
 };
 use ndss_query::search::{NearDupSearcher, SearchOutcome};
-use ndss_query::{
-    BatchSearcher, PrefixFilter, QueryBudget, QueryStats, ShardedIndex, ShardedSearcher,
-};
+use ndss_query::{BatchSearcher, PrefixFilter, QueryStats, ShardedIndex, ShardedSearcher};
 
 /// Unified error type of the facade.
 #[derive(Debug)]
@@ -84,12 +82,12 @@ pub struct SearchParams {
 
 impl SearchParams {
     /// Creates parameters with `k` hash functions, length threshold `t`,
-    /// and hashing seed `seed`. Prefix filtering defaults to the paper's
-    /// 5%-most-frequent cutoff.
+    /// and hashing seed `seed`. Prefix filtering defaults to
+    /// [`PrefixFilter::default`], the paper's 5%-most-frequent cutoff.
     pub fn new(k: usize, t: usize, seed: u64) -> Self {
         Self {
             config: IndexConfig::new(k, t, seed),
-            prefix_filter: PrefixFilter::FrequentFraction(0.05),
+            prefix_filter: PrefixFilter::default(),
         }
     }
 
@@ -215,10 +213,7 @@ impl CorpusIndex<DiskIndex> {
     /// generation when `dir` is a store root — both layouts are
     /// transparently addressable.
     pub fn open(dir: &Path, prefix_filter: PrefixFilter) -> Result<Self, NdssError> {
-        Ok(Self {
-            index: DiskIndex::open(&ndss_index::resolve_index_dir(dir))?,
-            prefix_filter,
-        })
+        Self::open_with(dir, prefix_filter, Default::default(), Default::default())
     }
 
     /// Like [`CorpusIndex::open`], but with explicit cache sizing and IO
@@ -263,28 +258,6 @@ impl<I: IndexAccess> CorpusIndex<I> {
         Ok(self.searcher()?.search(query, theta)?)
     }
 
-    /// One-shot search under a resource budget (deadline, IO bytes,
-    /// candidate or match caps). When a limit trips, the error carries the
-    /// sound partial outcome found so far — see
-    /// [`ndss_query::QueryError::BudgetExceeded`].
-    pub fn search_governed(
-        &self,
-        query: &[TokenId],
-        theta: f64,
-        budget: &QueryBudget,
-    ) -> Result<SearchOutcome, NdssError> {
-        Ok(self.searcher()?.search_governed(query, theta, budget)?)
-    }
-
-    /// A reusable batch searcher over the index (computes prefix-filter
-    /// cutoffs once; thread count defaults to the available cores).
-    pub fn batch_searcher(&self) -> Result<BatchSearcher<'_, I>, NdssError> {
-        Ok(BatchSearcher::with_prefix_filter(
-            &self.index,
-            self.prefix_filter,
-        )?)
-    }
-
     /// Searches many queries across `threads` worker threads, preserving
     /// input order. Each worker shares the index (readers use lock-free
     /// positioned reads) but accumulates its own per-query stats, so this
@@ -296,10 +269,11 @@ impl<I: IndexAccess> CorpusIndex<I> {
         theta: f64,
         threads: usize,
     ) -> Result<Vec<SearchOutcome>, NdssError> {
-        Ok(self
-            .batch_searcher()?
-            .threads(threads)
-            .search_all(queries, theta)?)
+        Ok(
+            BatchSearcher::with_prefix_filter(&self.index, self.prefix_filter)?
+                .threads(threads)
+                .search_all(queries, theta)?,
+        )
     }
 
     /// Searches many queries in parallel on all available cores, preserving
@@ -327,11 +301,10 @@ impl<I: IndexAccess> CorpusIndex<I> {
     }
 }
 
-/// A sharded corpus index: the facade over [`ShardedIndex`] +
-/// [`ShardedSearcher`], mirroring [`CorpusIndex`] for stores whose corpus
-/// is partitioned by text-id range. Opening a plain index directory or an
-/// unsharded generation store works too — it is simply the single-shard
-/// special case.
+/// A sharded store built through the facade: [`ShardedIndex`] plus the
+/// prefix filter its [`SearchParams`] chose. Everything else a sharded
+/// store does goes through [`ShardedIndex`] directly, which also opens
+/// plain index directories and generation stores as the one-shard case.
 pub struct ShardedCorpusIndex {
     index: ShardedIndex,
     prefix_filter: PrefixFilter,
@@ -346,38 +319,11 @@ impl ShardedCorpusIndex {
         root: &Path,
         shards: usize,
     ) -> Result<Self, NdssError> {
-        Self::build_sharded_with(
-            corpus,
-            params,
-            root,
-            shards,
-            &ShardedBuildOptions::default(),
-        )
-    }
-
-    /// [`Self::build_sharded`] with explicit build options (external
-    /// builds, memory budget, resume, cross-shard workers).
-    pub fn build_sharded_with<C: CorpusSource + ?Sized>(
-        corpus: &C,
-        params: SearchParams,
-        root: &Path,
-        shards: usize,
-        opts: &ShardedBuildOptions,
-    ) -> Result<Self, NdssError> {
-        ndss_index::build_sharded(corpus, params.config, root, shards, opts)?;
-        Self::open_with_filter(root, params.prefix_filter)
-    }
-
-    /// Opens a sharded store, generation store, or plain index directory.
-    pub fn open(path: &Path) -> Result<Self, NdssError> {
-        Self::open_with_filter(path, PrefixFilter::Disabled)
-    }
-
-    /// [`Self::open`] with a prefix-filter policy.
-    pub fn open_with_filter(path: &Path, filter: PrefixFilter) -> Result<Self, NdssError> {
+        let opts = ShardedBuildOptions::default();
+        ndss_index::build_sharded(corpus, params.config, root, shards, &opts)?;
         Ok(Self {
-            index: ShardedIndex::open(path)?,
-            prefix_filter: filter,
+            index: ShardedIndex::open(root)?,
+            prefix_filter: params.prefix_filter,
         })
     }
 
@@ -386,40 +332,9 @@ impl ShardedCorpusIndex {
         &self.index
     }
 
-    /// Number of shards in the view (1 for unsharded layouts).
-    pub fn num_shards(&self) -> usize {
-        self.index.num_shards()
-    }
-
     /// A scatter-gather searcher over the view.
     pub fn searcher(&self) -> Result<ShardedSearcher<'_>, NdssError> {
         Ok(self.index.searcher_with_filter(self.prefix_filter)?)
-    }
-
-    /// One query at threshold `theta` across all shards.
-    pub fn search(&self, query: &[TokenId], theta: f64) -> Result<SearchOutcome, NdssError> {
-        Ok(self.searcher()?.search(query, theta)?)
-    }
-
-    /// [`Self::search`] under a budget (deadline shared across shards,
-    /// work caps apportioned).
-    pub fn search_governed(
-        &self,
-        query: &[TokenId],
-        theta: f64,
-        budget: &QueryBudget,
-    ) -> Result<SearchOutcome, NdssError> {
-        Ok(self.searcher()?.search_governed(query, theta, budget)?)
-    }
-
-    /// Runs every query; `results[i]` corresponds to `queries[i]` and is
-    /// bit-identical to a sequential [`Self::search`].
-    pub fn search_many(
-        &self,
-        queries: &[Vec<TokenId>],
-        theta: f64,
-    ) -> Result<Vec<SearchOutcome>, NdssError> {
-        Ok(self.searcher()?.search_all(queries, theta)?)
     }
 }
 
@@ -429,7 +344,9 @@ mod tests {
     use ndss_corpus::SyntheticCorpusBuilder;
 
     fn temp_dir(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("ndss_facade").join(name);
+        let dir = std::env::temp_dir()
+            .join(format!("ndss_facade_{}", std::process::id()))
+            .join(name);
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         dir
@@ -528,11 +445,12 @@ mod tests {
         let root = temp_dir("sharded_facade");
         let params = SearchParams::new(4, 20, 5).prefix_filter(PrefixFilter::Disabled);
         let sharded = ShardedCorpusIndex::build_sharded(&corpus, params.clone(), &root, 3).unwrap();
-        assert_eq!(sharded.num_shards(), 3);
+        assert_eq!(sharded.index().num_shards(), 3);
+        let searcher = sharded.searcher().unwrap();
         let single = CorpusIndex::build_in_memory(&corpus, params).unwrap();
         for p in planted.iter().take(4) {
             let query = corpus.sequence_to_vec(p.dst).unwrap();
-            let a = sharded.search(&query, 0.8).unwrap();
+            let a = searcher.search(&query, 0.8).unwrap();
             let b = single.search(&query, 0.8).unwrap();
             assert_eq!(a.matches, b.matches);
             assert_eq!((a.beta, a.t, a.complete), (b.beta, b.t, b.complete));

@@ -89,10 +89,10 @@ pub mod prelude {
     pub use ndss_lm::{evaluate_memorization, GenerationStrategy, MemorizationConfig, NGramModel};
     pub use ndss_obs::{Registry, Unit};
     pub use ndss_query::{
-        BatchSearcher, CancelToken, DocumentMatch, DocumentScan, FailurePolicy, NearDupSearcher,
-        OverlaySearcher, PrefixFilter, QueryBudget, QueryError, RankedMatch, Resource,
-        SearchOutcome, ServingIndex, ServingSearcher, ShardedIndex, ShardedSearcher, ShedReason,
-        TextMatch,
+        BatchGovernor, BatchSearcher, CancelToken, DocumentMatch, DocumentScan, FailurePolicy,
+        NearDupSearcher, OverlaySearcher, PrefixFilter, QueryBudget, QueryError, RankedMatch,
+        Resource, SearchOutcome, ServingIndex, ServingOptions, ShardedIndex, ShardedSearcher,
+        ShedReason, TextMatch,
     };
     pub use ndss_tokenizer::{BpeTokenizer, BpeTrainer};
 }

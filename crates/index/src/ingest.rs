@@ -7,7 +7,7 @@
 //! * [`MemSegment`] — an in-memory inverted index that absorbs one text at
 //!   a time (windows generated online, postings appended to sorted lists —
 //!   ids only ever grow, so lists stay ordered without re-sorting). It
-//!   implements [`IndexAccess`], so the query layer searches it unchanged.
+//!   holds a [`MemoryIndex`], so the query layer searches it unchanged.
 //! * [`crate::wal`] — every accepted text is WAL-framed before it is
 //!   acked; recovery replays the longest valid prefix.
 //! * [`IngestIndex`] — the orchestrator: append → WAL + segment, rotate
@@ -38,12 +38,11 @@
 //! referenced by a live manifest — even a corrupt manifest protects its
 //! WALs, exactly like a corrupt build journal protects its spill files.
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use ndss_corpus::TextId;
-use ndss_hash::{HashValue, MinHasher, TokenId};
+use ndss_hash::{MinHasher, TokenId};
 use ndss_json::{Json, ObjectBuilder};
 use ndss_windows::{HashedWindow, WindowGenerator};
 
@@ -52,9 +51,7 @@ use crate::generation::GenerationStore;
 use crate::journal::{self, KillPoints};
 use crate::merge::{merge_indexes_with, MergeOptions};
 use crate::wal::{self, WalWriter};
-use crate::{
-    build, IndexAccess, IndexConfig, IndexError, IoSnapshot, IoStats, Posting, SharedList,
-};
+use crate::{build, IndexAccess, IndexConfig, IndexError, MemoryIndex};
 
 /// Directory inside a store root that holds the mutable state.
 pub const MEMTABLE_DIR: &str = "memtable";
@@ -222,34 +219,27 @@ impl MemtableManifest {
 // MemSegment
 // ---------------------------------------------------------------------------
 
-/// A mutable in-memory index segment: the texts of one WAL, their postings
-/// grouped by min-hash value. Postings use **segment-local** text ids; the
-/// overlay layer re-bases matches by [`MemSegment::base`]. Because texts
-/// are appended in increasing id order and each text's windows are sorted
-/// before insertion, every list stays ordered by `(text, l, c, r)` — the
-/// same invariant the disk formats hold — without ever re-sorting.
+/// A mutable in-memory index segment: the texts of one WAL and a
+/// [`MemoryIndex`] over them, grown one text at a time. Postings use
+/// **segment-local** text ids; the overlay layer searches
+/// [`MemSegment::index`] and re-bases matches by [`MemSegment::base`].
 #[derive(Debug)]
 pub struct MemSegment {
-    config: IndexConfig,
     /// WAL sequence this segment mirrors.
     wal_seq: u64,
     /// Global id of the segment's first text.
     base: u64,
     texts: Vec<Vec<TokenId>>,
-    maps: Vec<HashMap<HashValue, Vec<Posting>>>,
-    total_tokens: u64,
+    index: MemoryIndex,
 }
 
 impl MemSegment {
     fn new(config: &IndexConfig, wal_seq: u64, base: u64) -> Self {
-        let k = config.k;
         MemSegment {
-            config: template(config),
             wal_seq,
             base,
             texts: Vec::new(),
-            maps: (0..k).map(|_| HashMap::new()).collect(),
-            total_tokens: 0,
+            index: MemoryIndex::empty(config.clone()),
         }
     }
 
@@ -262,26 +252,8 @@ impl MemSegment {
         windows: &mut Vec<HashedWindow>,
         tokens: &[TokenId],
     ) -> TextId {
-        let local = self.texts.len() as TextId;
-        for (func, map) in self.maps.iter_mut().enumerate() {
-            windows.clear();
-            generator.generate(hasher, func, tokens, self.config.t, windows);
-            // Appending in (hash, window) order keeps each list's tail
-            // sorted: ids grow monotonically across inserts, windows within
-            // one (text, hash) group here.
-            windows.sort_unstable_by_key(|hw| (hw.hash, hw.window));
-            for hw in windows.iter() {
-                map.entry(hw.hash).or_default().push(Posting {
-                    text: local,
-                    window: hw.window,
-                });
-            }
-        }
         self.texts.push(tokens.to_vec());
-        self.total_tokens += tokens.len() as u64;
-        self.config.num_texts = self.texts.len();
-        self.config.total_tokens = self.total_tokens;
-        local
+        self.index.insert(hasher, generator, windows, tokens)
     }
 
     /// WAL sequence this segment mirrors.
@@ -304,89 +276,15 @@ impl MemSegment {
         self.texts.is_empty()
     }
 
-    /// Total tokens held.
-    pub fn total_tokens(&self) -> u64 {
-        self.total_tokens
-    }
-
     /// The texts, in segment-local id order.
     pub fn texts(&self) -> &[Vec<TokenId>] {
         &self.texts
     }
 
-    /// Iterates `(hash, postings)` for one function in ascending hash
-    /// order, borrowing the segment's lists. The postings are already
-    /// grouped and canonically ordered (see the struct invariant), so the
-    /// seal writer consumes this directly — no window regeneration, no
-    /// copy into a [`MemoryIndex`].
-    fn sorted_lists(&self, func: usize) -> Vec<(HashValue, &[Posting])> {
-        let mut lists: Vec<(HashValue, &[Posting])> = self.maps[func]
-            .iter()
-            .map(|(&h, v)| (h, v.as_slice()))
-            .collect();
-        lists.sort_unstable_by_key(|&(h, _)| h);
-        lists
-    }
-
-    fn check_func(&self, func: usize) -> Result<(), IndexError> {
-        if func >= self.config.k {
-            Err(IndexError::FunctionOutOfRange(func, self.config.k))
-        } else {
-            Ok(())
-        }
-    }
-}
-
-impl IndexAccess for MemSegment {
-    fn config(&self) -> &IndexConfig {
-        &self.config
-    }
-
-    fn list_len(&self, func: usize, hash: HashValue) -> Result<u64, IndexError> {
-        self.check_func(func)?;
-        Ok(self.maps[func].get(&hash).map_or(0, |v| v.len() as u64))
-    }
-
-    fn shared_list(
-        &self,
-        func: usize,
-        hash: HashValue,
-        _io: &IoStats,
-    ) -> Result<SharedList<'_>, IndexError> {
-        self.check_func(func)?;
-        let list = self.maps[func].get(&hash).map_or(&[][..], Vec::as_slice);
-        Ok(SharedList::Borrowed(list))
-    }
-
-    fn probe_texts(
-        &self,
-        func: usize,
-        hash: HashValue,
-        texts: &[TextId],
-        _io: &IoStats,
-        out: &mut Vec<Posting>,
-    ) -> Result<(), IndexError> {
-        self.check_func(func)?;
-        if let Some(list) = self.maps[func].get(&hash) {
-            // Lists are sorted by text id: binary search each contiguous run.
-            crate::probe_sorted(list, texts, out);
-        }
-        Ok(())
-    }
-
-    fn io_snapshot(&self) -> IoSnapshot {
-        IoSnapshot::default()
-    }
-
-    fn list_length_histogram(&self, func: usize) -> Result<Vec<(u64, u64)>, IndexError> {
-        self.check_func(func)?;
-        let mut hist: HashMap<u64, u64> = HashMap::new();
-        for v in self.maps[func].values() {
-            *hist.entry(v.len() as u64).or_insert(0) += 1;
-        }
-        let mut out: Vec<(u64, u64)> = hist.into_iter().collect();
-        out.sort_unstable();
-        Ok(out)
+    /// The segment's inverted index (segment-local text ids). The seal
+    /// writer consumes its lists directly — no window regeneration.
+    pub fn index(&self) -> &MemoryIndex {
+        &self.index
     }
 }
 
@@ -812,7 +710,11 @@ impl IngestIndex {
         let merging = current.is_some();
         journal::tick_checkpoint(&kill)?;
         if merging {
-            build::write_lists(&seg.config, |func| seg.sorted_lists(func), &seal)?;
+            build::write_lists(
+                seg.index.config(),
+                |func| seg.index.sorted_lists(func),
+                &seal,
+            )?;
         }
         seals_counter().inc(1);
         journal::tick_checkpoint(&kill)?;
@@ -859,7 +761,11 @@ impl IngestIndex {
                 Err(e) => return Err(e),
             }
         } else {
-            build::write_lists(&seg.config, |func| seg.sorted_lists(func), &gen_dir)?;
+            build::write_lists(
+                seg.index.config(),
+                |func| seg.index.sorted_lists(func),
+                &gen_dir,
+            )?;
         }
         journal::tick_checkpoint(&kill)?;
 
@@ -1079,10 +985,10 @@ mod tests {
             MemoryIndex::build(&InMemoryCorpus::from_texts(texts), config.clone()).unwrap();
         for func in 0..config.k {
             let want = reference.sorted_lists(func);
-            assert_eq!(seg.maps[func].len(), want.len());
+            assert_eq!(seg.index().keys_for_function(func), want.len());
             for (hash, postings) in want {
                 assert_eq!(
-                    seg.read_list(func, hash).unwrap().as_slice(),
+                    seg.index().read_list(func, hash).unwrap().as_slice(),
                     postings,
                     "func {func} hash {hash:#x}"
                 );

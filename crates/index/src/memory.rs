@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 
 use ndss_corpus::{CorpusSource, TextId};
-use ndss_hash::HashValue;
+use ndss_hash::{HashValue, MinHasher, TokenId};
 use ndss_windows::{HashedWindow, WindowGenerator};
 
 use crate::{IndexAccess, IndexConfig, IndexError, IoSnapshot, IoStats, Posting, SharedList};
@@ -22,6 +22,45 @@ pub struct MemoryIndex {
 }
 
 impl MemoryIndex {
+    /// An index over no texts yet, grown one text at a time by
+    /// [`Self::insert`] (the ingest memtable).
+    pub fn empty(mut config: IndexConfig) -> Self {
+        config.num_texts = 0;
+        config.total_tokens = 0;
+        let maps = (0..config.k).map(|_| HashMap::new()).collect();
+        Self { config, maps }
+    }
+
+    /// Indexes `tokens` as the next text and returns its id. Ids grow
+    /// monotonically across inserts and each text's windows are appended in
+    /// `(hash, window)` order, so every list stays ordered by
+    /// `(text, l, c, r)` — the invariant [`Self::build`] establishes by
+    /// sorting — without ever re-sorting. `windows` is a caller-owned
+    /// scratch buffer.
+    pub fn insert(
+        &mut self,
+        hasher: &MinHasher,
+        generator: &mut WindowGenerator,
+        windows: &mut Vec<HashedWindow>,
+        tokens: &[TokenId],
+    ) -> TextId {
+        let text = self.config.num_texts as TextId;
+        for (func, map) in self.maps.iter_mut().enumerate() {
+            windows.clear();
+            generator.generate(hasher, func, tokens, self.config.t, windows);
+            windows.sort_unstable_by_key(|hw| (hw.hash, hw.window));
+            for hw in windows.iter() {
+                map.entry(hw.hash).or_default().push(Posting {
+                    text,
+                    window: hw.window,
+                });
+            }
+        }
+        self.config.num_texts += 1;
+        self.config.total_tokens += tokens.len() as u64;
+        text
+    }
+
     /// Builds the index single-threaded (Algorithm 1 without the parallel
     /// extension). Equivalent to [`Self::build_parallel`] with one worker.
     pub fn build<C: CorpusSource + ?Sized>(

@@ -22,9 +22,10 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Maps `f` over `items` on up to `threads` threads; `results[i]` is always
-/// `f(i, &items[i])`. With `threads <= 1` (or one item) this runs inline on
-/// the caller with no spawn at all, so serial paths pay nothing.
+/// Maps `f` over `items` on up to `threads` threads, the caller's included;
+/// `results[i]` is always `f(i, &items[i])`. With `threads <= 1` (or one
+/// item) this runs inline on the caller with no spawn at all, so serial
+/// paths pay nothing.
 pub fn map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -42,14 +43,18 @@ where
     let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..items.len()).map(|_| None).collect());
     let cursor = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let result = f(i, item);
-                slots.lock().unwrap()[i] = Some(result);
-            });
+        let work = || loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { break };
+            let result = f(i, item);
+            slots.lock().unwrap()[i] = Some(result);
+        };
+        // The caller is one of the workers: it would only wait otherwise,
+        // and a two-item fan-out (a query over two lanes) spawns once.
+        for _ in 1..workers {
+            scope.spawn(work);
         }
+        work();
     });
     collect_slots(slots)
 }
@@ -83,14 +88,16 @@ where
     let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..items.len()).map(|_| None).collect());
     let queue = Mutex::new(items.iter_mut().enumerate());
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let next = queue.lock().unwrap().next();
-                let Some((i, item)) = next else { break };
-                let result = f(i, item);
-                slots.lock().unwrap()[i] = Some(result);
-            });
+        let work = || loop {
+            let next = queue.lock().unwrap().next();
+            let Some((i, item)) = next else { break };
+            let result = f(i, item);
+            slots.lock().unwrap()[i] = Some(result);
+        };
+        for _ in 1..workers {
+            scope.spawn(work);
         }
+        work();
     });
     collect_slots(slots)
 }

@@ -49,22 +49,12 @@ pub enum ShedReason {
     BatchDeadline,
 }
 
-impl std::fmt::Display for ShedReason {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShedReason::AdmissionCap { cap } => write!(f, "admission cap {cap}"),
-            ShedReason::BatchDeadline => write!(f, "batch deadline"),
-        }
-    }
-}
-
 /// How a batch reacts to one query failing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FailurePolicy {
     /// Abort the whole batch on the first failure: workers stop picking up
     /// new queries and in-flight queries abandon work at their next
-    /// governor checkpoint. This is [`BatchSearcher::search_all`]'s
-    /// behavior.
+    /// governor checkpoint. `search_all` always runs this way.
     #[default]
     FailFast,
     /// Isolate failures: every query runs to its own `Ok`/`Err`, so one
@@ -73,50 +63,27 @@ pub enum FailurePolicy {
     Isolate,
 }
 
-/// Runs many queries against one index across a thread pool.
-///
-/// Results are deterministic: `search_all(queries, θ)[i]` equals
-/// `NearDupSearcher::search(queries[i], θ)`, whatever the thread count.
-/// Stats are exact per query, but timing fields vary run to run, and with
-/// a shared hot-list cache `io_bytes`/hit counts depend on which query
-/// touched a list first (disable the cache for schedule-independent IO
-/// attribution).
-pub struct BatchSearcher<'a, I: IndexAccess + ?Sized> {
-    searcher: NearDupSearcher<'a, I>,
-    threads: usize,
+/// What the batch driver runs per query: the query, its budget, and the
+/// batch's abort token.
+pub(crate) type QueryFn<'a> =
+    dyn Fn(&[TokenId], &QueryBudget, &CancelToken) -> Result<SearchOutcome, QueryError> + Sync + 'a;
+
+/// Batch-level governance, enforced around every query of a batch by the
+/// one driver that [`BatchSearcher`] and
+/// [`crate::ShardedSearcher::search_all_governed`] share: which failures
+/// abort the batch, how many queries are admitted, how long the batch may
+/// run, and the budget each query gets. The default governs nothing.
+#[derive(Debug, Clone, Default)]
+pub struct BatchGovernor {
     policy: FailurePolicy,
     admission_cap: Option<usize>,
     batch_deadline: Option<Duration>,
     budget: QueryBudget,
 }
 
-impl<'a, I: IndexAccess + ?Sized> BatchSearcher<'a, I> {
-    /// A batch searcher with prefix filtering disabled and one thread per
-    /// available core.
-    pub fn new(index: &'a I) -> Result<Self, QueryError> {
-        Self::with_prefix_filter(index, PrefixFilter::Disabled)
-    }
-
-    /// A batch searcher with the given prefix-filtering policy.
-    pub fn with_prefix_filter(index: &'a I, filter: PrefixFilter) -> Result<Self, QueryError> {
-        Ok(Self {
-            searcher: NearDupSearcher::with_prefix_filter(index, filter)?,
-            threads: ndss_parallel::default_threads(),
-            policy: FailurePolicy::default(),
-            admission_cap: None,
-            batch_deadline: None,
-            budget: QueryBudget::unlimited(),
-        })
-    }
-
-    /// Pins the worker-thread count (`0` or `1` runs serially inline).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets how [`Self::search_all_governed`] reacts to per-query failures
-    /// (default [`FailurePolicy::FailFast`]).
+impl BatchGovernor {
+    /// Sets how a governed batch reacts to per-query failures (default
+    /// [`FailurePolicy::FailFast`]).
     pub fn failure_policy(mut self, policy: FailurePolicy) -> Self {
         self.policy = policy;
         self
@@ -131,7 +98,7 @@ impl<'a, I: IndexAccess + ?Sized> BatchSearcher<'a, I> {
     }
 
     /// A wall-clock deadline for the whole batch, measured from the start
-    /// of `search_all*`. Queries not started by the deadline are shed
+    /// of the run. Queries not started by the deadline are shed
     /// ([`QueryError::Overloaded`]); queries in flight observe it as their
     /// own deadline and stop with a sound partial result
     /// ([`QueryError::BudgetExceeded`]).
@@ -147,67 +114,17 @@ impl<'a, I: IndexAccess + ?Sized> BatchSearcher<'a, I> {
         self
     }
 
-    /// The underlying single-query searcher (shared configuration).
-    pub fn searcher(&self) -> &NearDupSearcher<'a, I> {
-        &self.searcher
-    }
-
-    /// Runs every query at threshold `theta`; `results[i]` corresponds to
-    /// `queries[i]`. Fails fast with the first error **in input order**
-    /// among queries that failed on their own (not ones cancelled by the
-    /// abort below).
-    ///
-    /// Fail-fast is cooperative, not instantaneous: when any query fails,
-    /// a shared abort flag stops workers from picking up further queries,
-    /// and queries already in flight abandon work at their next governor
-    /// checkpoint (between stages, posting lists, and candidate texts) —
-    /// so a failed batch stops issuing new IO promptly. Queries that
-    /// completed before the failure was observed have their results
-    /// discarded; there is no rollback, only early termination.
-    pub fn search_all(
+    /// The batch driver: runs `search` once per query on `threads` workers
+    /// and returns one `Result` per query in input order. `search` gets
+    /// the query, its budget (the per-query budget capped by the batch
+    /// deadline) and the batch's abort token, which a fail-fast batch
+    /// cancels on the first failure so in-flight queries stop at their
+    /// next governor checkpoint.
+    pub(crate) fn run(
         &self,
+        threads: usize,
         queries: &[Vec<TokenId>],
-        theta: f64,
-    ) -> Result<Vec<SearchOutcome>, QueryError> {
-        let per_query = self.run(queries, theta, FailurePolicy::FailFast);
-        let mut outcomes = Vec::with_capacity(per_query.len());
-        let mut first_cancelled = None;
-        for result in per_query {
-            match result {
-                Ok(outcome) => outcomes.push(outcome),
-                // A cancelled query is collateral of the real failure;
-                // keep scanning for the error that tripped the abort.
-                Err(QueryError::Cancelled) => {
-                    first_cancelled.get_or_insert(QueryError::Cancelled);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        match first_cancelled {
-            // Defensive: cancellation implies some query errored first.
-            Some(e) => Err(e),
-            None => Ok(outcomes),
-        }
-    }
-
-    /// Runs every query under the configured [`FailurePolicy`], admission
-    /// cap, batch deadline, and per-query budget, returning one `Result`
-    /// per query in input order. Under [`FailurePolicy::Isolate`] a
-    /// poisoned query is exactly one `Err` — every other query's outcome
-    /// is bit-identical to a solo run.
-    pub fn search_all_governed(
-        &self,
-        queries: &[Vec<TokenId>],
-        theta: f64,
-    ) -> Vec<Result<SearchOutcome, QueryError>> {
-        self.run(queries, theta, self.policy)
-    }
-
-    fn run(
-        &self,
-        queries: &[Vec<TokenId>],
-        theta: f64,
-        policy: FailurePolicy,
+        search: &QueryFn<'_>,
     ) -> Vec<Result<SearchOutcome, QueryError>> {
         let _span = ndss_obs::span("query.batch");
         let reg = ndss_obs::Registry::global();
@@ -215,6 +132,10 @@ impl<'a, I: IndexAccess + ?Sized> BatchSearcher<'a, I> {
             "query.batch.queue_wait.seconds",
             "Delay between batch start and each query's pickup by a worker",
             ndss_obs::Unit::Seconds,
+        );
+        let shed = reg.counter(
+            "query.shed",
+            "Queries shed by batch admission control or an expired batch deadline",
         );
         let start = Instant::now();
         let deadline = self.batch_deadline.map(|d| start + d);
@@ -225,33 +146,31 @@ impl<'a, I: IndexAccess + ?Sized> BatchSearcher<'a, I> {
         let cap = self.admission_cap.unwrap_or(usize::MAX);
         let abort = CancelToken::new();
 
-        let results = ndss_parallel::map(queries, self.threads, |i, query| {
+        let results = ndss_parallel::map(queries, threads, |i, query| {
             // Pickup delay: how long this query sat in the work queue behind
             // earlier queries (p50/p95/p99 come from the histogram).
             queue_wait.record_duration(start.elapsed());
             // Load shedding, before any index work: over the admission cap,
             // past the batch deadline, or the batch already failed fast.
-            if i >= cap {
-                self.searcher.metrics().record_shed();
+            let reason = if i >= cap {
+                Some(ShedReason::AdmissionCap { cap })
+            } else if deadline.is_some_and(|d| Instant::now() >= d) {
+                Some(ShedReason::BatchDeadline)
+            } else {
+                None
+            };
+            if let Some(reason) = reason {
+                shed.inc(1);
                 return Err(QueryError::Overloaded {
                     position: i,
-                    reason: ShedReason::AdmissionCap { cap },
-                });
-            }
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                self.searcher.metrics().record_shed();
-                return Err(QueryError::Overloaded {
-                    position: i,
-                    reason: ShedReason::BatchDeadline,
+                    reason,
                 });
             }
             if abort.is_cancelled() {
                 return Err(QueryError::Cancelled);
             }
-            let result = self
-                .searcher
-                .search_cancellable(query, theta, &budget, &abort);
-            if result.is_err() && policy == FailurePolicy::FailFast {
+            let result = search(query, &budget, &abort);
+            if result.is_err() && self.policy == FailurePolicy::FailFast {
                 abort.cancel();
             }
             result
@@ -265,7 +184,7 @@ impl<'a, I: IndexAccess + ?Sized> BatchSearcher<'a, I> {
                 .iter()
                 .filter_map(|r| r.as_ref().ok().map(|o| o.stats.total))
                 .sum();
-            let pct = 100.0 * busy.as_secs_f64() / (self.threads as f64 * wall.as_secs_f64());
+            let pct = 100.0 * busy.as_secs_f64() / (threads as f64 * wall.as_secs_f64());
             reg.gauge(
                 "query.batch.utilization.percent",
                 "Worker busy time over thread-seconds in the last batch (0-100)",
@@ -273,6 +192,120 @@ impl<'a, I: IndexAccess + ?Sized> BatchSearcher<'a, I> {
             .set(pct.round() as i64);
         }
         results
+    }
+
+    /// [`Self::run`] under [`FailurePolicy::FailFast`], collapsed to all
+    /// outcomes or the first error **in input order** among queries that
+    /// failed on their own (not ones cancelled by the abort).
+    ///
+    /// Fail-fast is cooperative, not instantaneous: when any query fails,
+    /// the shared abort token stops workers from picking up further
+    /// queries, and queries already in flight abandon work at their next
+    /// governor checkpoint (between stages, posting lists, and candidate
+    /// texts) — so a failed batch stops issuing new IO promptly. Queries
+    /// that completed before the failure was observed have their results
+    /// discarded; there is no rollback, only early termination.
+    pub(crate) fn run_fail_fast(
+        &self,
+        threads: usize,
+        queries: &[Vec<TokenId>],
+        search: &QueryFn<'_>,
+    ) -> Result<Vec<SearchOutcome>, QueryError> {
+        let per_query = self
+            .clone()
+            .failure_policy(FailurePolicy::FailFast)
+            .run(threads, queries, search);
+        let mut outcomes = Vec::with_capacity(per_query.len());
+        let mut cancelled = false;
+        for result in per_query {
+            match result {
+                Ok(outcome) => outcomes.push(outcome),
+                // A cancelled query is collateral of the real failure;
+                // keep scanning for the error that tripped the abort.
+                Err(QueryError::Cancelled) => cancelled = true,
+                Err(e) => return Err(e),
+            }
+        }
+        if cancelled {
+            // Defensive: cancellation implies some query errored first.
+            return Err(QueryError::Cancelled);
+        }
+        Ok(outcomes)
+    }
+}
+
+/// Runs many queries against one index across a thread pool.
+///
+/// Results are deterministic: `search_all(queries, θ)[i]` equals
+/// `NearDupSearcher::search(queries[i], θ)`, whatever the thread count.
+/// Stats are exact per query, but timing fields vary run to run, and with
+/// a shared hot-list cache `io_bytes`/hit counts depend on which query
+/// touched a list first (disable the cache for schedule-independent IO
+/// attribution).
+pub struct BatchSearcher<'a, I: IndexAccess + ?Sized> {
+    searcher: NearDupSearcher<'a, I>,
+    threads: usize,
+    governor: BatchGovernor,
+}
+
+impl<'a, I: IndexAccess + ?Sized> BatchSearcher<'a, I> {
+    /// A batch searcher with prefix filtering disabled and one thread per
+    /// available core.
+    pub fn new(index: &'a I) -> Result<Self, QueryError> {
+        Self::with_prefix_filter(index, PrefixFilter::Disabled)
+    }
+
+    /// A batch searcher with the given prefix-filtering policy.
+    pub fn with_prefix_filter(index: &'a I, filter: PrefixFilter) -> Result<Self, QueryError> {
+        Ok(Self {
+            searcher: NearDupSearcher::with_prefix_filter(index, filter)?,
+            threads: ndss_parallel::default_threads(),
+            governor: BatchGovernor::default(),
+        })
+    }
+
+    /// Pins the worker-thread count (`0` or `1` runs serially inline).
+    pub fn threads(mut self, threads: usize) -> Self {
+        self.threads = threads.max(1);
+        self
+    }
+
+    /// Sets the batch-level governance (failure policy, admission cap,
+    /// batch deadline, per-query budget); the default governs nothing.
+    pub fn governor(mut self, governor: BatchGovernor) -> Self {
+        self.governor = governor;
+        self
+    }
+
+    /// Runs every query at threshold `theta`; `results[i]` corresponds to
+    /// `queries[i]`. Fails fast with the first error in input order — see
+    /// [`FailurePolicy::FailFast`].
+    pub fn search_all(
+        &self,
+        queries: &[Vec<TokenId>],
+        theta: f64,
+    ) -> Result<Vec<SearchOutcome>, QueryError> {
+        self.governor
+            .run_fail_fast(self.threads, queries, &|query, budget, abort| {
+                self.searcher
+                    .search_cancellable(query, theta, budget, abort)
+            })
+    }
+
+    /// Runs every query under the configured [`BatchGovernor`], returning
+    /// one `Result` per query in input order. Under
+    /// [`FailurePolicy::Isolate`] a poisoned query is exactly one `Err` —
+    /// every other query's outcome is bit-identical to a solo run.
+    pub fn search_all_governed(
+        &self,
+        queries: &[Vec<TokenId>],
+        theta: f64,
+    ) -> Vec<Result<SearchOutcome, QueryError>> {
+        self.governor
+            .run(self.threads, queries, &|query, budget, abort| {
+                self.searcher
+                    .search_cancellable(query, theta, budget, abort)
+            })
     }
 }
 
@@ -352,7 +385,7 @@ mod tests {
             let batch = BatchSearcher::new(&index)
                 .unwrap()
                 .threads(threads)
-                .failure_policy(FailurePolicy::Isolate);
+                .governor(BatchGovernor::default().failure_policy(FailurePolicy::Isolate));
             let results = batch.search_all_governed(&queries, 0.8);
             assert_eq!(results.len(), queries.len());
             for (i, r) in results.iter().enumerate() {
@@ -376,11 +409,11 @@ mod tests {
         let (corpus, queries) = workload();
         let index = MemoryIndex::build(&corpus, IndexConfig::new(16, 25, 9)).unwrap();
         let cap = 5;
-        let batch = BatchSearcher::new(&index)
-            .unwrap()
-            .threads(4)
-            .failure_policy(FailurePolicy::Isolate)
-            .admission_cap(cap);
+        let batch = BatchSearcher::new(&index).unwrap().threads(4).governor(
+            BatchGovernor::default()
+                .failure_policy(FailurePolicy::Isolate)
+                .admission_cap(cap),
+        );
         let results = batch.search_all_governed(&queries, 0.8);
         for (i, r) in results.iter().enumerate() {
             if i < cap {
@@ -400,11 +433,11 @@ mod tests {
     fn expired_batch_deadline_sheds_everything() {
         let (corpus, queries) = workload();
         let index = MemoryIndex::build(&corpus, IndexConfig::new(16, 25, 9)).unwrap();
-        let batch = BatchSearcher::new(&index)
-            .unwrap()
-            .threads(4)
-            .failure_policy(FailurePolicy::Isolate)
-            .batch_deadline(Duration::ZERO);
+        let batch = BatchSearcher::new(&index).unwrap().threads(4).governor(
+            BatchGovernor::default()
+                .failure_policy(FailurePolicy::Isolate)
+                .batch_deadline(Duration::ZERO),
+        );
         let results = batch.search_all_governed(&queries, 0.8);
         assert!(results.iter().all(|r| matches!(
             r,

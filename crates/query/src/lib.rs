@@ -62,7 +62,7 @@ pub mod search;
 pub mod serving;
 pub mod sharded;
 
-pub use batch::{BatchSearcher, FailurePolicy, ShedReason};
+pub use batch::{BatchGovernor, BatchSearcher, FailurePolicy, ShedReason};
 pub use breaker::{
     classify, Admission, BreakerConfig, BreakerSnapshot, BreakerState, DegradedShard, FaultKind,
     ShardHealth,
@@ -76,9 +76,9 @@ pub use interval::{interval_scan, Interval, ScanHit};
 pub use overlay::OverlaySearcher;
 pub use planner::{plan_query, QueryPlan};
 pub use search::{
-    NearDupSearcher, PrefixFilter, QueryStats, RankedMatch, SearchOutcome, TextMatch,
+    rank, NearDupSearcher, PrefixFilter, QueryStats, RankedMatch, SearchOutcome, TextMatch,
 };
-pub use serving::{ServingIndex, ServingOptions, ServingSearcher};
+pub use serving::{ServingIndex, ServingOptions};
 pub use sharded::{FaultPolicy, ShardedIndex, ShardedSearcher};
 
 /// Errors raised during query processing.
@@ -119,12 +119,13 @@ pub enum QueryError {
     /// The query was abandoned at a governor checkpoint because its batch
     /// failed fast (see [`BatchSearcher::search_all`]).
     Cancelled,
-    /// Under [`FaultPolicy::Isolate`], every shard of the view is
-    /// quarantined (or faulted during this very query): there is no
-    /// healthy subset to build even a degraded answer from. Carries the
-    /// most recent classified fault as the representative cause.
+    /// Under [`FaultPolicy::Isolate`], no lane of the fan-out could answer:
+    /// every disk shard is quarantined (or faulted during this very query)
+    /// and no memtable segment is overlaid, so there is no healthy subset
+    /// to build even a degraded answer from. Carries the first degraded
+    /// shard's classified fault as the representative cause.
     AllShardsQuarantined {
-        /// Total shards in the view, all unavailable.
+        /// Total lanes in the fan-out, all unavailable.
         shards: usize,
         /// Classification of the representative fault.
         kind: FaultKind,

@@ -26,7 +26,6 @@ pub(crate) struct QueryMetrics {
     candidate_texts: Counter,
     matched_texts: Counter,
     budget_exceeded: Counter,
-    shed: Counter,
 }
 
 impl QueryMetrics {
@@ -80,22 +79,12 @@ impl QueryMetrics {
                 "query.budget_exceeded",
                 "Queries stopped by a resource budget (partial results returned)",
             ),
-            shed: reg.counter(
-                "query.shed",
-                "Queries shed by batch admission control or an expired batch deadline",
-            ),
         }
     }
 
     /// One query returned `BudgetExceeded`.
     pub(crate) fn record_budget_exceeded(&self) {
         self.budget_exceeded.inc(1);
-    }
-
-    /// One query was shed before starting (admission cap or batch
-    /// deadline already passed).
-    pub(crate) fn record_shed(&self) {
-        self.shed.inc(1);
     }
 
     pub(crate) fn observe(&self, stats: &QueryStats) {

@@ -6,50 +6,41 @@
 //! — and must see them exactly once each: bit-identical to what a full
 //! rebuild containing the same texts would return.
 //!
-//! [`OverlaySearcher`] does this the same way the sharded scatter-gather
-//! does: each lane (the disk view, then each segment in ascending base
-//! order) is searched independently, matches are re-based to global text
-//! ids, and lanes are appended in global text order. Correctness under
-//! concurrent compaction hangs on one rule:
+//! [`OverlaySearcher`] does this with the one scatter–merge
+//! ([`crate::sharded`]): the disk view's lanes, then one memory lane per
+//! segment in ascending base order — each searched independently, matches
+//! re-based to global text ids, lanes appended in global text order, all
+//! under one split budget. What is left here is the rule correctness under
+//! concurrent compaction hangs on:
 //!
 //! > a segment is overlaid **iff** `segment.base >= covered`, where
 //! > `covered` is the text count of the *pinned* disk snapshot.
 //!
 //! Segments publish whole, so the pinned snapshot's text count is either
 //! `<= base` (segment not yet published: overlay it) or `>= base + len`
-//! (published: the disk lane already serves those texts) — the
+//! (published: the disk lanes already serve those texts) — the
 //! segment-granular filter is exact under any interleaving of publish,
 //! trim, and reload. [`OverlaySearcher::push_segment`] applies the rule.
 
-use std::time::Instant;
-
+use ndss_corpus::TextId;
 use ndss_hash::TokenId;
 use ndss_index::MemSegment;
 
-use crate::governor::{QueryBudget, Resource};
-use crate::search::{NearDupSearcher, RankedMatch, SearchOutcome};
-use crate::sharded::{accumulate_stats, ShardedSearcher};
+use crate::governor::QueryBudget;
+use crate::search::{PrefixFilter, RankedMatch, SearchOutcome};
+use crate::sharded::ShardedSearcher;
 use crate::QueryError;
 
-/// One RAM lane: a segment plus its searcher, matches re-based by `base`.
-struct MemLane<'a> {
-    base: u64,
-    searcher: NearDupSearcher<'a, MemSegment>,
-}
-
-/// Merges memtable segments over an optional disk lane in global text
-/// order. See the module docs for the exactness rule.
+/// A disk view's lane set plus the memtable segments the view does not
+/// cover yet, in global text order. See the module docs for the exactness
+/// rule.
 pub struct OverlaySearcher<'a> {
-    disk: Option<ShardedSearcher<'a>>,
-    /// Texts the disk lane covers (the pinned snapshot's text count; 0
-    /// with no disk lane).
+    lanes: ShardedSearcher<'a>,
+    /// Texts the disk lanes cover (the pinned snapshot's text count; 0
+    /// with no disk view).
     covered: u64,
-    lanes: Vec<MemLane<'a>>,
     /// End (exclusive) of the last overlaid lane — ascending-order guard.
     last_end: u64,
-    /// `(k, t)` for synthesizing empty outcomes when no lane exists.
-    k: usize,
-    t: u32,
 }
 
 impl<'a> OverlaySearcher<'a> {
@@ -64,26 +55,25 @@ impl<'a> OverlaySearcher<'a> {
             "no disk lane covers no texts"
         );
         OverlaySearcher {
-            disk,
+            lanes: disk.unwrap_or_else(|| ShardedSearcher::empty(k, t)),
             covered,
-            lanes: Vec::new(),
             last_end: covered,
-            k,
-            t,
         }
     }
 
-    /// Overlays `segment`, skipping it when the disk lane already covers
+    /// Overlays `segment`, skipping it when the disk lanes already cover
     /// its texts (the publish-before-trim crash/race window). Segments
     /// must be pushed in ascending, disjoint text order — callers iterate
-    /// [`ndss_index::IngestIndex::segments`], which is ordered.
+    /// [`ndss_index::IngestIndex::segments`], which is ordered. A memory
+    /// lane runs unfiltered: a `HashMap` index's length histogram is a
+    /// full walk of its lists.
     pub fn push_segment(&mut self, segment: &'a MemSegment) -> Result<(), QueryError> {
         if segment.is_empty() {
             return Ok(());
         }
         if segment.base() < self.covered {
-            // Already published into the pinned snapshot: the disk lane
-            // serves these texts. (Segments publish whole, so a partially
+            // Already published into the pinned snapshot: the disk lanes
+            // serve these texts. (Segments publish whole, so a partially
             // covered segment cannot exist.)
             return Ok(());
         }
@@ -92,126 +82,40 @@ impl<'a> OverlaySearcher<'a> {
             "segments must arrive in ascending, disjoint text order"
         );
         self.last_end = segment.base() + segment.len() as u64;
-        self.lanes.push(MemLane {
-            base: segment.base(),
-            searcher: NearDupSearcher::new(segment)?,
-        });
-        Ok(())
+        self.lanes.push_lane(
+            segment.base() as TextId,
+            segment.index(),
+            PrefixFilter::Disabled,
+        )
     }
 
     /// Number of overlay lanes actually in play (excluded segments don't
     /// count).
     pub fn num_segments(&self) -> usize {
-        self.lanes.len()
+        self.lanes.num_memory_lanes()
     }
 
     /// Runs one query across disk + RAM. Equivalent to
     /// [`Self::search_governed`] with an unlimited budget.
     pub fn search(&self, query: &[TokenId], theta: f64) -> Result<SearchOutcome, QueryError> {
-        self.search_governed(query, theta, &QueryBudget::unlimited())
+        self.lanes.search(query, theta)
     }
 
-    /// [`Self::search`] under a budget. The budget is shared across lanes
-    /// (the deadline naturally; work caps are charged per lane). A tripped
-    /// lane stops the merge, so the partial carried in
-    /// [`QueryError::BudgetExceeded`] is a sound global-text-order prefix —
-    /// the same contract the sharded scatter gives.
+    /// [`Self::search`] under a budget, split across every lane that
+    /// searches — disk and memory alike. A tripped lane stops the merge,
+    /// so the partial carried in [`QueryError::BudgetExceeded`] is a sound
+    /// global-text-order prefix.
     pub fn search_governed(
         &self,
         query: &[TokenId],
         theta: f64,
         budget: &QueryBudget,
     ) -> Result<SearchOutcome, QueryError> {
-        let started = Instant::now();
-        let mut merged: Option<SearchOutcome> = None;
-        let mut tripped: Option<Resource> = None;
-
-        if let Some(disk) = &self.disk {
-            match disk.search_governed(query, theta, budget) {
-                Ok(outcome) => merged = Some(outcome),
-                Err(QueryError::BudgetExceeded { resource, partial }) => {
-                    merged = Some(*partial);
-                    tripped = Some(resource);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-
-        if tripped.is_none() {
-            for lane in &self.lanes {
-                let (mut outcome, resource) =
-                    match lane.searcher.search_governed(query, theta, budget) {
-                        Ok(o) => (o, None),
-                        Err(QueryError::BudgetExceeded { resource, partial }) => {
-                            (*partial, Some(resource))
-                        }
-                        Err(e) => return Err(e),
-                    };
-                let base = lane.base as u32;
-                for m in &mut outcome.matches {
-                    m.text += base;
-                }
-                merged = Some(match merged.take() {
-                    None => outcome,
-                    Some(mut acc) => {
-                        acc.matches.append(&mut outcome.matches);
-                        accumulate_stats(&mut acc.stats, &outcome.stats);
-                        acc.complete = acc.complete && outcome.complete;
-                        acc
-                    }
-                });
-                if resource.is_some() {
-                    tripped = resource;
-                    break;
-                }
-            }
-        }
-
-        let mut outcome = match merged {
-            Some(o) => o,
-            None => {
-                // No lane at all (fresh store, empty memtable): an empty but
-                // well-formed result — after validating the query the same
-                // way a real lane would.
-                if query.is_empty() {
-                    return Err(QueryError::EmptyQuery);
-                }
-                if !(theta > 0.0 && theta <= 1.0) {
-                    return Err(QueryError::BadThreshold(theta));
-                }
-                SearchOutcome {
-                    matches: Vec::new(),
-                    stats: Default::default(),
-                    beta: (self.k as f64 * theta).ceil() as usize,
-                    t: self.t,
-                    complete: true,
-                    degraded: Vec::new(),
-                }
-            }
-        };
-        outcome.stats.total = started.elapsed();
-        match tripped {
-            None => Ok(outcome),
-            Some(resource) => {
-                outcome.complete = false;
-                Err(QueryError::BudgetExceeded {
-                    resource,
-                    partial: Box::new(outcome),
-                })
-            }
-        }
+        self.lanes.search_governed(query, theta, budget)
     }
 
-    /// Ranks an outcome's matches. Ranking depends only on the shared
-    /// configuration, so any lane's searcher ranks the merged (global-id)
-    /// outcome.
+    /// Ranks an outcome's matches by best collision count.
     pub fn rank(&self, outcome: &SearchOutcome, limit: usize) -> Vec<RankedMatch> {
-        if let Some(disk) = &self.disk {
-            return disk.rank(outcome, limit);
-        }
-        if let Some(lane) = self.lanes.first() {
-            return lane.searcher.rank(outcome, limit);
-        }
-        Vec::new()
+        self.lanes.rank(outcome, limit)
     }
 }

@@ -32,6 +32,15 @@ pub enum PrefixFilter {
     Adaptive,
 }
 
+impl Default for PrefixFilter {
+    /// The top 5% of each function's lists are long: the low end of the
+    /// paper's Figure 3(d) sweep and what every ledger number is measured
+    /// with. Every entry point that does not name a filter uses this.
+    fn default() -> Self {
+        PrefixFilter::FrequentFraction(0.05)
+    }
+}
+
 /// The `FrequentFraction` long-list cutoff for one hash function: walk the
 /// list-length histogram `hist` (ascending `(length, count)` pairs) from
 /// the longest lists down until `⌊total × fraction⌋` lists are spent;
@@ -107,6 +116,34 @@ pub struct QueryStats {
     pub candidate_texts: usize,
     /// Texts with at least one final near-duplicate sequence.
     pub matched_texts: usize,
+}
+
+impl QueryStats {
+    /// Adds `other` into `self`, field by field: the one place stats are
+    /// summed, for the lanes of a scatter and the queries of a batch
+    /// profile alike. A caller that times the whole itself (the
+    /// scatter–merge: its lanes run concurrently) overwrites `total`.
+    pub fn accumulate(&mut self, other: &QueryStats) {
+        self.total += other.total;
+        self.io_time += other.io_time;
+        self.io_bytes += other.io_bytes;
+        self.cache_hits += other.cache_hits;
+        self.cache_misses += other.cache_misses;
+        self.cpu_time += other.cpu_time;
+        self.zone_hits += other.zone_hits;
+        self.zone_misses += other.zone_misses;
+        self.stage_sketch += other.stage_sketch;
+        self.stage_plan += other.stage_plan;
+        self.stage_gather += other.stage_gather;
+        self.stage_count += other.stage_count;
+        self.stage_probe += other.stage_probe;
+        self.lists_loaded += other.lists_loaded;
+        self.lists_long += other.lists_long;
+        self.long_probes += other.long_probes;
+        self.postings_read += other.postings_read;
+        self.candidate_texts += other.candidate_texts;
+        self.matched_texts += other.matched_texts;
+    }
 }
 
 /// All near-duplicate rectangles found in one text.
@@ -247,6 +284,30 @@ impl SearchOutcome {
     }
 }
 
+/// Ranks an outcome's matched texts by their best collision count out of
+/// `k` (ties by text id), truncated to `limit`. Ranking reads nothing but
+/// the outcome, so it is the same for one index, a lane set, or a served
+/// snapshot — whose `rank` methods all forward here.
+pub fn rank(outcome: &SearchOutcome, k: usize, limit: usize) -> Vec<RankedMatch> {
+    let mut ranked: Vec<RankedMatch> = outcome
+        .matches
+        .iter()
+        .map(|m| RankedMatch {
+            text: m.text,
+            collisions: m.best_collisions(),
+            estimated_similarity: m.best_collisions() as f64 / k as f64,
+            spans: m.merged_spans(outcome.t),
+        })
+        .collect();
+    ranked.sort_by(|a, b| {
+        b.collisions
+            .cmp(&a.collisions)
+            .then_with(|| a.text.cmp(&b.text))
+    });
+    ranked.truncate(limit);
+    ranked
+}
+
 /// The query processor. Holds the hash bank matching the index's
 /// configuration plus the per-function long-list cutoffs implied by the
 /// chosen [`PrefixFilter`].
@@ -307,11 +368,6 @@ impl<'a, I: IndexAccess + ?Sized> NearDupSearcher<'a, I> {
     /// The searcher's hash bank (shared with sketch-producing callers).
     pub fn hasher(&self) -> &MinHasher {
         &self.hasher
-    }
-
-    /// Registry handles shared with the batch engine (shed counter etc.).
-    pub(crate) fn metrics(&self) -> &crate::metrics::QueryMetrics {
-        &self.metrics
     }
 
     /// Runs Algorithm 3: finds all sequences (length ≥ t) colliding with
@@ -681,24 +737,7 @@ impl<'a, I: IndexAccess + ?Sized> NearDupSearcher<'a, I> {
     /// Ranks an already-computed outcome (lets callers keep the outcome's
     /// [`QueryStats`] — e.g. for `--profile` — without searching twice).
     pub fn rank(&self, outcome: &SearchOutcome, limit: usize) -> Vec<RankedMatch> {
-        let k = self.hasher.k() as f64;
-        let mut ranked: Vec<RankedMatch> = outcome
-            .matches
-            .iter()
-            .map(|m| RankedMatch {
-                text: m.text,
-                collisions: m.best_collisions(),
-                estimated_similarity: m.best_collisions() as f64 / k,
-                spans: m.merged_spans(outcome.t),
-            })
-            .collect();
-        ranked.sort_by(|a, b| {
-            b.collisions
-                .cmp(&a.collisions)
-                .then_with(|| a.text.cmp(&b.text))
-        });
-        ranked.truncate(limit);
-        ranked
+        rank(outcome, self.hasher.k(), limit)
     }
 
     /// Definition 1 mode: runs the approximate search, then verifies each

@@ -1,16 +1,17 @@
 //! Hot-swappable serving: queries against a generational index store —
 //! sharded or not — with zero-downtime `reload()`.
 //!
-//! [`crate::BatchSearcher`] borrows its index for a lifetime, which is the
-//! right shape for one-shot evaluation runs but cannot swap the index out
-//! from under live traffic. [`ServingIndex`] closes that gap: it owns the
-//! current view behind an `Arc` and re-resolves the store on
+//! A searcher borrows its index for a lifetime, which is the right shape
+//! for one-shot evaluation runs but cannot swap the index out from under
+//! live traffic. [`ServingIndex`] closes that gap: it owns the current
+//! view behind an `Arc` and re-resolves the store on
 //! [`ServingIndex::reload`]. The view is a [`ShardedIndex`] — a plain
 //! directory or unsharded generation store is simply the single-shard
 //! special case — so the whole serving stack handles sharded stores
-//! through one path. Queries *pin* a snapshot for their entire execution —
-//! a batch runs start to finish against one view, so no query ever
-//! observes postings from two generations **or from two manifest
+//! through one path. Queries *pin* a snapshot for their entire execution
+//! (`serving.snapshot().searcher()?…`: the lane set borrows the pinned
+//! `Arc`) — a batch runs start to finish against one view, so no query
+//! ever observes postings from two generations **or from two manifest
 //! generations of a sharded store** — while new queries arriving after a
 //! reload see the new view immediately. The old view's memory and file
 //! handles drop when its last in-flight query finishes (plain `Arc`
@@ -35,13 +36,10 @@
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, RwLock};
 
-use ndss_hash::TokenId;
-use ndss_index::generation::{parse_generation_name, resolve_index_dir};
-use ndss_index::{CacheConfig, ReadOptions, ShardedStore};
+use ndss_index::{CacheConfig, ReadOptions};
 
 use crate::breaker::BreakerConfig;
-use crate::search::{PrefixFilter, SearchOutcome};
-use crate::sharded::ShardedIndex;
+use crate::sharded::{generation_of, resolve_view, ShardedIndex};
 use crate::QueryError;
 
 /// Everything [`ServingIndex`] needs to (re)open a view: cache sizing,
@@ -57,17 +55,6 @@ pub struct ServingOptions {
     pub breaker: BreakerConfig,
 }
 
-struct ServingState {
-    view: Arc<ShardedIndex>,
-    /// Directories the current view was opened from, in shard order
-    /// (identity for change detection on reload).
-    dirs: Vec<PathBuf>,
-    /// View generation: the manifest generation when serving a sharded
-    /// store, the generation number when serving an unsharded store,
-    /// `None` for a plain index directory.
-    generation: Option<u64>,
-}
-
 /// An index handle that can be atomically re-pointed at a new view (a new
 /// generation, or a new manifest generation of a sharded store) while
 /// queries are in flight.
@@ -76,7 +63,10 @@ pub struct ServingIndex {
     /// directory) reloads re-resolve.
     path: PathBuf,
     options: ServingOptions,
-    state: RwLock<ServingState>,
+    /// The view new queries pin. It carries its own identity (directories
+    /// and view generation), so a pinned `Arc` and the generation reported
+    /// for it can never disagree, whatever reload lands in between.
+    view: RwLock<Arc<ShardedIndex>>,
     generation_gauge: ndss_obs::Gauge,
     reload_counter: ndss_obs::Counter,
 }
@@ -86,7 +76,7 @@ impl ServingIndex {
     /// served), a generation store (its `CURRENT` generation), or a plain
     /// index directory.
     pub fn open(path: &Path) -> Result<Self, QueryError> {
-        Self::open_with_cache(path, CacheConfig::default())
+        Self::open_with_options(path, ServingOptions::default())
     }
 
     /// [`Self::open`] with explicit cache sizing. Each generation (of each
@@ -107,102 +97,42 @@ impl ServingIndex {
     /// opens, including across reloads.
     pub fn open_with_options(path: &Path, options: ServingOptions) -> Result<Self, QueryError> {
         let reg = ndss_obs::Registry::global();
-        let generation_gauge = reg.gauge(
-            "index.generation",
-            "view generation currently being served (manifest generation for sharded \
-             stores; 0 for a plain index directory)",
-        );
-        let reload_counter = reg.counter(
-            "index.reloads",
-            "completed hot swaps to a new index generation",
-        );
-        let state = Self::load_state(path, &options)?;
-        generation_gauge.set(gauge_value(state.generation));
-        publish_shard_gauges(&state);
-        Ok(Self {
+        let serving = Self {
+            view: RwLock::new(Arc::new(ShardedIndex::open_with(path, &options)?)),
             path: path.to_path_buf(),
             options,
-            state: RwLock::new(state),
-            generation_gauge,
-            reload_counter,
-        })
-    }
-
-    /// Resolves the identity of the view `path` currently points at,
-    /// without opening any index: the ordered serving directories plus the
-    /// view generation. For a sharded store both come from the single
-    /// checksummed `MANIFEST`, so the tuple is always a consistent
-    /// cross-shard cut.
-    fn resolve_view(path: &Path) -> Result<(Vec<PathBuf>, Option<u64>), QueryError> {
-        if ShardedStore::is_sharded(path) {
-            let store = ShardedStore::open(path)?;
-            let mut dirs = Vec::with_capacity(store.num_shards());
-            for i in 0..store.num_shards() {
-                dirs.push(store.serving_dir(i)?);
-            }
-            Ok((dirs, Some(store.manifest().generation)))
-        } else {
-            let dir = resolve_index_dir(path);
-            let generation = dir
-                .file_name()
-                .and_then(|n| n.to_str())
-                .and_then(parse_generation_name);
-            Ok((vec![dir], generation))
-        }
-    }
-
-    fn load_state(path: &Path, options: &ServingOptions) -> Result<ServingState, QueryError> {
-        let (dirs, generation) = Self::resolve_view(path)?;
-        let view = Arc::new(ShardedIndex::open_full(
-            path,
-            options.cache,
-            options.io.clone(),
-            options.breaker.clone(),
-        )?);
-        Ok(ServingState {
-            view,
-            dirs,
-            generation,
-        })
+            generation_gauge: reg.gauge(
+                "index.generation",
+                "view generation currently being served (manifest generation for sharded \
+                 stores; 0 for a plain index directory)",
+            ),
+            reload_counter: reg.counter(
+                "index.reloads",
+                "completed hot swaps to a new index generation",
+            ),
+        };
+        serving.publish_gauges(&serving.snapshot());
+        Ok(serving)
     }
 
     /// The snapshot new queries would use right now. Callers hold the `Arc`
     /// for the duration of a query (or batch), pinning that view — a
-    /// concurrent reload never changes an execution in progress.
+    /// concurrent reload never changes an execution in progress — and read
+    /// the generation that served them from the snapshot itself
+    /// ([`ShardedIndex::generation`]).
     pub fn snapshot(&self) -> Arc<ShardedIndex> {
-        self.state.read().unwrap().view.clone()
-    }
-
-    /// The snapshot *and* its view generation, read under one lock
-    /// acquisition: the pair is guaranteed consistent even when a reload
-    /// lands between a caller's two method calls. Network responses that
-    /// report which generation served them must use this, not separate
-    /// `generation()` + `snapshot()` reads.
-    pub fn pinned(&self) -> (Arc<ShardedIndex>, Option<u64>) {
-        let state = self.state.read().unwrap();
-        (state.view.clone(), state.generation)
+        self.view.read().expect("view lock poisoned").clone()
     }
 
     /// The view generation being served (`None` for a plain directory).
     pub fn generation(&self) -> Option<u64> {
-        self.state.read().unwrap().generation
+        self.snapshot().generation()
     }
 
     /// The store root this handle re-resolves on every reload (health
     /// probers re-verify quarantined shards against it).
     pub fn store_path(&self) -> &Path {
         &self.path
-    }
-
-    /// The directory the serving snapshot was opened from (first shard's
-    /// for a sharded store; see [`Self::serving_dirs`]).
-    pub fn serving_dir(&self) -> PathBuf {
-        self.state.read().unwrap().dirs[0].clone()
-    }
-
-    /// Every directory of the serving view, in shard order.
-    pub fn serving_dirs(&self) -> Vec<PathBuf> {
-        self.state.read().unwrap().dirs.clone()
     }
 
     /// Re-resolves the store (manifest or `CURRENT` pointer) and, if the
@@ -230,16 +160,13 @@ impl ServingIndex {
         // takes an explicit publish/rollback, so in practice this loop runs
         // once (twice under an actively racing reload).
         for _ in 0..RELOAD_ATTEMPTS {
-            let target = Self::resolve_view(&self.path)?;
-            {
-                let state = self.state.read().unwrap();
-                if (state.dirs.as_slice(), state.generation) == (target.0.as_slice(), target.1) {
-                    return Ok(false);
-                }
+            let target = resolve_view(&self.path)?;
+            if self.snapshot().is_view(&target) {
+                return Ok(false);
             }
-            let fresh = Self::load_state(&self.path, &self.options)?;
+            let fresh = Arc::new(ShardedIndex::open_view(target, &self.options)?);
             in_window();
-            let mut state = self.state.write().unwrap();
+            let mut view = self.view.write().expect("view lock poisoned");
             // Re-resolved under the write lock: between our open and this
             // lock a concurrent reload may have swapped a *newer* view in
             // (and a concurrent publish may have moved the manifest again).
@@ -247,18 +174,16 @@ impl ServingIndex {
             // stale open must never overwrite a newer swap with an older
             // view. A deliberate rollback still reloads: there the store
             // genuinely names the older generation.
-            let now = Self::resolve_view(&self.path)?;
-            if (state.dirs.as_slice(), state.generation) == (now.0.as_slice(), now.1) {
+            let now = resolve_view(&self.path)?;
+            if view.is_view(&now) {
                 return Ok(false);
             }
-            if (fresh.dirs.as_slice(), fresh.generation) != (now.0.as_slice(), now.1) {
+            if !fresh.is_view(&now) {
                 // Our open is stale; re-resolve and try again.
                 continue;
             }
-            let generation = fresh.generation;
-            publish_shard_gauges(&fresh);
-            *state = fresh;
-            self.generation_gauge.set(gauge_value(generation));
+            self.publish_gauges(&fresh);
+            *view = fresh;
             self.reload_counter.inc(1);
             return Ok(true);
         }
@@ -276,13 +201,32 @@ impl ServingIndex {
     /// with any reload. Fails without touching serving if any shard fails
     /// to open.
     pub fn force_reload(&self) -> Result<(), QueryError> {
-        let fresh = Self::load_state(&self.path, &self.options)?;
-        let generation = fresh.generation;
-        publish_shard_gauges(&fresh);
-        *self.state.write().unwrap() = fresh;
-        self.generation_gauge.set(gauge_value(generation));
+        let fresh = Arc::new(ShardedIndex::open_with(&self.path, &self.options)?);
+        self.publish_gauges(&fresh);
+        *self.view.write().expect("view lock poisoned") = fresh;
         self.reload_counter.inc(1);
         Ok(())
+    }
+
+    /// Exports `index.generation`, and for a multi-shard view
+    /// `index.shard.generation{shard="N"}` per shard: its own serving
+    /// `gen-NNNN` number, parsed from the directory the manifest named
+    /// (single-shard views keep the exposition clean and use only the
+    /// unlabeled gauge).
+    fn publish_gauges(&self, view: &ShardedIndex) {
+        self.generation_gauge.set(gauge_value(view.generation()));
+        if view.num_shards() <= 1 {
+            return;
+        }
+        let reg = ndss_obs::Registry::global();
+        for (i, dir) in view.dirs().enumerate() {
+            reg.gauge_with_labels(
+                "index.shard.generation",
+                "generation number each shard of the serving view is on",
+                &[("shard", &i.to_string())],
+            )
+            .set(gauge_value(generation_of(dir)));
+        }
     }
 }
 
@@ -295,122 +239,4 @@ const RELOAD_ATTEMPTS: usize = 8;
 /// numbers beyond it.
 fn gauge_value(generation: Option<u64>) -> i64 {
     generation.unwrap_or(0).min(i64::MAX as u64) as i64
-}
-
-/// Exports `index.shard.generation{shard="N"}` for every shard of a
-/// multi-shard view (single-shard views keep the exposition clean and use
-/// only the unlabeled `index.generation`). Each shard's value is its own
-/// serving `gen-NNNN` number, parsed from the directory the manifest named.
-fn publish_shard_gauges(state: &ServingState) {
-    if state.dirs.len() <= 1 {
-        return;
-    }
-    let reg = ndss_obs::Registry::global();
-    for (i, dir) in state.dirs.iter().enumerate() {
-        let generation = dir
-            .file_name()
-            .and_then(|n| n.to_str())
-            .and_then(parse_generation_name);
-        let shard = i.to_string();
-        reg.gauge_with_labels(
-            "index.shard.generation",
-            "generation number each shard of the serving view is on",
-            &[("shard", &shard)],
-        )
-        .set(gauge_value(generation));
-    }
-}
-
-/// A long-lived searcher over a [`ServingIndex`]: the owning counterpart of
-/// [`crate::BatchSearcher`], safe to keep across generation swaps.
-///
-/// Every call pins one snapshot for its whole execution, so a batch's
-/// results are bit-identical to running it against whichever view was
-/// current when the call started — reloads concurrent with the batch take
-/// effect for the *next* call.
-pub struct ServingSearcher {
-    index: Arc<ServingIndex>,
-    filter: PrefixFilter,
-    threads: usize,
-}
-
-impl ServingSearcher {
-    /// A serving searcher with prefix filtering disabled.
-    pub fn new(index: Arc<ServingIndex>) -> Self {
-        Self::with_prefix_filter(index, PrefixFilter::Disabled)
-    }
-
-    /// A serving searcher with the given prefix-filtering policy.
-    pub fn with_prefix_filter(index: Arc<ServingIndex>, filter: PrefixFilter) -> Self {
-        Self {
-            index,
-            filter,
-            threads: ndss_parallel::default_threads(),
-        }
-    }
-
-    /// Pins the worker-thread count for scatter and batch calls.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// The underlying serving index (for `snapshot()` / `generation()`).
-    pub fn index(&self) -> &Arc<ServingIndex> {
-        &self.index
-    }
-
-    /// Hot-swaps to the store's current view; see [`ServingIndex::reload`].
-    pub fn reload(&self) -> Result<bool, QueryError> {
-        self.index.reload()
-    }
-
-    /// Runs one query at threshold `theta` against the current view.
-    pub fn search(&self, query: &[TokenId], theta: f64) -> Result<SearchOutcome, QueryError> {
-        self.search_governed(query, theta, &crate::QueryBudget::unlimited())
-    }
-
-    /// [`Self::search`] under a per-query [`crate::QueryBudget`] — the shape
-    /// a network front door needs: every request pins one view and carries
-    /// its own deadline/IO/result caps, split across shards by the
-    /// scatter-gather layer.
-    pub fn search_governed(
-        &self,
-        query: &[TokenId],
-        theta: f64,
-        budget: &crate::QueryBudget,
-    ) -> Result<SearchOutcome, QueryError> {
-        let snapshot = self.index.snapshot();
-        let searcher = snapshot
-            .searcher_with_filter(self.filter)?
-            .threads(self.threads);
-        searcher.search_governed(query, theta, budget)
-    }
-
-    /// Ranks an outcome's matches (merged spans, best collision counts)
-    /// against the current view's configuration.
-    pub fn rank(
-        &self,
-        outcome: &SearchOutcome,
-        limit: usize,
-    ) -> Result<Vec<crate::RankedMatch>, QueryError> {
-        let snapshot = self.index.snapshot();
-        let searcher = snapshot.searcher_with_filter(self.filter)?;
-        Ok(searcher.rank(outcome, limit))
-    }
-
-    /// Runs every query at threshold `theta`, all against the single view
-    /// that was current when the call started; `results[i]` corresponds to
-    /// `queries[i]`.
-    pub fn search_all(
-        &self,
-        queries: &[Vec<TokenId>],
-        theta: f64,
-    ) -> Result<Vec<SearchOutcome>, QueryError> {
-        let snapshot = self.index.snapshot();
-        let searcher = snapshot
-            .searcher_with_filter(self.filter)?
-            .threads(self.threads);
-        searcher.search_all(queries, theta)
-    }
 }

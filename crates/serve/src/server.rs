@@ -137,7 +137,7 @@ impl Default for ServeConfig {
             default_deadline: None,
             max_body_bytes: 16 << 20,
             idle_poll: Duration::from_millis(25),
-            filter: PrefixFilter::Adaptive,
+            filter: PrefixFilter::default(),
             cache: CacheConfig::default(),
             metrics_out: None,
             probe_interval: Some(Duration::from_secs(1)),
@@ -1277,9 +1277,9 @@ fn execute_admitted(shared: &Shared, parsed: &ParsedSearch) -> Result<SearchRepl
         budget = budget.max_result_matches(m);
     }
 
-    // One lock read yields both the view and its generation, so the reply
-    // always reports exactly the manifest generation its results came from
-    // — a reload racing this request can never produce a torn pairing.
+    // The pinned view carries its own generation, so the reply always
+    // reports exactly the manifest generation its results came from — a
+    // reload racing this request can never produce a torn pairing.
     //
     // With ingest enabled, the pin happens *under* the memtable lock, and
     // a view that lags the store's published coverage is reloaded first.
@@ -1290,52 +1290,42 @@ fn execute_admitted(shared: &Shared, parsed: &ParsedSearch) -> Result<SearchRepl
     // compaction published but its hot-swap failed or hasn't landed. The
     // per-segment exactness rule (overlay a segment iff its base is ≥ the
     // snapshot's text count) lives in `OverlaySearcher::push_segment`.
-    let (outcome, exhausted, matches, generation) = if let Some(ingest) = &shared.ingest {
-        let guard = ingest.lock().unwrap();
-        let (mut snapshot, mut generation) = shared.serving.pinned();
-        if (snapshot.num_texts() as u64) < guard.covered() {
-            shared
-                .serving
-                .reload()
-                .map_err(|e| SearchFail::Internal(e.to_string()))?;
-            (snapshot, generation) = shared.serving.pinned();
-        }
-        let searcher = snapshot
-            .searcher_with_filter(shared.config.filter)
-            .map_err(|e| SearchFail::Internal(e.to_string()))?
-            .fault_policy(FaultPolicy::Isolate);
-        let (k, t) = {
-            let cfg = snapshot.config();
-            (cfg.k, cfg.t as u32)
-        };
-        let mut overlay = OverlaySearcher::new(Some(searcher), snapshot.num_texts() as u64, k, t);
-        for segment in guard.segments() {
-            overlay
-                .push_segment(segment)
-                .map_err(|e| SearchFail::Internal(e.to_string()))?;
-        }
-        let (outcome, exhausted) = map_search_result(
-            shared,
-            overlay.search_governed(&parsed.query, parsed.theta, &budget),
-        )?;
-        let matches = overlay.rank(&outcome, parsed.top);
-        (outcome, exhausted, matches, generation.unwrap_or(0))
-    } else {
-        // Serving runs under the isolating fault policy: a sick shard is
-        // contained by its circuit breaker and reported as a degraded
-        // range instead of failing the whole request.
-        let (snapshot, generation) = shared.serving.pinned();
-        let searcher = snapshot
-            .searcher_with_filter(shared.config.filter)
-            .map_err(|e| SearchFail::Internal(e.to_string()))?
-            .fault_policy(FaultPolicy::Isolate);
-        let (outcome, exhausted) = map_search_result(
-            shared,
-            searcher.search_governed(&parsed.query, parsed.theta, &budget),
-        )?;
-        let matches = searcher.rank(&outcome, parsed.top);
-        (outcome, exhausted, matches, generation.unwrap_or(0))
-    };
+    let internal = |e: QueryError| SearchFail::Internal(e.to_string());
+    let memtable = shared
+        .ingest
+        .as_ref()
+        .map(|ingest| ingest.lock().expect("memtable lock poisoned"));
+    let mut snapshot = shared.serving.snapshot();
+    if memtable
+        .as_ref()
+        .is_some_and(|m| (snapshot.num_texts() as u64) < m.covered())
+    {
+        shared.serving.reload().map_err(internal)?;
+        snapshot = shared.serving.snapshot();
+    }
+    // Serving runs under the isolating fault policy: a sick shard is
+    // contained by its circuit breaker and reported as a degraded range
+    // instead of failing the whole request.
+    let disk = snapshot
+        .searcher_with_filter(shared.config.filter)
+        .map_err(internal)?
+        .fault_policy(FaultPolicy::Isolate);
+    let config = snapshot.config();
+    let mut lanes = OverlaySearcher::new(
+        Some(disk),
+        snapshot.num_texts() as u64,
+        config.k,
+        config.t as u32,
+    );
+    for segment in memtable.iter().flat_map(|m| m.segments()) {
+        lanes.push_segment(segment).map_err(internal)?;
+    }
+    let (outcome, exhausted) = map_search_result(
+        shared,
+        lanes.search_governed(&parsed.query, parsed.theta, &budget),
+    )?;
+    let matches = lanes.rank(&outcome, parsed.top);
+    let generation = snapshot.generation().unwrap_or(0);
     if !outcome.degraded.is_empty() {
         shared.metrics.degraded.inc(1);
     }

@@ -73,7 +73,7 @@ fn main() {
         .take(50)
         .map(|p| corpus.sequence_to_vec(p.dst).unwrap())
         .collect();
-    let merged_index = CorpusIndex::open(&merged_dir, PrefixFilter::Adaptive).unwrap();
+    let merged_index = CorpusIndex::open(&merged_dir, PrefixFilter::default()).unwrap();
     let t = std::time::Instant::now();
     let merged_results = merged_index.search_many(&queries, 0.8).unwrap();
     let batch_time = t.elapsed();

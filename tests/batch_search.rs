@@ -5,13 +5,7 @@
 
 use ndss::index::CacheConfig;
 use ndss::prelude::*;
-
-fn temp_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("ndss_it_batch").join(name);
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+use ndss_integration::scratch;
 
 fn workload(seed: u64) -> (InMemoryCorpus, Vec<Vec<TokenId>>) {
     let (corpus, planted) = SyntheticCorpusBuilder::new(seed)
@@ -36,7 +30,7 @@ fn workload(seed: u64) -> (InMemoryCorpus, Vec<Vec<TokenId>>) {
 #[test]
 fn batch_results_identical_to_serial_on_disk_index() {
     let (corpus, queries) = workload(2024);
-    let dir = temp_dir("determinism");
+    let dir = scratch("batch", "determinism");
     ndss::index::build_and_write(&corpus, IndexConfig::new(16, 25, 5), &dir, true).unwrap();
     let index = DiskIndex::open(&dir).unwrap();
 
@@ -74,7 +68,7 @@ fn batch_results_identical_to_serial_on_disk_index() {
 #[test]
 fn per_query_io_sums_to_global_counters_without_bleed() {
     let (corpus, queries) = workload(2025);
-    let dir = temp_dir("attribution");
+    let dir = scratch("batch", "attribution");
     ndss::index::build_and_write(&corpus, IndexConfig::new(16, 25, 5), &dir, true).unwrap();
     let index = DiskIndex::open_with_cache(&dir, CacheConfig::disabled()).unwrap();
 
@@ -114,7 +108,7 @@ fn per_query_io_sums_to_global_counters_without_bleed() {
 #[test]
 fn warm_cache_cuts_io_and_reports_hits() {
     let (corpus, queries) = workload(2026);
-    let dir = temp_dir("warm_cache");
+    let dir = scratch("batch", "warm_cache");
     ndss::index::build_and_write(&corpus, IndexConfig::new(16, 25, 5), &dir, true).unwrap();
     let index = DiskIndex::open_with_cache(&dir, CacheConfig::default()).unwrap();
     let batch = BatchSearcher::new(&index).unwrap().threads(4);
@@ -144,7 +138,7 @@ fn warm_cache_cuts_io_and_reports_hits() {
 #[test]
 fn disabled_cache_never_hits_but_results_match() {
     let (corpus, queries) = workload(2027);
-    let dir = temp_dir("disabled_cache");
+    let dir = scratch("batch", "disabled_cache");
     ndss::index::build_and_write(&corpus, IndexConfig::new(16, 25, 5), &dir, true).unwrap();
 
     let cached = DiskIndex::open_with_cache(&dir, CacheConfig::default()).unwrap();

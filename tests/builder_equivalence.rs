@@ -6,13 +6,7 @@
 use ndss::corpus::disk::write_corpus;
 use ndss::index::{inv_file_path, write_memory_index};
 use ndss::prelude::*;
-
-fn temp_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("ndss_it_builders").join(name);
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+use ndss_integration::scratch;
 
 fn read_inv_files(dir: &std::path::Path, k: usize) -> Vec<Vec<u8>> {
     (0..k)
@@ -32,17 +26,17 @@ fn all_builders_byte_identical() {
     let k = config.k;
 
     // Path A: serial in-memory → disk.
-    let dir_a = temp_dir("serial");
+    let dir_a = scratch("builders", "serial");
     let mem = MemoryIndex::build(&corpus, config.clone()).unwrap();
     write_memory_index(&mem, &dir_a).unwrap();
 
     // Path B: parallel in-memory → disk.
-    let dir_b = temp_dir("parallel");
+    let dir_b = scratch("builders", "parallel");
     let mem_par = MemoryIndex::build_parallel(&corpus, config.clone()).unwrap();
     write_memory_index(&mem_par, &dir_b).unwrap();
 
     // Path C: external with tiny batches and a budget forcing recursion.
-    let dir_c = temp_dir("external");
+    let dir_c = scratch("builders", "external");
     ExternalIndexBuilder::new(config.clone())
         .batch_tokens(1000)
         .memory_budget(4 << 10)
@@ -51,7 +45,7 @@ fn all_builders_byte_identical() {
         .unwrap();
 
     // Path D: external, parallel, comfortable budget.
-    let dir_d = temp_dir("external_par");
+    let dir_d = scratch("builders", "external_par");
     ExternalIndexBuilder::new(config)
         .parallel(true)
         .build(&corpus, &dir_d)
@@ -82,12 +76,12 @@ fn disk_corpus_builds_the_same_index_as_memory_corpus() {
         .num_texts(40)
         .text_len(80, 200)
         .build();
-    let corpus_path = temp_dir("corpus").join("corpus.ndsc");
+    let corpus_path = scratch("builders", "corpus").join("corpus.ndsc");
     let disk_corpus = write_corpus(&mem_corpus, &corpus_path).unwrap();
 
     let config = IndexConfig::new(3, 20, 55);
-    let dir_mem = temp_dir("from_mem");
-    let dir_disk = temp_dir("from_disk");
+    let dir_mem = scratch("builders", "from_mem");
+    let dir_disk = scratch("builders", "from_disk");
     write_memory_index(
         &MemoryIndex::build(&mem_corpus, config.clone()).unwrap(),
         &dir_mem,
@@ -117,7 +111,7 @@ fn reopened_index_answers_identically() {
         .duplicates_per_text(1.0)
         .mutation_rate(0.03)
         .build();
-    let dir = temp_dir("reopen");
+    let dir = scratch("builders", "reopen");
     let params = SearchParams::new(8, 25, 77);
     let built = CorpusIndex::build_on_disk(&corpus, params, &dir).unwrap();
     let p = &planted[0];
@@ -162,7 +156,7 @@ fn index_size_respects_paper_bound() {
     ] {
         let corpus_bytes = corpus.total_tokens() as f64 * 4.0;
         for t in [25usize, 50, 100] {
-            let dir = temp_dir(&format!("size_{name}_t{t}"));
+            let dir = scratch("builders", &format!("size_{name}_t{t}"));
             let disk =
                 CorpusIndex::build_on_disk(corpus, SearchParams::new(2, t, 1), &dir).unwrap();
             let bound = 8.0 / t as f64;

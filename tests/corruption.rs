@@ -2,13 +2,7 @@
 //! must surface typed errors — never panics, never silently wrong results.
 
 use ndss::prelude::*;
-
-fn temp_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("ndss_it_corruption").join(name);
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+use ndss_integration::scratch;
 
 fn build_index(dir: &std::path::Path, compress: bool) {
     let (corpus, _) = SyntheticCorpusBuilder::new(161).num_texts(30).build();
@@ -20,7 +14,7 @@ fn build_index(dir: &std::path::Path, compress: bool) {
 #[test]
 fn truncated_index_file_is_rejected() {
     for compress in [false, true] {
-        let dir = temp_dir(&format!("trunc_{compress}"));
+        let dir = scratch("corruption", &format!("trunc_{compress}"));
         build_index(&dir, compress);
         let file = dir.join("inv_0.ndsi");
         let bytes = std::fs::read(&file).unwrap();
@@ -37,7 +31,7 @@ fn truncated_index_file_is_rejected() {
 
 #[test]
 fn flipped_magic_is_rejected() {
-    let dir = temp_dir("magic");
+    let dir = scratch("corruption", "magic");
     build_index(&dir, false);
     let file = dir.join("inv_1.ndsi");
     let mut bytes = std::fs::read(&file).unwrap();
@@ -49,7 +43,7 @@ fn flipped_magic_is_rejected() {
 
 #[test]
 fn unsupported_version_is_rejected() {
-    let dir = temp_dir("version");
+    let dir = scratch("corruption", "version");
     build_index(&dir, false);
     let file = dir.join("inv_0.ndsi");
     let mut bytes = std::fs::read(&file).unwrap();
@@ -62,7 +56,7 @@ fn unsupported_version_is_rejected() {
 
 #[test]
 fn missing_index_file_is_rejected() {
-    let dir = temp_dir("missing_file");
+    let dir = scratch("corruption", "missing_file");
     build_index(&dir, false);
     std::fs::remove_file(dir.join("inv_1.ndsi")).unwrap();
     assert!(CorpusIndex::open(&dir, PrefixFilter::Disabled).is_err());
@@ -73,7 +67,7 @@ fn missing_index_file_is_rejected() {
 fn swapped_function_files_are_rejected() {
     // inv_0 claims func 0 in its header; renaming inv_1 over it must be
     // caught, otherwise queries would silently hash with the wrong bank.
-    let dir = temp_dir("swapped");
+    let dir = scratch("corruption", "swapped");
     build_index(&dir, false);
     std::fs::remove_file(dir.join("inv_0.ndsi")).unwrap();
     std::fs::copy(dir.join("inv_1.ndsi"), dir.join("inv_0.ndsi")).unwrap();
@@ -84,7 +78,7 @@ fn swapped_function_files_are_rejected() {
 
 #[test]
 fn corrupt_meta_json_is_rejected() {
-    let dir = temp_dir("meta");
+    let dir = scratch("corruption", "meta");
     build_index(&dir, false);
     std::fs::write(dir.join("meta.json"), b"{ not json").unwrap();
     assert!(CorpusIndex::open(&dir, PrefixFilter::Disabled).is_err());
@@ -93,7 +87,7 @@ fn corrupt_meta_json_is_rejected() {
 
 #[test]
 fn truncated_corpus_is_rejected() {
-    let dir = temp_dir("corpus");
+    let dir = scratch("corruption", "corpus");
     let path = dir.join("c.ndsc");
     let (corpus, _) = SyntheticCorpusBuilder::new(162).num_texts(20).build();
     ndss::corpus::disk::write_corpus(&corpus, &path).unwrap();
@@ -105,7 +99,7 @@ fn truncated_corpus_is_rejected() {
 
 #[test]
 fn mangled_corpus_offsets_are_rejected() {
-    let dir = temp_dir("offsets");
+    let dir = scratch("corruption", "offsets");
     let path = dir.join("c.ndsc");
     let (corpus, _) = SyntheticCorpusBuilder::new(163).num_texts(5).build();
     ndss::corpus::disk::write_corpus(&corpus, &path).unwrap();
@@ -122,7 +116,7 @@ fn mangled_corpus_offsets_are_rejected() {
 fn old_meta_without_compress_field_still_opens() {
     // Forward compatibility: meta.json written before the `compress` field
     // existed must deserialize (serde default = false).
-    let dir = temp_dir("old_meta");
+    let dir = scratch("corruption", "old_meta");
     build_index(&dir, false);
     let meta = std::fs::read_to_string(dir.join("meta.json")).unwrap();
     let stripped: String = meta

@@ -20,13 +20,7 @@ use std::path::{Path, PathBuf};
 
 use ndss::index::{build_and_write, BuildJournal, ExternalIndexBuilder, KillPoints};
 use ndss::prelude::*;
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("ndss_it_crash").join(name);
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+use ndss_integration::{scratch, scratch_root};
 
 /// Every file under `dir` (recursively), relative path → contents.
 fn dir_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
@@ -103,7 +97,7 @@ fn external_build_sweep(compress: bool) {
     let corpus = small_corpus();
 
     // Uninterrupted reference build (journal on, like every real build).
-    let clean_dir = temp_dir(&format!("ext_{version}_clean"));
+    let clean_dir = scratch("crash", &format!("ext_{version}_clean"));
     builder(compress).build(&corpus, &clean_dir).unwrap();
     let reference = dir_files(&clean_dir);
     assert!(
@@ -114,7 +108,7 @@ fn external_build_sweep(compress: bool) {
     // Counting pass: learn how many crash sites this build exposes, and
     // check that the injector itself doesn't perturb the output.
     let count = KillPoints::count_only();
-    let count_dir = temp_dir(&format!("ext_{version}_count"));
+    let count_dir = scratch("crash", &format!("ext_{version}_count"));
     builder(compress)
         .kill_points(count.clone())
         .build(&corpus, &count_dir)
@@ -131,7 +125,7 @@ fn external_build_sweep(compress: bool) {
     assert_same_files(&format!("{version} counting pass"), &count_dir, &reference);
 
     let sweep = |crash_at: &dyn Fn() -> std::sync::Arc<KillPoints>, label: String| {
-        let dir = temp_dir(&format!("ext_{version}_sweep"));
+        let dir = scratch("crash", &format!("ext_{version}_sweep"));
         let kp = crash_at();
         let err = builder(compress)
             .kill_points(kp.clone())
@@ -162,10 +156,7 @@ fn external_build_sweep(compress: bool) {
     }
 
     for name in ["ext_{v}_clean", "ext_{v}_count", "ext_{v}_sweep"] {
-        let dir = std::env::temp_dir()
-            .join("ndss_it_crash")
-            .join(name.replace("{v}", version));
-        std::fs::remove_dir_all(dir).ok();
+        std::fs::remove_dir_all(scratch_root("crash").join(name.replace("{v}", version))).ok();
     }
 }
 
@@ -199,7 +190,7 @@ fn build_shards(compress: bool, root: &Path) -> (PathBuf, PathBuf) {
 
 fn merge_sweep(compress: bool) {
     let version = if compress { "v4" } else { "v3" };
-    let root = temp_dir(&format!("merge_{version}"));
+    let root = scratch("crash", &format!("merge_{version}"));
     let (dir_a, dir_b) = build_shards(compress, &root);
     let inputs: Vec<&Path> = vec![&dir_a, &dir_b];
 
@@ -274,7 +265,7 @@ fn merge_resumes_byte_identical_compressed() {
 #[test]
 fn resume_rejects_mismatched_parameters() {
     let corpus = small_corpus();
-    let dir = temp_dir("fingerprint");
+    let dir = scratch("crash", "fingerprint");
     builder(false)
         .kill_points(KillPoints::at_checkpoint(4))
         .build(&corpus, &dir)
@@ -299,11 +290,11 @@ fn resume_rejects_mismatched_parameters() {
 #[test]
 fn resume_without_journal_degrades_to_fresh_build() {
     let corpus = small_corpus();
-    let clean = temp_dir("fresh_clean");
+    let clean = scratch("crash", "fresh_clean");
     builder(false).build(&corpus, &clean).unwrap();
     let reference = dir_files(&clean);
 
-    let dir = temp_dir("fresh_resume");
+    let dir = scratch("crash", "fresh_resume");
     builder(false).resume(true).build(&corpus, &dir).unwrap();
     assert_same_files("resume with no journal", &dir, &reference);
     std::fs::remove_dir_all(&clean).ok();
@@ -313,7 +304,7 @@ fn resume_without_journal_degrades_to_fresh_build() {
 #[test]
 fn fresh_build_sweeps_crash_residue() {
     let corpus = small_corpus();
-    let dir = temp_dir("gc_residue");
+    let dir = scratch("crash", "gc_residue");
     // Crash a journaled build, leaving tmp_spill/ + build.journal behind.
     builder(false)
         .kill_points(KillPoints::at_checkpoint(3))
@@ -341,7 +332,7 @@ fn fresh_build_sweeps_crash_residue() {
 #[test]
 fn interrupted_build_is_reported_resumable_and_openable_after_resume() {
     let corpus = small_corpus();
-    let root = temp_dir("store_resume");
+    let root = scratch("crash", "store_resume");
     let store = GenerationStore::open(&root).unwrap();
     let gen_dir = store.allocate().unwrap();
     builder(false)
@@ -395,7 +386,7 @@ fn sharded_build_resumes_byte_identical_per_shard() {
     };
 
     // Uninterrupted reference build.
-    let clean_root = temp_dir("sharded_clean");
+    let clean_root = scratch("crash", "sharded_clean");
     build_sharded(
         &corpus,
         config(false),
@@ -416,7 +407,7 @@ fn sharded_build_resumes_byte_identical_per_shard() {
     // Counting pass: how many crash sites does the whole sharded build
     // expose? (The injector observes all three shards' builds in order.)
     let count = KillPoints::count_only();
-    let count_root = temp_dir("sharded_count");
+    let count_root = scratch("crash", "sharded_count");
     build_sharded(
         &corpus,
         config(false),
@@ -433,7 +424,7 @@ fn sharded_build_resumes_byte_identical_per_shard() {
     assert_same_files("sharded counting pass", &count_root, &reference);
 
     let sweep = |kp: std::sync::Arc<KillPoints>, label: String| {
-        let root = temp_dir("sharded_sweep");
+        let root = scratch("crash", "sharded_sweep");
         let err = build_sharded(
             &corpus,
             config(false),
@@ -472,7 +463,7 @@ fn sharded_build_resumes_byte_identical_per_shard() {
     }
 
     // Resuming with different build parameters must refuse, not guess.
-    let root = temp_dir("sharded_mismatch");
+    let root = scratch("crash", "sharded_mismatch");
     let kp = KillPoints::at_checkpoint(checkpoints / 2);
     build_sharded(
         &corpus,
@@ -491,7 +482,7 @@ fn sharded_build_resumes_byte_identical_per_shard() {
         "sharded_sweep",
         "sharded_mismatch",
     ] {
-        std::fs::remove_dir_all(std::env::temp_dir().join("ndss_it_crash").join(name)).ok();
+        std::fs::remove_dir_all(scratch_root("crash").join(name)).ok();
     }
 }
 
@@ -575,7 +566,7 @@ fn assert_current_matches(context: &str, root: &Path, reference: &Path) {
 #[test]
 fn ingest_recovers_the_acked_set_at_every_kill_point() {
     let texts = ingest_texts();
-    let ref_dir = temp_dir("ingest_ref");
+    let ref_dir = scratch("crash", "ingest_ref");
     let mem =
         MemoryIndex::build(&InMemoryCorpus::from_texts(texts.clone()), ingest_config()).unwrap();
     ndss::index::write_memory_index(&mem, &ref_dir).unwrap();
@@ -583,7 +574,7 @@ fn ingest_recovers_the_acked_set_at_every_kill_point() {
     // Counting pass: learn the crash-site count, and check the injector
     // itself doesn't perturb the converged store.
     let count = KillPoints::count_only();
-    let count_root = temp_dir("ingest_count");
+    let count_root = scratch("crash", "ingest_count");
     let mut acked = 0u64;
     drive_ingest(&count_root, &texts, Some(count.clone()), &mut acked).unwrap();
     assert_eq!(acked, texts.len() as u64);
@@ -599,7 +590,7 @@ fn ingest_recovers_the_acked_set_at_every_kill_point() {
     );
 
     let sweep = |kp: Arc<KillPoints>, label: String| {
-        let root = temp_dir("ingest_sweep");
+        let root = scratch("crash", "ingest_sweep");
         let mut acked = 0u64;
         let err = drive_ingest(&root, &texts, Some(kp.clone()), &mut acked)
             .expect_err(&format!("{label}: ingest must crash"));
@@ -659,7 +650,7 @@ fn ingest_recovers_the_acked_set_at_every_kill_point() {
         sweep(KillPoints::at_io(n), format!("ingest io {n}"));
     }
     for name in ["ingest_ref", "ingest_count", "ingest_sweep"] {
-        std::fs::remove_dir_all(std::env::temp_dir().join("ndss_it_crash").join(name)).ok();
+        std::fs::remove_dir_all(scratch_root("crash").join(name)).ok();
     }
 }
 
@@ -669,19 +660,19 @@ fn ingest_recovers_the_acked_set_at_every_kill_point() {
 #[test]
 fn ingest_survives_a_crash_during_recovery() {
     let texts = ingest_texts();
-    let ref_dir = temp_dir("ingest2_ref");
+    let ref_dir = scratch("crash", "ingest2_ref");
     let mem =
         MemoryIndex::build(&InMemoryCorpus::from_texts(texts.clone()), ingest_config()).unwrap();
     ndss::index::write_memory_index(&mem, &ref_dir).unwrap();
 
     let count = KillPoints::count_only();
-    let count_root = temp_dir("ingest2_count");
+    let count_root = scratch("crash", "ingest2_count");
     let mut acked = 0u64;
     drive_ingest(&count_root, &texts, Some(count.clone()), &mut acked).unwrap();
     let checkpoints = count.checkpoints_seen();
 
     for second in 0..3u64 {
-        let root = temp_dir("ingest2_sweep");
+        let root = scratch("crash", "ingest2_sweep");
         let mut first_acked = 0u64;
         drive_ingest(
             &root,
@@ -708,6 +699,6 @@ fn ingest_survives_a_crash_during_recovery() {
         assert_current_matches(&format!("double crash at {second}"), &root, &ref_dir);
     }
     for name in ["ingest2_ref", "ingest2_count", "ingest2_sweep"] {
-        std::fs::remove_dir_all(std::env::temp_dir().join("ndss_it_crash").join(name)).ok();
+        std::fs::remove_dir_all(scratch_root("crash").join(name)).ok();
     }
 }

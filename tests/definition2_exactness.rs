@@ -290,8 +290,7 @@ fn batch_equals_sequential_for_all_thread_counts() {
 fn format_v6_matches_v4_and_v3_cold_warm_mmap_threaded() {
     use ndss::index::ReadOptions;
 
-    let root = std::env::temp_dir().join("ndss_def2_format_equiv");
-    std::fs::remove_dir_all(&root).ok();
+    let root = ndss_integration::scratch("def2", "format_equiv");
 
     for (shape, corpus) in corpus_shapes() {
         let queries = grid_queries(&corpus);
@@ -352,8 +351,7 @@ fn format_v6_matches_v4_and_v3_cold_warm_mmap_threaded() {
 /// results, only IO counts.
 #[test]
 fn cached_and_cold_disk_reads_agree_with_memory() {
-    let dir = std::env::temp_dir().join("ndss_def2_cache_equiv");
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = ndss_integration::scratch("def2", "cache_equiv");
 
     let (_, corpus) = corpus_shapes().swap_remove(2); // tiny vocab: long lists
     let mem = MemoryIndex::build(&corpus, IndexConfig::new(6, 5, 0xD15C)).unwrap();

@@ -3,13 +3,7 @@
 //! truth and the exact-Jaccard oracle.
 
 use ndss::prelude::*;
-
-fn temp_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("ndss_it_e2e").join(name);
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+use ndss_integration::scratch;
 
 /// Every planted *exact* duplicate must be recovered at θ close to 1 when
 /// querying with the copy: min-hash collisions are deterministic for
@@ -84,9 +78,9 @@ fn all_paths_agree_on_results() {
         .build();
     let params = SearchParams::new(16, 20, 11);
     let mem = CorpusIndex::build_in_memory(&corpus, params.clone()).unwrap();
-    let d1 = temp_dir("disk");
+    let d1 = scratch("e2e", "disk");
     let disk = CorpusIndex::build_on_disk(&corpus, params.clone(), &d1).unwrap();
-    let d2 = temp_dir("ext");
+    let d2 = scratch("e2e", "ext");
     let ext = CorpusIndex::build_external(&corpus, params, &d2, 1 << 16).unwrap();
 
     let mem_s = mem.searcher().unwrap();
@@ -153,7 +147,7 @@ fn prefix_filtering_reduces_io() {
         .duplicates_per_text(1.0)
         .mutation_rate(0.02)
         .build();
-    let dir = temp_dir("io");
+    let dir = scratch("e2e", "io");
     let params = SearchParams::new(16, 20, 13).index_config(|c| c.zone_map(16, 64));
     let disk = CorpusIndex::build_on_disk(&corpus, params, &dir).unwrap();
 
@@ -194,8 +188,8 @@ fn compressed_index_is_transparent_to_search() {
         .duplicates_per_text(1.0)
         .mutation_rate(0.04)
         .build();
-    let d1 = temp_dir("v1");
-    let d2 = temp_dir("v2");
+    let d1 = scratch("e2e", "v1");
+    let d2 = scratch("e2e", "v2");
     let params = SearchParams::new(8, 20, 31);
     let plain = CorpusIndex::build_on_disk(&corpus, params.clone(), &d1).unwrap();
     let packed =

@@ -18,7 +18,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ndss::corpus::CorpusError;
@@ -27,6 +27,7 @@ use ndss::index::IndexError;
 use ndss::prelude::*;
 
 use ndss_integration::mutate::mutate;
+use ndss_integration::scratch;
 
 /// Tracks the largest single allocation requested anywhere in the process.
 /// A corrupted header must never translate into an OOM-sized allocation;
@@ -59,13 +60,6 @@ fn assert_alloc_cap(context: &str) {
     );
 }
 
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("ndss_it_faults").join(name);
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 // ---------------------------------------------------------------------------
 // Checksummed index formats: full open → verify → query pipeline.
 // ---------------------------------------------------------------------------
@@ -96,7 +90,7 @@ fn index_sweep(version: &str, seeds: u64) {
         "v6" => (false, true),
         other => panic!("unknown index format {other}"),
     };
-    let dir = temp_dir(&format!("index_{version}"));
+    let dir = scratch("faults", &format!("index_{version}"));
     let (corpus, planted) = SyntheticCorpusBuilder::new(41).num_texts(30).build();
     let params = SearchParams::new(2, 25, 5)
         .index_config(|c| c.compressed(compress).bit_packed(packed).zone_map(8, 16));
@@ -188,7 +182,7 @@ fn corpus_reads(path: &Path) -> Result<(u64, Vec<Vec<TokenId>>), String> {
 
 #[test]
 fn corpus_survives_mutation_sweep() {
-    let dir = temp_dir("corpus_v2");
+    let dir = scratch("faults", "corpus_v2");
     let path = dir.join("c.ndsc");
     let (corpus, _) = SyntheticCorpusBuilder::new(42).num_texts(25).build();
     ndss::corpus::disk::write_corpus(&corpus, &path).unwrap();
@@ -270,7 +264,7 @@ where
 
 #[test]
 fn pre_checksum_index_files_are_rejected() {
-    let dir = temp_dir("pre_checksum_index");
+    let dir = scratch("faults", "pre_checksum_index");
     let path = dir.join("inv_0.ndsi");
     for version in [1u32, 2] {
         let pristine = pre_checksum_file(b"NDSI", version, 48);
@@ -291,7 +285,7 @@ fn pre_checksum_index_files_are_rejected() {
 
 #[test]
 fn pre_checksum_corpus_file_is_rejected() {
-    let dir = temp_dir("pre_checksum_corpus");
+    let dir = scratch("faults", "pre_checksum_corpus");
     let path = dir.join("c.ndsc");
     let pristine = pre_checksum_file(b"NDSC", 1, 24);
     rejection_sweep(
@@ -335,7 +329,7 @@ fn run_sharded_queries(root: &Path, queries: &[Vec<TokenId>]) -> Result<Vec<SeqR
 /// store.
 #[test]
 fn sharded_store_rejects_single_shard_corruption() {
-    let root = temp_dir("sharded_shard0001");
+    let root = scratch("faults", "sharded_shard0001");
     let (corpus, planted) = SyntheticCorpusBuilder::new(43).num_texts(30).build();
     let config = IndexConfig::new(2, 25, 5).zone_map(8, 16);
     let store = build_sharded(&corpus, config, &root, 3, &ShardedBuildOptions::default()).unwrap();
@@ -405,7 +399,7 @@ fn sharded_store_rejects_single_shard_corruption() {
 /// up on a torn or tampered shard map.
 #[test]
 fn sharded_store_rejects_manifest_corruption() {
-    let root = temp_dir("sharded_manifest");
+    let root = scratch("faults", "sharded_manifest");
     let (corpus, planted) = SyntheticCorpusBuilder::new(44).num_texts(24).build();
     let config = IndexConfig::new(2, 25, 5);
     build_sharded(&corpus, config, &root, 3, &ShardedBuildOptions::default()).unwrap();
@@ -488,7 +482,7 @@ fn wal_recovered_texts(root: &Path) -> Result<Vec<Vec<TokenId>>, String> {
 /// OOM-sized allocation from an adversarial length field.
 #[test]
 fn ingest_wal_survives_mutation_sweep() {
-    let root = temp_dir("ingest_wal");
+    let root = scratch("faults", "ingest_wal");
     let (corpus, _) = SyntheticCorpusBuilder::new(45)
         .num_texts(10)
         .text_len(40, 80)
@@ -561,7 +555,7 @@ fn ingest_wal_survives_mutation_sweep() {
 /// WAL files from collection.
 #[test]
 fn memtable_manifest_rejects_corruption() {
-    let root = temp_dir("ingest_manifest");
+    let root = scratch("faults", "ingest_manifest");
     let opts = IngestOptions {
         fsync_every: 1,
         ..IngestOptions::default()

@@ -5,13 +5,7 @@
 
 use ndss::index::CacheConfig;
 use ndss::prelude::*;
-
-fn temp_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("ndss_it_governed").join(name);
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+use ndss_integration::scratch;
 
 fn workload(seed: u64) -> (InMemoryCorpus, Vec<Vec<TokenId>>) {
     let (corpus, planted) = SyntheticCorpusBuilder::new(seed)
@@ -46,7 +40,7 @@ fn build(corpus: &InMemoryCorpus, dir: &std::path::Path, compress: bool) {
 fn faulty_reads_yield_bit_identical_results() {
     let (corpus, queries) = workload(9001);
     for (compress, sub) in [(false, "v3"), (true, "v4")] {
-        let dir = temp_dir(&format!("flaky_{sub}"));
+        let dir = scratch("governed", &format!("flaky_{sub}"));
         build(&corpus, &dir, compress);
 
         let clean = DiskIndex::open_with_cache(&dir, CacheConfig::disabled()).unwrap();
@@ -97,7 +91,7 @@ fn faulty_reads_yield_bit_identical_results() {
 #[test]
 fn fault_injection_is_deterministic_across_runs() {
     let (corpus, queries) = workload(9002);
-    let dir = temp_dir("deterministic");
+    let dir = scratch("governed", "deterministic");
     build(&corpus, &dir, false);
 
     let run = |seed: u64| {
@@ -129,7 +123,7 @@ fn fault_injection_is_deterministic_across_runs() {
 #[test]
 fn permanently_failing_range_exhausts_retries() {
     let (corpus, _) = workload(9003);
-    let dir = temp_dir("exhaust");
+    let dir = scratch("governed", "exhaust");
     build(&corpus, &dir, false);
 
     let exhausted = Registry::global().counter("io.retry_exhausted", "");
@@ -153,7 +147,7 @@ fn permanently_failing_range_exhausts_retries() {
 #[test]
 fn isolate_confines_poison_fail_fast_aborts() {
     let (corpus, queries) = workload(9004);
-    let dir = temp_dir("isolate");
+    let dir = scratch("governed", "isolate");
     build(&corpus, &dir, false);
     let index = DiskIndex::open(&dir).unwrap();
 
@@ -169,7 +163,7 @@ fn isolate_confines_poison_fail_fast_aborts() {
     let results = BatchSearcher::new(&index)
         .unwrap()
         .threads(4)
-        .failure_policy(FailurePolicy::Isolate)
+        .governor(BatchGovernor::default().failure_policy(FailurePolicy::Isolate))
         .search_all_governed(&poisoned, 0.8);
     assert_eq!(results.len(), poisoned.len());
     let errors: Vec<usize> = results
@@ -203,7 +197,7 @@ fn isolate_confines_poison_fail_fast_aborts() {
 #[test]
 fn partial_outcomes_are_sound_prefixes() {
     let (corpus, queries) = workload(9005);
-    let dir = temp_dir("partial");
+    let dir = scratch("governed", "partial");
     build(&corpus, &dir, false);
     let index = DiskIndex::open(&dir).unwrap();
     let searcher = NearDupSearcher::new(&index).unwrap();
@@ -245,7 +239,7 @@ fn partial_outcomes_are_sound_prefixes() {
 #[test]
 fn zero_deadline_returns_empty_partial() {
     let (corpus, queries) = workload(9006);
-    let dir = temp_dir("deadline");
+    let dir = scratch("governed", "deadline");
     build(&corpus, &dir, false);
     let index = DiskIndex::open(&dir).unwrap();
     let searcher = NearDupSearcher::new(&index).unwrap();
@@ -267,7 +261,7 @@ fn zero_deadline_returns_empty_partial() {
 #[test]
 fn load_shedding_is_counted_and_admitted_queries_stay_exact() {
     let (corpus, queries) = workload(9007);
-    let dir = temp_dir("shed");
+    let dir = scratch("governed", "shed");
     build(&corpus, &dir, false);
     let index = DiskIndex::open(&dir).unwrap();
 
@@ -283,8 +277,11 @@ fn load_shedding_is_counted_and_admitted_queries_stay_exact() {
     let results = BatchSearcher::new(&index)
         .unwrap()
         .threads(4)
-        .failure_policy(FailurePolicy::Isolate)
-        .admission_cap(cap)
+        .governor(
+            BatchGovernor::default()
+                .failure_policy(FailurePolicy::Isolate)
+                .admission_cap(cap),
+        )
         .search_all_governed(&queries, 0.8);
     for (i, result) in results.iter().enumerate() {
         if i < cap {
@@ -312,8 +309,11 @@ fn load_shedding_is_counted_and_admitted_queries_stay_exact() {
     let results = BatchSearcher::new(&index)
         .unwrap()
         .threads(4)
-        .failure_policy(FailurePolicy::Isolate)
-        .batch_deadline(std::time::Duration::ZERO)
+        .governor(
+            BatchGovernor::default()
+                .failure_policy(FailurePolicy::Isolate)
+                .batch_deadline(std::time::Duration::ZERO),
+        )
         .search_all_governed(&queries, 0.8);
     // Pinned shape: a deadline shed is attributed to the batch deadline —
     // it must NOT masquerade as an admission-cap shed (the old behavior
@@ -336,7 +336,7 @@ fn load_shedding_is_counted_and_admitted_queries_stay_exact() {
 #[test]
 fn budgets_and_faults_compose() {
     let (corpus, queries) = workload(9008);
-    let dir = temp_dir("compose");
+    let dir = scratch("governed", "compose");
     build(&corpus, &dir, true);
 
     let clean = DiskIndex::open_with_cache(&dir, CacheConfig::disabled()).unwrap();
@@ -356,8 +356,11 @@ fn budgets_and_faults_compose() {
     let results = BatchSearcher::new(&flaky)
         .unwrap()
         .threads(4)
-        .failure_policy(FailurePolicy::Isolate)
-        .budget(QueryBudget::unlimited().max_candidates(2))
+        .governor(
+            BatchGovernor::default()
+                .failure_policy(FailurePolicy::Isolate)
+                .budget(QueryBudget::unlimited().max_candidates(2)),
+        )
         .search_all_governed(&queries, 0.8);
     for (i, result) in results.iter().enumerate() {
         match result {
@@ -390,7 +393,7 @@ fn trips_between_phases_return_only_verified_matches() {
         (true, false, "v4"),
         (false, true, "v6"),
     ] {
-        let dir = temp_dir(&format!("phases_{sub}"));
+        let dir = scratch("governed", &format!("phases_{sub}"));
         let config = IndexConfig::new(16, 25, 5)
             .zone_map(16, 64)
             .compressed(compress)

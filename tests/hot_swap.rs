@@ -12,19 +12,13 @@
 //!   of *one* generation (the one current when the batch started), never a
 //!   mix of two.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use ndss::index::build_and_write;
 use ndss::prelude::*;
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("ndss_it_hotswap").join(name);
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+use ndss_integration::scratch;
 
 fn config() -> IndexConfig {
     IndexConfig::new(8, 20, 13)
@@ -75,9 +69,26 @@ fn cold_results(dir: &Path, queries: &[Vec<u32>]) -> Vec<Vec<SeqRef>> {
         .collect()
 }
 
+/// One batch as the daemon serves it: pin the view current right now,
+/// derive its lane set, and run every query against that one pin.
+fn served_results(serving: &ServingIndex, queries: &[Vec<u32>]) -> Vec<Vec<SeqRef>> {
+    view_results(&serving.snapshot(), queries)
+}
+
+/// Batch results against one view.
+fn view_results(view: &ShardedIndex, queries: &[Vec<u32>]) -> Vec<Vec<SeqRef>> {
+    let searcher = view.searcher().unwrap().threads(2);
+    searcher
+        .search_all(queries, 0.8)
+        .unwrap()
+        .into_iter()
+        .map(|o| o.enumerate_all())
+        .collect()
+}
+
 #[test]
 fn publish_rollback_lifecycle() {
-    let root = temp_dir("lifecycle");
+    let root = scratch("hotswap", "lifecycle");
     let store = GenerationStore::open(&root).unwrap();
     let (a, _) = corpus_a();
 
@@ -131,7 +142,7 @@ fn publish_rollback_lifecycle() {
 
 #[test]
 fn current_pointer_is_never_torn_under_concurrent_reads() {
-    let root = temp_dir("torn");
+    let root = scratch("hotswap", "torn");
     let store = GenerationStore::open(&root).unwrap();
     let (a, _) = corpus_a();
     let g0 = build_generation(&store, &a);
@@ -173,7 +184,7 @@ fn current_pointer_is_never_torn_under_concurrent_reads() {
 
 #[test]
 fn reload_under_live_batch_queries_is_bit_identical_to_cold_open() {
-    let root = temp_dir("reload");
+    let root = scratch("hotswap", "reload");
     let store = GenerationStore::open(&root).unwrap();
     let (a, queries) = corpus_a();
     let b = corpus_b(&a, &queries);
@@ -194,16 +205,9 @@ fn reload_under_live_batch_queries_is_bit_identical_to_cold_open() {
             let queries = queries.clone();
             let done = done.clone();
             std::thread::spawn(move || {
-                let searcher = ServingSearcher::new(serving).threads(2);
                 let mut batches = Vec::new();
                 while !done.load(Ordering::Relaxed) {
-                    let outcome: Vec<Vec<SeqRef>> = searcher
-                        .search_all(&queries, 0.8)
-                        .unwrap()
-                        .into_iter()
-                        .map(|o| o.enumerate_all())
-                        .collect();
-                    batches.push(outcome);
+                    batches.push(served_results(&serving, &queries));
                 }
                 batches
             })
@@ -223,13 +227,7 @@ fn reload_under_live_batch_queries_is_bit_identical_to_cold_open() {
     assert!(!serving.reload().unwrap(), "no-op reload must not swap");
 
     // Let the workers observe the new generation, then stop them.
-    let searcher = ServingSearcher::new(serving.clone());
-    let after: Vec<Vec<SeqRef>> = searcher
-        .search_all(&queries, 0.8)
-        .unwrap()
-        .into_iter()
-        .map(|o| o.enumerate_all())
-        .collect();
+    let after = served_results(&serving, &queries);
     assert_eq!(
         after, ref_b,
         "post-swap queries must serve the new generation"
@@ -239,7 +237,8 @@ fn reload_under_live_batch_queries_is_bit_identical_to_cold_open() {
     // swapped-in generation plans from its own histograms, so the
     // long/short split (not only the results) equals a cold open's.
     let filter = PrefixFilter::FrequentFraction(0.2);
-    let swapped = ServingSearcher::with_prefix_filter(serving.clone(), filter);
+    let snapshot = serving.snapshot();
+    let swapped = snapshot.searcher_with_filter(filter).unwrap();
     let cold_index = DiskIndex::open(&resolve_index_dir(&root)).unwrap();
     let cold = NearDupSearcher::with_prefix_filter(&cold_index, filter).unwrap();
     let mut deferred = 0;
@@ -271,14 +270,18 @@ fn reload_under_live_batch_queries_is_bit_identical_to_cold_open() {
 
 #[test]
 fn serving_index_on_plain_directory() {
-    let dir = temp_dir("plain");
+    let dir = scratch("hotswap", "plain");
     let (a, queries) = corpus_a();
     build_and_write(&a, config(), &dir, true).unwrap();
     let serving = Arc::new(ServingIndex::open(&dir).unwrap());
     assert_eq!(serving.generation(), None);
     assert!(!serving.reload().unwrap(), "plain directory never swaps");
-    let searcher = ServingSearcher::new(serving);
-    let outcome = searcher.search(&queries[0], 0.8).unwrap();
+    let snapshot = serving.snapshot();
+    let outcome = snapshot
+        .searcher()
+        .unwrap()
+        .search(&queries[0], 0.8)
+        .unwrap();
     assert!(!outcome.matches.is_empty());
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -291,7 +294,7 @@ fn serving_index_on_plain_directory() {
 /// code this test fails: A overwrites gen 2 with gen 1.)
 #[test]
 fn racing_reload_never_swaps_in_a_stale_older_generation() {
-    let root = temp_dir("race");
+    let root = scratch("hotswap", "race");
     let store = GenerationStore::open(&root).unwrap();
     let (a, queries) = corpus_a();
     let b = corpus_b(&a, &queries);
@@ -330,13 +333,7 @@ fn racing_reload_never_swaps_in_a_stale_older_generation() {
         "stale reload regressed serving to an older generation"
     );
     let ref_g2 = cold_results(&resolve_index_dir(&root), &queries);
-    let searcher = ServingSearcher::new(serving.clone());
-    let live: Vec<Vec<SeqRef>> = searcher
-        .search_all(&queries, 0.8)
-        .unwrap()
-        .into_iter()
-        .map(|o| o.enumerate_all())
-        .collect();
+    let live = served_results(&serving, &queries);
     assert_eq!(live, ref_g2, "post-race queries must serve gen 2");
     // A must not claim a swap it did not perform.
     assert!(!swapped_a, "stale reload must not report a swap");
@@ -347,7 +344,7 @@ fn racing_reload_never_swaps_in_a_stale_older_generation() {
 /// older generation, `reload()` must follow it backwards.
 #[test]
 fn reload_follows_a_deliberate_rollback_to_an_older_generation() {
-    let root = temp_dir("rollback_reload");
+    let root = scratch("hotswap", "rollback_reload");
     let store = GenerationStore::open(&root).unwrap();
     let (a, queries) = corpus_a();
     let b = corpus_b(&a, &queries);
@@ -364,13 +361,7 @@ fn reload_follows_a_deliberate_rollback_to_an_older_generation() {
     assert_eq!(store.rollback(Some(&g0)).unwrap(), g0);
     assert!(serving.reload().unwrap(), "rollback must reload");
     assert_eq!(serving.generation(), Some(0));
-    let searcher = ServingSearcher::new(serving);
-    let live: Vec<Vec<SeqRef>> = searcher
-        .search_all(&queries, 0.8)
-        .unwrap()
-        .into_iter()
-        .map(|o| o.enumerate_all())
-        .collect();
+    let live = served_results(&serving, &queries);
     assert_eq!(live, ref_g0, "rolled-back serving must answer from gen 0");
     std::fs::remove_dir_all(&root).ok();
 }
@@ -391,14 +382,7 @@ fn corpus_b_shard1(a: &InMemoryCorpus, queries: &[Vec<u32>]) -> InMemoryCorpus {
 
 /// Cold-open reference over a sharded store's *current* manifest view.
 fn sharded_cold_results(root: &Path, queries: &[Vec<u32>]) -> Vec<Vec<SeqRef>> {
-    let view = ShardedIndex::open(root).unwrap();
-    let searcher = view.searcher().unwrap().threads(2);
-    searcher
-        .search_all(queries, 0.8)
-        .unwrap()
-        .into_iter()
-        .map(|o| o.enumerate_all())
-        .collect()
+    view_results(&ShardedIndex::open(root).unwrap(), queries)
 }
 
 /// Republishing one shard under live readers never yields a torn
@@ -408,7 +392,7 @@ fn sharded_cold_results(root: &Path, queries: &[Vec<u32>]) -> Vec<Vec<SeqRef>> {
 /// reader reports always matches the results it got.
 #[test]
 fn per_shard_publish_is_atomic_under_concurrent_readers() {
-    let root = temp_dir("sharded_swap");
+    let root = scratch("hotswap", "sharded_swap");
     let (a, queries) = corpus_a();
     let b = corpus_b_shard1(&a, &queries);
 
@@ -429,14 +413,9 @@ fn per_shard_publish_is_atomic_under_concurrent_readers() {
             std::thread::spawn(move || {
                 let mut observed: Vec<(u64, Vec<Vec<SeqRef>>)> = Vec::new();
                 while !done.load(Ordering::Relaxed) {
-                    let (snapshot, generation) = serving.pinned();
-                    let searcher = snapshot.searcher().unwrap().threads(2);
-                    let results: Vec<Vec<SeqRef>> = searcher
-                        .search_all(&queries, 0.8)
-                        .unwrap()
-                        .into_iter()
-                        .map(|o| o.enumerate_all())
-                        .collect();
+                    let snapshot = serving.snapshot();
+                    let generation = snapshot.generation();
+                    let results = view_results(&snapshot, &queries);
                     observed.push((generation.expect("sharded stores always have one"), results));
                 }
                 observed
@@ -511,7 +490,7 @@ fn per_shard_publish_is_atomic_under_concurrent_readers() {
 /// shard 1 rolled back, never through a mix.
 #[test]
 fn per_shard_rollback_restores_the_previous_view() {
-    let root = temp_dir("sharded_rollback");
+    let root = scratch("hotswap", "sharded_rollback");
     let (a, queries) = corpus_a();
     let b = corpus_b_shard1(&a, &queries);
 
@@ -544,13 +523,7 @@ fn per_shard_rollback_restores_the_previous_view() {
     assert_eq!(serving.generation(), Some(3));
 
     // The rolled-back view answers exactly like the original one.
-    let searcher = ServingSearcher::new(Arc::new(serving));
-    let live: Vec<Vec<SeqRef>> = searcher
-        .search_all(&queries, 0.8)
-        .unwrap()
-        .into_iter()
-        .map(|o| o.enumerate_all())
-        .collect();
+    let live = served_results(&serving, &queries);
     assert_eq!(live, ref_v1, "rollback must restore the original answers");
     std::fs::remove_dir_all(&root).ok();
 }

@@ -11,16 +11,12 @@
 //! silently dropped or double-counted cannot go unnoticed.
 
 use std::path::PathBuf;
+use std::time::Duration;
 
-use ndss::index::{IngestIndex, IngestOptions};
+use ndss::index::{CacheConfig, ChaosMode, ChaosPlan, IngestIndex, IngestOptions};
 use ndss::prelude::*;
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("ndss_it_overlay").join(name);
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+use ndss::query::{BreakerConfig, BreakerState, FaultPolicy};
+use ndss_integration::scratch;
 
 fn config(version: &str) -> IndexConfig {
     let (compress, packed) = match version {
@@ -32,6 +28,28 @@ fn config(version: &str) -> IndexConfig {
     IndexConfig::new(4, 15, 9)
         .compressed(compress)
         .bit_packed(packed)
+}
+
+/// The per-request view the daemon builds: the pinned disk view's lanes
+/// under the isolating policy, plus every memtable segment the view does
+/// not cover.
+fn overlay<'a>(
+    disk: &'a ShardedIndex,
+    ingest: &'a IngestIndex,
+    threads: usize,
+) -> OverlaySearcher<'a> {
+    let searcher = disk
+        .searcher()
+        .unwrap()
+        .threads(threads)
+        .fault_policy(FaultPolicy::Isolate);
+    let cfg = disk.config();
+    let mut overlay =
+        OverlaySearcher::new(Some(searcher), disk.num_texts() as u64, cfg.k, cfg.t as u32);
+    for segment in ingest.segments() {
+        overlay.push_segment(segment).unwrap();
+    }
+    overlay
 }
 
 fn overlay_grid(version: &str) {
@@ -46,7 +64,7 @@ fn overlay_grid(version: &str) {
 
     // Arrange the store: texts [0, 12) published, [12, 22) frozen,
     // [22, 30) active.
-    let root = temp_dir(&format!("grid_{version}"));
+    let root = scratch("overlay", &format!("grid_{version}"));
     let opts = IngestOptions {
         fsync_every: 1,
         ..IngestOptions::default()
@@ -100,17 +118,7 @@ fn overlay_grid(version: &str) {
                 let (disk, ingest, reference, queries) = (&disk, &ingest, &reference, &queries);
                 scope.spawn(move || {
                     for (qi, query) in queries.iter().enumerate() {
-                        let searcher = disk.searcher().unwrap().threads(threads);
-                        let cfg = disk.config();
-                        let mut overlay = OverlaySearcher::new(
-                            Some(searcher),
-                            disk.num_texts() as u64,
-                            cfg.k,
-                            cfg.t as u32,
-                        );
-                        for segment in ingest.segments() {
-                            overlay.push_segment(segment).unwrap();
-                        }
+                        let overlay = overlay(disk, ingest, threads);
                         assert_eq!(overlay.num_segments(), 2);
                         for theta in [0.7f64, 0.9] {
                             let label = format!(
@@ -135,13 +143,7 @@ fn overlay_grid(version: &str) {
     let disk = ShardedIndex::open(&root).unwrap();
     assert_eq!(disk.num_texts(), texts.len());
     for (qi, query) in queries.iter().enumerate() {
-        let searcher = disk.searcher().unwrap();
-        let cfg = disk.config();
-        let mut overlay =
-            OverlaySearcher::new(Some(searcher), disk.num_texts() as u64, cfg.k, cfg.t as u32);
-        for segment in ingest.segments() {
-            overlay.push_segment(segment).unwrap();
-        }
+        let overlay = overlay(&disk, &ingest, 2);
         assert_eq!(overlay.num_segments(), 0, "everything is published");
         let got = overlay.search(query, 0.8).unwrap();
         let want = reference.search(query, 0.8).unwrap();
@@ -173,7 +175,7 @@ fn overlay_equals_full_rebuild_bitpacked() {
 /// from both sides of the swap.
 #[test]
 fn overlay_is_exact_across_a_concurrent_publish() {
-    let root = temp_dir("publish_race");
+    let root = scratch("overlay", "publish_race");
     let (corpus, _) = SyntheticCorpusBuilder::new(98)
         .num_texts(20)
         .text_len(60, 120)
@@ -210,11 +212,7 @@ fn overlay_is_exact_across_a_concurrent_publish() {
 
     // Before the swap: stale snapshot + the frozen segment overlays.
     {
-        let searcher = stale.searcher().unwrap();
-        let mut overlay = OverlaySearcher::new(Some(searcher), 10, cfg.k, cfg.t as u32);
-        for segment in ingest.segments() {
-            overlay.push_segment(segment).unwrap();
-        }
+        let overlay = overlay(&stale, &ingest, 2);
         assert_eq!(overlay.num_segments(), 1);
         let got = overlay.search(&query, 0.8).unwrap();
         assert_eq!(got.matches, want.matches, "stale view + overlay");
@@ -226,14 +224,178 @@ fn overlay_is_exact_across_a_concurrent_publish() {
     let fresh = ShardedIndex::open(&root).unwrap();
     assert_eq!(fresh.num_texts(), 20);
     {
-        let searcher = fresh.searcher().unwrap();
-        let mut overlay = OverlaySearcher::new(Some(searcher), 20, cfg.k, cfg.t as u32);
-        for segment in ingest.segments() {
-            overlay.push_segment(segment).unwrap();
-        }
+        let overlay = overlay(&fresh, &ingest, 2);
         assert_eq!(overlay.num_segments(), 0);
         let got = overlay.search(&query, 0.8).unwrap();
         assert_eq!(got.matches, want.matches, "fresh view, segment skipped");
     }
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// Texts per lane that contain [`planted_span`] verbatim.
+const PLANTED_PER_LANE: usize = 4;
+/// Published, frozen, active.
+const LANES: usize = 3;
+
+/// A span no filler text shares a token with (the filler vocabulary ends
+/// at 500).
+fn planted_span() -> Vec<TokenId> {
+    (10_000..10_040).collect()
+}
+
+/// A store whose three populations — published [0, 8), frozen [8, 16),
+/// active [16, 24) — each hold `PLANTED_PER_LANE` texts embedding
+/// [`planted_span`], alternating with filler texts that cannot match it.
+fn planted_in_every_lane(tag: &str) -> (PathBuf, IngestIndex) {
+    let (filler, _) = SyntheticCorpusBuilder::new(99)
+        .num_texts(2 * PLANTED_PER_LANE * LANES)
+        .text_len(60, 120)
+        .vocab_size(500)
+        .duplicates_per_text(0.0)
+        .build();
+    let root = scratch("overlay", tag);
+    let opts = IngestOptions {
+        fsync_every: 1,
+        ..IngestOptions::default()
+    };
+    let cfg = IndexConfig::new(4, 15, 9).bit_packed(true);
+    let mut ingest = IngestIndex::open(&root, Some(cfg), opts).unwrap();
+    let per_lane = 2 * PLANTED_PER_LANE;
+    for i in 0..filler.num_texts() {
+        let mut text = filler.text_to_vec(i as TextId).unwrap();
+        if i % 2 == 0 {
+            text.splice(20..20, planted_span());
+        }
+        ingest.append(&text).unwrap();
+        if i + 1 == per_lane {
+            ingest.seal_all().unwrap();
+        } else if i + 1 == 2 * per_lane {
+            ingest.rotate().unwrap();
+        }
+    }
+    ingest.sync().unwrap();
+    assert_eq!(ingest.covered(), per_lane as u64);
+    assert_eq!(ingest.frozen_segments(), 1);
+    assert_eq!(ingest.pending_texts(), 2 * per_lane as u64);
+    (root, ingest)
+}
+
+/// One budget covers the whole fan-out: disk and memory lanes share one
+/// `split_across`, so the total spend stays within `max(cap, lanes)` (plus
+/// the one text by which every lane, like a single index, may overshoot
+/// its share before its next checkpoint), and what comes back is a
+/// text-order prefix flagged incomplete. (Each memory lane used to get the
+/// caller's whole cap on top of the disk lanes' split: with a cap equal to
+/// one lane's matches nothing tripped and all `LANES × cap` came back.)
+#[test]
+fn one_budget_is_split_across_disk_and_memory_lanes() {
+    let (root, ingest) = planted_in_every_lane("budget_split");
+    let disk = ShardedIndex::open(&root).unwrap();
+    let overlay = overlay(&disk, &ingest, 2);
+    assert_eq!(overlay.num_segments(), LANES - 1);
+    let query = planted_span();
+    let full = overlay.search(&query, 0.8).unwrap();
+    assert!(full.complete);
+    let planted: Vec<TextId> = (0..(2 * PLANTED_PER_LANE * LANES) as TextId)
+        .step_by(2)
+        .collect();
+    let matched: Vec<TextId> = full.matches.iter().map(|m| m.text).collect();
+    assert_eq!(matched, planted, "every lane holds its planted copies");
+
+    let mut partials = 0;
+    for cap in 1..=full.matches.len() + 2 {
+        let budgets = [
+            (
+                "matches",
+                QueryBudget::unlimited().max_result_matches(cap),
+                (|o| o.matches.len()) as fn(&SearchOutcome) -> usize,
+            ),
+            (
+                "candidates",
+                QueryBudget::unlimited().max_candidates(cap as u64),
+                |o| o.stats.candidate_texts,
+            ),
+        ];
+        for (what, budget, spent) in budgets {
+            let outcome = match overlay.search_governed(&query, 0.8, &budget) {
+                Ok(outcome) => {
+                    assert!(outcome.complete);
+                    assert_eq!(outcome.matches, full.matches, "{what} cap {cap}");
+                    outcome
+                }
+                Err(QueryError::BudgetExceeded { partial, .. }) => {
+                    partials += 1;
+                    assert!(!partial.complete, "{what} cap {cap}: partial says complete");
+                    assert_eq!(
+                        partial.matches[..],
+                        full.matches[..partial.matches.len()],
+                        "{what} cap {cap}: not a text-order prefix"
+                    );
+                    *partial
+                }
+                Err(e) => panic!("{what} cap {cap}: {e}"),
+            };
+            assert!(
+                spent(&outcome) <= cap.max(LANES) + LANES,
+                "{what} cap {cap}: the fan-out spent {}",
+                spent(&outcome)
+            );
+            if cap == PLANTED_PER_LANE {
+                assert!(!outcome.complete, "{what} cap {cap} must trip");
+            }
+        }
+    }
+    assert!(partials > 0);
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// Every disk shard quarantined, memtable healthy: the memtable's matches
+/// come back with every disk range labelled degraded. Only when no lane at
+/// all can answer is the query an error.
+#[test]
+fn quarantined_disk_still_serves_the_memtable() {
+    let (root, ingest) = planted_in_every_lane("disk_quarantined");
+    let plan = ChaosPlan::targeting("gen-");
+    let options = ServingOptions {
+        cache: CacheConfig::disabled(),
+        io: ndss::index::ReadOptions::with_chaos(plan.clone()),
+        // One fault trips the breaker for longer than the test runs.
+        breaker: BreakerConfig {
+            failure_threshold: 1,
+            backoff: Duration::from_secs(600),
+            max_backoff: Duration::from_secs(600),
+        },
+    };
+    let disk = ShardedIndex::open_with(&root, &options).unwrap();
+    assert!(plan.attached() > 0);
+    let covered = disk.num_texts() as TextId;
+    let query = planted_span();
+    let full = overlay(&disk, &ingest, 2).search(&query, 0.8).unwrap();
+    assert!(full.complete && full.degraded.is_empty());
+
+    plan.arm(ChaosMode::Deny);
+    // First the disk lane faults inside the scatter, then it is skipped at
+    // admission; the answer is the same both times.
+    for round in 0..2 {
+        let injected = plan.injected();
+        let got = overlay(&disk, &ingest, 2).search(&query, 0.8).unwrap();
+        assert_eq!(disk.health().state(0), BreakerState::Open);
+        assert_eq!(plan.injected() > injected, round == 0, "round {round}");
+        assert!(!got.complete);
+        let ranges: Vec<(TextId, u64)> = got
+            .degraded
+            .iter()
+            .map(|d| (d.first_text, d.num_texts))
+            .collect();
+        assert_eq!(ranges, vec![(0, covered as u64)], "round {round}");
+        let memtable: Vec<_> = full.matches.iter().filter(|m| m.text >= covered).collect();
+        assert_eq!(memtable.len(), (LANES - 1) * PLANTED_PER_LANE);
+        assert_eq!(got.matches.iter().collect::<Vec<_>>(), memtable);
+    }
+    let disk_only = disk.searcher().unwrap().fault_policy(FaultPolicy::Isolate);
+    assert!(matches!(
+        disk_only.search(&query, 0.8),
+        Err(QueryError::AllShardsQuarantined { shards: 1, .. })
+    ));
     std::fs::remove_dir_all(&root).ok();
 }

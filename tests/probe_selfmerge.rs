@@ -84,10 +84,8 @@ fn fingerprint(dir: &Path) -> Vec<(String, u64, Vec<u8>)> {
 
 #[test]
 fn published_generation_is_never_a_merge_target() {
-    let base = std::env::temp_dir().join(format!("ndss_it_selfmerge_{}", std::process::id()));
-    std::fs::remove_dir_all(&base).ok();
-    let counted = base.join("count");
-    std::fs::create_dir_all(&counted).unwrap();
+    let base = ndss_integration::scratch_root("selfmerge");
+    let counted = ndss_integration::scratch("selfmerge", "count");
     let counter = KillPoints::count_only();
     drive(&counted, Some(counter.clone())).unwrap();
     let checkpoints = counter.checkpoints_seen();

@@ -13,7 +13,7 @@
 //! * graceful drain answers every in-flight request — zero dropped
 //!   queries — and then `run()` returns.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -23,16 +23,10 @@ use ndss::prelude::*;
 use ndss::serve::client::{FrameClient, HttpClient};
 use ndss::serve::frame::SearchRequest;
 use ndss::serve::{RunningServer, ServeConfig, Server};
+use ndss_integration::scratch;
 
 const THETA: f64 = 0.8;
 const TIMEOUT: Duration = Duration::from_secs(30);
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("ndss_it_serve").join(name);
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 fn config() -> IndexConfig {
     IndexConfig::new(8, 20, 13)
@@ -77,7 +71,7 @@ type Fingerprint = Vec<(u32, u32, Vec<(u32, u32)>)>;
 /// uses.
 fn cold_fingerprint(dir: &Path, query: &[u32]) -> Fingerprint {
     let index = DiskIndex::open(dir).unwrap();
-    let searcher = NearDupSearcher::with_prefix_filter(&index, PrefixFilter::Adaptive).unwrap();
+    let searcher = NearDupSearcher::with_prefix_filter(&index, PrefixFilter::default()).unwrap();
     let outcome = searcher.search(query, THETA).unwrap();
     searcher
         .rank(&outcome, usize::MAX)
@@ -148,7 +142,7 @@ fn start_server(store: &Path) -> RunningServer {
 
 #[test]
 fn both_protocols_agree_with_a_cold_open() {
-    let root = temp_dir("protocols");
+    let root = scratch("serve", "protocols");
     let store = GenerationStore::open(&root).unwrap();
     let (corpus, queries) = corpus_a();
     let name = build_generation(&store, &corpus);
@@ -209,7 +203,7 @@ fn both_protocols_agree_with_a_cold_open() {
 
 #[test]
 fn concurrent_clients_during_reload_see_one_generation_at_a_time() {
-    let root = temp_dir("reload_race");
+    let root = scratch("serve", "reload_race");
     let store = GenerationStore::open(&root).unwrap();
     let (corpus, queries) = corpus_a();
     let gen_a = build_generation(&store, &corpus);
@@ -293,7 +287,7 @@ fn concurrent_clients_during_reload_see_one_generation_at_a_time() {
 
 #[test]
 fn drain_answers_every_in_flight_query() {
-    let root = temp_dir("drain");
+    let root = scratch("serve", "drain");
     let store = GenerationStore::open(&root).unwrap();
     let (corpus, queries) = corpus_a();
     let name = build_generation(&store, &corpus);
@@ -362,7 +356,7 @@ fn drain_answers_every_in_flight_query() {
 fn sharded_cold_fingerprint(root: &Path, query: &[u32]) -> Fingerprint {
     let view = ShardedIndex::open(root).unwrap();
     let searcher = view
-        .searcher_with_filter(PrefixFilter::Adaptive)
+        .searcher_with_filter(PrefixFilter::default())
         .unwrap()
         .threads(2);
     let outcome = searcher.search(query, THETA).unwrap();
@@ -386,7 +380,7 @@ fn sharded_cold_fingerprint(root: &Path, query: &[u32]) -> Fingerprint {
 /// races the per-shard publish.
 #[test]
 fn sharded_reload_of_one_shard_is_atomic_to_clients() {
-    let root = temp_dir("sharded_reload");
+    let root = scratch("serve", "sharded_reload");
     let (corpus, queries) = corpus_a();
     build_sharded(&corpus, config(), &root, 2, &ShardedBuildOptions::default()).unwrap();
     let query = queries[0].clone();
@@ -512,7 +506,7 @@ fn drain_is_prompt_while_a_shard_is_quarantined() {
     use ndss::index::{ChaosMode, ChaosPlan};
     use ndss::query::{BreakerConfig, FaultKind, ServingOptions};
 
-    let root = temp_dir("drain_quarantined");
+    let root = scratch("serve", "drain_quarantined");
     let (corpus, queries) = corpus_a();
     build_sharded(&corpus, config(), &root, 2, &ShardedBuildOptions::default()).unwrap();
 

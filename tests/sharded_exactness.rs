@@ -13,6 +13,7 @@
 
 use ndss::index::build_and_write;
 use ndss::prelude::*;
+use ndss_integration::scratch;
 
 const THETA: f64 = 0.8;
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -22,13 +23,6 @@ const FORMATS: [(bool, bool, &str); 3] = [
     (true, false, "v4"),
     (false, true, "v6"),
 ];
-
-fn temp_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("ndss_it_sharded").join(name);
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 fn config(compress: bool, packed: bool) -> IndexConfig {
     IndexConfig::new(8, 20, 13)
@@ -64,7 +58,7 @@ fn build_store(
     packed: bool,
     tag: &str,
 ) -> std::path::PathBuf {
-    let root = temp_dir(tag);
+    let root = scratch("sharded", tag);
     let opts = ShardedBuildOptions {
         threads: 2,
         ..ShardedBuildOptions::default()
@@ -82,7 +76,7 @@ fn sharded_results_match_single_index_oracle_across_grid() {
 
     for (compress, packed, format) in FORMATS {
         // Oracle: one index over the whole corpus, same format.
-        let oracle_dir = temp_dir(&format!("oracle_{format}"));
+        let oracle_dir = scratch("sharded", &format!("oracle_{format}"));
         build_and_write(&corpus, config(compress, packed), &oracle_dir, true).unwrap();
         let oracle_index = DiskIndex::open(&oracle_dir).unwrap();
         let oracle = NearDupSearcher::new(&oracle_index).unwrap();
@@ -137,7 +131,7 @@ fn sharded_results_match_single_index_oracle_across_grid() {
 #[test]
 fn governed_partials_are_sound_prefixes_of_the_oracle() {
     let (corpus, queries) = workload();
-    let oracle_dir = temp_dir("gov_oracle");
+    let oracle_dir = scratch("sharded", "gov_oracle");
     build_and_write(&corpus, config(false, false), &oracle_dir, true).unwrap();
     let oracle_index = DiskIndex::open(&oracle_dir).unwrap();
     let oracle = NearDupSearcher::new(&oracle_index).unwrap();
@@ -207,12 +201,29 @@ fn batch_equals_sequential_over_shards() {
         }
         // Governed batch: per-slot results, same equivalence when nothing
         // trips.
-        let governed = searcher.search_all_governed(&queries, THETA, &QueryBudget::unlimited());
+        let governed = searcher.search_all_governed(&queries, THETA, &BatchGovernor::default());
         for (i, (got, want)) in governed.iter().zip(&sequential).enumerate() {
             let got = got.as_ref().unwrap_or_else(|e| {
                 panic!("governed batch slot {i} failed under an unlimited budget: {e}")
             });
             assert_eq!(got.matches, want.matches);
+        }
+        // The batch governor is the single-index one: an admission cap
+        // sheds exactly the tail and leaves the admitted prefix exact.
+        let cap = 2;
+        let governor = BatchGovernor::default()
+            .failure_policy(FailurePolicy::Isolate)
+            .admission_cap(cap);
+        let capped = searcher.search_all_governed(&queries, THETA, &governor);
+        assert!(queries.len() > cap);
+        for (i, (got, want)) in capped.iter().zip(&sequential).enumerate() {
+            match got {
+                Ok(got) if i < cap => assert_eq!(got.matches, want.matches),
+                Err(QueryError::Overloaded { position, reason }) if i >= cap => {
+                    assert_eq!((*position, *reason), (i, ShedReason::AdmissionCap { cap }));
+                }
+                other => panic!("slot {i} under admission cap {cap}: {other:?}"),
+            }
         }
     }
     std::fs::remove_dir_all(&root).ok();
@@ -225,15 +236,15 @@ fn batch_equals_sequential_over_shards() {
 fn one_shard_store_equals_plain_directory() {
     let (corpus, queries) = workload();
     let root = build_store(&corpus, 1, false, false, "single_s1");
-    let plain_dir = temp_dir("single_plain");
+    let plain_dir = scratch("sharded", "single_plain");
     build_and_write(&corpus, config(false, false), &plain_dir, true).unwrap();
 
     let sharded_view = ShardedIndex::open(&root).unwrap();
     let plain_view = ShardedIndex::open(&plain_dir).unwrap();
     assert_eq!(sharded_view.num_shards(), 1);
     assert_eq!(plain_view.num_shards(), 1);
-    assert!(sharded_view.manifest_generation().is_some());
-    assert!(plain_view.manifest_generation().is_none());
+    assert!(sharded_view.generation().is_some());
+    assert!(plain_view.generation().is_none());
 
     let a = sharded_view.searcher().unwrap().threads(2);
     let b = plain_view.searcher().unwrap().threads(2);

@@ -63,10 +63,7 @@ proptest! {
         let b = InMemoryCorpus::from_texts(all[cut..].to_vec());
 
         let config = IndexConfig::new(2, 10, 99);
-        let base = std::env::temp_dir()
-            .join("ndss_prop_merge")
-            .join(format!("{seed}_{cut}"));
-        std::fs::remove_dir_all(&base).ok();
+        let base = ndss_integration::scratch("prop_merge", &format!("{seed}_{cut}"));
         for sub in ["a", "b", "m", "full"] {
             std::fs::create_dir_all(base.join(sub)).unwrap();
         }
@@ -93,9 +90,7 @@ proptest! {
             .text_len(60, 150)
             .vocab_size(100) // long lists with many texts per list
             .build();
-        let base = std::env::temp_dir()
-            .join("ndss_prop_probe")
-            .join(format!("{seed}"));
+        let base = ndss_integration::scratch("prop_probe", &format!("{seed}"));
         for (compress, sub) in [(false, "v3"), (true, "v4")] {
             let dir = base.join(sub);
             std::fs::remove_dir_all(&dir).ok();
@@ -177,8 +172,7 @@ fn zipf_list_set(seed: u64) -> Vec<(u64, Vec<Posting>)> {
 #[test]
 fn packed_files_are_smaller_than_varint_and_fixed_on_zipf_list_sets() {
     use ndss::index::container::{Encoding, Writer};
-    let dir = std::env::temp_dir().join(format!("ndss_prop_sizes_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = ndss_integration::scratch("prop", "sizes");
     for seed in [1u64, 7, 42] {
         let lists = zipf_list_set(seed);
         let config = IndexConfig::new(1, 25, 1234);

@@ -97,9 +97,7 @@ proptest! {
     fn disk_corpus_roundtrip(texts in proptest::collection::vec(
         proptest::collection::vec(proptest::num::u32::ANY, 0..50), 1..8)
     ) {
-        let dir = std::env::temp_dir().join("ndss_it_roundtrip");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("c{}.ndsc", std::process::id()));
+        let path = ndss_integration::scratch("roundtrip", "corpus").join("c.ndsc");
         let mem = InMemoryCorpus::from_texts(texts.clone());
         let disk = ndss::corpus::disk::write_corpus(&mem, &path).unwrap();
         prop_assert_eq!(disk.num_texts(), texts.len());
