@@ -1,10 +1,10 @@
 //! Shared workloads and reporting helpers for the benchmark harness.
 //!
-//! The figure binaries (`src/bin/fig*.rs`, `src/bin/table1_examples.rs`)
-//! regenerate every table and figure of the paper's evaluation at reduced
-//! scale; the Criterion benches (`benches/`) cover the micro operations.
-//! Both consume the workload builders here so that "OpenWebText-like" and
-//! "Pile-like" mean the same thing everywhere.
+//! The figure binaries (`src/bin/fig*.rs`, `src/bin/table1_examples.rs`,
+//! `src/bin/baseline_comparison.rs`) regenerate every table and figure of
+//! the paper's evaluation at reduced scale. They consume the workload
+//! builders here so that "OpenWebText-like" and "Pile-like" mean the same
+//! thing everywhere. Speed is measured by the ledger (`ledger/`), not here.
 //!
 //! Scale model (see `DESIGN.md` §3): the paper's OpenWebText is 8M texts /
 //! 31 GB and The Pile 649 GB; our `owt_like` and `pile_like` corpora keep

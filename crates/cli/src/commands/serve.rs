@@ -36,11 +36,8 @@ pub const FLAGS: &[&str] = &[
     "workers",
     "admission-cap",
     "deadline-ms",
-    "max-body-bytes",
     "metrics-out",
     "ingest",
-    "ingest-flush-bytes",
-    "ingest-fsync-every",
     "ingest-compact-ms",
     "probe-interval-ms",
     "quarantine-threshold",
@@ -92,13 +89,11 @@ pub fn run(args: &Args) -> Result<(), String> {
     };
     let probe_interval_ms: u64 = args.get_or("probe-interval-ms", 1_000)?;
     let ingest = if args.flag("ingest") {
-        let defaults = IngestServeConfig::default();
         let compact_ms: u64 = args.get_or("ingest-compact-ms", 500)?;
         Some(IngestServeConfig {
             store: PathBuf::from(index),
-            flush_bytes: args.get_or("ingest-flush-bytes", defaults.flush_bytes)?,
-            fsync_every: args.get_or("ingest-fsync-every", defaults.fsync_every)?,
             compact_interval: (compact_ms > 0).then(|| Duration::from_millis(compact_ms)),
+            ..IngestServeConfig::default()
         })
     } else {
         None
@@ -115,7 +110,6 @@ pub fn run(args: &Args) -> Result<(), String> {
                     .map_err(|_| format!("--deadline-ms: '{raw}' is not an integer"))
             })
             .transpose()?,
-        max_body_bytes: args.get_or("max-body-bytes", defaults.max_body_bytes)?,
         metrics_out: args.get("metrics-out").map(PathBuf::from),
         probe_interval: (probe_interval_ms > 0).then(|| Duration::from_millis(probe_interval_ms)),
         ingest,

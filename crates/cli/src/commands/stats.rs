@@ -49,8 +49,8 @@ pub fn run(args: &Args) -> Result<(), String> {
         let config = index.config();
         println!("\nindex {index_dir}:");
         println!(
-            "  k = {}, t = {}, seed = {}, family = {:?}",
-            config.k, config.t, config.seed, config.family
+            "  k = {}, t = {}, seed = {}",
+            config.k, config.t, config.seed
         );
         println!(
             "  zone maps: step {} on lists ≥ {} postings",

@@ -163,12 +163,11 @@ const COMMANDS: &[Command] = &[
                --index DIR [--addr HOST:PORT=127.0.0.1:7700]
                [--workers N=2*cores] [--admission-cap N=cores]
                [--deadline-ms N (per-request default deadline)]
-               [--max-body-bytes N=16MiB] [--metrics-out PATH]
+               [--metrics-out PATH]
                [--ingest (accept POST /ingest; --index must be a generation
                 store: appended texts are WAL-durable before the ack and
                 served by overlay queries until the background compactor
-                publishes them)] [--ingest-flush-bytes N=64MiB]
-               [--ingest-fsync-every N=8] [--ingest-compact-ms N=500
+                publishes them)] [--ingest-compact-ms N=500
                 (0 disables background compaction)]
                [--quarantine-threshold N=3 (consecutive transient failures
                 before a shard's breaker opens; 0 disables)]

@@ -236,6 +236,16 @@ fn unknown_flags_are_an_error_with_the_usage_line() {
         );
         assert!(!out.exists(), "{named}: the build ran anyway");
     }
+    // A removed flag gets the same refusal as a typo.
+    let err = dispatch(
+        "serve",
+        &args(&["--index", &out_arg, "--max-body-bytes", "1024"]),
+    )
+    .unwrap_err();
+    assert!(
+        err.contains("unknown flag --max-body-bytes") && err.contains("--index DIR [--addr"),
+        "got: {err}"
+    );
     // Every command checks, including the ones with no optional flags.
     for command in ["synth", "search", "serve", "verify", "rollback"] {
         let err = dispatch(command, &args(&["--no-such-flag"])).unwrap_err();

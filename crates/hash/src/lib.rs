@@ -7,9 +7,8 @@
 //!   ([`SplitMix64`], [`Xoshiro256StarStar`]). All randomness in the library
 //!   (hash-function seeds, synthetic data, sampling) flows through these so
 //!   every artifact is reproducible from a single master seed.
-//! * [`universal`] — universal hash families over token ids
-//!   ([`MultiplyShiftHash`], [`TabulationHash`]) and the [`TokenHasher`]
-//!   trait they implement.
+//! * [`universal`] — the universal hash family over token ids
+//!   ([`MultiplyShiftHash`]).
 //! * [`minhash`] — the [`MinHasher`] (a bank of `k` independent token hash
 //!   functions), [`Sketch`] (the *k-mins sketch* of a sequence), collision
 //!   counting, and Jaccard similarity estimation from sketches.
@@ -48,7 +47,7 @@ pub mod universal;
 
 pub use minhash::{MinHasher, Sketch};
 pub use prng::{SplitMix64, Xoshiro256StarStar};
-pub use universal::{MultiplyShiftHash, TabulationHash, TokenHasher};
+pub use universal::MultiplyShiftHash;
 
 /// A token identifier. Tokens are produced by a tokenizer (BPE ids) or by a
 /// synthetic corpus generator; the search algorithms never interpret them

@@ -7,13 +7,13 @@
 //! sequences by their collision fraction, an unbiased estimator with
 //! variance `O(1/k)`.
 
-use crate::universal::{HashFamily, MultiplyShiftHash, TabulationHash, TokenHasher};
+use crate::universal::MultiplyShiftHash;
 use crate::{HashValue, SplitMix64, TokenId};
 
 /// The k-mins sketch of a sequence: one minimum hash value per hash function.
 ///
 /// Sketches are only comparable when produced by the same [`MinHasher`]
-/// (same family, `k`, and master seed); [`Sketch::estimate_jaccard`] checks
+/// (same `k` and master seed); [`Sketch::estimate_jaccard`] checks
 /// the lengths match and the caller is responsible for the rest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sketch {
@@ -21,11 +21,6 @@ pub struct Sketch {
 }
 
 impl Sketch {
-    /// Wraps raw min-hash values into a sketch.
-    pub fn from_values(values: Vec<HashValue>) -> Self {
-        Self { values }
-    }
-
     /// The number of hash functions `k` this sketch was built with.
     pub fn k(&self) -> usize {
         self.values.len()
@@ -79,12 +74,11 @@ pub fn collision_threshold(k: usize, theta: f64) -> usize {
 
 /// A bank of `k` independent token hash functions plus sketching helpers.
 ///
-/// Construction is deterministic in `(family, k, seed)`: the indexer and the
-/// query processor must be configured identically for collisions to be
-/// meaningful, and index metadata records all three.
+/// Construction is deterministic in `(k, seed)`: the indexer and the query
+/// processor must be configured identically for collisions to be
+/// meaningful, and index metadata records both.
 pub struct MinHasher {
-    functions: Vec<Box<dyn TokenHasher>>,
-    family: HashFamily,
+    functions: Vec<MultiplyShiftHash>,
     seed: u64,
 }
 
@@ -92,7 +86,6 @@ impl std::fmt::Debug for MinHasher {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MinHasher")
             .field("k", &self.functions.len())
-            .field("family", &self.family)
             .field("seed", &self.seed)
             .finish()
     }
@@ -101,28 +94,11 @@ impl std::fmt::Debug for MinHasher {
 impl MinHasher {
     /// Creates `k` multiply–shift hash functions derived from `seed`.
     pub fn new(k: usize, seed: u64) -> Self {
-        Self::with_family(k, seed, HashFamily::MultiplyShift)
-    }
-
-    /// Creates `k` hash functions from the chosen family.
-    pub fn with_family(k: usize, seed: u64, family: HashFamily) -> Self {
         let mut rng = SplitMix64::new(seed);
-        let functions: Vec<Box<dyn TokenHasher>> = (0..k)
-            .map(|_| {
-                let sub_seed = rng.next_u64();
-                match family {
-                    HashFamily::MultiplyShift => {
-                        Box::new(MultiplyShiftHash::new(sub_seed)) as Box<dyn TokenHasher>
-                    }
-                    HashFamily::Tabulation => Box::new(TabulationHash::new(sub_seed)),
-                }
-            })
+        let functions = (0..k)
+            .map(|_| MultiplyShiftHash::new(rng.next_u64()))
             .collect();
-        Self {
-            functions,
-            family,
-            seed,
-        }
+        Self { functions, seed }
     }
 
     /// The number of hash functions `k`.
@@ -135,14 +111,9 @@ impl MinHasher {
         self.seed
     }
 
-    /// The hash family in use.
-    pub fn family(&self) -> HashFamily {
-        self.family
-    }
-
     /// The `i`-th hash function.
-    pub fn function(&self, i: usize) -> &dyn TokenHasher {
-        self.functions[i].as_ref()
+    pub fn function(&self, i: usize) -> &MultiplyShiftHash {
+        &self.functions[i]
     }
 
     /// Hashes every position of `tokens` under function `i` into `out`
@@ -151,7 +122,7 @@ impl MinHasher {
     pub fn hash_positions_into(&self, i: usize, tokens: &[TokenId], out: &mut Vec<HashValue>) {
         out.clear();
         out.reserve(tokens.len());
-        let f = self.functions[i].as_ref();
+        let f = &self.functions[i];
         out.extend(tokens.iter().map(|&t| f.hash(t)));
     }
 
@@ -244,14 +215,6 @@ mod tests {
         let a = MinHasher::new(8, 42);
         let b = MinHasher::new(8, 42);
         assert_eq!(a.sketch(&[1, 2, 3]), b.sketch(&[1, 2, 3]));
-    }
-
-    #[test]
-    fn tabulation_family_works_too() {
-        let h = MinHasher::with_family(16, 5, HashFamily::Tabulation);
-        let a = h.sketch(&[1, 2, 3]);
-        let b = h.sketch(&[1, 2, 3]);
-        assert_eq!(a.collisions(&b), 16);
     }
 
     #[test]

@@ -1,41 +1,15 @@
-//! Universal hash families over token ids.
+//! The universal hash family over token ids.
 //!
 //! The min-hash construction needs `k` *independent random universal hash
-//! functions* `f_1 … f_k : TokenId → u64` (paper §3.2, Definition 2). Two
-//! families are provided:
+//! functions* `f_1 … f_k : TokenId → u64` (paper §3.2, Definition 2).
+//! [`MultiplyShiftHash`] is Dietzfelbinger's multiply–shift scheme extended
+//! to 128-bit arithmetic: constant space, two multiplications per hash.
 //!
-//! * [`MultiplyShiftHash`] — Dietzfelbinger's multiply–shift scheme extended
-//!   to 128-bit arithmetic. Constant space, two multiplications per hash;
-//!   this is the family used by the indexer by default.
-//! * [`TabulationHash`] — simple tabulation over the four bytes of the token
-//!   id. 3-independent and extremely fast with warm tables; useful as an
-//!   alternative when stronger independence guarantees are wanted in
-//!   experiments.
-//!
-//! Both families are seeded deterministically so that an index built twice
-//! from the same master seed is byte-identical.
+//! Functions are seeded deterministically so that an index built twice from
+//! the same master seed is byte-identical.
 
 use crate::prng::SplitMix64;
 use crate::{HashValue, TokenId};
-
-/// A hash function from token ids to 64-bit values.
-///
-/// Implementations must be *pure* (same token → same value for the lifetime
-/// of the object) because the correctness of compact-window indexing relies
-/// on the query and the indexer observing identical token hashes.
-pub trait TokenHasher: Send + Sync {
-    /// Hashes one token id.
-    fn hash(&self, token: TokenId) -> HashValue;
-
-    /// Returns the minimum hash over a token slice, or `None` if it is empty.
-    ///
-    /// Because duplicate tokens hash identically, this equals the min-hash of
-    /// the *distinct* token set, which is what the distinct Jaccard estimator
-    /// requires.
-    fn min_hash(&self, tokens: &[TokenId]) -> Option<HashValue> {
-        tokens.iter().map(|&t| self.hash(t)).min()
-    }
-}
 
 /// Multiply–shift universal hashing on 64→64 bits.
 ///
@@ -43,6 +17,10 @@ pub trait TokenHasher: Send + Sync {
 /// a random odd multiplier `a` and random addend `b`. The token id is first
 /// spread to 64 bits by a fixed odd constant so that small consecutive ids do
 /// not map to nearby values before the universal step.
+///
+/// The function is *pure* (same token → same value for the lifetime of the
+/// object): the correctness of compact-window indexing relies on the query
+/// and the indexer observing identical token hashes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MultiplyShiftHash {
     multiplier: u128,
@@ -59,11 +37,10 @@ impl MultiplyShiftHash {
         let addend = ((rng.next_u64() as u128) << 64) | rng.next_u64() as u128;
         Self { multiplier, addend }
     }
-}
 
-impl TokenHasher for MultiplyShiftHash {
+    /// Hashes one token id.
     #[inline]
-    fn hash(&self, token: TokenId) -> HashValue {
+    pub fn hash(&self, token: TokenId) -> HashValue {
         // Spread the 32-bit id across 64 bits, then multiply-shift.
         let x = (token as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ ((token as u64) << 32);
         let product = self
@@ -72,69 +49,14 @@ impl TokenHasher for MultiplyShiftHash {
             .wrapping_add(self.addend);
         (product >> 64) as u64
     }
-}
 
-/// Simple tabulation hashing over the 4 bytes of a token id.
-///
-/// Four tables of 256 random 64-bit entries are XOR-combined. Simple
-/// tabulation is 3-independent and behaves like full randomness for many
-/// algorithms (Pǎtraşcu & Thorup), including min-wise hashing.
-#[derive(Debug, Clone)]
-pub struct TabulationHash {
-    tables: Box<[[HashValue; 256]; 4]>,
-}
-
-impl TabulationHash {
-    /// Derives a tabulation hash function from a seed.
-    pub fn new(seed: u64) -> Self {
-        let mut rng = SplitMix64::new(seed ^ 0x7AB1_E5EE_D000_0001);
-        let mut tables = Box::new([[0u64; 256]; 4]);
-        for table in tables.iter_mut() {
-            for entry in table.iter_mut() {
-                *entry = rng.next_u64();
-            }
-        }
-        Self { tables }
-    }
-}
-
-impl TokenHasher for TabulationHash {
-    #[inline]
-    fn hash(&self, token: TokenId) -> HashValue {
-        let b = token.to_le_bytes();
-        self.tables[0][b[0] as usize]
-            ^ self.tables[1][b[1] as usize]
-            ^ self.tables[2][b[2] as usize]
-            ^ self.tables[3][b[3] as usize]
-    }
-}
-
-/// Which universal hash family the min-hasher should draw from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HashFamily {
-    /// Multiply–shift (default; constant memory per function).
-    #[default]
-    MultiplyShift,
-    /// Simple tabulation (8 KiB of tables per function, 3-independent).
-    Tabulation,
-}
-
-impl HashFamily {
-    /// Stable name used in on-disk metadata (`meta.json`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            HashFamily::MultiplyShift => "MultiplyShift",
-            HashFamily::Tabulation => "Tabulation",
-        }
-    }
-
-    /// Parses the [`HashFamily::as_str`] form back.
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "MultiplyShift" => Some(HashFamily::MultiplyShift),
-            "Tabulation" => Some(HashFamily::Tabulation),
-            _ => None,
-        }
+    /// Returns the minimum hash over a token slice, or `None` if it is empty.
+    ///
+    /// Because duplicate tokens hash identically, this equals the min-hash of
+    /// the *distinct* token set, which is what the distinct Jaccard estimator
+    /// requires.
+    pub fn min_hash(&self, tokens: &[TokenId]) -> Option<HashValue> {
+        tokens.iter().map(|&t| self.hash(t)).min()
     }
 }
 
@@ -189,27 +111,5 @@ mod tests {
         let tokens = [1u32, 2, 3, 4, 5];
         let expected = tokens.iter().map(|&t| h.hash(t)).min();
         assert_eq!(h.min_hash(&tokens), expected);
-    }
-
-    #[test]
-    fn tabulation_is_pure_and_differs_by_seed() {
-        let a = TabulationHash::new(1);
-        let b = TabulationHash::new(2);
-        for t in 0..100u32 {
-            assert_eq!(a.hash(t), a.hash(t));
-        }
-        let agree = (0..1000u32).filter(|&t| a.hash(t) == b.hash(t)).count();
-        assert_eq!(agree, 0);
-    }
-
-    #[test]
-    fn tabulation_byte_sensitivity() {
-        // Flipping any single byte of the input must change the hash.
-        let h = TabulationHash::new(9);
-        let base = 0x0102_0304u32;
-        for byte in 0..4 {
-            let flipped = base ^ (0xFF << (8 * byte));
-            assert_ne!(h.hash(base), h.hash(flipped));
-        }
     }
 }

@@ -33,7 +33,7 @@ use crate::container::{Encoding, Writer};
 use crate::disk::{inv_file_path, DiskIndex};
 use crate::journal::{self, BuildJournal, JournalKind, KillPoints};
 use crate::memory::MemoryIndex;
-use crate::{gc, IndexAccess, IndexConfig, IndexError, Posting};
+use crate::{IndexAccess, IndexConfig, IndexError, Posting};
 
 /// Name of the spill scratch directory an external build keeps inside its
 /// output directory.
@@ -239,9 +239,7 @@ pub struct ExternalIndexBuilder {
     partition_bits: u32,
     /// Parallelize window generation across hash functions.
     parallel: bool,
-    /// Publish crash-safe progress checkpoints (`build.journal`).
-    use_journal: bool,
-    /// Continue an interrupted journaled build instead of starting over.
+    /// Continue an interrupted build instead of starting over.
     resume: bool,
     /// Deterministic crash injector (fault-injection harnesses only).
     kill: Option<Arc<KillPoints>>,
@@ -257,7 +255,6 @@ impl ExternalIndexBuilder {
             memory_budget: 256 << 20,
             partition_bits: 4,
             parallel: false,
-            use_journal: true,
             resume: false,
             kill: None,
         }
@@ -288,22 +285,14 @@ impl ExternalIndexBuilder {
         self
     }
 
-    /// Enables (default) or disables the crash-safe build journal. With the
-    /// journal on, progress is checkpointed to `build.journal` after every
-    /// spilled batch and every committed index file, and a failed or killed
-    /// build leaves resumable state behind; with it off, a failed build
-    /// cleans its partial artifacts up and leaves nothing.
-    pub fn journal(mut self, on: bool) -> Self {
-        self.use_journal = on;
-        self
-    }
-
-    /// Continues an interrupted journaled build: the journal is validated
-    /// against the configuration (exact fingerprint match), the in-flight
-    /// unit of work is discarded, and the build picks up from the last
-    /// checkpoint — producing output byte-identical to an uninterrupted
-    /// build. With no journal on disk this silently degrades to a fresh
-    /// build (there is nothing to resume).
+    /// Continues an interrupted build. Every build checkpoints its progress
+    /// to `build.journal` after each spilled batch and each committed index
+    /// file, and a failed or killed build leaves that resumable state
+    /// behind. On resume the journal is validated against the configuration
+    /// (exact fingerprint match), the in-flight unit of work is discarded,
+    /// and the build picks up from the last checkpoint — producing output
+    /// byte-identical to an uninterrupted build. With no journal on disk
+    /// this silently degrades to a fresh build (there is nothing to resume).
     pub fn resume(mut self, on: bool) -> Self {
         self.resume = on;
         self
@@ -346,67 +335,21 @@ impl ExternalIndexBuilder {
         config.total_tokens = corpus.total_tokens();
         let fingerprint = self.build_fingerprint(&config);
 
-        let mut state = if self.resume {
-            match BuildJournal::load(dir)? {
-                Some(loaded) => {
-                    if loaded.kind != JournalKind::ExternalBuild {
-                        return Err(IndexError::Malformed(format!(
-                            "{}: journal belongs to a merge, not an external build",
-                            dir.display()
-                        )));
-                    }
-                    if loaded.fingerprint != fingerprint {
-                        return Err(IndexError::Malformed(format!(
-                            "{}: journal was written by a different configuration or \
-                             corpus; re-run without --resume to start over",
-                            dir.display()
-                        )));
-                    }
-                    loaded
-                }
-                // Nothing to resume (the crash predated the first
-                // checkpoint, or the build never ran): start fresh.
-                None => BuildJournal::new(JournalKind::ExternalBuild, fingerprint),
-            }
-        } else {
-            // A fresh build owns the directory: sweep residue of crashed
-            // runs instead of letting it accumulate.
-            let removed = gc::sweep_build_residue(dir) + gc::sweep_atomic_temps(dir);
-            if removed > 0 {
-                gc::gc_counter().inc(removed);
-            }
-            BuildJournal::new(JournalKind::ExternalBuild, fingerprint)
-        };
+        let mut state =
+            BuildJournal::begin(dir, JournalKind::ExternalBuild, fingerprint, self.resume)?;
 
         let spill_dir = dir.join(SPILL_DIR);
         std::fs::create_dir_all(&spill_dir)?;
 
-        let outcome = (|| {
-            self.build_inner(corpus, dir, &spill_dir, &config, &mut state)?;
-            journal::tick_checkpoint(&self.kill)?;
-            DiskIndex::write_meta(dir, &config)?;
-            journal::tick_checkpoint(&self.kill)?;
-            if self.use_journal {
-                BuildJournal::remove(dir)?;
-            }
-            journal::tick_checkpoint(&self.kill)?;
-            Ok(())
-        })();
-        if let Err(e) = outcome {
-            if self.kill.as_ref().is_some_and(|kp| kp.fired()) {
-                // Simulated hard crash: leave the directory exactly as the
-                // crash found it — the sweep harness resumes from here.
-                return Err(e);
-            }
-            if !self.use_journal {
-                // No journal means no resumable state worth keeping: remove
-                // the partial artifacts rather than stranding them.
-                clean_failed_build(dir, &spill_dir, config.k);
-            }
-            // With the journal on, the journal + spill files *are* the
-            // resumable state; a later fresh build garbage-collects them.
-            return Err(e);
-        }
+        // On failure (or an injected crash) nothing is cleaned up: the
+        // journal + spill files *are* the resumable state, and a later
+        // fresh build garbage-collects them.
+        self.build_inner(corpus, dir, &spill_dir, &config, &mut state)?;
+        journal::tick_checkpoint(&self.kill)?;
+        DiskIndex::write_meta(dir, &config)?;
+        journal::tick_checkpoint(&self.kill)?;
+        BuildJournal::remove(dir)?;
+        journal::tick_checkpoint(&self.kill)?;
         if let Err(e) = std::fs::remove_dir_all(&spill_dir) {
             eprintln!(
                 "warning: could not remove spill scratch {}: {e}",
@@ -436,29 +379,19 @@ impl ExternalIndexBuilder {
         // captured rather than propagated with `?` so the worker is always
         // joined before this function returns — nothing may keep writing to
         // `dir` after the build has reported failure.
-        let pipeline = self
-            .use_journal
-            .then(|| CheckpointPipeline::spawn(dir, spill_dir, self.kill.clone()));
+        let pipeline = CheckpointPipeline::spawn(dir, spill_dir, self.kill.clone());
 
-        let compute = (|| {
+        let compute: Result<(), IndexError> = (|| {
             // Phase 1: scan batches, spill (hash, posting) records
             // partitioned by (function, top hash bits). Skipped entirely
             // when a resumed journal says every batch is already durably
             // spilled.
             if !state.spill_done {
                 self.spill_phase(
-                    corpus,
-                    dir,
-                    spill_dir,
-                    config,
-                    state,
-                    &hasher,
-                    fanout,
-                    shift,
-                    pipeline.as_ref(),
+                    corpus, dir, spill_dir, config, state, &hasher, fanout, shift, &pipeline,
                 )?;
             }
-            if pipeline.as_ref().is_some_and(CheckpointPipeline::is_dead) {
+            if pipeline.is_dead() {
                 // The durability worker crashed mid-spill; there is nothing
                 // sound to aggregate (`finish` below surfaces its error).
                 return Ok(());
@@ -482,7 +415,7 @@ impl ExternalIndexBuilder {
             };
             let journal_cell = Mutex::new(&mut *state);
             ndss_parallel::try_map(&funcs, threads, |_, &func| {
-                if pipeline.as_ref().is_some_and(CheckpointPipeline::is_dead) {
+                if pipeline.is_dead() {
                     // The durability worker crashed; stop producing work its
                     // journal will never record (`finish` surfaces why).
                     return Ok(());
@@ -500,31 +433,24 @@ impl ExternalIndexBuilder {
                     )?;
                 }
                 writer.finish()?;
-                if let Some(pipeline) = &pipeline {
-                    let mut journal = journal_cell.lock().unwrap();
-                    journal.funcs_done.insert(func);
-                    // The worker publishes the snapshot and then removes
-                    // this function's spill files — in that order, so a
-                    // crash can never leave a function neither journaled
-                    // nor re-buildable from spill.
-                    pipeline.enqueue(CheckpointMsg {
-                        snapshot: journal.clone(),
-                        sync: None,
-                        cleanup_func: Some(func),
-                    });
-                }
+                let mut journal = journal_cell.lock().unwrap();
+                journal.funcs_done.insert(func);
+                // The worker publishes the snapshot and then removes this
+                // function's spill files — in that order, so a crash can
+                // never leave a function neither journaled nor re-buildable
+                // from spill.
+                pipeline.enqueue(CheckpointMsg {
+                    snapshot: journal.clone(),
+                    sync: None,
+                    cleanup_func: Some(func),
+                });
                 Ok::<(), IndexError>(())
             })?;
             Ok(())
         })();
-        match pipeline {
-            Some(pipeline) => {
-                let worker = pipeline.finish();
-                compute?;
-                worker
-            }
-            None => compute,
-        }
+        let worker = pipeline.finish();
+        compute?;
+        worker
     }
 
     /// Phase 1 with checkpointing: after each batch every spill writer is
@@ -542,7 +468,7 @@ impl ExternalIndexBuilder {
         hasher: &MinHasher,
         fanout: usize,
         shift: u32,
-        pipeline: Option<&CheckpointPipeline>,
+        pipeline: &CheckpointPipeline,
     ) -> Result<(), IndexError> {
         let _spill_span = ndss_obs::span("index.build.spill");
         let k = config.k;
@@ -579,7 +505,7 @@ impl ExternalIndexBuilder {
             })
             .collect::<Result<Vec<_>, IndexError>>()?;
 
-        if self.use_journal && !resuming {
+        if !resuming {
             journal::tick_checkpoint(&self.kill)?;
             state.save(dir)?;
             journal::tick_checkpoint(&self.kill)?;
@@ -588,18 +514,13 @@ impl ExternalIndexBuilder {
         // Cloned handles let the durability worker fdatasync the spill
         // files while this thread keeps appending to them: a checkpoint
         // runs one batch behind the scan instead of stalling it.
-        let sync_files = match pipeline {
-            Some(_) => {
-                let mut files = Vec::with_capacity(k * fanout);
-                for writers in &spills {
-                    for w in writers {
-                        files.push(w.get_ref().try_clone()?);
-                    }
-                }
-                Some(Arc::new(files))
+        let mut sync_files = Vec::with_capacity(k * fanout);
+        for writers in &spills {
+            for w in writers {
+                sync_files.push(w.get_ref().try_clone()?);
             }
-            None => None,
-        };
+        }
+        let sync_files = Some(Arc::new(sync_files));
 
         let threads = if self.parallel {
             ndss_parallel::default_threads()
@@ -642,29 +563,27 @@ impl ExternalIndexBuilder {
             .into_iter()
             .collect::<Result<(), _>>()?;
             batch_idx += 1;
-            if let Some(pipeline) = pipeline {
-                if pipeline.is_dead() {
-                    // Worker died; stop scanning. `build_inner` skips
-                    // aggregation and surfaces the worker's error.
-                    return Ok(());
-                }
-                // Checkpoint: flush the new high-water marks to the OS and
-                // hand the snapshot to the durability worker.
-                let mut lens = Vec::with_capacity(k * fanout);
-                for writers in &mut spills {
-                    for w in writers {
-                        w.flush()?;
-                        lens.push(w.get_ref().metadata()?.len());
-                    }
-                }
-                state.batches_done = batch_idx;
-                state.spill_lens = lens;
-                pipeline.enqueue(CheckpointMsg {
-                    snapshot: state.clone(),
-                    sync: sync_files.clone(),
-                    cleanup_func: None,
-                });
+            if pipeline.is_dead() {
+                // Worker died; stop scanning. `build_inner` skips
+                // aggregation and surfaces the worker's error.
+                return Ok(());
             }
+            // Checkpoint: flush the new high-water marks to the OS and
+            // hand the snapshot to the durability worker.
+            let mut lens = Vec::with_capacity(k * fanout);
+            for writers in &mut spills {
+                for w in writers {
+                    w.flush()?;
+                    lens.push(w.get_ref().metadata()?.len());
+                }
+            }
+            state.batches_done = batch_idx;
+            state.spill_lens = lens;
+            pipeline.enqueue(CheckpointMsg {
+                snapshot: state.clone(),
+                sync: sync_files.clone(),
+                cleanup_func: None,
+            });
         }
         for writers in &mut spills {
             for w in writers {
@@ -673,18 +592,16 @@ impl ExternalIndexBuilder {
         }
         drop(spills);
         state.spill_done = true;
-        if let Some(pipeline) = pipeline {
-            // The spill-done checkpoint rides the pipeline too: its sync
-            // covers the final batch, and FIFO order guarantees it is
-            // published before any `funcs_done` snapshot aggregation
-            // enqueues — so aggregation can start on the page-cache spill
-            // immediately, durability trailing behind.
-            pipeline.enqueue(CheckpointMsg {
-                snapshot: state.clone(),
-                sync: sync_files.clone(),
-                cleanup_func: None,
-            });
-        }
+        // The spill-done checkpoint rides the pipeline too: its sync covers
+        // the final batch, and FIFO order guarantees it is published before
+        // any `funcs_done` snapshot aggregation enqueues — so aggregation
+        // can start on the page-cache spill immediately, durability
+        // trailing behind.
+        pipeline.enqueue(CheckpointMsg {
+            snapshot: state.clone(),
+            sync: sync_files,
+            cleanup_func: None,
+        });
         Ok(())
     }
 
@@ -692,12 +609,12 @@ impl ExternalIndexBuilder {
     /// no longer be split), otherwise re-partitions on the next hash bits
     /// and recurses in ascending sub-partition order.
     ///
-    /// In journaled mode spill files are **not** deleted as they are
-    /// consumed: the level-0 partitions must survive until this function's
-    /// index file commits, so that a crash mid-aggregation can re-run the
-    /// function from intact inputs (re-splitting is idempotent — sub files
-    /// are recreated with `File::create`). The committed-function path in
-    /// `build_inner` removes them afterwards.
+    /// Spill files are **not** deleted as they are consumed: the level-0
+    /// partitions must survive until this function's index file commits, so
+    /// that a crash mid-aggregation can re-run the function from intact
+    /// inputs (re-splitting is idempotent — sub files are recreated with
+    /// `File::create`). The committed-function path in `build_inner`
+    /// removes them afterwards.
     fn process_partition(
         &self,
         path: &Path,
@@ -707,12 +624,8 @@ impl ExternalIndexBuilder {
         writer: &mut Writer,
     ) -> Result<(), IndexError> {
         journal::tick_io(&self.kill)?;
-        let keep_spill = self.use_journal;
         let size = std::fs::metadata(path)?.len();
         if size == 0 {
-            if !keep_spill {
-                remove_file_warn(path);
-            }
             return Ok(());
         }
         let can_split = consumed_bits + self.partition_bits <= 64;
@@ -720,9 +633,6 @@ impl ExternalIndexBuilder {
             // Terminal: load, sort, group, emit.
             let mut bytes = Vec::with_capacity(size as usize);
             File::open(path)?.read_to_end(&mut bytes)?;
-            if !keep_spill {
-                remove_file_warn(path);
-            }
             if bytes.len() % SPILL_RECORD_LEN != 0 {
                 return Err(IndexError::Malformed(format!(
                     "spill file {} is not a whole number of records",
@@ -779,9 +689,6 @@ impl ExternalIndexBuilder {
             w.flush()?;
         }
         drop(subs);
-        if !keep_spill {
-            remove_file_warn(path);
-        }
         for p in 0..fanout {
             let sub_path = sub_partition_path(spill_dir, func, path, p);
             self.process_partition(&sub_path, next_consumed, func, spill_dir, writer)?;
@@ -815,32 +722,6 @@ fn remove_func_spill(spill_dir: &Path, func: usize) {
             .is_some_and(|n| n.starts_with(&prefix))
         {
             remove_file_warn(&entry.path());
-        }
-    }
-}
-
-/// Removes the partial artifacts of a failed **un-journaled** build: the
-/// spill scratch directory and any committed inverted-index files — but
-/// only when no `meta.json` marks the directory as a previously completed
-/// index (clobbering a prior build's files after a failed rebuild would
-/// make a bad situation worse). Cleanup failures are surfaced as warnings
-/// rather than masking the original build error.
-fn clean_failed_build(dir: &Path, spill_dir: &Path, k: usize) {
-    if spill_dir.exists() {
-        if let Err(e) = std::fs::remove_dir_all(spill_dir) {
-            eprintln!(
-                "warning: could not remove spill scratch {}: {e}",
-                spill_dir.display()
-            );
-        }
-    }
-    if dir.join(crate::disk::META_FILE).exists() {
-        return;
-    }
-    for func in 0..k {
-        let path = inv_file_path(dir, func);
-        if path.exists() {
-            remove_file_warn(&path);
         }
     }
 }

@@ -52,14 +52,6 @@ impl CacheConfig {
             shards: 1,
         }
     }
-
-    /// Default shape with a specific posting-list budget.
-    pub fn with_posting_budget(bytes: usize) -> Self {
-        Self {
-            posting_budget: bytes,
-            ..Self::default()
-        }
-    }
 }
 
 /// Cache key: `(hash function, min-hash value)`.

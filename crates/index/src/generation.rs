@@ -84,23 +84,6 @@ impl GenerationStore {
         Ok(store)
     }
 
-    /// Whether `path` looks like a generation store (has a `CURRENT`
-    /// pointer or at least one `gen-NNNN/` directory).
-    pub fn is_store(path: &Path) -> bool {
-        if path.join(CURRENT_FILE).is_file() {
-            return true;
-        }
-        let Ok(entries) = std::fs::read_dir(path) else {
-            return false;
-        };
-        entries.flatten().any(|e| {
-            e.path().is_dir()
-                && e.file_name()
-                    .to_str()
-                    .is_some_and(|n| parse_generation_name(n).is_some())
-        })
-    }
-
     /// The store root.
     pub fn root(&self) -> &Path {
         &self.root

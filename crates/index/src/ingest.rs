@@ -51,7 +51,7 @@ use crate::generation::GenerationStore;
 use crate::journal::{self, KillPoints};
 use crate::merge::{merge_indexes_with, MergeOptions};
 use crate::wal::{self, WalWriter};
-use crate::{build, IndexAccess, IndexConfig, IndexError, MemoryIndex};
+use crate::{build, record, IndexAccess, IndexConfig, IndexError, MemoryIndex};
 
 /// Directory inside a store root that holds the mutable state.
 pub const MEMTABLE_DIR: &str = "memtable";
@@ -140,28 +140,17 @@ impl MemtableManifest {
         root.join(MEMTABLE_DIR).join(MEMTABLE_FILE)
     }
 
-    fn to_json_sans_crc(&self) -> Json {
-        ObjectBuilder::new()
+    /// Atomically publishes the manifest (temp, fsync, rename, dir sync).
+    pub(crate) fn save(&self, root: &Path) -> Result<(), IndexError> {
+        let payload = ObjectBuilder::new()
             .field("version", Json::UInt(1))
             .field("fingerprint", Json::UInt(self.fingerprint))
             .field("config", Json::Str(self.config_json.clone()))
             .field("active_wal", Json::UInt(self.active_wal))
             .field("trimmed_below", Json::UInt(self.trimmed_below))
             .field("compact_gen", Json::Str(self.compact_gen.clone()))
-            .build()
-    }
-
-    /// Atomically publishes the manifest (temp, fsync, rename, dir sync).
-    pub(crate) fn save(&self, root: &Path) -> Result<(), IndexError> {
-        let payload = self.to_json_sans_crc();
-        let crc = crc32c::crc32c(payload.to_string_pretty().as_bytes());
-        let Json::Object(mut fields) = payload else {
-            unreachable!("manifest serializes to an object");
-        };
-        fields.push(("crc".to_string(), Json::UInt(crc as u64)));
-        let text = Json::Object(fields).to_string_pretty();
-        ndss_durable::write_atomic(&Self::path(root), text.as_bytes())?;
-        Ok(())
+            .build();
+        record::save(&Self::path(root), payload)
     }
 
     /// Loads the manifest. `Ok(None)` when absent; present-but-corrupt is
@@ -169,27 +158,10 @@ impl MemtableManifest {
     /// guesswork.
     pub(crate) fn load(root: &Path) -> Result<Option<Self>, IndexError> {
         let path = Self::path(root);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
+        let Some(doc) = record::load(&path)? else {
+            return Ok(None);
         };
         let malformed = |what: &str| IndexError::Malformed(format!("{}: {what}", path.display()));
-        let doc = Json::parse(&text).map_err(|e| malformed(&e.to_string()))?;
-        let stored_crc = doc
-            .get("crc")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| malformed("missing crc"))?;
-        let Json::Object(fields) = &doc else {
-            return Err(malformed("not an object"));
-        };
-        let sans_crc = Json::Object(fields.iter().filter(|(k, _)| k != "crc").cloned().collect());
-        let computed = crc32c::crc32c(sans_crc.to_string_pretty().as_bytes());
-        if computed as u64 != stored_crc {
-            return Err(malformed(&format!(
-                "crc mismatch (stored {stored_crc:#x}, computed {computed:#x})"
-            )));
-        }
         let uint = |key: &str| {
             doc.get(key)
                 .and_then(Json::as_u64)
@@ -741,21 +713,18 @@ impl IngestIndex {
         // Step 3: merge (or, for the store's first generation, a direct
         // write — nothing to merge with).
         if let Some(current_dir) = &current {
-            let mut options = MergeOptions::new().journal(true).resume(true);
+            let mut fresh = MergeOptions::new();
             if let Some(kp) = &kill {
-                options = options.kill_points(kp.clone());
+                fresh = fresh.kill_points(kp.clone());
             }
-            match merge_indexes_with(&[current_dir, &seal], &gen_dir, &options) {
+            let resumed = fresh.clone().resume(true);
+            match merge_indexes_with(&[current_dir, &seal], &gen_dir, &resumed) {
                 Ok(_) => {}
                 Err(IndexError::Malformed(_)) => {
                     // A stale journal from an unrelated interrupted build in
                     // this directory: clear it and merge fresh.
                     std::fs::remove_dir_all(&gen_dir)?;
                     std::fs::create_dir_all(&gen_dir)?;
-                    let mut fresh = MergeOptions::new().journal(true);
-                    if let Some(kp) = &kill {
-                        fresh = fresh.kill_points(kp.clone());
-                    }
                     merge_indexes_with(&[current_dir, &seal], &gen_dir, &fresh)?;
                 }
                 Err(e) => return Err(e),

@@ -19,10 +19,11 @@
 //!   checksummed artifact). Resume skips committed functions and re-runs
 //!   the in-flight one from its intact spill partitions (or input shards).
 //!
-//! The journal itself is published with [`ndss_durable::write_atomic`] and
-//! carries a CRC-32C over its own serialization: a crash mid-checkpoint
-//! leaves the *previous* valid journal, never a torn one, and external
-//! corruption is detected rather than silently resumed from.
+//! The journal itself is a self-checksummed record (`record.rs`):
+//! published atomically with a CRC-32C over its own serialization, so a
+//! crash mid-checkpoint leaves the *previous* valid journal, never a torn
+//! one, and external corruption is detected rather than silently resumed
+//! from.
 //!
 //! A journal is only honoured when its **fingerprint** — a digest of the
 //! index configuration (including corpus dimensions) and the builder
@@ -37,7 +38,7 @@ use std::sync::Arc;
 
 use ndss_json::{Json, ObjectBuilder};
 
-use crate::IndexError;
+use crate::{gc, record, IndexError};
 
 /// File name of the build/merge journal inside the output directory.
 pub const JOURNAL_FILE: &str = "build.journal";
@@ -65,6 +66,14 @@ impl JournalKind {
             "external_build" => Some(JournalKind::ExternalBuild),
             "merge" => Some(JournalKind::Merge),
             _ => None,
+        }
+    }
+
+    /// How refusals name this pipeline.
+    fn noun(self) -> &'static str {
+        match self {
+            JournalKind::ExternalBuild => "an external build",
+            JournalKind::Merge => "a merge",
         }
     }
 }
@@ -102,14 +111,59 @@ impl BuildJournal {
         }
     }
 
+    /// The journal a run of `kind` into `dir` starts from. A fresh run
+    /// (`resume` off) owns the directory: residue of crashed runs is swept
+    /// instead of accumulating, and the journal is empty. A resumed run
+    /// continues from the journal on disk — refused when it belongs to the
+    /// other pipeline or its fingerprint differs — and degrades to a fresh
+    /// journal when there is none (the crash predated the first checkpoint,
+    /// or the run never started).
+    pub(crate) fn begin(
+        dir: &Path,
+        kind: JournalKind,
+        fingerprint: u64,
+        resume: bool,
+    ) -> Result<Self, IndexError> {
+        if !resume {
+            let removed = gc::sweep_build_residue(dir) + gc::sweep_atomic_temps(dir);
+            if removed > 0 {
+                gc::gc_counter().inc(removed);
+            }
+            return Ok(Self::new(kind, fingerprint));
+        }
+        let Some(loaded) = Self::load(dir)? else {
+            return Ok(Self::new(kind, fingerprint));
+        };
+        if loaded.kind != kind {
+            return Err(IndexError::Malformed(format!(
+                "{}: journal belongs to {}, not {}",
+                dir.display(),
+                loaded.kind.noun(),
+                kind.noun()
+            )));
+        }
+        if loaded.fingerprint != fingerprint {
+            let written = match kind {
+                JournalKind::ExternalBuild => "by a different configuration or corpus",
+                JournalKind::Merge => "for different merge inputs",
+            };
+            return Err(IndexError::Malformed(format!(
+                "{}: journal was written {written}; re-run without --resume to start over",
+                dir.display()
+            )));
+        }
+        Ok(loaded)
+    }
+
     /// Path of the journal inside output directory `dir`.
     pub fn path(dir: &Path) -> PathBuf {
         dir.join(JOURNAL_FILE)
     }
 
-    /// Serializes the journal without its trailing CRC field.
-    fn to_json_sans_crc(&self) -> Json {
-        ObjectBuilder::new()
+    /// Atomically publishes the journal to `dir` (temp file, fsync, rename,
+    /// directory sync). A crash during `save` leaves the previous journal.
+    pub fn save(&self, dir: &Path) -> Result<(), IndexError> {
+        let payload = ObjectBuilder::new()
             .field("kind", Json::Str(self.kind.as_str().to_string()))
             .field("fingerprint", Json::UInt(self.fingerprint))
             .field("batches_done", Json::UInt(self.batches_done))
@@ -127,21 +181,8 @@ impl BuildJournal {
                         .collect(),
                 ),
             )
-            .build()
-    }
-
-    /// Atomically publishes the journal to `dir` (temp file, fsync, rename,
-    /// directory sync). A crash during `save` leaves the previous journal.
-    pub fn save(&self, dir: &Path) -> Result<(), IndexError> {
-        let payload = self.to_json_sans_crc();
-        let crc = crc32c::crc32c(payload.to_string_pretty().as_bytes());
-        let Json::Object(mut fields) = payload else {
-            unreachable!("journal serializes to an object");
-        };
-        fields.push(("crc".to_string(), Json::UInt(crc as u64)));
-        let text = Json::Object(fields).to_string_pretty();
-        ndss_durable::write_atomic(&Self::path(dir), text.as_bytes())?;
-        Ok(())
+            .build();
+        record::save(&Self::path(dir), payload)
     }
 
     /// Loads the journal from `dir`. Returns `Ok(None)` when no journal
@@ -149,29 +190,10 @@ impl BuildJournal {
     /// unknown kind) is an error — resuming from it would be guessing.
     pub fn load(dir: &Path) -> Result<Option<Self>, IndexError> {
         let path = Self::path(dir);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
+        let Some(doc) = record::load(&path)? else {
+            return Ok(None);
         };
         let malformed = |what: &str| IndexError::Malformed(format!("{}: {what}", path.display()));
-        let doc = Json::parse(&text).map_err(|e| malformed(&e.to_string()))?;
-        let stored_crc = doc
-            .get("crc")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| malformed("missing crc"))?;
-        // The CRC covers the serialization of every field before `crc`;
-        // re-serialize the parsed fields (order-preserving) and compare.
-        let Json::Object(fields) = &doc else {
-            return Err(malformed("not an object"));
-        };
-        let sans_crc = Json::Object(fields.iter().filter(|(k, _)| k != "crc").cloned().collect());
-        let computed = crc32c::crc32c(sans_crc.to_string_pretty().as_bytes());
-        if computed as u64 != stored_crc {
-            return Err(malformed(&format!(
-                "crc mismatch (stored {stored_crc:#x}, computed {computed:#x})"
-            )));
-        }
         let kind = doc
             .get("kind")
             .and_then(Json::as_str)
@@ -253,8 +275,8 @@ pub const INJECTED_CRASH: &str = "injected crash (kill point)";
 /// list merged). Each call bumps the matching counter; when a counter
 /// reaches the configured kill value the call returns an
 /// [`IndexError::Io`] carrying [`INJECTED_CRASH`] and the injector latches
-/// [`KillPoints::fired`]. The builder treats a fired injector exactly like
-/// a hard crash: **no cleanup runs**, on-disk state is left as the crash
+/// [`KillPoints::fired`]. The error propagates like any other failure of
+/// the pipeline: **no cleanup runs**, on-disk state is left as the crash
 /// found it.
 ///
 /// A counting pass (no kill configured) reports how many points a given
@@ -301,8 +323,8 @@ impl KillPoints {
         self.io_seen.load(Ordering::Relaxed)
     }
 
-    /// Whether an injected crash has fired. Builders consult this to skip
-    /// every cleanup path, leaving the directory as a real crash would.
+    /// Whether an injected crash has fired — how a sweep harness tells its
+    /// own crash from a real failure.
     pub fn fired(&self) -> bool {
         self.fired.load(Ordering::Relaxed)
     }

@@ -43,6 +43,7 @@ pub mod merge;
 mod metrics;
 pub mod packed;
 mod pread;
+mod record;
 pub mod shard;
 pub mod varint;
 pub mod wal;
@@ -61,7 +62,6 @@ pub use shard::{
 };
 
 use ndss_corpus::TextId;
-use ndss_hash::universal::HashFamily;
 use ndss_hash::{HashValue, MinHasher};
 use ndss_json::Json;
 use ndss_windows::CompactWindow;
@@ -166,6 +166,12 @@ impl Posting {
     }
 }
 
+/// The one universal hash family ([`ndss_hash::MultiplyShiftHash`]) as
+/// `meta.json` names it. The field stays in the document — memtable
+/// manifests and build journals fingerprint its text — and any other value
+/// is refused.
+const HASH_FAMILY: &str = "MultiplyShift";
+
 /// Everything needed to rebuild the query-side hashing and to sanity-check
 /// compatibility between an index and a query configuration. Persisted as
 /// `meta.json` in the index directory.
@@ -177,8 +183,6 @@ pub struct IndexConfig {
     pub t: usize,
     /// Master seed the hash bank derives from.
     pub seed: u64,
-    /// Universal hash family.
-    pub family: HashFamily,
     /// Number of texts in the indexed corpus.
     pub num_texts: usize,
     /// Total tokens in the indexed corpus.
@@ -212,7 +216,6 @@ impl IndexConfig {
             k,
             t,
             seed,
-            family: HashFamily::MultiplyShift,
             num_texts: 0,
             total_tokens: 0,
             zone_step: 256,
@@ -220,12 +223,6 @@ impl IndexConfig {
             compress: false,
             packed: false,
         }
-    }
-
-    /// Overrides the hash family.
-    pub fn family(mut self, family: HashFamily) -> Self {
-        self.family = family;
-        self
     }
 
     /// Overrides the zone-map parameters.
@@ -261,7 +258,7 @@ impl IndexConfig {
 
     /// The hash bank this configuration describes.
     pub fn hasher(&self) -> MinHasher {
-        MinHasher::with_family(self.k, self.seed, self.family)
+        MinHasher::new(self.k, self.seed)
     }
 
     /// Serializes to the `meta.json` document (pretty, one field per line).
@@ -270,10 +267,7 @@ impl IndexConfig {
             ("k".to_string(), Json::UInt(self.k as u64)),
             ("t".to_string(), Json::UInt(self.t as u64)),
             ("seed".to_string(), Json::UInt(self.seed)),
-            (
-                "family".to_string(),
-                Json::Str(self.family.as_str().to_string()),
-            ),
+            ("family".to_string(), Json::Str(HASH_FAMILY.to_string())),
             ("num_texts".to_string(), Json::UInt(self.num_texts as u64)),
             ("total_tokens".to_string(), Json::UInt(self.total_tokens)),
             ("zone_step".to_string(), Json::UInt(self.zone_step as u64)),
@@ -293,10 +287,13 @@ impl IndexConfig {
         let malformed = |what: &str| IndexError::Malformed(format!("meta.json: {what}"));
         let doc = Json::parse(text).map_err(|e| IndexError::Malformed(e.to_string()))?;
         let uint = |key: &str| doc.get(key).and_then(Json::as_u64);
-        let family_name = doc
+        let family = doc
             .get("family")
             .and_then(Json::as_str)
             .ok_or_else(|| malformed("missing family"))?;
+        if family != HASH_FAMILY {
+            return Err(malformed("unknown hash family"));
+        }
         // A corrupt meta.json must not drive absurd allocations downstream
         // (`DiskIndex::open` sizes per-function tables by `k`), so bound the
         // structural parameters before accepting them.
@@ -316,8 +313,6 @@ impl IndexConfig {
             k: k as usize,
             t: t as usize,
             seed: uint("seed").ok_or_else(|| malformed("missing seed"))?,
-            family: HashFamily::parse(family_name)
-                .ok_or_else(|| malformed("unknown hash family"))?,
             num_texts: uint("num_texts").ok_or_else(|| malformed("missing num_texts"))? as usize,
             total_tokens: uint("total_tokens").ok_or_else(|| malformed("missing total_tokens"))?,
             zone_step: zone_step as u32,
@@ -645,6 +640,17 @@ pub(crate) mod tests {
         cfg.total_tokens = 12345;
         let text = cfg.to_json_pretty();
         assert_eq!(IndexConfig::from_json(&text).unwrap(), cfg);
+    }
+
+    #[test]
+    fn config_json_names_the_one_hash_family_and_refuses_any_other() {
+        let text = IndexConfig::new(4, 25, 9).to_json_pretty();
+        assert!(text.contains("\"family\": \"MultiplyShift\""), "{text}");
+        let other = text.replace("MultiplyShift", "Murmur");
+        assert!(matches!(
+            IndexConfig::from_json(&other),
+            Err(IndexError::Malformed(m)) if m.contains("unknown hash family")
+        ));
     }
 
     #[test]

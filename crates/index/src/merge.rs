@@ -21,41 +21,24 @@ use std::sync::Arc;
 use crate::container::{Encoding, Reader, Writer};
 use crate::disk::{inv_file_path, DiskIndex};
 use crate::journal::{self, BuildJournal, JournalKind, KillPoints};
-use crate::{gc, IndexConfig, IndexError, IoStats};
+use crate::{IndexConfig, IndexError, IoStats};
 
-/// Knobs for [`merge_indexes_with`]: journaling, resume, and (in tests) a
-/// deterministic crash injector. Mirrors the corresponding options on
+/// Knobs for [`merge_indexes_with`]: resume, and (in tests) a deterministic
+/// crash injector. Mirrors the corresponding options on
 /// [`crate::ExternalIndexBuilder`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MergeOptions {
-    use_journal: bool,
     resume: bool,
     kill: Option<Arc<KillPoints>>,
 }
 
-impl Default for MergeOptions {
-    fn default() -> Self {
-        Self {
-            use_journal: true,
-            resume: false,
-            kill: None,
-        }
-    }
-}
-
 impl MergeOptions {
-    /// Default options: journal on, fresh merge.
+    /// Default options: a fresh merge.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Enables (default) or disables the crash-safe merge journal.
-    pub fn journal(mut self, on: bool) -> Self {
-        self.use_journal = on;
-        self
-    }
-
-    /// Continues an interrupted journaled merge: committed per-function
+    /// Continues an interrupted merge: committed per-function
     /// outputs are kept, the in-flight function is re-merged from the
     /// (untouched) inputs. With no journal on disk this degrades to a fresh
     /// merge.
@@ -74,10 +57,10 @@ impl MergeOptions {
 
 /// Merges the index directories `inputs` (in shard order) into `out_dir`.
 ///
-/// All inputs must share the same `k`, `t`, seed, hash family, and zone-map
+/// All inputs must share the same `k`, `t`, seed, and zone-map
 /// parameters; text ids are re-based by cumulative shard sizes. Returns the
 /// opened merged index. Equivalent to [`merge_indexes_with`] with default
-/// options (journal on).
+/// options.
 pub fn merge_indexes(inputs: &[&Path], out_dir: &Path) -> Result<DiskIndex, IndexError> {
     merge_indexes_with(inputs, out_dir, &MergeOptions::default())
 }
@@ -114,14 +97,13 @@ pub fn merge_indexes_with(
         let compatible = c.k == base.k
             && c.t == base.t
             && c.seed == base.seed
-            && c.family == base.family
             && c.zone_step == base.zone_step
             && c.zone_min_len == base.zone_min_len
             && c.compress == base.compress
             && c.packed == base.packed;
         if !compatible {
             return Err(IndexError::Malformed(format!(
-                "index {} has incompatible configuration (k/t/seed/family/zone must match shard 0)",
+                "index {} has incompatible configuration (k/t/seed/zone must match shard 0)",
                 inputs[i].display()
             )));
         }
@@ -156,73 +138,33 @@ pub fn merge_indexes_with(
     let part_refs: Vec<&str> = parts.iter().map(String::as_str).collect();
     let fingerprint = journal::fingerprint(&part_refs);
 
-    let mut state = if options.resume {
-        match BuildJournal::load(out_dir)? {
-            Some(loaded) => {
-                if loaded.kind != JournalKind::Merge {
-                    return Err(IndexError::Malformed(format!(
-                        "{}: journal belongs to an external build, not a merge",
-                        out_dir.display()
-                    )));
-                }
-                if loaded.fingerprint != fingerprint {
-                    return Err(IndexError::Malformed(format!(
-                        "{}: journal was written for different merge inputs; \
-                         re-run without --resume to start over",
-                        out_dir.display()
-                    )));
-                }
-                loaded
-            }
-            None => BuildJournal::new(JournalKind::Merge, fingerprint),
-        }
-    } else {
-        let removed = gc::sweep_build_residue(out_dir) + gc::sweep_atomic_temps(out_dir);
-        if removed > 0 {
-            gc::gc_counter().inc(removed);
-        }
-        BuildJournal::new(JournalKind::Merge, fingerprint)
-    };
+    let mut state = BuildJournal::begin(out_dir, JournalKind::Merge, fingerprint, options.resume)?;
 
-    let outcome = (|| {
-        if options.use_journal && state.funcs_done.is_empty() {
-            journal::tick_checkpoint(&options.kill)?;
-            state.save(out_dir)?;
-            journal::tick_checkpoint(&options.kill)?;
-        }
-        for func in 0..base.k {
-            if state.funcs_done.contains(&func) {
-                continue; // committed by the interrupted run
-            }
-            merge_one_function(inputs, out_dir, base, &offsets, func, &options.kill)?;
-            if options.use_journal {
-                state.funcs_done.insert(func);
-                journal::tick_checkpoint(&options.kill)?;
-                state.save(out_dir)?;
-                journal::tick_checkpoint(&options.kill)?;
-            }
-        }
+    // From here on a failure (or an injected crash) cleans nothing up: the
+    // journal and the committed per-function outputs are the resumable state.
+    if state.funcs_done.is_empty() {
         journal::tick_checkpoint(&options.kill)?;
-        let mut merged_config = base.clone();
-        merged_config.num_texts = total_texts as usize;
-        merged_config.total_tokens = total_tokens;
-        DiskIndex::write_meta(out_dir, &merged_config)?;
+        state.save(out_dir)?;
         journal::tick_checkpoint(&options.kill)?;
-        if options.use_journal {
-            BuildJournal::remove(out_dir)?;
-        }
-        journal::tick_checkpoint(&options.kill)?;
-        Ok(())
-    })();
-    if let Err(e) = outcome {
-        if options.kill.as_ref().is_some_and(|kp| kp.fired()) {
-            return Err(e); // simulated hard crash: touch nothing
-        }
-        if !options.use_journal {
-            clean_failed_merge(out_dir, base.k);
-        }
-        return Err(e);
     }
+    for func in 0..base.k {
+        if state.funcs_done.contains(&func) {
+            continue; // committed by the interrupted run
+        }
+        merge_one_function(inputs, out_dir, base, &offsets, func, &options.kill)?;
+        state.funcs_done.insert(func);
+        journal::tick_checkpoint(&options.kill)?;
+        state.save(out_dir)?;
+        journal::tick_checkpoint(&options.kill)?;
+    }
+    journal::tick_checkpoint(&options.kill)?;
+    let mut merged_config = base.clone();
+    merged_config.num_texts = total_texts as usize;
+    merged_config.total_tokens = total_tokens;
+    DiskIndex::write_meta(out_dir, &merged_config)?;
+    journal::tick_checkpoint(&options.kill)?;
+    BuildJournal::remove(out_dir)?;
+    journal::tick_checkpoint(&options.kill)?;
     crate::build::record_build_fsyncs(fsyncs_before);
     DiskIndex::open(out_dir)
 }
@@ -284,23 +226,6 @@ fn merge_one_function(
     }
     writer.finish()?;
     Ok(())
-}
-
-/// Removes the partial outputs of a failed un-journaled merge, unless a
-/// `meta.json` marks the directory as an already-complete index. Failures
-/// are warnings — the merge error is the story.
-fn clean_failed_merge(out_dir: &Path, k: usize) {
-    if out_dir.join(crate::disk::META_FILE).exists() {
-        return;
-    }
-    for func in 0..k {
-        let path = inv_file_path(out_dir, func);
-        if path.exists() {
-            if let Err(e) = std::fs::remove_file(&path) {
-                eprintln!("warning: could not remove partial {}: {e}", path.display());
-            }
-        }
-    }
 }
 
 #[cfg(test)]

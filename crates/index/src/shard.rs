@@ -45,7 +45,7 @@ use ndss_json::{Json, ObjectBuilder};
 use crate::build::{build_and_write, ExternalIndexBuilder};
 use crate::generation::GenerationStore;
 use crate::journal::KillPoints;
-use crate::{DiskIndex, IndexAccess, IndexConfig, IndexError};
+use crate::{record, DiskIndex, IndexAccess, IndexConfig, IndexError};
 
 /// File in the store root holding the shard manifest.
 pub const MANIFEST_FILE: &str = "MANIFEST";
@@ -104,8 +104,11 @@ impl ShardManifest {
         self.shards.iter().map(|s| s.num_texts).sum()
     }
 
-    fn to_json_sans_crc(&self) -> Json {
-        ObjectBuilder::new()
+    /// Atomically publishes the manifest to `root` (temp file, fsync,
+    /// rename, directory sync): readers see the old view or the new one,
+    /// never a torn file.
+    pub fn save(&self, root: &Path) -> Result<(), IndexError> {
+        let payload = ObjectBuilder::new()
             .field("version", Json::UInt(MANIFEST_VERSION))
             .field("generation", Json::UInt(self.generation))
             .field(
@@ -127,22 +130,8 @@ impl ShardManifest {
                         .collect(),
                 ),
             )
-            .build()
-    }
-
-    /// Atomically publishes the manifest to `root` (temp file, fsync,
-    /// rename, directory sync): readers see the old view or the new one,
-    /// never a torn file.
-    pub fn save(&self, root: &Path) -> Result<(), IndexError> {
-        let payload = self.to_json_sans_crc();
-        let crc = crc32c::crc32c(payload.to_string_pretty().as_bytes());
-        let Json::Object(mut fields) = payload else {
-            unreachable!("manifest serializes to an object");
-        };
-        fields.push(("crc".to_string(), Json::UInt(crc as u64)));
-        let text = Json::Object(fields).to_string_pretty();
-        ndss_durable::write_atomic(&Self::path(root), text.as_bytes())?;
-        Ok(())
+            .build();
+        record::save(&Self::path(root), payload)
     }
 
     /// Loads the manifest from `root`. `Ok(None)` when absent; a
@@ -151,27 +140,10 @@ impl ShardManifest {
     /// texts live where.
     pub fn load(root: &Path) -> Result<Option<Self>, IndexError> {
         let path = Self::path(root);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
+        let Some(doc) = record::load(&path)? else {
+            return Ok(None);
         };
         let malformed = |what: &str| IndexError::Malformed(format!("{}: {what}", path.display()));
-        let doc = Json::parse(&text).map_err(|e| malformed(&e.to_string()))?;
-        let stored_crc = doc
-            .get("crc")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| malformed("missing crc"))?;
-        let Json::Object(fields) = &doc else {
-            return Err(malformed("not an object"));
-        };
-        let sans_crc = Json::Object(fields.iter().filter(|(k, _)| k != "crc").cloned().collect());
-        let computed = crc32c::crc32c(sans_crc.to_string_pretty().as_bytes());
-        if computed as u64 != stored_crc {
-            return Err(malformed(&format!(
-                "crc mismatch (stored {stored_crc:#x}, computed {computed:#x})"
-            )));
-        }
         let version = doc
             .get("version")
             .and_then(Json::as_u64)
@@ -374,15 +346,6 @@ impl ShardedStore {
                 spec.name
             ))),
         }
-    }
-
-    /// Re-reads the manifest from disk (another process may have
-    /// published).
-    pub fn refresh(&mut self) -> Result<(), IndexError> {
-        self.manifest = ShardManifest::load(&self.root)?.ok_or_else(|| {
-            IndexError::Malformed(format!("{}: manifest disappeared", self.root.display()))
-        })?;
-        Ok(())
     }
 
     /// Publishes generation `name` in shard `i` and bumps the view

@@ -17,8 +17,8 @@
 //!   self-time correctly;
 //! * a process-wide kill switch ([`Registry::set_enabled`]): with recording
 //!   disabled every instrument degenerates to one relaxed atomic load and a
-//!   predictable branch, which is what the `query_throughput` bench holds
-//!   under its < 5 % overhead budget.
+//!   predictable branch; the on/off difference is the ledger's
+//!   `obs.overhead_pct` (budget < 5 %).
 //!
 //! # Naming
 //!

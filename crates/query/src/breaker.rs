@@ -68,16 +68,6 @@ impl FaultKind {
             FaultKind::Permanent => 2,
         }
     }
-
-    /// Inverse of [`Self::as_wire`]; unknown bytes decode as transient
-    /// (the weakest claim).
-    pub fn from_wire(byte: u8) -> Self {
-        match byte {
-            1 => FaultKind::Corruption,
-            2 => FaultKind::Permanent,
-            _ => FaultKind::Transient,
-        }
-    }
 }
 
 /// Classifies a per-shard query error, or `None` when the error is not a

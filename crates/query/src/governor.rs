@@ -19,9 +19,8 @@
 //!
 //! An unlimited budget (the default for [`crate::NearDupSearcher::search`])
 //! costs one branch per checkpoint: limits are pre-resolved into a
-//! `limited` flag at query start, so the governed path is always compiled
-//! in without a measurable toll (the `query_throughput` bench gates this
-//! at < 2%).
+//! `limited` flag at query start, so the governed path is the only path:
+//! `search` is `search_governed` with an unlimited budget.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -306,11 +306,6 @@ impl ServerHandle {
     pub fn shutdown(&self) {
         self.shared.draining.store(true, Ordering::Relaxed);
     }
-
-    /// Whether drain has been requested.
-    pub fn is_draining(&self) -> bool {
-        self.shared.draining()
-    }
 }
 
 /// A server spawned onto a background thread (tests, benches, embedding).

@@ -5,7 +5,8 @@
 //!
 //! * both protocols (HTTP/1.1 JSON and NDSB binary framing) answer on the
 //!   same port, and their results agree with a cold open of the served
-//!   generation;
+//!   generation; past the admission cap both shed at once (429 /
+//!   `OVERLOADED`) and count it;
 //! * clients querying *concurrently with* `POST /reload` always see
 //!   results bit-identical to a cold open of one generation — never a
 //!   blend of two;
@@ -21,7 +22,7 @@ use std::time::Duration;
 use ndss::index::{build_and_write, CacheConfig};
 use ndss::prelude::*;
 use ndss::serve::client::{FrameClient, HttpClient};
-use ndss::serve::frame::SearchRequest;
+use ndss::serve::frame::{SearchRequest, STATUS_OVERLOADED};
 use ndss::serve::{RunningServer, ServeConfig, Server};
 use ndss_integration::scratch;
 
@@ -126,12 +127,16 @@ fn search_body(query: &[u32]) -> String {
 }
 
 fn start_server(store: &Path) -> RunningServer {
+    start_server_capped(store, 8)
+}
+
+fn start_server_capped(store: &Path, admission_cap: usize) -> RunningServer {
     let serving = ServingIndex::open_with_cache(store, CacheConfig::default()).unwrap();
     let server = Server::bind(
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 16,
-            admission_cap: 8,
+            admission_cap,
             ..ServeConfig::default()
         },
         serving,
@@ -199,6 +204,32 @@ fn both_protocols_agree_with_a_cold_open() {
     let report = server.shutdown_and_join().unwrap();
     assert!(report.http_requests >= 2 + queries.len() as u64);
     assert!(report.frame_requests > queries.len() as u64);
+    assert_eq!(report.shed, 0);
+
+    // Past the admission cap both protocols shed at once — HTTP 429 and the
+    // binary OVERLOADED status — and count it; a cap of zero makes every
+    // search "past the cap" without a race.
+    let server = start_server_capped(&root, 0);
+    let addr = server.handle().addr();
+    let mut http = HttpClient::connect(addr, TIMEOUT).unwrap();
+    let reply = http
+        .request("POST", "/search", search_body(&queries[0]).as_bytes())
+        .unwrap();
+    assert_eq!(reply.status, 429, "search: {}", reply.text());
+    assert!(reply.text().contains("\"overloaded\""), "{}", reply.text());
+    let (status, _) = FrameClient::connect(addr, TIMEOUT)
+        .unwrap()
+        .search(&SearchRequest {
+            theta: THETA,
+            deadline_ms: 0,
+            top: 0,
+            query: queries[0].clone(),
+        })
+        .unwrap()
+        .expect_err("a capped-out search must be refused");
+    assert_eq!(status, STATUS_OVERLOADED);
+    assert_eq!(http.request("GET", "/healthz", b"").unwrap().status, 200);
+    assert_eq!(server.shutdown_and_join().unwrap().shed, 2);
 }
 
 #[test]
