@@ -17,7 +17,7 @@
 //! * index time linear in corpus size and `k`, inverse in `t`.
 
 use ndss::prelude::*;
-use ndss_bench::{ms, owt_like, pile_like, shape_check, time, Csv};
+use ndss_bench::{ms, owt_like, pile_like, scratch_root, shape_check, time, Csv};
 
 struct BuildOutcome {
     postings: u64,
@@ -28,7 +28,7 @@ struct BuildOutcome {
 
 /// Builds (in memory, timed) then writes (timed) and measures.
 fn build(corpus: &InMemoryCorpus, k: usize, t: usize, tag: &str) -> BuildOutcome {
-    let dir = std::env::temp_dir().join("ndss_fig2").join(tag);
+    let dir = scratch_root("fig2").join(tag);
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     let (index, gen_time) =
@@ -167,5 +167,6 @@ fn main() {
         ratio < 0.5,
         &format!("per-index size / corpus size = {ratio:.3} (paper: ~0.15 for Pile, t=100)"),
     );
+    std::fs::remove_dir_all(scratch_root("fig2")).ok();
     println!("\ndone.");
 }

@@ -19,7 +19,7 @@
 //!   IO/CPU split shifting.
 
 use ndss::prelude::*;
-use ndss_bench::{ms, owt_like, pile_like, query_workload, shape_check, Csv};
+use ndss_bench::{ms, owt_like, pile_like, query_workload, scratch_root, shape_check, Csv};
 
 struct QueryAverages {
     io_ms: f64,
@@ -54,7 +54,7 @@ fn run_queries<I: IndexAccess>(
 }
 
 fn disk_index(corpus: &InMemoryCorpus, k: usize, t: usize, tag: &str) -> DiskIndex {
-    let dir = std::env::temp_dir().join("ndss_fig3").join(tag);
+    let dir = scratch_root("fig3").join(tag);
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     ndss::index::build_and_write(corpus, IndexConfig::new(k, t, 7), &dir, true).expect("build")
@@ -231,5 +231,6 @@ fn main() {
             postings_by_t.last().unwrap().1
         ),
     );
+    std::fs::remove_dir_all(scratch_root("fig3")).ok();
     println!("\ndone.");
 }

@@ -93,6 +93,12 @@ pub fn query_workload(
     queries
 }
 
+/// Scratch root of one figure harness run (`fig` names the harness); the
+/// process id keeps concurrent runs apart. The harness removes it when done.
+pub fn scratch_root(fig: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("ndss_{fig}_{}", std::process::id()))
+}
+
 /// Times a closure once.
 pub fn time<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let start = Instant::now();

@@ -25,7 +25,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use ndss_corpus::types::BatchIter;
-use ndss_corpus::CorpusSource;
+use ndss_corpus::{CorpusSource, TextId};
 use ndss_hash::{HashValue, MinHasher};
 use ndss_windows::{HashedWindow, WindowGenerator};
 
@@ -52,22 +52,54 @@ pub fn write_memory_index(index: &MemoryIndex, dir: &Path) -> Result<DiskIndex, 
 /// through this without first copying them into a [`MemoryIndex`].
 pub(crate) fn write_lists<'a>(
     config: &IndexConfig,
-    lists: impl Fn(usize) -> Vec<(ndss_hash::HashValue, &'a [crate::Posting])>,
+    lists: impl Fn(usize) -> Vec<(HashValue, &'a [Posting])> + Sync,
     dir: &Path,
+) -> Result<DiskIndex, IndexError> {
+    write_dir(
+        config,
+        dir,
+        ndss_parallel::default_threads(),
+        |func, put| {
+            lists(func)
+                .into_iter()
+                .try_for_each(|(hash, postings)| put(hash, postings))
+        },
+    )
+}
+
+/// Publishes an index directory: one [`Writer`] per function, each filled by
+/// `fill(func, put)` calling `put(hash, postings)` in ascending hash order,
+/// on up to `threads` threads — the files are independent, so their
+/// encoding, writes and fsyncs overlap. The directory is garbage until
+/// `meta.json` lands, last.
+fn write_dir(
+    config: &IndexConfig,
+    dir: &Path,
+    threads: usize,
+    fill: impl Fn(
+            usize,
+            &mut dyn FnMut(HashValue, &[Posting]) -> Result<(), IndexError>,
+        ) -> Result<(), IndexError>
+        + Sync,
 ) -> Result<DiskIndex, IndexError> {
     let _span = ndss_obs::span("index.write");
     let postings_written = build_postings_counter();
     let fsyncs_before = ndss_durable::fsync_count();
     std::fs::create_dir_all(dir)?;
-    for func in 0..config.k {
+    let funcs: Vec<usize> = (0..config.k).collect();
+    // A file's publish ends in two fsync waits; a second writer per thread
+    // keeps its core busy through them.
+    let writers = if threads > 1 { 2 * threads } else { 1 };
+    ndss_parallel::try_map(&funcs, writers, |_, &func| {
         let mut writer =
             Writer::create(&inv_file_path(dir, func), func as u32, Encoding::of(config))?;
-        for (hash, postings) in lists(func) {
+        fill(func, &mut |hash, postings| {
             writer.write_list(hash, postings)?;
             postings_written.inc(postings.len() as u64);
-        }
-        writer.finish()?;
-    }
+            Ok(())
+        })?;
+        writer.finish()
+    })?;
     DiskIndex::write_meta(dir, config)?;
     record_build_fsyncs(fsyncs_before);
     DiskIndex::open(dir)
@@ -96,20 +128,135 @@ pub(crate) fn record_build_fsyncs(before: u64) {
         .record(ndss_durable::fsync_count().saturating_sub(before));
 }
 
-/// Convenience: build in memory (optionally in parallel) and write to disk.
-/// The paper's medium-scale path end to end.
+/// One compact window on its way into a posting list.
+pub(crate) type Record = (HashValue, Posting);
+
+/// Tokens per work unit of [`FunctionRecords::generate`]: small enough that
+/// a few thousand short texts spread over every core, large enough that a
+/// unit's `k` record buffers are worth their allocation.
+pub(crate) const UNIT_TOKENS: u64 = 1 << 16;
+
+/// Sorts `records` by hash and hands each run of equal hashes to `put` as
+/// one posting list: hashes ascending, postings in canonical
+/// `(text, window)` order. This is the paper's hash aggregation (§3.4) for
+/// records that fit in memory — every builder's last step. Records are
+/// unique, so the total order makes the output independent of the order
+/// they arrive in. The big sort compares one `u64` per record (three times
+/// faster here than the lexicographic tuple order); the runs, nine in ten a
+/// handful long, are ordered as they are cut.
+pub(crate) fn emit_runs(
+    records: &mut [Record],
+    mut put: impl FnMut(HashValue, &[Posting]) -> Result<(), IndexError>,
+) -> Result<(), IndexError> {
+    records.sort_unstable_by_key(|&(hash, _)| hash);
+    let mut list: Vec<Posting> = Vec::new();
+    for run in records.chunk_by(|a, b| a.0 == b.0) {
+        list.clear();
+        list.extend(run.iter().map(|&(_, posting)| posting));
+        list.sort_unstable();
+        put(run[0].0, &list)?;
+    }
+    Ok(())
+}
+
+/// The compact windows of a whole corpus as flat records, per hash function
+/// and still in the pieces the work units produced them in.
+pub(crate) struct FunctionRecords(Vec<Mutex<Vec<Vec<Record>>>>);
+
+impl FunctionRecords {
+    /// Algorithm 1's generation step: workers map units of about
+    /// `unit_tokens` tokens (whole texts; the mean text length turns the
+    /// budget into a text count) to one record buffer per function.
+    pub(crate) fn generate<C: CorpusSource + ?Sized>(
+        corpus: &C,
+        config: &IndexConfig,
+        threads: usize,
+        unit_tokens: u64,
+    ) -> Result<Self, IndexError> {
+        let hasher = config.hasher();
+        let num_texts = corpus.num_texts() as u64;
+        let unit_texts = (unit_tokens.saturating_mul(num_texts) / corpus.total_tokens().max(1))
+            .clamp(1, num_texts.max(1));
+        let units: Vec<(u64, u64)> = (0..num_texts)
+            .step_by(unit_texts as usize)
+            .map(|start| (start, (start + unit_texts).min(num_texts)))
+            .collect();
+        let per_unit = ndss_parallel::try_map(&units, threads, |_, &(start, end)| {
+            let mut records: Vec<Vec<Record>> = vec![Vec::new(); config.k];
+            let mut generator = WindowGenerator::new();
+            let mut tokens = Vec::new();
+            let mut windows: Vec<HashedWindow> = Vec::new();
+            for text in start as TextId..end as TextId {
+                corpus.read_text(text, &mut tokens)?;
+                for (func, records) in records.iter_mut().enumerate() {
+                    windows.clear();
+                    generator.generate(&hasher, func, &tokens, config.t, &mut windows);
+                    records.extend(windows.iter().map(|hw| {
+                        let window = hw.window;
+                        (hw.hash, Posting { text, window })
+                    }));
+                }
+            }
+            Ok::<_, IndexError>(records)
+        })?;
+        let mut per_func: Vec<Vec<Vec<Record>>> = vec![Vec::new(); config.k];
+        for unit in per_unit {
+            for (parts, part) in per_func.iter_mut().zip(unit) {
+                parts.push(part);
+            }
+        }
+        Ok(Self(per_func.into_iter().map(Mutex::new).collect()))
+    }
+
+    /// Takes `func`'s records (a second call finds none) and emits them as
+    /// posting lists through [`emit_runs`]. Functions are independent, so
+    /// callers fan this out over them; taking frees a function's records
+    /// once it is emitted, so a [`MemoryIndex`] build never holds all the
+    /// records and all the lists at once.
+    pub(crate) fn emit(
+        &self,
+        func: usize,
+        put: impl FnMut(HashValue, &[Posting]) -> Result<(), IndexError>,
+    ) -> Result<(), IndexError> {
+        let parts = std::mem::take(&mut *self.0[func].lock().expect("no panic under this lock"));
+        let mut records = parts.concat();
+        drop(parts);
+        emit_runs(&mut records, put)
+    }
+}
+
+/// Worker threads of a build: every core, or the caller's thread alone.
+pub(crate) fn build_threads(parallel: bool) -> usize {
+    if parallel {
+        ndss_parallel::default_threads()
+    } else {
+        1
+    }
+}
+
+/// `config` with the dimensions of the corpus it is about to index.
+pub(crate) fn sized_for<C: CorpusSource + ?Sized>(
+    mut config: IndexConfig,
+    corpus: &C,
+) -> IndexConfig {
+    config.num_texts = corpus.num_texts();
+    config.total_tokens = corpus.total_tokens();
+    config
+}
+
+/// Builds in memory (optionally in parallel) and writes to disk: the
+/// paper's medium-scale path end to end. Each function's records go from
+/// the sort straight into its file; no [`MemoryIndex`] is materialised.
 pub fn build_and_write<C: CorpusSource + ?Sized>(
     corpus: &C,
     config: IndexConfig,
     dir: &Path,
     parallel: bool,
 ) -> Result<DiskIndex, IndexError> {
-    let mem = if parallel {
-        MemoryIndex::build_parallel(corpus, config)?
-    } else {
-        MemoryIndex::build(corpus, config)?
-    };
-    write_memory_index(&mem, dir)
+    let threads = build_threads(parallel);
+    let config = sized_for(config, corpus);
+    let records = FunctionRecords::generate(corpus, &config, threads, UNIT_TOKENS)?;
+    write_dir(&config, dir, threads, |func, put| records.emit(func, put))
 }
 
 /// One spilled record: `(hash, posting)`, 24 bytes on disk.
@@ -330,9 +477,7 @@ impl ExternalIndexBuilder {
         let _span = ndss_obs::span("index.build.external");
         let fsyncs_before = ndss_durable::fsync_count();
         std::fs::create_dir_all(dir)?;
-        let mut config = self.config.clone();
-        config.num_texts = corpus.num_texts();
-        config.total_tokens = corpus.total_tokens();
+        let config = sized_for(self.config.clone(), corpus);
         let fingerprint = self.build_fingerprint(&config);
 
         let mut state =
@@ -408,11 +553,7 @@ impl ExternalIndexBuilder {
             // cleanly).
             let _aggregate_span = ndss_obs::span("index.build.aggregate");
             let funcs: Vec<usize> = (0..k).filter(|f| !state.funcs_done.contains(f)).collect();
-            let threads = if self.parallel {
-                ndss_parallel::default_threads()
-            } else {
-                1
-            };
+            let threads = build_threads(self.parallel);
             let journal_cell = Mutex::new(&mut *state);
             ndss_parallel::try_map(&funcs, threads, |_, &func| {
                 if pipeline.is_dead() {
@@ -522,11 +663,7 @@ impl ExternalIndexBuilder {
         }
         let sync_files = Some(Arc::new(sync_files));
 
-        let threads = if self.parallel {
-            ndss_parallel::default_threads()
-        } else {
-            1
-        };
+        let threads = build_threads(self.parallel);
         let mut batch_idx: u64 = 0;
         for batch in BatchIter::new(corpus, self.batch_tokens) {
             let batch = batch?;
@@ -631,33 +768,26 @@ impl ExternalIndexBuilder {
         let can_split = consumed_bits + self.partition_bits <= 64;
         if size as usize <= self.memory_budget || !can_split {
             // Terminal: load, sort, group, emit.
-            let mut bytes = Vec::with_capacity(size as usize);
-            File::open(path)?.read_to_end(&mut bytes)?;
-            if bytes.len() % SPILL_RECORD_LEN != 0 {
+            if size % SPILL_RECORD_LEN as u64 != 0 {
                 return Err(IndexError::Malformed(format!(
                     "spill file {} is not a whole number of records",
                     path.display()
                 )));
             }
-            let mut records: Vec<(HashValue, Posting)> = bytes
-                .chunks_exact(SPILL_RECORD_LEN)
-                .map(decode_spill)
-                .collect();
-            records.sort_unstable_by_key(|&(h, p)| (h, p));
-            let postings_written = build_postings_counter();
-            let mut i = 0;
-            let mut list: Vec<Posting> = Vec::new();
-            while i < records.len() {
-                let hash = records[i].0;
-                list.clear();
-                while i < records.len() && records[i].0 == hash {
-                    list.push(records[i].1);
-                    i += 1;
-                }
-                writer.write_list(hash, &list)?;
-                postings_written.inc(list.len() as u64);
+            let mut reader = std::io::BufReader::new(File::open(path)?);
+            let mut record = [0u8; SPILL_RECORD_LEN];
+            let count = size as usize / SPILL_RECORD_LEN;
+            let mut records: Vec<Record> = Vec::with_capacity(count);
+            for _ in 0..count {
+                reader.read_exact(&mut record)?;
+                records.push(decode_spill(&record));
             }
-            return Ok(());
+            let postings_written = build_postings_counter();
+            return emit_runs(&mut records, |hash, list| {
+                writer.write_list(hash, list)?;
+                postings_written.inc(list.len() as u64);
+                Ok(())
+            });
         }
 
         // Recursive re-partition on the next `partition_bits` bits.
@@ -783,6 +913,51 @@ mod tests {
         }
         std::fs::remove_dir_all(&mem_dir).ok();
         std::fs::remove_dir_all(&ext_dir).ok();
+    }
+
+    #[test]
+    fn pipeline_bytes_do_not_depend_on_threads_or_unit_size() {
+        use ndss_corpus::InMemoryCorpus;
+        let t = 12;
+        let (varied, _) = SyntheticCorpusBuilder::new(36)
+            .num_texts(25)
+            .text_len(20, 90)
+            .vocab_size(150)
+            .build();
+        let mut texts: Vec<Vec<u32>> = varied.iter().map(|(_, toks)| toks.to_vec()).collect();
+        texts.insert(3, Vec::new());
+        texts.insert(9, vec![7; t - 1]);
+        texts.push(vec![1, 2, 3]);
+        // One token throughout: under every function all records share one
+        // hash, so each file holds a single list.
+        let constant = vec![vec![], vec![5; 40], vec![5; 3], vec![5; 64], vec![5; t]];
+        for (case, texts) in [("varied", texts), ("constant", constant)] {
+            let corpus = InMemoryCorpus::from_texts(texts);
+            let config = sized_for(IndexConfig::new(3, t, 11).bit_packed(true), &corpus);
+            let want_dir = temp_dir(&format!("pipe_{case}_want"));
+            let mem = MemoryIndex::build(&corpus, config.clone()).unwrap();
+            if case == "constant" {
+                assert_eq!(mem.keys_for_function(0), 1);
+            }
+            write_memory_index(&mem, &want_dir).unwrap();
+            for threads in [1, 2, 3, 7] {
+                for unit_tokens in [1, u64::MAX] {
+                    let dir = temp_dir(&format!("pipe_{case}_{threads}_{}", unit_tokens == 1));
+                    let records =
+                        FunctionRecords::generate(&corpus, &config, threads, unit_tokens).unwrap();
+                    write_dir(&config, &dir, threads, |func, put| records.emit(func, put)).unwrap();
+                    for name in ["inv_0.ndsi", "inv_1.ndsi", "inv_2.ndsi", "meta.json"] {
+                        assert_eq!(
+                            file_bytes(&want_dir.join(name)),
+                            file_bytes(&dir.join(name)),
+                            "{case}: {name} at {threads} threads, unit budget {unit_tokens}"
+                        );
+                    }
+                    std::fs::remove_dir_all(&dir).ok();
+                }
+            }
+            std::fs::remove_dir_all(&want_dir).ok();
+        }
     }
 
     #[test]

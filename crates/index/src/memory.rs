@@ -2,9 +2,10 @@
 //!
 //! This is Algorithm 1's medium-scale path: generate compact windows per
 //! hash function per text and group them by min-hash value. Parallelism
-//! follows the paper's OpenMP scheme (§3.4): each worker processes a chunk
-//! of texts into private buffers, and the per-function maps are merged at
-//! the end.
+//! follows the paper's OpenMP scheme (§3.4): each worker processes a unit
+//! of texts into private record buffers, then each function's records are
+//! sorted and cut into lists — the pipeline [`crate::build`] shares between
+//! this builder and the ones that write files.
 
 use std::collections::HashMap;
 
@@ -12,6 +13,7 @@ use ndss_corpus::{CorpusSource, TextId};
 use ndss_hash::{HashValue, MinHasher, TokenId};
 use ndss_windows::{HashedWindow, WindowGenerator};
 
+use crate::build::{self, FunctionRecords};
 use crate::{IndexAccess, IndexConfig, IndexError, IoSnapshot, IoStats, Posting, SharedList};
 
 /// One fully in-memory inverted index: `maps[func][hash] = postings`.
@@ -70,7 +72,8 @@ impl MemoryIndex {
         Self::build_inner(corpus, config, false)
     }
 
-    /// Builds the index with thread parallelism over text chunks.
+    /// Builds the index with thread parallelism over units of texts, then
+    /// over hash functions.
     pub fn build_parallel<C: CorpusSource + ?Sized>(
         corpus: &C,
         config: IndexConfig,
@@ -80,72 +83,23 @@ impl MemoryIndex {
 
     fn build_inner<C: CorpusSource + ?Sized>(
         corpus: &C,
-        mut config: IndexConfig,
+        config: IndexConfig,
         parallel: bool,
     ) -> Result<Self, IndexError> {
-        config.num_texts = corpus.num_texts();
-        config.total_tokens = corpus.total_tokens();
-        let hasher = config.hasher();
-        let k = config.k;
-        let t = config.t;
-        let num_texts = corpus.num_texts() as TextId;
-
-        // Each task: a chunk of texts → k private posting maps.
-        let chunk_size = 1024usize;
-        let chunks: Vec<(TextId, TextId)> = (0..num_texts)
-            .step_by(chunk_size)
-            .map(|start| (start, (start + chunk_size as TextId).min(num_texts)))
-            .collect();
-
-        let process_chunk = |&(start, end): &(TextId, TextId)| -> Result<
-            Vec<HashMap<HashValue, Vec<Posting>>>,
-            IndexError,
-        > {
-            let mut maps: Vec<HashMap<HashValue, Vec<Posting>>> =
-                (0..k).map(|_| HashMap::new()).collect();
-            let mut generator = WindowGenerator::new();
-            let mut text_buf = Vec::new();
-            let mut windows: Vec<HashedWindow> = Vec::new();
-            for text in start..end {
-                corpus.read_text(text, &mut text_buf)?;
-                for (func, map) in maps.iter_mut().enumerate() {
-                    windows.clear();
-                    generator.generate(&hasher, func, &text_buf, t, &mut windows);
-                    for hw in &windows {
-                        map.entry(hw.hash).or_default().push(Posting {
-                            text,
-                            window: hw.window,
-                        });
-                    }
-                }
-            }
-            Ok(maps)
-        };
-
-        let threads = if parallel {
-            ndss_parallel::default_threads()
-        } else {
-            1
-        };
-        let partials: Vec<Vec<HashMap<HashValue, Vec<Posting>>>> =
-            ndss_parallel::try_map(&chunks, threads, |_, chunk| process_chunk(chunk))?;
-
-        // Merge in chunk order, so lists stay ordered by text id; a final
-        // canonical sort makes ordering independent of the merge schedule.
-        let mut maps: Vec<HashMap<HashValue, Vec<Posting>>> =
-            (0..k).map(|_| HashMap::new()).collect();
-        for partial in partials {
-            for (func, partial_map) in partial.into_iter().enumerate() {
-                for (hash, mut postings) in partial_map {
-                    maps[func].entry(hash).or_default().append(&mut postings);
-                }
-            }
-        }
-        for map in &mut maps {
-            for postings in map.values_mut() {
-                postings.sort_unstable();
-            }
-        }
+        let threads = build::build_threads(parallel);
+        let config = build::sized_for(config, corpus);
+        let records = FunctionRecords::generate(corpus, &config, threads, build::UNIT_TOKENS)?;
+        // One insert per key, each list at its exact length and already in
+        // canonical order.
+        let funcs: Vec<usize> = (0..config.k).collect();
+        let maps = ndss_parallel::try_map(&funcs, threads, |_, &func| {
+            let mut map = HashMap::new();
+            records.emit(func, |hash, postings| {
+                map.insert(hash, postings.to_vec());
+                Ok(())
+            })?;
+            Ok::<_, IndexError>(map)
+        })?;
         Ok(Self { config, maps })
     }
 

@@ -5,55 +5,59 @@
 //! two (possibly overlapping) windows of length `2^⌊log₂(r-l+1)⌋` anchored at
 //! `l` and at `r - 2^j + 1`. Ties resolve to the leftmost index because the
 //! left window's candidate is preferred on equality and each level is built
-//! left-candidate-first.
+//! left-candidate-first. All levels live in one flat buffer, so
+//! [`SparseTable::rebuild`] re-targets a table at a new array without
+//! allocating once the buffers have grown.
 
 use crate::RangeArgmin;
 
-/// A doubling sparse table over a copied value array.
-#[derive(Debug, Clone)]
+/// A doubling sparse table over an owned value array.
+#[derive(Debug, Clone, Default)]
 pub struct SparseTable {
     values: Vec<u64>,
-    /// `table[j][i]` = index of the leftmost min in `[i, i + 2^j - 1]`.
-    /// Level 0 is implicit (the identity), so `table[0]` here is level 1.
-    levels: Vec<Vec<u32>>,
+    /// Every level in one buffer: level `j ≥ 1` starts at `(j - 1) * n` and
+    /// its entry `i` is the index of the leftmost min in `[i, i + 2^j - 1]`.
+    /// Level 0 (the identity) is implicit.
+    table: Vec<u32>,
 }
 
 impl SparseTable {
     /// Builds the table. `O(n log n)` time and space.
     pub fn new(values: &[u64]) -> Self {
+        let mut table = Self::default();
+        table.rebuild(|buf| buf.extend_from_slice(values));
+        table
+    }
+
+    /// Rebuilds the table in place over the values `fill` writes into the
+    /// (emptied) value buffer, reusing both allocations.
+    pub fn rebuild(&mut self, fill: impl FnOnce(&mut Vec<u64>)) {
+        self.values.clear();
+        fill(&mut self.values);
+        let values = &self.values;
         let n = values.len();
-        let values = values.to_vec();
-        let mut levels: Vec<Vec<u32>> = Vec::new();
-        if n >= 2 {
-            // Level 1: windows of length 2.
-            let mut lvl: Vec<u32> = Vec::with_capacity(n - 1);
-            for i in 0..n - 1 {
-                lvl.push(if values[i + 1] < values[i] {
-                    (i + 1) as u32
+        let levels = if n >= 2 { n.ilog2() as usize } else { 0 };
+        self.table.clear();
+        self.table.resize(levels * n, 0);
+        if levels == 0 {
+            return;
+        }
+        // Level 1: windows of length 2.
+        for (i, slot) in self.table[..n - 1].iter_mut().enumerate() {
+            *slot = (i + usize::from(values[i + 1] < values[i])) as u32;
+        }
+        for j in 2..=levels {
+            let half = 1usize << (j - 1);
+            let (prev, lvl) = self.table[(j - 2) * n..].split_at_mut(n);
+            for (i, slot) in lvl[..n - 2 * half + 1].iter_mut().enumerate() {
+                let (a, b) = (prev[i], prev[i + half]);
+                *slot = if values[b as usize] < values[a as usize] {
+                    b
                 } else {
-                    i as u32
-                });
-            }
-            levels.push(lvl);
-            let mut width = 2usize;
-            while width * 2 <= n {
-                let prev = levels.last().expect("at least one level exists");
-                let count = n - width * 2 + 1;
-                let mut lvl = Vec::with_capacity(count);
-                for i in 0..count {
-                    let a = prev[i];
-                    let b = prev[i + width];
-                    lvl.push(if values[b as usize] < values[a as usize] {
-                        b
-                    } else {
-                        a
-                    });
-                }
-                levels.push(lvl);
-                width *= 2;
+                    a
+                };
             }
         }
-        Self { values, levels }
     }
 
     /// The underlying values.
@@ -69,17 +73,14 @@ impl RangeArgmin for SparseTable {
 
     #[inline]
     fn argmin(&self, l: usize, r: usize) -> usize {
-        assert!(
-            l <= r && r < self.values.len(),
-            "argmin range out of bounds"
-        );
+        let n = self.values.len();
+        assert!(l <= r && r < n, "argmin range out of bounds");
         if l == r {
             return l;
         }
-        let span = r - l + 1;
-        // j = ⌊log2(span)⌋ ≥ 1; levels[j-1] holds windows of width 2^j.
-        let j = (usize::BITS - 1 - span.leading_zeros()) as usize;
-        let level = &self.levels[j - 1];
+        // j = ⌊log2(span)⌋ ≥ 1: two windows of width 2^j cover [l, r].
+        let j = (r - l + 1).ilog2() as usize;
+        let level = &self.table[(j - 1) * n..];
         let a = level[l] as usize;
         let b = level[r + 1 - (1 << j)] as usize;
         // Prefer the left window's candidate on ties; when the windows
@@ -127,6 +128,23 @@ mod tests {
             .map(|i| (i.wrapping_mul(2654435761) >> 7) % 16)
             .collect();
         check_all_ranges(&values);
+    }
+
+    #[test]
+    fn rebuild_in_place_matches_fresh() {
+        let mut reused = SparseTable::default();
+        for n in [130usize, 64, 5, 1, 0, 2, 33] {
+            let values: Vec<u64> = (0..n as u64)
+                .map(|i| (i.wrapping_mul(0x9E3779B97F4A7C15) >> 9) % 7)
+                .collect();
+            reused.rebuild(|buf| buf.extend_from_slice(&values));
+            let naive = NaiveArgmin::new(&values);
+            for l in 0..n {
+                for r in l..n {
+                    assert_eq!(reused.argmin(l, r), naive.argmin(l, r), "[{l},{r}] n={n}");
+                }
+            }
+        }
     }
 
     #[test]

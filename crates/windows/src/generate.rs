@@ -16,23 +16,20 @@ use ndss_hash::{HashValue, MinHasher, TokenId};
 
 use crate::{CompactWindow, HashedWindow};
 
-/// Paper Algorithm 2, faithfully: divide-and-conquer with an RMQ structure,
-/// `O(n)`-ish with the block RMQ (the paper's "advanced RMQ" slot). The
-/// recursion is run on an explicit work stack so monotone hash arrays (depth
-/// `n`) cannot overflow the call stack.
-pub fn generate_recursive(hashes: &[HashValue], t: usize, out: &mut Vec<HashedWindow>) {
+/// Paper Algorithm 2 over the values of `rmq`, on an explicit work stack so
+/// monotone hash arrays (recursion depth `n`) cannot overflow the call
+/// stack. Line 1's length test runs before a sub-range is pushed, not after
+/// it is popped, so a pruned range costs no stack slot and the work is
+/// exactly one argmin per emitted window.
+fn algorithm2(rmq: &BlockRmq, t: usize, stack: &mut Vec<(u32, u32)>, out: &mut Vec<HashedWindow>) {
     assert!(t >= 1, "length threshold must be at least 1");
+    let hashes = rmq.values();
     if hashes.len() < t {
         return;
     }
-    let rmq = BlockRmq::new(hashes);
-    // Work stack of (l, r) inclusive sub-ranges standing in for recursion.
-    let mut stack: Vec<(u32, u32)> = vec![(0, (hashes.len() - 1) as u32)];
+    stack.clear();
+    stack.push((0, (hashes.len() - 1) as u32));
     while let Some((l, r)) = stack.pop() {
-        // Line 1: stop when the input sequence is shorter than t.
-        if ((r - l + 1) as usize) < t {
-            continue;
-        }
         // Line 2: the (leftmost) position with the minimum hash value.
         let c = rmq.argmin(l as usize, r as usize) as u32;
         // Line 3: emit the compact window (l, c, r).
@@ -40,21 +37,30 @@ pub fn generate_recursive(hashes: &[HashValue], t: usize, out: &mut Vec<HashedWi
             hash: hashes[c as usize],
             window: CompactWindow::new(l, c, r),
         });
-        // Lines 4–5: recurse on [l, c-1] and [c+1, r].
-        if c > l {
+        // Lines 4–5 with line 1 folded in: recurse on [l, c-1] and
+        // [c+1, r] where they still hold t positions.
+        if (c - l) as usize >= t {
             stack.push((l, c - 1));
         }
-        if c < r {
+        if (r - c) as usize >= t {
             stack.push((c + 1, r));
         }
     }
 }
 
-/// The `O(n)` fast path: the Cartesian tree of the hash array *is* the
+/// Paper Algorithm 2, faithfully: divide-and-conquer with an RMQ structure,
+/// `O(n)`-ish with the block RMQ (the paper's "advanced RMQ" slot). The
+/// allocating form of the loop [`WindowGenerator`] runs over reused buffers.
+pub fn generate_recursive(hashes: &[HashValue], t: usize, out: &mut Vec<HashedWindow>) {
+    algorithm2(&BlockRmq::new(hashes), t, &mut Vec::new(), out);
+}
+
+/// The independent oracle: the Cartesian tree of the hash array *is* the
 /// recursion tree of Algorithm 2 (each node's subtree span `[l, r]` with
 /// pivot `c` is exactly one candidate window), so building it in linear time
 /// and walking it with pruning yields the same window set with no RMQ
-/// queries at all.
+/// queries at all. It builds all `n` nodes to emit about `2n/t` of them,
+/// which is why the indexer runs [`WindowGenerator`] instead.
 pub fn generate_cartesian(hashes: &[HashValue], t: usize, out: &mut Vec<HashedWindow>) {
     assert!(t >= 1, "length threshold must be at least 1");
     if hashes.len() < t {
@@ -76,12 +82,14 @@ pub fn generate_cartesian(hashes: &[HashValue], t: usize, out: &mut Vec<HashedWi
 }
 
 /// Buffer-reusing generator used by the indexer: hashes a text's tokens
-/// under one of the [`MinHasher`]'s functions, then runs the Cartesian-tree
-/// generator. Reuses its internal hash buffer across calls so indexing a
-/// million texts does not allocate a million arrays.
+/// under one of the [`MinHasher`]'s functions straight into its block RMQ's
+/// value buffer, rebuilds the RMQ in place and runs Algorithm 2 over it.
+/// Once the buffers have grown to the longest text seen, indexing a million
+/// texts allocates nothing here.
 #[derive(Debug, Default)]
 pub struct WindowGenerator {
-    hash_buf: Vec<HashValue>,
+    rmq: BlockRmq,
+    stack: Vec<(u32, u32)>,
 }
 
 impl WindowGenerator {
@@ -100,8 +108,13 @@ impl WindowGenerator {
         t: usize,
         out: &mut Vec<HashedWindow>,
     ) {
-        hasher.hash_positions_into(func_idx, tokens, &mut self.hash_buf);
-        generate_cartesian(&self.hash_buf, t, out);
+        if tokens.len() < t {
+            // No valid window: skip the hashing too.
+            return;
+        }
+        self.rmq
+            .rebuild(|hashes| hasher.hash_positions_into(func_idx, tokens, hashes));
+        algorithm2(&self.rmq, t, &mut self.stack, out);
     }
 }
 
@@ -227,13 +240,22 @@ mod tests {
 
     #[test]
     fn monotone_arrays_do_not_overflow() {
-        // Increasing hashes → recursion depth n in the naive formulation.
-        let hashes: Vec<u64> = (0..100_000u64).collect();
-        let mut out = Vec::new();
-        generate_recursive(&hashes, 50_000, &mut out);
-        let mut out2 = Vec::new();
-        generate_cartesian(&hashes, 50_000, &mut out2);
-        assert_eq!(sorted(out), sorted(out2));
+        // Increasing hashes → recursion depth n in the naive formulation,
+        // and n − t + 1 windows. At 2 M elements a generator quadratic in
+        // either would not finish, so this also guards the linear bound.
+        let n = 2_000_000usize;
+        let ascending: Vec<u64> = (0..n as u64).collect();
+        let descending: Vec<u64> = ascending.iter().rev().copied().collect();
+        for hashes in [&ascending, &descending] {
+            for t in [25, n / 2] {
+                let mut out = Vec::new();
+                generate_recursive(hashes, t, &mut out);
+                assert_eq!(out.len(), n - t + 1);
+                let mut out2 = Vec::new();
+                generate_cartesian(hashes, t, &mut out2);
+                assert_eq!(sorted(out), sorted(out2));
+            }
+        }
     }
 
     #[test]

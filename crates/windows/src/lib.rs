@@ -14,18 +14,19 @@
 //! in expectation, and that the valid windows still cover every sequence of
 //! length ≥ t exactly once.
 //!
-//! Three generators are provided, all producing identical window sets
-//! (tested against each other and against a brute-force checker):
+//! Two algorithms are provided, producing identical window sets (tested
+//! against each other and against a brute-force checker):
 //!
-//! * [`generate::generate_recursive`] — the paper's Algorithm 2 verbatim: a
-//!   divide-and-conquer over RMQ queries (with an explicit work stack, so
-//!   adversarially sorted hash arrays cannot overflow the call stack).
-//! * [`generate::generate_cartesian`] — the `O(n)` fast path: builds the
+//! * Algorithm 2 as printed — a divide-and-conquer over RMQ queries on an
+//!   explicit work stack (adversarially sorted hash arrays cannot overflow
+//!   the call stack), asking one query per emitted window.
+//!   [`generate::WindowGenerator`] is what the indexer runs: it hashes a
+//!   text's tokens into a block RMQ it rebuilds in place, so it allocates
+//!   nothing per text; [`generate::generate_recursive`] is the same loop
+//!   over a fresh RMQ, for callers that hold a hash array.
+//! * [`generate::generate_cartesian`] — the independent oracle: builds the
 //!   Cartesian tree of the hash array (its shape *is* the recursion tree of
 //!   Algorithm 2) and walks it with pruning at spans narrower than `t`.
-//! * [`generate::WindowGenerator`] — a reusable-buffer wrapper over the
-//!   Cartesian path used by the indexer, including per-hash-function token
-//!   hashing.
 //!
 //! [`theory`] holds the closed-form expectation and [`verify`] the
 //! partition-property oracle used by unit, property, and integration tests.

@@ -8,12 +8,89 @@
 //! 2. **Expectation** — for distinct tokens with random hashes, the mean
 //!    number of valid windows tracks the closed form `2(n+1)/(t+1) − 1`.
 //!
+//! 3. **One loop, one oracle** — the indexer's `WindowGenerator` (Algorithm
+//!    2 over a block RMQ it rebuilds in place) emits exactly the Cartesian
+//!    tree's window set on the array shapes and lengths where a block
+//!    structure goes wrong first: monotone, constant and sawtooth arrays at
+//!    lengths around the block size `B`, thresholds from 1 to past `n`, and
+//!    a long text followed by a short one through the same generator.
+//!
 //! Seeds are pinned so CI failures reproduce exactly.
 
-use ndss_hash::SplitMix64;
+use ndss_hash::{MinHasher, SplitMix64};
 use ndss_windows::theory::{expected_windows, expected_windows_recurrence};
 use ndss_windows::verify::check_partition_property;
-use ndss_windows::{generate_cartesian, generate_recursive};
+use ndss_windows::{generate_cartesian, generate_recursive, HashedWindow, WindowGenerator};
+
+fn sorted(mut windows: Vec<HashedWindow>) -> Vec<HashedWindow> {
+    windows.sort_by_key(|hw| (hw.window.l, hw.window.c, hw.window.r));
+    windows
+}
+
+/// Tokens whose hashes under `func` have the order of `shape` (equal where
+/// it is equal): `shape[i]` picks the token with the `shape[i]`-th smallest
+/// hash, so the generator's own hashing step is part of what is tested.
+fn tokens_shaped(hasher: &MinHasher, func: usize, shape: &[usize]) -> Vec<u32> {
+    let distinct = shape.iter().max().map_or(0, |&m| m + 1);
+    let mut by_hash: Vec<u32> = (0..distinct as u32).collect();
+    by_hash.sort_by_key(|&token| hasher.function(func).hash(token));
+    shape.iter().map(|&rank| by_hash[rank]).collect()
+}
+
+#[test]
+fn indexer_generator_matches_cartesian_on_adversarial_shapes() {
+    const B: usize = 16; // `BlockRmq`'s block size
+    let hasher = MinHasher::new(2, 0x5EED);
+    let mut rng = SplitMix64::new(0xB10C);
+    let mut generator = WindowGenerator::new();
+    // Descending lengths: every rebuild but the first shrinks the buffers'
+    // live prefix, so stale block minima would be within reach.
+    for n in [1_000usize, 2 * B + 1, 2 * B - 1, B + 1, B, B - 1, 3, 2, 1] {
+        let shapes: [(&str, Vec<usize>); 5] = [
+            ("ascending", (0..n).collect()),
+            ("descending", (0..n).rev().collect()),
+            ("constant", vec![0; n]),
+            ("sawtooth", (0..n).map(|i| i % 5).collect()),
+            (
+                "three values",
+                (0..n).map(|_| (rng.next_u64() % 3) as usize).collect(),
+            ),
+        ];
+        for (name, shape) in &shapes {
+            let tokens = tokens_shaped(&hasher, 1, shape);
+            let mut hashes = Vec::new();
+            hasher.hash_positions_into(1, &tokens, &mut hashes);
+            for t in [1, 2, B, n.saturating_sub(1).max(1), n, n + 1] {
+                let mut got = Vec::new();
+                generator.generate(&hasher, 1, &tokens, t, &mut got);
+                let mut want = Vec::new();
+                generate_cartesian(&hashes, t, &mut want);
+                assert_eq!(sorted(got), sorted(want), "{name}, n={n}, t={t}");
+            }
+        }
+    }
+}
+
+#[test]
+fn reused_generator_carries_nothing_from_a_longer_text() {
+    let hasher = MinHasher::new(3, 41);
+    let mut rng = SplitMix64::new(0x57A1E);
+    let long: Vec<u32> = (0..5_000).map(|_| (rng.next_u64() % 900) as u32).collect();
+    let short: Vec<u32> = (0..40).map(|_| (rng.next_u64() % 900) as u32).collect();
+    let mut reused = WindowGenerator::new();
+    for func in 0..3 {
+        let mut scratch = Vec::new();
+        reused.generate(&hasher, func, &long, 25, &mut scratch);
+        let mut got = Vec::new();
+        reused.generate(&hasher, func, &short, 10, &mut got);
+        let mut want = Vec::new();
+        WindowGenerator::new().generate(&hasher, func, &short, 10, &mut want);
+        assert_eq!(sorted(got.clone()), sorted(want), "func {func}");
+        let mut hashes = Vec::new();
+        hasher.hash_positions_into(func, &short, &mut hashes);
+        check_partition_property(&hashes, 10, &got).unwrap();
+    }
+}
 
 #[test]
 fn random_inputs_satisfy_partition_property() {

@@ -1,10 +1,11 @@
-//! The three index-construction paths — serial in-memory, parallel
-//! in-memory, and external hash aggregation (with forced recursive
-//! partitioning) — must produce byte-identical on-disk indexes, and the
-//! disk corpus path must behave exactly like the in-memory corpus path.
+//! The index-construction paths — serial in-memory, parallel in-memory,
+//! straight-to-disk `build_and_write` (serial and parallel), and external
+//! hash aggregation (with forced recursive partitioning) — must produce
+//! byte-identical on-disk indexes, and the disk corpus path must behave
+//! exactly like the in-memory corpus path.
 
 use ndss::corpus::disk::write_corpus;
-use ndss::index::{inv_file_path, write_memory_index};
+use ndss::index::{build_and_write, inv_file_path, write_memory_index};
 use ndss::prelude::*;
 use ndss_integration::scratch;
 
@@ -46,16 +47,24 @@ fn all_builders_byte_identical() {
 
     // Path D: external, parallel, comfortable budget.
     let dir_d = scratch("builders", "external_par");
-    ExternalIndexBuilder::new(config)
+    ExternalIndexBuilder::new(config.clone())
         .parallel(true)
         .build(&corpus, &dir_d)
         .unwrap();
+
+    // Paths E, F: records sorted straight into the files, no `MemoryIndex`.
+    let dir_e = scratch("builders", "direct");
+    build_and_write(&corpus, config.clone(), &dir_e, false).unwrap();
+    let dir_f = scratch("builders", "direct_par");
+    build_and_write(&corpus, config, &dir_f, true).unwrap();
 
     let a = read_inv_files(&dir_a, k);
     for (name, dir) in [
         ("parallel", &dir_b),
         ("external", &dir_c),
         ("external_par", &dir_d),
+        ("direct", &dir_e),
+        ("direct_par", &dir_f),
     ] {
         let other = read_inv_files(dir, k);
         for func in 0..k {
@@ -65,7 +74,7 @@ fn all_builders_byte_identical() {
             );
         }
     }
-    for dir in [dir_a, dir_b, dir_c, dir_d] {
+    for dir in [dir_a, dir_b, dir_c, dir_d, dir_e, dir_f] {
         std::fs::remove_dir_all(&dir).ok();
     }
 }
