@@ -457,6 +457,9 @@ pub struct Reader {
     func_idx: u32,
     num_postings: u64,
     dir: Vec<DirEntry>,
+    /// `dir[i].hash`, densely: lookups binary-search 8-byte keys instead of
+    /// striding over 40-byte entries.
+    keys: Vec<HashValue>,
     lists: Lists,
     section1_len: u64,
     section2_len: u64,
@@ -602,6 +605,7 @@ impl Reader {
             encoding,
             func_idx,
             num_postings,
+            keys: dir.iter().map(|d| d.hash).collect(),
             dir,
             lists,
             section1_len,
@@ -696,14 +700,11 @@ impl Reader {
     /// The `i`-th smallest min-hash key, if any (the directory is
     /// hash-sorted).
     pub fn hash_at(&self, i: usize) -> Option<HashValue> {
-        self.dir.get(i).map(|d| d.hash)
+        self.keys.get(i).copied()
     }
 
     pub(crate) fn find(&self, hash: HashValue) -> Option<&DirEntry> {
-        self.dir
-            .binary_search_by_key(&hash, |d| d.hash)
-            .ok()
-            .map(|i| &self.dir[i])
+        self.keys.binary_search(&hash).ok().map(|i| &self.dir[i])
     }
 
     /// Length (postings) of list `hash`, 0 if absent.

@@ -10,12 +10,12 @@
 //! 2. **prefix filtering** (Algorithm 3): read only the short lists, find
 //!    texts that could still reach `β` collisions, then probe the long lists
 //!    through zone maps for those candidate texts only;
-//! 3. **collision counting** (Algorithm 4 / [`collision::collision_count`]):
+//! 3. **collision counting** (Algorithm 4 / [`collision::collision_sweep`]):
 //!    per candidate text, split each compact window into its left interval
 //!    `[l, c]` and right interval `[c, r]` and intersect them with two
-//!    nested [`interval::interval_scan`] sweeps (Algorithm 5), yielding
-//!    disjoint *rectangles* `([x, x'], [y, y'])` of sequences that all share
-//!    the same collision count;
+//!    nested interval sweeps (Algorithm 5, [`interval::interval_scan`] in
+//!    isolation), yielding disjoint *rectangles* `([x, x'], [y, y'])` of
+//!    sequences that all share the same collision count;
 //! 4. post-process: impose the length threshold on materialized sequences,
 //!    count them arithmetically, merge overlapping sequences into disjoint
 //!    spans (the paper's Remark), and optionally verify true Jaccard
@@ -68,7 +68,8 @@ pub use breaker::{
     ShardHealth,
 };
 pub use collision::{
-    collision_count, collision_count_fn_into, collision_count_into, CollisionScratch, Rectangle,
+    collision_count, collision_count_fn_into, collision_count_into, collision_sweep,
+    CollisionScratch, Rectangle,
 };
 pub use document::{DocumentMatch, DocumentScan};
 pub use governor::{CancelToken, QueryBudget, Resource};
@@ -115,6 +116,15 @@ pub enum QueryError {
         position: usize,
         /// Why the query was shed.
         reason: ShedReason,
+    },
+    /// The count stage cannot index this much input: a query's short lists
+    /// together, or the windows of one text, exceed the width of its
+    /// counters and sort keys. Far beyond anything that fits in memory.
+    TooManyPostings {
+        /// Postings (windows) the stage was handed.
+        postings: usize,
+        /// The most it accepts.
+        limit: usize,
     },
     /// The query was abandoned at a governor checkpoint because its batch
     /// failed fast (see [`BatchSearcher::search_all`]).
@@ -166,6 +176,9 @@ impl std::fmt::Display for QueryError {
                     )
                 }
             },
+            QueryError::TooManyPostings { postings, limit } => {
+                write!(f, "count stage handed {postings} postings (limit {limit})")
+            }
             QueryError::Cancelled => write!(f, "query cancelled by its batch"),
             QueryError::AllShardsQuarantined {
                 shards,

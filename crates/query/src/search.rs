@@ -1,6 +1,7 @@
 //! `NearDuplicateSearch` (paper Algorithm 3): the end-to-end query pipeline
 //! with prefix filtering, zone-map probes, and result post-processing.
 
+use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
 use ndss_corpus::{CorpusSource, SeqRef, SeqSpan, TextId};
@@ -10,7 +11,7 @@ use ndss_hash::{MinHasher, TokenId};
 use ndss_index::{IndexAccess, IoStats, Posting, SharedList};
 use ndss_windows::CompactWindow;
 
-use crate::collision::{collision_count_fn_into, CollisionScratch, Rectangle};
+use crate::collision::{collision_sweep, CollisionScratch, Rectangle};
 use crate::governor::{BudgetTracker, CancelToken, QueryBudget, Resource, Verdict};
 use crate::QueryError;
 
@@ -308,6 +309,37 @@ pub fn rank(outcome: &SearchOutcome, k: usize, limit: usize) -> Vec<RankedMatch>
     ranked
 }
 
+/// A short-list posting phase 1 kept, with the ordinal (among the short
+/// lists, ascending by function) of the list it came from.
+#[derive(Clone, Copy)]
+struct Kept {
+    text: TextId,
+    window: CompactWindow,
+    list: u32,
+}
+
+/// The `emit` both counting phases hand [`collision_sweep`]: clears `out`,
+/// then keeps the rectangles holding a sequence of length ≥ `t` — all of
+/// them, or (`first_only`) just the first, which ends the sweep.
+fn qualifying(
+    t: u32,
+    out: &mut Vec<Rectangle>,
+    first_only: bool,
+) -> impl FnMut(Rectangle) -> ControlFlow<()> + '_ {
+    out.clear();
+    move |rect| {
+        if rect.sequences_at_least(t) == 0 {
+            return ControlFlow::Continue(());
+        }
+        out.push(rect);
+        if first_only {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    }
+}
+
 /// The query processor. Holds the hash bank matching the index's
 /// configuration plus the per-function long-list cutoffs implied by the
 /// chosen [`PrefixFilter`].
@@ -532,56 +564,63 @@ impl<'a, I: IndexAccess + ?Sized> NearDupSearcher<'a, I> {
                 lists.push(list);
             }
             stats.postings_read += short_total as u64;
-            // Text ids are dense, so when their span is within a small
-            // factor of the posting count a counting pass groups by text
-            // without sorting: count postings per text, give each text that
-            // reaches α₀ its slice of `kept` (the counter becomes its write
-            // cursor, every other text is marked skipped), then copy just
-            // those texts' postings into place. Very sparse id spaces (huge
-            // corpus, tiny query) sort all the postings instead, and phase 2
-            // skips the runs below α₀.
+            // A counting pass groups by text without sorting: count postings
+            // per counter slot, give each slot that reaches α₀ its slice of
+            // `kept` (the counter becomes its write cursor, every other slot
+            // is marked skipped), then copy just those slots' postings into
+            // place, list by list. The table has one slot per text id when
+            // the id span is within a small factor of the posting count —
+            // then a slot is a text and `kept` comes out grouped by ascending
+            // text. A sparser id space (huge corpus, tiny query) folds onto
+            // `text & mask`: time and memory stay O(postings read), a slot
+            // may hold several texts, and one sort of the survivors
+            // separates them again.
             const SKIP: u32 = u32::MAX;
+            if short_total >= SKIP as usize {
+                return Err(QueryError::TooManyPostings {
+                    postings: short_total,
+                    limit: SKIP as usize - 1,
+                });
+            }
             let t_span = max_text as usize + 1;
-            let kept: Vec<Posting> = if t_span / 8 <= short_total && short_total < SKIP as usize {
-                let mut slots = vec![0u32; t_span];
-                for list in &lists {
-                    for p in list.iter() {
-                        slots[p.text as usize] += 1;
-                    }
+            let mut slots = vec![0u32; t_span.min(4 * short_total).next_power_of_two()];
+            let mask = slots.len() - 1;
+            for list in &lists {
+                for p in list.iter() {
+                    slots[p.text as usize & mask] += 1;
                 }
-                let mut total = 0u32;
-                for slot in &mut slots {
-                    if (*slot as usize) < alpha0 {
-                        *slot = SKIP;
-                    } else {
-                        total += std::mem::replace(slot, total);
-                    }
+            }
+            let mut total = 0u32;
+            for slot in &mut slots {
+                if (*slot as usize) < alpha0 {
+                    *slot = SKIP;
+                } else {
+                    total += std::mem::replace(slot, total);
                 }
-                let unset = Posting {
-                    text: 0,
-                    window: CompactWindow { l: 0, c: 0, r: 0 },
-                };
-                let mut kept = vec![unset; total as usize];
-                for list in &lists {
-                    for p in list.iter() {
-                        let slot = &mut slots[p.text as usize];
-                        if *slot != SKIP {
-                            kept[*slot as usize] = *p;
-                            *slot += 1;
-                        }
-                    }
-                }
-                kept
-            } else {
-                let mut all = Vec::with_capacity(short_total);
-                for list in &lists {
-                    all.extend_from_slice(list);
-                }
-                // Collision counting is insensitive to the order windows
-                // arrive in, so the unstable sort is fine.
-                all.sort_unstable_by_key(|p| p.text);
-                all
+            }
+            let unset = Kept {
+                text: 0,
+                window: CompactWindow { l: 0, c: 0, r: 0 },
+                list: 0,
             };
+            let mut kept = vec![unset; total as usize];
+            for (ordinal, list) in lists.iter().enumerate() {
+                for p in list.iter() {
+                    let slot = &mut slots[p.text as usize & mask];
+                    if *slot != SKIP {
+                        kept[*slot as usize] = Kept {
+                            text: p.text,
+                            window: p.window,
+                            list: ordinal as u32,
+                        };
+                        *slot += 1;
+                    }
+                }
+            }
+            if slots.len() < t_span {
+                kept.sort_unstable_by_key(|p| (p.text, p.list));
+            }
+            drop(slots);
             drop(lists);
             stats.stage_gather = gather_start.elapsed();
 
@@ -590,9 +629,13 @@ impl<'a, I: IndexAccess + ?Sized> NearDupSearcher<'a, I> {
             // candidate set. With no long lists α₀ = β and the rectangles
             // are already final: matches are appended here, so a trip
             // between texts leaves a sound prefix of the full result set.
+            // With long lists this phase only decides candidacy — phase 4
+            // produces the rectangles — so a text's sweep stops at its
+            // first rectangle holding a sequence of length ≥ t.
             let count_start = Instant::now();
             let mut scratch = CollisionScratch::default();
             let mut rect_buf: Vec<Rectangle> = Vec::new();
+            let decide_only = !long_funcs.is_empty();
             // `(text, its run in kept)` per candidate.
             let mut candidates: Vec<(TextId, std::ops::Range<usize>)> = Vec::new();
             let mut run_start = 0usize;
@@ -604,30 +647,36 @@ impl<'a, I: IndexAccess + ?Sized> NearDupSearcher<'a, I> {
                     .count();
                 let range = run_start..run_start + run_len;
                 run_start = range.end;
-                if run_len < alpha0 {
+                let run = &kept[range.clone()];
+                // The windows one function holds for one text partition the
+                // text's sequences (Theorem 1), so a sequence lies in at
+                // most one window per function: its collision count cannot
+                // exceed the number of distinct lists in the run, however
+                // many postings a frequent token put there. Lists arrive in
+                // ascending order within a run.
+                let functions = 1 + run.windows(2).filter(|w| w[0].list != w[1].list).count();
+                if functions < alpha0 {
                     continue;
                 }
                 checkpoint!(stats.candidate_texts, matches.len(), 'select);
-                let run = &kept[range.clone()];
-                collision_count_fn_into(
+                collision_sweep(
                     run.len(),
                     |i| run[i].window,
                     alpha0,
                     &mut scratch,
-                    &mut rect_buf,
-                );
-                rect_buf.retain(|r| r.sequences_at_least(t) > 0);
+                    qualifying(t, &mut rect_buf, decide_only),
+                )?;
                 if rect_buf.is_empty() {
                     continue;
                 }
                 stats.candidate_texts += 1;
-                if long_funcs.is_empty() {
+                if decide_only {
+                    candidates.push((text, range));
+                } else {
                     matches.push(TextMatch {
                         text,
                         rects: rect_buf.clone(),
                     });
-                } else {
-                    candidates.push((text, range));
                 }
             }
             // `max_candidates` caps how many texts are *admitted* to
@@ -666,7 +715,7 @@ impl<'a, I: IndexAccess + ?Sized> NearDupSearcher<'a, I> {
                 let rest = &probed[extra_start..];
                 let extra = &rest[..rest.partition_point(|p| p.text == text)];
                 extra_start += extra.len();
-                collision_count_fn_into(
+                collision_sweep(
                     run.len() + extra.len(),
                     |i| match i.checked_sub(run.len()) {
                         None => run[i].window,
@@ -674,9 +723,8 @@ impl<'a, I: IndexAccess + ?Sized> NearDupSearcher<'a, I> {
                     },
                     beta,
                     &mut scratch,
-                    &mut rect_buf,
-                );
-                rect_buf.retain(|r| r.sequences_at_least(t) > 0);
+                    qualifying(t, &mut rect_buf, false),
+                )?;
                 if !rect_buf.is_empty() {
                     matches.push(TextMatch {
                         text,
