@@ -152,21 +152,17 @@ fn main() {
         .mutation_rate(0.03) // fuzzy duplication in the training data
         .build();
     let index = MemoryIndex::build_parallel(&corpus, IndexConfig::new(32, 25, 6)).unwrap();
-    let searcher = NearDupSearcher::new(&index).unwrap();
+    let searcher = ShardedSearcher::single(&index, PrefixFilter::default()).unwrap();
     let exact = ExactSubstringIndex::build(&corpus, 25).unwrap();
     let model = NGramModel::train(&corpus, 5).unwrap();
     let config = MemorizationConfig::new(20, 512).window(32).seed(11);
     let windows = ndss::lm::memorization::generate_query_windows(&model, &config);
-    let mut near_dup = 0usize;
-    let mut verbatim = 0usize;
-    for w in &windows {
-        if searcher.search(w, 0.8).unwrap().num_texts() > 0 {
-            near_dup += 1;
-        }
-        if exact.contains(&corpus, w).unwrap() {
-            verbatim += 1;
-        }
-    }
+    let outcomes = searcher.search_all(&windows, 0.8).unwrap();
+    let near_dup = outcomes.iter().filter(|o| o.num_texts() > 0).count();
+    let verbatim = windows
+        .iter()
+        .filter(|w| exact.contains(&corpus, w).unwrap())
+        .count();
     let mut csv2 = Csv::new("memorization_lens", "lens,windows,memorized,ratio");
     ndss_bench::csv_row!(
         csv2,

@@ -36,17 +36,16 @@ fn training_corpus(seed: u64, vocab: usize) -> InMemoryCorpus {
 fn panel_theta(
     name: &str,
     corpus: &InMemoryCorpus,
-    index: &MemoryIndex,
+    searcher: &ShardedSearcher<'_>,
     models: &[(&str, usize)],
     thetas: &[f64],
 ) -> Vec<(String, Vec<f64>)> {
-    let searcher = NearDupSearcher::new(index).expect("searcher");
     let mut csv = Csv::new(name, "model,order,theta,queries,memorized,ratio");
     let mut curves = Vec::new();
     for &(label, order) in models {
         let model = NGramModel::train(corpus, order).expect("train");
         let config = MemorizationConfig::new(25, 512).window(32).seed(101);
-        let reports = evaluate_memorization(&model, &searcher, &config, thetas).expect("evaluate");
+        let reports = evaluate_memorization(&model, searcher, &config, thetas).expect("evaluate");
         let mut ratios = Vec::new();
         for r in &reports {
             ndss_bench::csv_row!(
@@ -67,16 +66,15 @@ fn panel_theta(
 fn panel_window(
     name: &str,
     corpus: &InMemoryCorpus,
-    index: &MemoryIndex,
+    searcher: &ShardedSearcher<'_>,
     order: usize,
 ) -> Vec<(usize, f64)> {
-    let searcher = NearDupSearcher::new(index).expect("searcher");
     let model = NGramModel::train(corpus, order).expect("train");
     let mut csv = Csv::new(name, "x,theta,queries,memorized,ratio");
     let mut points = Vec::new();
     for x in [32usize, 64, 128] {
         let config = MemorizationConfig::new(25, 512).window(x).seed(103);
-        let r = evaluate_memorization(&model, &searcher, &config, &[0.8]).expect("evaluate")[0];
+        let r = evaluate_memorization(&model, searcher, &config, &[0.8]).expect("evaluate")[0];
         ndss_bench::csv_row!(
             csv,
             "{x},0.8,{},{},{:.4}",
@@ -95,11 +93,12 @@ fn main() {
     // ---- Panels (a), (b): OWT-like corpus, GPT-2 small/medium analogs. ---
     let owt = training_corpus(201, 8_000);
     let owt_index = MemoryIndex::build_parallel(&owt, IndexConfig::new(32, 25, 9)).expect("index");
+    let owt_lanes = ShardedSearcher::single(&owt_index, PrefixFilter::default()).expect("lanes");
     let thetas = [1.0, 0.9, 0.8, 0.7];
     let curves = panel_theta(
         "fig4a_ratio_vs_theta_owt",
         &owt,
-        &owt_index,
+        &owt_lanes,
         &[("gpt2-small-analog", 3), ("gpt2-medium-analog", 4)],
         &thetas,
     );
@@ -111,7 +110,7 @@ fn main() {
             &format!("{ratios:.3?}"),
         );
     }
-    let points = panel_window("fig4b_ratio_vs_window_owt", &owt, &owt_index, 4);
+    let points = panel_window("fig4b_ratio_vs_window_owt", &owt, &owt_lanes, 4);
     shape_check(
         "fig4b smaller windows memorize more",
         points[0].1 >= points.last().unwrap().1,
@@ -122,10 +121,11 @@ fn main() {
     let pile = training_corpus(202, 50_257);
     let pile_index =
         MemoryIndex::build_parallel(&pile, IndexConfig::new(32, 25, 10)).expect("index");
+    let pile_lanes = ShardedSearcher::single(&pile_index, PrefixFilter::default()).expect("lanes");
     let curves = panel_theta(
         "fig4c_ratio_vs_theta_pile",
         &pile,
-        &pile_index,
+        &pile_lanes,
         &[("neo-1.3b-analog", 4), ("neo-2.7b-analog", 6)],
         &thetas,
     );
@@ -137,7 +137,7 @@ fn main() {
         large >= small,
         &format!("order-6: {large:.3} vs order-4: {small:.3}"),
     );
-    let points = panel_window("fig4d_ratio_vs_window_pile", &pile, &pile_index, 6);
+    let points = panel_window("fig4d_ratio_vs_window_pile", &pile, &pile_lanes, 6);
     shape_check(
         "fig4d smaller windows memorize more",
         points[0].1 >= points.last().unwrap().1,

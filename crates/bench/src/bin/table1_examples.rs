@@ -20,7 +20,7 @@ fn main() {
         .mutation_rate(0.0)
         .build();
     let index = MemoryIndex::build_parallel(&corpus, IndexConfig::new(32, 25, 15)).expect("index");
-    let searcher = NearDupSearcher::new(&index).expect("searcher");
+    let searcher = ShardedSearcher::single(&index, PrefixFilter::default()).expect("searcher");
     let model = NGramModel::train(&corpus, 5).expect("train");
     let config = MemorizationConfig::new(30, 512).window(32).seed(301);
 

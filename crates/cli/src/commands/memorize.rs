@@ -33,11 +33,15 @@ pub fn run(args: &Args) -> Result<(), String> {
     if window == 0 || len < window {
         return Err(format!("--window {window} must be ≤ --len {len}"));
     }
+    if let Some(bad) = thetas.iter().find(|&&theta| !(theta > 0.0 && theta <= 1.0)) {
+        return Err(format!("--thetas {bad} must lie in (0, 1]"));
+    }
 
     let corpus = DiskCorpus::open(Path::new(corpus_path)).map_err(|e| e.to_string())?;
-    let index = CorpusIndex::open(Path::new(index_dir), PrefixFilter::default())
+    let index = ShardedIndex::open(Path::new(index_dir)).map_err(|e| e.to_string())?;
+    let searcher = index
+        .searcher_with_filter(PrefixFilter::default())
         .map_err(|e| e.to_string())?;
-    let searcher = index.searcher().map_err(|e| e.to_string())?;
 
     eprintln!("training order-{order} n-gram model on {corpus_path}…");
     let model = NGramModel::train(&corpus, order).map_err(|e| e.to_string())?;

@@ -1,6 +1,6 @@
 //! Integration tests driving the CLI commands end to end through the
 //! library entry points (no subprocess spawning, so failures carry real
-//! error messages).
+//! error messages) — except where a test compares what a command prints.
 
 use ndss_cli::args::Args;
 use ndss_cli::dispatch;
@@ -355,6 +355,65 @@ fn tokenize_and_memorize_workflow() {
 }
 
 #[test]
+fn memorize_prints_the_same_table_over_a_sharded_store() {
+    let dir = workdir("mem_sharded");
+    let corpus = dir.join("c.ndsc").display().to_string();
+    let plain = dir.join("plain").display().to_string();
+    let store = dir.join("store").display().to_string();
+    dispatch(
+        "synth",
+        &args(&[
+            "--out",
+            &corpus,
+            "--texts",
+            "80",
+            "--seed",
+            "4",
+            "--dup-rate",
+            "2.0",
+            "--mutation",
+            "0.0",
+        ]),
+    )
+    .unwrap();
+    let build = ["--corpus", &corpus, "--k", "16", "--t", "20", "--out"];
+    dispatch("index", &args(&[&build[..], &[&plain]].concat())).unwrap();
+    dispatch(
+        "index",
+        &args(&[&build[..], &[&store, "--store", "--shards", "2"]].concat()),
+    )
+    .unwrap();
+    let table = |index: &str| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_ndss"))
+            .args(["memorize", "--corpus", &corpus, "--index", index])
+            .args(["--order", "5", "--texts", "4", "--len", "128"])
+            .args(["--window", "32", "--thetas", "0.9,0.7,0.8"])
+            .output()
+            .expect("spawn ndss binary");
+        assert!(
+            out.status.success(),
+            "ndss memorize --index {index} failed:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let expected = table(&plain);
+    // Three rows in the order the thresholds were given, not all empty.
+    let rows: Vec<&str> = expected.lines().collect();
+    let rows = &rows[rows.len() - 3..];
+    assert!(rows
+        .iter()
+        .zip(["0.9", "0.7", "0.8"])
+        .all(|(row, theta)| row.starts_with(theta)));
+    assert!(
+        rows.iter().any(|row| !row.contains(" 0.0%")),
+        "nothing memorized:\n{expected}"
+    );
+    assert_eq!(table(&store), expected);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn generation_store_lifecycle_workflow() {
     let dir = workdir("store");
     let corpus = dir.join("c.ndsc").display().to_string();
@@ -465,6 +524,21 @@ fn errors_are_reported_not_panicked() {
     )
     .is_err());
     assert!(dispatch("merge", &args(&["--out", "/tmp/m", "--inputs", "one_dir"])).is_err());
+    // A bad threshold is refused before anything is opened, let alone the
+    // model trained and texts generated.
+    let refused = dispatch(
+        "memorize",
+        &args(&[
+            "--corpus",
+            "/nonexistent.ndsc",
+            "--index",
+            "/nonexistent",
+            "--thetas",
+            "0.8,1.5",
+        ]),
+    )
+    .unwrap_err();
+    assert!(refused.contains("--thetas 1.5"), "{refused}");
     // --resume is a journaled-external-build feature.
     assert!(dispatch(
         "index",

@@ -3,9 +3,10 @@
 //! The paper's applications never issue one isolated query: the
 //! memorization evaluation slides fixed-width windows over each generated
 //! text (§5), and the plagiarism/dedup use cases slide windows over a
-//! suspicious document. This module packages that loop: slide a window of
-//! `width` tokens with a `stride` over the document, search every window,
-//! and aggregate the hits **per corpus text** — merged matched regions, how
+//! suspicious document. This module packages that scan on the lane set
+//! ([`ShardedSearcher`]): cut windows of `width` tokens every `stride`
+//! tokens of the document, search them all in one parallel batch, and
+//! aggregate the hits **per corpus text** — merged matched regions, how
 //! many document windows hit the text, and the best collision count.
 //!
 //! Results order by evidence: texts hit by more windows first, ties by best
@@ -15,9 +16,8 @@ use std::collections::BTreeMap;
 
 use ndss_corpus::{SeqSpan, TextId};
 use ndss_hash::TokenId;
-use ndss_index::IndexAccess;
 
-use crate::search::NearDupSearcher;
+use crate::sharded::ShardedSearcher;
 use crate::QueryError;
 
 /// Aggregated evidence that `text` shares near-duplicate content with the
@@ -63,59 +63,52 @@ impl DocumentScan {
     }
 }
 
-impl<I: IndexAccess + ?Sized> NearDupSearcher<'_, I> {
-    /// Scans `document` with sliding windows and aggregates near-duplicate
-    /// evidence per corpus text. Windows shorter than `scan.width` (at the
-    /// document tail) are skipped, as in the paper.
+impl ShardedSearcher<'_> {
+    /// Scans `document` with sliding windows — one [`Self::search_all`]
+    /// over all of them — and aggregates near-duplicate evidence per
+    /// corpus text. Windows shorter than `scan.width` (at the document
+    /// tail) are skipped, as in the paper.
     pub fn search_document(
         &self,
         document: &[TokenId],
         scan: DocumentScan,
         theta: f64,
     ) -> Result<Vec<DocumentMatch>, QueryError> {
-        if scan.width == 0 {
+        if scan.width == 0 || scan.stride == 0 {
             return Err(QueryError::EmptyQuery);
         }
-        struct Agg {
-            regions: Vec<SeqSpan>,
-            document_regions: Vec<SeqSpan>,
-            query_windows: usize,
-            best_collisions: u32,
-        }
-        let mut per_text: BTreeMap<TextId, Agg> = BTreeMap::new();
-        let mut start = 0usize;
-        while start + scan.width <= document.len() {
-            let window = &document[start..start + scan.width];
-            let outcome = self.search(window, theta)?;
+        let windows: Vec<Vec<TokenId>> = document
+            .windows(scan.width)
+            .step_by(scan.stride)
+            .map(<[TokenId]>::to_vec)
+            .collect();
+        let outcomes = self.search_all(&windows, theta)?;
+        let mut per_text: BTreeMap<TextId, DocumentMatch> = BTreeMap::new();
+        for (outcome, start) in outcomes.iter().zip((0..).step_by(scan.stride)) {
             for m in &outcome.matches {
                 let spans = m.merged_spans(outcome.t);
                 if spans.is_empty() {
                     continue;
                 }
-                let agg = per_text.entry(m.text).or_insert_with(|| Agg {
+                let hit = per_text.entry(m.text).or_insert_with(|| DocumentMatch {
+                    text: m.text,
                     regions: Vec::new(),
-                    document_regions: Vec::new(),
                     query_windows: 0,
+                    document_regions: Vec::new(),
                     best_collisions: 0,
                 });
-                agg.regions.extend(spans);
-                agg.document_regions
+                hit.regions.extend(spans);
+                hit.document_regions
                     .push(SeqSpan::new(start as u32, (start + scan.width - 1) as u32));
-                agg.query_windows += 1;
-                agg.best_collisions = agg.best_collisions.max(m.best_collisions());
+                hit.query_windows += 1;
+                hit.best_collisions = hit.best_collisions.max(m.best_collisions());
             }
-            start += scan.stride;
         }
-        let mut out: Vec<DocumentMatch> = per_text
-            .into_iter()
-            .map(|(text, agg)| DocumentMatch {
-                text,
-                regions: merge_spans(agg.regions),
-                document_regions: merge_spans(agg.document_regions),
-                query_windows: agg.query_windows,
-                best_collisions: agg.best_collisions,
-            })
-            .collect();
+        let mut out: Vec<DocumentMatch> = per_text.into_values().collect();
+        for hit in &mut out {
+            hit.regions = merge_spans(std::mem::take(&mut hit.regions));
+            hit.document_regions = merge_spans(std::mem::take(&mut hit.document_regions));
+        }
         out.sort_by(|a, b| {
             b.query_windows
                 .cmp(&a.query_windows)
@@ -142,8 +135,9 @@ fn merge_spans(mut spans: Vec<SeqSpan>) -> Vec<SeqSpan> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{PrefixFilter, ShardedIndex};
     use ndss_corpus::{CorpusSource, SyntheticCorpusBuilder};
-    use ndss_index::{IndexConfig, MemoryIndex};
+    use ndss_index::{build_sharded, IndexConfig, MemoryIndex, ShardedBuildOptions};
 
     #[test]
     fn document_containing_copied_span_flags_the_source() {
@@ -155,7 +149,7 @@ mod tests {
             .mutation_rate(0.0)
             .build();
         let index = MemoryIndex::build(&corpus, IndexConfig::new(16, 25, 7)).unwrap();
-        let searcher = NearDupSearcher::new(&index).unwrap();
+        let searcher = ShardedSearcher::single(&index, PrefixFilter::default()).unwrap();
         // Fabricate a "document": 100 fresh tokens + a planted span + more
         // fresh tokens.
         let p = planted.iter().find(|p| p.dst.span.len() >= 100).unwrap();
@@ -190,7 +184,7 @@ mod tests {
             .vocab_size(5_000)
             .build();
         let index = MemoryIndex::build(&corpus, IndexConfig::new(16, 25, 7)).unwrap();
-        let searcher = NearDupSearcher::new(&index).unwrap();
+        let searcher = ShardedSearcher::single(&index, PrefixFilter::default()).unwrap();
         let document: Vec<u32> = (3_000_000..3_000_300).collect();
         let matches = searcher
             .search_document(&document, DocumentScan::non_overlapping(32), 0.8)
@@ -206,7 +200,7 @@ mod tests {
             .mutation_rate(0.02)
             .build();
         let index = MemoryIndex::build(&corpus, IndexConfig::new(16, 25, 7)).unwrap();
-        let searcher = NearDupSearcher::new(&index).unwrap();
+        let searcher = ShardedSearcher::single(&index, PrefixFilter::default()).unwrap();
         let p = planted.first().unwrap();
         let document = corpus.text_to_vec(p.dst.text).unwrap();
         let coarse = searcher
@@ -219,10 +213,42 @@ mod tests {
     }
 
     #[test]
+    fn two_lane_store_equals_one_lane() {
+        let (corpus, planted) = SyntheticCorpusBuilder::new(156)
+            .num_texts(40)
+            .duplicates_per_text(1.0)
+            .mutation_rate(0.02)
+            .build();
+        let config = IndexConfig::new(16, 25, 7);
+        let index = MemoryIndex::build(&corpus, config.clone()).unwrap();
+        let one = ShardedSearcher::single(&index, PrefixFilter::default()).unwrap();
+        let root = std::env::temp_dir().join(format!("ndss_document_{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        build_sharded(&corpus, config, &root, 2, &ShardedBuildOptions::default()).unwrap();
+        let store = ShardedIndex::open(&root).unwrap();
+        let two = store.searcher_with_filter(PrefixFilter::default()).unwrap();
+        // A document whose copies come from both halves of the corpus.
+        let mut document = Vec::new();
+        for p in [planted.first().unwrap(), planted.last().unwrap()] {
+            document.extend(corpus.text_to_vec(p.dst.text).unwrap());
+        }
+        for scan in [
+            DocumentScan::non_overlapping(32),
+            DocumentScan::with_stride(48, 16),
+        ] {
+            let expected = one.search_document(&document, scan, 0.8).unwrap();
+            assert!(expected.len() >= 2, "the document copies two texts");
+            assert_eq!(two.search_document(&document, scan, 0.8).unwrap(), expected);
+        }
+        drop(store);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
     fn short_document_yields_no_windows() {
         let (corpus, _) = SyntheticCorpusBuilder::new(154).num_texts(10).build();
         let index = MemoryIndex::build(&corpus, IndexConfig::new(4, 25, 7)).unwrap();
-        let searcher = NearDupSearcher::new(&index).unwrap();
+        let searcher = ShardedSearcher::single(&index, PrefixFilter::default()).unwrap();
         let matches = searcher
             .search_document(&[1, 2, 3], DocumentScan::non_overlapping(32), 0.8)
             .unwrap();
@@ -233,16 +259,11 @@ mod tests {
     fn zero_width_is_an_error() {
         let (corpus, _) = SyntheticCorpusBuilder::new(155).num_texts(5).build();
         let index = MemoryIndex::build(&corpus, IndexConfig::new(4, 25, 7)).unwrap();
-        let searcher = NearDupSearcher::new(&index).unwrap();
-        assert!(searcher
-            .search_document(
-                &[1, 2, 3],
-                DocumentScan {
-                    width: 0,
-                    stride: 1
-                },
-                0.8
-            )
-            .is_err());
+        let searcher = ShardedSearcher::single(&index, PrefixFilter::default()).unwrap();
+        // A scan that cuts no window, or never advances (once an endless loop).
+        for (width, stride) in [(0, 1), (2, 0)] {
+            let scan = DocumentScan { width, stride };
+            assert!(searcher.search_document(&[1, 2, 3], scan, 0.8).is_err());
+        }
     }
 }

@@ -278,6 +278,20 @@ impl<'a> ShardedSearcher<'a> {
         }
     }
 
+    /// A lane set of one lane: all of `index` — in memory or on disk — at
+    /// global text id 0, searched with `filter`.
+    pub fn single(index: &'a dyn IndexAccess, filter: PrefixFilter) -> Result<Self, QueryError> {
+        let config = index.config();
+        let mut searcher = Self::empty(config.k, config.t as u32);
+        searcher.push_lane(0, index, filter)?;
+        Ok(searcher)
+    }
+
+    /// The number of hash functions: collision counts are out of `k`.
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
     /// Appends a lane over `index`, whose local text ids start at global
     /// id `base`. Lanes must arrive in ascending, disjoint text order.
     pub(crate) fn push_lane(

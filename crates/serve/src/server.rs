@@ -243,11 +243,38 @@ pub(crate) struct Shared {
     pub(crate) config: ServeConfig,
     draining: AtomicBool,
     in_flight: AtomicUsize,
+    /// Connections being served (`Arc`: each handler thread owns its [`Slot`]).
+    connections: Arc<AtomicUsize>,
     pub(crate) metrics: ServeMetrics,
     /// The mutable front of the store (when ingest is enabled). Appends,
     /// overlay reads, and compaction all serialize on this lock; the disk
     /// lane of a search runs outside it.
     pub(crate) ingest: Option<Mutex<IngestIndex>>,
+}
+
+/// One unit of a bounded counter — an admission slot, a place in the
+/// handler pool — given back when dropped, so a handler that panics returns
+/// it while unwinding instead of leaking it for the life of the daemon.
+struct Slot<C: std::ops::Deref<Target = AtomicUsize>>(C);
+
+impl<C: std::ops::Deref<Target = AtomicUsize>> Slot<C> {
+    /// Takes one unit of `counter`, or fails with the number already out
+    /// when that is `cap` or more.
+    fn take(counter: C, cap: usize) -> Result<Self, usize> {
+        let before = counter.fetch_add(1, Ordering::AcqRel);
+        let slot = Slot(counter);
+        if before < cap {
+            Ok(slot)
+        } else {
+            Err(before)
+        }
+    }
+}
+
+impl<C: std::ops::Deref<Target = AtomicUsize>> Drop for Slot<C> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
 }
 
 impl Shared {
@@ -389,6 +416,7 @@ impl Server {
                 config,
                 draining: AtomicBool::new(false),
                 in_flight: AtomicUsize::new(0),
+                connections: Arc::new(AtomicUsize::new(0)),
                 metrics,
                 ingest,
             }),
@@ -441,7 +469,6 @@ impl Server {
     pub fn run(self) -> Result<DrainReport, ServeError> {
         let shared = self.shared;
         let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        let active = Arc::new(AtomicUsize::new(0));
         let prober = shared.config.probe_interval.map(|interval| {
             let shared = shared.clone();
             std::thread::Builder::new()
@@ -469,23 +496,20 @@ impl Server {
                     // Reap finished handlers so the vec stays bounded by the
                     // pool size, not the connection count.
                     handlers.retain(|h| !h.is_finished());
-                    if active.load(Ordering::Relaxed) >= shared.config.workers {
+                    let Ok(slot) = Slot::take(shared.connections.clone(), shared.config.workers)
+                    else {
                         shared.metrics.connections_rejected.inc(1);
                         reject_connection(stream, &shared);
                         continue;
-                    }
+                    };
                     shared.metrics.connections.inc(1);
                     shared.metrics.conn_accepted.inc(1);
-                    let n = active.fetch_add(1, Ordering::Relaxed) + 1;
-                    shared.metrics.active_connections.set(n as i64);
                     let shared = shared.clone();
-                    let active = active.clone();
                     let handler = std::thread::Builder::new()
                         .name("ndss-serve-conn".into())
                         .spawn(move || {
+                            let _slot = slot;
                             handle_connection(stream, &shared);
-                            let n = active.fetch_sub(1, Ordering::Relaxed) - 1;
-                            shared.metrics.active_connections.set(n as i64);
                         })
                         .expect("spawning a connection handler");
                     handlers.push(handler);
@@ -748,6 +772,10 @@ fn route_http(
                 .metrics
                 .in_flight
                 .set(shared.in_flight.load(Ordering::Relaxed) as i64);
+            shared
+                .metrics
+                .active_connections
+                .set(shared.connections.load(Ordering::Relaxed) as i64);
             let requests = shared.metrics.http_requests.get() + shared.metrics.frame_requests.get();
             let reused = shared.metrics.conn_reused.get();
             shared
@@ -1117,24 +1145,15 @@ fn error_body(kind: &str, detail: &str) -> String {
         .to_string_compact()
 }
 
-/// Admission + budget + execution, shared by both protocols. The snapshot
-/// is pinned once: search, ranking, and the reported generation all come
-/// from the same generation even if a reload lands mid-request.
-fn execute_search(shared: &Shared, parsed: &ParsedSearch) -> Result<SearchReply, SearchFail> {
+/// Takes an admission slot for one search or ingest request, or sheds the
+/// request when `admission_cap` of them are already executing.
+fn admit(shared: &Shared) -> Result<Slot<&AtomicUsize>, SearchFail> {
     let cap = shared.config.admission_cap;
-    let admitted = shared.in_flight.fetch_add(1, Ordering::AcqRel);
-    if admitted >= cap {
-        shared.in_flight.fetch_sub(1, Ordering::AcqRel);
+    Slot::take(&shared.in_flight, cap).map_err(|in_flight| {
         shared.metrics.shed.inc(1);
         shared.metrics.query_shed.inc(1);
-        return Err(SearchFail::Overloaded {
-            in_flight: admitted,
-            cap,
-        });
-    }
-    let result = execute_admitted(shared, parsed);
-    shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-    result
+        SearchFail::Overloaded { in_flight, cap }
+    })
 }
 
 /// `POST /ingest` body: `{"tokens": [ids…]}` for one text, or
@@ -1147,27 +1166,7 @@ fn execute_ingest(shared: &Shared, body: &[u8]) -> Result<String, SearchFail> {
             "ingest is not enabled on this server (start with --ingest)".to_string(),
         ));
     };
-    let cap = shared.config.admission_cap;
-    let admitted = shared.in_flight.fetch_add(1, Ordering::AcqRel);
-    if admitted >= cap {
-        shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-        shared.metrics.shed.inc(1);
-        shared.metrics.query_shed.inc(1);
-        return Err(SearchFail::Overloaded {
-            in_flight: admitted,
-            cap,
-        });
-    }
-    let result = execute_ingest_admitted(shared, ingest, body);
-    shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-    result
-}
-
-fn execute_ingest_admitted(
-    shared: &Shared,
-    ingest: &Mutex<IngestIndex>,
-    body: &[u8],
-) -> Result<String, SearchFail> {
+    let _slot = admit(shared)?;
     let texts = parse_ingest_body(body).map_err(|reason| {
         shared.metrics.bad_requests.inc(1);
         SearchFail::BadRequest(reason)
@@ -1252,7 +1251,11 @@ fn map_search_result(
     }
 }
 
-fn execute_admitted(shared: &Shared, parsed: &ParsedSearch) -> Result<SearchReply, SearchFail> {
+/// Admission + budget + execution, shared by both protocols. The snapshot
+/// is pinned once: search, ranking, and the reported generation all come
+/// from the same generation even if a reload lands mid-request.
+fn execute_search(shared: &Shared, parsed: &ParsedSearch) -> Result<SearchReply, SearchFail> {
+    let _slot = admit(shared)?;
     shared.metrics.searches.inc(1);
     let started = Instant::now();
     let mut budget = QueryBudget::unlimited();
@@ -1337,4 +1340,36 @@ fn execute_admitted(shared: &Shared, parsed: &ParsedSearch) -> Result<SearchRepl
         wall: started.elapsed(),
         degraded: outcome.degraded,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_holder_returns_its_slot() {
+        let counter = AtomicUsize::new(0);
+        let unwound = std::panic::catch_unwind(|| {
+            let _slot = Slot::take(&counter, 1).expect("one unit is free");
+            assert_eq!(counter.load(Ordering::Acquire), 1);
+            assert_eq!(Slot::take(&counter, 1).err(), Some(1), "at the cap");
+            assert_eq!(
+                counter.load(Ordering::Acquire),
+                1,
+                "a refusal holds nothing"
+            );
+            panic!("handler died");
+        });
+        assert!(unwound.is_err());
+        assert_eq!(counter.load(Ordering::Acquire), 0);
+        // The shape a connection handler holds: an owned counter.
+        let pool = Arc::new(AtomicUsize::new(0));
+        let slot = Slot::take(pool.clone(), 1).expect("one unit is free");
+        let handler = std::thread::spawn(move || {
+            let _slot = slot;
+            panic!("handler died");
+        });
+        assert!(handler.join().is_err());
+        assert_eq!(pool.load(Ordering::Acquire), 0);
+    }
 }

@@ -3,15 +3,15 @@
 //!
 //! This is the data-curation use case the paper motivates: training corpora
 //! are full of near-duplicates, and duplicated training data is memorized
-//! super-linearly. The audit slides windows over a sample of texts, queries
-//! each window against the index of the whole corpus, and reports
-//! cross-text near-duplicate regions.
+//! super-linearly. The audit cuts a sample of texts into windows, queries
+//! them all against the index of the whole corpus in one batch, and
+//! reports cross-text near-duplicate regions.
 //!
 //! ```text
 //! cargo run -p ndss-examples --release --example corpus_dedup
 //! ```
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use ndss::prelude::*;
 
@@ -33,42 +33,41 @@ fn main() {
     );
 
     println!("indexing (k = 16, t = 50: only long duplications matter here)…");
-    let index = CorpusIndex::build_in_memory_parallel(&corpus, SearchParams::new(16, 50, 3))
-        .expect("index build");
-    let searcher = index.searcher().expect("searcher");
+    let index = MemoryIndex::build_parallel(&corpus, IndexConfig::new(16, 50, 3)).expect("index");
+    let searcher = ShardedSearcher::single(&index, PrefixFilter::default()).expect("searcher");
 
-    // Audit a sample of texts: slide non-overlapping 64-token windows.
+    // Audit a sample of texts: cut each into non-overlapping 64-token
+    // windows and search them all in one parallel batch.
     let audit_texts = 100usize;
     let window = 64usize;
     let theta = 0.8;
     println!("auditing the first {audit_texts} texts (window {window}, θ = {theta})…");
-
-    // audited text -> set of other texts it shares near-duplicate regions with
-    let mut duplicate_pairs: BTreeMap<TextId, Vec<TextId>> = BTreeMap::new();
-    let mut audited_windows = 0usize;
-    let mut flagged_windows = 0usize;
+    let mut windows: Vec<Vec<TokenId>> = Vec::new();
+    let mut owners: Vec<TextId> = Vec::new();
     for text_id in 0..audit_texts as TextId {
         let text = corpus.text_to_vec(text_id).expect("text");
-        for (w, chunk) in text.chunks_exact(window).enumerate() {
-            audited_windows += 1;
-            let outcome = searcher.search(chunk, theta).expect("search");
-            // Ignore the self-match: the window trivially matches its own text.
-            let others: Vec<TextId> = outcome
-                .matches
-                .iter()
-                .map(|m| m.text)
-                .filter(|&t| t != text_id)
-                .collect();
-            if !others.is_empty() {
-                flagged_windows += 1;
-                let entry = duplicate_pairs.entry(text_id).or_default();
-                for o in others {
-                    if !entry.contains(&o) {
-                        entry.push(o);
-                    }
-                }
-            }
-            let _ = w;
+        for chunk in text.chunks_exact(window) {
+            windows.push(chunk.to_vec());
+            owners.push(text_id);
+        }
+    }
+    let outcomes = searcher.search_all(&windows, theta).expect("search");
+
+    // audited text -> the other texts it shares near-duplicate regions with
+    let mut duplicate_pairs: BTreeMap<TextId, BTreeSet<TextId>> = BTreeMap::new();
+    let audited_windows = windows.len();
+    let mut flagged_windows = 0usize;
+    for (outcome, &text_id) in outcomes.iter().zip(&owners) {
+        // Ignore the self-match: the window trivially matches its own text.
+        let others: Vec<TextId> = outcome
+            .matches
+            .iter()
+            .map(|m| m.text)
+            .filter(|&t| t != text_id)
+            .collect();
+        if !others.is_empty() {
+            flagged_windows += 1;
+            duplicate_pairs.entry(text_id).or_default().extend(others);
         }
     }
 

@@ -32,9 +32,8 @@ fn main() {
     );
 
     println!("indexing (k = 32, t = 25)…");
-    let index = CorpusIndex::build_in_memory_parallel(&corpus, SearchParams::new(32, 25, 21))
-        .expect("index build");
-    let searcher = index.searcher().expect("searcher");
+    let index = MemoryIndex::build_parallel(&corpus, IndexConfig::new(32, 25, 21)).expect("index");
+    let searcher = ShardedSearcher::single(&index, PrefixFilter::default()).expect("searcher");
 
     // "Model sizes": n-gram orders standing in for 117M/345M/1.3B/2.7B
     // parameter models (DESIGN.md §3). More context = more capacity = more

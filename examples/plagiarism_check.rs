@@ -49,9 +49,8 @@ fn main() {
         "indexing {} tokens (k = 24, t = 30)…",
         corpus.total_tokens()
     );
-    let index = CorpusIndex::build_in_memory_parallel(&corpus, SearchParams::new(24, 30, 77))
-        .expect("index build");
-    let searcher = index.searcher().expect("searcher");
+    let index = MemoryIndex::build_parallel(&corpus, IndexConfig::new(24, 30, 77)).expect("index");
+    let searcher = ShardedSearcher::single(&index, PrefixFilter::default()).expect("searcher");
 
     // 3. A "suspicious submission": fresh text that quietly lifts two
     //    passages from document 17, lightly paraphrased (a few words
@@ -86,47 +85,41 @@ fn main() {
         lifted_b.join(" ")
     );
 
-    // 4. Slide windows over the submission and search.
+    // 4. Scan the submission: every 48-token window, one batch.
     let tokens = tokenizer.encode(&submission);
     println!(
         "\nchecking submission ({} tokens) with 48-token windows at θ = 0.7…",
         tokens.len()
     );
-    let mut flagged: Vec<(usize, TextId, SeqSpan)> = Vec::new();
-    for (w, chunk) in tokens.chunks(48).enumerate() {
-        if chunk.len() < 48 {
-            break;
-        }
-        let outcome = searcher.search(chunk, 0.7).expect("search");
-        for m in &outcome.matches {
-            if let Some(span) = m.merged_spans(outcome.t).first() {
-                flagged.push((w, m.text, *span));
-            }
-        }
-    }
+    let matches = searcher
+        .search_document(&tokens, DocumentScan::non_overlapping(48), 0.7)
+        .expect("search");
 
-    if flagged.is_empty() {
+    if matches.is_empty() {
         println!("no plagiarism detected.");
         return;
     }
     println!("\nplagiarism report:");
-    let mut sources: Vec<TextId> = flagged.iter().map(|&(_, t, _)| t).collect();
-    sources.sort_unstable();
-    sources.dedup();
+    let sources: Vec<TextId> = matches.iter().map(|m| m.text).collect();
     println!("  matched source documents: {sources:?} (expected: [17])");
-    for (w, text, span) in flagged.iter().take(4) {
-        let matched_tokens = corpus
-            .sequence_to_vec(SeqRef {
-                text: *text,
-                span: *span,
-            })
-            .expect("span");
-        let decoded = tokenizer.decode(&matched_tokens);
-        let preview: String = decoded.chars().take(100).collect();
+    for m in &matches {
         println!(
-            "\n  submission window {w} ≈ document {text} tokens [{}, {}]:",
-            span.start, span.end
+            "\n  document {}: {} submission windows (tokens {:?}), best {}/24 collisions",
+            m.text,
+            m.query_windows,
+            m.document_regions
+                .iter()
+                .map(|r| (r.start, r.end))
+                .collect::<Vec<_>>(),
+            m.best_collisions
         );
-        println!("    “{preview}…”");
+        for &span in m.regions.iter().take(4) {
+            let matched_tokens = corpus
+                .sequence_to_vec(SeqRef { text: m.text, span })
+                .expect("span");
+            let decoded = tokenizer.decode(&matched_tokens);
+            let preview: String = decoded.chars().take(100).collect();
+            println!("    tokens [{}, {}]: “{preview}…”", span.start, span.end);
+        }
     }
 }
