@@ -15,6 +15,7 @@
 //! callers disable caching without changing code paths.
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Mutex;
 
 use ndss_hash::HashValue;
@@ -57,6 +58,44 @@ impl CacheConfig {
 /// Cache key: `(hash function, min-hash value)`.
 type Key = (usize, HashValue);
 
+/// Fibonacci-style mix of a key's two words XORed together; the low bits of
+/// raw min-hash values are not uniformly distributed across small key sets.
+/// Its bits 32.. pick the shard, [`KeyHasher`] hands the shard's map the
+/// rest.
+fn mix(words: u64) -> u64 {
+    words.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
+/// The shard maps' hasher. A key is already a hash value: one multiply
+/// replaces SipHash on every `get`. Keys come from the index's own
+/// directory, not from outside the program, so flooding is not a concern.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 ^= word;
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.0 ^= word as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        // The map buckets by the low bits and tags by the top seven. A
+        // product's low bits depend only on its factors' low bits, and bits
+        // 32.. are the same for a whole shard; the rotation gives the map
+        // bits 44.. to bucket by and bits 37..44 as tag.
+        mix(self.0).rotate_left(20)
+    }
+}
+
 struct Entry<V> {
     value: V,
     weight: usize,
@@ -66,7 +105,7 @@ struct Entry<V> {
 }
 
 struct Shard<V> {
-    map: HashMap<Key, Entry<V>>,
+    map: HashMap<Key, Entry<V>, BuildHasherDefault<KeyHasher>>,
     /// Clock ring of resident keys. May contain stale keys for entries
     /// already replaced; those are skipped when the hand reaches them.
     ring: VecDeque<Key>,
@@ -115,7 +154,7 @@ impl<V: Clone> ShardedCache<V> {
             shards: (0..shards)
                 .map(|_| {
                     Mutex::new(Shard {
-                        map: HashMap::new(),
+                        map: HashMap::default(),
                         ring: VecDeque::new(),
                         bytes: 0,
                         budget: per_shard,
@@ -134,10 +173,7 @@ impl<V: Clone> ShardedCache<V> {
     }
 
     fn shard(&self, key: &Key) -> &Mutex<Shard<V>> {
-        // Fibonacci-style mix of (func, hash); the low bits of raw min-hash
-        // values are not uniformly distributed across small key sets.
-        let h = (key.1 ^ (key.0 as u64)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        &self.shards[(h >> 32) as usize & self.mask]
+        &self.shards[(mix(key.1 ^ key.0 as u64) >> 32) as usize & self.mask]
     }
 
     /// Looks up `key`, marking it recently used on hit.
@@ -195,6 +231,24 @@ mod tests {
         cache.insert(0, 42, 7, 16);
         assert_eq!(cache.get(0, 42), Some(7));
         assert_eq!(cache.get(1, 42), None, "keys are per-function");
+    }
+
+    /// Within one shard (bits 32.. of the mix fixed) the map still sees
+    /// hashes that differ in the bits it buckets and tags by, for keys as
+    /// regular as consecutive small integers.
+    #[test]
+    fn key_hasher_spreads_the_keys_of_one_shard() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let build = BuildHasherDefault::<KeyHasher>::default();
+        let in_shard_0: Vec<u64> = (0..40_000u64)
+            .filter(|&hash| (mix(hash ^ 3) >> 32) & 15 == 0)
+            .map(|hash| build.hash_one((3usize, hash)))
+            .collect();
+        assert!(in_shard_0.len() > 2_000);
+        let buckets: std::collections::HashSet<u64> = in_shard_0.iter().map(|h| h & 1023).collect();
+        let tags: std::collections::HashSet<u64> = in_shard_0.iter().map(|h| h >> 57).collect();
+        assert_eq!(buckets.len(), 1024);
+        assert_eq!(tags.len(), 128);
     }
 
     #[test]

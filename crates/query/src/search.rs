@@ -9,7 +9,6 @@ use ndss_hash::jaccard::distinct_jaccard;
 use ndss_hash::minhash::collision_threshold;
 use ndss_hash::{MinHasher, TokenId};
 use ndss_index::{IndexAccess, IoStats, Posting, SharedList};
-use ndss_windows::CompactWindow;
 
 use crate::collision::{collision_sweep, CollisionScratch, Rectangle};
 use crate::governor::{BudgetTracker, CancelToken, QueryBudget, Resource, Verdict};
@@ -309,13 +308,72 @@ pub fn rank(outcome: &SearchOutcome, k: usize, limit: usize) -> Vec<RankedMatch>
     ranked
 }
 
-/// A short-list posting phase 1 kept, with the ordinal (among the short
-/// lists, ascending by function) of the list it came from.
-#[derive(Clone, Copy)]
-struct Kept {
-    text: TextId,
-    window: CompactWindow,
-    list: u32,
+/// The first index of text-sorted `list` whose posting names `text` or a
+/// later one, found by doubling steps from the front: O(log distance), so a
+/// cursor that only moves forward spends no more than the list's length on
+/// it however many texts it is asked for, and O(asked × log) when few are.
+fn first_at_or_after(list: &[Posting], text: TextId) -> usize {
+    let (mut lo, mut step) = (0, 1);
+    while lo + step <= list.len() && list[lo + step - 1].text < text {
+        lo += step;
+        step *= 2;
+    }
+    let hi = list.len().min(lo + step);
+    lo + list[lo..hi].partition_point(|p| p.text < text)
+}
+
+/// [`merge_list`] looks `alive` up in a list this many times longer than it;
+/// below that, stepping through both costs less than searching.
+const GALLOP_FROM: usize = 8;
+
+/// One list of the phase 1 merge. `alive` holds, ascending, every text that
+/// can still reach α₀ with the number of distinct lists seen so far that
+/// name it; `out` receives the same after `list`: a text `list` names
+/// counts one more, and a text whose count is below `need` (α₀ less the
+/// lists still to come) is dropped. That one rule also decides admission:
+/// a text seen for the first time counts 1, and `need` ≤ 1 exactly for the
+/// first p − α₀ + 1 lists.
+fn merge_list(
+    list: &[Posting],
+    need: usize,
+    alive: &[(TextId, usize)],
+    out: &mut Vec<(TextId, usize)>,
+) {
+    out.clear();
+    if need > 1 && list.len() > GALLOP_FROM * alive.len() {
+        // Nothing enters and the list dwarfs `alive`: look each text up.
+        let mut rest = list;
+        for &(text, seen) in alive {
+            rest = &rest[first_at_or_after(rest, text)..];
+            let count = seen + usize::from(rest.first().is_some_and(|p| p.text == text));
+            if count >= need {
+                out.push((text, count));
+            }
+        }
+        return;
+    }
+    out.reserve(alive.len() + list.len());
+    let mut a = 0;
+    for run in list.chunk_by(|x, y| x.text == y.text) {
+        let text = run[0].text;
+        while a < alive.len() && alive[a].0 < text {
+            if alive[a].1 >= need {
+                out.push(alive[a]);
+            }
+            a += 1;
+        }
+        let seen = match alive.get(a) {
+            Some(&(t, seen)) if t == text => {
+                a += 1;
+                seen
+            }
+            _ => 0,
+        };
+        if seen + 1 >= need {
+            out.push((text, seen + 1));
+        }
+    }
+    out.extend(alive[a..].iter().filter(|e| e.1 >= need));
 }
 
 /// The `emit` both counting phases hand [`collision_sweep`]: clears `out`,
@@ -524,13 +582,6 @@ impl<'a, I: IndexAccess + ?Sized> NearDupSearcher<'a, I> {
                 long.truncate(beta / 2);
                 long
             };
-            let is_long: Vec<bool> = {
-                let mut v = vec![false; k];
-                for &f in &long_funcs {
-                    v[f] = true;
-                }
-                v
-            };
             let p = k - long_funcs.len();
             let alpha0 = beta - (k - p);
             debug_assert!(alpha0 >= 1);
@@ -539,88 +590,52 @@ impl<'a, I: IndexAccess + ?Sized> NearDupSearcher<'a, I> {
 
             // Phase 1 (lines 3–4): fetch the short lists and keep the
             // postings of every text that could reach the reduced threshold.
-            // The lists are borrowed — a cache hit is the resident
-            // allocation, not a copy — and a text can only reach α₀
-            // collisions if at least α₀ of their postings name it, so the
-            // lists are first *counted* per text and only the few texts
-            // whose count reaches α₀ are copied out (`kept`, grouped by
-            // text). This is the hottest per-posting loop of a query.
+            // A text reaches α₀ collisions only if α₀ of the p lists name it
+            // (Theorem 1: one function gives a sequence at most one window),
+            // so by pigeonhole one of any p − α₀ + 1 of them does. The lists
+            // are merged shortest first: the first p − α₀ + 1 *admit* texts —
+            // they hold a few percent of the postings — and every later
+            // list is only asked about the texts still `alive`, which are
+            // dropped as soon as the lists left cannot lift them to α₀. The
+            // lists are borrowed — a cache hit is the resident allocation,
+            // not a copy — and all are fetched (the work counters do not
+            // depend on where `alive` ran dry), but the long tail is looked
+            // up, not scanned.
             let gather_start = Instant::now();
+            let mut by_len: Vec<usize> = (0..k).filter(|f| !long_funcs.contains(f)).collect();
+            by_len.sort_by_key(|&f| lens[f]);
             let mut lists: Vec<SharedList<'_>> = Vec::with_capacity(p);
-            let mut short_total = 0usize;
-            let mut max_text: TextId = 0;
-            for (func, &long) in is_long.iter().enumerate() {
-                if long {
-                    continue;
-                }
+            // `(text, distinct lists so far naming it)`, ascending by text.
+            let mut alive: Vec<(TextId, usize)> = Vec::new();
+            let mut merged = Vec::new();
+            for (j, &func) in by_len.iter().enumerate() {
                 checkpoint!(0, 0, 'run);
                 let list = self.index.shared_list(func, sketch.value(func), &io_acc)?;
                 stats.lists_loaded += 1;
-                short_total += list.len();
-                if let Some(last) = list.last() {
-                    // Lists are text-sorted; their last entry is their max.
-                    max_text = max_text.max(last.text);
-                }
+                stats.postings_read += list.len() as u64;
+                merge_list(&list, alpha0.saturating_sub(p - 1 - j), &alive, &mut merged);
+                std::mem::swap(&mut alive, &mut merged);
                 lists.push(list);
             }
-            stats.postings_read += short_total as u64;
-            // A counting pass groups by text without sorting: count postings
-            // per counter slot, give each slot that reaches α₀ its slice of
-            // `kept` (the counter becomes its write cursor, every other slot
-            // is marked skipped), then copy just those slots' postings into
-            // place, list by list. The table has one slot per text id when
-            // the id span is within a small factor of the posting count —
-            // then a slot is a text and `kept` comes out grouped by ascending
-            // text. A sparser id space (huge corpus, tiny query) folds onto
-            // `text & mask`: time and memory stay O(postings read), a slot
-            // may hold several texts, and one sort of the survivors
-            // separates them again.
-            const SKIP: u32 = u32::MAX;
-            if short_total >= SKIP as usize {
-                return Err(QueryError::TooManyPostings {
-                    postings: short_total,
-                    limit: SKIP as usize - 1,
-                });
-            }
-            let t_span = max_text as usize + 1;
-            let mut slots = vec![0u32; t_span.min(4 * short_total).next_power_of_two()];
-            let mask = slots.len() - 1;
-            for list in &lists {
-                for p in list.iter() {
-                    slots[p.text as usize & mask] += 1;
-                }
-            }
-            let mut total = 0u32;
-            for slot in &mut slots {
-                if (*slot as usize) < alpha0 {
-                    *slot = SKIP;
-                } else {
-                    total += std::mem::replace(slot, total);
-                }
-            }
-            let unset = Kept {
-                text: 0,
-                window: CompactWindow { l: 0, c: 0, r: 0 },
-                list: 0,
-            };
-            let mut kept = vec![unset; total as usize];
-            for (ordinal, list) in lists.iter().enumerate() {
-                for p in list.iter() {
-                    let slot = &mut slots[p.text as usize & mask];
-                    if *slot != SKIP {
-                        kept[*slot as usize] = Kept {
-                            text: p.text,
-                            window: p.window,
-                            list: ordinal as u32,
-                        };
-                        *slot += 1;
+            // The survivors are the texts named by ≥ α₀ distinct lists. Only
+            // their postings are copied, grouped by ascending text: one
+            // forward cursor per list.
+            let mut kept: Vec<Posting> = Vec::with_capacity(alive.len() * p);
+            let mut runs: Vec<(TextId, std::ops::Range<usize>)> = Vec::with_capacity(alive.len());
+            let mut rests: Vec<&[Posting]> = lists.iter().map(|list| &list[..]).collect();
+            for &(text, _) in &alive {
+                let start = kept.len();
+                for rest in &mut rests {
+                    let mut at = first_at_or_after(rest, text);
+                    while let Some(posting) = rest.get(at).filter(|p| p.text == text) {
+                        kept.push(*posting);
+                        at += 1;
                     }
+                    *rest = &rest[at..];
                 }
+                runs.push((text, start..kept.len()));
             }
-            if slots.len() < t_span {
-                kept.sort_unstable_by_key(|p| (p.text, p.list));
-            }
-            drop(slots);
+            drop(rests);
             drop(lists);
             stats.stage_gather = gather_start.elapsed();
 
@@ -638,27 +653,9 @@ impl<'a, I: IndexAccess + ?Sized> NearDupSearcher<'a, I> {
             let decide_only = !long_funcs.is_empty();
             // `(text, its run in kept)` per candidate.
             let mut candidates: Vec<(TextId, std::ops::Range<usize>)> = Vec::new();
-            let mut run_start = 0usize;
-            'select: while run_start < kept.len() {
-                let text = kept[run_start].text;
-                let run_len = kept[run_start..]
-                    .iter()
-                    .take_while(|p| p.text == text)
-                    .count();
-                let range = run_start..run_start + run_len;
-                run_start = range.end;
-                let run = &kept[range.clone()];
-                // The windows one function holds for one text partition the
-                // text's sequences (Theorem 1), so a sequence lies in at
-                // most one window per function: its collision count cannot
-                // exceed the number of distinct lists in the run, however
-                // many postings a frequent token put there. Lists arrive in
-                // ascending order within a run.
-                let functions = 1 + run.windows(2).filter(|w| w[0].list != w[1].list).count();
-                if functions < alpha0 {
-                    continue;
-                }
+            'select: for (text, range) in runs {
                 checkpoint!(stats.candidate_texts, matches.len(), 'select);
+                let run = &kept[range.clone()];
                 collision_sweep(
                     run.len(),
                     |i| run[i].window,

@@ -9,7 +9,10 @@
 //!   Definition 2 oracle;
 //! * the gather — its time and memory follow the postings read, never the
 //!   largest text id, and a sparse id space is answered by the same code as
-//!   a dense one.
+//!   a dense one (`gather_stage.rs` pins the gather's candidate set and its
+//!   time bounds).
+
+mod common;
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -17,31 +20,16 @@ use std::time::{Duration, Instant};
 
 use ndss_corpus::{InMemoryCorpus, TextId};
 use ndss_hash::minhash::collision_threshold;
-use ndss_hash::{HashValue, TokenId};
+use ndss_hash::TokenId;
 use ndss_index::{
     build_and_write, merge_indexes, DiskIndex, ExternalIndexBuilder, IndexAccess, IndexConfig,
-    IndexError, IoSnapshot, IoStats, MemoryIndex, Posting, SharedList,
+    MemoryIndex, Posting,
 };
 use ndss_query::bruteforce::definition2_scan;
 use ndss_query::{NearDupSearcher, PrefixFilter, TextMatch};
 use ndss_windows::{CompactWindow, WindowGenerator};
 
-/// SplitMix64: the seeds below are the whole input of every test here.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
+use common::{HandBuilt, Rng};
 
 /// Texts in which token 0 recurs every few positions among tokens drawn
 /// from `vocab` others: under every function where token 0 hashes lowest, a
@@ -219,69 +207,12 @@ fn search_equals_the_oracle_where_postings_outnumber_functions() {
     );
 }
 
-/// Hand-built lists behind [`IndexAccess`]: list `func` answers the one
-/// hash the query's sketch has under `func`.
-struct HandBuilt {
-    config: IndexConfig,
-    keys: Vec<HashValue>,
-    lists: Vec<Vec<Posting>>,
-}
-
-impl HandBuilt {
-    fn list(&self, func: usize, hash: HashValue) -> &[Posting] {
-        if self.keys[func] == hash {
-            &self.lists[func]
-        } else {
-            &[]
-        }
-    }
-}
-
-impl IndexAccess for HandBuilt {
-    fn config(&self) -> &IndexConfig {
-        &self.config
-    }
-
-    fn list_len(&self, func: usize, hash: HashValue) -> Result<u64, IndexError> {
-        Ok(self.list(func, hash).len() as u64)
-    }
-
-    fn shared_list(
-        &self,
-        func: usize,
-        hash: HashValue,
-        _io: &IoStats,
-    ) -> Result<SharedList<'_>, IndexError> {
-        Ok(SharedList::Borrowed(self.list(func, hash)))
-    }
-
-    fn probe_texts(
-        &self,
-        func: usize,
-        hash: HashValue,
-        texts: &[TextId],
-        _io: &IoStats,
-        out: &mut Vec<Posting>,
-    ) -> Result<(), IndexError> {
-        let list = self.list(func, hash);
-        out.extend(list.iter().filter(|p| texts.binary_search(&p.text).is_ok()));
-        Ok(())
-    }
-
-    fn io_snapshot(&self) -> IoSnapshot {
-        IoSnapshot::default()
-    }
-
-    fn list_length_histogram(&self, func: usize) -> Result<Vec<(u64, u64)>, IndexError> {
-        Ok(vec![(self.lists[func].len() as u64, 1)])
-    }
-}
-
 /// The same lists over dense ids `0..n` and over ids spread to 10 M (every
-/// one a multiple of 8 192, so a folded counter table piles them onto a
-/// few slots) with the last at `u32::MAX − 1`: same matches, same work,
-/// and the sparse half inside a bound that zeroing and scanning one
-/// counter per text id (16 GiB) cannot meet.
+/// one a multiple of 8 192) with the last at `u32::MAX − 1`: same matches,
+/// same work, and the sparse half inside a bound that nothing sized by the
+/// id span (one counter per text id is 16 GiB to zero and scan) can meet.
+/// The gather has no table at all: it orders texts, it does not index by
+/// them.
 #[test]
 fn sparse_text_ids_are_answered_like_dense_ones() {
     const TEXTS: u32 = 1_223;

@@ -1,0 +1,387 @@
+//! The gather stage of `search_inner` — candidate generation by the prefix
+//! bound — pinned from outside the crate over hand-built lists:
+//!
+//! * its candidate set is exactly the texts named by ≥ α₀ distinct short
+//!   lists, whatever the lists look like (empty, one text filling a list,
+//!   equal lengths, ids dense / spread to 10 M / at `u32::MAX − 1`);
+//! * the corners of the bound — one admitting list, every list admitting,
+//!   one list in all — and every prefix filter answer alike;
+//! * it looks long lists up instead of reading them — a time bound the
+//!   two-pass scan it replaced cannot meet — and where nothing can be
+//!   skipped it stays near that scan. The bounds compare optimised code
+//!   with an optimised yardstick timed in the same process, so they are
+//!   asserted in release builds only.
+
+mod common;
+
+use std::collections::BTreeMap;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
+
+use ndss_corpus::TextId;
+use ndss_hash::minhash::collision_threshold;
+use ndss_hash::TokenId;
+use ndss_index::{IndexConfig, Posting};
+use ndss_query::{collision_count, NearDupSearcher, PrefixFilter, SearchOutcome, TextMatch};
+use ndss_windows::CompactWindow;
+
+use common::{HandBuilt, Rng};
+
+const T: usize = 10;
+
+fn query() -> Vec<TokenId> {
+    (100..164).collect()
+}
+
+/// `lists[func]` behind an index of `k = lists.len()` functions.
+fn hand_built(lists: Vec<Vec<Posting>>) -> HandBuilt {
+    let config = IndexConfig::new(lists.len(), T, 4242);
+    let keys = config.hasher().sketch(&query()).values().to_vec();
+    HandBuilt {
+        config,
+        keys,
+        lists,
+    }
+}
+
+fn search(index: &HandBuilt, filter: PrefixFilter, theta: f64) -> SearchOutcome {
+    NearDupSearcher::with_prefix_filter(index, filter)
+        .unwrap()
+        .search(&query(), theta)
+        .unwrap()
+}
+
+/// What an unfiltered search must answer, from the definition: a text is
+/// counted iff at least β distinct lists name it, and matches with the
+/// rectangles `CollisionCount` at β finds among all its windows that hold
+/// a sequence of length ≥ t. With no long lists these are also the texts
+/// `candidate_texts` counts.
+fn reference(lists: &[Vec<Posting>], beta: usize) -> Vec<TextMatch> {
+    let mut named_by: BTreeMap<TextId, (usize, Vec<CompactWindow>)> = BTreeMap::new();
+    for list in lists {
+        for run in list.chunk_by(|a, b| a.text == b.text) {
+            let entry = named_by.entry(run[0].text).or_default();
+            entry.0 += 1;
+            entry.1.extend(run.iter().map(|p| p.window));
+        }
+    }
+    named_by
+        .into_iter()
+        .filter(|(_, (lists, _))| *lists >= beta)
+        .filter_map(|(text, (_, windows))| {
+            let mut rects = collision_count(&windows, beta);
+            rects.retain(|r| r.sequences_at_least(T as u32) > 0);
+            (!rects.is_empty()).then_some(TextMatch { text, rects })
+        })
+        .collect()
+}
+
+/// One to three windows of `text` with disjoint start ranges — what one
+/// function's list may hold for one text (Theorem 1).
+fn windows_of(rng: &mut Rng, text: TextId, out: &mut Vec<Posting>) {
+    let mut l = rng.below(6) as u32;
+    for _ in 0..1 + rng.below(3) {
+        let c = l + rng.below(8) as u32;
+        let r = c + 10 + rng.below(30) as u32;
+        out.push(Posting {
+            text,
+            window: CompactWindow::new(l, c, r),
+        });
+        l = c + 1;
+    }
+}
+
+/// How the `n` texts of a list set are numbered.
+#[derive(Clone, Copy, Debug)]
+enum Ids {
+    Dense,
+    /// Multiples of 8 192, reaching 10 M.
+    Spread,
+    /// Spread, with the last text at `u32::MAX − 1`.
+    SpreadToMax,
+}
+
+impl Ids {
+    fn id(self, dense: u32, n: u32) -> TextId {
+        match self {
+            Ids::Dense => dense,
+            Ids::SpreadToMax if dense == n - 1 => u32::MAX - 1,
+            Ids::Spread | Ids::SpreadToMax => dense << 13,
+        }
+    }
+}
+
+/// A random list set over `n` texts and `k` functions with every shape the
+/// gather must not trip over, plus three planted texts: `n − 3` is named by
+/// exactly β − 1 lists, `n − 2` by exactly β, `n − 1` by all k, each with
+/// the same window everywhere (so β lists give it β collisions).
+fn random_lists(rng: &mut Rng, k: usize, n: u32, beta: usize, ids: Ids) -> Vec<Vec<Posting>> {
+    let mut order: Vec<usize> = (0..k).collect();
+    for i in (1..k).rev() {
+        order.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    let planted_in = |text: u32, func: usize| -> bool {
+        let rank = order.iter().position(|&f| f == func).unwrap();
+        match n - text {
+            3 => rank < beta - 1,
+            2 => rank < beta,
+            _ => true,
+        }
+    };
+    let shape = rng.below(4);
+    (0..k)
+        .map(|func| {
+            let mut list = Vec::new();
+            // Per list: the share of the ordinary texts it names. Shape 0
+            // makes the lengths equal, the others spread them widely, with
+            // an empty list and a list that is one text's windows among them.
+            let share = match (shape, rng.below(6)) {
+                (0, _) => 3,
+                (_, 0) => 0,
+                (_, pick) => 1 + pick * pick,
+            };
+            let filler = (shape == 1 && func == k / 2).then(|| rng.below(n as u64 - 3) as u32);
+            for dense in 0..n {
+                let text = ids.id(dense, n);
+                if dense >= n - 3 {
+                    if planted_in(dense, func) {
+                        list.push(Posting {
+                            text,
+                            window: CompactWindow::new(0, 5, 40),
+                        });
+                    }
+                } else if filler == Some(dense) {
+                    // One text filling (nearly) the whole list.
+                    for i in 0..300u32 {
+                        list.push(Posting {
+                            text,
+                            window: CompactWindow::new(2 * i, 2 * i + 1, 2 * i + 30),
+                        });
+                    }
+                } else if filler.is_none() && rng.below(40) < share {
+                    windows_of(rng, text, &mut list);
+                }
+            }
+            list
+        })
+        .collect()
+}
+
+#[test]
+fn candidates_are_the_texts_named_by_alpha0_distinct_lists() {
+    let mut matched = 0;
+    for seed in 0..24u64 {
+        let mut rng = Rng(0x6A77 + seed);
+        let k = [8, 12, 19][seed as usize % 3];
+        let theta = [0.3, 0.45, 0.68][(seed as usize / 3) % 3];
+        let beta = collision_threshold(k, theta);
+        let ids = [Ids::Dense, Ids::Spread, Ids::SpreadToMax][(seed as usize / 9) % 3];
+        let n = 60 + rng.below(1200) as u32;
+        let lists = random_lists(&mut rng, k, n, beta, ids);
+        let want = reference(&lists, beta);
+        let postings: usize = lists.iter().map(Vec::len).sum();
+        let index = hand_built(lists);
+
+        let got = search(&index, PrefixFilter::Disabled, theta);
+        let context = format!("seed {seed}: k {k} β {beta} {ids:?} n {n}");
+        assert_eq!(got.matches, want, "{context}");
+        assert_eq!(got.stats.candidate_texts, want.len(), "{context}");
+        assert_eq!(got.stats.lists_loaded, k, "{context}");
+        assert_eq!(got.stats.postings_read, postings as u64, "{context}");
+
+        // The planted texts sit on the bound: β − 1 lists are not enough, β are.
+        let has = |dense: u32| want.iter().any(|m| m.text == ids.id(dense, n));
+        assert!(!has(n - 3), "{context}: a text in β − 1 lists matched");
+        assert!(
+            has(n - 2) && has(n - 1),
+            "{context}: a planted text is missing"
+        );
+        matched += want.len();
+
+        // Long lists move work to the probe, never the answer.
+        for filter in [
+            PrefixFilter::FrequentFraction(0.05),
+            PrefixFilter::MaxListLen(1),
+            PrefixFilter::MaxListLen(n as u64 / 4),
+        ] {
+            assert_eq!(
+                search(&index, filter, theta).matches,
+                want,
+                "{context} {filter:?}"
+            );
+        }
+    }
+    assert!(
+        matched > 24 * 4,
+        "only {matched} matches: the lists are too thin"
+    );
+}
+
+/// The corners of the bound: p = α₀ (θ = 1: only the shortest list admits,
+/// every other must name the text), α₀ = 1 (every list admits), k = 1.
+#[test]
+fn the_corners_of_the_prefix_bound_answer_like_the_reference() {
+    for seed in 0..6u64 {
+        let mut rng = Rng(0xC0 + seed);
+        for (k, theta) in [(8, 1.0), (8, 0.01), (1, 1.0), (1, 0.5), (5, 0.2), (19, 1.0)] {
+            let beta = collision_threshold(k, theta);
+            let n = 40 + rng.below(300) as u32;
+            let lists = random_lists(&mut rng, k, n, beta, Ids::Dense);
+            let want = reference(&lists, beta);
+            assert!(!want.is_empty(), "k {k} θ {theta}: nothing to find");
+            let index = hand_built(lists);
+            let plain = search(&index, PrefixFilter::Disabled, theta);
+            assert_eq!(plain.matches, want, "seed {seed} k {k} θ {theta}");
+            assert_eq!(plain.stats.candidate_texts, want.len());
+            assert_eq!(plain.stats.lists_long, 0);
+            for filter in [
+                PrefixFilter::FrequentFraction(0.05),
+                PrefixFilter::MaxListLen(1),
+            ] {
+                let filtered = search(&index, filter, theta);
+                assert_eq!(
+                    filtered.matches, want,
+                    "seed {seed} k {k} θ {theta} {filter:?}"
+                );
+            }
+        }
+    }
+}
+
+/// The scan this stage replaced, as the yardstick of the time bounds: count
+/// every posting per text in a table, then visit every posting again to
+/// copy out those of the texts that reached α₀.
+fn two_pass_scan(lists: &[Vec<Posting>], alpha0: u32) -> usize {
+    let span = lists.iter().filter_map(|l| l.last()).map(|p| p.text).max();
+    let mut slots = vec![0u32; span.map_or(0, |max| max as usize + 1)];
+    for list in lists {
+        for p in list {
+            slots[p.text as usize] += 1;
+        }
+    }
+    let mut kept = Vec::new();
+    for list in lists {
+        for p in list {
+            if slots[p.text as usize] >= alpha0 {
+                kept.push(*p);
+            }
+        }
+    }
+    black_box(&kept).len()
+}
+
+fn best_of_3<R>(mut run: impl FnMut() -> R) -> (Duration, R) {
+    let mut best: Option<(Duration, R)> = None;
+    for _ in 0..3 {
+        let start = Instant::now();
+        let result = run();
+        let took = start.elapsed();
+        if best.as_ref().is_none_or(|(t, _)| took < *t) {
+            best = Some((took, result));
+        }
+    }
+    best.unwrap()
+}
+
+/// 7 two-posting lists admit at most 14 texts; the 12 lists of 200 000
+/// postings behind them are only asked about those. No text reaches
+/// α₀ = 13 (each is named by one short list and the first five long ones),
+/// so the answer is empty — found in a small fraction of the time one
+/// *single* pass over the postings takes.
+#[test]
+fn long_lists_behind_a_short_prefix_are_looked_up_not_read() {
+    const LONG: u32 = 200_000;
+    let window = CompactWindow::new(0, 5, 40);
+    let lists: Vec<Vec<Posting>> = (0..19u32)
+        .map(|func| {
+            if func % 3 == 0 {
+                // Short (functions 0, 3, … 18): two odd texts of its own.
+                return [func * 1_000 + 1, func * 1_000 + 501]
+                    .map(|text| Posting { text, window })
+                    .to_vec();
+            }
+            // Long: every even text; the first five long lists (functions
+            // 1, 2, 4, 5, 7) also hold the odd texts of the short lists.
+            let with_odd = func <= 7;
+            let mut list: Vec<Posting> = (0..LONG)
+                .map(|i| Posting {
+                    text: 2 * i,
+                    window,
+                })
+                .collect();
+            if with_odd {
+                for short in (0..19u32).step_by(3).take(7) {
+                    for text in [short * 1_000 + 1, short * 1_000 + 501] {
+                        list.push(Posting { text, window });
+                    }
+                }
+                list.sort_unstable_by_key(|p| p.text);
+                list.truncate(LONG as usize);
+            }
+            list
+        })
+        .collect();
+    assert_eq!(lists.iter().filter(|l| l.len() == 2).count(), 7);
+    assert_eq!(
+        lists.iter().filter(|l| l.len() == LONG as usize).count(),
+        12
+    );
+    let theta = 0.68;
+    assert_eq!(collision_threshold(19, theta), 13);
+    assert!(reference(&lists, 13).is_empty());
+
+    let (one_pass, _) = best_of_3(|| {
+        lists
+            .iter()
+            .flatten()
+            .fold(0u64, |sum, p| sum + black_box(p.text) as u64)
+    });
+    let index = hand_built(lists);
+    let (_, outcome) = best_of_3(|| search(&index, PrefixFilter::Disabled, theta));
+    assert!(outcome.matches.is_empty());
+    assert_eq!(outcome.stats.candidate_texts, 0);
+    assert_eq!(outcome.stats.postings_read, 7 * 2 + 12 * LONG as u64);
+    let gather = outcome.stats.stage_gather;
+    if !cfg!(debug_assertions) {
+        assert!(
+            gather * 20 < one_pass,
+            "gather took {gather:?}, one pass over the postings {one_pass:?}: the long lists are being read"
+        );
+    }
+}
+
+/// 19 equal lists of 50 000 postings, every text in all of them: nothing is
+/// ever dropped, every posting is kept — the input on which looking up
+/// saves nothing. The merge steps through each list once against `alive`
+/// and the copy takes each posting once, so the stage stays within a small
+/// multiple of the two-pass scan over the same lists (1.7–2.6× on the
+/// 2-core reference host; the bound leaves room for its drift).
+#[test]
+fn every_text_alive_to_the_end_stays_near_the_two_pass_scan() {
+    const TEXTS: u32 = 50_000;
+    let lists: Vec<Vec<Posting>> = (0..19)
+        .map(|_| {
+            (0..TEXTS)
+                .map(|text| Posting {
+                    text,
+                    window: CompactWindow::new(0, 5, 40),
+                })
+                .collect()
+        })
+        .collect();
+    let theta = 0.68;
+    let (yardstick, kept) = best_of_3(|| two_pass_scan(&lists, 13));
+    assert_eq!(kept, 19 * TEXTS as usize);
+    let index = hand_built(lists);
+    let (_, outcome) = best_of_3(|| search(&index, PrefixFilter::Disabled, theta));
+    assert_eq!(outcome.matches.len(), TEXTS as usize);
+    assert_eq!(outcome.stats.candidate_texts, TEXTS as usize);
+    assert!(outcome.matches.iter().all(|m| m.rects[0].collisions == 19));
+    let gather = outcome.stats.stage_gather;
+    if !cfg!(debug_assertions) {
+        assert!(
+            gather < 3 * yardstick,
+            "gather took {gather:?}, the two-pass scan {yardstick:?}"
+        );
+    }
+}

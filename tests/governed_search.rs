@@ -3,7 +3,10 @@
 //! bit-identical results, sound partial outcomes under budgets, batch
 //! failure isolation, and load shedding with counter accounting.
 
-use ndss::index::CacheConfig;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
+
+use ndss::index::{CacheConfig, IndexError, IoSnapshot, IoStats, Posting, SharedList};
 use ndss::prelude::*;
 use ndss_integration::scratch;
 
@@ -492,5 +495,143 @@ fn trips_between_phases_return_only_verified_matches() {
             unverified_trips > 0,
             "{sub}: no IO budget tripped after selection and before verification"
         );
+    }
+}
+
+/// An index that runs `on_fetch(n)` before handing out its n-th short list
+/// (0-based): the hook fires *between two merged lists* of phase 1.
+struct FetchHook<'a> {
+    inner: &'a DiskIndex,
+    fetched: AtomicUsize,
+    on_fetch: Box<dyn Fn(usize) + Send + Sync + 'a>,
+}
+
+impl<'a> FetchHook<'a> {
+    fn new(inner: &'a DiskIndex, on_fetch: impl Fn(usize) + Send + Sync + 'a) -> Self {
+        Self {
+            inner,
+            fetched: Default::default(),
+            on_fetch: Box::new(on_fetch),
+        }
+    }
+}
+
+impl IndexAccess for FetchHook<'_> {
+    fn config(&self) -> &IndexConfig {
+        self.inner.config()
+    }
+
+    fn list_len(&self, func: usize, hash: u64) -> Result<u64, IndexError> {
+        self.inner.list_len(func, hash)
+    }
+
+    fn shared_list(
+        &self,
+        func: usize,
+        hash: u64,
+        io: &IoStats,
+    ) -> Result<SharedList<'_>, IndexError> {
+        (self.on_fetch)(self.fetched.fetch_add(1, Ordering::SeqCst));
+        self.inner.shared_list(func, hash, io)
+    }
+
+    fn probe_texts(
+        &self,
+        func: usize,
+        hash: u64,
+        texts: &[TextId],
+        io: &IoStats,
+        out: &mut Vec<Posting>,
+    ) -> Result<(), IndexError> {
+        self.inner.probe_texts(func, hash, texts, io, out)
+    }
+
+    fn io_snapshot(&self) -> IoSnapshot {
+        self.inner.io_snapshot()
+    }
+
+    fn list_length_histogram(&self, func: usize) -> Result<Vec<(u64, u64)>, IndexError> {
+        self.inner.list_length_histogram(func)
+    }
+}
+
+/// Phase 1 merges the short lists one by one and yields to the budget
+/// before each. Whatever runs out between two of them — the clock, the IO
+/// allowance, the caller's patience — the query stops there: the lists
+/// after the trip are never fetched, nothing is half-counted into a match,
+/// and the answer is what it was before the merge existed (an empty sound
+/// partial; `Cancelled`).
+#[test]
+fn trips_between_two_merged_lists_stop_the_merge_there() {
+    let (corpus, queries) = workload(9010);
+    let dir = scratch("governed", "merge_trips");
+    build(&corpus, &dir, false);
+    // No cache: every fetched list costs IO bytes.
+    let index = DiskIndex::open_with_cache(&dir, CacheConfig::disabled()).unwrap();
+    let query = &queries[0];
+    let full = NearDupSearcher::new(&index)
+        .unwrap()
+        .search(query, 0.8)
+        .unwrap();
+    assert!(!full.matches.is_empty() && full.stats.lists_loaded == 16);
+    // An empty partial that stopped among the short lists, `at_least` of
+    // them fetched.
+    let empty_partial =
+        |result: Result<SearchOutcome, QueryError>, want: Resource, at_least| match result {
+            Err(QueryError::BudgetExceeded { resource, partial }) => {
+                assert_eq!(resource, want);
+                assert!(!partial.complete && partial.matches.is_empty());
+                assert_eq!(partial.stats.candidate_texts, 0);
+                let fetched = partial.stats.lists_loaded;
+                assert!((at_least..16).contains(&fetched), "{want:?}: {fetched}");
+            }
+            other => panic!("expected a {want:?} trip, got {other:?}"),
+        };
+
+    for after in [1usize, 7, 15] {
+        // The clock runs out while list `after − 1` is being fetched; the
+        // next checkpoint that reads it (they are strided) ends the merge.
+        let slow = FetchHook::new(&index, |n| {
+            if n + 1 == after {
+                std::thread::sleep(Duration::from_millis(30));
+            }
+        });
+        let budget = QueryBudget::unlimited().time_limit(Duration::from_millis(25));
+        let result = NearDupSearcher::new(&slow)
+            .unwrap()
+            .search_governed(query, 0.8, &budget);
+        empty_partial(result, Resource::Deadline, after);
+
+        // The caller cancels at the same point.
+        let token = CancelToken::new();
+        let cancelling = FetchHook::new(&index, |n| {
+            if n + 1 == after {
+                token.cancel();
+            }
+        });
+        let result = NearDupSearcher::new(&cancelling)
+            .unwrap()
+            .search_cancellable(query, 0.8, &QueryBudget::unlimited(), &token);
+        assert!(matches!(result, Err(QueryError::Cancelled)), "{result:?}");
+        assert_eq!(
+            cancelling.fetched.load(Ordering::SeqCst),
+            after,
+            "a cancelled query fetched past the cancellation"
+        );
+    }
+
+    // An IO allowance smaller than the short lists runs out among them.
+    let plain = FetchHook::new(&index, |_| {});
+    let searcher = NearDupSearcher::new(&plain).unwrap();
+    for bytes in [1, full.stats.io_bytes / 3] {
+        let budget = QueryBudget::unlimited().max_io_bytes(bytes);
+        let before = plain.fetched.load(Ordering::SeqCst);
+        let result = searcher.search_governed(query, 0.8, &budget);
+        let fetched = plain.fetched.load(Ordering::SeqCst) - before;
+        assert!(
+            fetched < 16,
+            "the merge ran on after the IO budget was spent"
+        );
+        empty_partial(result, Resource::IoBytes, fetched);
     }
 }
