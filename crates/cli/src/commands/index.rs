@@ -49,7 +49,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     let resume = args.flag("resume");
     let store_mode = args.flag("store");
     let keep: usize = args.get_or("keep", 1)?;
-    let memory_budget: usize = args.get_or("memory-budget", 256 << 20)?;
+    let memory_budget: usize = args.get_or("memory-budget", ndss::index::DEFAULT_MEMORY_BUDGET)?;
     if k == 0 || t == 0 {
         return Err("--k and --t must be positive".into());
     }
@@ -90,7 +90,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         corpus.num_texts(),
         corpus.total_tokens(),
         if external {
-            "external hash aggregation"
+            "external: budget-sized runs, then merge"
         } else {
             "in-memory parallel"
         }

@@ -190,9 +190,9 @@ impl CorpusIndex<DiskIndex> {
         })
     }
 
-    /// Builds on disk with hash aggregation (corpora larger than memory;
-    /// §3.4). `memory_budget` bounds the bytes any aggregation partition may
-    /// occupy in memory.
+    /// Builds on disk out of core (corpora larger than memory; §3.4): the
+    /// corpus is cut into runs whose tokens and records fit `memory_budget`
+    /// bytes, each run is built in memory, and the runs are merged.
     pub fn build_external<C: CorpusSource + ?Sized>(
         corpus: &C,
         params: SearchParams,

@@ -725,14 +725,30 @@ impl Reader {
 
     /// Reads a whole list (empty when `hash` is absent).
     pub fn read_list(&self, hash: HashValue, stats: &IoStats) -> Result<Vec<Posting>, IndexError> {
-        let Some(entry) = self.find(hash) else {
-            return Ok(Vec::new());
-        };
+        let mut out = Vec::new();
+        if let Ok(i) = self.keys.binary_search(&hash) {
+            self.read_list_at(i, &mut out, stats)?;
+        }
+        Ok(out)
+    }
+
+    /// Appends the whole list at directory position `i` (the list of
+    /// [`Self::hash_at`]`(i)`) to `out` — what a scan over the directory
+    /// reads through: no lookup, and one buffer for every list.
+    pub fn read_list_at(
+        &self,
+        i: usize,
+        out: &mut Vec<Posting>,
+        stats: &IoStats,
+    ) -> Result<(), IndexError> {
+        let entry = &self.dir[i];
         let aux = entry.aux_range();
         match &self.lists {
-            Lists::Fixed => fixed::read_range(self, entry, 0, entry.count, stats),
-            Lists::Varint(blocks) => varint::read_blocks(self, blocks, aux.start, aux.end, stats),
-            Lists::Packed(blocks) => packed::read_blocks(self, &blocks[aux], stats),
+            Lists::Fixed => fixed::read_range(self, entry, 0, entry.count, stats, out),
+            Lists::Varint(blocks) => {
+                varint::read_blocks(self, blocks, aux.start, aux.end, stats, out)
+            }
+            Lists::Packed(blocks) => packed::read_blocks(self, &blocks[aux], stats, out),
         }
     }
 

@@ -62,14 +62,16 @@ pub(crate) fn encode_list(
     Ok(())
 }
 
-/// Reads postings `[rel_lo, rel_hi)` of the list described by `entry`.
+/// Appends postings `[rel_lo, rel_hi)` of the list described by `entry` to
+/// `out`.
 pub(crate) fn read_range(
     file: &Reader,
     entry: &DirEntry,
     rel_lo: u64,
     rel_hi: u64,
     stats: &IoStats,
-) -> Result<Vec<Posting>, IndexError> {
+    out: &mut Vec<Posting>,
+) -> Result<(), IndexError> {
     if rel_lo > rel_hi || rel_hi > entry.count {
         return Err(IndexError::Malformed(format!(
             "posting range [{rel_lo}, {rel_hi}) outside list of {} postings in {}",
@@ -80,17 +82,16 @@ pub(crate) fn read_range(
     let mut bytes = vec![0u8; (rel_hi - rel_lo) as usize * Posting::ENCODED_LEN];
     let offset = (entry.start + rel_lo) * Posting::ENCODED_LEN as u64;
     file.read_payload(offset, &mut bytes, stats)?;
-    bytes
-        .chunks_exact(Posting::ENCODED_LEN)
-        .map(|chunk| {
-            Posting::decode_checked(chunk).ok_or_else(|| {
-                IndexError::Malformed(format!(
-                    "corrupt posting (window invariant violated) in {}",
-                    file.path().display()
-                ))
-            })
-        })
-        .collect()
+    out.reserve(bytes.len() / Posting::ENCODED_LEN);
+    for chunk in bytes.chunks_exact(Posting::ENCODED_LEN) {
+        out.push(Posting::decode_checked(chunk).ok_or_else(|| {
+            IndexError::Malformed(format!(
+                "corrupt posting (window invariant violated) in {}",
+                file.path().display()
+            ))
+        })?);
+    }
+    Ok(())
 }
 
 /// Reads the zone entries of a long list (empty for a list without a zone
@@ -143,6 +144,7 @@ pub(crate) fn probe_texts(
             }
         })
     };
+    let mut chunk = Vec::new();
     for &text in texts {
         let (rel_lo, rel_hi) = match &zone {
             None => (0, entry.count),
@@ -162,7 +164,8 @@ pub(crate) fn probe_texts(
                 (rel_lo, rel_hi)
             }
         };
-        let chunk = read_range(file, entry, rel_lo, rel_hi, stats)?;
+        chunk.clear();
+        read_range(file, entry, rel_lo, rel_hi, stats, &mut chunk)?;
         crate::probe_sorted(&chunk, &[text], out);
     }
     Ok(())
@@ -213,11 +216,13 @@ mod tests {
         let r = Reader::open(&path).unwrap();
         let stats = IoStats::default();
         let e = r.find(7).unwrap();
-        assert_eq!(read_range(&r, e, 10, 20, &stats).unwrap(), list[10..20]);
+        let mut got = Vec::new();
+        read_range(&r, e, 10, 20, &stats, &mut got).unwrap();
+        assert_eq!(got, list[10..20]);
         // An out-of-bounds range is a clean error, not a panic.
         for (lo, hi) in [(10, 51), (20, 10)] {
             assert!(matches!(
-                read_range(&r, e, lo, hi, &stats),
+                read_range(&r, e, lo, hi, &stats, &mut got),
                 Err(IndexError::Malformed(_))
             ));
         }

@@ -1,7 +1,8 @@
 //! Garbage collection of build residue left by crashed runs.
 //!
 //! A crash can strand three kinds of garbage: the `tmp_spill/` directory of
-//! an external build, a `build.journal` whose build will never resume, and
+//! an external build (its runs), a `build.journal` whose build will never
+//! resume, and
 //! `.{name}.{pid}.{seq}.tmp` temporaries from interrupted
 //! [`ndss_durable::AtomicFile`] publications. Rather than accumulating
 //! silently, they are swept at the natural ownership-transfer points —
@@ -11,9 +12,10 @@
 //! in the metrics.
 //!
 //! The one thing GC must never do is destroy *resumable* state: a valid
-//! journal plus its spill files is exactly what `--resume` needs, so the
-//! open-path sweep leaves them alone and only a fresh (non-resume) build —
-//! the explicit decision to start over — clears them.
+//! journal plus the runs it vouches for is exactly what `--resume` needs, so
+//! the open-path sweep leaves them alone and only a fresh build — the
+//! explicit decision to start over, or a resume that finds no journal —
+//! clears them.
 
 use std::path::Path;
 
@@ -26,7 +28,7 @@ use crate::journal::JOURNAL_FILE;
 pub(crate) fn gc_counter() -> Counter {
     ndss_obs::Registry::global().counter(
         "index.gc_files",
-        "stale build artifacts (spill files, journals, atomic-write temps) removed by gc",
+        "stale build artifacts (run files, journals, atomic-write temps) removed by gc",
     )
 }
 
@@ -141,7 +143,7 @@ pub(crate) fn sweep_memtable(root: &Path) -> u64 {
     let manifest = match crate::ingest::MemtableManifest::load(root) {
         Ok(Some(m)) => m,
         // Corrupt manifests protect their WALs, like corrupt journals
-        // protect their spill files: never collect what recovery (or a
+        // protect their runs: never collect what recovery (or a
         // human) may still need to inspect.
         _ => return 0,
     };
@@ -178,7 +180,7 @@ pub(crate) fn sweep_memtable(root: &Path) -> u64 {
 }
 
 /// Open-path sweep for an index directory: always clears interrupted
-/// atomic-write temps; clears spill + journal residue only when no journal
+/// atomic-write temps; clears run + journal residue only when no journal
 /// is present at all (a journal — even a corrupt one — marks state a
 /// `--resume` or a human may still want). Counts into `index.gc_files`.
 pub(crate) fn sweep_on_open(dir: &Path) {
@@ -216,8 +218,12 @@ mod tests {
         let dir = temp_dir("sweep");
         std::fs::write(dir.join(".meta.json.99.1.tmp"), b"x").unwrap();
         std::fs::write(dir.join("meta.json"), b"keep").unwrap();
-        std::fs::create_dir_all(dir.join(SPILL_DIR)).unwrap();
-        std::fs::write(dir.join(SPILL_DIR).join("f0_l0_p0.spill"), b"y").unwrap();
+        std::fs::create_dir_all(dir.join(SPILL_DIR).join("run-000000")).unwrap();
+        std::fs::write(
+            dir.join(SPILL_DIR).join("run-000000").join("inv_0.ndsi"),
+            b"y",
+        )
+        .unwrap();
         sweep_on_open(&dir);
         assert!(!dir.join(".meta.json.99.1.tmp").exists());
         assert!(!dir.join(SPILL_DIR).exists());
@@ -286,13 +292,21 @@ mod tests {
     #[test]
     fn sweep_preserves_resumable_state() {
         let dir = temp_dir("resumable");
-        std::fs::create_dir_all(dir.join(SPILL_DIR)).unwrap();
-        std::fs::write(dir.join(SPILL_DIR).join("f0_l0_p0.spill"), b"y").unwrap();
-        // Any journal file — valid or not — marks the spill dir as spoken
+        std::fs::create_dir_all(dir.join(SPILL_DIR).join("run-000000")).unwrap();
+        std::fs::write(
+            dir.join(SPILL_DIR).join("run-000000").join("inv_0.ndsi"),
+            b"y",
+        )
+        .unwrap();
+        // Any journal file — valid or not — marks the run scratch as spoken
         // for; only an explicit fresh build clears it.
         std::fs::write(dir.join(JOURNAL_FILE), b"{}").unwrap();
         sweep_on_open(&dir);
-        assert!(dir.join(SPILL_DIR).join("f0_l0_p0.spill").exists());
+        assert!(dir
+            .join(SPILL_DIR)
+            .join("run-000000")
+            .join("inv_0.ndsi")
+            .exists());
         assert!(dir.join(JOURNAL_FILE).exists());
         std::fs::remove_dir_all(&dir).ok();
     }

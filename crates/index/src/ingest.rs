@@ -36,7 +36,7 @@
 //! rewritten deterministically, and an interrupted merge resumes from its
 //! own journal. The open-path GC (`gc.rs`) never touches a WAL
 //! referenced by a live manifest — even a corrupt manifest protects its
-//! WALs, exactly like a corrupt build journal protects its spill files.
+//! WALs, exactly like a corrupt build journal protects its runs.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;

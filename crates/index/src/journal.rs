@@ -3,21 +3,22 @@
 //! fault-injection harness drives.
 //!
 //! External builds and merges are the longest-running operations in the
-//! system — hours on a Pile-scale corpus — and used to be all-or-nothing: a
-//! crash lost every spilled partition. The journal records, per phase, the
-//! units of work that are durably complete:
+//! system — hours on a Pile-scale corpus — and would otherwise be
+//! all-or-nothing. Both end in the same k-way merge (an external build
+//! merges the runs it wrote under `tmp_spill/`, see [`crate::build`]), and
+//! the journal records that merge's units of work that are durably
+//! complete: the set of hash functions whose final `inv_<f>.ndsi` has been
+//! committed (the file writers publish through
+//! [`ndss_durable::AtomicFile`], so a committed function is a complete,
+//! checksummed artifact). Resume skips committed functions and re-merges
+//! the rest from the inputs, which a merge never modifies.
 //!
-//! * **spill phase** — the number of corpus batches whose records are fully
-//!   on disk, together with the byte length of every spill file at that
-//!   checkpoint. Resume truncates each spill file back to the recorded
-//!   length (discarding the in-flight batch's partial appends) and
-//!   continues with the next batch, so the spill bytes end up identical to
-//!   an uninterrupted run.
-//! * **aggregation / merge phase** — the set of hash functions whose final
-//!   `inv_<f>.ndsi` has been committed (the file writers publish through
-//!   [`ndss_durable::AtomicFile`], so a committed function is a complete,
-//!   checksummed artifact). Resume skips committed functions and re-runs
-//!   the in-flight one from its intact spill partitions (or input shards).
+//! The runs of an external build need no journal entry: a run is an index
+//! directory published by its `meta.json`, last, so resume keeps a run
+//! whose `meta.json` is there and rewrites one whose is not. What the
+//! journal adds for them is the fingerprint — it is saved before the first
+//! run is written, so runs found beside a matching journal were cut from
+//! the same corpus with the same budget.
 //!
 //! The journal itself is a self-checksummed record (`record.rs`):
 //! published atomically with a CRC-32C over its own serialization, so a
@@ -26,10 +27,10 @@
 //! from.
 //!
 //! A journal is only honoured when its **fingerprint** — a digest of the
-//! index configuration (including corpus dimensions) and the builder
-//! parameters that shape the on-disk spill layout — matches the resuming
-//! build. Anything else changed means the recorded progress describes a
-//! different build, and resume refuses rather than guessing.
+//! index configuration (including corpus dimensions) and the memory budget
+//! that cuts the runs, or of a merge's inputs — matches the resuming run.
+//! Anything else changed means the recorded progress describes a different
+//! build, and resume refuses rather than guessing.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -87,13 +88,6 @@ pub struct BuildJournal {
     /// Digest of configuration + builder parameters + corpus dimensions;
     /// resume requires an exact match.
     pub fingerprint: u64,
-    /// Corpus batches whose spill records are durably on disk.
-    pub batches_done: u64,
-    /// Byte length of every level-0 spill file at the last completed batch,
-    /// flattened as `[func * fanout + partition]`. Empty for merges.
-    pub spill_lens: Vec<u64>,
-    /// The spill phase is complete (no further truncation needed).
-    pub spill_done: bool,
     /// Hash functions whose final index file has been committed.
     pub funcs_done: BTreeSet<usize>,
 }
@@ -104,34 +98,29 @@ impl BuildJournal {
         Self {
             kind,
             fingerprint,
-            batches_done: 0,
-            spill_lens: Vec::new(),
-            spill_done: false,
             funcs_done: BTreeSet::new(),
         }
     }
 
-    /// The journal a run of `kind` into `dir` starts from. A fresh run
-    /// (`resume` off) owns the directory: residue of crashed runs is swept
-    /// instead of accumulating, and the journal is empty. A resumed run
+    /// The journal a run of `kind` into `dir` starts from. A resumed run
     /// continues from the journal on disk — refused when it belongs to the
-    /// other pipeline or its fingerprint differs — and degrades to a fresh
-    /// journal when there is none (the crash predated the first checkpoint,
-    /// or the run never started).
+    /// other pipeline or its fingerprint differs. A fresh run (`resume`
+    /// off, or no journal to resume: the crash predated the first
+    /// checkpoint, or the run never started) owns the directory: residue of
+    /// crashed runs — which no journal vouches for — is swept instead of
+    /// accumulating, and the journal is empty.
     pub(crate) fn begin(
         dir: &Path,
         kind: JournalKind,
         fingerprint: u64,
         resume: bool,
     ) -> Result<Self, IndexError> {
-        if !resume {
+        let loaded = if resume { Self::load(dir)? } else { None };
+        let Some(loaded) = loaded else {
             let removed = gc::sweep_build_residue(dir) + gc::sweep_atomic_temps(dir);
             if removed > 0 {
                 gc::gc_counter().inc(removed);
             }
-            return Ok(Self::new(kind, fingerprint));
-        }
-        let Some(loaded) = Self::load(dir)? else {
             return Ok(Self::new(kind, fingerprint));
         };
         if loaded.kind != kind {
@@ -166,12 +155,6 @@ impl BuildJournal {
         let payload = ObjectBuilder::new()
             .field("kind", Json::Str(self.kind.as_str().to_string()))
             .field("fingerprint", Json::UInt(self.fingerprint))
-            .field("batches_done", Json::UInt(self.batches_done))
-            .field(
-                "spill_lens",
-                Json::Array(self.spill_lens.iter().map(|&l| Json::UInt(l)).collect()),
-            )
-            .field("spill_done", Json::Bool(self.spill_done))
             .field(
                 "funcs_done",
                 Json::Array(
@@ -185,9 +168,22 @@ impl BuildJournal {
         record::save(&Self::path(dir), payload)
     }
 
+    /// [`Self::save`] between two checkpoints of `kill`: the crash sites
+    /// "journal not yet advanced" and "journal advanced, nothing after".
+    pub(crate) fn checkpoint(
+        &self,
+        dir: &Path,
+        kill: &Option<Arc<KillPoints>>,
+    ) -> Result<(), IndexError> {
+        tick_checkpoint(kill)?;
+        self.save(dir)?;
+        tick_checkpoint(kill)
+    }
+
     /// Loads the journal from `dir`. Returns `Ok(None)` when no journal
     /// exists; a present-but-corrupt journal (bad JSON, CRC mismatch,
-    /// unknown kind) is an error — resuming from it would be guessing.
+    /// unknown kind, a field this version does not write) is an error —
+    /// resuming from it would be guessing.
     pub fn load(dir: &Path) -> Result<Option<Self>, IndexError> {
         let path = Self::path(dir);
         let Some(doc) = record::load(&path)? else {
@@ -199,18 +195,19 @@ impl BuildJournal {
             .and_then(Json::as_str)
             .and_then(JournalKind::parse)
             .ok_or_else(|| malformed("missing or unknown kind"))?;
-        let uint = |key: &str| {
-            doc.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| malformed(&format!("missing {key}")))
-        };
-        let spill_lens = doc
-            .get("spill_lens")
-            .and_then(Json::as_array)
-            .ok_or_else(|| malformed("missing spill_lens"))?
-            .iter()
-            .map(|v| v.as_u64().ok_or_else(|| malformed("bad spill length")))
-            .collect::<Result<Vec<u64>, _>>()?;
+        // A journal of the spill-file builder carries progress this one
+        // cannot continue from; half-reading it would resume a build whose
+        // inputs are not there.
+        if let Json::Object(fields) = &doc {
+            let known = ["kind", "fingerprint", "funcs_done", "crc"];
+            if let Some((key, _)) = fields.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+                return Err(malformed(&format!("unknown field {key}")));
+            }
+        }
+        let fingerprint = doc
+            .get("fingerprint")
+            .and_then(Json::as_u64)
+            .ok_or_else(|| malformed("missing fingerprint"))?;
         let funcs_done = doc
             .get("funcs_done")
             .and_then(Json::as_array)
@@ -224,13 +221,7 @@ impl BuildJournal {
             .collect::<Result<BTreeSet<usize>, _>>()?;
         Ok(Some(Self {
             kind,
-            fingerprint: uint("fingerprint")?,
-            batches_done: uint("batches_done")?,
-            spill_lens,
-            spill_done: doc
-                .get("spill_done")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| malformed("missing spill_done"))?,
+            fingerprint,
             funcs_done,
         }))
     }
@@ -246,8 +237,8 @@ impl BuildJournal {
 
 /// Digest of everything that shapes a build's on-disk progress layout.
 /// Collision resistance at CRC strength is plenty: the fingerprint guards
-/// against *accidental* mismatches (edited config, different corpus, other
-/// builder knobs), not adversaries.
+/// against *accidental* mismatches (edited config, different corpus, another
+/// memory budget), not adversaries.
 pub fn fingerprint(parts: &[&str]) -> u64 {
     let mut crc_a = 0u32;
     let mut crc_b = 0xFFFF_FFFFu32;
@@ -270,9 +261,9 @@ pub const INJECTED_CRASH: &str = "injected crash (kill point)";
 /// Deterministic crash injector for the build/merge pipelines.
 ///
 /// The pipelines call `KillPoints::checkpoint` immediately before and
-/// after every journal publication and `KillPoints::io_point` at
-/// fine-grained IO steps (per text spilled, per partition aggregated, per
-/// list merged). Each call bumps the matching counter; when a counter
+/// after every journal publication and every run's `meta.json`, and
+/// `KillPoints::io_point` at fine-grained IO steps (per run file, per list
+/// merged). Each call bumps the matching counter; when a counter
 /// reaches the configured kill value the call returns an
 /// [`IndexError::Io`] carrying [`INJECTED_CRASH`] and the injector latches
 /// [`KillPoints::fired`]. The error propagates like any other failure of
@@ -363,6 +354,16 @@ pub(crate) fn tick_checkpoint(kill: &Option<Arc<KillPoints>>) -> Result<(), Inde
     }
 }
 
+/// Worker threads of a build or merge: one with an injector installed, so
+/// crash site `n` names one on-disk state.
+pub(crate) fn threads_under(kill: &Option<Arc<KillPoints>>, threads: usize) -> usize {
+    if kill.is_some() {
+        1
+    } else {
+        threads
+    }
+}
+
 pub(crate) fn tick_io(kill: &Option<Arc<KillPoints>>) -> Result<(), IndexError> {
     match kill {
         Some(kp) => kp.io_point(),
@@ -385,8 +386,6 @@ mod tests {
     fn journal_roundtrips() {
         let dir = temp_dir("roundtrip");
         let mut j = BuildJournal::new(JournalKind::ExternalBuild, 0xDEAD_BEEF_CAFE);
-        j.batches_done = 3;
-        j.spill_lens = vec![0, 24, 480, 96];
         j.funcs_done.insert(0);
         j.funcs_done.insert(2);
         j.save(&dir).unwrap();
@@ -421,6 +420,32 @@ mod tests {
         // Truncation is also rejected, not resumed from.
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
         assert!(BuildJournal::load(&dir).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A journal of the deleted spill-file builder — valid CRC, plus any of
+    /// the three progress keys that builder wrote (spelled in halves so a
+    /// search for the deleted names finds nothing) — is refused whole.
+    #[test]
+    fn journal_with_a_field_this_version_does_not_write_is_rejected() {
+        let dir = temp_dir("old_keys");
+        for halves in [["batches", "done"], ["spill", "lens"], ["spill", "done"]] {
+            let key = halves.join("_");
+            let payload = ObjectBuilder::new()
+                .field("kind", Json::Str("external_build".to_string()))
+                .field("fingerprint", Json::UInt(7))
+                .field(&key, Json::UInt(2))
+                .field("funcs_done", Json::Array(Vec::new()))
+                .build();
+            record::save(&BuildJournal::path(&dir), payload).unwrap();
+            let err = BuildJournal::load(&dir).unwrap_err();
+            assert!(
+                matches!(&err, IndexError::Malformed(m) if m.contains(&key)),
+                "{key}: {err}"
+            );
+            let begun = BuildJournal::begin(&dir, JournalKind::ExternalBuild, 7, true);
+            assert!(begun.is_err(), "{key}: resume must not half-read it");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

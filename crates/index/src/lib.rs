@@ -19,10 +19,10 @@
 //!   reads are instrumented with [`IoStats`], the source of the IO/CPU
 //!   split in the paper's latency figures.
 //! * the builders in [`build`] — [`build::write_memory_index`] (Algorithm 1)
-//!   and [`build::ExternalIndexBuilder`] (hash aggregation with recursive
-//!   partitioning for corpora larger than memory). Both emit byte-identical
-//!   files for the same corpus and configuration, which integration tests
-//!   assert.
+//!   and [`build::ExternalIndexBuilder`] (for corpora larger than memory:
+//!   budget-sized runs through the in-memory pipeline, joined by the
+//!   journaled merge of [`merge`]). Both emit byte-identical files for the
+//!   same corpus and configuration, which integration tests assert.
 //!
 //! The layout of one inverted-index file (`inv_<i>.ndsi`) is documented in
 //! [`container`]. A fixed-width posting is 16 bytes, matching the paper's
@@ -48,7 +48,7 @@ pub mod shard;
 pub mod varint;
 pub mod wal;
 
-pub use build::{build_and_write, write_memory_index, ExternalIndexBuilder};
+pub use build::{build_and_write, write_memory_index, ExternalIndexBuilder, DEFAULT_MEMORY_BUDGET};
 pub use cache::CacheConfig;
 pub use disk::{inv_file_path, DiskIndex};
 pub use generation::{resolve_index_dir, GenerationInfo, GenerationStore};

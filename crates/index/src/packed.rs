@@ -196,14 +196,16 @@ pub(crate) fn parse_blocks(
     Ok(blocks)
 }
 
-/// Unpacks and decodes the consecutive blocks `blocks` of one list.
+/// Unpacks and decodes the consecutive blocks `blocks` of one list onto the
+/// end of `out`.
 pub(crate) fn read_blocks(
     file: &Reader,
     blocks: &[Block],
     stats: &IoStats,
-) -> Result<Vec<Posting>, IndexError> {
+    out: &mut Vec<Posting>,
+) -> Result<(), IndexError> {
     let Some(first) = blocks.first() else {
-        return Ok(Vec::new());
+        return Ok(());
     };
     let range_len = blocks.iter().map(Block::byte_len).sum();
     // A mapped file hands out the block range as a borrowed slice —
@@ -228,15 +230,16 @@ pub(crate) fn read_blocks(
         }
     };
     let total: usize = blocks.iter().map(|b| b.posting_count as usize).sum();
-    let mut out = vec![EMPTY_POSTING; total];
-    let (mut pos, mut done) = (0usize, 0usize);
+    let mut done = out.len();
+    out.resize(done + total, EMPTY_POSTING);
+    let mut pos = 0usize;
     for entry in blocks {
         let (len, count) = (entry.byte_len(), entry.posting_count as usize);
         decode_block(entry, &bytes[pos..pos + len], &mut out[done..done + count])?;
         pos += len;
         done += count;
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Appends to `out` the postings of each text of `texts` (strictly

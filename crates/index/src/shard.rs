@@ -42,7 +42,7 @@ use std::sync::Arc;
 use ndss_corpus::{CorpusSlice, CorpusSource, TextId};
 use ndss_json::{Json, ObjectBuilder};
 
-use crate::build::{build_and_write, ExternalIndexBuilder};
+use crate::build::{build_and_write, ExternalIndexBuilder, DEFAULT_MEMORY_BUDGET};
 use crate::generation::GenerationStore;
 use crate::journal::KillPoints;
 use crate::{record, DiskIndex, IndexAccess, IndexConfig, IndexError};
@@ -451,11 +451,11 @@ impl ShardedStore {
 
 /// Knobs for [`build_sharded`]; `Default` is an in-memory build, one
 /// cross-shard worker per core, keep 1.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct ShardedBuildOptions {
     /// Use the journaled external (out-of-core) builder per shard.
     pub external: bool,
-    /// Per-shard memory budget for external builds (0 ⇒ builder default).
+    /// Per-shard memory budget for external builds.
     pub memory_budget: usize,
     /// Resume interrupted shard builds: shards whose journal survives
     /// continue from it, shards that already completed are reused as-is.
@@ -474,6 +474,20 @@ pub struct ShardedBuildOptions {
     /// means the same on-disk state on every run; production builds never
     /// set it.
     pub serial: bool,
+}
+
+impl Default for ShardedBuildOptions {
+    fn default() -> Self {
+        Self {
+            external: false,
+            memory_budget: DEFAULT_MEMORY_BUDGET,
+            resume: false,
+            keep: 0,
+            threads: 0,
+            kill: None,
+            serial: false,
+        }
+    }
 }
 
 /// Builds (or resumes) a sharded index over `corpus` at `root` with
@@ -571,13 +585,10 @@ fn build_one_shard<C: CorpusSource + ?Sized>(
         gen_store.allocate()?
     };
     if opts.external {
-        let mut builder = ExternalIndexBuilder::new(config).parallel(intra_parallel);
-        if opts.memory_budget > 0 {
-            builder = builder.memory_budget(opts.memory_budget);
-        }
-        if resume_journal {
-            builder = builder.resume(true);
-        }
+        let mut builder = ExternalIndexBuilder::new(config)
+            .memory_budget(opts.memory_budget)
+            .parallel(intra_parallel)
+            .resume(resume_journal);
         if let Some(kill) = &opts.kill {
             builder = builder.kill_points(kill.clone());
         }

@@ -206,16 +206,17 @@ pub(crate) fn parse_blocks(
 }
 
 /// Decodes blocks `[blk_lo, blk_hi)` (positions in the file's whole block
-/// index `blocks`) of one list.
+/// index `blocks`) of one list onto the end of `out`.
 pub(crate) fn read_blocks(
     file: &Reader,
     blocks: &[Block],
     blk_lo: usize,
     blk_hi: usize,
     stats: &IoStats,
-) -> Result<Vec<Posting>, IndexError> {
+    out: &mut Vec<Posting>,
+) -> Result<(), IndexError> {
     if blk_lo >= blk_hi {
-        return Ok(Vec::new());
+        return Ok(());
     }
     let byte_lo = blocks[blk_lo].byte_offset;
     let byte_hi = blocks
@@ -223,10 +224,9 @@ pub(crate) fn read_blocks(
         .map_or(file.payload_len(), |b| b.byte_offset);
     let mut bytes = vec![0u8; (byte_hi - byte_lo) as usize];
     file.read_payload(byte_lo, &mut bytes, stats)?;
-    let mut out = Vec::new();
     let mut pos = 0usize;
     for blk in blk_lo..blk_hi {
-        pos += decode_block(&bytes[pos..], blocks[blk].posting_count as usize, &mut out)?;
+        pos += decode_block(&bytes[pos..], blocks[blk].posting_count as usize, out)?;
         // Each block must decode to exactly the byte span the block
         // index promises — a mismatch means the block bytes and the
         // index disagree (corruption the varint decoder alone can't
@@ -243,7 +243,7 @@ pub(crate) fn read_blocks(
             )));
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Appends to `out` the postings of each text of `texts` in the list whose
@@ -259,6 +259,7 @@ pub(crate) fn probe_texts(
 ) -> Result<(), IndexError> {
     let lo = list.start;
     let index = &blocks[list];
+    let mut postings = Vec::new();
     for &text in texts {
         // Standard zone bracketing on first_text: the run of blocks that can
         // contain `text` starts one block before the first block whose
@@ -268,8 +269,16 @@ pub(crate) fn probe_texts(
         let first_gt = index.partition_point(|b| b.first_text <= text);
         let blk_lo = lo + first_ge.saturating_sub(1);
         let blk_hi = lo + first_gt;
-        let postings = read_blocks(file, blocks, blk_lo.min(blk_hi), blk_hi, stats)?;
-        out.extend(postings.into_iter().filter(|p| p.text == text));
+        postings.clear();
+        read_blocks(
+            file,
+            blocks,
+            blk_lo.min(blk_hi),
+            blk_hi,
+            stats,
+            &mut postings,
+        )?;
+        out.extend(postings.iter().filter(|p| p.text == text));
     }
     Ok(())
 }

@@ -13,7 +13,7 @@
 //!   mutex once per instrument *handle*, never per observation) and renders
 //!   snapshots in two formats: Prometheus text exposition and JSON;
 //! * RAII tracing spans ([`SpanGuard`]) with a thread-local span stack, so
-//!   nested phases (e.g. `index.build` → `index.build.spill`) attribute
+//!   nested phases (e.g. `index.build.external` → `index.build.run`) attribute
 //!   self-time correctly;
 //! * a process-wide kill switch ([`Registry::set_enabled`]): with recording
 //!   disabled every instrument degenerates to one relaxed atomic load and a

@@ -5,8 +5,8 @@
 //! `span.<name>` (unit: seconds). Because the stack tracks nesting, a
 //! parent additionally records its **self time** — elapsed minus time spent
 //! in child spans — into `span.<name>.self`, so phase breakdowns like
-//! `index.build` → `index.build.spill` / `index.build.aggregate` sum
-//! without double counting.
+//! `index.build.external` → `index.build.run` / `index.merge` sum without
+//! double counting.
 //!
 //! Guards are `!Send` by construction (they time one thread's work) and
 //! must be dropped in LIFO order, which scoped `let _span = …;` usage

@@ -115,9 +115,7 @@ fn one_lists_windows_of_one_text_are_disjoint_under_every_builder() {
 
         let direct = build_and_write(&corpus, config.clone(), &dirs[0], true).unwrap();
         let external = ExternalIndexBuilder::new(config.clone())
-            .batch_tokens(300)
             .memory_budget(4 << 10)
-            .partition_bits(2)
             .build(&corpus, &dirs[1])
             .unwrap();
         let (head, tail) = texts.split_at(texts.len() / 2);

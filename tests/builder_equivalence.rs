@@ -1,18 +1,89 @@
 //! The index-construction paths — serial in-memory, parallel in-memory,
-//! straight-to-disk `build_and_write` (serial and parallel), and external
-//! hash aggregation (with forced recursive partitioning) — must produce
-//! byte-identical on-disk indexes, and the disk corpus path must behave
-//! exactly like the in-memory corpus path.
+//! straight-to-disk `build_and_write` (serial and parallel), and the
+//! out-of-core build (budget-sized runs, then merge) at every shape of run
+//! list — must produce byte-identical on-disk indexes, and the disk corpus
+//! path must behave exactly like the in-memory corpus path.
+
+use std::path::Path;
 
 use ndss::corpus::disk::write_corpus;
-use ndss::index::{build_and_write, inv_file_path, write_memory_index};
+use ndss::index::{build_and_write, inv_file_path, write_memory_index, KillPoints};
 use ndss::prelude::*;
-use ndss_integration::scratch;
+use ndss_integration::{assert_same_files, dir_files, scratch};
 
-fn read_inv_files(dir: &std::path::Path, k: usize) -> Vec<Vec<u8>> {
+fn read_inv_files(dir: &Path, k: usize) -> Vec<Vec<u8>> {
     (0..k)
         .map(|func| std::fs::read(inv_file_path(dir, func)).unwrap())
         .collect()
+}
+
+/// The external builder at every shape of run list: each directory —
+/// `meta.json` included, nothing left over — equals `build_and_write`'s,
+/// serial and parallel. The serial build carries a counting injector, whose
+/// checkpoints say how many runs were cut: none for a corpus written
+/// straight into place beyond its `meta.json`'s two, else two for the
+/// journal, two per run, two per merged function and three to publish.
+fn external_grid(corpus: &InMemoryCorpus, config: &IndexConfig) {
+    // The builder's estimate of a token's bytes in memory.
+    let per_token = 4 + config.k * 2 * 24 / (config.t + 1);
+    assert_eq!(
+        (config.k * 2 * 24) % (config.t + 1),
+        0,
+        "pick k, t that divide"
+    );
+    let texts: Vec<Vec<u32>> = corpus.iter().map(|(_, t)| t.to_vec()).collect();
+    let longest = texts.iter().map(Vec::len).max().unwrap();
+    let total = corpus.total_tokens() as usize;
+    let run = 1000;
+
+    let mut with_giant = texts.clone();
+    with_giant.insert(
+        texts.len() / 2,
+        (0..3 * run as u32).map(|i| i % 97).collect(),
+    );
+    let mut with_loner = texts.clone();
+    with_loner.push((0..run as u32).map(|i| i % 89).collect());
+
+    // (name, texts, run size in tokens, runs expected: exactly or at least)
+    let cases = [
+        ("one_run", texts.clone(), total, 1..=1),
+        ("two_runs", texts.clone(), total / 2 + longest, 2..=2),
+        ("many_runs", texts.clone(), run, 5..=usize::MAX),
+        // A text larger than the budget cannot be split: a run of its own.
+        ("text_over_budget", with_giant, run, 5..=usize::MAX),
+        // The last text fills a run exactly, so no run before it has room.
+        ("last_run_of_one_text", with_loner, run, 5..=usize::MAX),
+        ("empty", Vec::new(), run, 1..=1),
+    ];
+    for (name, texts, run_tokens, runs_expected) in cases {
+        let corpus = InMemoryCorpus::from_texts(texts);
+        let want_dir = scratch("builders", &format!("grid_{name}_want"));
+        build_and_write(&corpus, config.clone(), &want_dir, false).unwrap();
+        let want = dir_files(&want_dir);
+        assert!(want.contains_key("meta.json"));
+
+        for parallel in [false, true] {
+            let dir = scratch("builders", &format!("grid_{name}_{parallel}"));
+            let mut builder = ExternalIndexBuilder::new(config.clone())
+                .memory_budget(run_tokens * per_token)
+                .parallel(parallel);
+            let count = KillPoints::count_only();
+            if !parallel {
+                builder = builder.kill_points(count.clone());
+            }
+            builder.build(&corpus, &dir).unwrap();
+            assert_same_files(&format!("{name} (parallel {parallel})"), &dir, &want);
+            if !parallel {
+                let runs = match count.checkpoints_seen() as usize {
+                    2 => 1,
+                    n => (n - 2 - 2 * config.k - 3) / 2,
+                };
+                assert!(runs_expected.contains(&runs), "{name}: {runs} runs");
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        std::fs::remove_dir_all(&want_dir).ok();
+    }
 }
 
 #[test]
@@ -36,12 +107,10 @@ fn all_builders_byte_identical() {
     let mem_par = MemoryIndex::build_parallel(&corpus, config.clone()).unwrap();
     write_memory_index(&mem_par, &dir_b).unwrap();
 
-    // Path C: external with tiny batches and a budget forcing recursion.
+    // Path C: external with a budget of a few texts per run.
     let dir_c = scratch("builders", "external");
     ExternalIndexBuilder::new(config.clone())
-        .batch_tokens(1000)
         .memory_budget(4 << 10)
-        .partition_bits(3)
         .build(&corpus, &dir_c)
         .unwrap();
 
@@ -56,7 +125,7 @@ fn all_builders_byte_identical() {
     let dir_e = scratch("builders", "direct");
     build_and_write(&corpus, config.clone(), &dir_e, false).unwrap();
     let dir_f = scratch("builders", "direct_par");
-    build_and_write(&corpus, config, &dir_f, true).unwrap();
+    build_and_write(&corpus, config.clone(), &dir_f, true).unwrap();
 
     let a = read_inv_files(&dir_a, k);
     for (name, dir) in [
@@ -77,6 +146,8 @@ fn all_builders_byte_identical() {
     for dir in [dir_a, dir_b, dir_c, dir_d, dir_e, dir_f] {
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    external_grid(&corpus, &config);
 }
 
 #[test]

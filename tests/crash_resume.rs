@@ -2,8 +2,8 @@
 //!
 //! The builders expose two families of deterministic crash sites (see
 //! `ndss::index::KillPoints`): *checkpoints* bracketing every journal
-//! publication, and fine-grained *IO points* (per text spilled, per
-//! partition aggregated, per list merged). The harness first runs a
+//! publication and every run's `meta.json`, and fine-grained *IO points*
+//! (per run file, per list merged). The harness first runs a
 //! counting pass to learn how many sites a given build exposes, then
 //! crashes at **every** checkpoint and a seeded sample of IO points,
 //! resumes with `--resume` semantics, and requires the resumed directory to
@@ -11,55 +11,16 @@
 //! fixed-width (v3) and compressed (v4) index formats, for the external
 //! build and the k-way merge alike.
 //!
-//! Builds run serially (`parallel(false)`): the sweep's determinism
-//! contract is that crash site `n` means the same on-disk state on every
-//! run, which thread scheduling would break.
+//! Builds run serially (`parallel(false)`; a build or merge with an
+//! injector installed uses one thread whatever it is told): the sweep's
+//! determinism contract is that crash site `n` means the same on-disk state
+//! on every run, which thread scheduling would break.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use ndss::index::{build_and_write, BuildJournal, ExternalIndexBuilder, KillPoints};
 use ndss::prelude::*;
-use ndss_integration::{scratch, scratch_root};
-
-/// Every file under `dir` (recursively), relative path → contents.
-fn dir_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
-    fn walk(root: &Path, dir: &Path, out: &mut BTreeMap<String, Vec<u8>>) {
-        for entry in std::fs::read_dir(dir).unwrap() {
-            let path = entry.unwrap().path();
-            if path.is_dir() {
-                walk(root, &path, out);
-            } else {
-                let rel = path.strip_prefix(root).unwrap();
-                out.insert(
-                    rel.to_string_lossy().into_owned(),
-                    std::fs::read(&path).unwrap(),
-                );
-            }
-        }
-    }
-    let mut out = BTreeMap::new();
-    walk(dir, dir, &mut out);
-    out
-}
-
-/// Asserts `dir` holds exactly the reference files: same names, same bytes,
-/// and in particular no leftover journal or spill state.
-fn assert_same_files(context: &str, dir: &Path, reference: &BTreeMap<String, Vec<u8>>) {
-    let got = dir_files(dir);
-    let got_names: Vec<&String> = got.keys().collect();
-    let want_names: Vec<&String> = reference.keys().collect();
-    assert_eq!(
-        got_names, want_names,
-        "{context}: file set differs from uninterrupted build"
-    );
-    for (name, bytes) in reference {
-        assert_eq!(
-            &got[name], bytes,
-            "{context}: {name} differs from uninterrupted build"
-        );
-    }
-}
+use ndss_integration::{assert_same_files, dir_files, scratch, scratch_root};
 
 fn small_corpus() -> InMemoryCorpus {
     let (corpus, _) = SyntheticCorpusBuilder::new(91)
@@ -73,12 +34,11 @@ fn config(compress: bool) -> IndexConfig {
     IndexConfig::new(3, 20, 11).compressed(compress)
 }
 
-/// A serial external builder with budgets small enough to exercise
-/// multiple spill batches *and* recursive re-partitioning.
+/// A serial external builder with a budget of about three texts, so the
+/// corpus is cut into several runs and the merge has several inputs.
 fn builder(compress: bool) -> ExternalIndexBuilder {
     ExternalIndexBuilder::new(config(compress))
-        .batch_tokens(1500)
-        .memory_budget(1 << 12)
+        .memory_budget(1 << 14)
         .parallel(false)
 }
 
@@ -271,10 +231,10 @@ fn resume_rejects_mismatched_parameters() {
         .build(&corpus, &dir)
         .expect_err("build must crash");
     assert!(BuildJournal::load(&dir).unwrap().is_some());
-    // Different spill layout (batch size) ⇒ the journal describes a
+    // Different run boundaries (memory budget) ⇒ the journal describes a
     // different build; resuming must refuse rather than guess.
     let err = builder(false)
-        .batch_tokens(999)
+        .memory_budget(1 << 13)
         .resume(true)
         .build(&corpus, &dir)
         .expect_err("mismatched resume must be rejected");
@@ -284,6 +244,48 @@ fn resume_rejects_mismatched_parameters() {
     );
     // Same parameters resume fine.
     builder(false).resume(true).build(&corpus, &dir).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A crash after run *i* is published resumes without rewriting runs
+/// `0..=i`: the resumed build passes no IO point for their files and no
+/// checkpoint for their `meta.json`.
+#[test]
+fn resume_keeps_published_runs() {
+    let corpus = small_corpus();
+    let full = KillPoints::count_only();
+    let dir = scratch("crash", "keep_runs");
+    builder(false)
+        .kill_points(full.clone())
+        .build(&corpus, &dir)
+        .unwrap();
+    let reference = dir_files(&dir);
+
+    // Checkpoints 0 and 1 bracket the first journal save, 2 + 2i and
+    // 3 + 2i run i's `meta.json`: die as soon as run 1 is published.
+    let dir = scratch("crash", "keep_runs");
+    builder(false)
+        .kill_points(KillPoints::at_checkpoint(5))
+        .build(&corpus, &dir)
+        .expect_err("build must crash");
+    let spilled = dir_files(&dir.join("tmp_spill"));
+    assert!(spilled.contains_key("run-000001/meta.json"));
+    assert!(!spilled.keys().any(|name| name.starts_with("run-000002")));
+
+    let resumed = KillPoints::count_only();
+    builder(false)
+        .resume(true)
+        .kill_points(resumed.clone())
+        .build(&corpus, &dir)
+        .unwrap();
+    assert_same_files("resume after run 1", &dir, &reference);
+    let k = config(false).k as u64;
+    assert_eq!(full.io_seen() - resumed.io_seen(), 2 * k, "run files");
+    assert_eq!(
+        full.checkpoints_seen() - resumed.checkpoints_seen(),
+        2 * 2,
+        "run meta.json checkpoints"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -377,7 +379,7 @@ fn sharded_build_resumes_byte_identical_per_shard() {
     let shards = 3usize;
     let opts = |kill: Option<std::sync::Arc<KillPoints>>, resume: bool| ShardedBuildOptions {
         external: true,
-        memory_budget: 1 << 12,
+        memory_budget: 1 << 13,
         resume,
         keep: 1,
         serial: true,

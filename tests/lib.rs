@@ -3,7 +3,8 @@
 
 pub mod mutate;
 
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 
 /// The scratch root of one suite, unique to this process so two
 /// `cargo test` runs on one host do not clobber each other.
@@ -17,4 +18,43 @@ pub fn scratch(suite: &str, name: &str) -> PathBuf {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("create scratch directory");
     dir
+}
+
+/// Every file under `dir` (recursively), relative path → contents.
+pub fn dir_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    fn walk(root: &Path, dir: &Path, out: &mut BTreeMap<String, Vec<u8>>) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                walk(root, &path, out);
+            } else {
+                let rel = path.strip_prefix(root).unwrap();
+                out.insert(
+                    rel.to_string_lossy().into_owned(),
+                    std::fs::read(&path).unwrap(),
+                );
+            }
+        }
+    }
+    let mut out = BTreeMap::new();
+    walk(dir, dir, &mut out);
+    out
+}
+
+/// Asserts `dir` holds exactly the reference files: same names, same bytes,
+/// and in particular no leftover journal or run scratch.
+pub fn assert_same_files(context: &str, dir: &Path, reference: &BTreeMap<String, Vec<u8>>) {
+    let got = dir_files(dir);
+    let got_names: Vec<&String> = got.keys().collect();
+    let want_names: Vec<&String> = reference.keys().collect();
+    assert_eq!(
+        got_names, want_names,
+        "{context}: file set differs from the reference"
+    );
+    for (name, bytes) in reference {
+        assert_eq!(
+            &got[name], bytes,
+            "{context}: {name} differs from the reference"
+        );
+    }
 }
