@@ -82,7 +82,7 @@ pub mod prelude {
     pub use ndss_hash::{MinHasher, Sketch, TokenId};
     pub use ndss_index::{
         build_sharded, partition_texts, resolve_index_dir, verify_memtable, DiskIndex,
-        ExternalIndexBuilder, FaultConfig, GenerationInfo, GenerationStore, IndexAccess,
+        ExternalIndexBuilder, FaultMode, FaultPlan, GenerationInfo, GenerationStore, IndexAccess,
         IndexConfig, IngestIndex, IngestOptions, MemSegment, MemoryIndex, MemtableReport,
         MergeOptions, ReadOptions, ShardManifest, ShardSpec, ShardedBuildOptions, ShardedStore,
     };

@@ -494,7 +494,7 @@ impl Reader {
     pub fn open_with(path: &Path, io: &ReadOptions) -> Result<Self, IndexError> {
         let malformed = |what: String| IndexError::Malformed(format!("{}: {what}", path.display()));
         let file = RetryingFile::open(path, io)?;
-        let file_len = file.len()?;
+        let file_len = file.len();
         let mut header = [0u8; HEADER_LEN as usize];
         let have = HEADER_LEN.min(file_len) as usize;
         file.read_exact_at(&mut header[..have], 0)?;
@@ -641,8 +641,10 @@ impl Reader {
 
     /// Streams file range `[offset, offset + len)` through CRC-32C in
     /// bounded chunks and compares with `expect`. Transient read faults are
-    /// absorbed by the [`RetryingFile`]; a checksum mismatch is permanent
-    /// and is never retried (re-reading corrupt bytes cannot fix them).
+    /// absorbed by the [`RetryingFile`]; a read that still fails surfaces as
+    /// `Io` with its kind intact, so a breaker classifies it as the read
+    /// fault it is. Only a checksum mismatch is `Malformed`, and it is never
+    /// retried (re-reading corrupt bytes cannot fix them).
     fn check_streamed_crc(
         &self,
         offset: u64,
@@ -662,10 +664,9 @@ impl Reader {
             self.file
                 .read_exact_at(&mut buf[..take], pos)
                 .map_err(|e| {
-                    IndexError::Malformed(format!(
-                        "cannot read {what} of {} at offset {pos}: {e}",
-                        self.path.display()
-                    ))
+                    let file = self.path.display();
+                    let msg = format!("cannot read {what} of {file} at offset {pos}: {e}");
+                    std::io::Error::new(e.kind(), msg)
                 })?;
             stats.record(take as u64, start.elapsed().as_nanos() as u64);
             crc.update(&buf[..take]);
@@ -925,7 +926,7 @@ fn check_block_lists<B: BlockSpan>(dir: &[DirEntry], blocks: &[B]) -> Result<(),
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::pread::FaultConfig;
+    use crate::pread::{FaultMode, FaultPlan};
     use ndss_windows::CompactWindow;
 
     /// One of each encoding, with zone/block parameters small enough that
@@ -1250,60 +1251,54 @@ pub(crate) mod tests {
 
     /// Reads that keep failing transiently exhaust the retry budget and
     /// surface from whichever call issued them: `open` for the header,
-    /// `read_list` and `verify` for the payload.
+    /// `read_list` and `verify` for the payload — all as `Io` with the
+    /// transient kind, never as `Malformed`.
     #[test]
     fn persistent_read_faults_surface_from_open_read_and_verify() {
-        let no_backoff = crate::pread::RetryPolicy {
-            max_retries: 3,
-            initial_backoff: std::time::Duration::ZERO,
-            max_backoff: std::time::Duration::ZERO,
-        };
         for encoding in ENCODINGS {
-            let path = temp(&format!("hard_v{}.ndsi", encoding.version()));
+            let path = temp(&format!("storm_v{}.ndsi", encoding.version()));
             write_file(&path, encoding, &sample_lists());
-            let options = |lo: u64, hi: u64| ReadOptions {
-                retry: no_backoff.clone(),
-                faults: Some(FaultConfig::new(1).fault_every(0).hard_range(lo, hi)),
-                ..ReadOptions::default()
-            };
+            let plan = FaultPlan::new("", 1);
+            let options = ReadOptions::with_faults(plan.clone());
+            plan.arm(FaultMode::Storm);
             assert!(
-                matches!(
-                    Reader::open_with(&path, &options(0, 8)),
-                    Err(IndexError::Io(_))
-                ),
+                matches!(Reader::open_with(&path, &options), Err(IndexError::Io(_))),
                 "{encoding:?}: header read bypassed the fault layer"
             );
-            let r = Reader::open_with(&path, &options(HEADER_LEN, HEADER_LEN + 1)).unwrap();
+            plan.disarm();
+            let r = Reader::open_with(&path, &options).unwrap();
+            plan.arm(FaultMode::Storm);
             let stats = IoStats::default();
             assert!(matches!(r.read_list(10, &stats), Err(IndexError::Io(_))));
-            assert!(matches!(r.verify(&stats), Err(IndexError::Malformed(_))));
+            match r.verify(&stats) {
+                Err(IndexError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::Interrupted),
+                other => panic!("{encoding:?}: verify under a storm gave {other:?}"),
+            }
             std::fs::remove_file(&path).ok();
         }
     }
 
-    /// `open` reads the header exactly once, through the retrying layer: a
-    /// transient fault injected on the very first read is absorbed, counted
-    /// by the injector, and the file opens and reads bit-identically.
+    /// `open` reads through the retrying layer: under an armed `Flaky`
+    /// plan whose seed faults the very first read, the faults are absorbed,
+    /// counted by the plan, and the file opens and reads bit-identically.
     #[test]
     fn transient_fault_on_first_read_is_absorbed() {
         for encoding in ENCODINGS {
             let path = temp(&format!("faulty_v{}.ndsi", encoding.version()));
             let lists = sample_lists();
             write_file(&path, encoding, &lists);
-            // One in one: every read call faults until the injector's
-            // consecutive-fault cap lets the retry through.
-            let faults = FaultConfig::new(7).fault_every(1);
-            let stats = faults.stats();
-            let r = Reader::open_with(&path, &ReadOptions::with_faults(faults)).unwrap();
-            let at_open = stats.injected();
+            // Seed 7's first `Flaky` roll faults.
+            let plan = FaultPlan::new("", 7);
+            plan.arm(FaultMode::Flaky);
+            let r = Reader::open_with(&path, &ReadOptions::with_faults(plan.clone())).unwrap();
+            let at_open = plan.injected();
             assert!(at_open >= 1, "{encoding:?}: first read was not faulted");
             let io = IoStats::default();
             r.verify(&io).unwrap();
             for (hash, postings) in &lists {
                 assert_eq!(&r.read_list(*hash, &io).unwrap(), postings, "{encoding:?}");
             }
-            assert!(stats.injected() > at_open);
-            assert_eq!(stats.hard_faults(), 0);
+            assert!(plan.injected() > at_open);
             std::fs::remove_file(&path).ok();
         }
     }

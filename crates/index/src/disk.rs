@@ -93,8 +93,8 @@ impl DiskIndex {
     }
 
     /// Opens an index directory with explicit cache sizing **and** IO
-    /// options: retry policy for transient read errors and (in tests) a
-    /// deterministic fault injector shared by every index file.
+    /// options: memory-mapped or positioned reads, and (in tests) a
+    /// [`crate::FaultPlan`] attached to every index file it targets.
     pub fn open_with_io(
         dir: &Path,
         cache: CacheConfig,

@@ -56,7 +56,7 @@ pub use ingest::{verify_memtable, IngestIndex, IngestOptions, MemSegment, Memtab
 pub use journal::{BuildJournal, JournalKind, KillPoints};
 pub use memory::MemoryIndex;
 pub use merge::{merge_indexes, merge_indexes_with, MergeOptions};
-pub use pread::{ChaosMode, ChaosPlan, FaultConfig, FaultStats, ReadOptions, RetryPolicy};
+pub use pread::{FaultMode, FaultPlan, ReadOptions};
 pub use shard::{
     build_sharded, partition_texts, ShardManifest, ShardSpec, ShardedBuildOptions, ShardedStore,
 };

@@ -1,49 +1,54 @@
-//! Positioned (`pread`-style) file reads with transient-error retry and
-//! deterministic fault injection.
-//!
-//! Every posting or zone read used to funnel through a `Mutex<File>` with a
-//! seek + read pair, which serialized concurrent queries on the same index
-//! file. A positioned read needs no cursor and therefore no lock: readers
-//! hold a [`RetryingFile`], are `Sync`, and issue one syscall per read in
-//! the common case.
+//! Positioned (`pread`-style) file reads: no cursor, so a shared
+//! [`RetryingFile`] serves any number of threads without a lock. Transient
+//! errors are retried, and one runtime-armable injector fakes read faults.
 //!
 //! # Retry taxonomy
 //!
-//! A positioned read can fail **transiently** — `EINTR` (a signal landed
-//! mid-syscall), `EAGAIN`/`EWOULDBLOCK`, or a short read (the kernel
-//! returned fewer bytes than asked) — without anything being wrong with the
-//! file. [`RetryingFile`] absorbs these: short reads continue the fill loop
-//! immediately, error kinds `Interrupted`/`WouldBlock` retry with bounded
-//! exponential backoff. Every absorbed event counts into the `io.retries`
-//! registry counter; running out of attempts counts `io.retry_exhausted`
-//! and surfaces the original error. **Permanent** errors — anything else,
-//! including `UnexpectedEof` and the checksum/`Malformed` failures raised
-//! above this layer — are never retried: retrying cannot make corrupt
-//! bytes valid.
+//! A positioned read can fail **transiently** — `EINTR`, `EAGAIN` or a
+//! short read — without anything being wrong with the file. Short reads
+//! continue the fill loop at once; `Interrupted`/`WouldBlock` retry up to
+//! eight times, backing off from 20 µs doubling to 2 ms. Every absorbed
+//! event counts into `io.retries`; running out of attempts counts
+//! `io.retry_exhausted` and surfaces the original error. **Permanent**
+//! errors — anything else, `UnexpectedEof` and the checksum failures raised
+//! above this layer included — are never retried.
 //!
 //! # Fault injection
 //!
-//! [`FaultConfig`] wraps the file in a seeded, deterministic [`FlakyFile`]
-//! that injects the full transient taxonomy (plus an always-failing
-//! "hard" byte range for exercising retry exhaustion), so tests can prove
-//! the retry path yields bit-identical results to fault-free runs.
+//! Every read fault enters through one [`FaultPlan`]. A plan is created off
+//! and attached at open to each file whose path contains its target;
+//! [`FaultPlan::arm`] switches every attached reader to a [`FaultMode`]
+//! while queries are in flight. `Flaky` injects the transient taxonomy,
+//! deterministically per seed and file, and the retry layer must absorb it
+//! bit-exactly; the other modes model a device that stops answering, bit
+//! rot, truncation and a permission flip. (Write-side crashes are the
+//! build's `KillPoints`.)
 //!
 //! # Memory-mapped reads
 //!
 //! [`ReadOptions::mmap`] swaps the pread syscall for a private read-only
-//! `mmap(2)` of the whole file (vendored binding, unix only): warm queries
-//! become plain memory copies with no syscall per read. The mapping is
-//! strictly an optimization — if `mmap` fails, the platform is not unix, or
-//! a fault injector is attached (faults must flow through the read path),
-//! the handle silently falls back to positioned reads. Reads past the
-//! mapped length surface as `UnexpectedEof` exactly like pread EOF.
+//! `mmap(2)` of the whole file (vendored binding, unix only): warm reads
+//! become memory copies. If mapping fails the handle silently falls back to
+//! pread, and a reader with a fault plan attached always reads by pread, or
+//! mapped decoding would read around the tap. Mapped reads answer exactly
+//! as pread does, EOF and out-of-range offsets included.
 
+use std::cell::Cell;
 use std::fs::File;
-use std::io;
+use std::io::{self, ErrorKind};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Transient errors tolerated per logical read before giving up.
+const MAX_RETRIES: u32 = 8;
+/// Sleep before the first retry; doubles per retry up to [`MAX_BACKOFF`].
+const INITIAL_BACKOFF: Duration = Duration::from_micros(20);
+const MAX_BACKOFF: Duration = Duration::from_millis(2);
+/// `Flaky` faults in a row, at most; below [`MAX_RETRIES`], so every
+/// logical read eventually succeeds.
+const MAX_CONSECUTIVE_FAULTS: u32 = 3;
 
 /// One positioned read returning the number of bytes read (possibly short).
 #[cfg(unix)]
@@ -61,227 +66,94 @@ fn raw_read_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<usize> {
     file.seek_read(buf, offset)
 }
 
-/// Bounded exponential backoff for transient read errors.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Transient errors tolerated per logical read before giving up.
-    pub max_retries: u32,
-    /// Sleep before the first retry; doubles per retry.
-    pub initial_backoff: Duration,
-    /// Backoff ceiling.
-    pub max_backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_retries: 8,
-            initial_backoff: Duration::from_micros(20),
-            max_backoff: Duration::from_millis(2),
-        }
-    }
-}
-
-/// Shared fault-injection tallies, readable by tests through
-/// [`FaultConfig::stats`].
-#[derive(Debug, Default)]
-pub struct FaultStats {
-    injected: AtomicU64,
-    hard_faults: AtomicU64,
-}
-
-impl FaultStats {
-    /// Transient faults injected (EINTR / EAGAIN / short reads).
-    pub fn injected(&self) -> u64 {
-        self.injected.load(Relaxed)
-    }
-
-    /// Always-failing hard-range faults injected.
-    pub fn hard_faults(&self) -> u64 {
-        self.hard_faults.load(Relaxed)
-    }
-}
-
-/// Deterministic fault-injection plan for a `FlakyFile`.
-///
-/// Clones share one [`FaultStats`], so the handle a test keeps observes
-/// faults injected by every reader opened from the same config.
-#[derive(Debug, Clone)]
-pub struct FaultConfig {
-    /// PRNG seed: the same seed and call sequence injects the same faults.
-    pub seed: u64,
-    /// Inject on roughly one in `fault_every` read calls (0 disables the
-    /// probabilistic faults, leaving only the hard range).
-    pub fault_every: u32,
-    /// Cap on consecutive injected faults seen by any one retry loop; must
-    /// stay below [`RetryPolicy::max_retries`] for reads to always succeed
-    /// eventually.
-    pub max_consecutive: u32,
-    /// Absolute byte range `[lo, hi)` whose reads *always* fail with
-    /// `EINTR`, bypassing `max_consecutive` — the retry-exhaustion path.
-    pub hard_range: Option<(u64, u64)>,
-    stats: Arc<FaultStats>,
-}
-
-impl FaultConfig {
-    /// Transient faults on ~1 in 4 reads, at most 3 in a row, no hard range.
-    pub fn new(seed: u64) -> Self {
-        Self {
-            seed,
-            fault_every: 4,
-            max_consecutive: 3,
-            hard_range: None,
-            stats: Arc::new(FaultStats::default()),
-        }
-    }
-
-    /// Sets the probabilistic fault rate (one in `n` reads; 0 disables).
-    pub fn fault_every(mut self, n: u32) -> Self {
-        self.fault_every = n;
-        self
-    }
-
-    /// Marks `[lo, hi)` as permanently transient: every read touching it
-    /// fails with `EINTR` until the retry budget is exhausted.
-    pub fn hard_range(mut self, lo: u64, hi: u64) -> Self {
-        self.hard_range = Some((lo, hi));
-        self
-    }
-
-    /// The shared tally of injected faults.
-    pub fn stats(&self) -> Arc<FaultStats> {
-        Arc::clone(&self.stats)
-    }
-}
-
-/// How a [`ChaosPlan`] makes matched reads fail, switchable at runtime.
+/// How an armed [`FaultPlan`] makes the reads of its files fail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
-pub enum ChaosMode {
-    /// Tap attached but dormant: reads pass through untouched.
-    Off = 0,
-    /// Every read fails `EINTR`, outlasting any retry budget — models a
-    /// device that stops answering (IO retries exhaust, then surface the
-    /// transient error).
-    TransientStorm = 1,
-    /// Reads succeed but every delivered byte is XOR-flipped — models bit
-    /// rot under a live reader; the decode/checksum layers above must turn
-    /// this into `Malformed`, never into silently wrong results.
-    Corrupt = 2,
-    /// Every read returns 0 bytes — models a file truncated to nothing
-    /// under the reader (`UnexpectedEof`).
-    Eof = 3,
-    /// Every read fails `EACCES` — models a permission flip or a yanked
-    /// mount (a permanent, non-retryable error).
-    Deny = 4,
+pub enum FaultMode {
+    /// Dormant: reads pass through untouched.
+    Off,
+    /// `EINTR`, `EAGAIN` or a short read on ~1 call in 3, ≤ 3 in a row.
+    Flaky,
+    /// Every read fails `EINTR` until the retry budget is exhausted.
+    Storm,
+    /// Every delivered byte XOR-flipped: bit rot the layers above reject.
+    Corrupt,
+    /// Every read returns 0 bytes, as from a file truncated to nothing.
+    Eof,
+    /// Every read fails `EACCES`: a permanent, non-retryable error.
+    Deny,
 }
 
-impl ChaosMode {
-    fn from_u8(v: u8) -> Self {
-        match v {
-            1 => ChaosMode::TransientStorm,
-            2 => ChaosMode::Corrupt,
-            3 => ChaosMode::Eof,
-            4 => ChaosMode::Deny,
-            _ => ChaosMode::Off,
-        }
-    }
-}
+/// [`FaultMode`] by discriminant.
+const MODES: [FaultMode; 6] = {
+    use FaultMode::*;
+    [Off, Flaky, Storm, Corrupt, Eof, Deny]
+};
 
-#[derive(Debug, Default)]
-struct ChaosState {
-    mode: AtomicU64,
+#[derive(Debug)]
+struct PlanState {
+    target: String,
+    seed: u64,
+    mode: AtomicU8,
     injected: AtomicU64,
     attached: AtomicU64,
 }
 
-/// A runtime-armable fault tap for *live* readers: where [`FaultConfig`]
-/// decides at open time which reads fail, a `ChaosPlan` is attached at open
-/// but armed and re-armed **while queries are in flight**, so tests can
-/// make an already-serving shard start failing mid-query and then heal it
-/// again — the serve-path chaos harness's primitive.
-///
-/// The plan targets files whose path contains `matcher` (e.g.
-/// `"shard-0001"` taps every index file of that shard and nothing else).
-/// Clones share one state: arming any clone arms every attached reader.
-/// Attaching a tap forces the positioned-read path for matched files even
-/// when mmap was requested — zero-copy mapped decoding would bypass the
-/// tap (and the whole retry layer), exactly like [`FaultConfig`].
+/// The read-fault injector: attached at open to every file whose path
+/// contains `target` (`""` taps every file, `"shard-0001"` one shard's),
+/// armed and disarmed while readers are live. Clones share one state, so
+/// arming any clone arms every attached reader.
 #[derive(Debug, Clone)]
-pub struct ChaosPlan {
-    matcher: String,
-    state: Arc<ChaosState>,
-}
+pub struct FaultPlan(Arc<PlanState>);
 
-impl ChaosPlan {
-    /// A dormant plan tapping files whose path contains `matcher`.
-    pub fn targeting(matcher: impl Into<String>) -> Self {
-        Self {
-            matcher: matcher.into(),
-            state: Arc::new(ChaosState::default()),
-        }
+impl FaultPlan {
+    /// A plan that is [`FaultMode::Off`]; `seed` drives `Flaky`'s rolls.
+    pub fn new(target: &str, seed: u64) -> Self {
+        Self(Arc::new(PlanState {
+            target: target.to_owned(),
+            seed,
+            mode: AtomicU8::new(FaultMode::Off as u8),
+            injected: AtomicU64::new(0),
+            attached: AtomicU64::new(0),
+        }))
     }
 
-    /// Whether this plan taps the file at `path`.
-    pub fn matches(&self, path: &Path) -> bool {
-        path.to_string_lossy().contains(&self.matcher)
+    /// Switches every attached reader to `mode`, effective on its next read.
+    pub fn arm(&self, mode: FaultMode) {
+        self.0.mode.store(mode as u8, Relaxed);
     }
 
-    /// Switches every attached tap to `mode`, effective on the next read.
-    pub fn arm(&self, mode: ChaosMode) {
-        self.state.mode.store(mode as u64, Relaxed);
-    }
-
-    /// Returns every attached tap to pass-through.
+    /// Returns every attached reader to pass-through.
     pub fn disarm(&self) {
-        self.arm(ChaosMode::Off);
-    }
-
-    /// The currently armed mode.
-    pub fn mode(&self) -> ChaosMode {
-        ChaosMode::from_u8(self.state.mode.load(Relaxed) as u8)
+        self.arm(FaultMode::Off);
     }
 
     /// Faults injected across every attached reader since creation.
     pub fn injected(&self) -> u64 {
-        self.state.injected.load(Relaxed)
+        self.0.injected.load(Relaxed)
     }
 
     /// Files this plan attached to at open time.
     pub fn attached(&self) -> u64 {
-        self.state.attached.load(Relaxed)
-    }
-
-    fn note_attach(&self) {
-        self.state.attached.fetch_add(1, Relaxed);
-    }
-
-    fn note_injection(&self) {
-        self.state.injected.fetch_add(1, Relaxed);
+        self.0.attached.load(Relaxed)
     }
 }
 
-/// How index files are opened: the retry policy, an optional fault
-/// injector, and the read mechanism. `ReadOptions::default()` is the
-/// production configuration — retries on, faults off, pread.
+/// How index files are opened. `ReadOptions::default()` is the production
+/// configuration: pread, no fault plan.
 #[derive(Debug, Clone, Default)]
 pub struct ReadOptions {
-    /// Backoff schedule for transient errors.
-    pub retry: RetryPolicy,
-    /// Fault injection (tests only).
-    pub faults: Option<FaultConfig>,
     /// Memory-map index files instead of pread (unix only; falls back to
-    /// pread when mapping fails or a fault injector is attached).
+    /// pread when mapping fails or a fault plan is attached).
     pub mmap: bool,
-    /// Runtime fault tap (tests only): attached at open to files the plan
-    /// matches, armed/disarmed while readers are live. Matched files use
-    /// positioned reads even when `mmap` is set.
-    pub chaos: Option<ChaosPlan>,
+    /// Read-fault injection (tests only), attached at open to the files the
+    /// plan targets.
+    pub faults: Option<FaultPlan>,
 }
 
 impl ReadOptions {
-    /// Production defaults with a fault injector attached.
-    pub fn with_faults(faults: FaultConfig) -> Self {
+    /// Production defaults with a fault plan attached.
+    pub fn with_faults(faults: FaultPlan) -> Self {
         Self {
             faults: Some(faults),
             ..Self::default()
@@ -292,14 +164,6 @@ impl ReadOptions {
     pub fn with_mmap() -> Self {
         Self {
             mmap: true,
-            ..Self::default()
-        }
-    }
-
-    /// Production defaults with a runtime chaos tap attached.
-    pub fn with_chaos(chaos: ChaosPlan) -> Self {
-        Self {
-            chaos: Some(chaos),
             ..Self::default()
         }
     }
@@ -427,95 +291,15 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 std::thread_local! {
-    /// Consecutive injected faults as seen by the current thread. A retry
-    /// loop runs on one thread, so bounding this per thread guarantees any
-    /// single logical read succeeds within `max_consecutive + 1` attempts,
-    /// regardless of faults injected into other threads' reads.
-    static CONSECUTIVE_FAULTS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
-}
-
-/// A seeded fault-injecting wrapper around a plain file: each read call
-/// rolls a deterministic PRNG and either passes through or injects one of
-/// the transient failure modes (`EINTR`, `EAGAIN`, short read).
-#[derive(Debug)]
-pub struct FlakyFile {
-    file: File,
-    config: FaultConfig,
-    calls: AtomicU64,
-}
-
-impl FlakyFile {
-    fn new(file: File, config: FaultConfig) -> Self {
-        Self {
-            file,
-            config,
-            calls: AtomicU64::new(0),
-        }
-    }
-
-    fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<usize> {
-        let len = buf.len() as u64;
-        if let Some((lo, hi)) = self.config.hard_range {
-            if offset < hi && offset + len > lo {
-                self.config.stats.hard_faults.fetch_add(1, Relaxed);
-                return Err(io::Error::new(
-                    io::ErrorKind::Interrupted,
-                    "injected hard fault",
-                ));
-            }
-        }
-        let call = self.calls.fetch_add(1, Relaxed);
-        let roll = splitmix64(self.config.seed ^ call);
-        let inject =
-            self.config.fault_every > 0 && roll.is_multiple_of(self.config.fault_every as u64);
-        if inject && CONSECUTIVE_FAULTS.with(|c| c.get()) < self.config.max_consecutive {
-            CONSECUTIVE_FAULTS.with(|c| c.set(c.get() + 1));
-            self.config.stats.injected.fetch_add(1, Relaxed);
-            return match (roll >> 32) % 3 {
-                0 => Err(io::Error::new(io::ErrorKind::Interrupted, "injected EINTR")),
-                1 => Err(io::Error::new(io::ErrorKind::WouldBlock, "injected EAGAIN")),
-                _ if buf.len() > 1 => {
-                    // Short read: really deliver the first half.
-                    let half = buf.len() / 2;
-                    fill_exact(&self.file, &mut buf[..half], offset)?;
-                    Ok(half)
-                }
-                _ => Err(io::Error::new(io::ErrorKind::Interrupted, "injected EINTR")),
-            };
-        }
-        CONSECUTIVE_FAULTS.with(|c| c.set(0));
-        raw_read_at(&self.file, buf, offset)
-    }
-}
-
-/// Fills `buf` completely, retrying only genuine short reads (helper for
-/// the injector's own passthrough reads).
-fn fill_exact(file: &File, mut buf: &mut [u8], mut offset: u64) -> io::Result<usize> {
-    let total = buf.len();
-    while !buf.is_empty() {
-        match raw_read_at(file, buf, offset)? {
-            0 => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "failed to fill whole buffer",
-                ))
-            }
-            n => {
-                offset += n as u64;
-                let rest = buf;
-                buf = &mut rest[n..];
-            }
-        }
-    }
-    Ok(total)
+    /// Consecutive `Flaky` faults on this thread. A retry loop runs on one
+    /// thread, so this bounds the attempts of every logical read.
+    static CONSECUTIVE_FAULTS: Cell<u32> = const { Cell::new(0) };
 }
 
 #[derive(Debug)]
 enum Source {
     Plain(File),
-    Flaky(Box<FlakyFile>),
-    /// Whole-file memory map; reads are plain copies, EOF is the mapped
-    /// length captured at open time.
+    /// Whole-file memory map; EOF is the mapped length.
     Mapped(Mmap),
 }
 
@@ -523,25 +307,17 @@ impl Source {
     fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<usize> {
         match self {
             Source::Plain(f) => raw_read_at(f, buf, offset),
-            Source::Flaky(f) => f.read_at(buf, offset),
             Source::Mapped(m) => {
-                let bytes = m.as_slice();
-                if offset >= bytes.len() as u64 {
-                    return Ok(0);
+                // pread(2) refuses a read ending past `i64::MAX`; so does this.
+                if offset.saturating_add(buf.len() as u64) > i64::MAX as u64 {
+                    return Err(ErrorKind::InvalidInput.into());
                 }
-                let off = offset as usize;
-                let n = buf.len().min(bytes.len() - off);
-                buf[..n].copy_from_slice(&bytes[off..off + n]);
+                let at = usize::try_from(offset).unwrap_or(usize::MAX);
+                let tail = m.as_slice().get(at..).unwrap_or_default();
+                let n = buf.len().min(tail.len());
+                buf[..n].copy_from_slice(&tail[..n]);
                 Ok(n)
             }
-        }
-    }
-
-    fn len(&self) -> io::Result<u64> {
-        match self {
-            Source::Plain(f) => Ok(f.metadata()?.len()),
-            Source::Flaky(f) => Ok(f.file.metadata()?.len()),
-            Source::Mapped(m) => Ok(m.as_slice().len() as u64),
         }
     }
 }
@@ -553,10 +329,11 @@ impl Source {
 #[derive(Debug)]
 pub struct RetryingFile {
     source: Source,
-    policy: RetryPolicy,
-    /// Runtime fault tap, present only when the open path matched an
-    /// attached [`ChaosPlan`].
-    chaos: Option<ChaosPlan>,
+    len: u64,
+    /// Present only when the open path matched an attached [`FaultPlan`].
+    tap: Option<FaultPlan>,
+    /// `Flaky` rolls so far, so each file's fault sequence is its own.
+    calls: AtomicU64,
     retries: ndss_obs::Counter,
     exhausted: ndss_obs::Counter,
 }
@@ -565,30 +342,27 @@ impl RetryingFile {
     /// Opens `path` for positioned reads under `options`.
     pub(crate) fn open(path: &Path, options: &ReadOptions) -> io::Result<Self> {
         let file = File::open(path)?;
-        let chaos = options.chaos.as_ref().filter(|c| c.matches(path)).cloned();
-        Ok(Self::build(file, options, chaos))
-    }
-
-    fn build(file: File, options: &ReadOptions, chaos: Option<ChaosPlan>) -> Self {
-        if let Some(c) = &chaos {
-            c.note_attach();
+        let len = file.metadata()?.len();
+        let tap = options
+            .faults
+            .as_ref()
+            .filter(|plan| path.to_string_lossy().contains(&plan.0.target));
+        if let Some(plan) = tap {
+            plan.0.attached.fetch_add(1, Relaxed);
         }
-        let source = match &options.faults {
-            // Fault injection must flow through the read path, so it wins
-            // over mmap. A chaos tap forces pread for the same reason:
-            // mapped decoding would read around the tap.
-            Some(cfg) => Source::Flaky(Box::new(FlakyFile::new(file, cfg.clone()))),
-            None if options.mmap && chaos.is_none() => match Mmap::map(&file) {
-                Ok(map) => Source::Mapped(map),
-                Err(_) => Source::Plain(file),
-            },
-            None => Source::Plain(file),
+        // One rule: a tapped reader reads by pread, or mapped decoding
+        // would read around the tap.
+        let source = if options.mmap && tap.is_none() {
+            Mmap::map(&file).map_or(Source::Plain(file), Source::Mapped)
+        } else {
+            Source::Plain(file)
         };
         let reg = ndss_obs::Registry::global();
-        Self {
+        Ok(Self {
             source,
-            policy: options.retry.clone(),
-            chaos,
+            len,
+            tap: tap.cloned(),
+            calls: AtomicU64::new(0),
             retries: reg.counter(
                 "io.retries",
                 "Transient index-read faults absorbed by retry (EINTR/EAGAIN/short reads)",
@@ -597,55 +371,12 @@ impl RetryingFile {
                 "io.retry_exhausted",
                 "Index reads that failed after exhausting the transient-retry budget",
             ),
-        }
+        })
     }
 
-    /// One source read with the chaos tap applied when armed.
-    fn tapped_read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<usize> {
-        let mode = match &self.chaos {
-            Some(c) => c.mode(),
-            None => ChaosMode::Off,
-        };
-        match mode {
-            ChaosMode::Off => self.source.read_at(buf, offset),
-            ChaosMode::TransientStorm => {
-                self.chaos.as_ref().unwrap().note_injection();
-                Err(io::Error::new(
-                    io::ErrorKind::Interrupted,
-                    "chaos: injected transient storm",
-                ))
-            }
-            ChaosMode::Eof => {
-                self.chaos.as_ref().unwrap().note_injection();
-                Ok(0)
-            }
-            ChaosMode::Deny => {
-                self.chaos.as_ref().unwrap().note_injection();
-                Err(io::Error::new(
-                    io::ErrorKind::PermissionDenied,
-                    "chaos: injected permission fault",
-                ))
-            }
-            ChaosMode::Corrupt => {
-                let n = self.source.read_at(buf, offset)?;
-                for b in &mut buf[..n] {
-                    *b ^= 0xA5;
-                }
-                self.chaos.as_ref().unwrap().note_injection();
-                Ok(n)
-            }
-        }
-    }
-
-    /// Current file length in bytes (the mapped length when memory-mapped).
-    pub(crate) fn len(&self) -> io::Result<u64> {
-        self.source.len()
-    }
-
-    /// Whether reads are served from a memory map.
-    #[cfg(test)]
-    pub(crate) fn is_mapped(&self) -> bool {
-        matches!(self.source, Source::Mapped(_))
+    /// File length in bytes at open.
+    pub(crate) fn len(&self) -> u64 {
+        self.len
     }
 
     /// The whole file as one borrowed slice when it is memory-mapped,
@@ -654,8 +385,41 @@ impl RetryingFile {
     pub(crate) fn mapped(&self) -> Option<&[u8]> {
         match &self.source {
             Source::Mapped(m) => Some(m.as_slice()),
-            _ => None,
+            Source::Plain(_) => None,
         }
+    }
+
+    /// One source read with `plan`'s armed mode applied.
+    fn read_with_faults(&self, plan: &FaultPlan, buf: &mut [u8], offset: u64) -> io::Result<usize> {
+        let fault = |kind, what: &str| -> io::Result<usize> { Err(io::Error::new(kind, what)) };
+        let result = match MODES[plan.0.mode.load(Relaxed) as usize] {
+            FaultMode::Off => return self.source.read_at(buf, offset),
+            FaultMode::Flaky => {
+                let roll = splitmix64(plan.0.seed ^ self.calls.fetch_add(1, Relaxed));
+                let run = CONSECUTIVE_FAULTS.with(Cell::get);
+                if !roll.is_multiple_of(3) || run >= MAX_CONSECUTIVE_FAULTS {
+                    CONSECUTIVE_FAULTS.with(|c| c.set(0));
+                    return self.source.read_at(buf, offset);
+                }
+                CONSECUTIVE_FAULTS.with(|c| c.set(run + 1));
+                match ((roll >> 32) % 3, buf.len() / 2) {
+                    (1, _) => fault(ErrorKind::WouldBlock, "injected EAGAIN"),
+                    // A short read really delivers the first half.
+                    (2, half @ 1..) => self.source.read_at(&mut buf[..half], offset),
+                    _ => fault(ErrorKind::Interrupted, "injected EINTR"),
+                }
+            }
+            FaultMode::Storm => fault(ErrorKind::Interrupted, "injected transient storm"),
+            FaultMode::Corrupt => {
+                let n = self.source.read_at(buf, offset)?;
+                buf[..n].iter_mut().for_each(|b| *b ^= 0xA5);
+                Ok(n)
+            }
+            FaultMode::Eof => Ok(0),
+            FaultMode::Deny => fault(ErrorKind::PermissionDenied, "injected permission fault"),
+        };
+        plan.0.injected.fetch_add(1, Relaxed);
+        result
     }
 
     /// Reads exactly `buf.len()` bytes at absolute `offset`, without
@@ -663,54 +427,40 @@ impl RetryingFile {
     /// permanent errors (including EOF) return immediately.
     pub(crate) fn read_exact_at(&self, mut buf: &mut [u8], mut offset: u64) -> io::Result<()> {
         let mut attempts = 0u32;
-        let mut backoff = self.policy.initial_backoff;
+        let mut backoff = INITIAL_BACKOFF;
         while !buf.is_empty() {
-            match self.tapped_read_at(buf, offset) {
-                Ok(0) => {
-                    // EOF mid-fill is permanent: the bytes are not there.
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "failed to fill whole buffer",
-                    ));
-                }
+            let read = match &self.tap {
+                None => self.source.read_at(buf, offset),
+                Some(plan) => self.read_with_faults(plan, buf, offset),
+            };
+            match read {
+                // EOF mid-fill is permanent: the bytes are not there.
+                Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
                 Ok(n) => {
                     offset += n as u64;
                     let whole = n == buf.len();
                     let rest = buf;
                     buf = &mut rest[n..];
                     if !whole {
-                        // Short read: transient; the loop continues at the
-                        // advanced offset with no backoff (progress was
-                        // made, so this cannot spin forever).
+                        // Short read: transient; continue at the advanced
+                        // offset with no backoff (progress was made).
                         self.retries.inc(1);
                     }
                     attempts = 0;
-                    backoff = self.policy.initial_backoff;
+                    backoff = INITIAL_BACKOFF;
                 }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::Interrupted | io::ErrorKind::WouldBlock
-                    ) =>
-                {
+                Err(e) if matches!(e.kind(), ErrorKind::Interrupted | ErrorKind::WouldBlock) => {
                     attempts += 1;
-                    if attempts > self.policy.max_retries {
+                    if attempts > MAX_RETRIES {
                         self.exhausted.inc(1);
                         return Err(e);
                     }
                     self.retries.inc(1);
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                    }
-                    // `Duration * 2` panics on overflow; saturate instead.
-                    backoff = backoff
-                        .checked_mul(2)
-                        .unwrap_or(Duration::MAX)
-                        .min(self.policy.max_backoff);
+                    std::thread::sleep(backoff);
+                    backoff = (backoff * 2).min(MAX_BACKOFF);
                 }
-                // Permanent (NotFound, PermissionDenied, UnexpectedEof,
-                // corrupt-data errors raised above this layer, …): never
-                // retried.
+                // Permanent (NotFound, PermissionDenied, UnexpectedEof, …):
+                // never retried.
                 Err(e) => return Err(e),
             }
         }
@@ -721,23 +471,20 @@ impl RetryingFile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
 
     fn data_file(name: &str, bytes: &[u8]) -> std::path::PathBuf {
         let dir = crate::tests::test_root("ndss_pread");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(name);
-        let mut f = File::create(&path).unwrap();
-        f.write_all(bytes).unwrap();
+        std::fs::write(&path, bytes).unwrap();
         path
     }
 
-    fn no_backoff() -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 8,
-            initial_backoff: Duration::ZERO,
-            max_backoff: Duration::ZERO,
-        }
+    /// A plan on every file, armed in `mode`, and the options attaching it.
+    fn armed(mode: FaultMode, seed: u64) -> (FaultPlan, ReadOptions) {
+        let plan = FaultPlan::new("", seed);
+        plan.arm(mode);
+        (plan.clone(), ReadOptions::with_faults(plan))
     }
 
     #[test]
@@ -777,20 +524,13 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Under an aggressive injector (fault on every other call), every read
-    /// still returns the right bytes, and faults were really injected.
+    /// Under an armed `Flaky` plan every read still returns the right
+    /// bytes, and faults were really injected.
     #[test]
     fn transient_faults_are_absorbed_bit_exactly() {
         let data: Vec<u8> = (0..8192u32).map(|i| (i * 7 % 256) as u8).collect();
         let path = data_file("flaky.bin", &data);
-        let faults = FaultConfig::new(0xF00D).fault_every(2);
-        let stats = faults.stats();
-        let options = ReadOptions {
-            retry: no_backoff(),
-            faults: Some(faults),
-            mmap: false,
-            chaos: None,
-        };
+        let (plan, options) = armed(FaultMode::Flaky, 0xF00D);
         let f = RetryingFile::open(&path, &options).unwrap();
         let mut buf = vec![0u8; 100];
         for round in 0..300u64 {
@@ -798,7 +538,7 @@ mod tests {
             f.read_exact_at(&mut buf, off).unwrap();
             assert_eq!(&buf[..], &data[off as usize..off as usize + 100]);
         }
-        assert!(stats.injected() > 0, "injector never fired");
+        assert!(plan.injected() > 0, "injector never fired");
         std::fs::remove_file(&path).ok();
     }
 
@@ -809,198 +549,202 @@ mod tests {
         let data = vec![0xABu8; 4096];
         let path = data_file("deterministic.bin", &data);
         let run = |seed: u64| {
-            let faults = FaultConfig::new(seed).fault_every(3);
-            let stats = faults.stats();
-            let options = ReadOptions {
-                retry: no_backoff(),
-                faults: Some(faults),
-                mmap: false,
-                chaos: None,
-            };
+            let (plan, options) = armed(FaultMode::Flaky, seed);
             let f = RetryingFile::open(&path, &options).unwrap();
             let mut buf = [0u8; 64];
             for i in 0..200u64 {
                 f.read_exact_at(&mut buf, (i * 13) % 4000).unwrap();
             }
-            stats.injected()
+            plan.injected()
         };
         assert_eq!(run(42), run(42));
         assert!(run(42) > 0);
         std::fs::remove_file(&path).ok();
     }
 
-    /// Reads inside the hard range exhaust the retry budget and fail with
-    /// the transient error; reads outside it keep working.
+    /// A reader opened with the plan off works; once `Storm` is armed one
+    /// logical read makes exactly `MAX_RETRIES + 1` attempts and fails with
+    /// the transient error; disarming heals it.
     #[test]
-    fn hard_range_exhausts_retries() {
-        let data = vec![0x55u8; 4096];
-        let path = data_file("hard.bin", &data);
-        let faults = FaultConfig::new(1).fault_every(0).hard_range(1024, 2048);
-        let options = ReadOptions {
-            retry: no_backoff(),
-            faults: Some(faults),
-            mmap: false,
-            chaos: None,
-        };
-        let f = RetryingFile::open(&path, &options).unwrap();
+    fn storm_exhausts_retries() {
+        let path = data_file("storm.bin", &[0x55u8; 4096]);
+        let plan = FaultPlan::new("storm.bin", 1);
+        let f = RetryingFile::open(&path, &ReadOptions::with_faults(plan.clone())).unwrap();
         let mut buf = [0u8; 64];
         f.read_exact_at(&mut buf, 0).unwrap();
-        f.read_exact_at(&mut buf, 3000).unwrap();
+        plan.arm(FaultMode::Storm);
         let err = f.read_exact_at(&mut buf, 1500).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::Interrupted);
+        assert_eq!(plan.injected(), u64::from(MAX_RETRIES) + 1);
+        plan.disarm();
+        f.read_exact_at(&mut buf, 3000).unwrap();
+        assert_eq!(buf, [0x55u8; 64]);
         std::fs::remove_file(&path).ok();
     }
 
-    /// Memory-mapped reads return the same bytes as pread at every offset,
-    /// EOF behaves identically, and the handle really is mapped (on unix).
+    /// The mmap binding answers exactly like pread on adversarial shapes:
+    /// file lengths around page boundaries (the empty file included), reads
+    /// of every length at each page boundary ± 1, at the end of the file,
+    /// past it, and at offsets pread refuses. Each read gives the same
+    /// bytes or the same error kind on both paths.
     #[test]
     fn mmap_reads_match_pread() {
-        let data: Vec<u8> = (0..4096u32)
-            .map(|i| (i.wrapping_mul(31) % 256) as u8)
-            .collect();
-        let path = data_file("mapped.bin", &data);
-        let plain = RetryingFile::open(&path, &ReadOptions::default()).unwrap();
-        let mapped = RetryingFile::open(&path, &ReadOptions::with_mmap()).unwrap();
-        if cfg!(unix) {
-            assert!(mapped.is_mapped(), "unix open with mmap should map");
+        const PAGE: u64 = 4096;
+        for len in [0, 1, PAGE - 1, PAGE, PAGE + 1, 3 * PAGE + 17] {
+            let data: Vec<u8> = (0..len).map(|i| (i.wrapping_mul(31) % 251) as u8).collect();
+            let path = data_file(&format!("mapped_{len}.bin"), &data);
+            let plain = RetryingFile::open(&path, &ReadOptions::default()).unwrap();
+            let mapped = RetryingFile::open(&path, &ReadOptions::with_mmap()).unwrap();
+            if cfg!(unix) {
+                assert!(mapped.mapped().is_some(), "unix open with mmap should map");
+            }
+            assert_eq!(plain.len(), mapped.len());
+            let mut offsets = vec![len, len + 1, i64::MAX as u64, 1 << 63, u64::MAX - 1];
+            for page in 0..=len / PAGE + 1 {
+                let at = page * PAGE;
+                offsets.extend([at.saturating_sub(1), at, at + 1]);
+            }
+            for offset in offsets {
+                for n in [0, 1, 17, PAGE as usize, PAGE as usize + 1] {
+                    let (mut a, mut b) = (vec![0u8; n], vec![0u8; n]);
+                    let ctx = format!("len {len}, offset {offset}, {n} bytes");
+                    match (
+                        plain.read_exact_at(&mut a, offset),
+                        mapped.read_exact_at(&mut b, offset),
+                    ) {
+                        (Ok(()), Ok(())) => {
+                            assert_eq!(a, b, "{ctx}");
+                            if n > 0 {
+                                let at = offset as usize;
+                                assert_eq!(a, data[at..at + n], "{ctx}");
+                            }
+                        }
+                        (Err(pe), Err(me)) => assert_eq!(pe.kind(), me.kind(), "{ctx}"),
+                        (p, m) => panic!("{ctx}: pread {p:?} but mmap {m:?}"),
+                    }
+                }
+            }
+            std::fs::remove_file(&path).ok();
         }
-        assert_eq!(plain.len().unwrap(), mapped.len().unwrap());
-        let mut a = [0u8; 97];
-        let mut b = [0u8; 97];
-        for i in 0..100u64 {
-            let off = (i * 41) % (4096 - 97);
-            plain.read_exact_at(&mut a, off).unwrap();
-            mapped.read_exact_at(&mut b, off).unwrap();
-            assert_eq!(a, b);
-        }
-        // Straddling EOF errors the same way on both paths.
-        let mut buf = [0u8; 16];
-        let pe = plain.read_exact_at(&mut buf, 4090).unwrap_err();
-        let me = mapped.read_exact_at(&mut buf, 4090).unwrap_err();
-        assert_eq!(pe.kind(), io::ErrorKind::UnexpectedEof);
-        assert_eq!(me.kind(), io::ErrorKind::UnexpectedEof);
-        // Entirely past EOF too.
-        let err = mapped.read_exact_at(&mut buf, 1 << 20).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-        std::fs::remove_file(&path).ok();
     }
 
-    /// A fault injector forces the read path even when mmap is requested,
-    /// and an empty file maps to an empty view without erroring.
     #[test]
     fn mmap_yields_to_faults_and_handles_empty_files() {
         let path = data_file("mapped_faults.bin", &[7u8; 256]);
-        let options = ReadOptions {
-            retry: no_backoff(),
-            faults: Some(FaultConfig::new(9).fault_every(2)),
-            mmap: true,
-            chaos: None,
-        };
+        let (plan, mut options) = armed(FaultMode::Flaky, 9);
+        options.mmap = true;
         let f = RetryingFile::open(&path, &options).unwrap();
-        assert!(!f.is_mapped(), "faults must win over mmap");
+        assert!(f.mapped().is_none(), "faults must win over mmap");
         let mut buf = [0u8; 32];
-        f.read_exact_at(&mut buf, 100).unwrap();
-        assert_eq!(buf, [7u8; 32]);
+        for offset in 0..16 {
+            f.read_exact_at(&mut buf, 100 + offset).unwrap();
+            assert_eq!(buf, [7u8; 32]);
+        }
+        assert!(plan.injected() > 0, "injector never fired");
         std::fs::remove_file(&path).ok();
 
         let empty = data_file("mapped_empty.bin", &[]);
         let f = RetryingFile::open(&empty, &ReadOptions::with_mmap()).unwrap();
-        assert_eq!(f.len().unwrap(), 0);
+        assert_eq!(f.len(), 0);
         let err = f.read_exact_at(&mut buf, 0).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         std::fs::remove_file(&empty).ok();
     }
 
-    /// A chaos tap armed mid-stream makes a live reader fail in the armed
-    /// mode, disarming heals it, and untargeted files never see the tap.
+    /// A plan armed mid-stream makes a live reader fail in the armed mode,
+    /// disarming heals it, and untargeted files never see the tap.
     #[test]
     fn chaos_tap_arms_and_disarms_on_a_live_reader() {
         let data: Vec<u8> = (0..1024u32).map(|i| (i % 251) as u8).collect();
         let hit = data_file("chaos_target.bin", &data);
         let miss = data_file("other.bin", &data);
-        let chaos = ChaosPlan::targeting("chaos_target");
-        let options = ReadOptions {
-            retry: no_backoff(),
-            chaos: Some(chaos.clone()),
-            ..ReadOptions::default()
-        };
+        let plan = FaultPlan::new("chaos_target", 0);
+        let options = ReadOptions::with_faults(plan.clone());
         let tapped = RetryingFile::open(&hit, &options).unwrap();
         let untapped = RetryingFile::open(&miss, &options).unwrap();
-        assert_eq!(chaos.attached(), 1, "only the matched file attaches");
+        assert_eq!(plan.attached(), 1, "only the matched file attaches");
 
         let mut buf = [0u8; 32];
         tapped.read_exact_at(&mut buf, 8).unwrap();
         assert_eq!(&buf[..], &data[8..40], "dormant tap passes through");
 
-        chaos.arm(ChaosMode::TransientStorm);
+        plan.arm(FaultMode::Storm);
         let err = tapped.read_exact_at(&mut buf, 8).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::Interrupted);
         untapped.read_exact_at(&mut buf, 8).unwrap();
 
-        chaos.arm(ChaosMode::Eof);
+        plan.arm(FaultMode::Eof);
         let err = tapped.read_exact_at(&mut buf, 8).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
 
-        chaos.arm(ChaosMode::Deny);
+        plan.arm(FaultMode::Deny);
         let err = tapped.read_exact_at(&mut buf, 8).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::PermissionDenied);
 
-        chaos.arm(ChaosMode::Corrupt);
+        plan.arm(FaultMode::Corrupt);
         tapped.read_exact_at(&mut buf, 8).unwrap();
         let flipped: Vec<u8> = data[8..40].iter().map(|b| b ^ 0xA5).collect();
         assert_eq!(&buf[..], &flipped[..], "corrupt mode flips every byte");
 
-        chaos.disarm();
+        plan.disarm();
         tapped.read_exact_at(&mut buf, 8).unwrap();
         assert_eq!(&buf[..], &data[8..40], "disarming heals the reader");
-        assert!(chaos.injected() >= 4);
+        assert!(plan.injected() >= 4);
         std::fs::remove_file(&hit).ok();
         std::fs::remove_file(&miss).ok();
     }
 
-    /// A chaos tap forces the positioned-read path so mapped decoding
-    /// cannot bypass it; unmatched files still map.
+    /// The one mmap rule: a reader with a plan attached reads by pread —
+    /// whether the plan is off or armed — so mapped decoding cannot bypass
+    /// the tap; files the plan does not target still map.
     #[test]
     fn chaos_tap_forces_pread_over_mmap() {
         let path = data_file("chaos_mmap.bin", &[3u8; 512]);
-        let chaos = ChaosPlan::targeting("chaos_mmap");
+        let other = data_file("plain_mmap.bin", &[4u8; 512]);
+        let plan = FaultPlan::new("chaos_mmap", 9);
         let options = ReadOptions {
             mmap: true,
-            chaos: Some(chaos.clone()),
-            ..ReadOptions::default()
+            faults: Some(plan.clone()),
         };
-        let f = RetryingFile::open(&path, &options).unwrap();
-        assert!(!f.is_mapped(), "tapped files must not map");
-        let other = data_file("plain_mmap.bin", &[4u8; 512]);
-        let f = RetryingFile::open(&other, &options).unwrap();
+        let tapped = RetryingFile::open(&path, &options).unwrap();
+        assert!(tapped.mapped().is_none(), "tapped files must not map");
         if cfg!(unix) {
-            assert!(f.is_mapped(), "untapped files still map");
+            let untapped = RetryingFile::open(&other, &options).unwrap();
+            assert!(untapped.mapped().is_some(), "untapped files still map");
         }
+        plan.arm(FaultMode::Flaky);
+        let mut buf = [0u8; 32];
+        for offset in 0..64 {
+            tapped.read_exact_at(&mut buf, offset).unwrap();
+            assert_eq!(buf, [3u8; 32]);
+        }
+        assert!(plan.injected() > 0, "faults flowed through the read path");
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&other).ok();
     }
 
-    /// Permanent errors are not retried: with a zero retry budget (any
-    /// retry attempt would error as exhausted), EOF still surfaces as
-    /// `UnexpectedEof` on the first attempt rather than as a transient.
+    /// Permanent errors are not retried: under `Eof` and `Deny` one
+    /// logical read makes exactly one attempt, and a real EOF surfaces as
+    /// `UnexpectedEof` rather than as a transient.
     #[test]
     fn permanent_errors_never_retry() {
         let path = data_file("short.bin", &[1, 2, 3, 4]);
-        let options = ReadOptions {
-            retry: RetryPolicy {
-                max_retries: 0,
-                initial_backoff: Duration::ZERO,
-                max_backoff: Duration::ZERO,
-            },
-            faults: None,
-            mmap: false,
-            chaos: None,
-        };
+        let (plan, options) = armed(FaultMode::Off, 0);
         let f = RetryingFile::open(&path, &options).unwrap();
         let mut buf = [0u8; 16];
         // Entirely past EOF: the very first positioned read returns 0.
         let err = f.read_exact_at(&mut buf, 100).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        for (mode, kind) in [
+            (FaultMode::Eof, io::ErrorKind::UnexpectedEof),
+            (FaultMode::Deny, io::ErrorKind::PermissionDenied),
+        ] {
+            plan.arm(mode);
+            let before = plan.injected();
+            let err = f.read_exact_at(&mut buf[..4], 0).unwrap_err();
+            assert_eq!(err.kind(), kind);
+            assert_eq!(plan.injected(), before + 1, "{mode:?} was retried");
+        }
         std::fs::remove_file(&path).ok();
     }
 }

@@ -44,7 +44,7 @@ use ndss_json::{Json, ObjectBuilder};
 
 use crate::build::{build_and_write, ExternalIndexBuilder, DEFAULT_MEMORY_BUDGET};
 use crate::generation::GenerationStore;
-use crate::journal::KillPoints;
+use crate::journal::{self, KillPoints};
 use crate::{record, DiskIndex, IndexAccess, IndexConfig, IndexError};
 
 /// File in the store root holding the shard manifest.
@@ -468,12 +468,9 @@ pub struct ShardedBuildOptions {
     pub threads: usize,
     /// Deterministic crash injector threaded into every shard's external
     /// build — the fault-injection harness's hook; `None` in production.
+    /// A build with one installed runs one shard at a time on one thread,
+    /// so crash site `n` names the same on-disk state on every run.
     pub kill: Option<Arc<KillPoints>>,
-    /// Fully serial build: one cross-shard worker *and* no intra-shard
-    /// parallelism. Crash-injection sweeps need this so crash site `n`
-    /// means the same on-disk state on every run; production builds never
-    /// set it.
-    pub serial: bool,
 }
 
 impl Default for ShardedBuildOptions {
@@ -485,7 +482,6 @@ impl Default for ShardedBuildOptions {
             keep: 0,
             threads: 0,
             kill: None,
-            serial: false,
         }
     }
 }
@@ -514,15 +510,14 @@ pub fn build_sharded<C: CorpusSource + ?Sized>(
     }
     let ranges = partition_texts(corpus.num_texts(), num_shards);
     let mut store = ShardedStore::create(root, &ranges)?;
-    let workers = if opts.serial {
-        1
-    } else {
+    let workers = journal::threads_under(
+        &opts.kill,
         match opts.threads {
             0 => ndss_parallel::default_threads().min(num_shards),
             n => n.min(num_shards),
-        }
-    };
-    let intra_parallel = workers <= 1 && !opts.serial;
+        },
+    );
+    let intra_parallel = workers <= 1;
     let shard_ids: Vec<usize> = (0..num_shards).collect();
     let names: Vec<String> = ndss_parallel::try_map(&shard_ids, workers, |_, &i| {
         build_one_shard(corpus, config.clone(), &store, i, intra_parallel, opts)

@@ -194,7 +194,7 @@ impl ShardedIndex {
     }
 
     /// The global text ids shard `i` holds.
-    pub fn shard_range(&self, i: usize) -> std::ops::Range<TextId> {
+    pub fn texts_of(&self, i: usize) -> std::ops::Range<TextId> {
         let slot = &self.shards[i];
         slot.base..slot.base + slot.index.config().num_texts as TextId
     }

@@ -90,8 +90,8 @@ pub(crate) fn probe_once(shared: &Shared) -> bool {
 /// Re-verifies one shard against the bytes on disk: open + header/config
 /// validation (cheap) first, then the full content-checksum walk. A fresh
 /// open is deliberate — the serving view's handles may be poisoned (or
-/// chaos-tapped); health is judged on what a *new* open would see, which
-/// is exactly what a forced reload re-admits.
+/// carry a fault plan); health is judged on what a *new* open would see,
+/// which is exactly what a forced reload re-admits.
 fn verify_shard_on_disk(store: &Path, shard: usize) -> Result<(), IndexError> {
     if ShardedStore::is_sharded(store) {
         let sharded = ShardedStore::open(store)?;

@@ -1,9 +1,9 @@
 //! The serve-path chaos harness: seeded fault sweeps over live sharded
 //! views and the serving daemon.
 //!
-//! Faults are injected through [`ChaosPlan`] — a runtime tap attached at
-//! open to one shard's files and armed/disarmed *while queries are in
-//! flight* — so these tests exercise exactly the failure the fault-
+//! Faults are injected through [`FaultPlan`] — the read-fault injector,
+//! attached at open to one shard's files and armed/disarmed *while queries
+//! are in flight* — so these tests exercise exactly the failure the fault-
 //! isolation layer exists for: an already-serving shard going bad under a
 //! live reader. The sweep grid is
 //!
@@ -35,7 +35,7 @@
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use ndss::index::{build_and_write, CacheConfig, ChaosMode, ChaosPlan};
+use ndss::index::{build_and_write, CacheConfig, FaultMode, FaultPlan};
 use ndss::prelude::*;
 use ndss::query::{BreakerConfig, BreakerState, FaultKind, FaultPolicy, ServingOptions};
 use ndss::serve::client::{FrameClient, HttpClient};
@@ -51,11 +51,11 @@ const FORMATS: [(bool, bool, &str); 3] = [
     (true, false, "v4"),
     (false, true, "v6"),
 ];
-const CHAOS_MODES: [(ChaosMode, &str); 4] = [
-    (ChaosMode::TransientStorm, "storm"),
-    (ChaosMode::Corrupt, "corrupt"),
-    (ChaosMode::Eof, "eof"),
-    (ChaosMode::Deny, "deny"),
+const CHAOS_MODES: [(FaultMode, &str); 4] = [
+    (FaultMode::Storm, "storm"),
+    (FaultMode::Corrupt, "corrupt"),
+    (FaultMode::Eof, "eof"),
+    (FaultMode::Deny, "deny"),
 ];
 const TIMEOUT: Duration = Duration::from_secs(30);
 
@@ -77,10 +77,10 @@ fn breaker_cfg() -> BreakerConfig {
 }
 
 /// Serving options with `plan`'s tap attached and the fast breakers.
-fn chaos_options(plan: &ChaosPlan, cache: CacheConfig) -> ServingOptions {
+fn chaos_options(plan: &FaultPlan, cache: CacheConfig) -> ServingOptions {
     ServingOptions {
         cache,
-        io: ndss::index::ReadOptions::with_chaos(plan.clone()),
+        io: ndss::index::ReadOptions::with_faults(plan.clone()),
         breaker: breaker_cfg(),
     }
 }
@@ -135,8 +135,8 @@ fn oracle_outcomes(
 }
 
 /// The faulty shard's global text-id range `[lo, hi)`.
-fn shard_range(view: &ShardedIndex, shard: usize) -> (TextId, TextId) {
-    let range = view.shard_range(shard);
+fn text_bounds(view: &ShardedIndex, shard: usize) -> (TextId, TextId) {
+    let range = view.texts_of(shard);
     (range.start, range.end)
 }
 
@@ -161,7 +161,7 @@ fn assert_degraded_exactly(
     allowed: &[FaultKind],
     ctx: &str,
 ) {
-    let (lo, hi) = shard_range(view, faulty);
+    let (lo, hi) = text_bounds(view, faulty);
     assert!(!outcome.complete, "degraded outcome must say so ({ctx})");
     assert_eq!(
         outcome.degraded.len(),
@@ -189,18 +189,18 @@ fn assert_degraded_exactly(
     );
 }
 
-/// Fault kinds each chaos mode may legitimately classify to. A transient
+/// Fault kinds each armed mode may legitimately classify to. A transient
 /// storm exhausts the IO retry budget (transient); EOF means the file no
 /// longer matches its header (corruption); denial is permanent; XOR bit
 /// rot surfaces wherever a decode or bounds check first notices
 /// (corruption), or occasionally as a short/failed read (transient).
-fn allowed_kinds(mode: ChaosMode) -> &'static [FaultKind] {
+fn allowed_kinds(mode: FaultMode) -> &'static [FaultKind] {
     match mode {
-        ChaosMode::TransientStorm => &[FaultKind::Transient],
-        ChaosMode::Eof => &[FaultKind::Corruption],
-        ChaosMode::Deny => &[FaultKind::Permanent],
-        ChaosMode::Corrupt => &[FaultKind::Corruption, FaultKind::Transient],
-        ChaosMode::Off => &[],
+        FaultMode::Storm => &[FaultKind::Transient],
+        FaultMode::Eof => &[FaultKind::Corruption],
+        FaultMode::Deny => &[FaultKind::Permanent],
+        FaultMode::Corrupt => &[FaultKind::Corruption, FaultKind::Transient],
+        FaultMode::Off | FaultMode::Flaky => &[],
     }
 }
 
@@ -213,16 +213,15 @@ fn chaos_scenario(
     store: &Path,
     oracle: &[SearchOutcome],
     queries: &[Vec<TokenId>],
-    mode: ChaosMode,
+    mode: FaultMode,
     mmap: bool,
     faulty: usize,
     ctx: &str,
 ) -> bool {
-    let plan = ChaosPlan::targeting(format!("shard-{faulty:04}"));
+    let plan = FaultPlan::new(&format!("shard-{faulty:04}"), 0);
     let io = ndss::index::ReadOptions {
         mmap,
-        chaos: Some(plan.clone()),
-        ..Default::default()
+        faults: Some(plan.clone()),
     };
     // Caching stays off: a warmed posting cache would satisfy the armed
     // rounds without ever touching the tapped files.
@@ -234,7 +233,7 @@ fn chaos_scenario(
     let view = ShardedIndex::open_with(store, &options).unwrap();
     assert_eq!(view.num_shards(), SHARDS);
     assert!(plan.attached() > 0, "tap attached to no files ({ctx})");
-    let (lo, hi) = shard_range(&view, faulty);
+    let (lo, hi) = text_bounds(&view, faulty);
     let searcher = view
         .searcher()
         .unwrap()
@@ -271,7 +270,7 @@ fn chaos_scenario(
         });
         if got.degraded.is_empty() {
             assert!(
-                mode == ChaosMode::Corrupt,
+                mode == FaultMode::Corrupt,
                 "{mode:?} must always be detected, round {round} ({ctx})"
             );
         } else {
@@ -376,7 +375,7 @@ fn chaos_sweep_across_formats_read_paths_and_fault_kinds() {
                     let detected =
                         chaos_scenario(&store, &oracle, &queries, mode, mmap, faulty, &ctx);
                     ran += 1;
-                    if mode == ChaosMode::Corrupt {
+                    if mode == FaultMode::Corrupt {
                         corrupt_ran += 1;
                         corrupt_detected += detected as usize;
                     } else {
@@ -512,13 +511,45 @@ fn deletion_and_repair_round_trips_through_verification() {
     println!("chaos-deletion: {ran} scenarios, zero panics, full recovery");
 }
 
+/// `verify` reports the fault the read path saw: an exhausted transient
+/// storm classifies as transient, a denied read as permanent, and only
+/// bytes that fail their checksum as corruption — so the health prober's
+/// path never mistakes a read fault for bit rot.
+#[test]
+fn verify_failures_classify_as_the_read_fault() {
+    let (corpus, _) = workload(SEEDS[0]);
+    for (compress, packed, format) in FORMATS {
+        let dir = scratch("chaos", &format!("verify_classify_{format}"));
+        build_and_write(&corpus, config(compress, packed), &dir, true).unwrap();
+        let plan = FaultPlan::new("", 0);
+        let io = ReadOptions::with_faults(plan.clone());
+        let index = DiskIndex::open_with_io(&dir, CacheConfig::disabled(), io).unwrap();
+        index.verify_integrity().unwrap();
+        for (mode, kind) in [
+            (FaultMode::Storm, FaultKind::Transient),
+            (FaultMode::Deny, FaultKind::Permanent),
+            (FaultMode::Corrupt, FaultKind::Corruption),
+        ] {
+            plan.arm(mode);
+            let err = index
+                .verify_integrity()
+                .expect_err("an armed plan must fail verify");
+            let got = ndss::query::classify(&QueryError::from(err));
+            assert_eq!(got, Some(kind), "{format}: verify under {mode:?}");
+        }
+        plan.disarm();
+        index.verify_integrity().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 /// When *every* shard faults, the searcher returns a classified
 /// all-quarantined error instead of an empty "success".
 #[test]
 fn all_shards_faulting_is_an_error_not_an_empty_result() {
     let (corpus, queries) = workload(SEEDS[0]);
     let store = build_store(&corpus, false, true, "all_out");
-    let plan = ChaosPlan::targeting("shard-"); // taps every shard
+    let plan = FaultPlan::new("shard-", 0); // taps every shard
     let view =
         ShardedIndex::open_with(&store, &chaos_options(&plan, CacheConfig::default())).unwrap();
     let searcher = view
@@ -527,7 +558,7 @@ fn all_shards_faulting_is_an_error_not_an_empty_result() {
         .threads(SHARDS)
         .fault_policy(FaultPolicy::Isolate);
 
-    plan.arm(ChaosMode::Deny);
+    plan.arm(FaultMode::Deny);
     let err = searcher
         .search(&queries[0], THETA)
         .expect_err("an answer built from zero shards is not an answer");
@@ -565,12 +596,12 @@ fn all_shards_faulting_is_an_error_not_an_empty_result() {
 fn fail_fast_policy_still_propagates_shard_errors() {
     let (corpus, queries) = workload(SEEDS[1]);
     let store = build_store(&corpus, false, false, "failfast");
-    let plan = ChaosPlan::targeting("shard-0001");
+    let plan = FaultPlan::new("shard-0001", 0);
     let view =
         ShardedIndex::open_with(&store, &chaos_options(&plan, CacheConfig::default())).unwrap();
     let searcher = view.searcher().unwrap().threads(SHARDS); // default policy
 
-    plan.arm(ChaosMode::Deny);
+    plan.arm(FaultMode::Deny);
     let err = searcher.search(&queries[0], THETA).expect_err("fail fast");
     assert!(
         !matches!(err, QueryError::AllShardsQuarantined { .. }),
@@ -587,7 +618,7 @@ fn fail_fast_policy_still_propagates_shard_errors() {
 
 fn chaos_server(
     store: &Path,
-    plan: &ChaosPlan,
+    plan: &FaultPlan,
     probe_interval: Option<Duration>,
 ) -> ndss::serve::RunningServer {
     let serving =
@@ -622,12 +653,12 @@ fn daemon_degrades_labels_exactly_and_self_heals() {
     let (corpus, queries) = workload(SEEDS[0]);
     let store = build_store(&corpus, false, true, "daemon");
     let faulty = 2usize;
-    let plan = ChaosPlan::targeting(format!("shard-{faulty:04}"));
+    let plan = FaultPlan::new(&format!("shard-{faulty:04}"), 0);
     let server = chaos_server(&store, &plan, Some(Duration::from_millis(50)));
     let addr = server.handle().addr();
 
     let view = ShardedIndex::open(&store).unwrap();
-    let (lo, hi) = shard_range(&view, faulty);
+    let (lo, hi) = text_bounds(&view, faulty);
 
     let mut http = HttpClient::connect(addr, TIMEOUT).unwrap();
     let body = search_body(&queries[0]);
@@ -644,7 +675,7 @@ fn daemon_degrades_labels_exactly_and_self_heals() {
 
     // Fault the shard under the live daemon: responses must degrade with
     // the exact range, on both protocols.
-    plan.arm(ChaosMode::Deny);
+    plan.arm(FaultMode::Deny);
     let deadline = Instant::now() + Duration::from_secs(10);
     let degraded_doc = loop {
         let reply = http.request("POST", "/search", body.as_bytes()).unwrap();

@@ -367,9 +367,10 @@ fn interrupted_build_is_reported_resumable_and_openable_after_resume() {
 /// fresh — the resumed store's bytes (every shard's generation files and
 /// the manifest itself) equal an uninterrupted build's.
 ///
-/// Builds run fully serial (`serial: true`): crash site `n` must mean the
-/// same on-disk state on every run, which either cross-shard or intra-shard
-/// thread scheduling would break.
+/// A build with an injector installed runs one shard at a time on one
+/// thread, so crash site `n` means the same on-disk state on every run; the
+/// reference and resume builds run in parallel, since a build's bytes do
+/// not depend on its thread count.
 #[test]
 fn sharded_build_resumes_byte_identical_per_shard() {
     let (corpus, _) = SyntheticCorpusBuilder::new(92)
@@ -382,7 +383,6 @@ fn sharded_build_resumes_byte_identical_per_shard() {
         memory_budget: 1 << 13,
         resume,
         keep: 1,
-        serial: true,
         kill,
         ..ShardedBuildOptions::default()
     };

@@ -606,3 +606,131 @@ fn memtable_manifest_rejects_corruption() {
     assert_alloc_cap("memtable manifest");
     std::fs::remove_dir_all(&root).ok();
 }
+
+// ---------------------------------------------------------------------------
+// The network surface: NDSB payloads and frames, HTTP requests, JSON bodies.
+// ---------------------------------------------------------------------------
+
+use ndss::serve::frame::{self, SearchRequest, SearchResponse, WireDegraded, WireMatch};
+use ndss::serve::http;
+
+/// Mutation seeds per valid input.
+const NET_SEEDS: u64 = 256;
+
+/// Feeds `NET_SEEDS` seeded mutations of each valid input to `parse`, which
+/// must return — accepted (`true`) or rejected — on every one: no panic, no
+/// allocation over the cap. Each pristine input must be accepted and some
+/// mutation rejected, so the sweep really reached the parser. Returns the
+/// number of cases run.
+fn net_sweep(name: &str, inputs: &[Vec<u8>], parse: impl Fn(&[u8]) -> bool) -> u64 {
+    let mut rejected = 0u64;
+    for (i, input) in inputs.iter().enumerate() {
+        assert!(
+            parse(input),
+            "{name} input {i}: the pristine input must parse"
+        );
+        for seed in 0..NET_SEEDS {
+            let (mutated, mutation) = mutate(input, seed);
+            match catch_unwind(AssertUnwindSafe(|| parse(&mutated))) {
+                Err(_) => panic!("{name} input {i} seed {seed}: {mutation:?} caused a panic"),
+                Ok(accepted) => rejected += u64::from(!accepted),
+            }
+        }
+    }
+    assert!(rejected > 0, "{name}: no mutation was rejected");
+    assert_alloc_cap(name);
+    inputs.len() as u64 * NET_SEEDS
+}
+
+/// The daemon is the exposed surface, so its four parsers get the file
+/// formats' treatment: NDSB request and response payloads, framed NDSB
+/// streams, HTTP request heads with bodies, and JSON bodies.
+#[test]
+fn network_parsers_survive_mutation_sweep() {
+    let request = frame::encode_search_request(&SearchRequest {
+        theta: 0.8,
+        deadline_ms: 250,
+        top: 10,
+        query: (0..40).collect(),
+    });
+    let complete = SearchResponse {
+        complete: true,
+        generation: 7,
+        beta: 13,
+        total_sequences: 99,
+        matches: (0..3)
+            .map(|text| WireMatch {
+                text,
+                collisions: 15,
+                spans: vec![(10, 90), (120, 200)],
+            })
+            .collect(),
+        degraded: Vec::new(),
+    };
+    let degraded = SearchResponse {
+        complete: false,
+        degraded: vec![WireDegraded {
+            shard: 1,
+            first_text: 500,
+            num_texts: 500,
+            kind: 1,
+            reason: "malformed index: checksum mismatch".into(),
+        }],
+        ..complete.clone()
+    };
+    let responses = [&complete, &degraded].map(frame::encode_search_response);
+    let framed = |payloads: &[&[u8]]| {
+        let mut wire = Vec::new();
+        for payload in payloads {
+            frame::write_frame(&mut wire, payload).unwrap();
+        }
+        wire
+    };
+    let body = br#"{"query":[1,2,3,4,5,6,7,8,9,10],"theta":0.8,"top":5}"#;
+    let mut post = format!(
+        "POST /search HTTP/1.1\r\nHost: localhost\r\nContent-Type: application/json\r\n\
+         Content-Length: {}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    post.extend_from_slice(body);
+    let get = b"GET /metrics HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n".to_vec();
+    let max_body = ndss::serve::ServeConfig::default().max_body_bytes;
+
+    let mut cases = net_sweep("ndsb request", std::slice::from_ref(&request), |p| {
+        frame::decode_request(p).is_ok()
+    });
+    cases += net_sweep("ndsb response", &responses, |p| {
+        frame::decode_search_response(p).is_ok()
+    });
+    // A stream is accepted when every frame reads whole up to a clean end.
+    cases += net_sweep(
+        "ndsb stream",
+        &[framed(&[&request, &request]), framed(&[&responses[1]])],
+        |bytes| {
+            let mut stream = std::io::Cursor::new(bytes);
+            loop {
+                match frame::read_frame(&mut stream) {
+                    Ok(frame::FrameOutcome::Payload(_)) => {}
+                    Ok(frame::FrameOutcome::Closed) => return true,
+                    _ => return false,
+                }
+            }
+        },
+    );
+    cases += net_sweep("http request", &[post, get], |bytes| {
+        let mut stream = std::io::Cursor::new(bytes);
+        loop {
+            match http::read_request(&mut stream, max_body) {
+                Ok(http::ReadOutcome::Request(_)) => {}
+                Ok(http::ReadOutcome::Closed) => return true,
+                _ => return false,
+            }
+        }
+    });
+    let health = br#"{"status":"ok","generation":3,"shards":[{"id":1,"ok":true}]}"#;
+    cases += net_sweep("json body", &[body.to_vec(), health.to_vec()], |bytes| {
+        ndss::json::Json::parse(&String::from_utf8_lossy(bytes)).is_ok()
+    });
+    println!("net-mutation: {cases} cases, zero panics");
+}

@@ -27,6 +27,13 @@ fn workload(seed: u64) -> (InMemoryCorpus, Vec<Vec<TokenId>>) {
     (corpus, queries)
 }
 
+/// A plan on every index file, armed `Flaky` with `seed`.
+fn flaky_plan(seed: u64) -> FaultPlan {
+    let plan = FaultPlan::new("", seed);
+    plan.arm(FaultMode::Flaky);
+    plan
+}
+
 fn build(corpus: &InMemoryCorpus, dir: &std::path::Path, compress: bool) {
     // Tiny zone thresholds so long-list probes (and their reads) engage.
     let config = IndexConfig::new(16, 25, 5)
@@ -35,7 +42,7 @@ fn build(corpus: &InMemoryCorpus, dir: &std::path::Path, compress: bool) {
     ndss::index::build_and_write(corpus, config, dir, true).unwrap();
 }
 
-/// Under a seeded fault injector the retry layer absorbs every transient
+/// Under a seeded `Flaky` plan the retry layer absorbs every transient
 /// error and queries return results bit-identical to a fault-free run —
 /// for both the fixed-width (v3) and compressed (v4) formats — while the
 /// `io.retries` counter proves retries really happened.
@@ -55,12 +62,11 @@ fn faulty_reads_yield_bit_identical_results() {
 
         let retries = Registry::global().counter("io.retries", "");
         for seed in [1u64, 7, 0xDEAD_BEEF] {
-            let faults = FaultConfig::new(seed).fault_every(3);
-            let stats = faults.stats();
+            let plan = flaky_plan(seed);
             let flaky = DiskIndex::open_with_io(
                 &dir,
                 CacheConfig::disabled(),
-                ReadOptions::with_faults(faults),
+                ReadOptions::with_faults(plan.clone()),
             )
             .unwrap();
             let retries_before = retries.get();
@@ -70,7 +76,7 @@ fn faulty_reads_yield_bit_identical_results() {
                 .search_all(&queries, 0.8)
                 .unwrap();
             assert!(
-                stats.injected() > 0,
+                plan.injected() > 0,
                 "seed {seed}: injector never fired ({sub})"
             );
             assert!(
@@ -98,12 +104,11 @@ fn fault_injection_is_deterministic_across_runs() {
     build(&corpus, &dir, false);
 
     let run = |seed: u64| {
-        let faults = FaultConfig::new(seed).fault_every(4);
-        let stats = faults.stats();
+        let plan = flaky_plan(seed);
         let index = DiskIndex::open_with_io(
             &dir,
             CacheConfig::disabled(),
-            ReadOptions::with_faults(faults),
+            ReadOptions::with_faults(plan.clone()),
         )
         .unwrap();
         let searcher = NearDupSearcher::new(&index).unwrap();
@@ -111,7 +116,7 @@ fn fault_injection_is_deterministic_across_runs() {
             .iter()
             .map(|q| searcher.search(q, 0.8).unwrap().enumerate_all())
             .collect();
-        (keys, stats.injected())
+        (keys, plan.injected())
     };
     let (results_a, faults_a) = run(42);
     let (results_b, faults_b) = run(42);
@@ -120,9 +125,10 @@ fn fault_injection_is_deterministic_across_runs() {
     assert!(faults_a > 0);
 }
 
-/// A byte range that never stops failing exhausts the retry budget: the
-/// error surfaces (here at open, which reads the directory) instead of
-/// retrying forever, and `io.retry_exhausted` records it.
+/// Reads that never stop failing exhaust the retry budget: under a plan
+/// armed `Storm` at open the error surfaces (here at open, which reads the
+/// directory) instead of retrying forever, and `io.retry_exhausted`
+/// records it.
 #[test]
 fn permanently_failing_range_exhausts_retries() {
     let (corpus, _) = workload(9003);
@@ -131,11 +137,12 @@ fn permanently_failing_range_exhausts_retries() {
 
     let exhausted = Registry::global().counter("io.retry_exhausted", "");
     let before = exhausted.get();
-    let faults = FaultConfig::new(3).fault_every(0).hard_range(0, u64::MAX);
+    let plan = FaultPlan::new("", 3);
+    plan.arm(FaultMode::Storm);
     let result = DiskIndex::open_with_io(
         &dir,
         CacheConfig::disabled(),
-        ReadOptions::with_faults(faults),
+        ReadOptions::with_faults(plan),
     );
     assert!(result.is_err(), "an always-failing file must not open");
     assert!(
@@ -349,11 +356,10 @@ fn budgets_and_faults_compose() {
         .map(|q| serial.search(q, 0.8).unwrap())
         .collect();
 
-    let faults = FaultConfig::new(77).fault_every(3);
     let flaky = DiskIndex::open_with_io(
         &dir,
         CacheConfig::disabled(),
-        ReadOptions::with_faults(faults),
+        ReadOptions::with_faults(flaky_plan(77)),
     )
     .unwrap();
     let results = BatchSearcher::new(&flaky)

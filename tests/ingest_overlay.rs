@@ -13,7 +13,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use ndss::index::{CacheConfig, ChaosMode, ChaosPlan, IngestIndex, IngestOptions};
+use ndss::index::{CacheConfig, FaultMode, FaultPlan, IngestIndex, IngestOptions};
 use ndss::prelude::*;
 use ndss::query::{BreakerConfig, BreakerState, FaultPolicy};
 use ndss_integration::scratch;
@@ -355,10 +355,10 @@ fn one_budget_is_split_across_disk_and_memory_lanes() {
 #[test]
 fn quarantined_disk_still_serves_the_memtable() {
     let (root, ingest) = planted_in_every_lane("disk_quarantined");
-    let plan = ChaosPlan::targeting("gen-");
+    let plan = FaultPlan::new("gen-", 0);
     let options = ServingOptions {
         cache: CacheConfig::disabled(),
-        io: ndss::index::ReadOptions::with_chaos(plan.clone()),
+        io: ndss::index::ReadOptions::with_faults(plan.clone()),
         // One fault trips the breaker for longer than the test runs.
         breaker: BreakerConfig {
             failure_threshold: 1,
@@ -373,7 +373,7 @@ fn quarantined_disk_still_serves_the_memtable() {
     let full = overlay(&disk, &ingest, 2).search(&query, 0.8).unwrap();
     assert!(full.complete && full.degraded.is_empty());
 
-    plan.arm(ChaosMode::Deny);
+    plan.arm(FaultMode::Deny);
     // First the disk lane faults inside the scatter, then it is skipped at
     // admission; the answer is the same both times.
     for round in 0..2 {

@@ -534,22 +534,19 @@ fn sharded_reload_of_one_shard_is_atomic_to_clients() {
 /// other test in this binary.
 #[test]
 fn drain_is_prompt_while_a_shard_is_quarantined() {
-    use ndss::index::{ChaosMode, ChaosPlan};
+    use ndss::index::{FaultMode, FaultPlan};
     use ndss::query::{BreakerConfig, FaultKind, ServingOptions};
 
     let root = scratch("serve", "drain_quarantined");
     let (corpus, queries) = corpus_a();
     build_sharded(&corpus, config(), &root, 2, &ShardedBuildOptions::default()).unwrap();
 
-    let plan = ChaosPlan::targeting("shard-0001");
+    let plan = FaultPlan::new("shard-0001", 0);
     let serving = ServingIndex::open_with_options(
         &root,
         ServingOptions {
             cache: CacheConfig::disabled(),
-            io: ndss::index::ReadOptions {
-                chaos: Some(plan.clone()),
-                ..Default::default()
-            },
+            io: ndss::index::ReadOptions::with_faults(plan.clone()),
             breaker: BreakerConfig {
                 failure_threshold: 1,
                 backoff: Duration::from_secs(60),
@@ -578,7 +575,7 @@ fn drain_is_prompt_while_a_shard_is_quarantined() {
     // The query is a prefix of a text shard 1 owns (texts 10–19), so the
     // scatter must read that shard's postings and hit the armed tap; the
     // denial classifies as a permanent fault and trips immediately.
-    plan.arm(ChaosMode::Deny);
+    plan.arm(FaultMode::Deny);
     let mut http = HttpClient::connect(addr, TIMEOUT).unwrap();
     let shard1_query: Vec<u32> = corpus.text(15)[..40].to_vec();
     let body = search_body(&shard1_query);
