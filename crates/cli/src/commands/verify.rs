@@ -35,12 +35,11 @@ pub const FLAGS: &[&str] = &["corpus", "index", "store", "all-generations"];
 fn verify_generation(dir: &Path) -> Result<String, String> {
     let start = Instant::now();
     let index = DiskIndex::open(dir).map_err(|e| e.to_string())?;
-    index.verify_integrity().map_err(|e| e.to_string())?;
-    let io = index.io_snapshot();
+    let streamed = index.verify_integrity().map_err(|e| e.to_string())?;
     Ok(format!(
         "ok (k = {}, {:.1} MiB streamed, {:.2}s)",
         index.config().k,
-        io.bytes as f64 / (1 << 20) as f64,
+        streamed as f64 / (1 << 20) as f64,
         start.elapsed().as_secs_f64()
     ))
 }
@@ -201,12 +200,11 @@ pub fn run(args: &Args) -> Result<(), String> {
         let start = Instant::now();
         let index =
             DiskIndex::open(&resolve_index_dir(Path::new(index_dir))).map_err(|e| e.to_string())?;
-        index.verify_integrity().map_err(|e| e.to_string())?;
-        let io = index.io_snapshot();
+        let streamed = index.verify_integrity().map_err(|e| e.to_string())?;
         println!(
             "index {index_dir}: ok (k = {}, {:.1} MiB streamed, {:.2}s)",
             index.config().k,
-            io.bytes as f64 / (1 << 20) as f64,
+            streamed as f64 / (1 << 20) as f64,
             start.elapsed().as_secs_f64()
         );
     }

@@ -9,9 +9,10 @@
 //! ```
 //!
 //! [`DiskIndex`] implements [`IndexAccess`] with real IO: every posting or
-//! zone read is positioned into the file and tallied in [`IoStats`]. Zone
-//! maps (v3) and block skip entries (v4/v6) make [`IndexAccess::probe_texts`]
-//! read `O(list / zone_count)` bytes per text instead of the entire list,
+//! zone read is positioned into the file and tallied in the caller's
+//! [`IoStats`]. Zone maps (v3) and block skip entries (v4/v6) make
+//! [`IndexAccess::probe_texts`] read `O(list / zone_count)` bytes per text
+//! instead of the entire list,
 //! which is exactly the §3.5 mechanism that keeps prefix-filtered probes of
 //! long lists cheap; [`IndexAccess::shared_list`] hands out the cached
 //! decoded list itself, so a hot list is never copied.
@@ -25,9 +26,8 @@ use ndss_hash::HashValue;
 use crate::cache::{CacheConfig, ShardedCache};
 use crate::container::Reader;
 use crate::fixed::ZoneCache;
-use crate::metrics::IndexIoMetrics;
 use crate::pread::ReadOptions;
-use crate::{IndexAccess, IndexConfig, IndexError, IoSnapshot, IoStats, Posting, SharedList};
+use crate::{IndexAccess, IndexConfig, IndexError, IoStats, LengthHistogram, Posting, SharedList};
 
 /// File name of the metadata JSON inside an index directory.
 pub const META_FILE: &str = "meta.json";
@@ -41,14 +41,13 @@ pub fn inv_file_path(dir: &Path, func: usize) -> PathBuf {
 pub struct DiskIndex {
     config: IndexConfig,
     readers: Vec<Reader>,
-    stats: IoStats,
     dir: PathBuf,
     /// `histograms[func]`: the list-length histogram of one index file,
     /// computed on first use. The files are immutable while open, and a
     /// reload opens a new `DiskIndex`, so the memo can never go stale —
     /// while a daemon that derives `FrequentFraction` cutoffs per request
     /// stops walking every directory entry each time.
-    histograms: Vec<OnceLock<Vec<(u64, u64)>>>,
+    histograms: Vec<OnceLock<LengthHistogram>>,
     /// Zone maps of v3 lists, read once per (function, hash) and reused
     /// across probes of the same long list, within a query and across
     /// queries. Sharded so concurrent queries don't serialize on one lock;
@@ -56,11 +55,8 @@ pub struct DiskIndex {
     zone_cache: ZoneCache,
     /// Hot decoded posting lists. Skewed workloads fetch the same min-hash
     /// keys over and over; serving those from memory removes the reread
-    /// entirely. Hits and misses are tallied in [`IoStats`].
+    /// entirely. Hits and misses are tallied in the caller's [`IoStats`].
     list_cache: ShardedCache<Arc<Vec<Posting>>>,
-    /// Registry mirror: every delta folded into `stats` is also added to
-    /// the process-wide observability counters.
-    metrics: IndexIoMetrics,
 }
 
 /// Approximate heap weight of a cached posting list, in bytes.
@@ -125,11 +121,9 @@ impl DiskIndex {
             histograms: (0..config.k).map(|_| OnceLock::new()).collect(),
             config,
             readers,
-            stats: IoStats::default(),
             dir: dir.to_owned(),
             zone_cache: ShardedCache::new(cache.zone_budget, cache.shards),
             list_cache: ShardedCache::new(cache.posting_budget, cache.shards),
-            metrics: IndexIoMetrics::register(ndss_obs::Registry::global()),
         })
     }
 
@@ -142,18 +136,17 @@ impl DiskIndex {
 
     /// Streams every inverted-index file against its stored checksums,
     /// verifying the sections `open` did not already load. Together with the
-    /// validation done at open time this covers every byte of the index. IO
-    /// performed is tallied in the index's global stats.
-    pub fn verify_integrity(&self) -> Result<(), IndexError> {
-        let before = self.stats.snapshot();
-        let result = (|| {
-            for reader in &self.readers {
-                reader.verify(&self.stats)?;
-            }
-            Ok(())
-        })();
-        self.metrics.observe(&self.stats.snapshot().since(&before));
-        result
+    /// validation done at open time this covers every byte of the index.
+    /// Returns the bytes streamed; the walk's IO is published to the
+    /// registry once, whether or not it passes.
+    pub fn verify_integrity(&self) -> Result<u64, IndexError> {
+        let io = IoStats::default();
+        let result = self
+            .readers
+            .iter()
+            .try_for_each(|reader| reader.verify(&io));
+        io.publish();
+        result.map(|()| io.snapshot().bytes)
     }
 
     /// The directory this index was opened from.
@@ -183,23 +176,6 @@ impl DiskIndex {
             Ok(())
         }
     }
-
-    /// Runs one read with IO recorded into `io`, then folds what the call
-    /// added into the index-wide totals and their registry mirror. The
-    /// accumulator is owned by one query (single-threaded), so the
-    /// before/after diff is exact even while other queries run concurrently.
-    fn attributed<T>(
-        &self,
-        io: &IoStats,
-        read: impl FnOnce() -> Result<T, IndexError>,
-    ) -> Result<T, IndexError> {
-        let before = io.snapshot();
-        let result = read();
-        let delta = io.snapshot().since(&before);
-        self.stats.add(&delta);
-        self.metrics.observe(&delta);
-        result
-    }
 }
 
 impl IndexAccess for DiskIndex {
@@ -219,20 +195,18 @@ impl IndexAccess for DiskIndex {
         io: &IoStats,
     ) -> Result<SharedList<'_>, IndexError> {
         self.check_func(func)?;
-        self.attributed(io, || {
-            if let Some(hit) = self.list_cache.get(func, hash) {
-                io.record_hit();
-                return Ok(SharedList::Cached(hit));
-            }
-            io.record_miss();
-            let list = Arc::new(self.readers[func].read_list(hash, io)?);
-            // A disabled cache never admits anything; skip the shard lock.
-            if self.list_cache.enabled() {
-                self.list_cache
-                    .insert(func, hash, list.clone(), list_weight(&list));
-            }
-            Ok(SharedList::Cached(list))
-        })
+        if let Some(hit) = self.list_cache.get(func, hash) {
+            io.record_hit();
+            return Ok(SharedList::Cached(hit));
+        }
+        io.record_miss();
+        let list = Arc::new(self.readers[func].read_list(hash, io)?);
+        // A disabled cache never admits anything; skip the shard lock.
+        if self.list_cache.enabled() {
+            self.list_cache
+                .insert(func, hash, list.clone(), list_weight(&list));
+        }
+        Ok(SharedList::Cached(list))
     }
 
     fn probe_texts(
@@ -245,26 +219,20 @@ impl IndexAccess for DiskIndex {
     ) -> Result<(), IndexError> {
         self.check_func(func)?;
         debug_assert!(texts.windows(2).all(|w| w[0] < w[1]));
-        self.attributed(io, || {
-            // A resident full list answers the whole batch with zero IO.
-            if let Some(hit) = self.list_cache.get(func, hash) {
-                io.record_hit();
-                crate::probe_sorted(&hit, texts, out);
-                return Ok(());
-            }
-            io.record_miss();
-            self.readers[func].probe_texts(hash, texts, &self.zone_cache, io, out)
-        })
+        // A resident full list answers the whole batch with zero IO.
+        if let Some(hit) = self.list_cache.get(func, hash) {
+            io.record_hit();
+            crate::probe_sorted(&hit, texts, out);
+            return Ok(());
+        }
+        io.record_miss();
+        self.readers[func].probe_texts(hash, texts, &self.zone_cache, io, out)
     }
 
-    fn io_snapshot(&self) -> IoSnapshot {
-        self.stats.snapshot()
-    }
-
-    fn list_length_histogram(&self, func: usize) -> Result<Vec<(u64, u64)>, IndexError> {
+    fn list_length_histogram(&self, func: usize) -> Result<LengthHistogram, IndexError> {
         self.check_func(func)?;
         Ok(self.histograms[func]
-            .get_or_init(|| self.readers[func].length_histogram())
+            .get_or_init(|| self.readers[func].length_histogram().into())
             .clone())
     }
 }
@@ -327,7 +295,11 @@ mod tests {
                 );
             }
         }
-        assert!(disk.io_snapshot().bytes > 0);
+        // Reads are tallied in the caller's accumulator.
+        let cold = DiskIndex::open_with_cache(&dir, CacheConfig::disabled()).unwrap();
+        let io = IoStats::default();
+        cold.shared_list(0, mem.sorted_lists(0)[0].0, &io).unwrap();
+        assert!(io.snapshot().bytes > 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -352,11 +324,10 @@ mod tests {
             .map(|&(h, v)| (h, v))
             .unwrap();
         assert!(long.len() >= 64, "test corpus should have a long list");
-        let before = disk.io_snapshot();
         let text = long[long.len() / 2].text;
-        let got = disk.read_postings_for_text(0, hash, text).unwrap();
-        let after = disk.io_snapshot();
-        let read_bytes = after.since(&before).bytes;
+        let (io, mut got) = (IoStats::default(), Vec::new());
+        disk.probe_texts(0, hash, &[text], &io, &mut got).unwrap();
+        let read_bytes = io.snapshot().bytes;
         let full_bytes = long.len() as u64 * Posting::ENCODED_LEN as u64;
         assert!(
             read_bytes < full_bytes,

@@ -16,7 +16,7 @@
 //!   lists (fixed-width v3, varint blocks v4, bitpacked blocks v6), and
 //!   **zone maps** / block skip entries for long lists so a single text's
 //!   postings can be located without reading the whole list (§3.5). All
-//!   reads are instrumented with [`IoStats`], the source of the IO/CPU
+//!   reads record into a caller-owned [`IoStats`], the source of the IO/CPU
 //!   split in the paper's latency figures.
 //! * the builders in [`build`] — [`build::write_memory_index`] (Algorithm 1)
 //!   and [`build::ExternalIndexBuilder`] (for corpora larger than memory:
@@ -60,6 +60,8 @@ pub use pread::{FaultMode, FaultPlan, ReadOptions};
 pub use shard::{
     build_sharded, partition_texts, ShardManifest, ShardSpec, ShardedBuildOptions, ShardedStore,
 };
+
+use std::sync::Arc;
 
 use ndss_corpus::TextId;
 use ndss_hash::{HashValue, MinHasher};
@@ -335,11 +337,10 @@ impl IndexConfig {
 }
 
 /// Cumulative IO accounting (bytes and wall time spent in reads, plus hot
-/// cache hit/miss counters). The disk index updates these on every list or
-/// zone access; the query processor keeps a **per-query** accumulator so IO
-/// is attributed to the query that caused it even when many queries run
-/// concurrently, and the disk index additionally folds every accumulator
-/// into its global totals.
+/// cache hit/miss counters). Every read records into the accumulator its
+/// caller owns — one per query, so IO is attributed to the query that
+/// caused it even when many queries run concurrently — and the owner folds
+/// it into the process-wide registry once, with [`IoStats::publish`].
 #[derive(Debug, Default)]
 pub struct IoStats {
     reads: std::sync::atomic::AtomicU64,
@@ -374,20 +375,6 @@ pub struct IoSnapshot {
 }
 
 impl IoSnapshot {
-    /// Difference `self − earlier` (for per-query accounting). Saturating,
-    /// so a snapshot pair taken across concurrent activity never panics.
-    pub fn since(&self, earlier: &IoSnapshot) -> IoSnapshot {
-        IoSnapshot {
-            reads: self.reads.saturating_sub(earlier.reads),
-            bytes: self.bytes.saturating_sub(earlier.bytes),
-            nanos: self.nanos.saturating_sub(earlier.nanos),
-            cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
-            cache_misses: self.cache_misses.saturating_sub(earlier.cache_misses),
-            zone_hits: self.zone_hits.saturating_sub(earlier.zone_hits),
-            zone_misses: self.zone_misses.saturating_sub(earlier.zone_misses),
-        }
-    }
-
     /// IO wall time as a `Duration`.
     pub fn time(&self) -> std::time::Duration {
         std::time::Duration::from_nanos(self.nanos)
@@ -427,26 +414,6 @@ impl IoStats {
         self.zone_misses.fetch_add(1, Relaxed);
     }
 
-    /// Folds a snapshot delta into these totals. Used by the disk index to
-    /// add a query's privately-accumulated IO to the global counters. Zero
-    /// fields are skipped: the usual delta is one cache hit, and six
-    /// no-op read-modify-writes on shared lines are not free.
-    pub fn add(&self, delta: &IoSnapshot) {
-        use std::sync::atomic::Ordering::Relaxed;
-        let fold = |cell: &std::sync::atomic::AtomicU64, v: u64| {
-            if v > 0 {
-                cell.fetch_add(v, Relaxed);
-            }
-        };
-        fold(&self.reads, delta.reads);
-        fold(&self.bytes, delta.bytes);
-        fold(&self.nanos, delta.nanos);
-        fold(&self.cache_hits, delta.cache_hits);
-        fold(&self.cache_misses, delta.cache_misses);
-        fold(&self.zone_hits, delta.zone_hits);
-        fold(&self.zone_misses, delta.zone_misses);
-    }
-
     /// Current totals.
     pub fn snapshot(&self) -> IoSnapshot {
         use std::sync::atomic::Ordering::Relaxed;
@@ -462,6 +429,10 @@ impl IoStats {
     }
 }
 
+/// List lengths as ascending `(length, how many lists)` pairs, shared with
+/// the index that computed them.
+pub type LengthHistogram = Arc<[(u64, u64)]>;
+
 /// A whole posting list as handed out by [`IndexAccess::shared_list`]:
 /// lent by a memory-resident index, or shared with the disk index's hot
 /// list cache. Either way the caller reads the index's own copy — nothing
@@ -474,7 +445,7 @@ pub enum SharedList<'a> {
     /// A decoded list co-owned with the list cache: a hit hands out the
     /// resident allocation, a miss decodes once and the cache keeps the
     /// same allocation.
-    Cached(std::sync::Arc<Vec<Posting>>),
+    Cached(Arc<Vec<Posting>>),
 }
 
 impl std::ops::Deref for SharedList<'_> {
@@ -511,11 +482,10 @@ pub(crate) fn probe_sorted(list: &[Posting], texts: &[TextId], out: &mut Vec<Pos
 /// Implementors provide the two accumulator-threading reads,
 /// [`Self::shared_list`] and [`Self::probe_texts`]; [`Self::read_list`] and
 /// [`Self::read_postings_for_text`] are owned-`Vec` conveniences over them.
-/// Both reads take a caller-owned [`IoStats`] accumulator. This is the
-/// attribution-safe path: under concurrent queries, diffing
-/// [`Self::io_snapshot`] charges one query with another's reads, while an
-/// accumulator passed down the call chain cannot bleed. Memory indexes
-/// perform no IO and ignore it.
+/// Both reads take a caller-owned [`IoStats`] accumulator and record into
+/// it only: an accumulator passed down the call chain cannot bleed into a
+/// concurrent query's, and its owner folds it into the registry once
+/// ([`IoStats::publish`]). Memory indexes perform no IO and ignore it.
 pub trait IndexAccess: Send + Sync {
     /// The index's configuration (k, t, seed, …).
     fn config(&self) -> &IndexConfig;
@@ -528,8 +498,7 @@ pub trait IndexAccess: Send + Sync {
     /// The entire list `hash` under function `func` (empty when absent),
     /// ordered by `(text, l, c, r)`, without copying it out of its resident
     /// form: memory indexes lend their slice, the disk index shares the
-    /// allocation its list cache holds. IO caused is recorded into `io`
-    /// (and folded into the index's global counters).
+    /// allocation its list cache holds. IO caused is recorded into `io`.
     fn shared_list(
         &self,
         func: usize,
@@ -553,32 +522,34 @@ pub trait IndexAccess: Send + Sync {
         out: &mut Vec<Posting>,
     ) -> Result<(), IndexError>;
 
-    /// [`Self::shared_list`] copied into an owned vector, IO accounted to
-    /// the index's global counters only.
+    /// [`Self::shared_list`] copied into an owned vector; the call's IO is
+    /// published to the registry on its own.
     fn read_list(&self, func: usize, hash: HashValue) -> Result<Vec<Posting>, IndexError> {
-        Ok(self.shared_list(func, hash, &IoStats::default())?.to_vec())
+        let io = IoStats::default();
+        let list = self.shared_list(func, hash, &io).map(|list| list.to_vec());
+        io.publish();
+        list
     }
 
     /// Only the postings of `text` within list `hash` under `func`:
-    /// [`Self::probe_texts`] for a single text, IO accounted to the index's
-    /// global counters only.
+    /// [`Self::probe_texts`] for a single text, its IO published to the
+    /// registry on its own.
     fn read_postings_for_text(
         &self,
         func: usize,
         hash: HashValue,
         text: TextId,
     ) -> Result<Vec<Posting>, IndexError> {
-        let mut out = Vec::new();
-        self.probe_texts(func, hash, &[text], &IoStats::default(), &mut out)?;
-        Ok(out)
+        let (io, mut out) = (IoStats::default(), Vec::new());
+        let probed = self.probe_texts(func, hash, &[text], &io, &mut out);
+        io.publish();
+        probed.map(|()| out)
     }
 
-    /// Cumulative IO counters (zero for memory indexes).
-    fn io_snapshot(&self) -> IoSnapshot;
-
-    /// Distribution of list lengths under `func` as `(length, how many
-    /// lists)` pairs — used to pick prefix-filtering cutoffs.
-    fn list_length_histogram(&self, func: usize) -> Result<Vec<(u64, u64)>, IndexError>;
+    /// Distribution of list lengths under `func` — used to pick
+    /// prefix-filtering cutoffs. Shared, not copied: a searcher derived per
+    /// request reads the index's memo.
+    fn list_length_histogram(&self, func: usize) -> Result<LengthHistogram, IndexError>;
 }
 
 #[cfg(test)]
@@ -609,12 +580,34 @@ pub(crate) mod tests {
         let a = stats.snapshot();
         stats.record(50, 3);
         let b = stats.snapshot();
-        assert_eq!(b.reads, 2);
-        assert_eq!(b.bytes, 150);
-        let d = b.since(&a);
-        assert_eq!(d.reads, 1);
-        assert_eq!(d.bytes, 50);
-        assert_eq!(d.nanos, 3);
+        assert_eq!((a.reads, a.bytes, a.nanos), (1, 100, 5));
+        assert_eq!((b.reads, b.bytes, b.nanos), (2, 150, 8));
+        assert_eq!(
+            (b.reads - a.reads, b.bytes - a.bytes, b.nanos - a.nanos),
+            (1, 50, 3)
+        );
+        assert_eq!(b.time(), std::time::Duration::from_nanos(8));
+    }
+
+    #[test]
+    fn io_stats_add_and_cache_counters() {
+        let stats = IoStats::default();
+        stats.record(64, 10);
+        stats.record_hit();
+        stats.record_miss();
+        stats.record_zone_miss();
+        assert_eq!(
+            stats.snapshot(),
+            IoSnapshot {
+                reads: 1,
+                bytes: 64,
+                nanos: 10,
+                cache_hits: 1,
+                cache_misses: 1,
+                zone_hits: 0,
+                zone_misses: 1,
+            }
+        );
     }
 
     #[test]
@@ -666,20 +659,5 @@ pub(crate) mod tests {
         let back = IndexConfig::from_json(&stripped).unwrap();
         assert!(!back.compress);
         assert_eq!(back.seed, 9);
-    }
-
-    #[test]
-    fn io_stats_add_and_cache_counters() {
-        let global = IoStats::default();
-        let per_query = IoStats::default();
-        per_query.record(64, 10);
-        per_query.record_hit();
-        per_query.record_miss();
-        global.add(&per_query.snapshot());
-        let s = global.snapshot();
-        assert_eq!(s.reads, 1);
-        assert_eq!(s.bytes, 64);
-        assert_eq!(s.cache_hits, 1);
-        assert_eq!(s.cache_misses, 1);
     }
 }

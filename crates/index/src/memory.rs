@@ -14,7 +14,7 @@ use ndss_hash::{HashValue, MinHasher, TokenId};
 use ndss_windows::{HashedWindow, WindowGenerator};
 
 use crate::build::{self, FunctionRecords};
-use crate::{IndexAccess, IndexConfig, IndexError, IoSnapshot, IoStats, Posting, SharedList};
+use crate::{IndexAccess, IndexConfig, IndexError, IoStats, LengthHistogram, Posting, SharedList};
 
 /// One fully in-memory inverted index: `maps[func][hash] = postings`.
 #[derive(Debug)]
@@ -178,11 +178,7 @@ impl IndexAccess for MemoryIndex {
         Ok(())
     }
 
-    fn io_snapshot(&self) -> IoSnapshot {
-        IoSnapshot::default()
-    }
-
-    fn list_length_histogram(&self, func: usize) -> Result<Vec<(u64, u64)>, IndexError> {
+    fn list_length_histogram(&self, func: usize) -> Result<LengthHistogram, IndexError> {
         self.check_func(func)?;
         let mut hist: HashMap<u64, u64> = HashMap::new();
         for v in self.maps[func].values() {
@@ -190,7 +186,7 @@ impl IndexAccess for MemoryIndex {
         }
         let mut out: Vec<(u64, u64)> = hist.into_iter().collect();
         out.sort_unstable();
-        Ok(out)
+        Ok(out.into())
     }
 }
 

@@ -1,81 +1,76 @@
-//! Registry mirror of the index layer's IO accounting.
+//! The index layer's one fold into the registry.
 //!
-//! [`crate::IoStats`] stays the *attribution* mechanism — a per-query
-//! accumulator threaded through every read so concurrent queries cannot
-//! charge each other — while the process-wide [`ndss_obs::Registry`] is the
-//! *aggregation* mechanism: every delta a [`crate::DiskIndex`] folds into
-//! its global totals is mirrored into these counters, so `ndss stats`,
-//! `--metrics-out`, and the Prometheus exporter all read one system.
+//! [`crate::IoStats`] is the *attribution* mechanism — an accumulator owned
+//! by one caller (a query, a checksum walk, one owned-`Vec` read) and
+//! threaded through every read, so concurrent queries cannot charge each
+//! other — while the process-wide [`ndss_obs::Registry`] is the
+//! *aggregation* mechanism. The owner folds its accumulator in once, when it
+//! is done, so `ndss stats`, `--metrics-out`, and the Prometheus exporter
+//! all read one system.
+
+use std::sync::OnceLock;
 
 use ndss_obs::{Counter, Registry};
 
-use crate::IoSnapshot;
+use crate::IoStats;
 
-/// Counter handles for the index IO totals, registered once per
-/// [`crate::DiskIndex`] (handles to the same names share cells).
-pub(crate) struct IndexIoMetrics {
-    reads: Counter,
-    bytes: Counter,
-    nanos: Counter,
-    cache_hits: Counter,
-    cache_misses: Counter,
-    zone_hits: Counter,
-    zone_misses: Counter,
-}
+/// Registry name and help text of each [`crate::IoSnapshot`] field, in
+/// field order.
+const COUNTERS: [(&str, &str); 7] = [
+    (
+        "index.io.reads",
+        "positioned reads issued by the index layer",
+    ),
+    ("index.io.bytes", "bytes read from index files"),
+    (
+        "index.io.nanos",
+        "wall nanoseconds spent inside index reads",
+    ),
+    (
+        "index.cache.posting.hits",
+        "posting-list reads served from the hot cache",
+    ),
+    (
+        "index.cache.posting.misses",
+        "posting-list reads that went to disk",
+    ),
+    (
+        "index.cache.zone.hits",
+        "zone-map consults served from the zone cache",
+    ),
+    (
+        "index.cache.zone.misses",
+        "zone-map consults read from disk",
+    ),
+];
 
-impl IndexIoMetrics {
-    pub(crate) fn register(reg: &Registry) -> Self {
-        IndexIoMetrics {
-            reads: reg.counter(
-                "index.io.reads",
-                "positioned reads issued by the index layer",
-            ),
-            bytes: reg.counter("index.io.bytes", "bytes read from index files"),
-            nanos: reg.counter(
-                "index.io.nanos",
-                "wall nanoseconds spent inside index reads",
-            ),
-            cache_hits: reg.counter(
-                "index.cache.posting.hits",
-                "posting-list reads served from the hot cache",
-            ),
-            cache_misses: reg.counter(
-                "index.cache.posting.misses",
-                "posting-list reads that went to disk",
-            ),
-            zone_hits: reg.counter(
-                "index.cache.zone.hits",
-                "zone-map consults served from the zone cache",
-            ),
-            zone_misses: reg.counter(
-                "index.cache.zone.misses",
-                "zone-map consults read from disk",
-            ),
-        }
-    }
-
-    /// Mirrors one attribution delta into the registry totals.
-    pub(crate) fn observe(&self, d: &IoSnapshot) {
-        if d.reads > 0 {
-            self.reads.inc(d.reads);
-        }
-        if d.bytes > 0 {
-            self.bytes.inc(d.bytes);
-        }
-        if d.nanos > 0 {
-            self.nanos.inc(d.nanos);
-        }
-        if d.cache_hits > 0 {
-            self.cache_hits.inc(d.cache_hits);
-        }
-        if d.cache_misses > 0 {
-            self.cache_misses.inc(d.cache_misses);
-        }
-        if d.zone_hits > 0 {
-            self.zone_hits.inc(d.zone_hits);
-        }
-        if d.zone_misses > 0 {
-            self.zone_misses.inc(d.zone_misses);
+impl IoStats {
+    /// Folds these totals into the process-wide registry. Call it once, when
+    /// the accumulator's owner is done reading. The handles are registered
+    /// once per process; zero fields are skipped.
+    pub fn publish(&self) {
+        static HANDLES: OnceLock<Vec<Counter>> = OnceLock::new();
+        let handles = HANDLES.get_or_init(|| {
+            let reg = Registry::global();
+            COUNTERS
+                .iter()
+                .map(|(name, help)| reg.counter(name, help))
+                .collect()
+        });
+        let s = self.snapshot();
+        let values = [
+            s.reads,
+            s.bytes,
+            s.nanos,
+            s.cache_hits,
+            s.cache_misses,
+            s.zone_hits,
+            s.zone_misses,
+        ];
+        for (counter, value) in handles.iter().zip(values) {
+            if value > 0 {
+                counter.inc(value);
+            }
         }
     }
 }

@@ -372,15 +372,15 @@ mod tests {
         assert_eq!(r.read_list(200, &stats).unwrap(), long);
 
         // Per-text probe equals filter of the full list, and reads less.
-        let before = stats.snapshot();
-        let got = probe_one(&r, 200, 25, &stats);
-        let probe_bytes = stats.snapshot().since(&before).bytes;
+        let probe_io = IoStats::default();
+        let got = probe_one(&r, 200, 25, &probe_io);
+        let probe_bytes = probe_io.snapshot().bytes;
         let expect: Vec<Posting> = long.iter().filter(|p| p.text == 25).copied().collect();
         assert_eq!(got, expect);
         let full_read = {
-            let b0 = stats.snapshot();
-            r.read_list(200, &stats).unwrap();
-            stats.snapshot().since(&b0).bytes
+            let list_io = IoStats::default();
+            r.read_list(200, &list_io).unwrap();
+            list_io.snapshot().bytes
         };
         assert!(probe_bytes < full_read, "{probe_bytes} >= {full_read}");
         std::fs::remove_file(&path).ok();

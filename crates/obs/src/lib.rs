@@ -47,7 +47,7 @@ mod span;
 
 pub use export::validate_prometheus_text;
 pub use hist::{Histogram, HistogramSnapshot};
-pub use span::{span, span_depth, span_handle, SpanGuard, SpanHandle};
+pub use span::{span, span_depth, SpanGuard};
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering::Relaxed};
@@ -312,13 +312,6 @@ impl Registry {
     /// [`SpanGuard`] for the nesting/self-time semantics.
     pub fn span(&self, name: &'static str) -> SpanGuard {
         SpanGuard::open(self.clone(), name)
-    }
-
-    /// Pre-registers the histograms for span `name` and returns a handle
-    /// whose [`SpanHandle::start`] skips the per-open name formatting and
-    /// registry lock — for spans on hot paths.
-    pub fn span_handle(&self, name: &'static str) -> SpanHandle {
-        SpanHandle::register(self.clone(), name)
     }
 
     /// A point-in-time copy of every instrument, sorted by name.

@@ -15,7 +15,7 @@
 use std::cell::RefCell;
 use std::time::Instant;
 
-use crate::{Histogram, Registry, Unit};
+use crate::{Registry, Unit};
 
 struct Frame {
     name: &'static str,
@@ -27,22 +27,12 @@ thread_local! {
     static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Where a closing span records its timings: resolved lazily by name (the
-/// one-off [`span`] path) or into histograms cached at handle creation
-/// (the hot-path [`SpanHandle`]).
-enum Recorder {
-    Lazy(Registry),
-    Cached {
-        total: Histogram,
-        exclusive: Histogram,
-    },
-}
-
-/// Scoped timer; see the module docs. Created by [`Registry::span`], the
-/// free function [`span`] (global registry), or [`SpanHandle::start`].
+/// Scoped timer; see the module docs. Created by [`Registry::span`] or the
+/// free function [`span`] (global registry).
 pub struct SpanGuard {
-    /// `None` when recording was disabled at open time — the drop is free.
-    recorder: Option<Recorder>,
+    /// The registry the span records into on drop; `None` when recording
+    /// was disabled at open time — the drop is free.
+    registry: Option<Registry>,
     name: &'static str,
     start: Instant,
     // Spans time one thread; keep the guard on it.
@@ -51,12 +41,8 @@ pub struct SpanGuard {
 
 impl SpanGuard {
     pub(crate) fn open(registry: Registry, name: &'static str) -> SpanGuard {
-        let recorder = registry.is_enabled().then_some(Recorder::Lazy(registry));
-        Self::with_recorder(recorder, name)
-    }
-
-    fn with_recorder(recorder: Option<Recorder>, name: &'static str) -> SpanGuard {
-        if recorder.is_some() {
+        let registry = registry.is_enabled().then_some(registry);
+        if registry.is_some() {
             STACK.with(|s| {
                 s.borrow_mut().push(Frame {
                     name,
@@ -65,7 +51,7 @@ impl SpanGuard {
             });
         }
         SpanGuard {
-            recorder,
+            registry,
             name,
             start: Instant::now(),
             _not_send: std::marker::PhantomData,
@@ -80,7 +66,7 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(recorder) = self.recorder.take() else {
+        let Some(registry) = self.registry.take() else {
             return;
         };
         let elapsed = self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
@@ -98,82 +84,28 @@ impl Drop for SpanGuard {
             }
             frame.map_or(0, |f| f.child_nanos)
         });
-        match recorder {
-            Recorder::Lazy(registry) => {
-                let total = registry.histogram(
-                    &format!("span.{}", self.name),
-                    "span wall time",
+        registry
+            .histogram(
+                &format!("span.{}", self.name),
+                "span wall time",
+                Unit::Seconds,
+            )
+            .record_nanos(elapsed);
+        if child_nanos > 0 {
+            registry
+                .histogram(
+                    &format!("span.{}.self", self.name),
+                    "span wall time excluding child spans",
                     Unit::Seconds,
-                );
-                total.record_nanos(elapsed);
-                if child_nanos > 0 {
-                    let exclusive = registry.histogram(
-                        &format!("span.{}.self", self.name),
-                        "span wall time excluding child spans",
-                        Unit::Seconds,
-                    );
-                    exclusive.record_nanos(elapsed.saturating_sub(child_nanos));
-                }
-            }
-            Recorder::Cached { total, exclusive } => {
-                total.record_nanos(elapsed);
-                if child_nanos > 0 {
-                    exclusive.record_nanos(elapsed.saturating_sub(child_nanos));
-                }
-            }
+                )
+                .record_nanos(elapsed.saturating_sub(child_nanos));
         }
-    }
-}
-
-/// A span whose histograms were resolved once up front: `start` and the
-/// guard's drop touch no registry lock and format no name, just the
-/// thread-local stack and a few atomic adds. Use for spans opened per
-/// query or per IO, where [`span`]'s lookup cost shows up in profiles.
-///
-/// Cloning shares the underlying histograms.
-#[derive(Clone)]
-pub struct SpanHandle {
-    registry: Registry,
-    name: &'static str,
-    total: Histogram,
-    exclusive: Histogram,
-}
-
-impl SpanHandle {
-    pub(crate) fn register(registry: Registry, name: &'static str) -> SpanHandle {
-        let total = registry.histogram(&format!("span.{name}"), "span wall time", Unit::Seconds);
-        let exclusive = registry.histogram(
-            &format!("span.{name}.self"),
-            "span wall time excluding child spans",
-            Unit::Seconds,
-        );
-        SpanHandle {
-            registry,
-            name,
-            total,
-            exclusive,
-        }
-    }
-
-    /// Opens a span recording into the pre-registered histograms.
-    pub fn start(&self) -> SpanGuard {
-        let recorder = self.registry.is_enabled().then(|| Recorder::Cached {
-            total: self.total.clone(),
-            exclusive: self.exclusive.clone(),
-        });
-        SpanGuard::with_recorder(recorder, self.name)
     }
 }
 
 /// Opens a span on the global registry.
 pub fn span(name: &'static str) -> SpanGuard {
     Registry::global().span(name)
-}
-
-/// Pre-registers a span's histograms on the global registry; see
-/// [`SpanHandle`].
-pub fn span_handle(name: &'static str) -> SpanHandle {
-    Registry::global().span_handle(name)
 }
 
 /// Depth of the current thread's span stack (0 outside any span).
@@ -243,29 +175,6 @@ mod tests {
             let _s = reg.span("repeat");
         }
         assert_eq!(hist_of(&reg, "span.repeat").count, 5);
-    }
-
-    #[test]
-    fn handle_spans_record_like_lazy_spans_and_respect_disable() {
-        let reg = Registry::new();
-        let handle = reg.span_handle("hot");
-        {
-            let _outer = handle.start();
-            assert_eq!(span_depth(), 1);
-            let _inner = reg.span("hot.child");
-        }
-        assert_eq!(span_depth(), 0);
-        assert_eq!(hist_of(&reg, "span.hot").count, 1);
-        assert_eq!(hist_of(&reg, "span.hot.child").count, 1);
-        assert_eq!(hist_of(&reg, "span.hot.self").count, 1);
-        // Disabling the registry disables handles registered earlier.
-        reg.set_enabled(false);
-        {
-            let _quiet = handle.start();
-            assert_eq!(span_depth(), 0);
-        }
-        reg.set_enabled(true);
-        assert_eq!(hist_of(&reg, "span.hot").count, 1);
     }
 
     #[test]

@@ -1,16 +1,16 @@
-//! Registry mirror for the query path.
-//!
-//! Each [`crate::NearDupSearcher`] registers one set of handles at
-//! construction (a single registry lock), then folds every completed
-//! [`crate::QueryStats`] into them with pure atomic adds — the per-query
+//! Registry mirror for the query path: one set of handles per process,
+//! registered by the first query, into which every finished query's
+//! [`crate::QueryStats`] is folded once with pure atomic adds. The per-query
 //! accumulator stays the attribution mechanism, the registry the
-//! process-wide aggregation, so there is exactly one accounting system.
+//! process-wide aggregation — one accounting system.
+
+use std::sync::OnceLock;
 
 use ndss_obs::{Counter, Histogram, Registry, Unit};
 
-use crate::search::QueryStats;
+use crate::{QueryError, SearchOutcome};
 
-pub(crate) struct QueryMetrics {
+struct QueryMetrics {
     queries: Counter,
     latency: Histogram,
     stage_sketch: Histogram,
@@ -29,40 +29,32 @@ pub(crate) struct QueryMetrics {
 }
 
 impl QueryMetrics {
-    pub(crate) fn register(reg: &Registry) -> Self {
+    fn register(reg: &Registry) -> Self {
+        let seconds = |name: &str, help: &str| reg.histogram(name, help, Unit::Seconds);
         Self {
             queries: reg.counter("query.count", "Queries executed"),
-            latency: reg.histogram("query.seconds", "End-to-end query latency", Unit::Seconds),
-            stage_sketch: reg.histogram(
+            latency: seconds("query.seconds", "End-to-end query latency"),
+            stage_sketch: seconds(
                 "query.stage.sketch.seconds",
                 "Time computing the query's k-mins sketch",
-                Unit::Seconds,
             ),
-            stage_plan: reg.histogram(
+            stage_plan: seconds(
                 "query.stage.plan.seconds",
                 "Time classifying lists (prefix filter / cost model)",
-                Unit::Seconds,
             ),
-            stage_gather: reg.histogram(
+            stage_gather: seconds(
                 "query.stage.gather.seconds",
                 "Time loading short lists and grouping windows by text",
-                Unit::Seconds,
             ),
-            stage_count: reg.histogram(
+            stage_count: seconds(
                 "query.stage.count.seconds",
                 "Time in collision counting and candidate verification",
-                Unit::Seconds,
             ),
-            stage_probe: reg.histogram(
+            stage_probe: seconds(
                 "query.stage.probe.seconds",
                 "Time probing long lists through zone maps",
-                Unit::Seconds,
             ),
-            io_time: reg.histogram(
-                "query.io.seconds",
-                "Per-query wall time inside index reads",
-                Unit::Seconds,
-            ),
+            io_time: seconds("query.io.seconds", "Per-query wall time inside index reads"),
             io_bytes: reg.counter("query.io.bytes", "Bytes read from the index by queries"),
             postings_read: reg.counter("query.postings", "Postings materialized by queries"),
             lists_loaded: reg.counter("query.lists.loaded", "Short lists read in full"),
@@ -81,26 +73,33 @@ impl QueryMetrics {
             ),
         }
     }
+}
 
-    /// One query returned `BudgetExceeded`.
-    pub(crate) fn record_budget_exceeded(&self) {
-        self.budget_exceeded.inc(1);
-    }
-
-    pub(crate) fn observe(&self, stats: &QueryStats) {
-        self.queries.inc(1);
-        self.latency.record_duration(stats.total);
-        self.stage_sketch.record_duration(stats.stage_sketch);
-        self.stage_plan.record_duration(stats.stage_plan);
-        self.stage_gather.record_duration(stats.stage_gather);
-        self.stage_count.record_duration(stats.stage_count);
-        self.stage_probe.record_duration(stats.stage_probe);
-        self.io_time.record_duration(stats.io_time);
-        self.io_bytes.inc(stats.io_bytes);
-        self.postings_read.inc(stats.postings_read);
-        self.lists_loaded.inc(stats.lists_loaded as u64);
-        self.long_probes.inc(stats.long_probes as u64);
-        self.candidate_texts.inc(stats.candidate_texts as u64);
-        self.matched_texts.inc(stats.matched_texts as u64);
-    }
+/// Folds one finished query: its stats when it completed or stopped on a
+/// budget (with its partial outcome), nothing when it failed.
+pub(crate) fn observe(result: &Result<SearchOutcome, QueryError>) {
+    static METRICS: OnceLock<QueryMetrics> = OnceLock::new();
+    let m = METRICS.get_or_init(|| QueryMetrics::register(Registry::global()));
+    let stats = match result {
+        Ok(outcome) => &outcome.stats,
+        Err(QueryError::BudgetExceeded { partial, .. }) => {
+            m.budget_exceeded.inc(1);
+            &partial.stats
+        }
+        Err(_) => return,
+    };
+    m.queries.inc(1);
+    m.latency.record_duration(stats.total);
+    m.stage_sketch.record_duration(stats.stage_sketch);
+    m.stage_plan.record_duration(stats.stage_plan);
+    m.stage_gather.record_duration(stats.stage_gather);
+    m.stage_count.record_duration(stats.stage_count);
+    m.stage_probe.record_duration(stats.stage_probe);
+    m.io_time.record_duration(stats.io_time);
+    m.io_bytes.inc(stats.io_bytes);
+    m.postings_read.inc(stats.postings_read);
+    m.lists_loaded.inc(stats.lists_loaded as u64);
+    m.long_probes.inc(stats.long_probes as u64);
+    m.candidate_texts.inc(stats.candidate_texts as u64);
+    m.matched_texts.inc(stats.matched_texts as u64);
 }

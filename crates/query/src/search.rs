@@ -71,10 +71,10 @@ pub(crate) fn fraction_cutoff(hist: &[(u64, u64)], fraction: f64) -> u64 {
 }
 
 /// Per-query cost and outcome accounting. `io_*` comes from a per-query
-/// [`IoStats`] accumulator the searcher threads through every index read —
-/// NOT from diffing the index's global counters, which under concurrent
-/// queries would charge this query with other queries' IO. `cpu` is wall
-/// time minus IO time, reproducing the paper's stacked latency bars.
+/// [`IoStats`] accumulator the searcher threads through every index read, so
+/// concurrent queries never charge each other; the searcher folds it into
+/// the registry once, when the query ends. `cpu` is wall time minus IO
+/// time, reproducing the paper's stacked latency bars.
 #[derive(Debug, Clone, Default)]
 pub struct QueryStats {
     /// End-to-end wall time.
@@ -410,12 +410,6 @@ pub struct NearDupSearcher<'a, I: IndexAccess + ?Sized> {
     /// Whether to re-plan the long/short split per query with the cost
     /// model instead of the static cutoffs.
     adaptive: bool,
-    /// Global-registry handles (registered once here so the per-query hot
-    /// path is pure atomic adds).
-    metrics: crate::metrics::QueryMetrics,
-    /// Pre-registered `span.query.search` histograms: opening the per-query
-    /// span costs no name formatting or registry lock.
-    search_span: ndss_obs::SpanHandle,
 }
 
 impl<'a, I: IndexAccess + ?Sized> NearDupSearcher<'a, I> {
@@ -450,8 +444,6 @@ impl<'a, I: IndexAccess + ?Sized> NearDupSearcher<'a, I> {
             hasher: config.hasher(),
             cutoffs,
             adaptive: matches!(filter, PrefixFilter::Adaptive),
-            metrics: crate::metrics::QueryMetrics::register(ndss_obs::Registry::global()),
-            search_span: ndss_obs::span_handle("query.search"),
         })
     }
 
@@ -511,13 +503,26 @@ impl<'a, I: IndexAccess + ?Sized> NearDupSearcher<'a, I> {
         if !(theta > 0.0 && theta <= 1.0) {
             return Err(QueryError::BadThreshold(theta));
         }
-        let start = Instant::now();
-        let _span = self.search_span.start();
-        let tracker = BudgetTracker::start(budget, cancel, start);
-        // Per-query IO accumulator: every index read below records into this
-        // (and the index folds it into its global counters), so the stats
-        // are exact even with other queries in flight.
+        // Every index read records into this query's own accumulator only;
+        // the query's cost is folded into the registry once, however it ends.
         let io_acc = IoStats::default();
+        let result = self.run(query, theta, budget, cancel, &io_acc);
+        io_acc.publish();
+        crate::metrics::observe(&result);
+        result
+    }
+
+    /// Algorithm 3 proper, reading into `io_acc`.
+    fn run(
+        &self,
+        query: &[TokenId],
+        theta: f64,
+        budget: &QueryBudget,
+        cancel: Option<&CancelToken>,
+        io_acc: &IoStats,
+    ) -> Result<SearchOutcome, QueryError> {
+        let start = Instant::now();
+        let tracker = BudgetTracker::start(budget, cancel, start);
         let config = self.index.config();
         let (k, t) = (config.k, config.t as u32);
         let beta = collision_threshold(k, theta);
@@ -610,7 +615,7 @@ impl<'a, I: IndexAccess + ?Sized> NearDupSearcher<'a, I> {
             let mut merged = Vec::new();
             for (j, &func) in by_len.iter().enumerate() {
                 checkpoint!(0, 0, 'run);
-                let list = self.index.shared_list(func, sketch.value(func), &io_acc)?;
+                let list = self.index.shared_list(func, sketch.value(func), io_acc)?;
                 stats.lists_loaded += 1;
                 stats.postings_read += list.len() as u64;
                 merge_list(&list, alpha0.saturating_sub(p - 1 - j), &alive, &mut merged);
@@ -693,7 +698,7 @@ impl<'a, I: IndexAccess + ?Sized> NearDupSearcher<'a, I> {
             for &func in &long_funcs {
                 checkpoint!(0, 0, 'run);
                 self.index
-                    .probe_texts(func, sketch.value(func), &texts, &io_acc, &mut probed)?;
+                    .probe_texts(func, sketch.value(func), &texts, io_acc, &mut probed)?;
                 stats.long_probes += texts.len();
             }
             stats.postings_read += probed.len() as u64;
@@ -743,7 +748,6 @@ impl<'a, I: IndexAccess + ?Sized> NearDupSearcher<'a, I> {
         stats.zone_misses = io.zone_misses;
         stats.total = start.elapsed();
         stats.cpu_time = stats.total.saturating_sub(stats.io_time);
-        self.metrics.observe(&stats);
         let outcome = SearchOutcome {
             matches,
             stats,
@@ -754,13 +758,10 @@ impl<'a, I: IndexAccess + ?Sized> NearDupSearcher<'a, I> {
         };
         match stopped {
             None => Ok(outcome),
-            Some(resource) => {
-                self.metrics.record_budget_exceeded();
-                Err(QueryError::BudgetExceeded {
-                    resource,
-                    partial: Box::new(outcome),
-                })
-            }
+            Some(resource) => Err(QueryError::BudgetExceeded {
+                resource,
+                partial: Box::new(outcome),
+            }),
         }
     }
 

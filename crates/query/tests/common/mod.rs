@@ -4,7 +4,9 @@
 
 use ndss_corpus::TextId;
 use ndss_hash::HashValue;
-use ndss_index::{IndexAccess, IndexConfig, IndexError, IoSnapshot, IoStats, Posting, SharedList};
+use ndss_index::{
+    IndexAccess, IndexConfig, IndexError, IoStats, LengthHistogram, Posting, SharedList,
+};
 
 /// SplitMix64: a seed is the whole input of every test that draws from it.
 pub struct Rng(pub u64);
@@ -72,11 +74,7 @@ impl IndexAccess for HandBuilt {
         Ok(())
     }
 
-    fn io_snapshot(&self) -> IoSnapshot {
-        IoSnapshot::default()
-    }
-
-    fn list_length_histogram(&self, func: usize) -> Result<Vec<(u64, u64)>, IndexError> {
-        Ok(vec![(self.lists[func].len() as u64, 1)])
+    fn list_length_histogram(&self, func: usize) -> Result<LengthHistogram, IndexError> {
+        Ok([(self.lists[func].len() as u64, 1)].into())
     }
 }

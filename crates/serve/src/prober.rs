@@ -99,7 +99,6 @@ fn verify_shard_on_disk(store: &Path, shard: usize) -> Result<(), IndexError> {
         sharded.verify_shard(shard)
     } else {
         let dir = resolve_index_dir(store);
-        let index = DiskIndex::open(&dir)?;
-        index.verify_integrity()
+        DiskIndex::open(&dir)?.verify_integrity().map(|_| ())
     }
 }

@@ -6,7 +6,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-use ndss::index::{CacheConfig, IndexError, IoSnapshot, IoStats, Posting, SharedList};
+use ndss::index::{CacheConfig, IndexError, IoStats, LengthHistogram, Posting, SharedList};
 use ndss::prelude::*;
 use ndss_integration::scratch;
 
@@ -552,11 +552,7 @@ impl IndexAccess for FetchHook<'_> {
         self.inner.probe_texts(func, hash, texts, io, out)
     }
 
-    fn io_snapshot(&self) -> IoSnapshot {
-        self.inner.io_snapshot()
-    }
-
-    fn list_length_histogram(&self, func: usize) -> Result<Vec<(u64, u64)>, IndexError> {
+    fn list_length_histogram(&self, func: usize) -> Result<LengthHistogram, IndexError> {
         self.inner.list_length_histogram(func)
     }
 }

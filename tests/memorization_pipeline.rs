@@ -6,7 +6,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use ndss::index::{IndexError, IoSnapshot, IoStats, Posting, SharedList};
+use ndss::index::{IndexError, IoStats, LengthHistogram, Posting, SharedList};
 use ndss::lm::memorization::{collect_examples, generate_query_windows};
 use ndss::lm::{prompted_memorization, MemorizationReport};
 use ndss::prelude::*;
@@ -202,10 +202,7 @@ impl IndexAccess for CountingIndex<'_> {
     ) -> Result<(), IndexError> {
         self.inner.probe_texts(func, hash, texts, io, out)
     }
-    fn io_snapshot(&self) -> IoSnapshot {
-        self.inner.io_snapshot()
-    }
-    fn list_length_histogram(&self, func: usize) -> Result<Vec<(u64, u64)>, IndexError> {
+    fn list_length_histogram(&self, func: usize) -> Result<LengthHistogram, IndexError> {
         self.inner.list_length_histogram(func)
     }
 }
