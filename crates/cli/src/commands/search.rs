@@ -22,7 +22,6 @@ pub const FLAGS: &[&str] = &[
     "corpus",
     "top",
     "profile",
-    "mmap",
     "deadline-ms",
     "max-io-bytes",
     "max-candidates",
@@ -36,14 +35,9 @@ pub const FLAGS: &[&str] = &[
 ];
 
 /// Opens `--index` — a plain directory, a generation store or a sharded
-/// store; the first two are the one-shard case — honoring `--mmap` for
-/// every shard.
-fn open_view(args: &Args, index_dir: &str) -> Result<ShardedIndex, String> {
-    let mut options = ServingOptions::default();
-    if args.flag("mmap") {
-        options.io = ndss::index::ReadOptions::with_mmap();
-    }
-    ShardedIndex::open_with(Path::new(index_dir), &options).map_err(|e| e.to_string())
+/// store; the first two are the one-shard case.
+fn open_view(index_dir: &str) -> Result<ShardedIndex, String> {
+    ShardedIndex::open(Path::new(index_dir)).map_err(|e| e.to_string())
 }
 
 pub fn run(args: &Args) -> Result<(), String> {
@@ -98,7 +92,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     }
 
     let budget = parse_budget(args)?;
-    let view = open_view(args, index_dir)?;
+    let view = open_view(index_dir)?;
     let (k, t) = (view.config().k, view.config().t);
     if query.len() < t {
         eprintln!(
@@ -278,7 +272,7 @@ fn run_batch(
             .map_err(|e| format!("invalid --admission-cap: {e}"))?;
         governor = governor.admission_cap(cap);
     }
-    let view = open_view(args, index_dir)?;
+    let view = open_view(index_dir)?;
     let searcher = view
         .searcher_with_filter(PrefixFilter::default())
         .map_err(|e| e.to_string())?

@@ -143,7 +143,6 @@ const COMMANDS: &[Command] = &[
                --query TEXT --tokenizer FILE] [--top N=10]
                [--corpus FILE (decodes matches)]
                [--profile (per-stage timing/IO breakdown)]
-               [--mmap (read the index through a memory mapping)]
              per-query resource budgets (a tripped budget reports the partial
              result set found so far, flagged incomplete)
                [--deadline-ms N] [--max-io-bytes N] [--max-candidates N]

@@ -217,8 +217,7 @@ impl CorpusIndex<DiskIndex> {
     }
 
     /// Like [`CorpusIndex::open`], but with explicit cache sizing and IO
-    /// options — e.g. [`ndss_index::ReadOptions::with_mmap`] to serve warm
-    /// queries from a memory map instead of pread.
+    /// options (a fault plan, in tests).
     pub fn open_with(
         dir: &Path,
         prefix_filter: PrefixFilter,

@@ -447,9 +447,9 @@ enum Lists {
 /// block index of v4/v6) lives in memory; list bytes are read on demand
 /// with IO accounting.
 ///
-/// All reads are *positioned* (`pread`, or plain memory copies when the
-/// file is mapped via [`ReadOptions::mmap`]), so a shared reader serves any
-/// number of threads with no lock and one syscall per read.
+/// All reads are *positioned* (memory copies from the file's mapping, or
+/// `pread` on a tapped or unmappable file), so a shared reader serves any
+/// number of threads with no lock.
 pub struct Reader {
     file: RetryingFile,
     path: PathBuf,
@@ -479,8 +479,8 @@ impl std::fmt::Debug for Reader {
 }
 
 impl Reader {
-    /// Opens the file with default IO options (transient-error retry on,
-    /// fault injection off). See [`Self::open_with`].
+    /// Opens the file with default IO options (mapped, transient-error
+    /// retry on, fault injection off). See [`Self::open_with`].
     pub fn open(path: &Path) -> Result<Self, IndexError> {
         Self::open_with(path, &ReadOptions::default())
     }

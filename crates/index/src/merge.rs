@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex};
 use crate::container::{Encoding, Reader, Writer};
 use crate::disk::{inv_file_path, DiskIndex};
 use crate::journal::{self, BuildJournal, JournalKind, KillPoints};
-use crate::{IndexConfig, IndexError, IoStats, Posting, ReadOptions};
+use crate::{IndexConfig, IndexError, IoStats, Posting};
 
 /// Knobs for [`merge_indexes_with`]: resume, and (in tests) a deterministic
 /// crash injector. Mirrors the corresponding options on
@@ -213,14 +213,10 @@ impl<'a> MergeInputs<'a> {
     ) -> Result<(), IndexError> {
         let postings_written = crate::build::build_postings_counter();
         let stats = IoStats::default();
-        // Inputs are mapped: a merge reads every list of every input once,
-        // in file order, and a pread per list costs more than its decode
-        // (merge phase of a 10-run build 1.1–1.3 s → 0.6–0.8 s).
-        let mapped = ReadOptions::with_mmap();
         let readers: Vec<Reader> = self
             .dirs
             .iter()
-            .map(|dir| Reader::open_with(&inv_file_path(dir, func), &mapped))
+            .map(|dir| Reader::open(&inv_file_path(dir, func)))
             .collect::<Result<_, _>>()?;
         let mut writer = Writer::create(
             &inv_file_path(out_dir, func),

@@ -24,14 +24,16 @@
 //! rot, truncation and a permission flip. (Write-side crashes are the
 //! build's `KillPoints`.)
 //!
-//! # Memory-mapped reads
+//! # Mapped reads, and where pread stays
 //!
-//! [`ReadOptions::mmap`] swaps the pread syscall for a private read-only
-//! `mmap(2)` of the whole file (vendored binding, unix only): warm reads
-//! become memory copies. If mapping fails the handle silently falls back to
-//! pread, and a reader with a fault plan attached always reads by pread, or
-//! mapped decoding would read around the tap. Mapped reads answer exactly
-//! as pread does, EOF and out-of-range offsets included.
+//! Every index file is read through a private read-only `mmap(2)` of the
+//! whole file (vendored binding, unix only): warm reads are memory copies,
+//! and decoders borrow the mapped bytes directly. That is the production
+//! path. pread is kept for the files that cannot be mapped: a reader with a
+//! fault plan attached always reads by pread, or mapped decoding would read
+//! around the tap; a failed map falls back to it silently; and so does every
+//! open off unix. Mapped reads answer exactly as pread does, EOF and
+//! out-of-range offsets included.
 
 use std::cell::Cell;
 use std::fs::File;
@@ -140,12 +142,10 @@ impl FaultPlan {
 }
 
 /// How index files are opened. `ReadOptions::default()` is the production
-/// configuration: pread, no fault plan.
+/// configuration: every file mapped, no fault plan. The files a plan taps
+/// read by pread, as do files that cannot be mapped.
 #[derive(Debug, Clone, Default)]
 pub struct ReadOptions {
-    /// Memory-map index files instead of pread (unix only; falls back to
-    /// pread when mapping fails or a fault plan is attached).
-    pub mmap: bool,
     /// Read-fault injection (tests only), attached at open to the files the
     /// plan targets.
     pub faults: Option<FaultPlan>,
@@ -156,16 +156,15 @@ impl ReadOptions {
     pub fn with_faults(faults: FaultPlan) -> Self {
         Self {
             faults: Some(faults),
-            ..Self::default()
         }
     }
 
-    /// Production defaults with memory-mapped reads requested.
+    /// The defaults: every file is mapped already. Kept only because the
+    /// benchmark's `ledger/src/adapter.rs:188` still calls it; ROADMAP item
+    /// 1(b) deletes that call and this function together.
+    #[doc(hidden)]
     pub fn with_mmap() -> Self {
-        Self {
-            mmap: true,
-            ..Self::default()
-        }
+        Self::default()
     }
 }
 
@@ -200,8 +199,9 @@ mod mapped {
         len: usize,
     }
 
-    // The mapping is read-only and owned until drop; sharing &Mmap across
-    // threads only ever reads the mapped bytes.
+    // SAFETY: `ptr` and `len` are written once, in `map`; the mapping is
+    // read-only and owned until drop, so sharing `&Mmap` across threads
+    // only ever reads the mapped bytes, and any thread may unmap it.
     unsafe impl Send for Mmap {}
     unsafe impl Sync for Mmap {}
 
@@ -223,6 +223,8 @@ mod mapped {
                     len: 0,
                 });
             }
+            // SAFETY: a fresh private read-only mapping of `len > 0` bytes of
+            // an open descriptor at offset 0 aliases no Rust memory.
             let ptr = unsafe {
                 mmap(
                     std::ptr::null_mut(),
@@ -243,6 +245,10 @@ mod mapped {
             if self.len == 0 {
                 return &[];
             }
+            // SAFETY: `ptr` is a live mapping of `len` readable bytes until
+            // drop, and nothing writes through it. Published index files are
+            // never written or truncated in place (DESIGN §12), which is what
+            // keeps the bytes fixed for the borrow's lifetime.
             unsafe { std::slice::from_raw_parts(self.ptr as *const u8, self.len) }
         }
     }
@@ -250,6 +256,8 @@ mod mapped {
     impl Drop for Mmap {
         fn drop(&mut self) {
             if self.len != 0 {
+                // SAFETY: the mapping `map` created; no borrow of it outlives
+                // `self`.
                 unsafe {
                     munmap(self.ptr, self.len);
                 }
@@ -324,8 +332,8 @@ impl Source {
 
 /// A positioned-read file handle that absorbs transient errors.
 ///
-/// Thread-safe: holds no cursor, takes no lock; concurrent readers pay one
-/// syscall per read on the fault-free path.
+/// Thread-safe: holds no cursor, takes no lock; a mapped read is a memory
+/// copy, a pread one syscall on the fault-free path.
 #[derive(Debug)]
 pub struct RetryingFile {
     source: Source,
@@ -352,10 +360,9 @@ impl RetryingFile {
         }
         // One rule: a tapped reader reads by pread, or mapped decoding
         // would read around the tap.
-        let source = if options.mmap && tap.is_none() {
-            Mmap::map(&file).map_or(Source::Plain(file), Source::Mapped)
-        } else {
-            Source::Plain(file)
+        let source = match tap {
+            None => Mmap::map(&file).map_or(Source::Plain(file), Source::Mapped),
+            Some(_) => Source::Plain(file),
         };
         let reg = ndss_obs::Registry::global();
         Ok(Self {
@@ -586,17 +593,20 @@ mod tests {
     /// file lengths around page boundaries (the empty file included), reads
     /// of every length at each page boundary ± 1, at the end of the file,
     /// past it, and at offsets pread refuses. Each read gives the same
-    /// bytes or the same error kind on both paths.
+    /// bytes or the same error kind on both paths; the pread side is opened
+    /// with a disarmed plan, the one way left to read by pread.
     #[test]
     fn mmap_reads_match_pread() {
         const PAGE: u64 = 4096;
         for len in [0, 1, PAGE - 1, PAGE, PAGE + 1, 3 * PAGE + 17] {
             let data: Vec<u8> = (0..len).map(|i| (i.wrapping_mul(31) % 251) as u8).collect();
             let path = data_file(&format!("mapped_{len}.bin"), &data);
-            let plain = RetryingFile::open(&path, &ReadOptions::default()).unwrap();
-            let mapped = RetryingFile::open(&path, &ReadOptions::with_mmap()).unwrap();
+            let (_plan, tapped) = armed(FaultMode::Off, 0);
+            let plain = RetryingFile::open(&path, &tapped).unwrap();
+            let mapped = RetryingFile::open(&path, &ReadOptions::default()).unwrap();
+            assert!(plain.mapped().is_none(), "a tapped file reads by pread");
             if cfg!(unix) {
-                assert!(mapped.mapped().is_some(), "unix open with mmap should map");
+                assert!(mapped.mapped().is_some(), "unix opens map by default");
             }
             assert_eq!(plain.len(), mapped.len());
             let mut offsets = vec![len, len + 1, i64::MAX as u64, 1 << 63, u64::MAX - 1];
@@ -631,8 +641,7 @@ mod tests {
     #[test]
     fn mmap_yields_to_faults_and_handles_empty_files() {
         let path = data_file("mapped_faults.bin", &[7u8; 256]);
-        let (plan, mut options) = armed(FaultMode::Flaky, 9);
-        options.mmap = true;
+        let (plan, options) = armed(FaultMode::Flaky, 9);
         let f = RetryingFile::open(&path, &options).unwrap();
         assert!(f.mapped().is_none(), "faults must win over mmap");
         let mut buf = [0u8; 32];
@@ -644,7 +653,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
 
         let empty = data_file("mapped_empty.bin", &[]);
-        let f = RetryingFile::open(&empty, &ReadOptions::with_mmap()).unwrap();
+        let f = RetryingFile::open(&empty, &ReadOptions::default()).unwrap();
         assert_eq!(f.len(), 0);
         let err = f.read_exact_at(&mut buf, 0).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
@@ -702,10 +711,7 @@ mod tests {
         let path = data_file("chaos_mmap.bin", &[3u8; 512]);
         let other = data_file("plain_mmap.bin", &[4u8; 512]);
         let plan = FaultPlan::new("chaos_mmap", 9);
-        let options = ReadOptions {
-            mmap: true,
-            faults: Some(plan.clone()),
-        };
+        let options = ReadOptions::with_faults(plan.clone());
         let tapped = RetryingFile::open(&path, &options).unwrap();
         assert!(tapped.mapped().is_none(), "tapped files must not map");
         if cfg!(unix) {

@@ -1,7 +1,8 @@
 //! Differential test of [`IndexAccess::probe_texts`]: one batched call
 //! must return exactly the concatenation of one per-text probe per entry
 //! (and both must equal filtering the list itself), for every on-disk
-//! format, both read paths, and with the list cache off, on but cold, and
+//! format, both read paths (mapped, and pread under a disarmed fault plan),
+//! and with the list cache off, on but cold, and
 //! holding the whole list — on lists built to sit on the boundaries the
 //! forward pass has to get right.
 
@@ -11,7 +12,8 @@ use ndss_corpus::TextId;
 use ndss_hash::HashValue;
 use ndss_index::container::{Encoding, Writer};
 use ndss_index::{
-    inv_file_path, CacheConfig, DiskIndex, IndexAccess, IndexConfig, IoStats, Posting, ReadOptions,
+    inv_file_path, CacheConfig, DiskIndex, FaultPlan, IndexAccess, IndexConfig, IoStats, Posting,
+    ReadOptions,
 };
 use ndss_windows::CompactWindow;
 
@@ -114,12 +116,14 @@ fn batched_probe_equals_per_text_probes() {
     for format in ["v3", "v4", "packed"] {
         let dir = base.join(format);
         build(&dir, format);
-        for mmap in [false, true] {
+        // Every open maps its files unless a fault plan is attached, so a
+        // disarmed plan is the pread arm.
+        for pread in [false, true] {
             for cache in ["off", "cold", "resident"] {
-                let label = format!("{format} mmap={mmap} cache={cache}");
+                let label = format!("{format} pread={pread} cache={cache}");
                 let open = || {
-                    let io = if mmap {
-                        ReadOptions::with_mmap()
+                    let io = if pread {
+                        ReadOptions::with_faults(FaultPlan::new("", 0))
                     } else {
                         ReadOptions::default()
                     };

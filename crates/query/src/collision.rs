@@ -23,9 +23,11 @@
 //! rather than once per elementary range: sort the left endpoints, sort and
 //! compress the right coordinates `{c, r + 1}` of every window, then keep a
 //! per-coordinate difference array up to date (±1 as a window enters or
-//! leaves `C'`), so the inner sweep of one elementary range is a single
-//! prefix-sum pass over coordinates — O(m log m + ranges × coordinates)
-//! instead of O(ranges × m log m).
+//! leaves `C'`), with one bit per coordinate marking those some window of
+//! `C'` touches. The inner sweep of one elementary range is then a single
+//! prefix-sum pass over the marked coordinates only, which stops as soon as
+//! the count can no longer reach α — O(m log m + ranges × (live coordinates
+//! + coordinates / 64)) instead of O(ranges × m log m).
 
 use std::ops::ControlFlow;
 
@@ -123,6 +125,21 @@ struct Coord {
     events: u32,
 }
 
+/// The set bits of `words` at index `from` or later, ascending.
+fn ones_from(words: &[u64], from: usize) -> impl Iterator<Item = usize> + '_ {
+    let mut w = from / 64;
+    let mut bits = words.get(w).map_or(0, |&x| x & (!0 << (from % 64)));
+    std::iter::from_fn(move || {
+        while bits == 0 {
+            w += 1;
+            bits = *words.get(w)?;
+        }
+        let bit = bits.trailing_zeros() as usize;
+        bits &= bits - 1;
+        Some(w * 64 + bit)
+    })
+}
+
 /// Reusable buffers for [`collision_sweep`]. The query loop runs one sweep
 /// per candidate text and the endpoint lists are the only heap state a
 /// sweep needs, so one scratch per query removes every per-text allocation.
@@ -137,6 +154,9 @@ pub struct CollisionScratch {
     coords: Vec<Coord>,
     /// `at[idx]` = where window `idx`'s `c` and `r + 1` sit in `coords`.
     at: Vec<[u32; 2]>,
+    /// Bit `i` is set exactly when `coords[i].events != 0`: the coordinates
+    /// the inner sweep visits.
+    live: Vec<u64>,
 }
 
 /// Runs Algorithm 4 on the windows of one text. Returns the rectangles of
@@ -196,8 +216,10 @@ pub fn collision_count_fn_into(
 /// `alpha` of them, the endpoints walked since the previous such range are
 /// applied to the compressed right coordinates (built on first use: a text
 /// whose windows never stack `alpha` deep costs one sort), and one pass over
-/// the coordinates from `x` on accumulates the active count, cutting a
-/// rectangle at every coordinate some active window touches.
+/// the coordinates some active window touches, from `x` on, accumulates the
+/// active count and cuts a rectangle at each of them. The pass stops once no
+/// rectangle is open and the count plus the active starts still ahead is
+/// below `alpha`.
 ///
 /// A run longer than [`MAX_SWEEP_WINDOWS`] is
 /// [`QueryError::TooManyPostings`].
@@ -223,6 +245,7 @@ pub fn collision_sweep(
         right,
         coords,
         at,
+        live,
     } = scratch;
     // Positions are widened to u64 before packing so `c + 1` and `r + 1`
     // cannot overflow at u32::MAX.
@@ -280,28 +303,36 @@ pub fn collision_sweep(
                 let end = (key & END_BIT != 0) as usize;
                 at[(key & IDX_MASK) as usize][end] = (coords.len() - 1) as u32;
             }
+            live.clear();
+            live.resize(coords.len().div_ceil(64), 0);
         }
         for &key in &left[applied..i] {
             let [c, r] = at[(key & IDX_MASK) as usize];
             let step = if key & END_BIT == 0 { 1 } else { -1 };
-            let (c, r) = (c as usize, r as usize);
-            coords[c].delta += step;
-            coords[c].events = coords[c].events.wrapping_add_signed(step);
-            coords[r].delta -= step;
-            coords[r].events = coords[r].events.wrapping_add_signed(step);
+            for (slot, delta) in [(c as usize, step), (r as usize, -step)] {
+                let coord = &mut coords[slot];
+                coord.delta += delta;
+                coord.events = coord.events.wrapping_add_signed(step);
+                let (word, bit) = (&mut live[slot / 64], slot % 64);
+                *word = *word & !(1 << bit) | ((coord.events != 0) as u64) << bit;
+            }
         }
         applied = i;
         while coords[first].pos < pos {
             first += 1;
         }
-        // The inner sweep: a running sum of `delta`, one rectangle per
-        // stretch between touched coordinates where it is at least alpha.
+        // The inner sweep: a running sum of `delta` over the live
+        // coordinates, one rectangle per stretch between them where it is at
+        // least alpha. `count + starts_left` bounds every later count.
         let mut count = 0i32;
-        let mut pending = 2 * active;
+        let mut starts_left = active as i32;
         let mut open: Option<(u32, u32)> = None;
-        for coord in &coords[first..] {
-            if coord.events == 0 {
-                continue;
+        for slot in ones_from(live, first) {
+            let coord = &coords[slot];
+            count += coord.delta;
+            starts_left -= (coord.events as i32 + coord.delta) / 2;
+            if open.is_none() && ((count + starts_left) as usize) < alpha {
+                break;
             }
             if let Some((y_lo, collisions)) = open.take() {
                 let rect = Rectangle {
@@ -315,13 +346,8 @@ pub fn collision_sweep(
                     return Ok(());
                 }
             }
-            count += coord.delta;
             if count as usize >= alpha {
                 open = Some((coord.pos as u32, count as u32));
-            }
-            pending -= coord.events as usize;
-            if pending == 0 {
-                break;
             }
         }
     }
@@ -445,6 +471,53 @@ mod tests {
             for alpha in 1..=n {
                 check(&windows, alpha, 30);
             }
+        }
+    }
+
+    /// Runs of 70–300 windows put their coordinates across several bitset
+    /// words, and α near the deepest stack makes the walk stop early on most
+    /// elementary ranges.
+    #[test]
+    fn multi_word_runs_near_the_deepest_stack_match_bruteforce() {
+        let mut state = 7u64;
+        let mut next = |bound: u32| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 33) as u32 % bound
+        };
+        for _ in 0..6 {
+            let n = 70 + next(231);
+            let windows: Vec<CompactWindow> = (0..n)
+                .map(|_| {
+                    let l = next(120);
+                    let c = l + next(30);
+                    CompactWindow::new(l, c, c + next(40))
+                })
+                .collect();
+            let every = bruteforce_collisions(&windows, 1, 190);
+            let deepest = every.iter().map(|&(_, count)| count).max().unwrap();
+            for alpha in deepest.saturating_sub(3).max(1)..=deepest {
+                let want: Vec<_> = every.iter().filter(|s| s.1 >= alpha).copied().collect();
+                let got = expand(&collision_count(&windows, alpha as usize));
+                assert_eq!(got, want, "{n} windows, alpha {alpha}");
+            }
+        }
+    }
+
+    /// `ones_from` yields exactly the set bits at or after `from`, whatever
+    /// lies below it in the same word.
+    #[test]
+    fn ones_from_skips_every_bit_below_its_start() {
+        let words = [u64::MAX, 0, 0b1011 << 60, 0, 1];
+        let set: Vec<usize> = (0..words.len() * 64)
+            .filter(|&i| words[i / 64] >> (i % 64) & 1 == 1)
+            .collect();
+        for from in 0..=words.len() * 64 {
+            let want: Vec<usize> = set.iter().copied().filter(|&i| i >= from).collect();
+            assert_eq!(
+                ones_from(&words, from).collect::<Vec<_>>(),
+                want,
+                "from {from}"
+            );
         }
     }
 

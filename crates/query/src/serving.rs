@@ -49,7 +49,7 @@ use crate::QueryError;
 pub struct ServingOptions {
     /// Per-generation cache sizing.
     pub cache: CacheConfig,
-    /// Read options: mmap, and (in tests) a fault plan.
+    /// Read options: (in tests) a fault plan.
     pub io: ReadOptions,
     /// Per-shard circuit-breaker tuning.
     pub breaker: BreakerConfig,

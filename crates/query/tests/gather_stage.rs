@@ -11,11 +11,15 @@
 //!   skipped it stays near that scan. The bounds compare optimised code
 //!   with an optimised yardstick timed in the same process, so they are
 //!   asserted in release builds only.
+//!
+//! Every test holds [`SERIAL`], so no sibling test shares the cores while a
+//! timed region runs.
 
 mod common;
 
 use std::collections::BTreeMap;
 use std::hint::black_box;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use ndss_corpus::TextId;
@@ -28,6 +32,14 @@ use ndss_windows::CompactWindow;
 use common::{HandBuilt, Rng};
 
 const T: usize = 10;
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn query() -> Vec<TokenId> {
     (100..164).collect()
@@ -169,6 +181,7 @@ fn random_lists(rng: &mut Rng, k: usize, n: u32, beta: usize, ids: Ids) -> Vec<V
 
 #[test]
 fn candidates_are_the_texts_named_by_alpha0_distinct_lists() {
+    let _serial = serial();
     let mut matched = 0;
     for seed in 0..24u64 {
         let mut rng = Rng(0x6A77 + seed);
@@ -221,6 +234,7 @@ fn candidates_are_the_texts_named_by_alpha0_distinct_lists() {
 /// every other must name the text), α₀ = 1 (every list admits), k = 1.
 #[test]
 fn the_corners_of_the_prefix_bound_answer_like_the_reference() {
+    let _serial = serial();
     for seed in 0..6u64 {
         let mut rng = Rng(0xC0 + seed);
         for (k, theta) in [(8, 1.0), (8, 0.01), (1, 1.0), (1, 0.5), (5, 0.2), (19, 1.0)] {
@@ -270,17 +284,37 @@ fn two_pass_scan(lists: &[Vec<Posting>], alpha0: u32) -> usize {
     black_box(&kept).len()
 }
 
-fn best_of_3<R>(mut run: impl FnMut() -> R) -> (Duration, R) {
-    let mut best: Option<(Duration, R)> = None;
-    for _ in 0..3 {
-        let start = Instant::now();
-        let result = run();
-        let took = start.elapsed();
-        if best.as_ref().is_none_or(|(t, _)| took < *t) {
-            best = Some((took, result));
+/// How long `run` took, and what it returned.
+fn timed<R>(run: impl FnOnce() -> R) -> (Duration, R) {
+    let start = Instant::now();
+    let result = run();
+    (start.elapsed(), result)
+}
+
+/// The fastest of three `(time, result)` measurements of each side, taken
+/// alternately, so a slow stretch of the host falls on both sides alike.
+fn best_of_3<A, B>(
+    mut yardstick: impl FnMut() -> (Duration, A),
+    mut subject: impl FnMut() -> (Duration, B),
+) -> ((Duration, A), (Duration, B)) {
+    let mut best = (yardstick(), subject());
+    for _ in 1..3 {
+        let a = yardstick();
+        if a.0 < best.0 .0 {
+            best.0 = a;
+        }
+        let b = subject();
+        if b.0 < best.1 .0 {
+            best.1 = b;
         }
     }
-    best.unwrap()
+    best
+}
+
+/// A search timed by its own gather stage.
+fn gathered(index: &HandBuilt, theta: f64) -> (Duration, SearchOutcome) {
+    let outcome = search(index, PrefixFilter::Disabled, theta);
+    (outcome.stats.stage_gather, outcome)
 }
 
 /// 7 two-posting lists admit at most 14 texts; the 12 lists of 200 000
@@ -290,6 +324,7 @@ fn best_of_3<R>(mut run: impl FnMut() -> R) -> (Duration, R) {
 /// *single* pass over the postings takes.
 #[test]
 fn long_lists_behind_a_short_prefix_are_looked_up_not_read() {
+    let _serial = serial();
     const LONG: u32 = 200_000;
     let window = CompactWindow::new(0, 5, 40);
     let lists: Vec<Vec<Posting>> = (0..19u32)
@@ -330,18 +365,22 @@ fn long_lists_behind_a_short_prefix_are_looked_up_not_read() {
     assert_eq!(collision_threshold(19, theta), 13);
     assert!(reference(&lists, 13).is_empty());
 
-    let (one_pass, _) = best_of_3(|| {
-        lists
-            .iter()
-            .flatten()
-            .fold(0u64, |sum, p| sum + black_box(p.text) as u64)
-    });
     let index = hand_built(lists);
-    let (_, outcome) = best_of_3(|| search(&index, PrefixFilter::Disabled, theta));
+    let ((one_pass, _), (gather, outcome)) = best_of_3(
+        || {
+            timed(|| {
+                index
+                    .lists
+                    .iter()
+                    .flatten()
+                    .fold(0u64, |sum, p| sum + black_box(p.text) as u64)
+            })
+        },
+        || gathered(&index, theta),
+    );
     assert!(outcome.matches.is_empty());
     assert_eq!(outcome.stats.candidate_texts, 0);
     assert_eq!(outcome.stats.postings_read, 7 * 2 + 12 * LONG as u64);
-    let gather = outcome.stats.stage_gather;
     if !cfg!(debug_assertions) {
         assert!(
             gather * 20 < one_pass,
@@ -358,6 +397,7 @@ fn long_lists_behind_a_short_prefix_are_looked_up_not_read() {
 /// 2-core reference host; the bound leaves room for its drift).
 #[test]
 fn every_text_alive_to_the_end_stays_near_the_two_pass_scan() {
+    let _serial = serial();
     const TEXTS: u32 = 50_000;
     let lists: Vec<Vec<Posting>> = (0..19)
         .map(|_| {
@@ -370,14 +410,15 @@ fn every_text_alive_to_the_end_stays_near_the_two_pass_scan() {
         })
         .collect();
     let theta = 0.68;
-    let (yardstick, kept) = best_of_3(|| two_pass_scan(&lists, 13));
-    assert_eq!(kept, 19 * TEXTS as usize);
     let index = hand_built(lists);
-    let (_, outcome) = best_of_3(|| search(&index, PrefixFilter::Disabled, theta));
+    let ((yardstick, kept), (gather, outcome)) = best_of_3(
+        || timed(|| two_pass_scan(&index.lists, 13)),
+        || gathered(&index, theta),
+    );
+    assert_eq!(kept, 19 * TEXTS as usize);
     assert_eq!(outcome.matches.len(), TEXTS as usize);
     assert_eq!(outcome.stats.candidate_texts, TEXTS as usize);
     assert!(outcome.matches.iter().all(|m| m.rects[0].collisions == 19));
-    let gather = outcome.stats.stage_gather;
     if !cfg!(debug_assertions) {
         assert!(
             gather < 3 * yardstick,

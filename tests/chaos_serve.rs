@@ -5,13 +5,16 @@
 //! attached at open to one shard's files and armed/disarmed *while queries
 //! are in flight* — so these tests exercise exactly the failure the fault-
 //! isolation layer exists for: an already-serving shard going bad under a
-//! live reader. The sweep grid is
+//! live reader. A tapped shard reads by pread, its untapped siblings through
+//! their mappings. The sweep grid is
 //!
 //! ```text
-//! 3 formats (v3, v4, v6) × 2 read paths (pread, mmap)
-//!   × 5 fault kinds (transient storm, corruption, eof/truncation,
-//!                    permission denial, deletion+repair)
-//!   × 2 corpus seeds  =  60 seeded scenarios
+//! 3 formats (v3, v4, v6)
+//!   × 4 armed fault kinds (transient storm, corruption, eof/truncation,
+//!                          permission denial)
+//!   × 2 corpus seeds  =  24 tap scenarios
+//! 3 formats × 2 read paths (mapped, pread) × deletion+repair
+//!   × 2 corpus seeds  =  12 deletion scenarios
 //! ```
 //!
 //! Invariants checked in every scenario, always:
@@ -80,7 +83,7 @@ fn breaker_cfg() -> BreakerConfig {
 fn chaos_options(plan: &FaultPlan, cache: CacheConfig) -> ServingOptions {
     ServingOptions {
         cache,
-        io: ndss::index::ReadOptions::with_faults(plan.clone()),
+        io: ReadOptions::with_faults(plan.clone()),
         breaker: breaker_cfg(),
     }
 }
@@ -214,22 +217,13 @@ fn chaos_scenario(
     oracle: &[SearchOutcome],
     queries: &[Vec<TokenId>],
     mode: FaultMode,
-    mmap: bool,
     faulty: usize,
     ctx: &str,
 ) -> bool {
     let plan = FaultPlan::new(&format!("shard-{faulty:04}"), 0);
-    let io = ndss::index::ReadOptions {
-        mmap,
-        faults: Some(plan.clone()),
-    };
     // Caching stays off: a warmed posting cache would satisfy the armed
     // rounds without ever touching the tapped files.
-    let options = ServingOptions {
-        cache: CacheConfig::disabled(),
-        io,
-        breaker: breaker_cfg(),
-    };
+    let options = chaos_options(&plan, CacheConfig::disabled());
     let view = ShardedIndex::open_with(store, &options).unwrap();
     assert_eq!(view.num_shards(), SHARDS);
     assert!(plan.attached() > 0, "tap attached to no files ({ctx})");
@@ -347,8 +341,8 @@ fn chaos_scenario(
     detected
 }
 
-/// The 48 tap-based scenarios: every format × read path × armed mode ×
-/// seed, each against the single-index oracle.
+/// The 24 tap-based scenarios: every format × armed mode × seed, each
+/// against the single-index oracle.
 #[test]
 fn chaos_sweep_across_formats_read_paths_and_fault_kinds() {
     let mut ran = 0usize;
@@ -366,27 +360,21 @@ fn chaos_sweep_across_formats_read_paths_and_fault_kinds() {
                 packed,
                 &format!("sweep_oracle_{format}_{seed}"),
             );
-            for mmap in [false, true] {
-                for (mode, mode_name) in CHAOS_MODES {
-                    let ctx = format!(
-                        "{format}/{}/{mode_name}/seed {seed}/shard {faulty}",
-                        if mmap { "mmap" } else { "pread" }
-                    );
-                    let detected =
-                        chaos_scenario(&store, &oracle, &queries, mode, mmap, faulty, &ctx);
-                    ran += 1;
-                    if mode == FaultMode::Corrupt {
-                        corrupt_ran += 1;
-                        corrupt_detected += detected as usize;
-                    } else {
-                        assert!(detected, "{ctx}: mode must always be detected");
-                    }
+            for (mode, mode_name) in CHAOS_MODES {
+                let ctx = format!("{format}/{mode_name}/seed {seed}/shard {faulty}");
+                let detected = chaos_scenario(&store, &oracle, &queries, mode, faulty, &ctx);
+                ran += 1;
+                if mode == FaultMode::Corrupt {
+                    corrupt_ran += 1;
+                    corrupt_detected += detected as usize;
+                } else {
+                    assert!(detected, "{ctx}: mode must always be detected");
                 }
             }
             std::fs::remove_dir_all(&store).ok();
         }
     }
-    assert_eq!(ran, 48, "the sweep grid must stay complete");
+    assert_eq!(ran, 24, "the sweep grid must stay complete");
     // Bit rot must be *caught* by the validation layers in the vast
     // majority of scenarios — a silent-corruption regression would show
     // up here as a detection collapse.
@@ -434,25 +422,17 @@ fn deletion_and_repair_round_trips_through_verification() {
                 packed,
                 &format!("del_oracle_{format}_{seed}"),
             );
-            for mmap in [false, true] {
-                let ctx = format!(
-                    "deletion/{format}/{}/seed {seed}/shard {faulty}",
-                    if mmap { "mmap" } else { "pread" }
-                );
-                let work = scratch(
-                    "chaos",
-                    &format!(
-                        "del_work_{format}_{seed}_{}",
-                        if mmap { "mmap" } else { "pread" }
-                    ),
-                );
+            // A disarmed plan on every file is what forces pread.
+            for (path, io) in [
+                ("mapped", ReadOptions::default()),
+                ("pread", ReadOptions::with_faults(FaultPlan::new("", 0))),
+            ] {
+                let ctx = format!("deletion/{format}/{path}/seed {seed}/shard {faulty}");
+                let work = scratch("chaos", &format!("del_work_{format}_{seed}_{path}"));
                 copy_tree(&pristine, &work);
 
                 let options = ServingOptions {
-                    io: ndss::index::ReadOptions {
-                        mmap,
-                        ..Default::default()
-                    },
+                    io,
                     ..ServingOptions::default()
                 };
                 let view = ShardedIndex::open_with(&work, &options).unwrap();

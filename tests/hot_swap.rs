@@ -11,14 +11,26 @@
 //!   to each batch: every batch's results are bit-identical to a cold open
 //!   of *one* generation (the one current when the batch started), never a
 //!   mix of two.
+//!
+//! Opening or reloading a serving view sets the process-wide
+//! `index.generation` and `index.shard.generation{shard=…}` gauges, so every
+//! test that opens one holds [`GAUGES`]: one asserts the per-shard values.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use ndss::index::build_and_write;
 use ndss::prelude::*;
 use ndss_integration::scratch;
+
+static GAUGES: Mutex<()> = Mutex::new(());
+
+fn gauge_lock() -> MutexGuard<'static, ()> {
+    GAUGES
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn config() -> IndexConfig {
     IndexConfig::new(8, 20, 13)
@@ -184,6 +196,7 @@ fn current_pointer_is_never_torn_under_concurrent_reads() {
 
 #[test]
 fn reload_under_live_batch_queries_is_bit_identical_to_cold_open() {
+    let _gauges = gauge_lock();
     let root = scratch("hotswap", "reload");
     let store = GenerationStore::open(&root).unwrap();
     let (a, queries) = corpus_a();
@@ -270,6 +283,7 @@ fn reload_under_live_batch_queries_is_bit_identical_to_cold_open() {
 
 #[test]
 fn serving_index_on_plain_directory() {
+    let _gauges = gauge_lock();
     let dir = scratch("hotswap", "plain");
     let (a, queries) = corpus_a();
     build_and_write(&a, config(), &dir, true).unwrap();
@@ -294,6 +308,7 @@ fn serving_index_on_plain_directory() {
 /// code this test fails: A overwrites gen 2 with gen 1.)
 #[test]
 fn racing_reload_never_swaps_in_a_stale_older_generation() {
+    let _gauges = gauge_lock();
     let root = scratch("hotswap", "race");
     let store = GenerationStore::open(&root).unwrap();
     let (a, queries) = corpus_a();
@@ -344,6 +359,7 @@ fn racing_reload_never_swaps_in_a_stale_older_generation() {
 /// older generation, `reload()` must follow it backwards.
 #[test]
 fn reload_follows_a_deliberate_rollback_to_an_older_generation() {
+    let _gauges = gauge_lock();
     let root = scratch("hotswap", "rollback_reload");
     let store = GenerationStore::open(&root).unwrap();
     let (a, queries) = corpus_a();
@@ -392,6 +408,7 @@ fn sharded_cold_results(root: &Path, queries: &[Vec<u32>]) -> Vec<Vec<SeqRef>> {
 /// reader reports always matches the results it got.
 #[test]
 fn per_shard_publish_is_atomic_under_concurrent_readers() {
+    let _gauges = gauge_lock();
     let root = scratch("hotswap", "sharded_swap");
     let (a, queries) = corpus_a();
     let b = corpus_b_shard1(&a, &queries);
@@ -490,6 +507,7 @@ fn per_shard_publish_is_atomic_under_concurrent_readers() {
 /// shard 1 rolled back, never through a mix.
 #[test]
 fn per_shard_rollback_restores_the_previous_view() {
+    let _gauges = gauge_lock();
     let root = scratch("hotswap", "sharded_rollback");
     let (a, queries) = corpus_a();
     let b = corpus_b_shard1(&a, &queries);
