@@ -28,9 +28,6 @@ pub const FLAGS: &[&str] = &[
     "max-matches",
     "queries-file",
     "threads",
-    "failure-policy",
-    "batch-deadline-ms",
-    "admission-cap",
     "metrics-out",
 ];
 
@@ -206,14 +203,11 @@ fn parse_budget(args: &Args) -> Result<QueryBudget, String> {
 /// `--queries-file FILE [--threads N]`: one query per line as
 /// comma-separated token ids; blank lines and `#` comments are skipped.
 /// Queries run through [`ShardedSearcher::search_all_governed`] — the one
-/// batch driver, whatever the layout of `--index`; results print in input
-/// order with an aggregate throughput/IO summary.
-///
-/// Governance flags: `--failure-policy failfast|isolate` picks whether one
-/// failing query aborts the batch or is confined to its own slot;
-/// `--batch-deadline-ms` bounds the whole batch; `--admission-cap` sheds
-/// queries beyond position N; the per-query budget flags (`--deadline-ms`
-/// etc.) apply to every query.
+/// batch driver, whatever the layout of `--index` — under the per-query
+/// budget flags (`--deadline-ms` etc.). Every query gets its own line, in
+/// input order: a tripped budget prints its partial answer marked as such,
+/// a failing query its error. An aggregate throughput/IO summary follows,
+/// and a completed / partial / failed count when not all completed.
 fn run_batch(
     args: &Args,
     index_dir: &str,
@@ -249,36 +243,14 @@ fn run_batch(
         threads
     };
 
-    let mut governor = BatchGovernor::default()
-        .failure_policy(match args.get("failure-policy").unwrap_or("failfast") {
-            "failfast" => FailurePolicy::FailFast,
-            "isolate" => FailurePolicy::Isolate,
-            other => {
-                return Err(format!(
-                    "invalid --failure-policy '{other}' (expected failfast or isolate)"
-                ))
-            }
-        })
-        .budget(parse_budget(args)?);
-    if let Some(raw) = args.get("batch-deadline-ms") {
-        let ms: u64 = raw
-            .parse()
-            .map_err(|e| format!("invalid --batch-deadline-ms: {e}"))?;
-        governor = governor.batch_deadline(std::time::Duration::from_millis(ms));
-    }
-    if let Some(raw) = args.get("admission-cap") {
-        let cap: usize = raw
-            .parse()
-            .map_err(|e| format!("invalid --admission-cap: {e}"))?;
-        governor = governor.admission_cap(cap);
-    }
+    let budget = parse_budget(args)?;
     let view = open_view(index_dir)?;
     let searcher = view
         .searcher_with_filter(PrefixFilter::default())
         .map_err(|e| e.to_string())?
         .threads(threads);
     let start = std::time::Instant::now();
-    let results = searcher.search_all_governed(&queries, theta, &governor);
+    let results = searcher.search_all_governed(&queries, theta, &budget);
     let elapsed = start.elapsed();
 
     let mut io_bytes = 0u64;
@@ -286,7 +258,6 @@ fn run_batch(
     let mut cache_misses = 0u64;
     let mut matched = 0usize;
     let (mut completed, mut partial, mut failed) = (0usize, 0usize, 0usize);
-    let (mut shed_cap, mut shed_deadline, mut cancelled) = (0usize, 0usize, 0usize);
     let mut stats: Vec<&ndss::query::QueryStats> = Vec::new();
     for (i, result) in results.iter().enumerate() {
         let (outcome, note) = match result {
@@ -299,19 +270,6 @@ fn run_batch(
             }) => {
                 partial += 1;
                 (&**outcome, "  [partial: budget exhausted]")
-            }
-            Err(e @ QueryError::Overloaded { reason, .. }) => {
-                match reason {
-                    ShedReason::AdmissionCap { .. } => shed_cap += 1,
-                    ShedReason::BatchDeadline => shed_deadline += 1,
-                }
-                println!("query {i:>5}: shed ({e})");
-                continue;
-            }
-            Err(e @ QueryError::Cancelled) => {
-                cancelled += 1;
-                println!("query {i:>5}: cancelled ({e})");
-                continue;
             }
             Err(e) => {
                 failed += 1;
@@ -341,13 +299,6 @@ fn run_batch(
         results.len(),
         elapsed.as_secs_f64(),
     );
-    if partial + shed_cap + shed_deadline + cancelled + failed > 0 {
-        println!(
-            "governance: {completed} completed, {partial} partial (budget), \
-             {shed_cap} shed (admission cap), {shed_deadline} shed (batch deadline), \
-             {cancelled} cancelled, {failed} failed"
-        );
-    }
     let lookups = cache_hits + cache_misses;
     if lookups > 0 {
         println!(
@@ -355,6 +306,9 @@ fn run_batch(
             io_bytes as f64 / (1024.0 * 1024.0),
             100.0 * cache_hits as f64 / lookups as f64,
         );
+    }
+    if partial + failed > 0 {
+        println!("governance: {completed} completed, {partial} partial (budget), {failed} failed");
     }
     if profile {
         // Stage times are summed across queries (total thread-time per

@@ -147,12 +147,10 @@ const COMMANDS: &[Command] = &[
              result set found so far, flagged incomplete)
                [--deadline-ms N] [--max-io-bytes N] [--max-candidates N]
                [--max-matches N]
-             batch mode: one comma-separated query per line, run in parallel
-             (every flag applies to every --index layout, sharded included)
+             batch mode: one comma-separated query per line, run in parallel;
+             each query reports its own result under the budgets above
                --index DIR --queries-file FILE [--theta F=0.8]
-               [--threads N=all cores] [--profile]
-               [--failure-policy failfast|isolate (default failfast)]
-               [--batch-deadline-ms N] [--admission-cap N]",
+               [--threads N=all cores] [--profile]",
     },
     Command {
         name: "serve",

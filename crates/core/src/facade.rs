@@ -257,11 +257,12 @@ impl<I: IndexAccess> CorpusIndex<I> {
         Ok(self.searcher()?.search(query, theta)?)
     }
 
-    /// Searches many queries across `threads` worker threads, preserving
-    /// input order. Each worker shares the index (readers use lock-free
-    /// positioned reads) but accumulates its own per-query stats, so this
-    /// scales with cores and each outcome's `QueryStats` is attributed to
-    /// its own query.
+    /// Searches many queries across `threads` worker threads through a
+    /// [`BatchSearcher`], preserving input order and failing fast on the
+    /// first error. Workers share the index (lock-free reads from each
+    /// file's memory mapping, one shared hot-list cache), but each query
+    /// accumulates its own stats, so each outcome's `QueryStats` is
+    /// attributed to its own query.
     pub fn search_batch(
         &self,
         queries: &[Vec<TokenId>],
@@ -273,16 +274,6 @@ impl<I: IndexAccess> CorpusIndex<I> {
                 .threads(threads)
                 .search_all(queries, theta)?,
         )
-    }
-
-    /// Searches many queries in parallel on all available cores, preserving
-    /// input order. See [`Self::search_batch`].
-    pub fn search_many(
-        &self,
-        queries: &[Vec<TokenId>],
-        theta: f64,
-    ) -> Result<Vec<SearchOutcome>, NdssError> {
-        self.search_batch(queries, theta, ndss_parallel::default_threads())
     }
 
     /// Search then verify true distinct Jaccard against the corpus
@@ -414,7 +405,7 @@ mod tests {
     }
 
     #[test]
-    fn search_many_matches_sequential() {
+    fn search_batch_matches_sequential() {
         let (corpus, planted) = SyntheticCorpusBuilder::new(74)
             .num_texts(40)
             .duplicates_per_text(1.0)
@@ -426,7 +417,7 @@ mod tests {
             .take(6)
             .map(|p| corpus.sequence_to_vec(p.dst).unwrap())
             .collect();
-        let parallel = index.search_many(&queries, 0.8).unwrap();
+        let parallel = index.search_batch(&queries, 0.8, 4).unwrap();
         let searcher = index.searcher().unwrap();
         for (q, outcome) in queries.iter().zip(&parallel) {
             let sequential = searcher.search(q, 0.8).unwrap();

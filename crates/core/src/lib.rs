@@ -89,10 +89,9 @@ pub mod prelude {
     pub use ndss_lm::{evaluate_memorization, GenerationStrategy, MemorizationConfig, NGramModel};
     pub use ndss_obs::{Registry, Unit};
     pub use ndss_query::{
-        BatchGovernor, BatchSearcher, CancelToken, DocumentMatch, DocumentScan, FailurePolicy,
-        NearDupSearcher, OverlaySearcher, PrefixFilter, QueryBudget, QueryError, RankedMatch,
-        Resource, SearchOutcome, ServingIndex, ServingOptions, ShardedIndex, ShardedSearcher,
-        ShedReason, TextMatch,
+        BatchSearcher, CancelToken, DocumentMatch, DocumentScan, NearDupSearcher, OverlaySearcher,
+        PrefixFilter, QueryBudget, QueryError, RankedMatch, Resource, SearchOutcome, ServingIndex,
+        ServingOptions, ShardedIndex, ShardedSearcher, TextMatch,
     };
     pub use ndss_tokenizer::{BpeTokenizer, BpeTrainer};
 }

@@ -14,8 +14,8 @@
 //! count), so the partial result is always a subset of the full result.
 //!
 //! The same checkpoints observe a [`CancelToken`], which is how
-//! [`crate::BatchSearcher`] makes fail-fast batches stop in-flight queries
-//! promptly instead of letting them run to completion.
+//! [`crate::ShardedSearcher::search_all`] makes a failed batch stop its
+//! in-flight queries promptly instead of letting them run to completion.
 //!
 //! An unlimited budget (the default for [`crate::NearDupSearcher::search`])
 //! costs one branch per checkpoint: limits are pre-resolved into a
@@ -67,8 +67,8 @@ impl std::fmt::Display for Resource {
 pub struct QueryBudget {
     /// Wall-time allowance measured from the start of the query.
     pub time_limit: Option<Duration>,
-    /// Absolute deadline (e.g. a batch-wide deadline shared by all
-    /// queries). When both this and `time_limit` are set, the earlier
+    /// Absolute deadline (e.g. the daemon's request deadline, measured
+    /// from receipt). When both this and `time_limit` are set, the earlier
     /// instant wins.
     pub deadline: Option<Instant>,
     /// Maximum bytes read from the index on behalf of this query.

@@ -62,7 +62,7 @@ pub mod search;
 pub mod serving;
 pub mod sharded;
 
-pub use batch::{BatchGovernor, BatchSearcher, FailurePolicy, ShedReason};
+pub use batch::BatchSearcher;
 pub use breaker::{
     classify, Admission, BreakerConfig, BreakerSnapshot, BreakerState, DegradedShard, FaultKind,
     ShardHealth,
@@ -107,16 +107,6 @@ pub enum QueryError {
         /// Verified matches found so far, flagged incomplete.
         partial: Box<SearchOutcome>,
     },
-    /// The batch engine shed this query before starting it; `reason` says
-    /// whether the admission cap was hit or the batch deadline had already
-    /// passed — the two call for different operator responses (capacity vs
-    /// latency budget).
-    Overloaded {
-        /// The query's position in the batch.
-        position: usize,
-        /// Why the query was shed.
-        reason: ShedReason,
-    },
     /// The count stage cannot index this much input: a query's short lists
     /// together, or the windows of one text, exceed the width of its
     /// counters and sort keys. Far beyond anything that fits in memory.
@@ -127,7 +117,7 @@ pub enum QueryError {
         limit: usize,
     },
     /// The query was abandoned at a governor checkpoint because its batch
-    /// failed fast (see [`BatchSearcher::search_all`]).
+    /// failed fast (see [`ShardedSearcher::search_all`]).
     Cancelled,
     /// Under [`FaultPolicy::Isolate`], no lane of the fan-out could answer:
     /// every disk shard is quarantined (or faulted during this very query)
@@ -165,17 +155,6 @@ impl std::fmt::Display for QueryError {
                 "query budget exceeded ({resource}); {} verified match(es) found before stopping",
                 partial.matches.len()
             ),
-            QueryError::Overloaded { position, reason } => match reason {
-                ShedReason::AdmissionCap { cap } => {
-                    write!(f, "query {position} shed by admission control (cap {cap})")
-                }
-                ShedReason::BatchDeadline => {
-                    write!(
-                        f,
-                        "query {position} shed: the batch deadline passed before it started"
-                    )
-                }
-            },
             QueryError::TooManyPostings { postings, limit } => {
                 write!(f, "count stage handed {postings} postings (limit {limit})")
             }

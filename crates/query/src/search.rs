@@ -478,8 +478,8 @@ impl<'a, I: IndexAccess + ?Sized> NearDupSearcher<'a, I> {
     /// [`Self::search_governed`] with a [`CancelToken`] observed at every
     /// checkpoint: when another thread cancels the token, the query
     /// abandons work promptly and returns [`QueryError::Cancelled`]. This
-    /// is what [`crate::BatchSearcher`] uses to stop a failed batch from
-    /// issuing further IO.
+    /// is what [`crate::ShardedSearcher::search_all`] uses to stop a failed
+    /// batch from issuing further IO.
     pub fn search_cancellable(
         &self,
         query: &[TokenId],

@@ -34,7 +34,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use ndss_corpus::TextId;
 use ndss_hash::minhash::collision_threshold;
@@ -42,7 +42,6 @@ use ndss_hash::TokenId;
 use ndss_index::generation::{parse_generation_name, resolve_index_dir};
 use ndss_index::{DiskIndex, IndexAccess, IndexConfig, ShardedStore};
 
-use crate::batch::BatchGovernor;
 use crate::breaker::{classify, Admission, BreakerConfig, DegradedShard, ShardHealth};
 use crate::governor::{CancelToken, QueryBudget};
 use crate::search::{NearDupSearcher, PrefixFilter, RankedMatch, SearchOutcome};
@@ -347,31 +346,93 @@ impl<'a> ShardedSearcher<'a> {
 
     /// Runs every query at threshold `theta`; `results[i]` corresponds to
     /// `queries[i]`, each bit-identical to a sequential [`Self::search`].
-    /// Fails fast with the first error in input order. Parallelism is at
-    /// the query level (each query scatters serially), so total workers
-    /// stay at the configured thread count.
+    /// Parallelism is at the query level (each query scatters serially),
+    /// so total workers stay at the configured thread count.
+    ///
+    /// Fails fast: the first failure stops workers from starting further
+    /// queries, and queries in flight abandon work at their next governor
+    /// checkpoint (between stages, posting lists and candidate texts). The
+    /// call returns the first error in input order among queries that
+    /// failed on their own; outcomes finished before the failure are
+    /// discarded.
     pub fn search_all(
         &self,
         queries: &[Vec<TokenId>],
         theta: f64,
     ) -> Result<Vec<SearchOutcome>, QueryError> {
-        BatchGovernor::default().run_fail_fast(self.threads, queries, &|query, budget, abort| {
-            self.scatter(query, theta, budget, 1, Some(abort))
-        })
+        let abort = CancelToken::new();
+        self.batch(queries, theta, &QueryBudget::unlimited(), Some(&abort))
+            .into_iter()
+            // A cancelled slot is collateral of the failure that tripped the
+            // abort, and that failure is in the batch too: skipping the
+            // cancelled ones leaves it as the first error.
+            .filter(|result| !matches!(result, Err(QueryError::Cancelled)))
+            .collect()
     }
 
-    /// Runs every query under `governor` (failure policy, admission cap,
-    /// batch deadline, per-query budget): every slot gets its own outcome
-    /// or error, budget trips carry sound partials.
+    /// Runs every query under `budget`, each on its own: one `Result` per
+    /// query in input order, a failing query confined to its own slot, a
+    /// tripped budget carrying its sound partial
+    /// ([`QueryError::BudgetExceeded`]).
     pub fn search_all_governed(
         &self,
         queries: &[Vec<TokenId>],
         theta: f64,
-        governor: &BatchGovernor,
+        budget: &QueryBudget,
     ) -> Vec<Result<SearchOutcome, QueryError>> {
-        governor.run(self.threads, queries, &|query, budget, abort| {
-            self.scatter(query, theta, budget, 1, Some(abort))
-        })
+        self.batch(queries, theta, budget, None)
+    }
+
+    /// The batch driver: scatters each query serially on one of
+    /// `self.threads` workers and returns one `Result` per query in input
+    /// order. With an `abort` token, the first failure cancels it: queries
+    /// not yet started come back [`QueryError::Cancelled`], queries in
+    /// flight stop at their next checkpoint.
+    fn batch(
+        &self,
+        queries: &[Vec<TokenId>],
+        theta: f64,
+        budget: &QueryBudget,
+        abort: Option<&CancelToken>,
+    ) -> Vec<Result<SearchOutcome, QueryError>> {
+        let _span = ndss_obs::span("query.batch");
+        let reg = ndss_obs::Registry::global();
+        let queue_wait = reg.histogram(
+            "query.batch.queue_wait.seconds",
+            "Delay between batch start and each query's pickup by a worker",
+            ndss_obs::Unit::Seconds,
+        );
+        let start = Instant::now();
+        let results = ndss_parallel::map(queries, self.threads, |_, query| {
+            // Pickup delay: how long this query sat in the work queue behind
+            // earlier queries (p50/p95/p99 come from the histogram).
+            queue_wait.record_duration(start.elapsed());
+            if abort.is_some_and(CancelToken::is_cancelled) {
+                return Err(QueryError::Cancelled);
+            }
+            let result = self.scatter(query, theta, budget, 1, abort);
+            if let (Err(_), Some(abort)) = (&result, abort) {
+                abort.cancel();
+            }
+            result
+        });
+
+        // Utilization: total per-query busy time over thread-seconds of
+        // wall time. 100% = every worker searching the whole batch.
+        let wall = start.elapsed();
+        if !results.is_empty() && !wall.is_zero() {
+            let busy: Duration = results
+                .iter()
+                .filter_map(|r| r.as_ref().ok().map(|o| o.stats.total))
+                .sum();
+            let pct = 100.0 * busy.as_secs_f64() / (self.threads as f64 * wall.as_secs_f64());
+            reg.gauge(
+                "query.batch.utilization.percent",
+                "Worker busy time over thread-seconds in the last batch (0-100)",
+            )
+            .set(pct.round() as i64);
+        }
+        results
     }
 
     /// Ranks an outcome's matches by best collision count.

@@ -16,15 +16,15 @@
 //!
 //! # Admission and budgets
 //!
-//! Two layers, mirroring [`ndss_query::BatchSearcher`]'s governance:
+//! Two layers:
 //!
 //! 1. **Connection admission** — at most `workers` concurrent connections;
 //!    beyond that the acceptor answers HTTP 503 / `STATUS_OVERLOADED` and
 //!    closes.
 //! 2. **Query admission** — at most `admission_cap` searches execute at
 //!    once; beyond that a request is shed with HTTP 429 /
-//!    `STATUS_OVERLOADED` (counted in `query.shed` alongside the batch
-//!    engine's sheds) without touching the index.
+//!    `STATUS_OVERLOADED` (counted in `serve.shed`) without touching the
+//!    index.
 //!
 //! Every admitted search runs under a [`QueryBudget`]: the server's
 //! `default_deadline` becomes an absolute deadline measured from request
@@ -154,14 +154,12 @@ pub(crate) struct ServeMetrics {
     frame_requests: ndss_obs::Counter,
     searches: ndss_obs::Counter,
     shed: ndss_obs::Counter,
-    query_shed: ndss_obs::Counter,
     bad_requests: ndss_obs::Counter,
     internal_errors: ndss_obs::Counter,
     request_seconds: ndss_obs::Histogram,
     in_flight: ndss_obs::Gauge,
     degraded: ndss_obs::Counter,
     unavailable: ndss_obs::Counter,
-    conn_accepted: ndss_obs::Counter,
     conn_reused: ndss_obs::Counter,
     conn_closed: ndss_obs::Counter,
     reuse_ratio: ndss_obs::Gauge,
@@ -190,7 +188,6 @@ impl ServeMetrics {
                 "serve.shed",
                 "Search requests shed by the server's admission cap",
             ),
-            query_shed: reg.counter("query.shed", "Queries shed by admission control"),
             bad_requests: reg.counter("serve.bad_requests", "Unparseable or invalid requests"),
             internal_errors: reg.counter("serve.errors", "Requests failed server-side"),
             request_seconds: reg.histogram(
@@ -207,7 +204,6 @@ impl ServeMetrics {
                 "serve.unavailable",
                 "Search requests failed because every shard was quarantined",
             ),
-            conn_accepted: reg.counter("serve.conn.accepted", "Connections accepted (keep-alive)"),
             conn_reused: reg.counter(
                 "serve.conn.reused",
                 "Requests served on an already-open connection (beyond each \
@@ -247,8 +243,10 @@ pub(crate) struct Shared {
     connections: Arc<AtomicUsize>,
     pub(crate) metrics: ServeMetrics,
     /// The mutable front of the store (when ingest is enabled). Appends,
-    /// overlay reads, and compaction all serialize on this lock; the disk
-    /// lane of a search runs outside it.
+    /// searches and compaction all serialize on this lock: a search holds
+    /// it from pinning its snapshot through the scatter over disk and
+    /// memory lanes and the ranking, so with ingest on every search waits
+    /// out appends and a running `compact_once`.
     pub(crate) ingest: Option<Mutex<IngestIndex>>,
 }
 
@@ -503,7 +501,6 @@ impl Server {
                         continue;
                     };
                     shared.metrics.connections.inc(1);
-                    shared.metrics.conn_accepted.inc(1);
                     let shared = shared.clone();
                     let handler = std::thread::Builder::new()
                         .name("ndss-serve-conn".into())
@@ -1151,7 +1148,6 @@ fn admit(shared: &Shared) -> Result<Slot<&AtomicUsize>, SearchFail> {
     let cap = shared.config.admission_cap;
     Slot::take(&shared.in_flight, cap).map_err(|in_flight| {
         shared.metrics.shed.inc(1);
-        shared.metrics.query_shed.inc(1);
         SearchFail::Overloaded { in_flight, cap }
     })
 }

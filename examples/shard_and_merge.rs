@@ -74,10 +74,11 @@ fn main() {
         .map(|p| corpus.sequence_to_vec(p.dst).unwrap())
         .collect();
     let merged_index = CorpusIndex::open(&merged_dir, PrefixFilter::default()).unwrap();
+    let threads = ndss::parallel::default_threads();
     let t = std::time::Instant::now();
-    let merged_results = merged_index.search_many(&queries, 0.8).unwrap();
+    let merged_results = merged_index.search_batch(&queries, 0.8, threads).unwrap();
     let batch_time = t.elapsed();
-    let reference_results = reference.search_many(&queries, 0.8).unwrap();
+    let reference_results = reference.search_batch(&queries, 0.8, threads).unwrap();
 
     let mut agree = 0usize;
     for (a, b) in merged_results.iter().zip(&reference_results) {

@@ -727,7 +727,7 @@ fn daemon_degrades_labels_exactly_and_self_heals() {
         "index_shards_quarantined",
         "serve_degraded",
         "serve_probe_attempts",
-        "serve_conn_accepted",
+        "serve_connections",
         "serve_conn_reuse_ratio_percent",
     ] {
         assert!(text.contains(needle), "metrics exposition lacks {needle}");

@@ -1,7 +1,7 @@
 //! Resource-governed query execution, end to end against disk indexes:
 //! deterministic fault injection absorbed by the retrying IO layer with
-//! bit-identical results, sound partial outcomes under budgets, batch
-//! failure isolation, and load shedding with counter accounting.
+//! bit-identical results, sound partial outcomes under budgets, and batch
+//! failure isolation.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -151,9 +151,9 @@ fn permanently_failing_range_exhausts_retries() {
     );
 }
 
-/// Isolate mode confines a poisoned query to its own slot: exactly one
+/// A per-slot batch confines a poisoned query to its own slot: exactly one
 /// `Err`, every other query's results bit-identical to an all-good batch.
-/// FailFast on the same input aborts the whole batch.
+/// The fail-fast batch on the same input aborts as a whole.
 #[test]
 fn isolate_confines_poison_fail_fast_aborts() {
     let (corpus, queries) = workload(9004);
@@ -170,11 +170,10 @@ fn isolate_confines_poison_fail_fast_aborts() {
     let mut poisoned = queries.clone();
     poisoned[5] = Vec::new(); // empty query: always an error
 
-    let results = BatchSearcher::new(&index)
+    let results = ShardedSearcher::single(&index, PrefixFilter::Disabled)
         .unwrap()
         .threads(4)
-        .governor(BatchGovernor::default().failure_policy(FailurePolicy::Isolate))
-        .search_all_governed(&poisoned, 0.8);
+        .search_all_governed(&poisoned, 0.8, &QueryBudget::unlimited());
     assert_eq!(results.len(), poisoned.len());
     let errors: Vec<usize> = results
         .iter()
@@ -265,81 +264,6 @@ fn zero_deadline_returns_empty_partial() {
     }
 }
 
-/// Admission control sheds the tail beyond the cap and an expired batch
-/// deadline sheds everything, both tallied in the `query.shed` counter;
-/// admitted queries stay exact.
-#[test]
-fn load_shedding_is_counted_and_admitted_queries_stay_exact() {
-    let (corpus, queries) = workload(9007);
-    let dir = scratch("governed", "shed");
-    build(&corpus, &dir, false);
-    let index = DiskIndex::open(&dir).unwrap();
-
-    let baseline = BatchSearcher::new(&index)
-        .unwrap()
-        .threads(4)
-        .search_all(&queries, 0.8)
-        .unwrap();
-
-    let shed_counter = Registry::global().counter("query.shed", "");
-    let before = shed_counter.get();
-    let cap = 5usize;
-    let results = BatchSearcher::new(&index)
-        .unwrap()
-        .threads(4)
-        .governor(
-            BatchGovernor::default()
-                .failure_policy(FailurePolicy::Isolate)
-                .admission_cap(cap),
-        )
-        .search_all_governed(&queries, 0.8);
-    for (i, result) in results.iter().enumerate() {
-        if i < cap {
-            assert_eq!(
-                result.as_ref().unwrap().enumerate_all(),
-                baseline[i].enumerate_all(),
-                "admitted query {i} must stay exact"
-            );
-        } else {
-            // Pinned shape: an admission shed carries the real cap, never a
-            // fabricated one, and is attributed to the cap — not a deadline.
-            assert!(
-                matches!(result, Err(QueryError::Overloaded { position, reason })
-                    if *position == i && *reason == (ShedReason::AdmissionCap { cap })),
-                "query {i} past the cap must be shed with the admission-cap reason"
-            );
-        }
-    }
-    assert!(
-        shed_counter.get() >= before + (queries.len() - cap) as u64,
-        "query.shed must count every shed query"
-    );
-
-    // An already-expired batch deadline sheds the entire batch.
-    let results = BatchSearcher::new(&index)
-        .unwrap()
-        .threads(4)
-        .governor(
-            BatchGovernor::default()
-                .failure_policy(FailurePolicy::Isolate)
-                .batch_deadline(std::time::Duration::ZERO),
-        )
-        .search_all_governed(&queries, 0.8);
-    // Pinned shape: a deadline shed is attributed to the batch deadline —
-    // it must NOT masquerade as an admission-cap shed (the old behavior
-    // fabricated `cap = queries.len()`).
-    assert!(
-        results.iter().all(|r| matches!(
-            r,
-            Err(QueryError::Overloaded {
-                reason: ShedReason::BatchDeadline,
-                ..
-            })
-        )),
-        "an expired batch deadline must shed everything with the deadline reason"
-    );
-}
-
 /// Budgets compose with fault injection: a governed batch over a flaky
 /// index still produces sound outcomes — completed queries exact, partial
 /// ones prefixes — because retries happen below the budget checkpoints.
@@ -362,15 +286,10 @@ fn budgets_and_faults_compose() {
         ReadOptions::with_faults(flaky_plan(77)),
     )
     .unwrap();
-    let results = BatchSearcher::new(&flaky)
+    let results = ShardedSearcher::single(&flaky, PrefixFilter::Disabled)
         .unwrap()
         .threads(4)
-        .governor(
-            BatchGovernor::default()
-                .failure_policy(FailurePolicy::Isolate)
-                .budget(QueryBudget::unlimited().max_candidates(2)),
-        )
-        .search_all_governed(&queries, 0.8);
+        .search_all_governed(&queries, 0.8, &QueryBudget::unlimited().max_candidates(2));
     for (i, result) in results.iter().enumerate() {
         match result {
             Ok(outcome) => {

@@ -199,32 +199,39 @@ fn batch_equals_sequential_over_shards() {
                 "batch slot {i} diverged from sequential at {threads} threads"
             );
         }
-        // Governed batch: per-slot results, same equivalence when nothing
-        // trips.
-        let governed = searcher.search_all_governed(&queries, THETA, &BatchGovernor::default());
+        // Per-slot batch: same equivalence when nothing trips.
+        let governed = searcher.search_all_governed(&queries, THETA, &QueryBudget::unlimited());
         for (i, (got, want)) in governed.iter().zip(&sequential).enumerate() {
             let got = got.as_ref().unwrap_or_else(|e| {
                 panic!("governed batch slot {i} failed under an unlimited budget: {e}")
             });
             assert_eq!(got.matches, want.matches);
         }
-        // The batch governor is the single-index one: an admission cap
-        // sheds exactly the tail and leaves the admitted prefix exact.
-        let cap = 2;
-        let governor = BatchGovernor::default()
-            .failure_policy(FailurePolicy::Isolate)
-            .admission_cap(cap);
-        let capped = searcher.search_all_governed(&queries, THETA, &governor);
-        assert!(queries.len() > cap);
-        for (i, (got, want)) in capped.iter().zip(&sequential).enumerate() {
-            match got {
-                Ok(got) if i < cap => assert_eq!(got.matches, want.matches),
-                Err(QueryError::Overloaded { position, reason }) if i >= cap => {
-                    assert_eq!((*position, *reason), (i, ShedReason::AdmissionCap { cap }));
+        // Under a budget that trips, every slot is what the same governed
+        // search returns on its own: the same outcome, or the same sound
+        // partial under the same resource.
+        let budget = QueryBudget::unlimited().max_candidates(1);
+        let capped = searcher.search_all_governed(&queries, THETA, &budget);
+        let mut partials = 0;
+        for (i, (got, query)) in capped.iter().zip(&queries).enumerate() {
+            match (got, searcher.search_governed(query, THETA, &budget)) {
+                (Ok(got), Ok(want)) => assert_eq!(got.matches, want.matches),
+                (
+                    Err(QueryError::BudgetExceeded { resource, partial }),
+                    Err(QueryError::BudgetExceeded {
+                        resource: want_resource,
+                        partial: want,
+                    }),
+                ) => {
+                    partials += 1;
+                    assert_eq!(*resource, want_resource);
+                    assert!(!partial.complete);
+                    assert_eq!(partial.matches, want.matches);
                 }
-                other => panic!("slot {i} under admission cap {cap}: {other:?}"),
+                (got, want) => panic!("slot {i} under {budget:?}: {got:?} vs alone {want:?}"),
             }
         }
+        assert!(partials > 0, "a one-candidate budget must trip some slot");
     }
     std::fs::remove_dir_all(&root).ok();
 }
