@@ -35,7 +35,11 @@ pub enum PrefixFilter {
 impl Default for PrefixFilter {
     /// The top 5% of each function's lists are long: the low end of the
     /// paper's Figure 3(d) sweep and what every ledger number is measured
-    /// with. Every entry point that does not name a filter uses this.
+    /// with. `SearchParams::new`, `ndss search`, `ndss memorize` and the
+    /// daemon's default configuration use it. The two constructors that
+    /// take no filter, [`NearDupSearcher::new`] and
+    /// [`crate::ShardedIndex::searcher`], search unfiltered
+    /// ([`PrefixFilter::Disabled`]).
     fn default() -> Self {
         PrefixFilter::FrequentFraction(0.05)
     }
@@ -413,7 +417,8 @@ pub struct NearDupSearcher<'a, I: IndexAccess + ?Sized> {
 }
 
 impl<'a, I: IndexAccess + ?Sized> NearDupSearcher<'a, I> {
-    /// A searcher with prefix filtering disabled.
+    /// A searcher with prefix filtering disabled
+    /// ([`PrefixFilter::Disabled`], not [`PrefixFilter::default`]).
     pub fn new(index: &'a I) -> Result<Self, QueryError> {
         Self::with_prefix_filter(index, PrefixFilter::Disabled)
     }

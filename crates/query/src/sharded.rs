@@ -205,7 +205,9 @@ impl ShardedIndex {
         &self.health
     }
 
-    /// The view's lane set with prefix filtering disabled.
+    /// The view's lane set searched unfiltered ([`PrefixFilter::Disabled`],
+    /// not [`PrefixFilter::default`]); callers that want the default name it
+    /// through [`Self::searcher_with_filter`].
     pub fn searcher(&self) -> Result<ShardedSearcher<'_>, QueryError> {
         self.searcher_with_filter(PrefixFilter::Disabled)
     }
@@ -618,5 +620,44 @@ impl<'a> ShardedSearcher<'a> {
                 partial: Box::new(outcome),
             }),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ndss_corpus::{CorpusSource, SyntheticCorpusBuilder};
+
+    /// The constructors that take no filter search unfiltered; the default
+    /// filter is one callers name. On a skewed corpus the default defers
+    /// long lists, and the unfiltered searchers never do.
+    #[test]
+    fn unnamed_filter_is_disabled_and_the_default_defers_long_lists() {
+        let (corpus, planted) = SyntheticCorpusBuilder::new(73)
+            .num_texts(80)
+            .vocab_size(300)
+            .duplicates_per_text(1.0)
+            .build();
+        let dir = std::env::temp_dir().join(format!("ndss_filter_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        ndss_index::build_and_write(&corpus, IndexConfig::new(16, 25, 3), &dir, false).unwrap();
+        let view = ShardedIndex::open(&dir).unwrap();
+        let disk = DiskIndex::open(&dir).unwrap();
+        let plain = NearDupSearcher::new(&disk).unwrap();
+        let unfiltered = view.searcher().unwrap();
+        let default = view.searcher_with_filter(PrefixFilter::default()).unwrap();
+        let mut deferred = 0;
+        for p in planted.iter().take(8) {
+            let query = corpus.sequence_to_vec(p.dst).unwrap();
+            let want = plain.search(&query, 0.8).unwrap();
+            assert_eq!(want.stats.lists_long, 0, "NearDupSearcher::new");
+            let got = unfiltered.search(&query, 0.8).unwrap();
+            assert_eq!(got.stats.lists_long, 0, "ShardedIndex::searcher");
+            let filtered = default.search(&query, 0.8).unwrap();
+            assert_eq!(filtered.matches, want.matches);
+            deferred += filtered.stats.lists_long;
+        }
+        assert!(deferred > 0, "the default filter deferred no list");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
