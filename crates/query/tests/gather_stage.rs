@@ -291,14 +291,14 @@ fn timed<R>(run: impl FnOnce() -> R) -> (Duration, R) {
     (start.elapsed(), result)
 }
 
-/// The fastest of three `(time, result)` measurements of each side, taken
+/// The fastest of five `(time, result)` measurements of each side, taken
 /// alternately, so a slow stretch of the host falls on both sides alike.
-fn best_of_3<A, B>(
+fn best_of_5<A, B>(
     mut yardstick: impl FnMut() -> (Duration, A),
     mut subject: impl FnMut() -> (Duration, B),
 ) -> ((Duration, A), (Duration, B)) {
     let mut best = (yardstick(), subject());
-    for _ in 1..3 {
+    for _ in 1..5 {
         let a = yardstick();
         if a.0 < best.0 .0 {
             best.0 = a;
@@ -366,7 +366,7 @@ fn long_lists_behind_a_short_prefix_are_looked_up_not_read() {
     assert!(reference(&lists, 13).is_empty());
 
     let index = hand_built(lists);
-    let ((one_pass, _), (gather, outcome)) = best_of_3(
+    let ((one_pass, _), (gather, outcome)) = best_of_5(
         || {
             timed(|| {
                 index
@@ -393,8 +393,11 @@ fn long_lists_behind_a_short_prefix_are_looked_up_not_read() {
 /// ever dropped, every posting is kept — the input on which looking up
 /// saves nothing. The merge steps through each list once against `alive`
 /// and the copy takes each posting once, so the stage stays within a small
-/// multiple of the two-pass scan over the same lists (1.7–2.6× on the
-/// 2-core reference host; the bound leaves room for its drift).
+/// multiple of the two-pass scan over the same lists. The bound stays 3×;
+/// the measurement takes the best of five alternating rounds instead of
+/// three. On the 2-core reference host the ratio read 1.22–1.75 over 20
+/// runs of the whole binary and 1.36–2.55 over 20 runs of this test alone
+/// (release); earlier sessions read up to 3.7× under a busier host.
 #[test]
 fn every_text_alive_to_the_end_stays_near_the_two_pass_scan() {
     let _serial = serial();
@@ -411,7 +414,7 @@ fn every_text_alive_to_the_end_stays_near_the_two_pass_scan() {
         .collect();
     let theta = 0.68;
     let index = hand_built(lists);
-    let ((yardstick, kept), (gather, outcome)) = best_of_3(
+    let ((yardstick, kept), (gather, outcome)) = best_of_5(
         || timed(|| two_pass_scan(&index.lists, 13)),
         || gathered(&index, theta),
     );
