@@ -111,7 +111,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         }
         Err(e) => return Err(e.to_string()),
     };
-    let ranked = searcher.rank(&outcome, top);
+    let ranked = ndss::query::search::rank(&outcome, k, top);
 
     if ranked.is_empty() {
         println!("no near-duplicate sequences at θ = {theta}");

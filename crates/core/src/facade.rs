@@ -6,10 +6,9 @@ use ndss_corpus::{CorpusSource, SeqRef};
 use ndss_hash::TokenId;
 use ndss_index::{
     build_and_write, DiskIndex, ExternalIndexBuilder, IndexAccess, IndexConfig, MemoryIndex,
-    ShardedBuildOptions,
 };
 use ndss_query::search::{NearDupSearcher, SearchOutcome};
-use ndss_query::{BatchSearcher, PrefixFilter, QueryStats, ShardedIndex, ShardedSearcher};
+use ndss_query::{PrefixFilter, QueryStats, ShardedSearcher};
 
 /// Unified error type of the facade.
 #[derive(Debug)]
@@ -76,7 +75,7 @@ impl From<ndss_lm::LmError> for NdssError {
 /// [`SearchParams::index_config`].
 #[derive(Debug, Clone)]
 pub struct SearchParams {
-    config: IndexConfig,
+    pub(crate) config: IndexConfig,
     prefix_filter: PrefixFilter,
 }
 
@@ -257,9 +256,9 @@ impl<I: IndexAccess> CorpusIndex<I> {
         Ok(self.searcher()?.search(query, theta)?)
     }
 
-    /// Searches many queries across `threads` worker threads through a
-    /// [`BatchSearcher`], preserving input order and failing fast on the
-    /// first error. Workers share the index (lock-free reads from each
+    /// Searches many queries across `threads` worker threads through the
+    /// one-lane [`ShardedSearcher::single`], preserving input order and
+    /// failing fast on the first error. Workers share the index (lock-free reads from each
     /// file's memory mapping, one shared hot-list cache), but each query
     /// accumulates its own stats, so each outcome's `QueryStats` is
     /// attributed to its own query.
@@ -269,11 +268,9 @@ impl<I: IndexAccess> CorpusIndex<I> {
         theta: f64,
         threads: usize,
     ) -> Result<Vec<SearchOutcome>, NdssError> {
-        Ok(
-            BatchSearcher::with_prefix_filter(&self.index, self.prefix_filter)?
-                .threads(threads)
-                .search_all(queries, theta)?,
-        )
+        Ok(ShardedSearcher::single(&self.index, self.prefix_filter)?
+            .threads(threads)
+            .search_all(queries, theta)?)
     }
 
     /// Search then verify true distinct Jaccard against the corpus
@@ -288,43 +285,6 @@ impl<I: IndexAccess> CorpusIndex<I> {
         Ok(self
             .searcher()?
             .search_verified(query, theta, corpus, max_candidates)?)
-    }
-}
-
-/// A sharded store built through the facade: [`ShardedIndex`] plus the
-/// prefix filter its [`SearchParams`] chose. Everything else a sharded
-/// store does goes through [`ShardedIndex`] directly, which also opens
-/// plain index directories and generation stores as the one-shard case.
-pub struct ShardedCorpusIndex {
-    index: ShardedIndex,
-    prefix_filter: PrefixFilter,
-}
-
-impl ShardedCorpusIndex {
-    /// Builds a sharded store at `root` with `shards` shards (in-memory
-    /// builds, shards in parallel) and opens the published view.
-    pub fn build_sharded<C: CorpusSource + ?Sized>(
-        corpus: &C,
-        params: SearchParams,
-        root: &Path,
-        shards: usize,
-    ) -> Result<Self, NdssError> {
-        let opts = ShardedBuildOptions::default();
-        ndss_index::build_sharded(corpus, params.config, root, shards, &opts)?;
-        Ok(Self {
-            index: ShardedIndex::open(root)?,
-            prefix_filter: params.prefix_filter,
-        })
-    }
-
-    /// The underlying sharded view.
-    pub fn index(&self) -> &ShardedIndex {
-        &self.index
-    }
-
-    /// A scatter-gather searcher over the view.
-    pub fn searcher(&self) -> Result<ShardedSearcher<'_>, NdssError> {
-        Ok(self.index.searcher_with_filter(self.prefix_filter)?)
     }
 }
 
@@ -434,9 +394,11 @@ mod tests {
             .build();
         let root = temp_dir("sharded_facade");
         let params = SearchParams::new(4, 20, 5).prefix_filter(PrefixFilter::Disabled);
-        let sharded = ShardedCorpusIndex::build_sharded(&corpus, params.clone(), &root, 3).unwrap();
-        assert_eq!(sharded.index().num_shards(), 3);
-        let searcher = sharded.searcher().unwrap();
+        let opts = ndss_index::ShardedBuildOptions::default();
+        ndss_index::build_sharded(&corpus, params.config.clone(), &root, 3, &opts).unwrap();
+        let sharded = ndss_query::ShardedIndex::open(&root).unwrap();
+        assert_eq!(sharded.num_shards(), 3);
+        let searcher = sharded.searcher_with_filter(params.prefix_filter).unwrap();
         let single = CorpusIndex::build_in_memory(&corpus, params).unwrap();
         for p in planted.iter().take(4) {
             let query = corpus.sequence_to_vec(p.dst).unwrap();

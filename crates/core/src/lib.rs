@@ -59,19 +59,27 @@ pub use ndss_json as json;
 pub use ndss_lm as lm;
 pub use ndss_obs as obs;
 pub use ndss_parallel as parallel;
-pub use ndss_query as query;
 pub use ndss_rmq as rmq;
 pub use ndss_serve as serve;
 pub use ndss_tokenizer as tokenizer;
 pub use ndss_windows as windows;
 
-pub mod facade;
+/// The query layer (`ndss-query`).
+pub mod query {
+    pub use crate::ledger_compat::{BatchSearcher, OverlaySearcher};
+    pub use ndss_query::*;
+}
 
-pub use facade::{CorpusIndex, NdssError, SearchParams, ShardedCorpusIndex};
+pub mod facade;
+#[doc(hidden)]
+pub mod ledger_compat;
+
+pub use facade::{CorpusIndex, NdssError, SearchParams};
+pub use ledger_compat::ShardedCorpusIndex;
 
 /// The common imports for applications built on ndss.
 pub mod prelude {
-    pub use crate::facade::{CorpusIndex, NdssError, SearchParams, ShardedCorpusIndex};
+    pub use crate::facade::{CorpusIndex, NdssError, SearchParams};
     pub use ndss_baseline::{LshParams, LshWindowIndex};
     pub use ndss_corpus::{
         CorpusSlice, CorpusSource, DiskCorpus, DiskCorpusWriter, InMemoryCorpus, PseudoWords,
@@ -89,9 +97,9 @@ pub mod prelude {
     pub use ndss_lm::{evaluate_memorization, GenerationStrategy, MemorizationConfig, NGramModel};
     pub use ndss_obs::{Registry, Unit};
     pub use ndss_query::{
-        BatchSearcher, CancelToken, DocumentMatch, DocumentScan, NearDupSearcher, OverlaySearcher,
-        PrefixFilter, QueryBudget, QueryError, RankedMatch, Resource, SearchOutcome, ServingIndex,
-        ServingOptions, ShardedIndex, ShardedSearcher, TextMatch,
+        CancelToken, DocumentMatch, DocumentScan, NearDupSearcher, PrefixFilter, QueryBudget,
+        QueryError, RankedMatch, Resource, SearchOutcome, ServingIndex, ServingOptions,
+        ShardedIndex, ShardedSearcher, TextMatch,
     };
     pub use ndss_tokenizer::{BpeTokenizer, BpeTrainer};
 }

@@ -48,7 +48,6 @@
 //! assert_eq!(texts, vec![0, 1]);
 //! ```
 
-pub mod batch;
 pub mod breaker;
 pub mod bruteforce;
 pub mod collision;
@@ -56,13 +55,11 @@ pub mod document;
 pub mod governor;
 pub mod interval;
 mod metrics;
-pub mod overlay;
 pub mod planner;
 pub mod search;
 pub mod serving;
 pub mod sharded;
 
-pub use batch::BatchSearcher;
 pub use breaker::{
     classify, Admission, BreakerConfig, BreakerSnapshot, BreakerState, DegradedShard, FaultKind,
     ShardHealth,
@@ -74,7 +71,6 @@ pub use collision::{
 pub use document::{DocumentMatch, DocumentScan};
 pub use governor::{CancelToken, QueryBudget, Resource};
 pub use interval::{interval_scan, Interval, ScanHit};
-pub use overlay::OverlaySearcher;
 pub use planner::{plan_query, QueryPlan};
 pub use search::{
     rank, NearDupSearcher, PrefixFilter, QueryStats, RankedMatch, SearchOutcome, TextMatch,

@@ -770,23 +770,9 @@ impl<'a, I: IndexAccess + ?Sized> NearDupSearcher<'a, I> {
         }
     }
 
-    /// Ranked search: like [`Self::search`] but returns the matched texts
-    /// ordered by their best collision count (i.e. by estimated similarity
-    /// of their best sequence), truncated to `limit`. This is the "show me
-    /// the most likely sources" mode the memorization and plagiarism
-    /// applications want, avoiding full enumeration.
-    pub fn search_ranked(
-        &self,
-        query: &[TokenId],
-        theta: f64,
-        limit: usize,
-    ) -> Result<Vec<RankedMatch>, QueryError> {
-        let outcome = self.search(query, theta)?;
-        Ok(self.rank(&outcome, limit))
-    }
-
-    /// Ranks an already-computed outcome (lets callers keep the outcome's
-    /// [`QueryStats`] — e.g. for `--profile` — without searching twice).
+    /// Ranks an outcome's matches by best collision count; callers outside
+    /// the ledger use [`rank`].
+    #[doc(hidden)]
     pub fn rank(&self, outcome: &SearchOutcome, limit: usize) -> Vec<RankedMatch> {
         rank(outcome, self.hasher.k(), limit)
     }
@@ -1083,7 +1069,8 @@ mod tests {
         let searcher = NearDupSearcher::new(&index).unwrap();
         let p = planted.first().unwrap();
         let query = corpus.sequence_to_vec(p.dst).unwrap();
-        let ranked = searcher.search_ranked(&query, 0.7, 5).unwrap();
+        let outcome = searcher.search(&query, 0.7).unwrap();
+        let ranked = rank(&outcome, 32, 5);
         assert!(!ranked.is_empty());
         assert!(ranked.len() <= 5);
         for pair in ranked.windows(2) {

@@ -81,7 +81,9 @@ impl ServingIndex {
 
     /// [`Self::open`] with explicit cache sizing. Each generation (of each
     /// shard) gets its own caches — postings cached under one generation
-    /// must not be served under another.
+    /// must not be served under another. Callers outside the ledger use
+    /// [`Self::open_with_options`].
+    #[doc(hidden)]
     pub fn open_with_cache(path: &Path, cache: CacheConfig) -> Result<Self, QueryError> {
         Self::open_with_options(
             path,

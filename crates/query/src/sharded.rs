@@ -14,7 +14,9 @@
 //! one view generation. A plain index directory or a generation store opens
 //! as the same type with a single shard at offset 0.
 //! [`ShardedIndex::searcher_with_filter`] derives the lane set;
-//! [`crate::OverlaySearcher`] appends memory lanes to it.
+//! [`ShardedSearcher::push_segment`] appends memory lanes to it, and
+//! [`ShardedSearcher::single`] is the lane set of one index. A lane set is
+//! never empty: a store with no shards does not open.
 //!
 //! [`ShardedSearcher`] fans a query out across the lanes:
 //!
@@ -37,10 +39,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ndss_corpus::TextId;
-use ndss_hash::minhash::collision_threshold;
 use ndss_hash::TokenId;
 use ndss_index::generation::{parse_generation_name, resolve_index_dir};
-use ndss_index::{DiskIndex, IndexAccess, IndexConfig, ShardedStore};
+use ndss_index::{DiskIndex, IndexAccess, IndexConfig, MemSegment, ShardedStore};
 
 use crate::breaker::{classify, Admission, BreakerConfig, DegradedShard, ShardHealth};
 use crate::governor::{CancelToken, QueryBudget};
@@ -220,13 +221,10 @@ impl ShardedIndex {
         &self,
         filter: PrefixFilter,
     ) -> Result<ShardedSearcher<'_>, QueryError> {
-        let config = self.config();
-        let mut searcher = ShardedSearcher::empty(config.k, config.t as u32);
-        searcher.health = Arc::clone(&self.health);
-        for slot in &self.shards {
-            searcher.push_lane(slot.base, &*slot.index, filter)?;
-        }
-        Ok(searcher)
+        let lanes = self.shards.iter();
+        let lanes = lanes.map(|slot| Lane::new(slot.base, &*slot.index, filter));
+        let lanes = lanes.collect::<Result<_, _>>()?;
+        Ok(ShardedSearcher::new(lanes, Arc::clone(&self.health)))
     }
 }
 
@@ -236,6 +234,20 @@ struct Lane<'a> {
     base: TextId,
     num_texts: u64,
     searcher: NearDupSearcher<'a, dyn IndexAccess + 'a>,
+}
+
+impl<'a> Lane<'a> {
+    fn new(
+        base: TextId,
+        index: &'a dyn IndexAccess,
+        filter: PrefixFilter,
+    ) -> Result<Self, QueryError> {
+        Ok(Lane {
+            base,
+            num_texts: index.config().num_texts as u64,
+            searcher: NearDupSearcher::with_prefix_filter(index, filter)?,
+        })
+    }
 }
 
 /// What one lane contributed to a scatter: a searched result, or a
@@ -251,67 +263,66 @@ enum LaneOutcome {
 /// A lane set and the one scatter → classify → merge over it; see the
 /// module docs for the admission, budget and merge semantics.
 pub struct ShardedSearcher<'a> {
-    /// Ascending, disjoint text ranges. The first `health.num_shards()`
-    /// are the disk shards of the view the set was derived from, each
-    /// guarded by the breaker of the same index; any after are memory
-    /// lanes.
+    /// Ascending, disjoint text ranges, never empty. The first
+    /// `health.num_shards()` are the disk shards of the view the set was
+    /// derived from, each guarded by the breaker of the same index; any
+    /// after are memory lanes.
     lanes: Vec<Lane<'a>>,
     threads: usize,
     policy: FaultPolicy,
     health: Arc<ShardHealth>,
-    /// `(k, t)` of the shared index configuration: all `rank` needs, and
-    /// the shape of the empty outcome an empty lane set answers with.
-    k: usize,
-    t: u32,
 }
 
 impl<'a> ShardedSearcher<'a> {
-    /// A lane set with no lanes yet (a store with nothing published): it
-    /// answers every valid query with a complete, empty outcome.
-    pub(crate) fn empty(k: usize, t: u32) -> Self {
+    fn new(lanes: Vec<Lane<'a>>, health: Arc<ShardHealth>) -> Self {
+        debug_assert!(!lanes.is_empty(), "a lane set has at least one lane");
         ShardedSearcher {
-            lanes: Vec::new(),
+            lanes,
             threads: ndss_parallel::default_threads(),
             policy: FaultPolicy::FailFast,
-            health: Arc::new(ShardHealth::new(0, BreakerConfig::default())),
-            k,
-            t,
+            health,
         }
     }
 
     /// A lane set of one lane: all of `index` — in memory or on disk — at
-    /// global text id 0, searched with `filter`.
+    /// global text id 0, searched with `filter`. No breaker guards it.
     pub fn single(index: &'a dyn IndexAccess, filter: PrefixFilter) -> Result<Self, QueryError> {
-        let config = index.config();
-        let mut searcher = Self::empty(config.k, config.t as u32);
-        searcher.push_lane(0, index, filter)?;
-        Ok(searcher)
+        let health = Arc::new(ShardHealth::new(0, BreakerConfig::default()));
+        Ok(Self::new(vec![Lane::new(0, index, filter)?], health))
     }
 
     /// The number of hash functions: collision counts are out of `k`.
     pub fn k(&self) -> usize {
-        self.k
+        self.lanes[0].searcher.hasher().k()
     }
 
-    /// Appends a lane over `index`, whose local text ids start at global
-    /// id `base`. Lanes must arrive in ascending, disjoint text order.
-    pub(crate) fn push_lane(
-        &mut self,
-        base: TextId,
-        index: &'a dyn IndexAccess,
-        filter: PrefixFilter,
-    ) -> Result<(), QueryError> {
-        self.lanes.push(Lane {
-            base,
-            num_texts: index.config().num_texts as u64,
-            searcher: NearDupSearcher::with_prefix_filter(index, filter)?,
-        });
+    /// Number of lanes: the disk view's shards plus the overlaid segments.
+    pub fn num_lanes(&self) -> usize {
+        self.lanes.len()
+    }
+
+    /// Overlays a memtable segment as one more lane, searched unfiltered (a
+    /// `HashMap` index's length histogram is a full walk of its lists).
+    ///
+    /// The rule exactness under concurrent compaction hangs on: a segment
+    /// joins **iff** `segment.base() >=` the end of the lanes already in the
+    /// set. For a view's lane set that end is the *pinned* snapshot's text
+    /// count — not a re-read of `CURRENT`, which may have advanced past the
+    /// snapshot. Segments publish whole, so the snapshot's text count is
+    /// either `<= base` (not yet published: overlay it) or `>= base + len`
+    /// (published: the disk lanes already serve those texts), and the
+    /// segment-granular rule is exact under any interleaving of publish,
+    /// trim and reload. Push segments in ascending text order, as
+    /// [`ndss_index::IngestIndex::segments`] yields them.
+    pub fn push_segment(&mut self, segment: &'a MemSegment) -> Result<(), QueryError> {
+        let last = &self.lanes[self.lanes.len() - 1];
+        if segment.is_empty() || segment.base() < last.base as u64 + last.num_texts {
+            return Ok(());
+        }
+        let (base, index) = (segment.base() as TextId, segment.index());
+        self.lanes
+            .push(Lane::new(base, index, PrefixFilter::Disabled)?);
         Ok(())
-    }
-
-    /// Lanes appended after the disk view's own (memtable segments).
-    pub(crate) fn num_memory_lanes(&self) -> usize {
-        self.lanes.len() - self.health.num_shards()
     }
 
     /// Pins the worker-thread count: the scatter width for single queries,
@@ -437,9 +448,11 @@ impl<'a> ShardedSearcher<'a> {
         results
     }
 
-    /// Ranks an outcome's matches by best collision count.
+    /// Ranks an outcome's matches by best collision count; callers outside
+    /// the ledger use [`crate::search::rank`].
+    #[doc(hidden)]
     pub fn rank(&self, outcome: &SearchOutcome, limit: usize) -> Vec<RankedMatch> {
-        crate::search::rank(outcome, self.k, limit)
+        crate::search::rank(outcome, self.k(), limit)
     }
 
     /// Whether lane `i` answers to a circuit breaker: a disk shard under
@@ -488,7 +501,7 @@ impl<'a> ShardedSearcher<'a> {
             };
             self.classify_lane(i, result)
         });
-        self.merge(lanes, query, theta, started)
+        self.merge(lanes, started)
     }
 
     /// Applies the fault policy to one lane's raw result: feeds the
@@ -542,8 +555,6 @@ impl<'a> ShardedSearcher<'a> {
     fn merge(
         &self,
         lanes: Vec<LaneOutcome>,
-        query: &[TokenId],
-        theta: f64,
         started: Instant,
     ) -> Result<SearchOutcome, QueryError> {
         let mut merged: Option<SearchOutcome> = None;
@@ -577,38 +588,18 @@ impl<'a> ShardedSearcher<'a> {
                 break;
             }
         }
-        let mut outcome = match (merged, degraded.first()) {
-            (Some(outcome), _) => outcome,
-            // No lane could answer — every one is quarantined, or faulted
-            // in this very scatter: there is no healthy subset to build
-            // even a degraded answer from, so surface the (classified)
-            // fault instead of an empty "result".
-            (None, Some(d)) => {
-                return Err(QueryError::AllShardsQuarantined {
-                    shards: self.lanes.len(),
-                    kind: d.kind,
-                    reason: d.reason.clone(),
-                })
-            }
-            // No lane at all (fresh store, empty memtable): an empty but
-            // well-formed result — after validating the query the same way
-            // a real lane would.
-            (None, None) => {
-                if query.is_empty() {
-                    return Err(QueryError::EmptyQuery);
-                }
-                if !(theta > 0.0 && theta <= 1.0) {
-                    return Err(QueryError::BadThreshold(theta));
-                }
-                SearchOutcome {
-                    matches: Vec::new(),
-                    stats: Default::default(),
-                    beta: collision_threshold(self.k, theta),
-                    t: self.t,
-                    complete: true,
-                    degraded: Vec::new(),
-                }
-            }
+        // No lane could answer — every one is quarantined, or faulted in
+        // this very scatter: there is no healthy subset to build even a
+        // degraded answer from, so surface the (classified) fault instead
+        // of an empty "result". (The lane set is never empty, so a missing
+        // merge means at least one degraded lane.)
+        let Some(mut outcome) = merged else {
+            let d = &degraded[0];
+            return Err(QueryError::AllShardsQuarantined {
+                shards: self.lanes.len(),
+                kind: d.kind,
+                reason: d.reason.clone(),
+            });
         };
         outcome.stats.total = started.elapsed();
         outcome.complete = tripped.is_none() && degraded.is_empty();
@@ -626,7 +617,164 @@ impl<'a> ShardedSearcher<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ndss_corpus::{CorpusSource, SyntheticCorpusBuilder};
+    use ndss_corpus::{CorpusSource, InMemoryCorpus, SyntheticCorpusBuilder};
+    use ndss_index::{IngestIndex, IngestOptions, MemoryIndex};
+
+    fn workload() -> (InMemoryCorpus, Vec<Vec<u32>>) {
+        let (corpus, planted) = SyntheticCorpusBuilder::new(71)
+            .num_texts(50)
+            .duplicates_per_text(1.0)
+            .mutation_rate(0.03)
+            .build();
+        let queries: Vec<Vec<u32>> = planted
+            .iter()
+            .take(12)
+            .map(|p| corpus.sequence_to_vec(p.dst).unwrap())
+            .collect();
+        (corpus, queries)
+    }
+
+    #[test]
+    fn batch_matches_serial_in_input_order() {
+        let (corpus, queries) = workload();
+        let index = MemoryIndex::build(&corpus, IndexConfig::new(16, 25, 9)).unwrap();
+
+        let serial = NearDupSearcher::new(&index).unwrap();
+        let expected: Vec<_> = queries
+            .iter()
+            .map(|q| serial.search(q, 0.8).unwrap().enumerate_all())
+            .collect();
+
+        for threads in [1, 4, 8] {
+            let batch = ShardedSearcher::single(&index, PrefixFilter::Disabled)
+                .unwrap()
+                .threads(threads);
+            let got = batch.search_all(&queries, 0.8).unwrap();
+            assert_eq!(got.len(), queries.len());
+            for (i, outcome) in got.iter().enumerate() {
+                assert_eq!(
+                    outcome.enumerate_all(),
+                    expected[i],
+                    "query {i} diverged at {threads} threads"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn empty_batch_and_bad_query_propagate() {
+        let (corpus, _) = SyntheticCorpusBuilder::new(72).num_texts(5).build();
+        let index = MemoryIndex::build(&corpus, IndexConfig::new(4, 25, 1)).unwrap();
+        let batch = ShardedSearcher::single(&index, PrefixFilter::Disabled)
+            .unwrap()
+            .threads(4);
+        assert!(batch.search_all(&[], 0.8).unwrap().is_empty());
+        let queries = vec![vec![1u32, 2, 3], Vec::new()];
+        assert!(matches!(
+            batch.search_all(&queries, 0.8),
+            Err(QueryError::EmptyQuery)
+        ));
+    }
+
+    /// Per-slot results: the poisoned query is exactly one `Err` at its own
+    /// index; every other outcome is bit-identical to a solo run.
+    #[test]
+    fn isolate_mode_confines_a_poisoned_query() {
+        let (corpus, mut queries) = workload();
+        let index = MemoryIndex::build(&corpus, IndexConfig::new(16, 25, 9)).unwrap();
+        let serial = NearDupSearcher::new(&index).unwrap();
+        let expected: Vec<_> = queries
+            .iter()
+            .map(|q| serial.search(q, 0.8).unwrap().enumerate_all())
+            .collect();
+        let poisoned = 3;
+        queries[poisoned] = Vec::new(); // EmptyQuery on arrival
+
+        for threads in [1, 4] {
+            let batch = ShardedSearcher::single(&index, PrefixFilter::Disabled)
+                .unwrap()
+                .threads(threads);
+            let results = batch.search_all_governed(&queries, 0.8, &QueryBudget::unlimited());
+            assert_eq!(results.len(), queries.len());
+            for (i, r) in results.iter().enumerate() {
+                if i == poisoned {
+                    assert!(matches!(r, Err(QueryError::EmptyQuery)), "index {i}");
+                } else {
+                    assert_eq!(
+                        r.as_ref().unwrap().enumerate_all(),
+                        expected[i],
+                        "index {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The overlay rule: a segment joins iff its base is at or past the end
+    /// of the lanes already in the set. Texts 0..10 are published, 10..15
+    /// sit in a frozen segment and 15..20 in the active one. The 10-text
+    /// view overlays both segments; a lane set that already ends at 15
+    /// skips the frozen one. Both answer like a rebuild of all 20 texts.
+    #[test]
+    fn push_segment_overlays_exactly_the_uncovered_segments() {
+        let (corpus, _) = SyntheticCorpusBuilder::new(98)
+            .num_texts(20)
+            .text_len(60, 120)
+            .vocab_size(500)
+            .build();
+        let texts: Vec<Vec<TokenId>> = (0..20).map(|i| corpus.text_to_vec(i).unwrap()).collect();
+        let root = std::env::temp_dir().join(format!("ndss_push_segment_{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        let cfg = IndexConfig::new(4, 15, 9).bit_packed(true);
+        let mut ingest =
+            IngestIndex::open(&root, Some(cfg.clone()), IngestOptions::default()).unwrap();
+        for t in &texts[..10] {
+            ingest.append(t).unwrap();
+        }
+        ingest.seal_all().unwrap();
+        for t in &texts[10..15] {
+            ingest.append(t).unwrap();
+        }
+        ingest.rotate().unwrap();
+        for t in &texts[15..] {
+            ingest.append(t).unwrap();
+        }
+        let bases: Vec<u64> = ingest.segments().map(MemSegment::base).collect();
+        assert_eq!(bases, [10, 15]);
+
+        let build = |n: usize| {
+            MemoryIndex::build(
+                &InMemoryCorpus::from_texts(texts[..n].to_vec()),
+                cfg.clone(),
+            )
+            .unwrap()
+        };
+        let (first15, full) = (build(15), build(20));
+        let reference = NearDupSearcher::new(&full).unwrap();
+
+        let stale = ShardedIndex::open(&root).unwrap();
+        assert_eq!(stale.num_texts(), 10);
+        let mut overlaid = stale.searcher().unwrap();
+        let mut ahead = ShardedSearcher::single(&first15, PrefixFilter::Disabled).unwrap();
+        for segment in ingest.segments() {
+            overlaid.push_segment(segment).unwrap();
+            ahead.push_segment(segment).unwrap();
+        }
+        assert_eq!(
+            overlaid.num_lanes(),
+            3,
+            "the stale view overlays both segments"
+        );
+        assert_eq!(ahead.num_lanes(), 2, "the segment at base 10 adds no lane");
+        for query in [&texts[3][5..50], &texts[12][10..60], &texts[17][0..50]] {
+            let want = reference.search(query, 0.8).unwrap();
+            assert!(!want.matches.is_empty());
+            assert_eq!(overlaid.search(query, 0.8).unwrap().matches, want.matches);
+            assert_eq!(ahead.search(query, 0.8).unwrap().matches, want.matches);
+        }
+        drop(ingest);
+        std::fs::remove_dir_all(&root).ok();
+    }
 
     /// The constructors that take no filter search unfiltered; the default
     /// filter is one callers name. On a skewed corpus the default defers

@@ -52,8 +52,8 @@ use std::time::{Duration, Instant};
 use ndss_index::{CacheConfig, IngestIndex, IngestOptions};
 use ndss_json::{Json, ObjectBuilder};
 use ndss_query::{
-    DegradedShard, FaultPolicy, OverlaySearcher, PrefixFilter, QueryBudget, QueryError,
-    RankedMatch, Resource, SearchOutcome, ServingIndex,
+    search, DegradedShard, FaultPolicy, PrefixFilter, QueryBudget, QueryError, RankedMatch,
+    Resource, SearchOutcome, ServingIndex,
 };
 
 use crate::frame::{self, FrameOutcome, RequestPayload};
@@ -1283,7 +1283,8 @@ fn execute_search(shared: &Shared, parsed: &ParsedSearch) -> Result<SearchReply,
     // mutually consistent, and the reload-on-lag heals the window where a
     // compaction published but its hot-swap failed or hasn't landed. The
     // per-segment exactness rule (overlay a segment iff its base is ≥ the
-    // snapshot's text count) lives in `OverlaySearcher::push_segment`.
+    // end of the lanes already in the set, here the snapshot's text count)
+    // lives in `ShardedSearcher::push_segment`.
     let internal = |e: QueryError| SearchFail::Internal(e.to_string());
     let memtable = shared
         .ingest
@@ -1300,17 +1301,10 @@ fn execute_search(shared: &Shared, parsed: &ParsedSearch) -> Result<SearchReply,
     // Serving runs under the isolating fault policy: a sick shard is
     // contained by its circuit breaker and reported as a degraded range
     // instead of failing the whole request.
-    let disk = snapshot
+    let mut lanes = snapshot
         .searcher_with_filter(shared.config.filter)
         .map_err(internal)?
         .fault_policy(FaultPolicy::Isolate);
-    let config = snapshot.config();
-    let mut lanes = OverlaySearcher::new(
-        Some(disk),
-        snapshot.num_texts() as u64,
-        config.k,
-        config.t as u32,
-    );
     for segment in memtable.iter().flat_map(|m| m.segments()) {
         lanes.push_segment(segment).map_err(internal)?;
     }
@@ -1318,7 +1312,7 @@ fn execute_search(shared: &Shared, parsed: &ParsedSearch) -> Result<SearchReply,
         shared,
         lanes.search_governed(&parsed.query, parsed.theta, &budget),
     )?;
-    let matches = lanes.rank(&outcome, parsed.top);
+    let matches = search::rank(&outcome, lanes.k(), parsed.top);
     let generation = snapshot.generation().unwrap_or(0);
     if !outcome.degraded.is_empty() {
         shared.metrics.degraded.inc(1);

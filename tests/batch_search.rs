@@ -87,7 +87,7 @@ fn workload(seed: u64) -> (InMemoryCorpus, Vec<Vec<TokenId>>) {
     (corpus, queries)
 }
 
-/// The same query set through `BatchSearcher` at 1/4/8 threads returns
+/// The same query set through `ShardedSearcher::single` at 1/4/8 threads returns
 /// results identical to a serial `NearDupSearcher` loop, in input order,
 /// against a disk index (positioned reads + shared caches).
 #[test]
@@ -108,7 +108,9 @@ fn batch_results_identical_to_serial_on_disk_index() {
         .collect();
 
     for threads in [1usize, 4, 8] {
-        let batch = BatchSearcher::new(&index).unwrap().threads(threads);
+        let batch = ShardedSearcher::single(&index, PrefixFilter::Disabled)
+            .unwrap()
+            .threads(threads);
         let outcomes = batch.search_all(&queries, 0.8).unwrap();
         assert_eq!(outcomes.len(), queries.len());
         for (i, o) in outcomes.iter().enumerate() {
@@ -161,7 +163,7 @@ fn per_query_io_sums_to_global_counters_without_bleed() {
         let serial_io: Vec<u64> = outcomes.iter().map(|o| o.stats.io_bytes).collect();
 
         for threads in [1usize, 4, 8] {
-            let batch = BatchSearcher::with_prefix_filter(&index, filter)
+            let batch = ShardedSearcher::single(&index, filter)
                 .unwrap()
                 .threads(threads);
             let before = folded();
@@ -193,7 +195,9 @@ fn warm_cache_cuts_io_and_reports_hits() {
     let dir = scratch("batch", "warm_cache");
     ndss::index::build_and_write(&corpus, IndexConfig::new(16, 25, 5), &dir, true).unwrap();
     let index = DiskIndex::open_with_cache(&dir, CacheConfig::default()).unwrap();
-    let batch = BatchSearcher::new(&index).unwrap().threads(4);
+    let batch = ShardedSearcher::single(&index, PrefixFilter::Disabled)
+        .unwrap()
+        .threads(4);
 
     let cold = batch.search_all(&queries, 0.8).unwrap();
     let cold_bytes: u64 = cold.iter().map(|o| o.stats.io_bytes).sum();
@@ -227,12 +231,12 @@ fn disabled_cache_never_hits_but_results_match() {
     let cached = DiskIndex::open_with_cache(&dir, CacheConfig::default()).unwrap();
     let raw = DiskIndex::open_with_cache(&dir, CacheConfig::disabled()).unwrap();
 
-    let a = BatchSearcher::new(&cached)
+    let a = ShardedSearcher::single(&cached, PrefixFilter::Disabled)
         .unwrap()
         .threads(4)
         .search_all(&queries, 0.8)
         .unwrap();
-    let b = BatchSearcher::new(&raw)
+    let b = ShardedSearcher::single(&raw, PrefixFilter::Disabled)
         .unwrap()
         .threads(4)
         .search_all(&queries, 0.8)

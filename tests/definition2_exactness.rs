@@ -266,7 +266,9 @@ fn batch_equals_sequential_for_all_thread_counts() {
             .map(|q| sequential.search(q, theta).unwrap().enumerate_all())
             .collect();
         for &threads in &[1usize, 2, 4, 8] {
-            let batch = BatchSearcher::new(&index).unwrap().threads(threads);
+            let batch = ShardedSearcher::single(&index, PrefixFilter::Disabled)
+                .unwrap()
+                .threads(threads);
             let outcomes = batch.search_all(&queries, theta).unwrap();
             assert_eq!(outcomes.len(), queries.len());
             for (i, outcome) in outcomes.iter().enumerate() {
@@ -331,7 +333,9 @@ fn format_v6_matches_v4_and_v3_cold_warm_mmap_threaded() {
             }
             // Batch execution over this format at every thread count.
             for &threads in &[1usize, 2, 4, 8] {
-                let batch = BatchSearcher::new(&warm).unwrap().threads(threads);
+                let batch = ShardedSearcher::single(&warm, PrefixFilter::Disabled)
+                    .unwrap()
+                    .threads(threads);
                 let outcomes = batch.search_all(&queries, 0.5).unwrap();
                 for (qi, outcome) in outcomes.iter().enumerate() {
                     assert_eq!(

@@ -54,7 +54,7 @@ fn faulty_reads_yield_bit_identical_results() {
         build(&corpus, &dir, compress);
 
         let clean = DiskIndex::open_with_cache(&dir, CacheConfig::disabled()).unwrap();
-        let baseline = BatchSearcher::new(&clean)
+        let baseline = ShardedSearcher::single(&clean, PrefixFilter::Disabled)
             .unwrap()
             .threads(4)
             .search_all(&queries, 0.8)
@@ -70,7 +70,7 @@ fn faulty_reads_yield_bit_identical_results() {
             )
             .unwrap();
             let retries_before = retries.get();
-            let outcomes = BatchSearcher::new(&flaky)
+            let outcomes = ShardedSearcher::single(&flaky, PrefixFilter::Disabled)
                 .unwrap()
                 .threads(4)
                 .search_all(&queries, 0.8)
@@ -161,7 +161,7 @@ fn isolate_confines_poison_fail_fast_aborts() {
     build(&corpus, &dir, false);
     let index = DiskIndex::open(&dir).unwrap();
 
-    let baseline = BatchSearcher::new(&index)
+    let baseline = ShardedSearcher::single(&index, PrefixFilter::Disabled)
         .unwrap()
         .threads(4)
         .search_all(&queries, 0.8)
@@ -193,7 +193,7 @@ fn isolate_confines_poison_fail_fast_aborts() {
         );
     }
 
-    let fail_fast = BatchSearcher::new(&index)
+    let fail_fast = ShardedSearcher::single(&index, PrefixFilter::Disabled)
         .unwrap()
         .threads(4)
         .search_all(&poisoned, 0.8);

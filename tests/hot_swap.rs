@@ -72,7 +72,9 @@ fn corpus_b(a: &InMemoryCorpus, queries: &[Vec<u32>]) -> InMemoryCorpus {
 /// Cold-open reference: batch results against one index directory.
 fn cold_results(dir: &Path, queries: &[Vec<u32>]) -> Vec<Vec<SeqRef>> {
     let index = DiskIndex::open(dir).unwrap();
-    let batch = BatchSearcher::new(&index).unwrap().threads(2);
+    let batch = ShardedSearcher::single(&index, PrefixFilter::Disabled)
+        .unwrap()
+        .threads(2);
     batch
         .search_all(queries, 0.8)
         .unwrap()

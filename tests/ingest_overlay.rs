@@ -30,22 +30,19 @@ fn config(version: &str) -> IndexConfig {
         .bit_packed(packed)
 }
 
-/// The per-request view the daemon builds: the pinned disk view's lanes
-/// under the isolating policy, plus every memtable segment the view does
-/// not cover.
+/// The per-request lane set the daemon builds: the pinned disk view's
+/// lanes under the isolating policy, plus every memtable segment the view
+/// does not cover (`ShardedSearcher::push_segment` skips the rest).
 fn overlay<'a>(
     disk: &'a ShardedIndex,
     ingest: &'a IngestIndex,
     threads: usize,
-) -> OverlaySearcher<'a> {
-    let searcher = disk
+) -> ShardedSearcher<'a> {
+    let mut overlay = disk
         .searcher()
         .unwrap()
         .threads(threads)
         .fault_policy(FaultPolicy::Isolate);
-    let cfg = disk.config();
-    let mut overlay =
-        OverlaySearcher::new(Some(searcher), disk.num_texts() as u64, cfg.k, cfg.t as u32);
     for segment in ingest.segments() {
         overlay.push_segment(segment).unwrap();
     }
@@ -119,7 +116,7 @@ fn overlay_grid(version: &str) {
                 scope.spawn(move || {
                     for (qi, query) in queries.iter().enumerate() {
                         let overlay = overlay(disk, ingest, threads);
-                        assert_eq!(overlay.num_segments(), 2);
+                        assert_eq!(overlay.num_lanes() - disk.num_shards(), 2);
                         for theta in [0.7f64, 0.9] {
                             let label = format!(
                                 "{version} threads {threads} worker {worker} query {qi} θ {theta}"
@@ -144,7 +141,11 @@ fn overlay_grid(version: &str) {
     assert_eq!(disk.num_texts(), texts.len());
     for (qi, query) in queries.iter().enumerate() {
         let overlay = overlay(&disk, &ingest, 2);
-        assert_eq!(overlay.num_segments(), 0, "everything is published");
+        assert_eq!(
+            overlay.num_lanes() - disk.num_shards(),
+            0,
+            "everything is published"
+        );
         let got = overlay.search(query, 0.8).unwrap();
         let want = reference.search(query, 0.8).unwrap();
         assert_eq!(got.matches, want.matches, "{version} post-seal query {qi}");
@@ -213,7 +214,7 @@ fn overlay_is_exact_across_a_concurrent_publish() {
     // Before the swap: stale snapshot + the frozen segment overlays.
     {
         let overlay = overlay(&stale, &ingest, 2);
-        assert_eq!(overlay.num_segments(), 1);
+        assert_eq!(overlay.num_lanes() - stale.num_shards(), 1);
         let got = overlay.search(&query, 0.8).unwrap();
         assert_eq!(got.matches, want.matches, "stale view + overlay");
     }
@@ -225,7 +226,7 @@ fn overlay_is_exact_across_a_concurrent_publish() {
     assert_eq!(fresh.num_texts(), 20);
     {
         let overlay = overlay(&fresh, &ingest, 2);
-        assert_eq!(overlay.num_segments(), 0);
+        assert_eq!(overlay.num_lanes() - fresh.num_shards(), 0);
         let got = overlay.search(&query, 0.8).unwrap();
         assert_eq!(got.matches, want.matches, "fresh view, segment skipped");
     }
@@ -292,7 +293,7 @@ fn one_budget_is_split_across_disk_and_memory_lanes() {
     let (root, ingest) = planted_in_every_lane("budget_split");
     let disk = ShardedIndex::open(&root).unwrap();
     let overlay = overlay(&disk, &ingest, 2);
-    assert_eq!(overlay.num_segments(), LANES - 1);
+    assert_eq!(overlay.num_lanes() - disk.num_shards(), LANES - 1);
     let query = planted_span();
     let full = overlay.search(&query, 0.8).unwrap();
     assert!(full.complete);

@@ -74,8 +74,7 @@ fn cold_fingerprint(dir: &Path, query: &[u32]) -> Fingerprint {
     let index = DiskIndex::open(dir).unwrap();
     let searcher = NearDupSearcher::with_prefix_filter(&index, PrefixFilter::default()).unwrap();
     let outcome = searcher.search(query, THETA).unwrap();
-    searcher
-        .rank(&outcome, usize::MAX)
+    ndss::query::search::rank(&outcome, config().k, usize::MAX)
         .into_iter()
         .map(|m| {
             (
@@ -131,7 +130,7 @@ fn start_server(store: &Path) -> RunningServer {
 }
 
 fn start_server_capped(store: &Path, admission_cap: usize) -> RunningServer {
-    let serving = ServingIndex::open_with_cache(store, CacheConfig::default()).unwrap();
+    let serving = ServingIndex::open_with_options(store, ServingOptions::default()).unwrap();
     let server = Server::bind(
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
@@ -391,8 +390,7 @@ fn sharded_cold_fingerprint(root: &Path, query: &[u32]) -> Fingerprint {
         .unwrap()
         .threads(2);
     let outcome = searcher.search(query, THETA).unwrap();
-    searcher
-        .rank(&outcome, usize::MAX)
+    ndss::query::search::rank(&outcome, config().k, usize::MAX)
         .into_iter()
         .map(|m| {
             (

@@ -260,11 +260,11 @@ fn one_shard_store_equals_plain_directory() {
         let want = b.search(query, THETA).unwrap();
         assert_eq!(got.matches, want.matches);
         assert_eq!(
-            a.rank(&got, 5)
+            ndss::query::search::rank(&got, a.k(), 5)
                 .iter()
                 .map(|m| (m.text, m.collisions))
                 .collect::<Vec<_>>(),
-            b.rank(&want, 5)
+            ndss::query::search::rank(&want, b.k(), 5)
                 .iter()
                 .map(|m| (m.text, m.collisions))
                 .collect::<Vec<_>>()
