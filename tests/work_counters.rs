@@ -19,12 +19,16 @@
 //! run one at a time with the default prefix filter at θ = 0.8. The
 //! memorised set (windows of planted copies) finds candidates on every
 //! query; the novel set (windows of a second corpus) finds almost none.
+//! Publishing is counted apart from building: the fsyncs of one
+//! generation-store publish and of one two-shard `publish_all`, each of
+//! generations already built.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use ndss::corpus::PlantedDuplicate;
+use ndss::index::generation::generation_name;
 use ndss::index::{build_and_write, CacheConfig};
 use ndss::prelude::*;
 use ndss::query::QueryStats;
@@ -116,17 +120,51 @@ struct IndexWork {
     /// Every byte a fresh build leaves in its directory, written once.
     bytes: u64,
     fsyncs: u64,
+    /// One `GenerationStore::publish` of a built generation.
+    publish_fsyncs: u64,
+    /// One `ShardedStore::publish_all` of two built shards.
+    sharded_publish_fsyncs: u64,
+}
+
+fn config() -> IndexConfig {
+    IndexConfig::new(K, T, SEED).bit_packed(true)
+}
+
+/// The fsyncs `f` issues.
+fn fsyncs<R>(f: impl FnOnce() -> R) -> u64 {
+    let before = ndss::durable::fsync_count();
+    f();
+    ndss::durable::fsync_count() - before
 }
 
 fn build(corpus: &InMemoryCorpus, dir: &Path) -> IndexWork {
     let _serial = FSYNCS.lock().unwrap_or_else(|e| e.into_inner());
-    let config = IndexConfig::new(K, T, SEED).bit_packed(true);
-    let before = ndss::durable::fsync_count();
-    build_and_write(corpus, config, dir, false).unwrap();
+    let fsyncs_per_build = fsyncs(|| build_and_write(corpus, config(), dir, false).unwrap());
+
+    let root = scratch("work_counters", "publish");
+    let store = GenerationStore::open(&root).unwrap();
+    build_and_write(corpus, config(), &store.allocate().unwrap(), false).unwrap();
+    let publish_fsyncs = fsyncs(|| store.publish(&generation_name(0), 1).unwrap());
+
+    let root = scratch("work_counters", "sharded_publish");
+    let ranges = partition_texts(corpus.num_texts(), 2);
+    let mut sharded = ShardedStore::create(&root, &ranges).unwrap();
+    for (i, &(first, len)) in ranges.iter().enumerate() {
+        let slice = CorpusSlice::new(corpus, first, len as usize);
+        let dir = sharded.shard_store(i).unwrap().allocate().unwrap();
+        build_and_write(&slice, config(), &dir, false).unwrap();
+    }
+    let names = vec![generation_name(0); 2];
+    let sharded_publish_fsyncs = fsyncs(|| sharded.publish_all(&names, 1).unwrap());
+    std::fs::remove_dir_all(&root).ok();
+    std::fs::remove_dir_all(store.root()).ok();
+
     IndexWork {
         tokens: corpus.total_tokens(),
         bytes: dir_bytes(dir),
-        fsyncs: ndss::durable::fsync_count() - before,
+        fsyncs: fsyncs_per_build,
+        publish_fsyncs,
+        sharded_publish_fsyncs,
     }
 }
 
@@ -181,12 +219,15 @@ fn render(index: &IndexWork, memorized: &[[u64; 6]], novel: &[[u64; 6]]) -> Stri
     writeln!(
         out,
         "  \"index\": {{\"tokens\": {}, \"bytes\": {}, \"bytes_per_token\": {:.4}, \
-         \"bytes_written_per_build\": {}, \"fsyncs_per_build\": {}}},",
+         \"bytes_written_per_build\": {}, \"fsyncs_per_build\": {}, \
+         \"fsyncs_per_publish\": {}, \"fsyncs_per_publish_all_2_shards\": {}}},",
         index.tokens,
         index.bytes,
         index.bytes as f64 / index.tokens as f64,
         index.bytes,
         index.fsyncs,
+        index.publish_fsyncs,
+        index.sharded_publish_fsyncs,
     )
     .unwrap();
     let fields: Vec<String> = FIELDS.iter().map(|f| format!("\"{f}\"")).collect();
