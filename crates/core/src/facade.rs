@@ -258,10 +258,10 @@ impl<I: IndexAccess> CorpusIndex<I> {
 
     /// Searches many queries across `threads` worker threads through the
     /// one-lane [`ShardedSearcher::single`], preserving input order and
-    /// failing fast on the first error. Workers share the index (lock-free reads from each
-    /// file's memory mapping, one shared hot-list cache), but each query
-    /// accumulates its own stats, so each outcome's `QueryStats` is
-    /// attributed to its own query.
+    /// failing fast on the first error. Workers share the index (lock-free
+    /// reads from each file's memory mapping, one shared hot-list cache),
+    /// but each query accumulates its own stats, so each outcome's
+    /// `QueryStats` is attributed to its own query.
     pub fn search_batch(
         &self,
         queries: &[Vec<TokenId>],
