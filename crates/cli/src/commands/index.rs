@@ -1,21 +1,19 @@
 //! `ndss index`: build the k inverted indexes for a corpus file.
 //!
 //! Plain mode writes the index straight into `--out`. With `--store`,
-//! `--out` is a *generation store*: the build lands in a freshly allocated
-//! `gen-NNNN/` directory and is published (verified, then `CURRENT`
-//! re-pointed atomically) only after it completes. `--resume` continues an
-//! interrupted `--external` build from its journal — in store mode it picks
-//! the store's resumable generation automatically.
+//! `--out` is a *store*: the build lands in freshly allocated `seg-NNNN/`
+//! segment directories and is published (verified, then one atomic
+//! `MANIFEST` write) only after it completes. `--resume` continues an
+//! interrupted `--external` build from its journal.
 //!
-//! `--shards N` (requires `--store`) partitions the corpus by text-id
-//! range into N shards (`--shards auto` derives N from corpus size and
-//! core count; see [`auto_shards`]), builds them in parallel (each shard its own
-//! generation store under `shard-NNNN/`), and publishes all of them with
-//! one atomic manifest bump. `--resume` works per shard: completed shards
-//! are reused as-is, journaled ones continue, so a killed sharded build
-//! resumes byte-identically.
+//! `--shards N` (requires `--store`; default 1) partitions the corpus by
+//! text-id range into N segments (`--shards auto` derives N from corpus
+//! size and core count; see `auto_shards`) and builds them in parallel.
+//! In store mode `--resume` works per segment: completed ones are reused
+//! as-is, journaled ones continue, so a killed build resumes
+//! byte-identically.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Instant;
 
 use ndss::prelude::*;
@@ -57,23 +55,22 @@ pub fn run(args: &Args) -> Result<(), String> {
     let corpus = DiskCorpus::open(Path::new(corpus_path)).map_err(|e| e.to_string())?;
 
     let shards: usize = match args.get("shards") {
-        None => 0,
+        None => 1,
         Some("auto") => auto_shards(&corpus),
         Some(raw) => raw
             .parse()
             .map_err(|_| format!("--shards: '{raw}' is not an integer (or 'auto')"))?,
     };
-    if shards == 0 {
-        if resume && !external {
-            return Err("--resume requires --external (only journaled builds can resume)".into());
-        }
-    } else if !store_mode {
-        return Err("--shards requires --store (shards are generational stores)".into());
+    if !store_mode && args.get("shards").is_some() {
+        return Err("--shards requires --store (shards are segments of one store)".into());
+    }
+    if !store_mode && resume && !external {
+        return Err("--resume requires --external (only journaled builds can resume)".into());
     }
 
     let config = super::with_format(IndexConfig::new(k, t, seed), args)?;
-    if shards > 0 {
-        return run_sharded(
+    if store_mode {
+        return run_store(
             args,
             &corpus,
             config,
@@ -96,36 +93,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         }
     );
 
-    // Where the index files land: the --out directory itself, or an
-    // allocated (or resumable) generation inside the store.
-    let store = if store_mode {
-        Some(GenerationStore::open(Path::new(out)).map_err(|e| e.to_string())?)
-    } else {
-        None
-    };
-    let build_dir: PathBuf = match &store {
-        None => PathBuf::from(out),
-        Some(store) => {
-            let resumable = if resume {
-                store.resumable().map_err(|e| e.to_string())?
-            } else {
-                None
-            };
-            match resumable {
-                Some(info) => {
-                    eprintln!("resuming interrupted build in {}…", info.name);
-                    store.root().join(info.name)
-                }
-                None => {
-                    if resume {
-                        eprintln!("no resumable generation in store; starting fresh");
-                    }
-                    store.allocate().map_err(|e| e.to_string())?
-                }
-            }
-        }
-    };
-
+    let build_dir = Path::new(out);
     eprintln!("on-disk format: {}", config.format_name());
     let start = Instant::now();
     let index = if external {
@@ -133,9 +101,9 @@ pub fn run(args: &Args) -> Result<(), String> {
             .memory_budget(memory_budget)
             .parallel(true)
             .resume(resume)
-            .build(&corpus, &build_dir)
+            .build(&corpus, build_dir)
     } else {
-        ndss::index::build_and_write(&corpus, config, &build_dir, true)
+        ndss::index::build_and_write(&corpus, config, build_dir, true)
     }
     .map_err(|e| e.to_string())?;
     let elapsed = start.elapsed();
@@ -154,16 +122,6 @@ pub fn run(args: &Args) -> Result<(), String> {
         bytes as f64 / (corpus.total_tokens() as f64 * 4.0) / k as f64,
         8.0 / t as f64
     );
-    if let Some(store) = &store {
-        drop(index);
-        let name = build_dir
-            .file_name()
-            .and_then(|n| n.to_str())
-            .ok_or("generation directory has no name")?
-            .to_string();
-        store.publish(&name, keep).map_err(|e| e.to_string())?;
-        println!("published {name} as CURRENT in {out} (keeping {keep} previous)");
-    }
     crate::obs::maybe_write_metrics(args)
 }
 
@@ -189,10 +147,10 @@ fn auto_shards(corpus: &DiskCorpus) -> usize {
     picked
 }
 
-/// `--shards N`: partition, build shards in parallel, publish with one
-/// manifest bump.
+/// `--store`: partition into `shards` segments, build them in parallel,
+/// publish them with one manifest write.
 #[allow(clippy::too_many_arguments)]
-fn run_sharded(
+fn run_store(
     args: &Args,
     corpus: &DiskCorpus,
     config: IndexConfig,
@@ -204,7 +162,7 @@ fn run_sharded(
     memory_budget: usize,
 ) -> Result<(), String> {
     eprintln!(
-        "indexing {} texts / {} tokens into {shards} shards (k = {}, t = {}, format {})…",
+        "indexing {} texts / {} tokens into {shards} segment(s) (k = {}, t = {}, format {})…",
         corpus.num_texts(),
         corpus.total_tokens(),
         config.k,
@@ -221,19 +179,19 @@ fn run_sharded(
     let start = Instant::now();
     let store = ndss::index::build_sharded(corpus, config, Path::new(out), shards, &opts)
         .map_err(|e| e.to_string())?;
-    let manifest = store.manifest();
+    let manifest = store.manifest().map_err(|e| e.to_string())?;
     println!(
-        "built and published {shards} shards in {:.2?}: manifest generation {} in {out}",
+        "built and published {shards} segment(s) in {:.2?}: manifest generation {} in {out} \
+         (keeping {keep} previous list(s))",
         start.elapsed(),
         manifest.generation
     );
-    for spec in &manifest.shards {
+    for seg in &manifest.segments {
         println!(
-            "  {}: texts [{}, {}) serving {}",
-            spec.name,
-            spec.first_text,
-            spec.first_text as u64 + spec.num_texts,
-            spec.serving.as_deref().unwrap_or("-")
+            "  {}: texts [{}, {})",
+            seg.dir,
+            seg.first_text,
+            seg.first_text as u64 + seg.num_texts
         );
     }
     crate::obs::maybe_write_metrics(args)

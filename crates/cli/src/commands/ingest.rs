@@ -1,4 +1,4 @@
-//! `ndss ingest`: stream texts into a generation store's memtable.
+//! `ndss ingest`: stream texts into a store's memtable.
 //!
 //! Reads one text per line (token ids separated by commas and/or
 //! whitespace; blank lines and `#` comments skipped) from `--input` or
@@ -6,13 +6,13 @@
 //! fsyncs before reporting — every text counted in the summary is durable.
 //!
 //! By default frozen segments (those rotated away once the active WAL
-//! passed `--flush-bytes`) are compacted into published generations before
+//! passed `--flush-bytes`) are compacted into the published store before
 //! exit; `--seal` additionally rotates and compacts the active segment, so
 //! the memtable ends empty and everything is served from disk. `--no-compact`
 //! leaves compaction to a later run or the serve daemon's background
 //! compactor.
 //!
-//! A fresh store (no generation, no memtable) needs the index shape:
+//! A fresh store (no segment, no memtable) needs the index shape:
 //! `--k`, `--t`, `--seed`, and optionally `--format v3|v4|v6`. An existing
 //! store ignores these and keeps its configuration.
 
@@ -78,8 +78,8 @@ pub fn run(args: &Args) -> Result<(), String> {
     }
 
     // Configuration for a store that has never seen an index or an ingest;
-    // an existing store derives its shape from CURRENT or the memtable
-    // manifest and ignores this.
+    // an existing store derives its shape from its last segment or the
+    // memtable manifest and ignores this.
     let k: usize = args.get_or("k", 32)?;
     let t: usize = args.get_or("t", 25)?;
     let seed: u64 = args.get_or("seed", 7)?;

@@ -1,14 +1,14 @@
-//! `ndss publish`: verify a generation and atomically point `CURRENT` at it.
+//! `ndss publish`: verify segments and atomically make them the store's
+//! serving list.
 //!
-//! The generation is re-opened and put through the full `verify_integrity`
-//! checksum walk before the pointer moves, so a corrupt build can never
-//! become the serving generation. Older complete generations beyond the
-//! newest `--keep` are pruned afterwards.
+//! Every named segment the current list does not already serve is re-opened
+//! and put through the full `verify_integrity` checksum walk before the
+//! `MANIFEST` is written, so a corrupt build can never serve. The previous
+//! list is retained for rollback (`--keep` lists); segments no retained
+//! list names are deleted afterwards.
 //!
-//! On a sharded store, pass `--shard I` to publish within shard `I`'s
-//! generation store; the shard's pointer and the store-wide manifest are
-//! bumped together, so readers flip from one complete cross-shard view to
-//! the next — never a torn mix.
+//! A store has one manifest, so publish acts on the whole store: there is
+//! no per-shard publish, and `--shard` is refused by name.
 
 use std::path::Path;
 
@@ -17,65 +17,39 @@ use ndss::prelude::*;
 use crate::args::Args;
 
 /// Every flag `ndss publish` reads; any other is refused before it runs.
-pub const FLAGS: &[&str] = &["store", "generation", "keep", "shard", "metrics-out"];
+pub const FLAGS: &[&str] = &["store", "segments", "keep", "shard", "metrics-out"];
 
-/// `--shard I` on a sharded store: publish inside one shard, bump the
-/// manifest atomically.
-fn run_sharded(args: &Args, root: &str, keep: usize) -> Result<(), String> {
-    let shard: usize = args
-        .get("shard")
-        .ok_or("store is sharded: pass --shard I to publish within one shard")?
-        .parse()
-        .map_err(|e| format!("invalid value for --shard: {e}"))?;
-    let mut store = ShardedStore::open(Path::new(root)).map_err(|e| e.to_string())?;
-    if shard >= store.num_shards() {
-        return Err(format!(
-            "--shard {shard} out of range: store has {} shards",
-            store.num_shards()
-        ));
+/// The refusal of `--shard`, shared with `ndss rollback`.
+pub(crate) fn refuse_shard(args: &Args) -> Result<(), String> {
+    match args.get("shard") {
+        Some(_) => Err(
+            "--shard is gone: a store has one MANIFEST, and publish and rollback \
+                        act on its whole segment list"
+                .into(),
+        ),
+        None => Ok(()),
     }
-    let name = match args.get("generation") {
-        Some(name) => name.to_string(),
-        None => store
-            .shard_store(shard)
-            .map_err(|e| e.to_string())?
-            .generations()
-            .map_err(|e| e.to_string())?
-            .into_iter()
-            .rev()
-            .find(|info| info.complete)
-            .map(|info| info.name)
-            .ok_or("no complete generation to publish; pass --generation gen-NNNN")?,
-    };
-    store
-        .publish_shard(shard, &name, keep)
-        .map_err(|e| e.to_string())?;
-    println!(
-        "published {name} in shard {shard} of {root}: manifest generation now {}",
-        store.manifest().generation
-    );
-    crate::obs::maybe_write_metrics(args)
 }
 
 pub fn run(args: &Args) -> Result<(), String> {
+    refuse_shard(args)?;
     let root = args.required("store")?;
     let keep: usize = args.get_or("keep", 1)?;
-    if ShardedStore::is_sharded(Path::new(root)) {
-        return run_sharded(args, root, keep);
-    }
-    let store = GenerationStore::open(Path::new(root)).map_err(|e| e.to_string())?;
-    let name = match args.get("generation") {
-        Some(name) => name.to_string(),
-        None => store
-            .generations()
+    let store = Store::open(Path::new(root)).map_err(|e| e.to_string())?;
+    let segments: Vec<String> = match args.get("segments") {
+        Some(list) => list.split(',').map(str::to_string).collect(),
+        None => vec![store
+            .unpublished()
             .map_err(|e| e.to_string())?
-            .into_iter()
-            .rev()
-            .find(|info| info.complete)
-            .map(|info| info.name)
-            .ok_or("no complete generation to publish; pass --generation gen-NNNN")?,
+            .pop()
+            .ok_or("no unpublished segment to publish; pass --segments seg-NNNN[,…]")?],
     };
-    store.publish(&name, keep).map_err(|e| e.to_string())?;
-    println!("published {name} as CURRENT in {root} (keeping {keep} previous)");
+    let manifest = store.publish(&segments, keep).map_err(|e| e.to_string())?;
+    println!(
+        "published {} in {root}: manifest generation {} ({} texts, keeping {keep} previous list(s))",
+        segments.join(","),
+        manifest.generation,
+        manifest.num_texts()
+    );
     crate::obs::maybe_write_metrics(args)
 }

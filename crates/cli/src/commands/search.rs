@@ -1,9 +1,9 @@
 //! `ndss search`: query an index for near-duplicate sequences.
 //!
-//! The `--index` argument accepts a plain index directory, a generation
-//! store, or a sharded store (built with `ndss index --shards N`). All
-//! three open as a [`ShardedIndex`] — the first two with one shard — and
-//! run the same scatter-gather with bit-identical results.
+//! The `--index` argument accepts a plain index directory or a store
+//! (built with `ndss index --store [--shards N]`). Both open as a
+//! [`ShardedIndex`] — the first with one segment — and run the same
+//! scatter-gather with bit-identical results.
 
 use std::path::Path;
 
@@ -31,8 +31,7 @@ pub const FLAGS: &[&str] = &[
     "metrics-out",
 ];
 
-/// Opens `--index` — a plain directory, a generation store or a sharded
-/// store; the first two are the one-shard case.
+/// Opens `--index` — a plain directory (the one-segment case) or a store.
 fn open_view(index_dir: &str) -> Result<ShardedIndex, String> {
     ShardedIndex::open(Path::new(index_dir)).map_err(|e| e.to_string())
 }

@@ -1,11 +1,10 @@
-//! `ndss serve`: run the network front door over an index or generation
-//! store.
+//! `ndss serve`: run the network front door over an index or store.
 //!
 //! The daemon answers HTTP (`POST /search`, `GET /metrics`,
 //! `GET /healthz`, `POST /reload`, `POST /shutdown`) and the NDSB binary
-//! framing on one port. Pointing `--index` at a generation store makes
-//! `POST /reload` (or a publish followed by reload) hot-swap generations
-//! with zero downtime. SIGTERM and SIGINT drain gracefully: in-flight
+//! framing on one port. Pointing `--index` at a store makes `POST /reload`
+//! (after a publish or rollback) hot-swap segment lists with zero
+//! downtime. SIGTERM and SIGINT drain gracefully: in-flight
 //! queries finish on their pinned snapshots before the process exits.
 //!
 //! Fault isolation knobs: `--quarantine-threshold` (consecutive transient
@@ -14,11 +13,11 @@
 //! (initial and maximum quarantine durations), and `--probe-interval-ms`
 //! (health-prober cadence; 0 disables self-healing).
 //!
-//! `--ingest` (requires `--index` to be an unsharded generation store)
-//! additionally accepts `POST /ingest`: appended texts are WAL-durable
-//! before the ack and visible to queries immediately through the overlay,
-//! while a background compactor folds frozen segments into published
-//! generations every `--ingest-compact-ms`.
+//! `--ingest` (requires `--index` to be a store) additionally accepts
+//! `POST /ingest`: appended texts are WAL-durable before the ack and
+//! visible to queries immediately through the overlay, while a background
+//! compactor folds frozen segments into the store's last segment every
+//! `--ingest-compact-ms`.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -45,7 +44,7 @@ pub const FLAGS: &[&str] = &[
     "quarantine-max-backoff-ms",
 ];
 
-/// `--ingest` on a store that has never published a generation: publish an
+/// `--ingest` on a store that has never published a segment: publish an
 /// empty one (shaped by the memtable's configuration) so the serving layer
 /// has a disk view to overlay the memtable on. The memtable must already
 /// exist — a truly fresh store needs one `ndss ingest` run to establish the
@@ -58,21 +57,17 @@ fn bootstrap_ingest_store(root: &Path, opts: &IngestOptions) -> Result<(), Strin
         )
     })?;
     let store = ingest.store();
-    if store.current_dir().map_err(|e| e.to_string())?.is_some() {
+    let err = |e: ndss::index::IndexError| e.to_string();
+    if !store.manifest().map_err(err)?.segments.is_empty() {
         return Ok(());
     }
     let empty = InMemoryCorpus::from_texts(Vec::new());
-    let mem = MemoryIndex::build(&empty, ingest.config().clone()).map_err(|e| e.to_string())?;
-    let gen_dir = store.allocate().map_err(|e| e.to_string())?;
-    ndss::index::write_memory_index(&mem, &gen_dir).map_err(|e| e.to_string())?;
-    let name = gen_dir
-        .file_name()
-        .and_then(|n| n.to_str())
-        .ok_or("generation directory has no name")?
-        .to_string();
-    store.publish(&name, 1).map_err(|e| e.to_string())?;
+    let mem = MemoryIndex::build(&empty, ingest.config().clone()).map_err(err)?;
+    let name = store.allocate().map_err(err)?;
+    ndss::index::write_memory_index(&mem, &root.join(&name)).map_err(err)?;
+    store.publish(&[&name], 1).map_err(err)?;
     eprintln!(
-        "bootstrapped empty generation {name} in {} for ingest",
+        "bootstrapped empty segment {name} in {} for ingest",
         root.display()
     );
     Ok(())
@@ -147,12 +142,9 @@ pub fn run(args: &Args) -> Result<(), String> {
     let server = Server::bind(config, serving).map_err(|e| e.to_string())?;
     let addr = server.local_addr();
     match generation {
-        Some(generation) if shards > 1 => println!(
-            "serving {index} ({shards} shards, manifest generation {generation}) on http://{addr}"
+        Some(generation) => println!(
+            "serving {index} ({shards} segment(s), manifest generation {generation}) on http://{addr}"
         ),
-        Some(generation) => {
-            println!("serving {index} (generation {generation}) on http://{addr}")
-        }
         None => println!("serving {index} on http://{addr}"),
     }
     if has_ingest {

@@ -5,21 +5,15 @@
 //! streams the payload sections (postings/blocks, zone maps, token data)
 //! against their stored CRC-32Cs, so together every byte on disk is covered.
 //!
-//! `--store` verifies a generation store's `CURRENT` generation (or every
-//! generation with `--all-generations`, one status line each). The exit
-//! code is nonzero whenever the CURRENT generation fails — that is the one
-//! queries are being served from. Stores with a live memtable (`ndss
+//! `--store` validates the checksummed `MANIFEST`, then verifies every
+//! serving segment — one status line each, including the check that each
+//! segment indexes exactly the texts its row assigns. Any failure makes the
+//! exit code nonzero: a query is answered from every segment, so one bad
+//! segment poisons every answer. Stores with a live memtable (`ndss
 //! ingest`) additionally get the memtable walked: manifest checksum, WAL
 //! frame CRCs, text-id continuity, and the trim watermark against the
-//! published generation — a failure there means acked texts are at risk,
-//! so it too is fatal.
-//!
-//! When `--store` points at a *sharded* store (a `MANIFEST` is present),
-//! the checksummed manifest is validated first, then every shard's serving
-//! generation is verified — one status line per shard, including the check
-//! that each shard's index covers exactly the text range the manifest
-//! claims. Any shard failure makes the exit code nonzero: a sharded store
-//! serves a query from all shards, so one bad shard poisons every answer.
+//! published list — a failure there means acked texts are at risk, so it
+//! too is fatal.
 
 use std::path::Path;
 use std::time::Instant;
@@ -29,69 +23,11 @@ use ndss::prelude::*;
 use crate::args::Args;
 
 /// Every flag `ndss verify` reads; any other is refused before it runs.
-pub const FLAGS: &[&str] = &["corpus", "index", "store", "all-generations"];
-
-/// Verifies one generation directory; returns its status-line suffix.
-fn verify_generation(dir: &Path) -> Result<String, String> {
-    let start = Instant::now();
-    let index = DiskIndex::open(dir).map_err(|e| e.to_string())?;
-    let streamed = index.verify_integrity().map_err(|e| e.to_string())?;
-    Ok(format!(
-        "ok (k = {}, {:.1} MiB streamed, {:.2}s)",
-        index.config().k,
-        streamed as f64 / (1 << 20) as f64,
-        start.elapsed().as_secs_f64()
-    ))
-}
-
-/// `--store` on a sharded store: manifest validation, then one status line
-/// per shard's serving generation. Any failure is an error — every shard
-/// participates in every answer.
-fn run_sharded_store(root: &str) -> Result<(), String> {
-    let store = ShardedStore::open(Path::new(root)).map_err(|e| e.to_string())?;
-    let manifest = store.manifest();
-    println!(
-        "store {root}: sharded, {} shards / {} texts, manifest generation {}",
-        store.num_shards(),
-        manifest.num_texts(),
-        manifest.generation
-    );
-    let mut failures = 0usize;
-    for (i, spec) in manifest.shards.iter().enumerate() {
-        let start = Instant::now();
-        match store.verify_shard(i) {
-            Ok(()) => println!(
-                "  {} [{}..{}): {} ok ({:.2}s)",
-                spec.name,
-                spec.first_text,
-                spec.first_text as u64 + spec.num_texts,
-                spec.serving.as_deref().unwrap_or("-"),
-                start.elapsed().as_secs_f64()
-            ),
-            Err(e) => {
-                println!(
-                    "  {} [{}..{}): {} FAILED: {e}",
-                    spec.name,
-                    spec.first_text,
-                    spec.first_text as u64 + spec.num_texts,
-                    spec.serving.as_deref().unwrap_or("-")
-                );
-                failures += 1;
-            }
-        }
-    }
-    if failures > 0 {
-        return Err(format!(
-            "{failures} of {} shards failed verification",
-            store.num_shards()
-        ));
-    }
-    Ok(())
-}
+pub const FLAGS: &[&str] = &["corpus", "index", "store"];
 
 /// The memtable walk for `--store`: manifest checksum, WAL frame CRCs,
 /// text-id continuity, and the trim watermark against the published
-/// generation. Absent memtables are fine; a broken one is an error — its
+/// list. Absent memtables are fine; a broken one is an error — its
 /// acked texts are part of what the store promises to serve.
 fn run_memtable(root: &str) -> Result<(), String> {
     let start = Instant::now();
@@ -119,60 +55,44 @@ fn run_memtable(root: &str) -> Result<(), String> {
     }
 }
 
-/// `--store` mode: per-generation status, error iff CURRENT fails.
-fn run_store(root: &str, all: bool) -> Result<(), String> {
-    if ShardedStore::is_sharded(Path::new(root)) {
-        return run_sharded_store(root);
+/// `--store` mode: one status line per serving segment, then the memtable
+/// walk; an error if any of them fails. Reads only: nothing is swept.
+fn run_store(root: &str) -> Result<(), String> {
+    let path = Path::new(root);
+    let manifest = Manifest::load(path).map_err(|e| e.to_string())?;
+    let manifest = manifest.unwrap_or_default();
+    if manifest.segments.is_empty() && !IngestIndex::is_present(path) {
+        return Err(format!("store {root} has no published segments"));
     }
-    let store = GenerationStore::open(Path::new(root)).map_err(|e| e.to_string())?;
-    let generations = store.generations().map_err(|e| e.to_string())?;
-    if generations.is_empty() {
-        if IngestIndex::is_present(Path::new(root)) {
-            return run_memtable(root);
-        }
-        return Err(format!("store {root} has no generations"));
-    }
-    let mut current_failure: Option<String> = None;
-    let mut saw_current = false;
-    for info in &generations {
-        if !all && !info.current {
-            continue;
-        }
-        saw_current |= info.current;
-        let marker = if info.current { " [CURRENT]" } else { "" };
-        if !info.complete {
-            let state = if info.resumable {
-                "incomplete (resumable: build.journal present)"
-            } else {
-                "incomplete"
-            };
-            println!("generation {}{marker}: {state}", info.name);
-            continue;
-        }
-        match verify_generation(&store.root().join(&info.name)) {
-            Ok(status) => println!("generation {}{marker}: {status}", info.name),
+    println!(
+        "store {root}: {} segment(s) / {} texts, manifest generation {}",
+        manifest.segments.len(),
+        manifest.num_texts(),
+        manifest.generation
+    );
+    let mut failures = 0usize;
+    for (i, seg) in manifest.segments.iter().enumerate() {
+        let start = Instant::now();
+        let range = format!(
+            "{} [{}..{})",
+            seg.dir,
+            seg.first_text,
+            seg.first_text as u64 + seg.num_texts
+        );
+        match manifest.verify_segment(path, i) {
+            Ok(_) => println!("  {range}: ok ({:.2}s)", start.elapsed().as_secs_f64()),
             Err(e) => {
-                println!("generation {}{marker}: FAILED: {e}", info.name);
-                if info.current {
-                    current_failure = Some(e);
-                }
+                println!("  {range}: FAILED: {e}");
+                failures += 1;
             }
         }
     }
     run_memtable(root)?;
-    if let Some(e) = current_failure {
-        return Err(format!("CURRENT generation failed verification: {e}"));
-    }
-    if !saw_current {
-        let current = store.current().map_err(|e| e.to_string())?;
-        match current {
-            Some(name) => {
-                return Err(format!(
-                    "CURRENT names {name}, which does not exist in the store"
-                ))
-            }
-            None => println!("store {root}: no CURRENT pointer (nothing is serving)"),
-        }
+    if failures > 0 {
+        return Err(format!(
+            "{failures} of {} segments failed verification",
+            manifest.segments.len()
+        ));
     }
     Ok(())
 }
@@ -181,7 +101,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     let mut checked = false;
     if let Some(store_root) = args.get("store") {
         checked = true;
-        run_store(store_root, args.flag("all-generations"))?;
+        run_store(store_root)?;
     }
     if let Some(corpus_path) = args.get("corpus") {
         checked = true;

@@ -84,18 +84,18 @@ const COMMANDS: &[Command] = &[
                [--format v3|v4|v6=v6 (v6: bitpacked blocks, the smallest and
                 the one the daemon and the benchmark use)]
                [--resume (continue an interrupted --external build)]
-               [--store (treat --out as a generation store: build lands in
-                gen-NNNN/, verified, then published as CURRENT)]
-               [--keep N=1 (previous generations retained on publish)]
-               [--shards N (with --store: partition the corpus by text-id
-                range into N independent shards, build them in parallel,
-                and publish all with one atomic manifest bump)]",
+               [--store (treat --out as a store: the build lands in new
+                seg-NNNN/ segments, verified, then published with one
+                atomic MANIFEST write)]
+               [--keep N=1 (previous segment lists retained on publish)]
+               [--shards N=1|auto (with --store: partition the corpus by
+                text-id range into N segments built in parallel)]",
     },
     Command {
         name: "ingest",
         flags: commands::ingest::FLAGS,
         run: commands::ingest::run,
-        usage: "  ingest     stream texts into a generation store's crash-safe memtable
+        usage: "  ingest     stream texts into a store's crash-safe memtable
                --store DIR [--input FILE (default: stdin; one text per line,
                 token ids separated by commas and/or whitespace)]
                [--flush-bytes N=64MiB (rotate the active WAL past this)]
@@ -118,26 +118,25 @@ const COMMANDS: &[Command] = &[
         name: "publish",
         flags: commands::publish::FLAGS,
         run: commands::publish::run,
-        usage: "  publish    verify a generation and atomically point CURRENT at it
-               --store DIR [--generation gen-NNNN (default: newest complete)]
-               [--keep N=1] [--shard I (required for sharded stores: publish
-                within shard I and bump the store manifest atomically)]",
+        usage: "  publish    verify segments and atomically make them the serving list
+               --store DIR [--segments seg-NNNN[,seg-NNNN…] (in text order;
+                default: the newest unpublished segment alone)] [--keep N=1]",
     },
     Command {
         name: "rollback",
         flags: commands::rollback::FLAGS,
         run: commands::rollback::run,
-        usage: "  rollback   re-point CURRENT at an older (re-verified) generation
-               --store DIR [--to gen-NNNN (default: newest older complete)]
-               [--shard I (required for sharded stores)]",
+        usage: "  rollback   serve the newest retained segment list again (re-verified;
+               a second rollback undoes the first)
+               --store DIR",
     },
     Command {
         name: "search",
         flags: commands::search::FLAGS,
         run: commands::search::run,
         usage: "  search     query an index for near-duplicate sequences
-               --index DIR (plain index, generation store, or sharded store;
-                sharded stores scatter-gather with identical results)
+               --index DIR (plain index or store; a store's segments
+                scatter-gather with identical results)
                --theta F [--query-tokens a,b,c |
                --query-span text:start:end --corpus FILE |
                --query TEXT --tokenizer FILE] [--top N=10]
@@ -156,13 +155,13 @@ const COMMANDS: &[Command] = &[
         name: "serve",
         flags: commands::serve::FLAGS,
         run: commands::serve::run,
-        usage: "  serve      run the network daemon over an index or generation store
+        usage: "  serve      run the network daemon over an index or store
                --index DIR [--addr HOST:PORT=127.0.0.1:7700]
                [--workers N=2*cores] [--admission-cap N=cores]
                [--deadline-ms N (per-request default deadline)]
                [--metrics-out PATH]
-               [--ingest (accept POST /ingest; --index must be a generation
-                store: appended texts are WAL-durable before the ack and
+               [--ingest (accept POST /ingest; --index must be a store:
+                appended texts are WAL-durable before the ack and
                 served by overlay queries until the background compactor
                 publishes them)] [--ingest-compact-ms N=500
                 (0 disables background compaction)]
@@ -190,11 +189,10 @@ const COMMANDS: &[Command] = &[
         run: commands::verify::run,
         usage: "  verify     stream stored checksums over an index, corpus, and/or store
                [--corpus FILE] [--index DIR]
-               [--store DIR [--all-generations] (per-generation status;
-                exit is nonzero iff the CURRENT generation fails; sharded
-                stores get manifest validation plus one line per shard;
-                a memtable, when present, gets its manifest checksum, WAL
-                frame CRCs, id continuity, and trim watermark walked)]",
+               [--store DIR (manifest validation plus one line per serving
+                segment; exit is nonzero if any fails; a memtable, when
+                present, gets its manifest checksum, WAL frame CRCs, id
+                continuity, and trim watermark walked)]",
     },
     Command {
         name: "memorize",

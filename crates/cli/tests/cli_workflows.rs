@@ -551,7 +551,7 @@ fn generation_store_lifecycle_workflow() {
     )
     .unwrap();
 
-    // First build lands in gen-0000 and is published as CURRENT.
+    // First build lands in seg-0000 and is published in the MANIFEST.
     let index_args = [
         "--corpus",
         &corpus,
@@ -565,13 +565,11 @@ fn generation_store_lifecycle_workflow() {
         "--store",
     ];
     dispatch("index", &args(&index_args)).unwrap();
-    let current = || {
-        std::fs::read_to_string(std::path::Path::new(&store).join("CURRENT"))
-            .unwrap()
-            .trim()
-            .to_string()
+    let serving = || {
+        let manifest = ndss::index::Manifest::load(std::path::Path::new(&store));
+        manifest.unwrap().unwrap().dirs().join(",")
     };
-    assert_eq!(current(), "gen-0000");
+    assert_eq!(serving(), "seg-0000");
 
     // The store root is transparently searchable and verifiable.
     dispatch(
@@ -588,40 +586,50 @@ fn generation_store_lifecycle_workflow() {
         ]),
     )
     .unwrap();
-    dispatch("verify", &args(&["--store", &store, "--all-generations"])).unwrap();
+    dispatch("verify", &args(&["--store", &store])).unwrap();
 
-    // Second build becomes gen-0001; keep=1 retains gen-0000 for rollback.
+    // Second build becomes seg-0001; keep=1 retains seg-0000 for rollback.
     dispatch("index", &args(&index_args)).unwrap();
-    assert_eq!(current(), "gen-0001");
-    assert!(std::path::Path::new(&store).join("gen-0000").is_dir());
+    assert_eq!(serving(), "seg-0001");
+    assert!(std::path::Path::new(&store).join("seg-0000").is_dir());
 
+    // Rollback serves the previous list; publishing seg-0001 by name
+    // returns to it. Per-shard lifecycle flags are refused by name.
     dispatch("rollback", &args(&["--store", &store])).unwrap();
-    assert_eq!(current(), "gen-0000");
+    assert_eq!(serving(), "seg-0000");
+    for command in ["publish", "rollback"] {
+        let refused = dispatch(command, &args(&["--store", &store, "--shard", "0"])).unwrap_err();
+        assert!(refused.contains("--shard"), "{refused}");
+    }
     dispatch(
         "publish",
-        &args(&["--store", &store, "--generation", "gen-0001"]),
+        &args(&["--store", &store, "--segments", "seg-0001"]),
     )
     .unwrap();
-    assert_eq!(current(), "gen-0001");
+    assert_eq!(serving(), "seg-0001");
 
-    // Corrupting the CURRENT generation turns `verify --store` into a
-    // failure (nonzero exit), and a rotten generation cannot be published.
+    // Corrupting the serving segment turns `verify --store` into a failure
+    // (nonzero exit); rolling back to the intact one restores it.
     let victim = std::path::Path::new(&store)
-        .join("gen-0001")
+        .join("seg-0001")
         .join("inv_0.ndsi");
     let mut bytes = std::fs::read(&victim).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x20;
     std::fs::write(&victim, &bytes).unwrap();
     assert!(dispatch("verify", &args(&["--store", &store])).is_err());
+    dispatch("rollback", &args(&["--store", &store])).unwrap();
+    assert_eq!(serving(), "seg-0000");
+    dispatch("verify", &args(&["--store", &store])).unwrap();
+    // The rotten segment, now retained, can be neither published nor
+    // rolled back to.
     assert!(dispatch(
         "publish",
-        &args(&["--store", &store, "--generation", "gen-0001"])
+        &args(&["--store", &store, "--segments", "seg-0001"])
     )
     .is_err());
-    // Rollback to the intact generation restores a verifiable store.
-    dispatch("rollback", &args(&["--store", &store, "--to", "gen-0000"])).unwrap();
-    dispatch("verify", &args(&["--store", &store])).unwrap();
+    assert!(dispatch("rollback", &args(&["--store", &store])).is_err());
+    assert_eq!(serving(), "seg-0000");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -208,9 +208,9 @@ impl CorpusIndex<DiskIndex> {
         })
     }
 
-    /// Opens an existing index directory, or a generation store's `CURRENT`
-    /// generation when `dir` is a store root — both layouts are
-    /// transparently addressable.
+    /// Opens an existing index directory, or the segment of a one-segment
+    /// store when `dir` is a store root — both layouts are transparently
+    /// addressable.
     pub fn open(dir: &Path, prefix_filter: PrefixFilter) -> Result<Self, NdssError> {
         Self::open_with(dir, prefix_filter, Default::default(), Default::default())
     }

@@ -1,17 +1,20 @@
 //! Old names the benchmark ledger (`ledger/src/adapter.rs`) still calls:
-//! forwarders of at most five lines onto the lane set ([`ShardedSearcher`]),
-//! the code behind them deleted. Nothing else may name them. With three
+//! forwarders of at most five lines onto the lane set ([`ShardedSearcher`])
+//! and the one store layout ([`Store`]), the code behind them deleted:
+//! `BatchSearcher`, `OverlaySearcher` and `ShardedCorpusIndex` here and in
+//! `lib.rs`'s root, `GenerationStore` and `ShardedStore` through
+//! `lib.rs`'s `pub mod index`. Nothing else may name them. With three
 //! `#[doc(hidden)]` inherent methods that cannot live here and have no
 //! caller outside the ledger — `ServingIndex::open_with_cache`,
 //! `NearDupSearcher::rank` and `ShardedSearcher::rank` — this is the to-do
 //! list of ROADMAP item 1(b): once `adapter.rs` stops calling them, delete
 //! this file, its re-exports in `lib.rs`, and those three methods.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use ndss_corpus::CorpusSource;
 use ndss_hash::TokenId;
-use ndss_index::{IndexAccess, MemSegment};
+use ndss_index::{IndexAccess, IndexError, Manifest, MemSegment, Store};
 use ndss_query::{PrefixFilter, QueryError, SearchOutcome, ShardedSearcher};
 
 use crate::SearchParams;
@@ -56,5 +59,48 @@ impl ShardedCorpusIndex {
     pub fn build_sharded(c: &dyn CorpusSource, p: SearchParams, d: &Path, n: usize) -> R<()> {
         ndss_index::build_sharded(c, p.config, d, n, &Default::default())?;
         Ok(())
+    }
+}
+
+/// `Store` with a one-segment `publish`.
+#[doc(hidden)]
+pub struct GenerationStore(Store);
+
+impl GenerationStore {
+    pub fn open(root: &Path) -> Result<Self, IndexError> {
+        Store::open(root).map(Self)
+    }
+
+    pub fn allocate(&self) -> Result<PathBuf, IndexError> {
+        Ok(self.0.root().join(self.0.allocate()?))
+    }
+
+    pub fn publish(&self, segment: &str, keep: usize) -> Result<(), IndexError> {
+        self.0.publish(&[segment], keep).map(drop)
+    }
+}
+
+/// A store's manifest as loaded at `open`; a shard is a segment.
+#[doc(hidden)]
+pub struct ShardedStore(PathBuf, Manifest);
+
+impl ShardedStore {
+    pub fn is_sharded(root: &Path) -> bool {
+        root.join(ndss_index::store::MANIFEST_FILE).is_file()
+    }
+
+    pub fn open(root: &Path) -> Result<Self, IndexError> {
+        Ok(Self(
+            root.to_path_buf(),
+            Manifest::load(root)?.unwrap_or_default(),
+        ))
+    }
+
+    pub fn num_shards(&self) -> usize {
+        self.1.segments.len()
+    }
+
+    pub fn serving_dir(&self, i: usize) -> Result<PathBuf, IndexError> {
+        Ok(self.0.join(&self.1.segments[i].dir))
     }
 }

@@ -54,7 +54,6 @@ pub use ndss_corpus as corpus;
 pub use ndss_durable as durable;
 pub use ndss_exact as exact;
 pub use ndss_hash as hash;
-pub use ndss_index as index;
 pub use ndss_json as json;
 pub use ndss_lm as lm;
 pub use ndss_obs as obs;
@@ -63,6 +62,12 @@ pub use ndss_rmq as rmq;
 pub use ndss_serve as serve;
 pub use ndss_tokenizer as tokenizer;
 pub use ndss_windows as windows;
+
+/// The index layer (`ndss-index`).
+pub mod index {
+    pub use crate::ledger_compat::{GenerationStore, ShardedStore};
+    pub use ndss_index::*;
+}
 
 /// The query layer (`ndss-query`).
 pub mod query {
@@ -90,9 +95,9 @@ pub mod prelude {
     pub use ndss_hash::{MinHasher, Sketch, TokenId};
     pub use ndss_index::{
         build_sharded, partition_texts, resolve_index_dir, verify_memtable, DiskIndex,
-        ExternalIndexBuilder, FaultMode, FaultPlan, GenerationInfo, GenerationStore, IndexAccess,
-        IndexConfig, IngestIndex, IngestOptions, MemSegment, MemoryIndex, MemtableReport,
-        MergeOptions, ReadOptions, ShardManifest, ShardSpec, ShardedBuildOptions, ShardedStore,
+        ExternalIndexBuilder, FaultMode, FaultPlan, IndexAccess, IndexConfig, IngestIndex,
+        IngestOptions, Manifest, MemSegment, MemoryIndex, MemtableReport, MergeOptions,
+        ReadOptions, Segment, ShardedBuildOptions, Store,
     };
     pub use ndss_lm::{evaluate_memorization, GenerationStrategy, MemorizationConfig, NGramModel};
     pub use ndss_obs::{Registry, Unit};

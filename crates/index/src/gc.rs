@@ -7,7 +7,7 @@
 //! [`ndss_durable::AtomicFile`] publications. Rather than accumulating
 //! silently, they are swept at the natural ownership-transfer points —
 //! build start, [`crate::DiskIndex::open`], and
-//! [`crate::GenerationStore::open`] — with every removed file counted in
+//! [`crate::Store::open`] — with every removed file counted in
 //! the `index.gc_files` counter so operators can see a crashy environment
 //! in the metrics.
 //!
@@ -128,7 +128,7 @@ pub(crate) fn remove_dir_counting(path: &Path) -> u64 {
 ///   written before the first WAL, so this is a crashed creation or a
 ///   hand-deleted manifest — the WALs are unownable), and
 /// * with a valid manifest, WAL files and seal directories whose sequence
-///   is below `trimmed_below`: sealed away into a published generation,
+///   is below `trimmed_below`: sealed away into a published segment,
 ///   orphaned only because the crash landed mid-trim.
 ///
 /// Returns files removed (the caller counts them into `index.gc_files`).

@@ -1,5 +1,5 @@
-//! Crash-safe incremental ingest: a WAL-backed in-memory segment over a
-//! generation store, with resumable seal/merge compaction.
+//! Crash-safe incremental ingest: a WAL-backed in-memory segment in front
+//! of a store, with resumable seal/merge compaction.
 //!
 //! The immutable build pipeline (ROADMAP item 3's starting point) forces a
 //! full rebuild for any corpus change. This module adds the mutable path:
@@ -12,9 +12,9 @@
 //!   acked; recovery replays the longest valid prefix.
 //! * [`IngestIndex`] — the orchestrator: append → WAL + segment, rotate
 //!   full segments behind new WAL files, and **compact** frozen segments
-//!   into the generation store via the journaled merge machinery. Every
-//!   step is resumable from any kill point, publish is atomic, and a WAL
-//!   is only trimmed after the covering generation has been verified and
+//!   into the store's last segment via the journaled merge machinery.
+//!   Every step is resumable from any kill point, publish is atomic, and a
+//!   WAL is only trimmed after the covering segment has been verified and
 //!   published — so a text is durable from the moment its append is acked,
 //!   and never duplicated.
 //!
@@ -25,14 +25,15 @@
 //! rotate:   sync WAL S → freeze segment → manifest active_wal = S+1
 //!           → create WAL S+1
 //! compact:  seal segment S to memtable/seal-S/ (deterministic rebuild)
-//!           → manifest compact_gen = gen-N → merge(CURRENT, seal) → gen-N
-//!           → publish gen-N (verify_integrity + atomic CURRENT)
-//!           → manifest trimmed_below = S+1 → delete WAL S + seal-S
+//!           → memtable compact_gen = seg-N → merge(last segment, seal)
+//!           → seg-N → publish the list with its last row replaced by
+//!           seg-N (verify_integrity + one atomic MANIFEST write)
+//!           → memtable trimmed_below = S+1 → delete WAL S + seal-S
 //! ```
 //!
-//! Recovery derives everything from `CURRENT` + the manifest + the WALs:
-//! replay skips records whose id is already covered by the published
-//! generation (the crash landed between publish and trim), seals are
+//! Recovery derives everything from the store's `MANIFEST` + the memtable
+//! manifest + the WALs: replay skips records whose id is already covered by
+//! the published list (the crash landed between publish and trim), seals are
 //! rewritten deterministically, and an interrupted merge resumes from its
 //! own journal. The open-path GC (`gc.rs`) never touches a WAL
 //! referenced by a live manifest — even a corrupt manifest protects its
@@ -47,9 +48,9 @@ use ndss_json::{Json, ObjectBuilder};
 use ndss_windows::{HashedWindow, WindowGenerator};
 
 use crate::disk::DiskIndex;
-use crate::generation::GenerationStore;
 use crate::journal::{self, KillPoints};
 use crate::merge::{merge_indexes_with, MergeOptions};
+use crate::store::Store;
 use crate::wal::{self, WalWriter};
 use crate::{build, record, IndexAccess, IndexConfig, IndexError, MemoryIndex};
 
@@ -82,14 +83,14 @@ fn seals_counter() -> ndss_obs::Counter {
 fn compactions_counter() -> ndss_obs::Counter {
     ndss_obs::Registry::global().counter(
         "ingest.compactions",
-        "Memtable compactions published as new generations",
+        "Memtable compactions published as new segments",
     )
 }
 
 fn pending_gauge() -> ndss_obs::Gauge {
     ndss_obs::Registry::global().gauge(
         "ingest.pending_texts",
-        "Ingested texts not yet published to a generation",
+        "Ingested texts not yet published to a segment",
     )
 }
 
@@ -113,7 +114,7 @@ fn config_fingerprint(config: &IndexConfig) -> u64 {
 // ---------------------------------------------------------------------------
 
 /// The memtable manifest: which WAL is active, how far trimming has
-/// progressed, and (during a compaction) which generation the merge is
+/// progressed, and (during a compaction) which segment the merge is
 /// landing in. Atomically rewritten at every state transition; its mere
 /// existence marks the `wal/` directory as live for GC purposes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,16 +123,16 @@ pub(crate) struct MemtableManifest {
     /// [`config_fingerprint`]).
     pub fingerprint: u64,
     /// Serialized template configuration, so a memtable can exist before
-    /// the store's first generation does.
+    /// the store's first segment does.
     pub config_json: String,
     /// Sequence number of the WAL currently accepting appends.
     pub active_wal: u64,
     /// All WALs with `seq < trimmed_below` are covered by published
-    /// generations and may be deleted.
+    /// segments and may be deleted.
     pub trimmed_below: u64,
-    /// Name of the generation an in-flight compaction is merging into
-    /// (empty when no compaction is mid-flight). Lets recovery resume the
-    /// same merge instead of hijacking an unrelated resumable build.
+    /// Name of the segment an in-flight compaction is merging into (empty
+    /// when no compaction is mid-flight). Lets recovery resume the same
+    /// merge instead of hijacking an unrelated resumable build.
     pub compact_gen: String,
 }
 
@@ -273,7 +274,7 @@ pub struct IngestOptions {
     /// Group-fsync cadence: sync the WAL every N appends (1 = every
     /// append). [`IngestIndex::sync`] always forces one.
     pub fsync_every: u64,
-    /// Generations retained besides `CURRENT` on publish.
+    /// Previous segment lists retained on publish.
     pub keep: usize,
     /// Deterministic crash injector (test harnesses only).
     pub kill: Option<Arc<KillPoints>>,
@@ -290,15 +291,15 @@ impl Default for IngestOptions {
     }
 }
 
-/// The mutable front of a generation store: WAL-backed in-memory segments
-/// absorbing appends, with resumable compaction into published generations.
+/// The mutable front of a store: WAL-backed in-memory segments absorbing
+/// appends, with resumable compaction into published segments.
 pub struct IngestIndex {
     root: PathBuf,
-    store: GenerationStore,
+    store: Store,
     /// Template configuration (corpus counts zeroed).
     config: IndexConfig,
-    /// Texts covered by the `CURRENT` generation; every in-memory text has
-    /// a global id `>= covered`.
+    /// Texts the store's `MANIFEST` serves; every in-memory text has a
+    /// global id `>= covered`.
     covered: u64,
     manifest: MemtableManifest,
     writer: WalWriter,
@@ -315,22 +316,23 @@ pub struct IngestIndex {
 impl IngestIndex {
     /// Opens (creating or recovering) the memtable of the store at `root`.
     ///
-    /// The configuration shape comes from the `CURRENT` generation when one
-    /// exists, else from an existing manifest, else from `config_if_new`
-    /// (required only for a store that has never seen an index or an
-    /// ingest). Recovery replays the WALs, skipping records already covered
-    /// by the published generation, and truncates torn tails.
+    /// The configuration shape comes from the store's last segment when it
+    /// has one, else from an existing memtable manifest, else from
+    /// `config_if_new` (required only for a store that has never seen an
+    /// index or an ingest). Recovery replays the WALs, skipping records
+    /// already covered by the published list, and truncates torn tails.
     pub fn open(
         root: &Path,
         config_if_new: Option<IndexConfig>,
         opts: IngestOptions,
     ) -> Result<Self, IndexError> {
-        let store = GenerationStore::open(root)?;
-        let disk_config = match store.current_dir()? {
-            Some(dir) => Some(DiskIndex::open(&dir)?.config().clone()),
+        let store = Store::open(root)?;
+        let published = store.manifest()?;
+        let disk_config = match published.segments.last() {
+            Some(last) => Some(DiskIndex::open(&root.join(&last.dir))?.config().clone()),
             None => None,
         };
-        let covered = disk_config.as_ref().map_or(0, |c| c.num_texts as u64);
+        let covered = published.num_texts();
 
         let manifest = MemtableManifest::load(root)?;
         let config = match (&disk_config, &manifest) {
@@ -386,16 +388,13 @@ impl IngestIndex {
 
     fn recover(
         root: &Path,
-        store: GenerationStore,
+        store: Store,
         config: IndexConfig,
         covered: u64,
         mut manifest: MemtableManifest,
         opts: IngestOptions,
     ) -> Result<Self, IndexError> {
         std::fs::create_dir_all(root.join(MEMTABLE_DIR).join(WAL_DIR))?;
-        // A compaction that reached publish before the crash: its target is
-        // CURRENT now (or was pruned later); the pointer is stale either
-        // way once trimming below is complete.
         let hasher = config.hasher();
         let mut generator = WindowGenerator::new();
         let mut windows_buf = Vec::new();
@@ -419,7 +418,7 @@ impl IngestIndex {
                 .filter(|r| r.text_id >= covered)
                 .collect();
             if live.is_empty() {
-                // Fully covered by a published generation: the crash landed
+                // Fully covered by the published list: the crash landed
                 // between publish and trim. Finish the trim now.
                 trimmed = seq + 1;
                 continue;
@@ -485,11 +484,11 @@ impl IngestIndex {
         if trimmed != manifest.trimmed_below || !manifest.compact_gen.is_empty() {
             // Compaction takes the oldest frozen segment first, so a WAL
             // found fully covered is the one `compact_gen` was allocated
-            // for: that compaction reached publish and the pointer names
-            // `CURRENT` now. It must not outlive this recovery — the next
-            // compaction would reuse it as its target and merge `CURRENT`
-            // into itself, rewriting the serving generation in place. With
-            // nothing frozen there is no compaction to resume either.
+            // for: that compaction reached publish and the pointer names a
+            // serving segment now. It must not outlive this recovery — the
+            // next compaction would reuse it as its target and merge that
+            // segment into itself, rewriting it in place. With nothing
+            // frozen there is no compaction to resume either.
             if trimmed != manifest.trimmed_below || frozen.is_empty() {
                 manifest.compact_gen.clear();
             }
@@ -540,8 +539,8 @@ impl IngestIndex {
         &self.root
     }
 
-    /// The underlying generation store.
-    pub fn store(&self) -> &GenerationStore {
+    /// The underlying store.
+    pub fn store(&self) -> &Store {
         &self.store
     }
 
@@ -550,7 +549,7 @@ impl IngestIndex {
         &self.config
     }
 
-    /// Texts covered by the published `CURRENT` generation.
+    /// Texts the store's published list serves.
     pub fn covered(&self) -> u64 {
         self.covered
     }
@@ -648,12 +647,12 @@ impl IngestIndex {
         Ok(())
     }
 
-    /// Compacts the oldest frozen segment into the generation store: seal
-    /// it to disk, merge with `CURRENT` (journaled + resumable), publish
-    /// atomically, then trim the covering WAL. Returns `false` when no
-    /// frozen segment is pending. Resumable from any kill point — rerunning
-    /// after a crash continues (or deterministically redoes) the
-    /// interrupted step.
+    /// Compacts the oldest frozen segment into the store: seal it to disk,
+    /// merge it with the store's last segment (journaled + resumable),
+    /// publish the list with that row replaced, then trim the covering
+    /// WAL. Returns `false` when no frozen segment is pending. Resumable
+    /// from any kill point — rerunning after a crash continues (or
+    /// deterministically redoes) the interrupted step.
     pub fn compact_once(&mut self) -> Result<bool, IndexError> {
         let Some(seg) = self.frozen.first() else {
             return Ok(false);
@@ -661,27 +660,25 @@ impl IngestIndex {
         let _span = ndss_obs::span("ingest.compact");
         let seq = seg.wal_seq();
         let kill = self.opts.kill.clone();
-        let current = self.store.current_dir()?;
+        let mut dirs = self.store.manifest()?.dirs();
 
-        // A recorded target that is `CURRENT` already: an earlier attempt on
+        // A recorded target the list serves already: an earlier attempt on
         // this instance published it and failed before the trim (recovery
         // never leaves this state, it clears the pointer). The segment is
         // served from disk; merging it again would add its texts twice, and
-        // into the serving generation's own directory. Only the trim is left.
-        if !self.manifest.compact_gen.is_empty()
-            && current == Some(self.root.join(&self.manifest.compact_gen))
-        {
+        // into a serving segment's own directory. Only the trim is left.
+        if dirs.contains(&self.manifest.compact_gen) {
             return self.trim_compacted(seq);
         }
+        let last = dirs.pop().map(|dir| self.root.join(dir));
 
         // Step 1: seal — deterministically materialize the segment as an
         // index directory, straight from the postings it accumulated on
         // append (no window regeneration). A crashed seal is simply
         // rewritten (same bytes).
         let seal = Self::seal_dir(&self.root, seq);
-        let merging = current.is_some();
         journal::tick_checkpoint(&kill)?;
-        if merging {
+        if last.is_some() {
             build::write_lists(
                 seg.index.config(),
                 |func| seg.index.sorted_lists(func),
@@ -691,41 +688,36 @@ impl IngestIndex {
         seals_counter().inc(1);
         journal::tick_checkpoint(&kill)?;
 
-        // Step 2: pick the target generation. A manifest-recorded pointer
-        // from an interrupted run is reused so the merge journal resumes;
-        // otherwise allocate a fresh generation and record it first.
+        // Step 2: pick the target segment. A manifest-recorded pointer from
+        // an interrupted run is reused so the merge journal resumes;
+        // otherwise allocate a fresh segment and record it first.
         let gen_dir = match &self.manifest.compact_gen {
             name if !name.is_empty() && self.root.join(name).is_dir() => self.root.join(name),
             _ => {
-                let dir = self.store.allocate()?;
-                self.manifest.compact_gen = dir
-                    .file_name()
-                    .and_then(|n| n.to_str())
-                    .unwrap_or_default()
-                    .to_string();
+                self.manifest.compact_gen = self.store.allocate()?;
                 self.manifest.save(&self.root)?;
-                dir
+                self.root.join(&self.manifest.compact_gen)
             }
         };
         let gen_name = self.manifest.compact_gen.clone();
         journal::tick_checkpoint(&kill)?;
 
-        // Step 3: merge (or, for the store's first generation, a direct
-        // write — nothing to merge with).
-        if let Some(current_dir) = &current {
+        // Step 3: merge (or, for the store's first segment, a direct write
+        // — nothing to merge with).
+        if let Some(last_dir) = &last {
             let mut fresh = MergeOptions::new();
             if let Some(kp) = &kill {
                 fresh = fresh.kill_points(kp.clone());
             }
             let resumed = fresh.clone().resume(true);
-            match merge_indexes_with(&[current_dir, &seal], &gen_dir, &resumed) {
+            match merge_indexes_with(&[last_dir, &seal], &gen_dir, &resumed) {
                 Ok(_) => {}
                 Err(IndexError::Malformed(_)) => {
                     // A stale journal from an unrelated interrupted build in
                     // this directory: clear it and merge fresh.
                     std::fs::remove_dir_all(&gen_dir)?;
                     std::fs::create_dir_all(&gen_dir)?;
-                    merge_indexes_with(&[current_dir, &seal], &gen_dir, &fresh)?;
+                    merge_indexes_with(&[last_dir, &seal], &gen_dir, &fresh)?;
                 }
                 Err(e) => return Err(e),
             }
@@ -738,18 +730,20 @@ impl IngestIndex {
         }
         journal::tick_checkpoint(&kill)?;
 
-        // Step 4: verify + atomic publish. After this, the segment's texts
-        // are served from disk; until the trim lands, recovery would skip
-        // their WAL records as already covered.
-        self.store.publish(&gen_name, self.opts.keep)?;
+        // Step 4: verify + atomic publish of the list with its last row
+        // replaced. After this, the segment's texts are served from disk;
+        // until the trim lands, recovery would skip their WAL records as
+        // already covered.
+        dirs.push(gen_name);
+        self.store.publish(&dirs, self.opts.keep)?;
         compactions_counter().inc(1);
         journal::tick_checkpoint(&kill)?;
         self.trim_compacted(seq)
     }
 
     /// Step 5 of [`Self::compact_once`], once the oldest frozen segment
-    /// (WAL `seq`) is served by `CURRENT`: trim — watermark first (so a
-    /// crash mid-delete is finishable), then delete the WAL and the seal.
+    /// (WAL `seq`) is served from disk: trim — watermark first (so a crash
+    /// mid-delete is finishable), then delete the WAL and the seal.
     fn trim_compacted(&mut self, seq: u64) -> Result<bool, IndexError> {
         let kill = self.opts.kill.clone();
         let seg = self.frozen.remove(0);
@@ -778,8 +772,8 @@ impl IngestIndex {
     }
 
     /// Rotates the active segment (if non-empty) and compacts everything:
-    /// afterwards all acked texts are served from published generations and
-    /// the memtable is empty.
+    /// afterwards all acked texts are served from published segments and the
+    /// memtable is empty.
     pub fn seal_all(&mut self) -> Result<usize, IndexError> {
         self.rotate()?;
         self.compact_all()
@@ -797,7 +791,7 @@ pub struct MemtableReport {
     pub wal_files: usize,
     /// Valid frames across them.
     pub frames: u64,
-    /// Texts not yet covered by a published generation.
+    /// Texts not yet covered by the published list.
     pub pending_texts: u64,
     /// Whether any WAL carried a torn/corrupt tail (recoverable: the valid
     /// prefix stands).
@@ -806,7 +800,7 @@ pub struct MemtableReport {
 
 /// Walks the memtable of the store at `root`: manifest checksum, WAL frame
 /// checksums, text-id monotonicity, and the trim watermark against the
-/// published generation. `Ok(None)` when the store has no memtable.
+/// published list. `Ok(None)` when the store has no memtable.
 /// Violations of the durability contract (lost acked texts, watermark
 /// beyond the active WAL, ids out of order) are errors; a torn tail is not
 /// — it is exactly what recovery truncates.
@@ -821,20 +815,17 @@ pub fn verify_memtable(root: &Path) -> Result<Option<MemtableReport>, IndexError
             MemtableManifest::path(root).display()
         )));
     }
-    let store = GenerationStore::open(root)?;
-    let covered = match store.current_dir()? {
-        Some(dir) => {
-            let disk = DiskIndex::open(&dir)?;
-            if config_fingerprint(disk.config()) != manifest.fingerprint {
-                return Err(IndexError::Malformed(format!(
-                    "{}: memtable configuration does not match the CURRENT generation",
-                    root.display()
-                )));
-            }
-            disk.config().num_texts as u64
+    let published = crate::Manifest::load(root)?.unwrap_or_default();
+    if let Some(last) = published.segments.last() {
+        let disk = DiskIndex::open(&root.join(&last.dir))?;
+        if config_fingerprint(disk.config()) != manifest.fingerprint {
+            return Err(IndexError::Malformed(format!(
+                "{}: memtable configuration does not match the store's segments",
+                root.display()
+            )));
         }
-        None => 0,
-    };
+    }
+    let covered = published.num_texts();
 
     let mut report = MemtableReport {
         wal_files: 0,
@@ -897,11 +888,11 @@ pub fn verify_memtable(root: &Path) -> Result<Option<MemtableReport>, IndexError
     }
     // WALs below the watermark must be gone (the GC finishes interrupted
     // trims, so any straggler here means the watermark ran ahead of the
-    // published generations).
+    // published segments).
     if let Some(last) = expect {
         if last < covered && manifest.trimmed_below > manifest.active_wal {
             return Err(IndexError::Malformed(
-                "trim watermark is beyond the published generations".to_string(),
+                "trim watermark is beyond the published segments".to_string(),
             ));
         }
     }
@@ -937,6 +928,12 @@ mod tests {
             fsync_every: 1,
             ..IngestOptions::default()
         }
+    }
+
+    /// The directory of the store's last serving segment.
+    fn last_segment(root: &Path) -> PathBuf {
+        let manifest = Store::open(root).unwrap().manifest().unwrap();
+        root.join(&manifest.segments.last().expect("store must publish").dir)
     }
 
     #[test]
@@ -997,10 +994,8 @@ mod tests {
         assert_eq!(ingest.seal_all().unwrap(), 1);
         assert_eq!(ingest.covered(), 6);
         assert_eq!(ingest.pending_texts(), 0);
-        // Published generation equals a batch build of the same texts.
-        let store = GenerationStore::open(&root).unwrap();
-        let current = store.current_dir().unwrap().unwrap();
-        let built = DiskIndex::open(&current).unwrap();
+        // The published segment equals a batch build of the same texts.
+        let built = DiskIndex::open(&last_segment(&root)).unwrap();
         assert_eq!(built.config().num_texts, 6);
         built.verify_integrity().unwrap();
         // Second round merges on top.
@@ -1009,7 +1004,7 @@ mod tests {
         }
         ingest.seal_all().unwrap();
         assert_eq!(ingest.covered(), 10);
-        let current = store.current_dir().unwrap().unwrap();
+        let current = last_segment(&root);
         assert_eq!(DiskIndex::open(&current).unwrap().config().num_texts, 10);
         // No WAL below the watermark survives.
         for seq in 0..ingest.manifest.trimmed_below {
@@ -1023,7 +1018,7 @@ mod tests {
     /// does) must converge from every kill point — including the window
     /// after publish, where the segment is on disk but still frozen in
     /// memory: the retry must only trim, not merge the segment a second
-    /// time into the generation that serves it.
+    /// time into the segment that serves it.
     #[test]
     fn retry_on_the_same_instance_converges_from_every_kill_point() {
         let config = IndexConfig::new(2, 10, 3).bit_packed(true);
@@ -1045,11 +1040,7 @@ mod tests {
         let counter = KillPoints::count_only();
         let (root, mut ingest) = prepared("retry_count", Some(counter.clone()));
         assert!(ingest.compact_once().unwrap());
-        let reference = std::fs::read(crate::disk::inv_file_path(
-            &ingest.store.current_dir().unwrap().unwrap(),
-            0,
-        ))
-        .unwrap();
+        let reference = std::fs::read(crate::disk::inv_file_path(&last_segment(&root), 0)).unwrap();
         std::fs::remove_dir_all(&root).ok();
 
         for n in 0..counter.checkpoints_seen() {
@@ -1059,7 +1050,7 @@ mod tests {
             ingest.compact_all().unwrap();
             assert_eq!(ingest.covered(), all.len() as u64, "kill point {n}");
             assert_eq!(ingest.frozen_segments(), 0, "kill point {n}");
-            let current = ingest.store.current_dir().unwrap().unwrap();
+            let current = last_segment(&root);
             assert_eq!(
                 std::fs::read(crate::disk::inv_file_path(&current, 0)).unwrap(),
                 reference,
@@ -1089,8 +1080,7 @@ mod tests {
         let mem = MemoryIndex::build(&corpus, config).unwrap();
         build::write_memory_index(&mem, &batch_dir).unwrap();
 
-        let store = GenerationStore::open(&root).unwrap();
-        let current = store.current_dir().unwrap().unwrap();
+        let current = last_segment(&root);
         for func in 0..3 {
             assert_eq!(
                 std::fs::read(crate::disk::inv_file_path(&current, func)).unwrap(),
@@ -1111,7 +1101,7 @@ mod tests {
             ingest.append(&[1, 2, 3, 4, 5]).unwrap();
         }
         // A store with a memtable remembers its configuration even with no
-        // generation yet; the parameter is ignored on reopen.
+        // segment yet; the parameter is ignored on reopen.
         let ingest = IngestIndex::open(&root, Some(IndexConfig::new(4, 8, 9)), opts()).unwrap();
         assert_eq!(ingest.config().k, 2);
         std::fs::remove_dir_all(&root).ok();

@@ -35,7 +35,6 @@ pub mod container;
 pub mod disk;
 pub mod fixed;
 mod gc;
-pub mod generation;
 pub mod ingest;
 pub mod journal;
 pub mod memory;
@@ -45,21 +44,20 @@ pub mod packed;
 mod pread;
 mod record;
 pub mod shard;
+pub mod store;
 pub mod varint;
 pub mod wal;
 
 pub use build::{build_and_write, write_memory_index, ExternalIndexBuilder, DEFAULT_MEMORY_BUDGET};
 pub use cache::CacheConfig;
 pub use disk::{inv_file_path, DiskIndex};
-pub use generation::{resolve_index_dir, GenerationInfo, GenerationStore};
 pub use ingest::{verify_memtable, IngestIndex, IngestOptions, MemSegment, MemtableReport};
 pub use journal::{BuildJournal, JournalKind, KillPoints};
 pub use memory::MemoryIndex;
 pub use merge::{merge_indexes, merge_indexes_with, MergeOptions};
 pub use pread::{FaultMode, FaultPlan, ReadOptions};
-pub use shard::{
-    build_sharded, partition_texts, ShardManifest, ShardSpec, ShardedBuildOptions, ShardedStore,
-};
+pub use shard::{build_sharded, partition_texts, ShardedBuildOptions};
+pub use store::{resolve_index_dir, resolve_segments, verify_segment, Manifest, Segment, Store};
 
 use std::sync::Arc;
 

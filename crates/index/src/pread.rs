@@ -102,7 +102,7 @@ struct PlanState {
 }
 
 /// The read-fault injector: attached at open to every file whose path
-/// contains `target` (`""` taps every file, `"shard-0001"` one shard's),
+/// contains `target` (`""` taps every file, `"seg-0001"` one segment's),
 /// armed and disarmed while readers are live. Clones share one state, so
 /// arming any clone arms every attached reader.
 #[derive(Debug, Clone)]

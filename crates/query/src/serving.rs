@@ -1,34 +1,32 @@
-//! Hot-swappable serving: queries against a generational index store —
-//! sharded or not — with zero-downtime `reload()`.
+//! Hot-swappable serving: queries against a store with zero-downtime
+//! `reload()`.
 //!
 //! A searcher borrows its index for a lifetime, which is the right shape
 //! for one-shot evaluation runs but cannot swap the index out from under
 //! live traffic. [`ServingIndex`] closes that gap: it owns the current
 //! view behind an `Arc` and re-resolves the store on
 //! [`ServingIndex::reload`]. The view is a [`ShardedIndex`] — a plain
-//! directory or unsharded generation store is simply the single-shard
-//! special case — so the whole serving stack handles sharded stores
-//! through one path. Queries *pin* a snapshot for their entire execution
+//! directory is simply the one-segment case — so the whole serving stack
+//! runs one path. Queries *pin* a snapshot for their entire execution
 //! (`serving.snapshot().searcher()?…`: the lane set borrows the pinned
 //! `Arc`) — a batch runs start to finish against one view, so no query
-//! ever observes postings from two generations **or from two manifest
-//! generations of a sharded store** — while new queries arriving after a
-//! reload see the new view immediately. The old view's memory and file
-//! handles drop when its last in-flight query finishes (plain `Arc`
-//! reference counting; there is no explicit drain step to get wrong).
+//! ever observes postings from two manifest generations — while new
+//! queries arriving after a reload see the new view immediately. The old
+//! view's memory and file handles drop when its last in-flight query
+//! finishes (plain `Arc` reference counting; there is no explicit drain
+//! step to get wrong).
 //!
-//! For a sharded store the resolved identity is the whole `(manifest
-//! generation, per-shard serving directories)` tuple read from the single
-//! atomically-published `MANIFEST`, so a reload racing a per-shard publish
-//! can never assemble a torn cross-shard view: it either sees the old
-//! manifest (all old shard generations) or the new one (all new).
+//! The resolved identity is the whole `(manifest generation, segment
+//! directories)` tuple read from the single atomically-published
+//! `MANIFEST` — one file is the snapshot — so a reload racing a publish
+//! can never assemble a torn view: it either sees the old list or the new
+//! one.
 //!
 //! Observability: the `index.generation` gauge tracks the serving view
-//! generation (manifest generation for sharded stores, generation number
-//! otherwise) and the `index.reloads` counter every completed swap. For
-//! sharded stores each shard additionally exports
-//! `index.shard.generation{shard="N"}` with its own serving generation
-//! number. The unlabeled gauge is process-wide and **last-writer-wins**:
+//! generation (0 for a plain directory) and the `index.reloads` counter
+//! every completed swap. A multi-segment view additionally exports
+//! `index.shard.generation{shard="N"}`: the `seg-NNNN` number lane N
+//! serves. The unlabeled gauge is process-wide and **last-writer-wins**:
 //! when two [`ServingIndex`]es live in one process (e.g. tests), whichever
 //! opened or reloaded most recently owns the exported value. Generation
 //! numbers above `i64::MAX` are clamped rather than wrapped.
@@ -36,10 +34,10 @@
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, RwLock};
 
-use ndss_index::{CacheConfig, ReadOptions};
+use ndss_index::{resolve_segments, CacheConfig, ReadOptions};
 
 use crate::breaker::BreakerConfig;
-use crate::sharded::{generation_of, resolve_view, ShardedIndex};
+use crate::sharded::{segment_of, ShardedIndex};
 use crate::QueryError;
 
 /// Everything [`ServingIndex`] needs to (re)open a view: cache sizing,
@@ -56,11 +54,9 @@ pub struct ServingOptions {
 }
 
 /// An index handle that can be atomically re-pointed at a new view (a new
-/// generation, or a new manifest generation of a sharded store) while
-/// queries are in flight.
+/// manifest generation) while queries are in flight.
 pub struct ServingIndex {
-    /// Store root (sharded store, generation store, or plain index
-    /// directory) reloads re-resolve.
+    /// Store root (or plain index directory) reloads re-resolve.
     path: PathBuf,
     options: ServingOptions,
     /// The view new queries pin. It carries its own identity (directories
@@ -72,16 +68,15 @@ pub struct ServingIndex {
 }
 
 impl ServingIndex {
-    /// Opens the index at `path` — a sharded store (the manifest's view is
-    /// served), a generation store (its `CURRENT` generation), or a plain
-    /// index directory.
+    /// Opens the index at `path` — a store (its manifest's serving list)
+    /// or a plain index directory.
     pub fn open(path: &Path) -> Result<Self, QueryError> {
         Self::open_with_options(path, ServingOptions::default())
     }
 
-    /// [`Self::open`] with explicit cache sizing. Each generation (of each
-    /// shard) gets its own caches — postings cached under one generation
-    /// must not be served under another. Callers outside the ledger use
+    /// [`Self::open`] with explicit cache sizing. Each segment of each view
+    /// gets its own caches — postings cached under one view must not be
+    /// served under another. Callers outside the ledger use
     /// [`Self::open_with_options`].
     #[doc(hidden)]
     pub fn open_with_cache(path: &Path, cache: CacheConfig) -> Result<Self, QueryError> {
@@ -105,8 +100,8 @@ impl ServingIndex {
             options,
             generation_gauge: reg.gauge(
                 "index.generation",
-                "view generation currently being served (manifest generation for sharded \
-                 stores; 0 for a plain index directory)",
+                "view generation currently being served (the store's manifest \
+                 generation; 0 for a plain index directory)",
             ),
             reload_counter: reg.counter(
                 "index.reloads",
@@ -137,12 +132,13 @@ impl ServingIndex {
         &self.path
     }
 
-    /// Re-resolves the store (manifest or `CURRENT` pointer) and, if the
-    /// view moved, opens the new one and swaps it in. Returns `true` when
-    /// a swap happened. In-flight queries keep their pinned snapshot; the
-    /// old view is dropped when the last of them finishes. The new view is
-    /// fully opened (every shard's headers validated) *before* the swap,
-    /// so a bad generation leaves serving untouched and returns the error.
+    /// Re-reads the store's `MANIFEST` — one file, so the identity is
+    /// always a consistent cut — and, if the view moved, opens the new one
+    /// and swaps it in. Returns `true` when a swap happened. In-flight
+    /// queries keep their pinned snapshot; the old view is dropped when the
+    /// last of them finishes. The new view is fully opened (every segment's
+    /// headers validated) *before* the swap, so a bad segment leaves
+    /// serving untouched and returns the error.
     ///
     /// Racing reloads are safe in both directions: the swap is re-checked
     /// under the write lock, so a reload that resolved the view before a
@@ -162,7 +158,7 @@ impl ServingIndex {
         // takes an explicit publish/rollback, so in practice this loop runs
         // once (twice under an actively racing reload).
         for _ in 0..RELOAD_ATTEMPTS {
-            let target = resolve_view(&self.path)?;
+            let target = resolve_segments(&self.path)?;
             if self.snapshot().is_view(&target) {
                 return Ok(false);
             }
@@ -175,8 +171,8 @@ impl ServingIndex {
             // Swap only while the store still names the view we opened — a
             // stale open must never overwrite a newer swap with an older
             // view. A deliberate rollback still reloads: there the store
-            // genuinely names the older generation.
-            let now = resolve_view(&self.path)?;
+            // genuinely names the older list.
+            let now = resolve_segments(&self.path)?;
             if view.is_view(&now) {
                 return Ok(false);
             }
@@ -194,10 +190,10 @@ impl ServingIndex {
 
     /// Re-opens the current view **even when its identity is unchanged**
     /// and swaps the fresh open in. [`Self::reload`] no-ops when the store
-    /// still names the same directories, which is right for generation
-    /// swaps but wrong for *in-place repair*: a shard restored to health
-    /// under the same path needs its files re-opened (poisoned fds and
-    /// breaker state live in the old view) without requiring a publish.
+    /// still names the same directories, which is right for publishes but
+    /// wrong for *in-place repair*: a shard restored to health under the
+    /// same path needs its files re-opened (poisoned fds and breaker state
+    /// live in the old view) without requiring a publish.
     /// The health prober calls this after a quarantined shard passes
     /// re-verification; in-flight queries keep their pinned snapshot as
     /// with any reload. Fails without touching serving if any shard fails
@@ -210,11 +206,10 @@ impl ServingIndex {
         Ok(())
     }
 
-    /// Exports `index.generation`, and for a multi-shard view
-    /// `index.shard.generation{shard="N"}` per shard: its own serving
-    /// `gen-NNNN` number, parsed from the directory the manifest named
-    /// (single-shard views keep the exposition clean and use only the
-    /// unlabeled gauge).
+    /// Exports `index.generation`, and for a multi-segment view
+    /// `index.shard.generation{shard="N"}` per lane: the `seg-NNNN` number
+    /// it serves, parsed from the directory the manifest named (one-segment
+    /// views keep the exposition clean and use only the unlabeled gauge).
     fn publish_gauges(&self, view: &ShardedIndex) {
         self.generation_gauge.set(gauge_value(view.generation()));
         if view.num_shards() <= 1 {
@@ -224,10 +219,10 @@ impl ServingIndex {
         for (i, dir) in view.dirs().enumerate() {
             reg.gauge_with_labels(
                 "index.shard.generation",
-                "generation number each shard of the serving view is on",
+                "segment number each lane of the serving view is on",
                 &[("shard", &i.to_string())],
             )
-            .set(gauge_value(generation_of(dir)));
+            .set(gauge_value(segment_of(dir)));
         }
     }
 }
@@ -236,8 +231,8 @@ impl ServingIndex {
 /// rollback to land inside the previous attempt's open window.
 const RELOAD_ATTEMPTS: usize = 8;
 
-/// Gauge encoding of a generation number: `0` for a plain index directory,
-/// clamped at `i64::MAX` instead of wrapping for (pathological) generation
+/// Gauge encoding of a generation or segment number: `0` for a plain index
+/// directory, clamped at `i64::MAX` instead of wrapping for (pathological)
 /// numbers beyond it.
 fn gauge_value(generation: Option<u64>) -> i64 {
     generation.unwrap_or(0).min(i64::MAX as u64) as i64

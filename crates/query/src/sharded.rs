@@ -1,5 +1,5 @@
 //! The lane set and its one scatter–merge: every search over more than one
-//! index — a sharded store, a disk view plus memtable segments, a batch, a
+//! index — a store's segments, a disk view plus memtable segments, a batch, a
 //! served request — runs the code in this file (DESIGN.md §4d).
 //!
 //! Algorithm 3 and CollisionCount decide every text on its own (Theorem 2
@@ -10,9 +10,9 @@
 //! memtable segment, behind `dyn` [`IndexAccess`].
 //!
 //! A [`ShardedIndex`] is the read-side view of a store: one opened
-//! [`DiskIndex`] per shard plus each shard's `first_text` offset, pinned to
-//! one view generation. A plain index directory or a generation store opens
-//! as the same type with a single shard at offset 0.
+//! [`DiskIndex`] per segment of its `MANIFEST` plus each segment's
+//! `first_text` offset, pinned to one view generation. A plain index
+//! directory opens as the same type with a single segment at offset 0.
 //! [`ShardedIndex::searcher_with_filter`] derives the lane set;
 //! [`ShardedSearcher::push_segment`] appends memory lanes to it, and
 //! [`ShardedSearcher::single`] is the lane set of one index. A lane set is
@@ -40,8 +40,8 @@ use std::time::{Duration, Instant};
 
 use ndss_corpus::TextId;
 use ndss_hash::TokenId;
-use ndss_index::generation::{parse_generation_name, resolve_index_dir};
-use ndss_index::{DiskIndex, IndexAccess, IndexConfig, MemSegment, ShardedStore};
+use ndss_index::store::{parse_segment_name, ViewIdentity};
+use ndss_index::{resolve_segments, DiskIndex, IndexAccess, IndexConfig, MemSegment};
 
 use crate::breaker::{classify, Admission, BreakerConfig, DegradedShard, ShardHealth};
 use crate::governor::{CancelToken, QueryBudget};
@@ -73,37 +73,11 @@ struct ShardSlot {
     index: Arc<DiskIndex>,
 }
 
-/// What a store path names right now: each shard's first global text id
-/// and serving directory, in shard order, plus the view generation — the
-/// manifest generation of a sharded store, the generation number of a
-/// generation store, `None` for a plain index directory.
-pub(crate) type ViewIdentity = (Vec<(TextId, PathBuf)>, Option<u64>);
-
-/// Resolves `path` — a sharded store (when it has a `MANIFEST`), a
-/// generation store (its `CURRENT` generation is the only shard), or a
-/// plain index directory (likewise) — without opening any index. For a
-/// sharded store everything comes from the single checksummed `MANIFEST`,
-/// so the identity is always a consistent cross-shard cut.
-pub(crate) fn resolve_view(path: &Path) -> Result<ViewIdentity, QueryError> {
-    if ShardedStore::is_sharded(path) {
-        let store = ShardedStore::open(path)?;
-        let mut shards = Vec::with_capacity(store.num_shards());
-        for (i, spec) in store.manifest().shards.iter().enumerate() {
-            shards.push((spec.first_text, store.serving_dir(i)?));
-        }
-        Ok((shards, Some(store.manifest().generation)))
-    } else {
-        let dir = resolve_index_dir(path);
-        let generation = generation_of(&dir);
-        Ok((vec![(0, dir)], generation))
-    }
-}
-
-/// The number in a `gen-NNNN` directory name.
-pub(crate) fn generation_of(dir: &Path) -> Option<u64> {
+/// The number in a `seg-NNNN` directory name.
+pub(crate) fn segment_of(dir: &Path) -> Option<u64> {
     dir.file_name()
         .and_then(|n| n.to_str())
-        .and_then(parse_generation_name)
+        .and_then(parse_segment_name)
 }
 
 /// A read view over one or many shards, pinned to one view generation.
@@ -120,8 +94,8 @@ pub struct ShardedIndex {
 }
 
 impl ShardedIndex {
-    /// Opens the view `path` names: a sharded store, a generation store
-    /// or a plain index directory (the last two as one shard).
+    /// Opens the view `path` names: a store's serving segments, or a plain
+    /// index directory as one segment.
     pub fn open(path: &Path) -> Result<Self, QueryError> {
         Self::open_with(path, &ServingOptions::default())
     }
@@ -131,7 +105,7 @@ impl ShardedIndex {
     /// shard (each gets its own caches; breakers are only consulted under
     /// [`FaultPolicy::Isolate`]).
     pub fn open_with(path: &Path, options: &ServingOptions) -> Result<Self, QueryError> {
-        Self::open_view(resolve_view(path)?, options)
+        Self::open_view(resolve_segments(path)?, options)
     }
 
     /// Opens exactly the directories `view` names.
@@ -186,9 +160,8 @@ impl ShardedIndex {
         self.shards[0].index.config()
     }
 
-    /// The view generation: the manifest generation of a sharded store,
-    /// the generation number of a generation store, `None` for a plain
-    /// index directory.
+    /// The view generation: the manifest generation of a store, `None` for
+    /// a plain index directory.
     pub fn generation(&self) -> Option<u64> {
         self.generation
     }
@@ -307,12 +280,12 @@ impl<'a> ShardedSearcher<'a> {
     /// The rule exactness under concurrent compaction hangs on: a segment
     /// joins **iff** `segment.base() >=` the end of the lanes already in the
     /// set. For a view's lane set that end is the *pinned* snapshot's text
-    /// count — not a re-read of `CURRENT`, which may have advanced past the
-    /// snapshot. Segments publish whole, so the snapshot's text count is
-    /// either `<= base` (not yet published: overlay it) or `>= base + len`
-    /// (published: the disk lanes already serve those texts), and the
-    /// segment-granular rule is exact under any interleaving of publish,
-    /// trim and reload. Push segments in ascending text order, as
+    /// count — not a re-read of the `MANIFEST`, which may have advanced
+    /// past the snapshot. Segments publish whole, so the snapshot's text
+    /// count is either `<= base` (not yet published: overlay it) or
+    /// `>= base + len` (published: the disk lanes already serve those
+    /// texts), and the segment-granular rule is exact under any
+    /// interleaving of publish, trim and reload. Push segments in ascending text order, as
     /// [`ndss_index::IngestIndex::segments`] yields them.
     pub fn push_segment(&mut self, segment: &'a MemSegment) -> Result<(), QueryError> {
         let last = &self.lanes[self.lanes.len() - 1];

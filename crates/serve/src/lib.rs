@@ -7,8 +7,8 @@
 //! - **HTTP/1.1** (vendored codec in [`http`], no external dependencies):
 //!   `POST /search` (JSON in/out), `GET /metrics` (Prometheus text from
 //!   the global [`ndss_obs::Registry`]), `GET /healthz`, `POST /reload`
-//!   (re-resolve `CURRENT` and hot-swap), `POST /shutdown` (graceful
-//!   drain).
+//!   (re-resolve the store's `MANIFEST` and hot-swap), `POST /shutdown`
+//!   (graceful drain).
 //! - **NDSB** length-prefixed binary framing ([`frame`]) for batch
 //!   clients: magic `NDSB`, little-endian length, opcode payloads.
 //!

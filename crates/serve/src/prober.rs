@@ -25,8 +25,7 @@
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use ndss_index::generation::resolve_index_dir;
-use ndss_index::{DiskIndex, IndexError, ShardedStore};
+use ndss_index::{verify_segment, IndexError, Manifest};
 
 use crate::server::Shared;
 
@@ -87,18 +86,14 @@ pub(crate) fn probe_once(shared: &Shared) -> bool {
     }
 }
 
-/// Re-verifies one shard against the bytes on disk: open + header/config
-/// validation (cheap) first, then the full content-checksum walk. A fresh
-/// open is deliberate — the serving view's handles may be poisoned (or
-/// carry a fault plan); health is judged on what a *new* open would see,
-/// which is exactly what a forced reload re-admits.
+/// Re-verifies lane `shard` against the bytes on disk: open + header and
+/// text-count validation (cheap) first, then the full content-checksum
+/// walk. A fresh open is deliberate — the serving view's handles may be
+/// poisoned (or carry a fault plan); health is judged on what a *new* open
+/// would see, which is exactly what a forced reload re-admits.
 fn verify_shard_on_disk(store: &Path, shard: usize) -> Result<(), IndexError> {
-    if ShardedStore::is_sharded(store) {
-        let sharded = ShardedStore::open(store)?;
-        sharded.spot_check_shard(shard)?;
-        sharded.verify_shard(shard)
-    } else {
-        let dir = resolve_index_dir(store);
-        DiskIndex::open(&dir)?.verify_integrity().map(|_| ())
+    match Manifest::load(store)? {
+        Some(manifest) => manifest.verify_segment(store, shard).map(drop),
+        None => verify_segment(store, None).map(drop),
     }
 }

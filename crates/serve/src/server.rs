@@ -80,7 +80,7 @@ pub struct ServeConfig {
     pub idle_poll: Duration,
     /// Prefix-filter policy for every query.
     pub filter: PrefixFilter,
-    /// Cache sizing for each opened generation.
+    /// Cache sizing for each opened segment.
     pub cache: CacheConfig,
     /// Where to flush a final metrics snapshot on drain (`.prom`/`.txt` ⇒
     /// Prometheus text, anything else ⇒ JSON).
@@ -99,7 +99,7 @@ pub struct ServeConfig {
 /// Ingest settings for a serving daemon.
 #[derive(Debug, Clone)]
 pub struct IngestServeConfig {
-    /// The generation store the memtable lives in — must be the same store
+    /// The store the memtable lives in — must be the same store
     /// the [`ServingIndex`] serves, or overlay ids will not line up.
     pub store: PathBuf,
     /// WAL rotation threshold (bytes).
@@ -108,7 +108,7 @@ pub struct IngestServeConfig {
     /// forces one before acking.
     pub fsync_every: u64,
     /// How often the background compactor checks for frozen segments to
-    /// seal into generations. `None` disables background compaction (the
+    /// seal into the store. `None` disables background compaction (the
     /// memtable then only shrinks via an external `ndss ingest --seal`).
     pub compact_interval: Option<Duration>,
 }
@@ -553,8 +553,8 @@ impl Server {
     }
 }
 
-/// The background compactor: seals frozen memtable segments into
-/// generations and hot-swaps the serving view onto each new publication.
+/// The background compactor: seals frozen memtable segments into the
+/// store and hot-swaps the serving view onto each new publication.
 /// Sleeps in short slices so drain is never blocked on a full interval
 /// (compactions in progress run to completion — they are resumable anyway,
 /// but finishing cleanly avoids pointless recovery work on restart).
@@ -578,7 +578,7 @@ fn run_compactor(shared: &Shared, interval: Duration) {
         };
         match compacted {
             Ok(true) => {
-                // The new generation is published; swap the serving view so
+                // The new list is published; swap the serving view so
                 // the disk lane covers it. If this reload fails (or a query
                 // pins the old view before it lands), the query path notices
                 // the view lagging the store's coverage and reloads under

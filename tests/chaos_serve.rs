@@ -220,7 +220,7 @@ fn chaos_scenario(
     faulty: usize,
     ctx: &str,
 ) -> bool {
-    let plan = FaultPlan::new(&format!("shard-{faulty:04}"), 0);
+    let plan = FaultPlan::new(&format!("seg-{faulty:04}"), 0);
     // Caching stays off: a warmed posting cache would satisfy the armed
     // rounds without ever touching the tapped files.
     let options = chaos_options(&plan, CacheConfig::disabled());
@@ -400,7 +400,7 @@ fn copy_tree(from: &Path, to: &Path) {
     }
 }
 
-/// The 12 deletion + repair scenarios: a shard's serving generation is
+/// The 12 deletion + repair scenarios: a shard's serving segment is
 /// deleted out from under a live view (live reads keep answering from
 /// their open descriptors — a deliberately pinned unix property), on-disk
 /// verification reports the shard unhealthy (what keeps the prober from
@@ -438,18 +438,18 @@ fn deletion_and_repair_round_trips_through_verification() {
                 let view = ShardedIndex::open_with(&work, &options).unwrap();
                 let searcher = view.searcher().unwrap().threads(SHARDS);
 
-                // Delete the faulty shard's current serving generation.
-                let store = ShardedStore::open(&work).unwrap();
-                store
-                    .verify_shard(faulty)
+                // Delete the faulty shard's serving segment.
+                let manifest = Manifest::load(&work).unwrap().unwrap();
+                let verify = || manifest.verify_segment(&work, faulty);
+                verify()
                     .unwrap_or_else(|e| panic!("pristine copy failed verification ({ctx}): {e}"));
-                let serving = store.serving_dir(faulty).unwrap();
+                let serving = work.join(&manifest.segments[faulty].dir);
                 std::fs::remove_dir_all(&serving).unwrap();
 
                 // On-disk health checks must notice; the live view, which
                 // holds open descriptors, must not.
                 assert!(
-                    store.verify_shard(faulty).is_err(),
+                    verify().is_err(),
                     "deleted shard passed verification ({ctx})"
                 );
                 for (q, want) in queries.iter().zip(&oracle) {
@@ -468,11 +468,7 @@ fn deletion_and_repair_round_trips_through_verification() {
                     &pristine.join(serving.strip_prefix(&work).unwrap()),
                     &serving,
                 );
-                store.spot_check_shard(faulty).unwrap_or_else(|e| {
-                    panic!("repaired shard failed the spot check ({ctx}): {e}")
-                });
-                store
-                    .verify_shard(faulty)
+                verify()
                     .unwrap_or_else(|e| panic!("repaired shard failed verification ({ctx}): {e}"));
                 let reopened = ShardedIndex::open_with(&work, &options).unwrap();
                 let searcher = reopened.searcher().unwrap().threads(SHARDS);
@@ -529,7 +525,7 @@ fn verify_failures_classify_as_the_read_fault() {
 fn all_shards_faulting_is_an_error_not_an_empty_result() {
     let (corpus, queries) = workload(SEEDS[0]);
     let store = build_store(&corpus, false, true, "all_out");
-    let plan = FaultPlan::new("shard-", 0); // taps every shard
+    let plan = FaultPlan::new("seg-", 0); // taps every segment
     let view =
         ShardedIndex::open_with(&store, &chaos_options(&plan, CacheConfig::default())).unwrap();
     let searcher = view
@@ -576,7 +572,7 @@ fn all_shards_faulting_is_an_error_not_an_empty_result() {
 fn fail_fast_policy_still_propagates_shard_errors() {
     let (corpus, queries) = workload(SEEDS[1]);
     let store = build_store(&corpus, false, false, "failfast");
-    let plan = FaultPlan::new("shard-0001", 0);
+    let plan = FaultPlan::new("seg-0001", 0);
     let view =
         ShardedIndex::open_with(&store, &chaos_options(&plan, CacheConfig::default())).unwrap();
     let searcher = view.searcher().unwrap().threads(SHARDS); // default policy
@@ -633,7 +629,7 @@ fn daemon_degrades_labels_exactly_and_self_heals() {
     let (corpus, queries) = workload(SEEDS[0]);
     let store = build_store(&corpus, false, true, "daemon");
     let faulty = 2usize;
-    let plan = FaultPlan::new(&format!("shard-{faulty:04}"), 0);
+    let plan = FaultPlan::new(&format!("seg-{faulty:04}"), 0);
     let server = chaos_server(&store, &plan, Some(Duration::from_millis(50)));
     let addr = server.handle().addr();
 

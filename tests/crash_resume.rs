@@ -335,23 +335,28 @@ fn fresh_build_sweeps_crash_residue() {
 fn interrupted_build_is_reported_resumable_and_openable_after_resume() {
     let corpus = small_corpus();
     let root = scratch("crash", "store_resume");
-    let store = GenerationStore::open(&root).unwrap();
-    let gen_dir = store.allocate().unwrap();
+    let store = Store::open(&root).unwrap();
+    let seg_dir = root.join(store.allocate().unwrap());
     builder(false)
         .kill_points(KillPoints::at_checkpoint(6))
-        .build(&corpus, &gen_dir)
+        .build(&corpus, &seg_dir)
         .expect_err("build must crash");
 
-    // Reopening the store must keep (not GC) the resumable generation.
-    let store = GenerationStore::open(&root).unwrap();
-    let resumable = store.resumable().unwrap().expect("generation is resumable");
-    assert_eq!(root.join(&resumable.name), gen_dir);
+    // Reopening the store must keep (not GC) the resumable segment.
+    let store = Store::open(&root).unwrap();
+    let unpublished = store.unpublished().unwrap();
+    assert_eq!(unpublished.len(), 1, "segment is kept");
+    assert_eq!(root.join(&unpublished[0]), seg_dir);
+    assert!(
+        seg_dir.join("build.journal").is_file(),
+        "segment is resumable"
+    );
 
     builder(false)
         .resume(true)
-        .build(&corpus, &gen_dir)
+        .build(&corpus, &seg_dir)
         .unwrap();
-    store.publish(&resumable.name, 1).unwrap();
+    store.publish(&unpublished, 1).unwrap();
     let opened = DiskIndex::open(&resolve_index_dir(&root)).unwrap();
     opened.verify_integrity().unwrap();
     std::fs::remove_dir_all(&root).ok();
@@ -364,7 +369,7 @@ fn interrupted_build_is_reported_resumable_and_openable_after_resume() {
 /// A killed `--shards N` build resumes byte-identically, shard by shard:
 /// shards that finished before the crash are reused unchanged, the shard
 /// whose journal survived continues from it, and untouched shards build
-/// fresh — the resumed store's bytes (every shard's generation files and
+/// fresh — the resumed store's bytes (every segment's files and
 /// the manifest itself) equal an uninterrupted build's.
 ///
 /// A build with an injector installed runs one shard at a time on one
@@ -440,10 +445,14 @@ fn sharded_build_resumes_byte_identical_per_shard() {
             err.to_string().contains("injected crash"),
             "{label}: unexpected error {err}"
         );
-        // A crashed sharded build must never have published: no shard
-        // serves and the manifest generation is still 0.
-        let crashed = ShardedStore::open(&root).unwrap();
-        assert_eq!(crashed.manifest().generation, 0, "{label}: published early");
+        // A crashed sharded build must never have published: there is no
+        // MANIFEST yet, so the store is at generation 0.
+        let crashed = Store::open(&root).unwrap();
+        assert_eq!(
+            crashed.manifest().unwrap().generation,
+            0,
+            "{label}: published early"
+        );
         // Resume exactly as `ndss index --shards N --resume` would.
         build_sharded(&corpus, config(false), &root, shards, &opts(None, true))
             .unwrap_or_else(|e| panic!("{label}: resume failed: {e}"));
@@ -542,12 +551,13 @@ fn drive_ingest(
     Ok(())
 }
 
-/// The store's CURRENT generation must hold byte-for-byte the same inverted
+/// The store's serving segment must hold byte-for-byte the same inverted
 /// files as the batch-built reference — compaction may not perturb a single
 /// posting no matter where it crashed.
 fn assert_current_matches(context: &str, root: &Path, reference: &Path) {
-    let store = GenerationStore::open(root).unwrap();
-    let current = store.current_dir().unwrap().expect("store must publish");
+    let manifest = Store::open(root).unwrap().manifest().unwrap();
+    assert_eq!(manifest.segments.len(), 1, "{context}: one segment");
+    let current = root.join(&manifest.segments[0].dir);
     let index = DiskIndex::open(&current).unwrap();
     index.verify_integrity().unwrap();
     for func in 0..ingest_config().k {
@@ -563,7 +573,7 @@ fn assert_current_matches(context: &str, root: &Path, reference: &Path) {
 /// every checkpoint and a spread of IO points. After each crash the store
 /// must recover *exactly* the acked text set (nothing lost, nothing
 /// resurrected), pass offline memtable verification, and — once resumed to
-/// completion — serve a CURRENT generation byte-identical to a batch build
+/// completion — serve a segment byte-identical to a batch build
 /// of all the texts.
 #[test]
 fn ingest_recovers_the_acked_set_at_every_kill_point() {

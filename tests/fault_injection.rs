@@ -307,10 +307,10 @@ fn pre_checksum_corpus_file_is_rejected() {
 // cleanly without poisoning its siblings.
 // ---------------------------------------------------------------------------
 
-/// Opens the sharded store, validates it end to end, and runs the query
-/// set through the scatter-gather path.
+/// Opens the store, validates it end to end, and runs the query set
+/// through the scatter-gather path.
 fn run_sharded_queries(root: &Path, queries: &[Vec<TokenId>]) -> Result<Vec<SeqRef>, String> {
-    let store = ShardedStore::open(root).map_err(|e| e.to_string())?;
+    let store = Store::open(root).map_err(|e| e.to_string())?;
     store.verify().map_err(|e| e.to_string())?;
     let view = ShardedIndex::open(root).map_err(|e| e.to_string())?;
     let searcher = view.searcher().map_err(|e| e.to_string())?;
@@ -342,7 +342,8 @@ fn sharded_store_rejects_single_shard_corruption() {
         run_sharded_queries(&root, &queries).expect("pristine store must verify and search");
     assert!(!baseline.is_empty(), "queries must hit planted duplicates");
 
-    let target = store.serving_dir(1).unwrap().join("inv_0.ndsi");
+    let manifest = store.manifest().unwrap();
+    let target = root.join(&manifest.segments[1].dir).join("inv_0.ndsi");
     let pristine = std::fs::read(&target).unwrap();
     let (mut applied, mut rejected) = (0u64, 0u64);
     for seed in 0..160 {
@@ -363,7 +364,9 @@ fn sharded_store_rejects_single_shard_corruption() {
         // The fault stays confined: per-shard verification blames exactly
         // the mutated shard, and the siblings keep verifying clean.
         if seed % 20 == 0 {
-            let verdicts: Vec<bool> = (0..3).map(|i| store.verify_shard(i).is_ok()).collect();
+            let verdicts: Vec<bool> = (0..3)
+                .map(|i| manifest.verify_segment(&root, i).is_ok())
+                .collect();
             assert!(
                 verdicts[0],
                 "sharded seed {seed}: corruption leaked into shard 0"
@@ -390,7 +393,7 @@ fn sharded_store_rejects_single_shard_corruption() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// Seeded mutations of the store manifest itself: the manifest is
+/// Seeded mutations of the store's version-2 manifest: it is
 /// CRC-checksummed and structurally validated, so an effective mutation can
 /// only survive the open when it is *formatting-only* — the JSON parses to
 /// the exact pristine content (the CRC covers the canonical
@@ -413,7 +416,7 @@ fn sharded_store_rejects_manifest_corruption() {
 
     let target = root.join("MANIFEST");
     let pristine = std::fs::read(&target).unwrap();
-    let reference = ShardedStore::open(&root).unwrap().manifest().clone();
+    let reference = Store::open(&root).unwrap().manifest().unwrap();
     let (mut applied, mut rejected) = (0u64, 0u64);
     for seed in 0..160 {
         let (mutated, mutation) = mutate(&pristine, seed);
@@ -432,10 +435,9 @@ fn sharded_store_rejects_manifest_corruption() {
                 );
                 // A survivor must be formatting-only: the parsed manifest
                 // is the pristine one, field for field.
-                let reloaded = ShardedStore::open(&root).unwrap();
+                let reloaded = Store::open(&root).unwrap().manifest().unwrap();
                 assert_eq!(
-                    *reloaded.manifest(),
-                    reference,
+                    reloaded, reference,
                     "manifest seed {seed}: {mutation:?} survived with different content"
                 );
             }
@@ -588,7 +590,7 @@ fn memtable_manifest_rejects_corruption() {
         }
         // Whatever the mutation did, the WAL file itself must survive a GC
         // pass — a corrupt manifest *protects* its WAL (satellite rule).
-        GenerationStore::open(&root).unwrap();
+        Store::open(&root).unwrap();
         assert!(
             root.join("memtable")
                 .join("wal")

@@ -1,22 +1,22 @@
-//! Generational index lifecycle: publish / rollback semantics, `CURRENT`
-//! pointer atomicity under a concurrent reader, and hot swap under live
-//! batch queries.
+//! Store lifecycle: publish / rollback / garbage semantics, `MANIFEST`
+//! atomicity under a concurrent reader, and hot swap under live batch
+//! queries.
 //!
 //! The load-bearing invariants:
 //!
-//! * `CURRENT` is only ever observed naming a complete, verified
-//!   generation — never torn, never an unverified build — because the
-//!   pointer is re-pointed with an atomic rename after `verify_integrity`.
+//! * The `MANIFEST` is only ever observed naming complete, verified
+//!   segments — never torn, never an unverified build — because it is
+//!   replaced with an atomic rename after `verify_integrity`.
 //! * A `ServingIndex::reload` concurrent with batch queries is invisible
 //!   to each batch: every batch's results are bit-identical to a cold open
-//!   of *one* generation (the one current when the batch started), never a
-//!   mix of two.
+//!   of *one* segment list (the one serving when the batch started), never
+//!   a mix of two.
 //!
 //! Opening or reloading a serving view sets the process-wide
 //! `index.generation` and `index.shard.generation{shard=…}` gauges, so every
 //! test that opens one holds [`GAUGES`]: one asserts the per-shard values.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -36,12 +36,28 @@ fn config() -> IndexConfig {
     IndexConfig::new(8, 20, 13)
 }
 
-/// Builds a generation from `corpus` in a fresh `gen-NNNN/` and returns its
-/// name (unpublished).
-fn build_generation(store: &GenerationStore, corpus: &InMemoryCorpus) -> String {
-    let dir = store.allocate().unwrap();
-    build_and_write(corpus, config(), &dir, true).unwrap();
-    dir.file_name().unwrap().to_string_lossy().into_owned()
+/// Builds `corpus` into a fresh `seg-NNNN/` and returns its name
+/// (unpublished).
+fn build_segment(store: &Store, corpus: &InMemoryCorpus) -> String {
+    let name = store.allocate().unwrap();
+    build_and_write(corpus, config(), &store.root().join(&name), true).unwrap();
+    name
+}
+
+/// The serving list's directory names.
+fn serving_list(store: &Store) -> Vec<String> {
+    store.manifest().unwrap().dirs()
+}
+
+/// Every `seg-*` directory under `root`, sorted.
+fn segment_dirs(root: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(root)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|n| n.starts_with("seg-"))
+        .collect();
+    names.sort();
+    names
 }
 
 fn corpus_a() -> (InMemoryCorpus, Vec<Vec<u32>>) {
@@ -103,37 +119,50 @@ fn view_results(view: &ShardedIndex, queries: &[Vec<u32>]) -> Vec<Vec<SeqRef>> {
 #[test]
 fn publish_rollback_lifecycle() {
     let root = scratch("hotswap", "lifecycle");
-    let store = GenerationStore::open(&root).unwrap();
+    let store = Store::open(&root).unwrap();
     let (a, _) = corpus_a();
 
-    let g0 = build_generation(&store, &a);
-    assert!(store.current().unwrap().is_none(), "nothing published yet");
-    store.publish(&g0, 1).unwrap();
-    assert_eq!(store.current().unwrap().as_deref(), Some(g0.as_str()));
+    let g0 = build_segment(&store, &a);
+    assert_eq!(
+        store.manifest().unwrap(),
+        Manifest::default(),
+        "nothing published yet"
+    );
+    store.publish(&[&g0], 1).unwrap();
+    assert_eq!(serving_list(&store), [g0.as_str()]);
     assert_eq!(resolve_index_dir(&root), root.join(&g0));
 
-    let g1 = build_generation(&store, &a);
-    store.publish(&g1, 1).unwrap();
-    assert_eq!(store.current().unwrap().as_deref(), Some(g1.as_str()));
-    assert!(
-        root.join(&g0).is_dir(),
-        "previous generation kept for rollback"
+    let g1 = build_segment(&store, &a);
+    store.publish(&[&g1], 1).unwrap();
+    assert_eq!(serving_list(&store), [g1.as_str()]);
+    assert!(root.join(&g0).is_dir(), "previous list kept for rollback");
+
+    // A third publish with keep = 1: exactly the serving segment, the
+    // previous list's and a journaled in-flight build survive.
+    let in_flight = store.allocate().unwrap();
+    std::fs::write(root.join(&in_flight).join("build.journal"), b"{}").unwrap();
+    let g2 = build_segment(&store, &a);
+    store.publish(&[&g2], 1).unwrap();
+    let mut survivors = vec![g1.clone(), in_flight.clone(), g2.clone()];
+    survivors.sort();
+    assert_eq!(
+        segment_dirs(&root),
+        survivors,
+        "beyond-keep segment collected"
     );
 
-    // A third publish with keep = 1 prunes the oldest retired generation.
-    let g2 = build_generation(&store, &a);
-    store.publish(&g2, 1).unwrap();
-    assert!(!root.join(&g0).exists(), "beyond-keep generation pruned");
-    assert!(root.join(&g1).is_dir());
+    // Rollback serves the previous list again as a new generation; a
+    // second rollback undoes the first.
+    let rolled = store.rollback().unwrap();
+    assert_eq!(
+        (serving_list(&store), rolled.generation),
+        (vec![g1.clone()], 4)
+    );
+    store.rollback().unwrap();
+    assert_eq!(serving_list(&store), [g2.as_str()]);
 
-    // Rollback with no target: newest complete generation below current.
-    assert_eq!(store.rollback(None).unwrap(), g1);
-    assert_eq!(store.current().unwrap().as_deref(), Some(g1.as_str()));
-    // Explicit rollback (forward here) re-verifies and re-points.
-    assert_eq!(store.rollback(Some(&g2)).unwrap(), g2);
-    assert_eq!(store.current().unwrap().as_deref(), Some(g2.as_str()));
-
-    // A corrupt generation can be neither published nor rolled back to.
+    // A corrupt segment can be neither published nor rolled back to, and
+    // neither attempt writes the MANIFEST.
     let victim = std::fs::read_dir(root.join(&g1))
         .unwrap()
         .flatten()
@@ -144,12 +173,31 @@ fn publish_rollback_lifecycle() {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;
     std::fs::write(&victim, &bytes).unwrap();
-    assert!(store.publish(&g1, 1).is_err());
-    assert!(store.rollback(Some(&g1)).is_err());
+    let manifest_bytes = || std::fs::read(root.join("MANIFEST")).unwrap();
+    let before = manifest_bytes();
+    assert!(store.publish(&[&g1], 1).is_err());
+    assert!(
+        store.publish(&[&g2, &g2], 1).is_err(),
+        "a segment listed twice"
+    );
+    assert!(store.rollback().is_err());
     assert_eq!(
-        store.current().unwrap().as_deref(),
-        Some(g2.as_str()),
-        "failed publish/rollback must leave CURRENT untouched"
+        manifest_bytes(),
+        before,
+        "failed publish/rollback wrote the MANIFEST"
+    );
+
+    // keep = 0 retains nothing: the retired segment is collected, the
+    // journaled one still survives, and a rollback with no retained list
+    // fails with the MANIFEST byte-identical.
+    store.publish(&[&g2], 0).unwrap();
+    assert_eq!(segment_dirs(&root), [in_flight, g2]);
+    let before = manifest_bytes();
+    assert!(store.rollback().is_err());
+    assert_eq!(
+        manifest_bytes(),
+        before,
+        "a refused rollback wrote the MANIFEST"
     );
     std::fs::remove_dir_all(&root).ok();
 }
@@ -157,26 +205,30 @@ fn publish_rollback_lifecycle() {
 #[test]
 fn current_pointer_is_never_torn_under_concurrent_reads() {
     let root = scratch("hotswap", "torn");
-    let store = GenerationStore::open(&root).unwrap();
+    let store = Store::open(&root).unwrap();
     let (a, _) = corpus_a();
-    let g0 = build_generation(&store, &a);
-    let g1 = build_generation(&store, &a);
-    store.publish(&g0, 2).unwrap();
+    let g0 = build_segment(&store, &a);
+    store.publish(&[&g0], 2).unwrap();
+    // A publish collects every segment no list names, so build the second
+    // one only after the first serves.
+    let g1 = build_segment(&store, &a);
+    store.publish(&[&g1], 2).unwrap();
 
     let done = Arc::new(AtomicBool::new(false));
     let reader = {
         let done = done.clone();
-        let current = root.join("CURRENT");
+        let root = root.clone();
         let valid = [g0.clone(), g1.clone()];
         std::thread::spawn(move || {
             let mut reads = 0u64;
             while !done.load(Ordering::Relaxed) {
-                let text = std::fs::read_to_string(&current)
-                    .expect("CURRENT must exist once first published");
-                let name = text.trim();
+                let manifest = Manifest::load(&root)
+                    .expect("torn or invalid MANIFEST")
+                    .expect("MANIFEST must exist once first published");
                 assert!(
-                    valid.iter().any(|v| v == name),
-                    "torn or invalid CURRENT contents: {text:?}"
+                    manifest.segments.len() == 1
+                        && valid.iter().any(|v| *v == manifest.segments[0].dir),
+                    "MANIFEST names an unexpected list: {manifest:?}"
                 );
                 reads += 1;
             }
@@ -184,15 +236,16 @@ fn current_pointer_is_never_torn_under_concurrent_reads() {
         })
     };
 
-    // Flip the pointer repeatedly; every flip re-verifies the target, so
-    // the reader is racing genuine publishes, not bare renames.
+    // Flip the list repeatedly; the segment coming back from the retained
+    // list is re-verified each time, so the reader races genuine
+    // publishes, not bare renames.
     for i in 0..20 {
         let target = if i % 2 == 0 { &g1 } else { &g0 };
-        store.publish(target, 2).unwrap();
+        store.publish(&[&target], 2).unwrap();
     }
     done.store(true, Ordering::Relaxed);
     let reads = reader.join().unwrap();
-    assert!(reads > 0, "reader never observed the pointer");
+    assert!(reads > 0, "reader never observed the MANIFEST");
     std::fs::remove_dir_all(&root).ok();
 }
 
@@ -200,16 +253,16 @@ fn current_pointer_is_never_torn_under_concurrent_reads() {
 fn reload_under_live_batch_queries_is_bit_identical_to_cold_open() {
     let _gauges = gauge_lock();
     let root = scratch("hotswap", "reload");
-    let store = GenerationStore::open(&root).unwrap();
+    let store = Store::open(&root).unwrap();
     let (a, queries) = corpus_a();
     let b = corpus_b(&a, &queries);
 
-    let g0 = build_generation(&store, &a);
-    store.publish(&g0, 1).unwrap();
+    let g0 = build_segment(&store, &a);
+    store.publish(&[&g0], 1).unwrap();
     let ref_a = cold_results(&root.join(&g0), &queries);
 
     let serving = Arc::new(ServingIndex::open(&root).unwrap());
-    assert_eq!(serving.generation(), Some(0));
+    assert_eq!(serving.generation(), Some(1));
 
     // Workers hammer the serving index across the swap; every batch result
     // must equal a cold open of exactly one generation.
@@ -229,16 +282,19 @@ fn reload_under_live_batch_queries_is_bit_identical_to_cold_open() {
         })
         .collect();
 
-    // Build, publish, and hot-swap to generation 1 while queries fly.
-    let g1 = build_generation(&store, &b);
-    store.publish(&g1, 1).unwrap();
+    // Build, publish, and hot-swap to generation 2 while queries fly.
+    let g1 = build_segment(&store, &b);
+    store.publish(&[&g1], 1).unwrap();
     let ref_b = cold_results(&resolve_index_dir(&root), &queries);
     assert_ne!(
         ref_a, ref_b,
         "generations must be distinguishable by results"
     );
-    assert!(serving.reload().unwrap(), "pointer moved, reload must swap");
-    assert_eq!(serving.generation(), Some(1));
+    assert!(
+        serving.reload().unwrap(),
+        "MANIFEST moved, reload must swap"
+    );
+    assert_eq!(serving.generation(), Some(2));
     assert!(!serving.reload().unwrap(), "no-op reload must not swap");
 
     // Let the workers observe the new generation, then stop them.
@@ -302,94 +358,90 @@ fn serving_index_on_plain_directory() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Regression for the reload race: reload A resolves `CURRENT` (gen 1),
-/// then — before A takes the write lock — reload B publishes *and* swaps in
-/// a newer gen 2. A's open is now stale; completing its swap would regress
-/// serving from gen 2 back to gen 1. The fixed `reload()` re-resolves
-/// `CURRENT` under the write lock and abandons the stale open. (On the old
-/// code this test fails: A overwrites gen 2 with gen 1.)
+/// Regression for the reload race: reload A resolves the `MANIFEST` (gen
+/// 2), then — before A takes the write lock — reload B publishes *and*
+/// swaps in a newer gen 3. A's open is now stale; completing its swap would
+/// regress serving from gen 3 back to gen 2. The fixed `reload()`
+/// re-resolves the `MANIFEST` under the write lock and abandons the stale
+/// open. (On the old code this test fails: A overwrites gen 3 with gen 2.)
 #[test]
 fn racing_reload_never_swaps_in_a_stale_older_generation() {
     let _gauges = gauge_lock();
     let root = scratch("hotswap", "race");
-    let store = GenerationStore::open(&root).unwrap();
+    let store = Store::open(&root).unwrap();
     let (a, queries) = corpus_a();
     let b = corpus_b(&a, &queries);
 
-    let g0 = build_generation(&store, &a);
-    store.publish(&g0, 3).unwrap();
+    let g0 = build_segment(&store, &a);
+    store.publish(&[&g0], 3).unwrap();
     let serving = Arc::new(ServingIndex::open(&root).unwrap());
-    assert_eq!(serving.generation(), Some(0));
+    assert_eq!(serving.generation(), Some(1));
 
-    // Stage the next pointer move: CURRENT → gen 1 (same corpus as gen 0).
-    let g1 = build_generation(&store, &a);
-    store.publish(&g1, 3).unwrap();
+    // Stage the next publish: gen 2 (same corpus as gen 1).
+    let g1 = build_segment(&store, &a);
+    store.publish(&[&g1], 3).unwrap();
 
-    // Reload A resolves and opens gen 1; inside its race window, reload B
-    // publishes gen 2 (corpus B, distinguishable by results) and swaps it in.
+    // Reload A resolves and opens gen 2; inside its race window, reload B
+    // publishes gen 3 (corpus B, distinguishable by results) and swaps it in.
     let serving_b = serving.clone();
-    let store_b = GenerationStore::open(&root).unwrap();
+    let store_b = Store::open(&root).unwrap();
     let swapped_a = serving
         .reload_with_race_window(move || {
-            let g2 = {
-                let dir = store_b.allocate().unwrap();
-                build_and_write(&b, config(), &dir, true).unwrap();
-                dir.file_name().unwrap().to_string_lossy().into_owned()
-            };
-            store_b.publish(&g2, 3).unwrap();
-            assert!(serving_b.reload().unwrap(), "reload B must swap to gen 2");
-            assert_eq!(serving_b.generation(), Some(2));
+            let g2 = build_segment(&store_b, &b);
+            store_b.publish(&[&g2], 3).unwrap();
+            assert!(serving_b.reload().unwrap(), "reload B must swap to gen 3");
+            assert_eq!(serving_b.generation(), Some(3));
         })
         .unwrap();
 
-    // Whatever A reports, serving must still be on gen 2 afterwards — the
-    // stale gen-1 open must never overwrite the newer generation.
+    // Whatever A reports, serving must still be on gen 3 afterwards — the
+    // stale gen-2 open must never overwrite the newer generation.
     assert_eq!(
         serving.generation(),
-        Some(2),
+        Some(3),
         "stale reload regressed serving to an older generation"
     );
-    let ref_g2 = cold_results(&resolve_index_dir(&root), &queries);
+    let ref_g3 = cold_results(&resolve_index_dir(&root), &queries);
     let live = served_results(&serving, &queries);
-    assert_eq!(live, ref_g2, "post-race queries must serve gen 2");
+    assert_eq!(live, ref_g3, "post-race queries must serve gen 3");
     // A must not claim a swap it did not perform.
     assert!(!swapped_a, "stale reload must not report a swap");
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// A deliberate rollback is not a race: after `CURRENT` is re-pointed at an
-/// older generation, `reload()` must follow it backwards.
+/// A deliberate rollback is not a race: after the `MANIFEST` names an
+/// older segment list again, `reload()` must follow it backwards.
 #[test]
 fn reload_follows_a_deliberate_rollback_to_an_older_generation() {
     let _gauges = gauge_lock();
     let root = scratch("hotswap", "rollback_reload");
-    let store = GenerationStore::open(&root).unwrap();
+    let store = Store::open(&root).unwrap();
     let (a, queries) = corpus_a();
     let b = corpus_b(&a, &queries);
 
-    let g0 = build_generation(&store, &a);
-    store.publish(&g0, 3).unwrap();
+    let g0 = build_segment(&store, &a);
+    store.publish(&[&g0], 3).unwrap();
     let ref_g0 = cold_results(&resolve_index_dir(&root), &queries);
-    let g1 = build_generation(&store, &b);
-    store.publish(&g1, 3).unwrap();
+    let g1 = build_segment(&store, &b);
+    store.publish(&[&g1], 3).unwrap();
 
     let serving = Arc::new(ServingIndex::open(&root).unwrap());
-    assert_eq!(serving.generation(), Some(1));
+    assert_eq!(serving.generation(), Some(2));
 
-    assert_eq!(store.rollback(Some(&g0)).unwrap(), g0);
+    assert_eq!(store.rollback().unwrap().segments[0].dir, g0);
     assert!(serving.reload().unwrap(), "rollback must reload");
-    assert_eq!(serving.generation(), Some(0));
+    assert_eq!(serving.generation(), Some(3));
     let live = served_results(&serving, &queries);
-    assert_eq!(live, ref_g0, "rolled-back serving must answer from gen 0");
+    assert_eq!(live, ref_g0, "rolled-back serving must answer from {g0}");
     std::fs::remove_dir_all(&root).ok();
 }
 
 // ---------------------------------------------------------------------------
-// Sharded store: per-shard publish under live readers.
+// Multi-segment store: replacing one row under live readers.
 // ---------------------------------------------------------------------------
 
-/// Corpus A with text 15 (second shard of two) replaced by query 0's
-/// tokens: shard 0's slice is untouched, shard 1's answers change.
+/// Corpus A with text 15 (second segment of two) replaced by query 0's
+/// tokens: segment 0's slice is untouched, segment 1's answers change.
 fn corpus_b_shard1(a: &InMemoryCorpus, queries: &[Vec<u32>]) -> InMemoryCorpus {
     let mut texts: Vec<Vec<u32>> = (0..a.num_texts() as u32)
         .map(|i| a.text(i).to_vec())
@@ -398,15 +450,28 @@ fn corpus_b_shard1(a: &InMemoryCorpus, queries: &[Vec<u32>]) -> InMemoryCorpus {
     InMemoryCorpus::from_texts(texts)
 }
 
-/// Cold-open reference over a sharded store's *current* manifest view.
+/// Builds segment 1's text range of `corpus` into a new segment and
+/// publishes the list with row 1 replaced (keep 2).
+fn replace_segment_1(store: &Store, corpus: &InMemoryCorpus) -> Manifest {
+    let manifest = store.manifest().unwrap();
+    let row = &manifest.segments[1];
+    let new = store.allocate().unwrap();
+    let slice = CorpusSlice::new(corpus, row.first_text, row.num_texts as usize);
+    build_and_write(&slice, config(), &store.root().join(&new), true).unwrap();
+    store
+        .publish(&[manifest.segments[0].dir.clone(), new], 2)
+        .unwrap()
+}
+
+/// Cold-open reference over a store's *current* manifest view.
 fn sharded_cold_results(root: &Path, queries: &[Vec<u32>]) -> Vec<Vec<SeqRef>> {
     view_results(&ShardedIndex::open(root).unwrap(), queries)
 }
 
-/// Republishing one shard under live readers never yields a torn
-/// cross-shard view: every pinned (snapshot, generation) pair answers
+/// Publishing a list with one row replaced under live readers never
+/// yields a torn view: every pinned (snapshot, generation) pair answers
 /// bit-identically to a cold open of exactly that manifest generation —
-/// old shard-1 results never mix with new ones, and the generation a
+/// old segment-1 results never mix with new ones, and the generation a
 /// reader reports always matches the results it got.
 #[test]
 fn per_shard_publish_is_atomic_under_concurrent_readers() {
@@ -442,18 +507,11 @@ fn per_shard_publish_is_atomic_under_concurrent_readers() {
         })
         .collect();
 
-    // Rebuild shard 1 only (from corpus B's slice of its text range) and
-    // publish it — one manifest bump — then hot-reload under live traffic.
-    let store = ShardedStore::open(&root).unwrap();
-    let spec = store.manifest().shards[1].clone();
-    let shard_store = store.shard_store(1).unwrap();
-    let gen_dir = shard_store.allocate().unwrap();
-    let slice = CorpusSlice::new(&b, spec.first_text, spec.num_texts as usize);
-    build_and_write(&slice, config(), &gen_dir, true).unwrap();
-    let new_gen = gen_dir.file_name().unwrap().to_string_lossy().into_owned();
-    let mut store = store;
-    store.publish_shard(1, &new_gen, 2).unwrap();
-    assert_eq!(store.manifest().generation, 2);
+    // Rebuild segment 1 only (from corpus B's slice of its text range) and
+    // publish the list with that row replaced — one manifest write — then
+    // hot-reload under live traffic.
+    let store = Store::open(&root).unwrap();
+    assert_eq!(replace_segment_1(&store, &b).generation, 2);
 
     assert!(
         serving.reload().unwrap(),
@@ -479,34 +537,25 @@ fn per_shard_publish_is_atomic_under_concurrent_readers() {
     }
     assert!(batches > 0, "readers never completed a batch");
 
-    // Per-shard gauges track each shard's own serving generation.
+    // Per-lane gauges report the segment number each lane serves.
     let reg = ndss::obs::Registry::global();
-    assert_eq!(
+    let lane = |i: &str| {
         reg.gauge_with_labels(
             "index.shard.generation",
-            "generation number each shard of the serving view is on",
-            &[("shard", "0")],
+            "segment number each lane of the serving view is on",
+            &[("shard", i)],
         )
-        .get(),
-        0,
-        "shard 0 still serves its original generation"
-    );
-    assert_eq!(
-        reg.gauge_with_labels(
-            "index.shard.generation",
-            "generation number each shard of the serving view is on",
-            &[("shard", "1")],
-        )
-        .get(),
-        1,
-        "shard 1 now serves its rebuilt generation"
-    );
+        .get()
+    };
+    assert_eq!(lane("0"), 0, "lane 0 still serves seg-0000");
+    assert_eq!(lane("1"), 2, "lane 1 now serves the rebuilt seg-0002");
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// Rolling one shard back is the same atomic story in reverse: the
-/// manifest bump moves readers from the all-new view to the view with
-/// shard 1 rolled back, never through a mix.
+/// Rolling back is the same atomic story in reverse: one manifest write
+/// moves readers from the view with segment 1 replaced back to the
+/// original list, never through a mix. Rollback is store-wide: it serves
+/// the previous list, which differs from the current one in row 1 only.
 #[test]
 fn per_shard_rollback_restores_the_previous_view() {
     let _gauges = gauge_lock();
@@ -517,28 +566,18 @@ fn per_shard_rollback_restores_the_previous_view() {
     build_sharded(&a, config(), &root, 2, &ShardedBuildOptions::default()).unwrap();
     let ref_v1 = sharded_cold_results(&root, &queries);
 
-    let mut store = ShardedStore::open(&root).unwrap();
-    let spec = store.manifest().shards[1].clone();
-    let shard_store = store.shard_store(1).unwrap();
-    let gen_dir = shard_store.allocate().unwrap();
-    build_and_write(
-        &CorpusSlice::new(&b, spec.first_text, spec.num_texts as usize),
-        config(),
-        &gen_dir,
-        true,
-    )
-    .unwrap();
-    let new_gen = gen_dir.file_name().unwrap().to_string_lossy().into_owned();
-    store.publish_shard(1, &new_gen, 2).unwrap();
+    let store = Store::open(&root).unwrap();
+    let original = serving_list(&store);
+    replace_segment_1(&store, &b);
     let ref_v2 = sharded_cold_results(&root, &queries);
     assert_ne!(ref_v1, ref_v2);
 
     let serving = ServingIndex::open(&root).unwrap();
     assert_eq!(serving.generation(), Some(2));
 
-    let rolled = store.rollback_shard(1, None).unwrap();
-    assert_eq!(rolled, spec.serving.unwrap());
-    assert_eq!(store.manifest().generation, 3);
+    let rolled = store.rollback().unwrap();
+    assert_eq!(serving_list(&store), original);
+    assert_eq!(rolled.generation, 3);
     assert!(serving.reload().unwrap());
     assert_eq!(serving.generation(), Some(3));
 
@@ -546,4 +585,112 @@ fn per_shard_rollback_restores_the_previous_view() {
     let live = served_results(&serving, &queries);
     assert_eq!(live, ref_v1, "rollback must restore the original answers");
     std::fs::remove_dir_all(&root).ok();
+}
+
+// ---------------------------------------------------------------------------
+// Old layouts: refused by name, never touched.
+// ---------------------------------------------------------------------------
+
+/// A version-1 sharded-store `MANIFEST` exactly as the old writer saved it
+/// (two one-text shards, each serving `gen-0000`).
+const V1_MANIFEST: &str = r#"{
+  "version": 1,
+  "generation": 1,
+  "shards": [
+    {
+      "name": "shard-0000",
+      "first_text": 0,
+      "num_texts": 1,
+      "serving": "gen-0000"
+    },
+    {
+      "name": "shard-0001",
+      "first_text": 1,
+      "num_texts": 1,
+      "serving": "gen-0000"
+    }
+  ],
+  "crc": 2509806555
+}"#;
+
+/// Every entry under `root`: directories as `None`, files with their bytes.
+fn tree(root: &Path) -> Vec<(PathBuf, Option<Vec<u8>>)> {
+    let mut out = Vec::new();
+    let mut stack = vec![root.to_path_buf()];
+    while let Some(dir) = stack.pop() {
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                out.push((path.clone(), None));
+                stack.push(path);
+            } else {
+                out.push((path.clone(), Some(std::fs::read(&path).unwrap())));
+            }
+        }
+    }
+    out.sort();
+    out
+}
+
+/// Every way into a store refuses a root in an old layout with an error
+/// that names the layout, and deletes nothing — not even the stray temp
+/// and the unreferenced directory an open's sweep would otherwise take.
+#[test]
+fn old_layouts_are_refused_by_name_and_left_untouched() {
+    let (a, _) = corpus_a();
+    let one_text = InMemoryCorpus::from_texts(vec![a.text(0).to_vec()]);
+
+    let generation_store = scratch("hotswap", "old_current");
+    build_and_write(&a, config(), &generation_store.join("gen-0000"), true).unwrap();
+    std::fs::write(generation_store.join("CURRENT"), b"gen-0000").unwrap();
+    std::fs::create_dir(generation_store.join("gen-0001")).unwrap();
+
+    let sharded_v1 = scratch("hotswap", "old_v1");
+    std::fs::write(sharded_v1.join("MANIFEST"), V1_MANIFEST).unwrap();
+    for shard in ["shard-0000", "shard-0001"] {
+        build_and_write(
+            &one_text,
+            config(),
+            &sharded_v1.join(shard).join("gen-0000"),
+            true,
+        )
+        .unwrap();
+        std::fs::write(sharded_v1.join(shard).join("CURRENT"), b"gen-0000").unwrap();
+    }
+
+    for (root, layout) in [
+        (&generation_store, "a generation store (CURRENT pointer"),
+        (
+            &sharded_v1,
+            "a version-1 sharded store (MANIFEST over shard-NNNN/)",
+        ),
+    ] {
+        std::fs::write(root.join(".MANIFEST.1.0.tmp"), b"stray").unwrap();
+        let before = tree(root);
+        let errors = [
+            Store::open(root).map(drop).map_err(|e| e.to_string()),
+            ShardedIndex::open(root)
+                .map(drop)
+                .map_err(|e| e.to_string()),
+            ServingIndex::open(root)
+                .map(drop)
+                .map_err(|e| e.to_string()),
+            IngestIndex::open(root, Some(config()), IngestOptions::default())
+                .map(drop)
+                .map_err(|e| e.to_string()),
+            build_sharded(&a, config(), root, 2, &ShardedBuildOptions::default())
+                .map(drop)
+                .map_err(|e| e.to_string()),
+        ];
+        for error in errors {
+            let error = error.expect_err("an old layout must not open");
+            assert!(error.contains(layout), "{error:?} does not name {layout:?}");
+        }
+        assert!(
+            tree(root) == before,
+            "a refused open changed {}",
+            root.display()
+        );
+        std::fs::remove_dir_all(root).ok();
+    }
 }

@@ -1,4 +1,4 @@
-//! Differential: overlay queries over {published generations + memtable
+//! Differential: overlay queries over {published segments + memtable
 //! segments} must be **identical** to a cold full rebuild of the same
 //! texts — the CI-gated exactness contract of the ingest path.
 //!
@@ -233,6 +233,58 @@ fn overlay_is_exact_across_a_concurrent_publish() {
     std::fs::remove_dir_all(&root).ok();
 }
 
+/// Ingest over a store built with `--shards 2`: `covered` is the
+/// manifest's text count, so the appended text gets id 40, compaction
+/// merges it into the last segment, and the published list — still two
+/// segments, the first untouched — finds it under that id.
+#[test]
+fn ingest_appends_after_every_segment_of_a_multi_segment_store() {
+    let root = scratch("overlay", "two_segments");
+    let (corpus, _) = SyntheticCorpusBuilder::new(101)
+        .num_texts(40)
+        .text_len(60, 120)
+        .vocab_size(500)
+        .build();
+    let cfg = IndexConfig::new(4, 15, 9).bit_packed(true);
+    build_sharded(
+        &corpus,
+        cfg.clone(),
+        &root,
+        2,
+        &ShardedBuildOptions::default(),
+    )
+    .unwrap();
+    let first = Store::open(&root).unwrap().manifest().unwrap().segments[0].clone();
+
+    let text: Vec<TokenId> = (10_000..10_080).collect();
+    let opts = IngestOptions {
+        fsync_every: 1,
+        ..IngestOptions::default()
+    };
+    let mut ingest = IngestIndex::open(&root, Some(cfg), opts.clone()).unwrap();
+    assert_eq!(ingest.covered(), 40);
+    assert_eq!(ingest.append(&text).unwrap(), 40);
+    ingest.rotate().unwrap();
+    assert_eq!(ingest.compact_all().unwrap(), 1);
+    drop(ingest);
+
+    let manifest = Store::open(&root).unwrap().verify().unwrap();
+    assert_eq!(manifest.segments.len(), 2);
+    assert_eq!(
+        manifest.segments[0], first,
+        "the first segment is untouched"
+    );
+    assert_eq!(manifest.num_texts(), 41);
+    let reopened = IngestIndex::open(&root, None, opts).unwrap();
+    assert_eq!((reopened.covered(), reopened.pending_texts()), (41, 0));
+
+    let view = ShardedIndex::open(&root).unwrap();
+    let outcome = view.searcher().unwrap().search(&text[10..70], 0.8).unwrap();
+    let found: Vec<TextId> = outcome.matches.iter().map(|m| m.text).collect();
+    assert_eq!(found, [40]);
+    std::fs::remove_dir_all(&root).ok();
+}
+
 /// Texts per lane that contain [`planted_span`] verbatim.
 const PLANTED_PER_LANE: usize = 4;
 /// Published, frozen, active.
@@ -356,7 +408,7 @@ fn one_budget_is_split_across_disk_and_memory_lanes() {
 #[test]
 fn quarantined_disk_still_serves_the_memtable() {
     let (root, ingest) = planted_in_every_lane("disk_quarantined");
-    let plan = FaultPlan::new("gen-", 0);
+    let plan = FaultPlan::new("seg-", 0);
     let options = ServingOptions {
         cache: CacheConfig::disabled(),
         io: ndss::index::ReadOptions::with_faults(plan.clone()),

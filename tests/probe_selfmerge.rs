@@ -1,10 +1,10 @@
 //! A crash between a compaction's publish and its trim leaves the memtable
-//! manifest's `compact_gen` naming the generation that is `CURRENT` now.
-//! If another frozen segment is pending, recovery used to keep that
-//! pointer, and the next compaction reused it as its merge target:
-//! `merge(CURRENT, seal) → CURRENT`, rewriting the serving generation in
+//! manifest's `compact_gen` naming the segment the store serves now. If
+//! another frozen segment is pending, recovery used to keep that pointer,
+//! and the next compaction reused it as its merge target:
+//! `merge(serving, seal) → serving`, rewriting the serving segment in
 //! place. This sweep crashes the ingest path at every kill point and pins
-//! that a published generation is never written again.
+//! that a published segment is never written again.
 
 use std::os::unix::fs::MetadataExt;
 use std::path::Path;
@@ -47,11 +47,16 @@ fn drive(root: &Path, kill: Option<Arc<KillPoints>>) -> Result<(), IndexError> {
     Ok(())
 }
 
+/// The store's last serving segment ("" before the first publish).
 fn current(root: &Path) -> String {
-    std::fs::read_to_string(root.join("CURRENT"))
+    let manifest = ndss::index::Manifest::load(root)
+        .unwrap()
+        .unwrap_or_default();
+    manifest
+        .segments
+        .last()
+        .map(|s| s.dir.clone())
         .unwrap_or_default()
-        .trim()
-        .to_string()
 }
 
 /// `compact_gen` as recorded in the memtable manifest ("" when unset).
@@ -65,7 +70,7 @@ fn compact_gen(root: &Path) -> String {
         .to_string()
 }
 
-/// Every file of a generation directory as `(name, inode, bytes)`, sorted.
+/// Every file of a segment directory as `(name, inode, bytes)`, sorted.
 fn fingerprint(dir: &Path) -> Vec<(String, u64, Vec<u8>)> {
     let mut files: Vec<_> = std::fs::read_dir(dir)
         .unwrap()
@@ -107,7 +112,7 @@ fn published_generation_is_never_a_merge_target() {
             assert_ne!(
                 compact_gen(&root),
                 serving,
-                "kill point {n}: recovery kept compact_gen on CURRENT with {frozen} frozen segments"
+                "kill point {n}: recovery kept compact_gen on the serving segment with {frozen} frozen segments"
             );
         }
         let before = (!serving.is_empty()).then(|| fingerprint(&root.join(&serving)));
@@ -115,7 +120,7 @@ fn published_generation_is_never_a_merge_target() {
             windows_hit += 1;
         }
 
-        // Finish the work. The generation that was serving at the crash is
+        // Finish the work. The segment that was serving at the crash is
         // retained (`keep: 1`) unless two more were published; while it
         // exists it is the same files, byte for byte and inode for inode.
         drive(&root, None).unwrap();
@@ -124,7 +129,7 @@ fn published_generation_is_never_a_merge_target() {
             if dir.is_dir() {
                 assert!(
                     before == fingerprint(&dir),
-                    "kill point {n}: published generation {serving} was rewritten in place"
+                    "kill point {n}: published segment {serving} was rewritten in place"
                 );
             }
         }
@@ -134,7 +139,7 @@ fn published_generation_is_never_a_merge_target() {
     }
     assert!(
         windows_hit > 0,
-        "no kill point left a serving generation with frozen segments pending"
+        "no kill point left a serving segment with frozen segments pending"
     );
     std::fs::remove_dir_all(&base).ok();
 }

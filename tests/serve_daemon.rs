@@ -33,10 +33,10 @@ fn config() -> IndexConfig {
     IndexConfig::new(8, 20, 13)
 }
 
-fn build_generation(store: &GenerationStore, corpus: &InMemoryCorpus) -> String {
-    let dir = store.allocate().unwrap();
-    build_and_write(corpus, config(), &dir, true).unwrap();
-    dir.file_name().unwrap().to_string_lossy().into_owned()
+fn build_segment(store: &Store, corpus: &InMemoryCorpus) -> String {
+    let name = store.allocate().unwrap();
+    build_and_write(corpus, config(), &store.root().join(&name), true).unwrap();
+    name
 }
 
 fn corpus_a() -> (InMemoryCorpus, Vec<Vec<u32>>) {
@@ -147,11 +147,11 @@ fn start_server_capped(store: &Path, admission_cap: usize) -> RunningServer {
 #[test]
 fn both_protocols_agree_with_a_cold_open() {
     let root = scratch("serve", "protocols");
-    let store = GenerationStore::open(&root).unwrap();
+    let store = Store::open(&root).unwrap();
     let (corpus, queries) = corpus_a();
-    let name = build_generation(&store, &corpus);
-    store.publish(&name, 1).unwrap();
-    let gen_dir = root.join(&name);
+    let name = build_segment(&store, &corpus);
+    store.publish(&[&name], 1).unwrap();
+    let seg_dir = root.join(&name);
 
     let server = start_server(&root);
     let addr = server.handle().addr();
@@ -164,7 +164,7 @@ fn both_protocols_agree_with_a_cold_open() {
     assert_eq!(frames.ping().unwrap(), 0);
 
     for query in &queries {
-        let cold = cold_fingerprint(&gen_dir, query);
+        let cold = cold_fingerprint(&seg_dir, query);
 
         let reply = http
             .request("POST", "/search", search_body(query).as_bytes())
@@ -172,7 +172,7 @@ fn both_protocols_agree_with_a_cold_open() {
         assert_eq!(reply.status, 200, "search: {}", reply.text());
         let (complete, generation, live) = json_fingerprint(&reply.text());
         assert!(complete);
-        assert_eq!(generation, 0);
+        assert_eq!(generation, 1);
         assert_eq!(live, cold, "HTTP results differ from a cold open");
 
         let wire = frames
@@ -234,10 +234,10 @@ fn both_protocols_agree_with_a_cold_open() {
 #[test]
 fn concurrent_clients_during_reload_see_one_generation_at_a_time() {
     let root = scratch("serve", "reload_race");
-    let store = GenerationStore::open(&root).unwrap();
+    let store = Store::open(&root).unwrap();
     let (corpus, queries) = corpus_a();
-    let gen_a = build_generation(&store, &corpus);
-    store.publish(&gen_a, 2).unwrap();
+    let gen_a = build_segment(&store, &corpus);
+    store.publish(&[&gen_a], 2).unwrap();
     let cold_a = cold_fingerprint(&root.join(&gen_a), &queries[0]);
 
     let updated = corpus_b(&corpus, &queries);
@@ -266,8 +266,8 @@ fn concurrent_clients_during_reload_see_one_generation_at_a_time() {
                     // Every response must be bit-identical to a cold open
                     // of the generation it claims to come from.
                     match generation {
-                        0 => assert_eq!(live, cold_a, "gen-0 response differs from cold open"),
-                        1 => {
+                        1 => assert_eq!(live, cold_a, "gen-1 response differs from cold open"),
+                        2 => {
                             // cold_b is only computable after the build
                             // lands; record the fingerprint and verify on
                             // the main thread afterwards.
@@ -283,8 +283,8 @@ fn concurrent_clients_during_reload_see_one_generation_at_a_time() {
         .collect();
 
     // Publish generation B and hot-swap it in under live traffic.
-    let gen_b = build_generation(&store, &updated);
-    store.publish(&gen_b, 2).unwrap();
+    let gen_b = build_segment(&store, &updated);
+    store.publish(&[&gen_b], 2).unwrap();
     let mut http = HttpClient::connect(addr, TIMEOUT).unwrap();
     let reload = http.request("POST", "/reload", b"").unwrap();
     assert_eq!(reload.status, 200);
@@ -306,7 +306,7 @@ fn concurrent_clients_during_reload_see_one_generation_at_a_time() {
     let reply = http.request("POST", "/search", body.as_bytes()).unwrap();
     let (complete, generation, live) = json_fingerprint(&reply.text());
     assert!(complete);
-    assert_eq!(generation, 1);
+    assert_eq!(generation, 2);
     assert_eq!(
         live, cold_b,
         "post-reload response differs from cold open of B"
@@ -318,10 +318,10 @@ fn concurrent_clients_during_reload_see_one_generation_at_a_time() {
 #[test]
 fn drain_answers_every_in_flight_query() {
     let root = scratch("serve", "drain");
-    let store = GenerationStore::open(&root).unwrap();
+    let store = Store::open(&root).unwrap();
     let (corpus, queries) = corpus_a();
-    let name = build_generation(&store, &corpus);
-    store.publish(&name, 1).unwrap();
+    let name = build_segment(&store, &corpus);
+    store.publish(&[&name], 1).unwrap();
 
     let server = start_server(&root);
     let addr = server.handle().addr();
@@ -402,11 +402,11 @@ fn sharded_cold_fingerprint(root: &Path, query: &[u32]) -> Fingerprint {
         .collect()
 }
 
-/// Republishing one shard and hot-reloading under live clients never
-/// yields a torn cross-shard view: every `/search` response reports
-/// exactly one manifest generation, and its results are bit-identical to
-/// a cold open of that generation's view — even while `POST /reload`
-/// races the per-shard publish.
+/// Publishing a two-segment list with one row replaced and hot-reloading
+/// under live clients never yields a torn view: every `/search` response
+/// reports exactly one manifest generation, and its results are
+/// bit-identical to a cold open of that generation's view — even while
+/// `POST /reload` races the publish.
 #[test]
 fn sharded_reload_of_one_shard_is_atomic_to_clients() {
     let root = scratch("serve", "sharded_reload");
@@ -415,7 +415,7 @@ fn sharded_reload_of_one_shard_is_atomic_to_clients() {
     let query = queries[0].clone();
     let cold_v1 = sharded_cold_fingerprint(&root, &query);
 
-    // Shard 1's replacement slice: text 15 now repeats query 0.
+    // Segment 1's replacement slice: text 15 now repeats query 0.
     let mut texts: Vec<Vec<u32>> = (0..corpus.num_texts() as u32)
         .map(|i| corpus.text(i).to_vec())
         .collect();
@@ -466,18 +466,18 @@ fn sharded_reload_of_one_shard_is_atomic_to_clients() {
         })
         .collect();
 
-    // Rebuild and publish shard 1 only (one manifest bump), then fire
-    // several concurrent reloads — only the manifest flip may be visible.
+    // Rebuild segment 1 only and publish the list with that row replaced
+    // (one manifest write), then fire several concurrent reloads — only the
+    // manifest flip may be visible.
     {
-        let mut store = ShardedStore::open(&root).unwrap();
-        let spec = store.manifest().shards[1].clone();
-        let shard_store = store.shard_store(1).unwrap();
-        let gen_dir = shard_store.allocate().unwrap();
-        let slice = CorpusSlice::new(&updated, spec.first_text, spec.num_texts as usize);
-        ndss::index::build_and_write(&slice, config(), &gen_dir, true).unwrap();
-        let new_gen = gen_dir.file_name().unwrap().to_string_lossy().into_owned();
-        store.publish_shard(1, &new_gen, 2).unwrap();
-        assert_eq!(store.manifest().generation, 2);
+        let store = Store::open(&root).unwrap();
+        let manifest = store.manifest().unwrap();
+        let row = &manifest.segments[1];
+        let new = store.allocate().unwrap();
+        let slice = CorpusSlice::new(&updated, row.first_text, row.num_texts as usize);
+        ndss::index::build_and_write(&slice, config(), &root.join(&new), true).unwrap();
+        let list = [manifest.segments[0].dir.clone(), new];
+        assert_eq!(store.publish(&list, 2).unwrap().generation, 2);
     }
     let reloaders: Vec<_> = (0..3)
         .map(|_| {
@@ -505,7 +505,7 @@ fn sharded_reload_of_one_shard_is_atomic_to_clients() {
     // Post-reload, the served answer matches a cold open of the new view
     // and reports the new manifest generation.
     let cold_v2 = sharded_cold_fingerprint(&root, &query);
-    assert_ne!(cold_v1, cold_v2, "shard-1 rebuild must change query 0");
+    assert_ne!(cold_v1, cold_v2, "segment-1 rebuild must change query 0");
     let reply = http.request("POST", "/search", body.as_bytes()).unwrap();
     let (complete, generation, live) = json_fingerprint(&reply.text());
     assert!(complete);
@@ -539,7 +539,7 @@ fn drain_is_prompt_while_a_shard_is_quarantined() {
     let (corpus, queries) = corpus_a();
     build_sharded(&corpus, config(), &root, 2, &ShardedBuildOptions::default()).unwrap();
 
-    let plan = FaultPlan::new("shard-0001", 0);
+    let plan = FaultPlan::new("seg-0001", 0);
     let serving = ServingIndex::open_with_options(
         &root,
         ServingOptions {

@@ -93,12 +93,11 @@ fn sharded_results_match_single_index_oracle_across_grid() {
                 packed,
                 &format!("grid_{format}_s{shards}"),
             );
-            // The store itself must verify end to end: manifest, per-shard
-            // serving generations, and per-shard text-range coverage.
-            let store = ShardedStore::open(&root).unwrap();
-            store.verify().unwrap();
-            assert_eq!(store.num_shards(), shards);
-            assert_eq!(store.manifest().num_texts(), corpus.num_texts() as u64);
+            // The store itself must verify end to end: manifest, every
+            // serving segment, and each segment's text-range coverage.
+            let manifest = Store::open(&root).unwrap().verify().unwrap();
+            assert_eq!(manifest.segments.len(), shards);
+            assert_eq!(manifest.num_texts(), corpus.num_texts() as u64);
 
             let view = ShardedIndex::open(&root).unwrap();
             assert_eq!(view.num_shards(), shards);
@@ -236,9 +235,9 @@ fn batch_equals_sequential_over_shards() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// The single-shard special case really is special-case-free: a 1-shard
-/// store, a plain index directory, and an unsharded generation store all
-/// open into the same view type and answer identically.
+/// The single-segment special case really is special-case-free: a
+/// one-segment store and a plain index directory open into the same view
+/// type and answer identically.
 #[test]
 fn one_shard_store_equals_plain_directory() {
     let (corpus, queries) = workload();

@@ -20,15 +20,14 @@
 //! memorised set (windows of planted copies) finds candidates on every
 //! query; the novel set (windows of a second corpus) finds almost none.
 //! Publishing is counted apart from building: the fsyncs of one
-//! generation-store publish and of one two-shard `publish_all`, each of
-//! generations already built.
+//! `Store::publish` of one built segment and of two, each one `MANIFEST`
+//! write.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use ndss::corpus::PlantedDuplicate;
-use ndss::index::generation::generation_name;
 use ndss::index::{build_and_write, CacheConfig};
 use ndss::prelude::*;
 use ndss::query::QueryStats;
@@ -120,9 +119,9 @@ struct IndexWork {
     /// Every byte a fresh build leaves in its directory, written once.
     bytes: u64,
     fsyncs: u64,
-    /// One `GenerationStore::publish` of a built generation.
+    /// One `Store::publish` of one built segment.
     publish_fsyncs: u64,
-    /// One `ShardedStore::publish_all` of two built shards.
+    /// One `Store::publish` of two built segments.
     sharded_publish_fsyncs: u64,
 }
 
@@ -141,23 +140,23 @@ fn build(corpus: &InMemoryCorpus, dir: &Path) -> IndexWork {
     let _serial = FSYNCS.lock().unwrap_or_else(|e| e.into_inner());
     let fsyncs_per_build = fsyncs(|| build_and_write(corpus, config(), dir, false).unwrap());
 
-    let root = scratch("work_counters", "publish");
-    let store = GenerationStore::open(&root).unwrap();
-    build_and_write(corpus, config(), &store.allocate().unwrap(), false).unwrap();
-    let publish_fsyncs = fsyncs(|| store.publish(&generation_name(0), 1).unwrap());
-
-    let root = scratch("work_counters", "sharded_publish");
-    let ranges = partition_texts(corpus.num_texts(), 2);
-    let mut sharded = ShardedStore::create(&root, &ranges).unwrap();
-    for (i, &(first, len)) in ranges.iter().enumerate() {
-        let slice = CorpusSlice::new(corpus, first, len as usize);
-        let dir = sharded.shard_store(i).unwrap().allocate().unwrap();
-        build_and_write(&slice, config(), &dir, false).unwrap();
-    }
-    let names = vec![generation_name(0); 2];
-    let sharded_publish_fsyncs = fsyncs(|| sharded.publish_all(&names, 1).unwrap());
-    std::fs::remove_dir_all(&root).ok();
-    std::fs::remove_dir_all(store.root()).ok();
+    let publish = |shards: usize, tag: &str| {
+        let store = Store::open(&scratch("work_counters", tag)).unwrap();
+        let names: Vec<String> = partition_texts(corpus.num_texts(), shards)
+            .into_iter()
+            .map(|(first, len)| {
+                let name = store.allocate().unwrap();
+                let slice = CorpusSlice::new(corpus, first, len as usize);
+                build_and_write(&slice, config(), &store.root().join(&name), false).unwrap();
+                name
+            })
+            .collect();
+        let n = fsyncs(|| store.publish(&names, 1).unwrap());
+        std::fs::remove_dir_all(store.root()).ok();
+        n
+    };
+    let publish_fsyncs = publish(1, "publish");
+    let sharded_publish_fsyncs = publish(2, "sharded_publish");
 
     IndexWork {
         tokens: corpus.total_tokens(),
