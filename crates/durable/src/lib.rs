@@ -26,14 +26,37 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide count of `fsync` calls issued by this crate (file
-/// `sync_all` on commit plus directory syncs). Build pipelines snapshot it
-/// before/after a phase to report fsyncs per artifact without this crate
-/// depending on the observability layer.
+/// `sync_all` on commit, directory syncs, and [`sync_data`] on append-only
+/// logs). Build pipelines snapshot it before/after a phase to report
+/// fsyncs per artifact without this crate depending on the observability
+/// layer.
 static FSYNC_COUNTER: AtomicU64 = AtomicU64::new(0);
+
+/// Process-wide count of bytes handed to the OS by [`AtomicFile`] writes
+/// plus those reported by [`count_written`]; snapshotted the same way.
+static WRITTEN_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// Total `fsync`s (file + directory) performed via this crate so far.
 pub fn fsync_count() -> u64 {
     FSYNC_COUNTER.load(Ordering::Relaxed)
+}
+
+/// Total bytes written via this crate so far (see [`count_written`]).
+pub fn bytes_written() -> u64 {
+    WRITTEN_COUNTER.load(Ordering::Relaxed)
+}
+
+/// Adds `n` bytes that a writer outside [`AtomicFile`] (an append-only log)
+/// wrote to [`bytes_written`].
+pub fn count_written(n: u64) {
+    WRITTEN_COUNTER.fetch_add(n, Ordering::Relaxed);
+}
+
+/// `fdatasync`s an append-only log, counted in [`fsync_count`].
+pub fn sync_data(file: &File) -> io::Result<()> {
+    file.sync_data()?;
+    FSYNC_COUNTER.fetch_add(1, Ordering::Relaxed);
+    Ok(())
 }
 
 /// A file that materializes at its destination path only on [`commit`].
@@ -109,7 +132,9 @@ impl Drop for AtomicFile {
 
 impl Write for AtomicFile {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.file().write(buf)
+        let n = self.file().write(buf)?;
+        count_written(n as u64);
+        Ok(n)
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -221,6 +246,15 @@ mod tests {
             after >= before + expected,
             "fsync count {before} -> {after}"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn written_counter_advances_by_the_bytes_written() {
+        let dir = temp_dir("written");
+        let before = bytes_written();
+        write_atomic(&dir.join("a.bin"), b"12345").unwrap();
+        assert!(bytes_written() >= before + 5);
         std::fs::remove_dir_all(&dir).ok();
     }
 

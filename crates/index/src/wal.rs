@@ -226,7 +226,8 @@ impl WalWriter {
         let header = WalHeader { seq, base };
         let mut file = File::create(path)?;
         file.write_all(&header.encode())?;
-        file.sync_data()?;
+        ndss_durable::count_written(WAL_HEADER_LEN as u64);
+        ndss_durable::sync_data(&file)?;
         Ok(WalWriter {
             file: BufWriter::new(file),
             path: path.to_path_buf(),
@@ -255,7 +256,7 @@ impl WalWriter {
         let mut file = OpenOptions::new().write(true).read(true).open(path)?;
         if replay.torn {
             file.set_len(replay.valid_len)?;
-            file.sync_data()?;
+            ndss_durable::sync_data(&file)?;
         }
         file.seek(SeekFrom::End(0))?;
         Ok((
@@ -312,6 +313,7 @@ impl WalWriter {
         self.file.write_all(&crc.to_le_bytes())?;
         self.file.write_all(&payload)?;
         let frame = (WAL_FRAME_PREFIX + payload.len()) as u64;
+        ndss_durable::count_written(frame);
         self.len += frame;
         self.dirty = true;
         Ok(frame)
@@ -325,7 +327,7 @@ impl WalWriter {
             return Ok(());
         }
         self.file.flush()?;
-        self.file.get_ref().sync_data()?;
+        ndss_durable::sync_data(self.file.get_ref())?;
         self.dirty = false;
         Ok(())
     }
