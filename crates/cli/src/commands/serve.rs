@@ -15,9 +15,10 @@
 //!
 //! `--ingest` (requires `--index` to be a store) additionally accepts
 //! `POST /ingest`: appended texts are WAL-durable before the ack and
-//! visible to queries immediately through the overlay, while a background
-//! compactor folds frozen segments into the store's last segment every
-//! `--ingest-compact-ms`.
+//! visible to queries immediately through the overlay, while every
+//! `--ingest-compact-ms` a background compactor appends each frozen
+//! segment to the store as a segment of its own and merges short runs of
+//! the newest segments.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;

@@ -50,7 +50,7 @@ pub fn write_memory_index(index: &MemoryIndex, dir: &Path) -> Result<DiskIndex, 
 /// Writes any in-memory posting-list source to `dir`: `lists(func)` must
 /// yield `(hash, postings)` in ascending hash order with each list in
 /// canonical `(text, window)` order — the contract of
-/// [`MemoryIndex::sorted_lists`]. The ingest path seals memtable segments
+/// [`MemoryIndex::sorted_lists`]. Ingest compaction writes memtable segments
 /// through this without first copying them into a [`MemoryIndex`].
 pub(crate) fn write_lists<'a>(
     config: &IndexConfig,

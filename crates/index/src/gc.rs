@@ -127,9 +127,10 @@ pub(crate) fn remove_dir_counting(path: &Path) -> u64 {
 /// * a `memtable/` directory with no manifest at all (the manifest is
 ///   written before the first WAL, so this is a crashed creation or a
 ///   hand-deleted manifest — the WALs are unownable), and
-/// * with a valid manifest, WAL files and seal directories whose sequence
-///   is below `trimmed_below`: sealed away into a published segment,
-///   orphaned only because the crash landed mid-trim.
+/// * with a valid manifest, WAL files whose sequence is below
+///   `trimmed_below`: compacted into a published segment, orphaned only
+///   because the crash landed mid-trim; and `seal-S` directories below it,
+///   where an earlier compaction staged a memtable before merging it.
 ///
 /// Returns files removed (the caller counts them into `index.gc_files`).
 pub(crate) fn sweep_memtable(root: &Path) -> u64 {

@@ -1,5 +1,5 @@
 //! Crash-safe incremental ingest: a WAL-backed in-memory segment in front
-//! of a store, with resumable seal/merge compaction.
+//! of a store, with resumable compaction into new segments.
 //!
 //! The immutable build pipeline (ROADMAP item 3's starting point) forces a
 //! full rebuild for any corpus change. This module adds the mutable path:
@@ -11,12 +11,12 @@
 //! * [`crate::wal`] — every accepted text is WAL-framed before it is
 //!   acked; recovery replays the longest valid prefix.
 //! * [`IngestIndex`] — the orchestrator: append → WAL + segment, rotate
-//!   full segments behind new WAL files, and **compact** frozen segments
-//!   into the store's last segment via the journaled merge machinery.
-//!   Every step is resumable from any kill point, publish is atomic, and a
-//!   WAL is only trimmed after the covering segment has been verified and
-//!   published — so a text is durable from the moment its append is acked,
-//!   and never duplicated.
+//!   full segments behind new WAL files, and **compact** each frozen one
+//!   into a new store segment, then merge short runs of the newest ones
+//!   ([`tail_run`]). Every step is resumable from any kill point, publish
+//!   is atomic, and a WAL is only trimmed after the covering segment has
+//!   been verified and published — so a text is durable from the moment
+//!   its append is acked, and never duplicated.
 //!
 //! ## Lifecycle and crash windows
 //!
@@ -24,20 +24,21 @@
 //! append:   WAL frame → mem postings → (group) fsync → acked
 //! rotate:   sync WAL S → freeze segment → manifest active_wal = S+1
 //!           → create WAL S+1
-//! compact:  seal segment S to memtable/seal-S/ (deterministic rebuild)
-//!           → memtable compact_gen = seg-N → merge(last segment, seal)
-//!           → seg-N → publish the list with its last row replaced by
-//!           seg-N (verify_integrity + one atomic MANIFEST write)
-//!           → memtable trimmed_below = S+1 → delete WAL S + seal-S
+//! compact:  write segment S into a fresh seg-N → publish the list with
+//!           seg-N appended (verify seg-N + one atomic MANIFEST write)
+//!           → while tail_run picks a run: memtable compact_gen = seg-M
+//!             → merge(run) → seg-M → publish the run replaced by seg-M
+//!           → memtable trimmed_below = S+1 → delete WAL S
 //! ```
 //!
 //! Recovery derives everything from the store's `MANIFEST` + the memtable
 //! manifest + the WALs: replay skips records whose id is already covered by
-//! the published list (the crash landed between publish and trim), seals are
-//! rewritten deterministically, and an interrupted merge resumes from its
-//! own journal. The open-path GC (`gc.rs`) never touches a WAL
-//! referenced by a live manifest — even a corrupt manifest protects its
-//! WALs, exactly like a corrupt build journal protects its runs.
+//! the published list (the crash landed between publish and trim), a
+//! segment never published is collected by the next publish, and an
+//! interrupted tail merge resumes from its own journal. The open-path GC
+//! (`gc.rs`) never touches a WAL referenced by a live manifest — even a
+//! corrupt manifest protects its WALs, exactly like a corrupt build journal
+//! protects its runs.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -49,7 +50,7 @@ use ndss_windows::{HashedWindow, WindowGenerator};
 
 use crate::disk::DiskIndex;
 use crate::journal::{self, KillPoints};
-use crate::merge::{merge_indexes_with, MergeOptions};
+use crate::merge::{self, merge_indexes_with, MergeOptions};
 use crate::store::Store;
 use crate::wal::{self, WalWriter};
 use crate::{build, record, IndexAccess, IndexConfig, IndexError, MemoryIndex};
@@ -76,8 +77,11 @@ fn replays_counter() -> ndss_obs::Counter {
     )
 }
 
-fn seals_counter() -> ndss_obs::Counter {
-    ndss_obs::Registry::global().counter("ingest.seals", "RAM segments sealed to disk")
+fn tail_merges_counter() -> ndss_obs::Counter {
+    ndss_obs::Registry::global().counter(
+        "ingest.tail_merges",
+        "Runs of adjacent segments merged into one after a compaction",
+    )
 }
 
 fn compactions_counter() -> ndss_obs::Counter {
@@ -109,6 +113,23 @@ fn config_fingerprint(config: &IndexConfig) -> u64 {
     journal::fingerprint(&["memtable", &template(config).to_json_pretty()])
 }
 
+/// Segments a tail merge joins into one.
+const TAIL_FAN_OUT: usize = 3;
+
+/// The tail rule, a pure function of the serving list's `num_texts`
+/// column: where the newest [`TAIL_FAN_OUT`] rows start when they are to be
+/// merged into one — when the oldest of them holds fewer than
+/// `TAIL_FAN_OUT` × the texts of each newer one. Equal compactions merge in
+/// threes, then threes of those, so a text is rewritten about once per size
+/// class and the list holds O(fan-out × log(store / compaction)) rows; a
+/// small row is absorbed by the runs after it, not stranded behind bigger
+/// ones; batch-built rows are merged only once the tail reaches their size.
+pub(crate) fn tail_run(num_texts: &[u64]) -> Option<usize> {
+    let first = num_texts.len().checked_sub(TAIL_FAN_OUT)?;
+    let newest = num_texts[first + 1..].iter().min()?;
+    (num_texts[first] < TAIL_FAN_OUT as u64 * newest).then_some(first)
+}
+
 // ---------------------------------------------------------------------------
 // Manifest
 // ---------------------------------------------------------------------------
@@ -130,9 +151,9 @@ pub(crate) struct MemtableManifest {
     /// All WALs with `seq < trimmed_below` are covered by published
     /// segments and may be deleted.
     pub trimmed_below: u64,
-    /// Name of the segment an in-flight compaction is merging into (empty
-    /// when no compaction is mid-flight). Lets recovery resume the same
-    /// merge instead of hijacking an unrelated resumable build.
+    /// The segment an in-flight tail merge lands in ("" when none), so
+    /// recovery resumes that merge and never writes into another build's
+    /// directory or a published segment.
     pub compact_gen: String,
 }
 
@@ -328,10 +349,11 @@ impl IngestIndex {
     ) -> Result<Self, IndexError> {
         let store = Store::open(root)?;
         let published = store.manifest()?;
-        let disk_config = match published.segments.last() {
-            Some(last) => Some(DiskIndex::open(&root.join(&last.dir))?.config().clone()),
-            None => None,
-        };
+        let last = published.segments.last();
+        let last = last
+            .map(|s| DiskIndex::open(&root.join(&s.dir)))
+            .transpose()?;
+        let disk_config = last.map(|d| d.config().clone());
         let covered = published.num_texts();
 
         let manifest = MemtableManifest::load(root)?;
@@ -380,10 +402,6 @@ impl IngestIndex {
         root.join(MEMTABLE_DIR)
             .join(WAL_DIR)
             .join(wal::wal_file_name(seq))
-    }
-
-    fn seal_dir(root: &Path, seq: u64) -> PathBuf {
-        root.join(MEMTABLE_DIR).join(format!("seal-{seq:06}"))
     }
 
     fn recover(
@@ -474,43 +492,18 @@ impl IngestIndex {
             expect = record.text_id + 1;
             replayed += 1;
         }
-        if replayed > 0 {
-            replays_counter().inc(replayed);
-        }
+        replays_counter().inc(replayed);
 
-        // Trim bookkeeping that the crash interrupted: advance the
-        // watermark past fully-covered WALs, then delete them and any seal
-        // directory for a no-longer-frozen sequence.
-        if trimmed != manifest.trimmed_below || !manifest.compact_gen.is_empty() {
-            // Compaction takes the oldest frozen segment first, so a WAL
-            // found fully covered is the one `compact_gen` was allocated
-            // for: that compaction reached publish and the pointer names a
-            // serving segment now. It must not outlive this recovery — the
-            // next compaction would reuse it as its target and merge that
-            // segment into itself, rewriting it in place. With nothing
-            // frozen there is no compaction to resume either.
-            if trimmed != manifest.trimmed_below || frozen.is_empty() {
-                manifest.compact_gen.clear();
-            }
+        // The trim the crash interrupted: advance the watermark past
+        // fully-covered WALs, then sweep them (`Store::open` swept those
+        // below the old one).
+        if trimmed != manifest.trimmed_below {
             manifest.trimmed_below = trimmed;
             manifest.save(root)?;
-        }
-        let mut removed = 0u64;
-        for seq in 0..manifest.trimmed_below {
-            let path = Self::wal_path(root, seq);
-            if path.is_file() && std::fs::remove_file(&path).is_ok() {
-                removed += 1;
-            }
-            let seal = Self::seal_dir(root, seq);
-            if seal.is_dir() {
-                removed += crate::gc::remove_dir_counting(&seal);
-            }
-        }
-        if removed > 0 {
-            crate::gc::gc_counter().inc(removed);
+            crate::gc::gc_counter().inc(crate::gc::sweep_memtable(root));
         }
 
-        let ingest = IngestIndex {
+        let mut ingest = IngestIndex {
             root: root.to_path_buf(),
             store,
             config,
@@ -526,6 +519,12 @@ impl IngestIndex {
             generator,
             windows_buf,
         };
+        // Settle a tail merge the crash interrupted before anything else
+        // runs. (A pointer to an older compaction's merge of a staged seal
+        // into the last segment is discarded; its segment replays.)
+        if !ingest.manifest.compact_gen.is_empty() {
+            ingest.merge_tail(false)?;
+        }
         ingest.publish_pending_gauge();
         Ok(ingest)
     }
@@ -647,119 +646,108 @@ impl IngestIndex {
         Ok(())
     }
 
-    /// Compacts the oldest frozen segment into the store: seal it to disk,
-    /// merge it with the store's last segment (journaled + resumable),
-    /// publish the list with that row replaced, then trim the covering
-    /// WAL. Returns `false` when no frozen segment is pending. Resumable
-    /// from any kill point — rerunning after a crash continues (or
-    /// deterministically redoes) the interrupted step.
+    /// Compacts the oldest frozen segment into the store: writes it into a
+    /// fresh segment, publishes the list with that row appended, merges the
+    /// runs [`tail_run`] picks, then trims the covering WAL. Returns `false`
+    /// when no frozen segment is pending. Resumable from any kill point —
+    /// rerunning after a crash continues (or deterministically redoes) the
+    /// interrupted step.
     pub fn compact_once(&mut self) -> Result<bool, IndexError> {
         let Some(seg) = self.frozen.first() else {
             return Ok(false);
         };
         let _span = ndss_obs::span("ingest.compact");
-        let seq = seg.wal_seq();
         let kill = self.opts.kill.clone();
-        let mut dirs = self.store.manifest()?.dirs();
-
-        // A recorded target the list serves already: an earlier attempt on
-        // this instance published it and failed before the trim (recovery
-        // never leaves this state, it clears the pointer). The segment is
-        // served from disk; merging it again would add its texts twice, and
-        // into a serving segment's own directory. Only the trim is left.
-        if dirs.contains(&self.manifest.compact_gen) {
-            return self.trim_compacted(seq);
-        }
-        let last = dirs.pop().map(|dir| self.root.join(dir));
-
-        // Step 1: seal — deterministically materialize the segment as an
-        // index directory, straight from the postings it accumulated on
-        // append (no window regeneration). A crashed seal is simply
-        // rewritten (same bytes).
-        let seal = Self::seal_dir(&self.root, seq);
-        journal::tick_checkpoint(&kill)?;
-        if last.is_some() {
+        let manifest = self.store.manifest()?;
+        // An earlier attempt on this instance may have published the segment
+        // and failed later: then only the tail and the trim are left.
+        if manifest.num_texts() < seg.base() + seg.len() as u64 {
+            // Steps 1–2: write the postings accumulated on append into a
+            // fresh segment, then verify it and publish the list with it
+            // appended. A crash in between leaves a directory no list names
+            // and no journal holds; the next publish collects it.
+            journal::tick_checkpoint(&kill)?;
+            let dir = self.store.allocate()?;
+            let index = &seg.index;
             build::write_lists(
-                seg.index.config(),
-                |func| seg.index.sorted_lists(func),
-                &seal,
+                index.config(),
+                |f| index.sorted_lists(f),
+                &self.root.join(&dir),
             )?;
+            journal::tick_checkpoint(&kill)?;
+            let mut dirs = manifest.dirs();
+            dirs.push(dir);
+            self.store.publish(&dirs, self.opts.keep)?;
+            compactions_counter().inc(1);
+            journal::tick_checkpoint(&kill)?;
         }
-        seals_counter().inc(1);
-        journal::tick_checkpoint(&kill)?;
-
-        // Step 2: pick the target segment. A manifest-recorded pointer from
-        // an interrupted run is reused so the merge journal resumes;
-        // otherwise allocate a fresh segment and record it first.
-        let gen_dir = match &self.manifest.compact_gen {
-            name if !name.is_empty() && self.root.join(name).is_dir() => self.root.join(name),
-            _ => {
-                self.manifest.compact_gen = self.store.allocate()?;
-                self.manifest.save(&self.root)?;
-                self.root.join(&self.manifest.compact_gen)
-            }
-        };
-        let gen_name = self.manifest.compact_gen.clone();
-        journal::tick_checkpoint(&kill)?;
-
-        // Step 3: merge (or, for the store's first segment, a direct write
-        // — nothing to merge with).
-        if let Some(last_dir) = &last {
-            let mut fresh = MergeOptions::new();
-            if let Some(kp) = &kill {
-                fresh = fresh.kill_points(kp.clone());
-            }
-            let resumed = fresh.clone().resume(true);
-            match merge_indexes_with(&[last_dir, &seal], &gen_dir, &resumed) {
-                Ok(_) => {}
-                Err(IndexError::Malformed(_)) => {
-                    // A stale journal from an unrelated interrupted build in
-                    // this directory: clear it and merge fresh.
-                    std::fs::remove_dir_all(&gen_dir)?;
-                    std::fs::create_dir_all(&gen_dir)?;
-                    merge_indexes_with(&[last_dir, &seal], &gen_dir, &fresh)?;
-                }
-                Err(e) => return Err(e),
-            }
-        } else {
-            build::write_lists(
-                seg.index.config(),
-                |func| seg.index.sorted_lists(func),
-                &gen_dir,
-            )?;
-        }
-        journal::tick_checkpoint(&kill)?;
-
-        // Step 4: verify + atomic publish of the list with its last row
-        // replaced. After this, the segment's texts are served from disk;
-        // until the trim lands, recovery would skip their WAL records as
-        // already covered.
-        dirs.push(gen_name);
-        self.store.publish(&dirs, self.opts.keep)?;
-        compactions_counter().inc(1);
-        journal::tick_checkpoint(&kill)?;
-        self.trim_compacted(seq)
-    }
-
-    /// Step 5 of [`Self::compact_once`], once the oldest frozen segment
-    /// (WAL `seq`) is served from disk: trim — watermark first (so a crash
-    /// mid-delete is finishable), then delete the WAL and the seal.
-    fn trim_compacted(&mut self, seq: u64) -> Result<bool, IndexError> {
-        let kill = self.opts.kill.clone();
+        self.merge_tail(true)?;
+        // Step 4: trim — watermark first (so a crash mid-delete is
+        // finishable), then the WAL.
         let seg = self.frozen.remove(0);
         self.covered += seg.len() as u64;
-        self.manifest.compact_gen.clear();
-        self.manifest.trimmed_below = seq + 1;
+        self.manifest.trimmed_below = seg.wal_seq() + 1;
         self.manifest.save(&self.root)?;
         journal::tick_checkpoint(&kill)?;
-        std::fs::remove_file(Self::wal_path(&self.root, seq)).ok();
-        let seal = Self::seal_dir(&self.root, seq);
-        if seal.is_dir() {
-            std::fs::remove_dir_all(&seal).ok();
-        }
+        std::fs::remove_file(Self::wal_path(&self.root, seg.wal_seq())).ok();
         journal::tick_checkpoint(&kill)?;
         self.publish_pending_gauge();
         Ok(true)
+    }
+
+    /// Step 3 of [`Self::compact_once`]: while [`tail_run`] picks a run,
+    /// merge it (journaled) into a fresh segment and publish the list with
+    /// the run replaced by it. `compact_gen` names the target from before
+    /// its first byte until the next list is settled, so an interrupted
+    /// merge resumes there and nowhere else; a pointer to a listed segment
+    /// (its merge was published) is cleared, one to another run's journal
+    /// deleted with its directory. With `start` off (recovery) only an
+    /// interrupted merge, and the merges after it, run.
+    fn merge_tail(&mut self, mut start: bool) -> Result<(), IndexError> {
+        let kill = self.opts.kill.clone();
+        loop {
+            let manifest = self.store.manifest()?;
+            let rows: Vec<u64> = manifest.segments.iter().map(|s| s.num_texts).collect();
+            let mut dirs = manifest.dirs();
+            let first = tail_run(&rows).unwrap_or(dirs.len());
+            let run: Vec<PathBuf> = dirs
+                .split_off(first)
+                .iter()
+                .map(|d| self.root.join(d))
+                .collect();
+            let run: Vec<&Path> = run.iter().map(PathBuf::as_path).collect();
+            let pointer = std::mem::take(&mut self.manifest.compact_gen);
+            let listed = manifest.names(&pointer);
+            let resume = !(pointer.is_empty() || listed || run.is_empty())
+                && merge::resumes_into(&run, &self.root.join(&pointer));
+            if !pointer.is_empty() && !resume {
+                if !listed {
+                    std::fs::remove_dir_all(self.root.join(&pointer)).ok();
+                }
+                self.manifest.save(&self.root)?;
+            }
+            if run.is_empty() || !(start || resume) {
+                return Ok(());
+            }
+            start = true;
+            self.manifest.compact_gen = if resume {
+                pointer
+            } else {
+                self.store.allocate()?
+            };
+            self.manifest.save(&self.root)?;
+            let target = self.root.join(&self.manifest.compact_gen);
+            journal::tick_checkpoint(&kill)?;
+            let options = kill
+                .clone()
+                .map_or_else(MergeOptions::new, |kp| MergeOptions::new().kill_points(kp));
+            merge_indexes_with(&run, &target, &options.resume(true))?;
+            journal::tick_checkpoint(&kill)?;
+            dirs.push(self.manifest.compact_gen.clone());
+            self.store.publish(&dirs, self.opts.keep)?;
+            tail_merges_counter().inc(1);
+            journal::tick_checkpoint(&kill)?;
+        }
     }
 
     /// Runs [`Self::compact_once`] until no frozen segment remains.
@@ -930,10 +918,58 @@ mod tests {
         }
     }
 
-    /// The directory of the store's last serving segment.
-    fn last_segment(root: &Path) -> PathBuf {
+    /// The serving list's row sizes.
+    fn rows(root: &Path) -> Vec<u64> {
         let manifest = Store::open(root).unwrap().manifest().unwrap();
-        root.join(&manifest.segments.last().expect("store must publish").dir)
+        manifest.segments.iter().map(|s| s.num_texts).collect()
+    }
+
+    /// Merges the serving list of `root` into scratch and asserts that every
+    /// file equals a batch build of `texts`.
+    fn assert_serves_batch_build(context: &str, root: &Path, texts: &[Vec<TokenId>]) {
+        let config = IngestIndex::open(root, None, opts())
+            .unwrap()
+            .config()
+            .clone();
+        let batch = temp_root(&format!("{context}_batch"));
+        let corpus = InMemoryCorpus::from_texts(texts.to_vec());
+        build::write_memory_index(
+            &MemoryIndex::build(&corpus, config.clone()).unwrap(),
+            &batch,
+        )
+        .unwrap();
+        let merged = temp_root(&format!("{context}_merged"));
+        let dirs = Store::open(root).unwrap().manifest().unwrap().dirs();
+        let dirs: Vec<PathBuf> = dirs.iter().map(|d| root.join(d)).collect();
+        let dirs: Vec<&Path> = dirs.iter().map(PathBuf::as_path).collect();
+        crate::merge::merge_indexes(&dirs, &merged).unwrap();
+        let names = (0..config.k)
+            .map(|f| crate::disk::inv_file_path(Path::new(""), f))
+            .chain([PathBuf::from(crate::disk::META_FILE)]);
+        for name in names {
+            assert_eq!(
+                std::fs::read(merged.join(&name)).unwrap(),
+                std::fs::read(batch.join(&name)).unwrap(),
+                "{context}: {} differs from a batch build",
+                name.display()
+            );
+        }
+        std::fs::remove_dir_all(&batch).ok();
+        std::fs::remove_dir_all(&merged).ok();
+    }
+
+    #[test]
+    fn tail_rule_merges_a_suffix_in_threes() {
+        for short in [&[][..], &[5], &[1, 1]] {
+            assert_eq!(tail_run(short), None);
+        }
+        assert_eq!(tail_run(&[1, 1, 1]), Some(0));
+        assert_eq!(tail_run(&[150, 4, 5, 4]), Some(1));
+        // The oldest row of the run holds 3× a newer one: it waits.
+        assert_eq!(tail_run(&[150, 12, 4, 4]), None);
+        assert_eq!(tail_run(&[20, 20, 1]), None);
+        // A small segment sealed early is absorbed, not stranded.
+        assert_eq!(tail_run(&[36, 12, 1, 4, 4]), Some(2));
     }
 
     #[test]
@@ -982,43 +1018,40 @@ mod tests {
         assert_eq!(seg.texts(), all.as_slice());
     }
 
+    /// Each compaction appends one row, written once; the third equal one
+    /// makes the tail rule merge all three into one segment.
     #[test]
     fn compaction_publishes_and_trims() {
         let root = temp_root("compact");
         let config = IndexConfig::new(2, 10, 3);
-        let all = texts(7, 10);
+        let all = texts(7, 12);
         let mut ingest = IngestIndex::open(&root, Some(config.clone()), opts()).unwrap();
-        for t in &all[..6] {
-            ingest.append(t).unwrap();
+        for (round, chunk) in all.chunks(4).enumerate() {
+            for t in chunk {
+                ingest.append(t).unwrap();
+            }
+            assert_eq!(ingest.seal_all().unwrap(), 1);
+            assert_eq!(ingest.covered(), 4 * (round as u64 + 1));
+            assert_eq!(ingest.pending_texts(), 0);
+            let want: &[u64] = [&[4][..], &[4, 4], &[12]][round];
+            assert_eq!(rows(&root), want, "round {round}");
+            Store::open(&root).unwrap().verify().unwrap();
         }
-        assert_eq!(ingest.seal_all().unwrap(), 1);
-        assert_eq!(ingest.covered(), 6);
-        assert_eq!(ingest.pending_texts(), 0);
-        // The published segment equals a batch build of the same texts.
-        let built = DiskIndex::open(&last_segment(&root)).unwrap();
-        assert_eq!(built.config().num_texts, 6);
-        built.verify_integrity().unwrap();
-        // Second round merges on top.
-        for t in &all[6..] {
-            ingest.append(t).unwrap();
-        }
-        ingest.seal_all().unwrap();
-        assert_eq!(ingest.covered(), 10);
-        let current = last_segment(&root);
-        assert_eq!(DiskIndex::open(&current).unwrap().config().num_texts, 10);
-        // No WAL below the watermark survives.
+        assert_serves_batch_build("compact", &root, &all);
+        // No WAL below the watermark survives, and no pointer either.
         for seq in 0..ingest.manifest.trimmed_below {
             assert!(!IngestIndex::wal_path(&root, seq).exists());
         }
+        assert_eq!(ingest.manifest.compact_gen, "");
         std::fs::remove_dir_all(&root).ok();
     }
 
     /// An attempt that fails *on this instance* (not a crash: the caller
     /// keeps the `IngestIndex` and calls again, as the daemon's compactor
-    /// does) must converge from every kill point — including the window
-    /// after publish, where the segment is on disk but still frozen in
-    /// memory: the retry must only trim, not merge the segment a second
-    /// time into the segment that serves it.
+    /// does) must converge from every kill point — including the windows
+    /// after a publish, where the segment is on disk but still frozen in
+    /// memory: the retry must not append it twice, nor merge into a
+    /// segment that serves.
     #[test]
     fn retry_on_the_same_instance_converges_from_every_kill_point() {
         let config = IndexConfig::new(2, 10, 3).bit_packed(true);
@@ -1026,11 +1059,13 @@ mod tests {
         let prepared = |name: &str, kill: Option<Arc<KillPoints>>| {
             let root = temp_root(name);
             let mut ingest = IngestIndex::open(&root, Some(config.clone()), opts()).unwrap();
-            for t in &all[..5] {
-                ingest.append(t).unwrap();
+            for chunk in all[..6].chunks(3) {
+                for t in chunk {
+                    ingest.append(t).unwrap();
+                }
+                ingest.seal_all().unwrap();
             }
-            ingest.seal_all().unwrap();
-            for t in &all[5..] {
+            for t in &all[6..] {
                 ingest.append(t).unwrap();
             }
             ingest.rotate().unwrap();
@@ -1040,7 +1075,7 @@ mod tests {
         let counter = KillPoints::count_only();
         let (root, mut ingest) = prepared("retry_count", Some(counter.clone()));
         assert!(ingest.compact_once().unwrap());
-        let reference = std::fs::read(crate::disk::inv_file_path(&last_segment(&root), 0)).unwrap();
+        assert_eq!(rows(&root), [9], "the compaction merges the tail");
         std::fs::remove_dir_all(&root).ok();
 
         for n in 0..counter.checkpoints_seen() {
@@ -1050,12 +1085,8 @@ mod tests {
             ingest.compact_all().unwrap();
             assert_eq!(ingest.covered(), all.len() as u64, "kill point {n}");
             assert_eq!(ingest.frozen_segments(), 0, "kill point {n}");
-            let current = last_segment(&root);
-            assert_eq!(
-                std::fs::read(crate::disk::inv_file_path(&current, 0)).unwrap(),
-                reference,
-                "kill point {n}: retried compaction differs from an undisturbed one"
-            );
+            assert_eq!(rows(&root), [9], "kill point {n}");
+            assert_serves_batch_build(&format!("retry {n}"), &root, &all);
             std::fs::remove_dir_all(&root).ok();
         }
     }
@@ -1074,22 +1105,61 @@ mod tests {
             ingest.append(t).unwrap();
         }
         ingest.seal_all().unwrap();
-
-        let batch_dir = temp_root("equals_batch_ref");
-        let corpus = InMemoryCorpus::from_texts(all);
-        let mem = MemoryIndex::build(&corpus, config).unwrap();
-        build::write_memory_index(&mem, &batch_dir).unwrap();
-
-        let current = last_segment(&root);
-        for func in 0..3 {
-            assert_eq!(
-                std::fs::read(crate::disk::inv_file_path(&current, func)).unwrap(),
-                std::fs::read(crate::disk::inv_file_path(&batch_dir, func)).unwrap(),
-                "inv_{func} differs from batch build"
-            );
-        }
+        assert_eq!(rows(&root), [7, 7]);
+        assert_serves_batch_build("equals_batch", &root, &all);
         std::fs::remove_dir_all(&root).ok();
-        std::fs::remove_dir_all(&batch_dir).ok();
+    }
+
+    /// The state a compaction that staged the memtable in `memtable/seal-S/`
+    /// and merged it into the store's last segment left when it crashed
+    /// mid-merge: a pointer to the half-merged target, a journal for the
+    /// inputs (last segment, seal), and the seal. Recovery discards the
+    /// target, the frozen segment is appended as a row of its own, and the
+    /// seal is swept once its WAL is trimmed.
+    #[test]
+    fn a_crashed_merge_into_the_last_segment_recovers() {
+        let root = temp_root("staged");
+        let config = IndexConfig::new(3, 10, 5).bit_packed(true);
+        let all = texts(13, 9);
+        let seq = {
+            let mut ingest = IngestIndex::open(&root, Some(config.clone()), opts()).unwrap();
+            for t in &all[..5] {
+                ingest.append(t).unwrap();
+            }
+            ingest.seal_all().unwrap();
+            for t in &all[5..] {
+                ingest.append(t).unwrap();
+            }
+            ingest.rotate().unwrap();
+            ingest.frozen[0].wal_seq()
+        };
+        let seal = root.join(MEMTABLE_DIR).join(format!("seal-{seq:06}"));
+        let staged = InMemoryCorpus::from_texts(all[5..].to_vec());
+        build::write_memory_index(&MemoryIndex::build(&staged, config).unwrap(), &seal).unwrap();
+        let store = Store::open(&root).unwrap();
+        let last = root.join(&store.manifest().unwrap().segments[0].dir);
+        let target = store.allocate().unwrap();
+        let crash = MergeOptions::new().kill_points(KillPoints::at_checkpoint(1));
+        assert!(merge_indexes_with(&[&last, &seal], &root.join(&target), &crash).is_err());
+        assert!(crate::journal::BuildJournal::path(&root.join(&target)).is_file());
+        let mut manifest = MemtableManifest::load(&root).unwrap().unwrap();
+        manifest.compact_gen = target.clone();
+        manifest.save(&root).unwrap();
+
+        let mut ingest = IngestIndex::open(&root, None, opts()).unwrap();
+        assert_eq!(ingest.manifest.compact_gen, "");
+        assert!(
+            !root.join(&target).exists(),
+            "the half-merged target is gone"
+        );
+        assert_eq!((ingest.covered(), ingest.frozen_segments()), (5, 1));
+        assert_eq!(ingest.compact_all().unwrap(), 1);
+        assert_eq!(rows(&root), [5, 4]);
+        drop(ingest);
+        Store::open(&root).unwrap();
+        assert!(!seal.exists(), "the trimmed seal is swept on open");
+        assert_serves_batch_build("staged", &root, &all);
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! (possibly on different machines — the natural extension of the paper's
 //! parallel build), and merge them into one searchable index; an
 //! out-of-core build ([`crate::ExternalIndexBuilder`]) merges the
-//! budget-sized runs it wrote, and ingest compaction merges a sealed
-//! segment into the serving generation. Because each input numbers its
+//! budget-sized runs it wrote, and ingest compaction merges runs of the
+//! newest store segments into one. Because each input numbers its
 //! texts from zero, merging re-bases text ids by the cumulative text counts
 //! of the preceding inputs — exactly the id layout that indexing the
 //! concatenated corpus would produce, which is what the equivalence tests
@@ -96,6 +96,15 @@ pub fn merge_indexes_with(
     let threads = journal::threads_under(&options.kill, ndss_parallel::default_threads());
     inputs.merge_into(out_dir, &mut state, threads, &options.kill)?;
     crate::build::opened(out_dir, fsyncs_before)
+}
+
+/// Whether a merge of `inputs` may resume into `out_dir`: its journal, if
+/// any, was written for exactly these inputs.
+pub(crate) fn resumes_into(inputs: &[&Path], out_dir: &Path) -> bool {
+    let (Ok(inputs), Ok(journal)) = (MergeInputs::load(inputs), BuildJournal::load(out_dir)) else {
+        return false;
+    };
+    journal.is_none_or(|j| j.kind == JournalKind::Merge && j.fingerprint == inputs.fingerprint())
 }
 
 /// The inputs of one merge, loaded and found compatible.

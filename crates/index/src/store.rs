@@ -84,7 +84,7 @@ impl Manifest {
     }
 
     /// Whether any list — serving or retained — names `dir`.
-    fn names(&self, dir: &str) -> bool {
+    pub(crate) fn names(&self, dir: &str) -> bool {
         std::iter::once(&self.segments)
             .chain(&self.retained)
             .flatten()

@@ -108,7 +108,7 @@ pub struct IngestServeConfig {
     /// forces one before acking.
     pub fsync_every: u64,
     /// How often the background compactor checks for frozen segments to
-    /// seal into the store. `None` disables background compaction (the
+    /// compact into the store. `None` disables background compaction (the
     /// memtable then only shrinks via an external `ndss ingest --seal`).
     pub compact_interval: Option<Duration>,
 }
@@ -553,7 +553,7 @@ impl Server {
     }
 }
 
-/// The background compactor: seals frozen memtable segments into the
+/// The background compactor: compacts frozen memtable segments into the
 /// store and hot-swaps the serving view onto each new publication.
 /// Sleeps in short slices so drain is never blocked on a full interval
 /// (compactions in progress run to completion — they are resumable anyway,

@@ -5,10 +5,12 @@
 //! The grid covers every on-disk format (v3 fixed-width, v4 compressed, v6
 //! block-bitpacked) × query concurrency 1/2/4/8 threads. The store is
 //! arranged so matches span all three text populations at once: published
-//! (sealed and compacted to disk), frozen (rotated, awaiting compaction),
-//! and active (still absorbing appends) — and the query set includes spans
-//! copied from each population plus planted near-duplicates, so a lane
-//! silently dropped or double-counted cannot go unnoticed.
+//! (compacted to disk), frozen (rotated, awaiting compaction), and active
+//! (still absorbing appends) — and the query set includes spans copied
+//! from each population plus planted near-duplicates, so a lane silently
+//! dropped or double-counted cannot go unnoticed. The published prefix is
+//! arranged twice: compacted at once into one segment, and compacted one
+//! text at a time into a tiered list the tail rule has merged.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -16,7 +18,7 @@ use std::time::Duration;
 use ndss::index::{CacheConfig, FaultMode, FaultPlan, IngestIndex, IngestOptions};
 use ndss::prelude::*;
 use ndss::query::{BreakerConfig, BreakerState, FaultPolicy};
-use ndss_integration::scratch;
+use ndss_integration::{assert_serves_batch_build, scratch, segment_files};
 
 fn config(version: &str) -> IndexConfig {
     let (compress, packed) = match version {
@@ -50,6 +52,12 @@ fn overlay<'a>(
 }
 
 fn overlay_grid(version: &str) {
+    for one_at_a_time in [false, true] {
+        overlay_grid_with(version, one_at_a_time);
+    }
+}
+
+fn overlay_grid_with(version: &str, one_at_a_time: bool) {
     let (corpus, planted) = SyntheticCorpusBuilder::new(97)
         .num_texts(30)
         .text_len(60, 120)
@@ -61,16 +69,28 @@ fn overlay_grid(version: &str) {
 
     // Arrange the store: texts [0, 12) published, [12, 22) frozen,
     // [22, 30) active.
-    let root = scratch("overlay", &format!("grid_{version}"));
+    let root = scratch("overlay", &format!("grid_{version}_{one_at_a_time}"));
     let opts = IngestOptions {
         fsync_every: 1,
         ..IngestOptions::default()
     };
     let mut ingest = IngestIndex::open(&root, Some(config(version)), opts).unwrap();
+    let mut compactions = 0;
     for t in &texts[..12] {
         ingest.append(t).unwrap();
+        if one_at_a_time {
+            compactions += ingest.seal_all().unwrap();
+        }
     }
-    ingest.seal_all().unwrap();
+    compactions += ingest.seal_all().unwrap();
+    // Each compaction publishes once, and so does each tail merge.
+    let published = Store::open(&root).unwrap().manifest().unwrap();
+    let merges = published.generation - compactions as u64;
+    if one_at_a_time {
+        assert!(merges >= 2, "{version}: {merges} tail merges");
+    } else {
+        assert_eq!(merges, 0, "{version}: one segment");
+    }
     for t in &texts[12..22] {
         ingest.append(t).unwrap();
     }
@@ -105,6 +125,7 @@ fn overlay_grid(version: &str) {
 
     let disk = ShardedIndex::open(&root).unwrap();
     assert_eq!(disk.num_texts(), 12, "only the sealed prefix is on disk");
+    assert_eq!(disk.num_shards(), published.segments.len());
 
     for threads in [1usize, 2, 4, 8] {
         // Each worker builds its own per-request overlay view (as the
@@ -119,7 +140,8 @@ fn overlay_grid(version: &str) {
                         assert_eq!(overlay.num_lanes() - disk.num_shards(), 2);
                         for theta in [0.7f64, 0.9] {
                             let label = format!(
-                                "{version} threads {threads} worker {worker} query {qi} θ {theta}"
+                                "{version} one at a time {one_at_a_time} threads {threads} \
+                                 worker {worker} query {qi} θ {theta}"
                             );
                             let got = overlay.search(query, theta).unwrap();
                             let want = reference.search(query, theta).unwrap();
@@ -148,7 +170,10 @@ fn overlay_grid(version: &str) {
         );
         let got = overlay.search(query, 0.8).unwrap();
         let want = reference.search(query, 0.8).unwrap();
-        assert_eq!(got.matches, want.matches, "{version} post-seal query {qi}");
+        assert_eq!(
+            got.matches, want.matches,
+            "{version} one at a time {one_at_a_time}: post-seal query {qi}"
+        );
     }
     std::fs::remove_dir_all(&root).ok();
 }
@@ -235,8 +260,9 @@ fn overlay_is_exact_across_a_concurrent_publish() {
 
 /// Ingest over a store built with `--shards 2`: `covered` is the
 /// manifest's text count, so the appended text gets id 40, compaction
-/// merges it into the last segment, and the published list — still two
-/// segments, the first untouched — finds it under that id.
+/// appends it as a third row — the two built segments untouched, the tail
+/// rule leaving a far smaller row alone — and the store, merged, is the
+/// batch build of all 41 texts.
 #[test]
 fn ingest_appends_after_every_segment_of_a_multi_segment_store() {
     let root = scratch("overlay", "two_segments");
@@ -254,14 +280,18 @@ fn ingest_appends_after_every_segment_of_a_multi_segment_store() {
         &ShardedBuildOptions::default(),
     )
     .unwrap();
-    let first = Store::open(&root).unwrap().manifest().unwrap().segments[0].clone();
+    let built = Store::open(&root).unwrap().manifest().unwrap().segments;
+    let before: Vec<_> = built
+        .iter()
+        .map(|s| segment_files(&root.join(&s.dir)))
+        .collect();
 
     let text: Vec<TokenId> = (10_000..10_080).collect();
     let opts = IngestOptions {
         fsync_every: 1,
         ..IngestOptions::default()
     };
-    let mut ingest = IngestIndex::open(&root, Some(cfg), opts.clone()).unwrap();
+    let mut ingest = IngestIndex::open(&root, Some(cfg.clone()), opts.clone()).unwrap();
     assert_eq!(ingest.covered(), 40);
     assert_eq!(ingest.append(&text).unwrap(), 40);
     ingest.rotate().unwrap();
@@ -269,20 +299,36 @@ fn ingest_appends_after_every_segment_of_a_multi_segment_store() {
     drop(ingest);
 
     let manifest = Store::open(&root).unwrap().verify().unwrap();
-    assert_eq!(manifest.segments.len(), 2);
+    assert_eq!(manifest.segments.len(), 3);
     assert_eq!(
-        manifest.segments[0], first,
-        "the first segment is untouched"
+        manifest.segments[..2],
+        built,
+        "the built rows are untouched"
     );
+    for (seg, files) in built.iter().zip(&before) {
+        assert!(
+            *files == segment_files(&root.join(&seg.dir)),
+            "{} was written again",
+            seg.dir
+        );
+    }
     assert_eq!(manifest.num_texts(), 41);
     let reopened = IngestIndex::open(&root, None, opts).unwrap();
     assert_eq!((reopened.covered(), reopened.pending_texts()), (41, 0));
+
+    let mut texts: Vec<Vec<TokenId>> = corpus.iter().map(|(_, t)| t.to_vec()).collect();
+    texts.push(text.clone());
+    let batch = scratch("overlay", "two_segments_batch");
+    let mem = MemoryIndex::build(&InMemoryCorpus::from_texts(texts), cfg).unwrap();
+    ndss::index::write_memory_index(&mem, &batch).unwrap();
+    assert_serves_batch_build("two segments + one appended", &root, &batch);
 
     let view = ShardedIndex::open(&root).unwrap();
     let outcome = view.searcher().unwrap().search(&text[10..70], 0.8).unwrap();
     let found: Vec<TextId> = outcome.matches.iter().map(|m| m.text).collect();
     assert_eq!(found, [40]);
     std::fs::remove_dir_all(&root).ok();
+    std::fs::remove_dir_all(&batch).ok();
 }
 
 /// Texts per lane that contain [`planted_span`] verbatim.

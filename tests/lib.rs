@@ -58,3 +58,45 @@ pub fn assert_same_files(context: &str, dir: &Path, reference: &BTreeMap<String,
         );
     }
 }
+
+/// Merges the serving segments of the store at `root` (each re-verified
+/// first) into a scratch directory beside it and asserts that the result
+/// is, file for file, the batch build in `reference`: however compaction
+/// cut the text ids into rows, together they index what one build does.
+pub fn assert_serves_batch_build(context: &str, root: &Path, reference: &Path) {
+    let manifest = ndss::index::Store::open(root)
+        .and_then(|store| store.verify())
+        .unwrap_or_else(|e| panic!("{context}: {e}"));
+    let dirs: Vec<PathBuf> = manifest
+        .segments
+        .iter()
+        .map(|s| root.join(&s.dir))
+        .collect();
+    let dirs: Vec<&Path> = dirs.iter().map(PathBuf::as_path).collect();
+    let merged = root.with_extension("merged");
+    std::fs::remove_dir_all(&merged).ok();
+    ndss::index::merge_indexes(&dirs, &merged).unwrap_or_else(|e| panic!("{context}: {e}"));
+    assert_same_files(context, &merged, &dir_files(reference));
+    std::fs::remove_dir_all(&merged).ok();
+}
+
+/// Every file of a segment directory as `(name, inode, bytes)`, sorted. A
+/// published segment is never written again, so this does not change for
+/// as long as the directory exists.
+#[cfg(unix)]
+pub fn segment_files(dir: &Path) -> Vec<(String, u64, Vec<u8>)> {
+    use std::os::unix::fs::MetadataExt;
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let entry = entry.unwrap();
+            (
+                entry.file_name().to_string_lossy().into_owned(),
+                entry.metadata().unwrap().ino(),
+                std::fs::read(entry.path()).unwrap(),
+            )
+        })
+        .collect();
+    files.sort();
+    files
+}

@@ -1,17 +1,18 @@
-//! A crash between a compaction's publish and its trim leaves the memtable
-//! manifest's `compact_gen` naming the segment the store serves now. If
-//! another frozen segment is pending, recovery used to keep that pointer,
-//! and the next compaction reused it as its merge target:
-//! `merge(serving, seal) → serving`, rewriting the serving segment in
-//! place. This sweep crashes the ingest path at every kill point and pins
-//! that a published segment is never written again.
+//! The memtable manifest's `compact_gen` names the target of an in-flight
+//! tail merge, and a crash between that merge's publish and the pointer's
+//! clearing leaves it naming a segment the store serves. A recovery that
+//! kept such a pointer would let the next merge reuse it as its target —
+//! `merge(run) → serving`, rewriting a serving segment in place. This sweep
+//! crashes the ingest path at every kill point, across compactions that
+//! append rows and a tail merge, and pins that recovery drops a pointer to
+//! any listed segment and that a published segment is never written again.
 
-use std::os::unix::fs::MetadataExt;
 use std::path::Path;
 use std::sync::Arc;
 
 use ndss::corpus::{CorpusSource, SyntheticCorpusBuilder};
 use ndss::index::{IndexConfig, IndexError, IngestIndex, IngestOptions, KillPoints};
+use ndss_integration::segment_files;
 
 fn texts() -> Vec<Vec<u32>> {
     let (corpus, _) = SyntheticCorpusBuilder::new(93)
@@ -26,9 +27,10 @@ fn texts() -> Vec<Vec<u32>> {
 
 fn opts(kill: Option<Arc<KillPoints>>) -> IngestOptions {
     IngestOptions {
-        // Small enough that several segments freeze before the first
-        // compaction: the stale pointer only bites with one still pending.
-        flush_bytes: 2_000,
+        // Small enough that five segments freeze before the first
+        // compaction: the stale pointer only bites with one still pending,
+        // and the compactions merge the tail.
+        flush_bytes: 1_000,
         fsync_every: 1,
         keep: 1,
         kill,
@@ -47,16 +49,12 @@ fn drive(root: &Path, kill: Option<Arc<KillPoints>>) -> Result<(), IndexError> {
     Ok(())
 }
 
-/// The store's last serving segment ("" before the first publish).
-fn current(root: &Path) -> String {
-    let manifest = ndss::index::Manifest::load(root)
+/// The store's serving segments (none before the first publish).
+fn serving(root: &Path) -> Vec<String> {
+    ndss::index::Manifest::load(root)
         .unwrap()
-        .unwrap_or_default();
-    manifest
-        .segments
-        .last()
-        .map(|s| s.dir.clone())
         .unwrap_or_default()
+        .dirs()
 }
 
 /// `compact_gen` as recorded in the memtable manifest ("" when unset).
@@ -70,23 +68,6 @@ fn compact_gen(root: &Path) -> String {
         .to_string()
 }
 
-/// Every file of a segment directory as `(name, inode, bytes)`, sorted.
-fn fingerprint(dir: &Path) -> Vec<(String, u64, Vec<u8>)> {
-    let mut files: Vec<_> = std::fs::read_dir(dir)
-        .unwrap()
-        .map(|entry| {
-            let entry = entry.unwrap();
-            (
-                entry.file_name().to_string_lossy().into_owned(),
-                entry.metadata().unwrap().ino(),
-                std::fs::read(entry.path()).unwrap(),
-            )
-        })
-        .collect();
-    files.sort();
-    files
-}
-
 #[test]
 fn published_generation_is_never_a_merge_target() {
     let base = ndss_integration::scratch_root("selfmerge");
@@ -95,6 +76,13 @@ fn published_generation_is_never_a_merge_target() {
     drive(&counted, Some(counter.clone())).unwrap();
     let checkpoints = counter.checkpoints_seen();
     assert!(checkpoints > 20, "the drive must cross several compactions");
+    // Each compaction publishes once and appends a row; each tail merge
+    // publishes once and removes rows.
+    let manifest = ndss::index::Manifest::load(&counted).unwrap().unwrap();
+    assert!(
+        manifest.generation > manifest.segments.len() as u64,
+        "the drive must merge the tail"
+    );
 
     let mut windows_hit = 0;
     for n in 0..checkpoints {
@@ -103,33 +91,36 @@ fn published_generation_is_never_a_merge_target() {
         assert!(drive(&root, Some(KillPoints::at_checkpoint(n))).is_err());
 
         // Recovery alone (no compaction yet) must already drop a pointer
-        // whose compaction reached publish.
+        // whose merge reached publish.
+        let before: Vec<(String, _)> = serving(&root)
+            .into_iter()
+            .map(|dir| {
+                let files = segment_files(&root.join(&dir));
+                (dir, files)
+            })
+            .collect();
         let frozen = IngestIndex::open(&root, None, opts(None))
             .unwrap()
             .frozen_segments();
-        let serving = current(&root);
-        if !serving.is_empty() {
-            assert_ne!(
-                compact_gen(&root),
-                serving,
-                "kill point {n}: recovery kept compact_gen on the serving segment with {frozen} frozen segments"
-            );
-        }
-        let before = (!serving.is_empty()).then(|| fingerprint(&root.join(&serving)));
-        if before.is_some() && frozen > 0 {
+        let pointer = compact_gen(&root);
+        assert!(
+            !serving(&root).contains(&pointer),
+            "kill point {n}: recovery kept compact_gen on serving segment {pointer} with {frozen} frozen segments"
+        );
+        if !before.is_empty() && frozen > 0 {
             windows_hit += 1;
         }
 
-        // Finish the work. The segment that was serving at the crash is
-        // retained (`keep: 1`) unless two more were published; while it
+        // Finish the work. A segment that was serving at the crash is
+        // retained (`keep: 1`) or collected once merged away; while it
         // exists it is the same files, byte for byte and inode for inode.
         drive(&root, None).unwrap();
-        if let Some(before) = before {
-            let dir = root.join(&serving);
-            if dir.is_dir() {
+        for (dir, files) in &before {
+            let path = root.join(dir);
+            if path.is_dir() {
                 assert!(
-                    before == fingerprint(&dir),
-                    "kill point {n}: published segment {serving} was rewritten in place"
+                    *files == segment_files(&path),
+                    "kill point {n}: published segment {dir} was rewritten in place"
                 );
             }
         }
