@@ -52,6 +52,14 @@ const MAGIC: &[u8; 4] = b"NDSI";
 pub(crate) const HEADER_LEN: u64 = 80;
 const DIR_ENTRY_LEN: usize = 40;
 
+/// Lookup-table slots per directory key, at least: the load factor is ≤ ½.
+const SLOTS_PER_KEY: usize = 2;
+/// An empty lookup-table slot; it ends every probe sequence.
+const EMPTY_SLOT: u32 = u32::MAX;
+/// 2⁶⁴ / φ, odd. Min-hash keys are minima and crowd the low end of the
+/// hash range, so one multiply spreads them before the top bits pick a slot.
+const SLOT_MIX: u64 = 0x9e37_79b9_7f4a_7c15;
+
 // Byte offsets of the header fields (all little-endian; bytes 12..16 and
 // 68..76 are reserved and zero).
 const OFF_VERSION: usize = 4;
@@ -457,9 +465,10 @@ pub struct Reader {
     func_idx: u32,
     num_postings: u64,
     dir: Vec<DirEntry>,
-    /// `dir[i].hash`, densely: lookups binary-search 8-byte keys instead of
-    /// striding over 40-byte entries.
-    keys: Vec<HashValue>,
+    /// Open-addressing table over `dir`, built at open: key `h` holds the
+    /// first free slot from [`home_slot`] on (linear probing, wrapping), as
+    /// its directory position; a lookup stops at `h` or at an empty slot.
+    slots: Vec<u32>,
     lists: Lists,
     section1_len: u64,
     section2_len: u64,
@@ -554,6 +563,9 @@ impl Reader {
                  file is {file_len} B"
             )));
         }
+        if num_keys >= u64::from(EMPTY_SLOT) {
+            return Err(malformed(format!("too many keys ({num_keys})")));
+        }
         if matches!(encoding, Encoding::Fixed { .. })
             && mul(num_postings, Posting::ENCODED_LEN as u64, "postings size")? != section1_len
         {
@@ -599,14 +611,22 @@ impl Reader {
             Lists::Varint(blocks) => check_block_lists(&dir, blocks)?,
             Lists::Packed(blocks) => check_block_lists(&dir, blocks)?,
         }
+        let mut slots = vec![EMPTY_SLOT; (dir.len() * SLOTS_PER_KEY).next_power_of_two().max(2)];
+        for (i, d) in dir.iter().enumerate() {
+            let mut s = home_slot(d.hash, slots.len());
+            while slots[s] != EMPTY_SLOT {
+                s = (s + 1) & (slots.len() - 1);
+            }
+            slots[s] = i as u32;
+        }
         Ok(Self {
             file,
             path: path.to_owned(),
             encoding,
             func_idx,
             num_postings,
-            keys: dir.iter().map(|d| d.hash).collect(),
             dir,
+            slots,
             lists,
             section1_len,
             section2_len,
@@ -701,16 +721,26 @@ impl Reader {
     /// The `i`-th smallest min-hash key, if any (the directory is
     /// hash-sorted).
     pub fn hash_at(&self, i: usize) -> Option<HashValue> {
-        self.keys.get(i).copied()
+        self.dir.get(i).map(|d| d.hash)
     }
 
-    pub(crate) fn find(&self, hash: HashValue) -> Option<&DirEntry> {
-        self.keys.binary_search(&hash).ok().map(|i| &self.dir[i])
+    /// The directory position of list `hash`: one probe sequence of the
+    /// lookup table.
+    pub(crate) fn find(&self, hash: HashValue) -> Option<usize> {
+        let mut s = home_slot(hash, self.slots.len());
+        while self.slots[s] != EMPTY_SLOT {
+            let i = self.slots[s] as usize;
+            if self.dir[i].hash == hash {
+                return Some(i);
+            }
+            s = (s + 1) & (self.slots.len() - 1);
+        }
+        None
     }
 
     /// Length (postings) of list `hash`, 0 if absent.
     pub fn list_len(&self, hash: HashValue) -> u64 {
-        self.find(hash).map_or(0, |e| e.count)
+        self.find(hash).map_or(0, |i| self.dir[i].count)
     }
 
     /// `(length, lists)` histogram over all lists, ascending by length.
@@ -727,7 +757,7 @@ impl Reader {
     /// Reads a whole list (empty when `hash` is absent).
     pub fn read_list(&self, hash: HashValue, stats: &IoStats) -> Result<Vec<Posting>, IndexError> {
         let mut out = Vec::new();
-        if let Ok(i) = self.keys.binary_search(&hash) {
+        if let Some(i) = self.find(hash) {
             self.read_list_at(i, &mut out, stats)?;
         }
         Ok(out)
@@ -767,7 +797,7 @@ impl Reader {
         out: &mut Vec<Posting>,
     ) -> Result<(), IndexError> {
         debug_assert!(texts.windows(2).all(|w| w[0] < w[1]));
-        let Some(entry) = self.find(hash) else {
+        let Some(entry) = self.find(hash).map(|i| &self.dir[i]) else {
             return Ok(());
         };
         let aux = entry.aux_range();
@@ -840,6 +870,12 @@ impl Reader {
         stats.record(len as u64, 0);
         Ok(Some(view))
     }
+}
+
+/// The slot of a `len`-slot lookup table (a power of two, at least 2) that
+/// a probe for `hash` starts at: the top bits of the mixed key.
+fn home_slot(hash: HashValue, len: usize) -> usize {
+    (hash.wrapping_mul(SLOT_MIX) >> (64 - len.trailing_zeros())) as usize
 }
 
 /// Structural validation shared by every encoding: strictly ascending keys,
@@ -939,6 +975,11 @@ pub(crate) mod tests {
         Encoding::Varint { block_len: 8 },
         Encoding::Packed,
     ];
+
+    /// The directory entry of list `hash`, which `r` must hold.
+    pub(crate) fn entry(r: &Reader, hash: HashValue) -> &DirEntry {
+        &r.dir[r.find(hash).expect("the list is in the directory")]
+    }
 
     pub(crate) fn posting(text: u32, l: u32) -> Posting {
         Posting {
@@ -1222,7 +1263,8 @@ pub(crate) mod tests {
             };
             let second = dir_start + DIR_ENTRY_LEN;
             for (what, offset, value) in [
-                ("keys not ascending", second, 10u64),
+                ("key repeated", second, 10u64),
+                ("keys out of order", second, 5),
                 ("empty list", second + count_at, 0),
                 ("list length off by one", second + count_at, 301),
                 ("list start moved", second + start_at, 1),
@@ -1246,6 +1288,85 @@ pub(crate) mod tests {
                 }
             }
             std::fs::remove_file(&path).ok();
+        }
+    }
+
+    /// The lookup table answers what a search over the sorted keys does,
+    /// in every encoding, for keys crafted against it: five share the last
+    /// slot as their home, so their probe sequences wrap past the table's
+    /// end into the three keys homed at slot 0 and the two at slot 1; the
+    /// keys 0 and `u64::MAX`; a skipped empty list. Each is asked for
+    /// present and absent (one file holds the extremes, the other not).
+    #[test]
+    fn directory_table_answers_like_a_sorted_key_search() {
+        // 16 lists: 32 slots, a key's home is its top five mixed bits.
+        let homed_at = |slot: usize, skip: usize, n: usize| -> Vec<u64> {
+            (1_000u64..)
+                .filter(|&h| home_slot(h, 32) == slot)
+                .skip(skip)
+                .take(n)
+                .collect()
+        };
+        let (last, first, second) = (homed_at(31, 0, 5), homed_at(0, 0, 3), homed_at(1, 0, 2));
+        let absent_wrapping = homed_at(31, 5, 3);
+        for encoding in ENCODINGS {
+            for extremes in [true, false] {
+                let mut keys: Vec<u64> = [&last[..], &first, &second, &[10, 20]].concat();
+                keys.extend(if extremes {
+                    [0, u64::MAX, 30, 40]
+                } else {
+                    [30, 40, 50, 60]
+                });
+                let reference: std::collections::BTreeMap<u64, Vec<Posting>> = keys
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &key)| {
+                        let len = 1 + (i as u32 * 7) % 40;
+                        (
+                            key,
+                            (0..len).map(|j| posting(j / 2 + i as u32, j % 2)).collect(),
+                        )
+                    })
+                    .collect();
+                assert_eq!(reference.len(), 16);
+                let mut lists: Vec<(u64, Vec<Posting>)> = reference.clone().into_iter().collect();
+                lists.insert(1, (lists[0].0 + 1, Vec::new()));
+                let path = temp(&format!("table_v{}_{extremes}.ndsi", encoding.version()));
+                write_file(&path, encoding, &lists);
+                let r = Reader::open(&path).unwrap();
+                assert_eq!(r.slots.len(), 32);
+                // Slot 31 holds one of the five keys homed there; the other
+                // four sit in the slots of the keys homed at 0 and 1.
+                let wrapped = r.slots[..31]
+                    .iter()
+                    .filter(|&&i| i != EMPTY_SLOT)
+                    .filter(|&&i| home_slot(r.dir[i as usize].hash, 32) == 31)
+                    .count();
+                assert_eq!(wrapped, 4, "{encoding:?}: no probe sequence wraps");
+                assert_eq!(r.slots.iter().filter(|&&i| i != EMPTY_SLOT).count(), 16);
+
+                let mut asked: Vec<u64> = keys.clone();
+                asked.extend(&absent_wrapping);
+                asked.extend([0, u64::MAX, 15, lists[1].0, 999]);
+                let texts: Vec<TextId> = (0..60).step_by(3).collect();
+                let stats = IoStats::default();
+                let zones = ZoneCache::new(1 << 20, 1);
+                for hash in asked {
+                    let want = reference.get(&hash).cloned().unwrap_or_default();
+                    let context = format!("{encoding:?} extremes {extremes}: key {hash:#x}");
+                    assert_eq!(r.list_len(hash), want.len() as u64, "{context}");
+                    assert_eq!(r.read_list(hash, &stats).unwrap(), want, "{context}");
+                    let mut probed = Vec::new();
+                    r.probe_texts(hash, &texts, &zones, &stats, &mut probed)
+                        .unwrap();
+                    let want_probed: Vec<Posting> = want
+                        .into_iter()
+                        .filter(|p| texts.contains(&p.text))
+                        .collect();
+                    assert_eq!(probed, want_probed, "{context}");
+                }
+                std::fs::remove_file(&path).ok();
+            }
         }
     }
 

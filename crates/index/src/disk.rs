@@ -56,7 +56,7 @@ pub struct DiskIndex {
     /// Hot decoded posting lists. Skewed workloads fetch the same min-hash
     /// keys over and over; serving those from memory removes the reread
     /// entirely. Hits and misses are tallied in the caller's [`IoStats`].
-    list_cache: ShardedCache<Arc<Vec<Posting>>>,
+    list_cache: ShardedCache<Arc<[Posting]>>,
 }
 
 /// Approximate heap weight of a cached posting list, in bytes.
@@ -200,7 +200,7 @@ impl IndexAccess for DiskIndex {
             return Ok(SharedList::Cached(hit));
         }
         io.record_miss();
-        let list = Arc::new(self.readers[func].read_list(hash, io)?);
+        let list: Arc<[Posting]> = Arc::from(self.readers[func].read_list(hash, io)?);
         // A disabled cache never admits anything; skip the shard lock.
         if self.list_cache.enabled() {
             self.list_cache

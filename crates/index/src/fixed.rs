@@ -174,7 +174,7 @@ pub(crate) fn probe_texts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::container::tests::{posting, temp, write_file};
+    use crate::container::tests::{entry, posting, temp, write_file};
     use crate::container::Encoding;
 
     const ENCODING: Encoding = Encoding::Fixed {
@@ -191,11 +191,11 @@ mod tests {
         let r = Reader::open(&path).unwrap();
         let stats = IoStats::default();
 
-        let e10 = r.find(10).unwrap();
+        let e10 = entry(&r, 10);
         assert_eq!(e10.aux_count, 0, "short list must not get a zone map");
         assert!(read_zone(&r, e10, &stats).unwrap().is_empty());
 
-        let e20 = r.find(20).unwrap();
+        let e20 = entry(&r, 20);
         let zone = read_zone(&r, e20, &stats).unwrap();
         assert_eq!(zone.len(), 25); // every 4th of 100 postings
         assert_eq!((zone[0].rel_idx, zone[1].rel_idx), (0, 4));
@@ -215,7 +215,7 @@ mod tests {
         );
         let r = Reader::open(&path).unwrap();
         let stats = IoStats::default();
-        let e = r.find(7).unwrap();
+        let e = entry(&r, 7);
         let mut got = Vec::new();
         read_range(&r, e, 10, 20, &stats, &mut got).unwrap();
         assert_eq!(got, list[10..20]);

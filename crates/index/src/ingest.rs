@@ -35,10 +35,11 @@
 //! manifest + the WALs: replay skips records whose id is already covered by
 //! the published list (the crash landed between publish and trim), a
 //! segment never published is collected by the next publish, and an
-//! interrupted tail merge resumes from its own journal. The open-path GC
-//! (`gc.rs`) never touches a WAL referenced by a live manifest — even a
-//! corrupt manifest protects its WALs, exactly like a corrupt build journal
-//! protects its runs.
+//! interrupted tail merge resumes from its own journal (or, when that
+//! names its inputs by another spelling of the root, is redone). The
+//! open-path GC (`gc.rs`) never touches a WAL referenced by a live
+//! manifest — even a corrupt manifest protects its WALs, exactly like a
+//! corrupt build journal protects its runs.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -700,9 +701,10 @@ impl IngestIndex {
     /// the run replaced by it. `compact_gen` names the target from before
     /// its first byte until the next list is settled, so an interrupted
     /// merge resumes there and nowhere else; a pointer to a listed segment
-    /// (its merge was published) is cleared, one to another run's journal
-    /// deleted with its directory. With `start` off (recovery) only an
-    /// interrupted merge, and the merges after it, run.
+    /// (its merge was published) is cleared, one whose journal does not
+    /// match the run (another run's, or the root spelled another way)
+    /// deleted with its directory and the run merged again. With `start`
+    /// off (recovery) only an interrupted merge, and the merges after it, run.
     fn merge_tail(&mut self, mut start: bool) -> Result<(), IndexError> {
         let kill = self.opts.kill.clone();
         loop {
@@ -726,7 +728,8 @@ impl IngestIndex {
                 }
                 self.manifest.save(&self.root)?;
             }
-            if run.is_empty() || !(start || resume) {
+            let interrupted = !(pointer.is_empty() || listed);
+            if run.is_empty() || !(start || interrupted) {
                 return Ok(());
             }
             start = true;

@@ -441,9 +441,9 @@ pub enum SharedList<'a> {
     /// A slice owned by the index itself (memory indexes, absent lists).
     Borrowed(&'a [Posting]),
     /// A decoded list co-owned with the list cache: a hit hands out the
-    /// resident allocation, a miss decodes once and the cache keeps the
-    /// same allocation.
-    Cached(Arc<Vec<Posting>>),
+    /// resident allocation (count and postings in one), a miss decodes
+    /// once and the cache keeps the same allocation.
+    Cached(Arc<[Posting]>),
 }
 
 impl std::ops::Deref for SharedList<'_> {

@@ -608,9 +608,10 @@ impl<'a, I: IndexAccess + ?Sized> NearDupSearcher<'a, I> {
             // list is only asked about the texts still `alive`, which are
             // dropped as soon as the lists left cannot lift them to α₀. The
             // lists are borrowed — a cache hit is the resident allocation,
-            // not a copy — and all are fetched (the work counters do not
-            // depend on where `alive` ran dry), but the long tail is looked
-            // up, not scanned.
+            // not a copy — and the long tail is looked up, not scanned. Once
+            // every admitting list is merged and `alive` is empty, the rest
+            // are not fetched: they can only drop texts, never add one, so
+            // the answer is already the empty set.
             let gather_start = Instant::now();
             let mut by_len: Vec<usize> = (0..k).filter(|f| !long_funcs.contains(f)).collect();
             by_len.sort_by_key(|&f| lens[f]);
@@ -626,6 +627,9 @@ impl<'a, I: IndexAccess + ?Sized> NearDupSearcher<'a, I> {
                 merge_list(&list, alpha0.saturating_sub(p - 1 - j), &alive, &mut merged);
                 std::mem::swap(&mut alive, &mut merged);
                 lists.push(list);
+                if alive.is_empty() && j >= p - alpha0 {
+                    break;
+                }
             }
             // The survivors are the texts named by ≥ α₀ distinct lists. Only
             // their postings are copied, grouped by ascending text: one
@@ -1240,10 +1244,20 @@ mod tests {
         let p = planted.first().unwrap();
         let query = corpus.sequence_to_vec(p.dst).unwrap();
         let outcome = searcher.search(&query, 0.8).unwrap();
-        assert_eq!(outcome.stats.lists_loaded, 8); // no filtering: all short
+        // No filtering: all 8 lists are short, and the planted copy keeps
+        // `alive` non-empty to the last of them.
+        assert_eq!(outcome.stats.lists_loaded, 8);
         assert_eq!(outcome.stats.lists_long, 0);
         assert!(outcome.stats.postings_read > 0);
         assert!(outcome.stats.total >= outcome.stats.io_time);
         assert_eq!(outcome.stats.matched_texts, outcome.matches.len());
+        // Tokens the corpus never holds: every list is absent, so `alive`
+        // is empty after the p − α₀ + 1 = 8 − 7 + 1 admitting lists, and
+        // the merge stops there.
+        let novel: Vec<TokenId> = (1_000_000..1_000_080).collect();
+        let outcome = searcher.search(&novel, 0.8).unwrap();
+        assert!(outcome.matches.is_empty());
+        assert_eq!(outcome.stats.lists_loaded, 2);
+        assert_eq!(outcome.stats.postings_read, 0);
     }
 }

@@ -6,6 +6,10 @@
 //!   equal lengths, ids dense / spread to 10 M / at `u32::MAX − 1`);
 //! * the corners of the bound — one admitting list, every list admitting,
 //!   one list in all — and every prefix filter answer alike;
+//! * it stops fetching lists once no text can reach α₀ — exactly after the
+//!   list a distinct-list count says emptied the live set, never before
+//!   the last admitting list — and a text that reaches α₀ only at the
+//!   last, longest list still matches;
 //! * it looks long lists up instead of reading them — a time bound the
 //!   two-pass scan it replaced cannot meet — and where nothing can be
 //!   skipped it stays near that scan. The bounds compare optimised code
@@ -262,6 +266,163 @@ fn the_corners_of_the_prefix_bound_answer_like_the_reference() {
     }
 }
 
+/// How many lists an unfiltered search fetches, from the definition: the
+/// lists in ascending length (ties by function); after list `j` a text is
+/// still alive iff `count + (k − 1 − j) ≥ β`, where `count` is the number of
+/// lists so far that name it. Only the first k − β + 1 lists can bring a
+/// new text in, so after them the fetch stops at the first list that leaves
+/// no text alive.
+fn lists_fetched(lists: &[Vec<Posting>], beta: usize) -> usize {
+    let k = lists.len();
+    let mut order: Vec<usize> = (0..k).collect();
+    order.sort_by_key(|&f| lists[f].len());
+    let mut named_by: BTreeMap<TextId, usize> = BTreeMap::new();
+    for (j, &func) in order.iter().enumerate() {
+        for run in lists[func].chunk_by(|a, b| a.text == b.text) {
+            *named_by.entry(run[0].text).or_default() += 1;
+        }
+        let alive = named_by.values().any(|&count| count + (k - 1 - j) >= beta);
+        if !alive && j >= k - beta {
+            return j + 1;
+        }
+    }
+    k
+}
+
+/// Lists of random texts with no planted copy: thin sets leave no text
+/// able to reach β part-way through, dense ones keep a few alive to the end.
+#[test]
+fn the_merge_stops_at_the_list_that_leaves_no_text_alive() {
+    let _serial = serial();
+    let (mut dry, mut to_the_end, mut matched) = (0, 0, 0);
+    for seed in 0..36u64 {
+        let mut rng = Rng(0xD27 + seed);
+        let k = [8, 12, 19][seed as usize % 3];
+        let theta = [0.3, 0.45, 0.68, 1.0][(seed as usize / 3) % 4];
+        let beta = collision_threshold(k, theta);
+        let n = 20 + rng.below(400) as u32;
+        let lists: Vec<Vec<Posting>> = (0..k)
+            .map(|_| {
+                let share = 1 + rng.below(12);
+                let mut list = Vec::new();
+                for text in 0..n {
+                    if rng.below(40) < share {
+                        windows_of(&mut rng, text, &mut list);
+                    }
+                }
+                list
+            })
+            .collect();
+        let want = reference(&lists, beta);
+        let fetched = lists_fetched(&lists, beta);
+        let mut by_len: Vec<&Vec<Posting>> = lists.iter().collect();
+        by_len.sort_by_key(|l| l.len());
+        let postings: usize = by_len[..fetched].iter().map(|l| l.len()).sum();
+        let index = hand_built(lists);
+
+        let got = search(&index, PrefixFilter::Disabled, theta);
+        let context = format!("seed {seed}: k {k} β {beta} n {n}");
+        assert_eq!(got.matches, want, "{context}");
+        assert_eq!(got.stats.lists_loaded, fetched, "{context}");
+        assert_eq!(got.stats.postings_read, postings as u64, "{context}");
+        if fetched < k {
+            assert!(want.is_empty(), "{context}: stopped early on a match");
+            dry += 1;
+        } else {
+            to_the_end += 1;
+        }
+        matched += want.len();
+        for filter in [
+            PrefixFilter::FrequentFraction(0.05),
+            PrefixFilter::MaxListLen(n as u64 / 8),
+        ] {
+            assert_eq!(
+                search(&index, filter, theta).matches,
+                want,
+                "{context} {filter:?}"
+            );
+        }
+    }
+    assert!(
+        dry >= 6 && to_the_end >= 6 && matched > 0,
+        "the grid must cover both ends: {dry} stopped early, {to_the_end} fetched every \
+         list, {matched} matches"
+    );
+}
+
+/// Text 50 is named by exactly β = 5 of 8 lists: the four shortest, whose
+/// other texts drop out at the fifth list, and the longest, which is merged
+/// last. The live set is that one text from the fifth list on, and it
+/// reaches β only at the end — the fetch must not stop before it.
+#[test]
+fn a_text_completed_by_the_last_and_longest_list_still_matches() {
+    let _serial = serial();
+    let theta = 0.6;
+    assert_eq!(collision_threshold(8, theta), 5);
+    let window = CompactWindow::new(0, 5, 40);
+    let lists: Vec<Vec<Posting>> = (0..8u32)
+        .map(|func| {
+            // A text of its own per list position, so no other text is
+            // named twice, and one more of them per function: the lengths
+            // ascend with the function.
+            let mut list: Vec<Posting> = (0..=func)
+                .map(|i| Posting {
+                    text: 100 + 10 * func + i,
+                    window,
+                })
+                .collect();
+            if func < 4 || func == 7 {
+                list.insert(0, Posting { text: 50, window });
+            }
+            list
+        })
+        .collect();
+    let want = reference(&lists, 5);
+    assert_eq!(want.iter().map(|m| m.text).collect::<Vec<_>>(), [50]);
+    assert_eq!(lists_fetched(&lists, 5), 8);
+    let index = hand_built(lists);
+    let got = search(&index, PrefixFilter::Disabled, theta);
+    assert_eq!(got.matches, want);
+    assert_eq!(got.stats.lists_loaded, 8);
+    assert_eq!(got.matches[0].rects[0].collisions, 5);
+    for filter in [
+        PrefixFilter::FrequentFraction(0.05),
+        PrefixFilter::MaxListLen(8),
+    ] {
+        assert_eq!(search(&index, filter, theta).matches, want, "{filter:?}");
+    }
+}
+
+/// The k − β = 3 shortest lists are empty — the query's key is absent
+/// there, as it often is in a small segment — so `alive` is empty after
+/// them; the fourth list is the last that admits, and text 50, named by it
+/// and by every longer list, reaches β = 5.
+#[test]
+fn empty_leading_lists_do_not_stop_the_merge_early() {
+    let _serial = serial();
+    let theta = 0.6;
+    let window = CompactWindow::new(0, 5, 40);
+    let lists: Vec<Vec<Posting>> = (0..8u32)
+        .map(|func| {
+            if func < 3 {
+                return Vec::new();
+            }
+            let mut list = vec![Posting { text: 50, window }];
+            list.extend((0..func).map(|i| Posting {
+                text: 100 + 10 * func + i,
+                window,
+            }));
+            list
+        })
+        .collect();
+    let want = reference(&lists, 5);
+    assert_eq!(want.iter().map(|m| m.text).collect::<Vec<_>>(), [50]);
+    let index = hand_built(lists);
+    let got = search(&index, PrefixFilter::Disabled, theta);
+    assert_eq!(got.matches, want);
+    assert_eq!(got.stats.lists_loaded, 8);
+}
+
 /// The scan this stage replaced, as the yardstick of the time bounds: count
 /// every posting per text in a table, then visit every posting again to
 /// copy out those of the texts that reached α₀.
@@ -321,7 +482,8 @@ fn gathered(index: &HandBuilt, theta: f64) -> (Duration, SearchOutcome) {
 /// postings behind them are only asked about those. No text reaches
 /// α₀ = 13 (each is named by one short list and the first five long ones),
 /// so the answer is empty — found in a small fraction of the time one
-/// *single* pass over the postings takes.
+/// *single* pass over the postings takes. The sixth long list leaves no
+/// text alive, so the six after it are never fetched.
 #[test]
 fn long_lists_behind_a_short_prefix_are_looked_up_not_read() {
     let _serial = serial();
@@ -380,7 +542,8 @@ fn long_lists_behind_a_short_prefix_are_looked_up_not_read() {
     );
     assert!(outcome.matches.is_empty());
     assert_eq!(outcome.stats.candidate_texts, 0);
-    assert_eq!(outcome.stats.postings_read, 7 * 2 + 12 * LONG as u64);
+    assert_eq!(outcome.stats.lists_loaded, 7 + 6);
+    assert_eq!(outcome.stats.postings_read, 7 * 2 + 6 * LONG as u64);
     if !cfg!(debug_assertions) {
         assert!(
             gather * 20 < one_pass,

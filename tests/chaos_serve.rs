@@ -38,7 +38,7 @@
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use ndss::index::{build_and_write, CacheConfig, FaultMode, FaultPlan};
+use ndss::index::{build_and_write, partition_texts, CacheConfig, FaultMode, FaultPlan};
 use ndss::prelude::*;
 use ndss::query::{BreakerConfig, BreakerState, FaultKind, FaultPolicy, ServingOptions};
 use ndss::serve::client::{FrameClient, HttpClient};
@@ -89,9 +89,13 @@ fn chaos_options(plan: &FaultPlan, cache: CacheConfig) -> ServingOptions {
 }
 
 /// A seeded corpus with planted near-duplicates whose sources spread over
-/// all future shards, plus queries that match in several shards at once —
-/// so losing any one shard visibly changes the result set.
-fn workload(seed: u64) -> (InMemoryCorpus, Vec<Vec<TokenId>>) {
+/// all future shards, plus queries that each match in shard `faulty` (a
+/// planted copy's own text lies there) and often in a second shard — so
+/// every query reads the shard a scenario faults, and losing it visibly
+/// changes the result set. (A search reads no list of a shard in which no
+/// text can reach the reduced threshold, so a query with no match there
+/// could leave the fault unseen.)
+fn workload(seed: u64, faulty: usize) -> (InMemoryCorpus, Vec<Vec<TokenId>>) {
     let (corpus, planted) = SyntheticCorpusBuilder::new(seed)
         .num_texts(48)
         .text_len(100, 200)
@@ -99,8 +103,10 @@ fn workload(seed: u64) -> (InMemoryCorpus, Vec<Vec<TokenId>>) {
         .dup_len(40, 80)
         .mutation_rate(0.02)
         .build();
+    let (first, len) = partition_texts(corpus.num_texts(), SHARDS)[faulty];
     let queries: Vec<Vec<TokenId>> = planted
         .iter()
+        .filter(|p| (first..first + len as TextId).contains(&p.dst.text))
         .take(4)
         .map(|p| corpus.sequence_to_vec(p.dst).unwrap())
         .collect();
@@ -349,8 +355,8 @@ fn chaos_sweep_across_formats_read_paths_and_fault_kinds() {
     let mut corrupt_detected = 0usize;
     let mut corrupt_ran = 0usize;
     for seed in SEEDS {
-        let (corpus, queries) = workload(seed);
         let faulty = (seed as usize) % SHARDS;
+        let (corpus, queries) = workload(seed, faulty);
         for (compress, packed, format) in FORMATS {
             let store = build_store(&corpus, compress, packed, &format!("sweep_{format}_{seed}"));
             let oracle = oracle_outcomes(
@@ -411,8 +417,8 @@ fn copy_tree(from: &Path, to: &Path) {
 fn deletion_and_repair_round_trips_through_verification() {
     let mut ran = 0usize;
     for seed in SEEDS {
-        let (corpus, queries) = workload(seed);
         let faulty = (seed as usize) % SHARDS;
+        let (corpus, queries) = workload(seed, faulty);
         for (compress, packed, format) in FORMATS {
             let pristine = build_store(&corpus, compress, packed, &format!("del_{format}_{seed}"));
             let oracle = oracle_outcomes(
@@ -493,7 +499,7 @@ fn deletion_and_repair_round_trips_through_verification() {
 /// path never mistakes a read fault for bit rot.
 #[test]
 fn verify_failures_classify_as_the_read_fault() {
-    let (corpus, _) = workload(SEEDS[0]);
+    let (corpus, _) = workload(SEEDS[0], 0);
     for (compress, packed, format) in FORMATS {
         let dir = scratch("chaos", &format!("verify_classify_{format}"));
         build_and_write(&corpus, config(compress, packed), &dir, true).unwrap();
@@ -523,7 +529,7 @@ fn verify_failures_classify_as_the_read_fault() {
 /// all-quarantined error instead of an empty "success".
 #[test]
 fn all_shards_faulting_is_an_error_not_an_empty_result() {
-    let (corpus, queries) = workload(SEEDS[0]);
+    let (corpus, queries) = workload(SEEDS[0], 0);
     let store = build_store(&corpus, false, true, "all_out");
     let plan = FaultPlan::new("seg-", 0); // taps every segment
     let view =
@@ -570,7 +576,7 @@ fn all_shards_faulting_is_an_error_not_an_empty_result() {
 /// underlying error, exactly as PR 8 specified.
 #[test]
 fn fail_fast_policy_still_propagates_shard_errors() {
-    let (corpus, queries) = workload(SEEDS[1]);
+    let (corpus, queries) = workload(SEEDS[1], 1);
     let store = build_store(&corpus, false, false, "failfast");
     let plan = FaultPlan::new("seg-0001", 0);
     let view =
@@ -626,9 +632,9 @@ fn search_body(query: &[u32]) -> String {
 /// to `complete: true` with no restart and no operator `/reload`.
 #[test]
 fn daemon_degrades_labels_exactly_and_self_heals() {
-    let (corpus, queries) = workload(SEEDS[0]);
-    let store = build_store(&corpus, false, true, "daemon");
     let faulty = 2usize;
+    let (corpus, queries) = workload(SEEDS[0], faulty);
+    let store = build_store(&corpus, false, true, "daemon");
     let plan = FaultPlan::new(&format!("seg-{faulty:04}"), 0);
     let server = chaos_server(&store, &plan, Some(Duration::from_millis(50)));
     let addr = server.handle().addr();

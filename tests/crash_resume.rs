@@ -785,3 +785,82 @@ fn ingest_survives_a_crash_during_recovery() {
         std::fs::remove_dir_all(scratch_root("crash").join(name)).ok();
     }
 }
+
+/// The files of each serving segment of the store at `root`, in text order
+/// (segment names aside: a redone merge may land in another `seg-NNNN`).
+fn serving_files(root: &Path) -> Vec<std::collections::BTreeMap<String, Vec<u8>>> {
+    let manifest = Store::open(root).unwrap().manifest().unwrap();
+    manifest
+        .dirs()
+        .iter()
+        .map(|dir| dir_files(&root.join(dir)))
+        .collect()
+}
+
+/// A tail merge killed part-way, then recovered through a second spelling
+/// of the store root — a symlink to it. The merge journal fingerprints its
+/// inputs as the crashed run spelled them, so recovery cannot resume the
+/// half-written target: it deletes it and merges the same run again. The
+/// converged store serves byte for byte what an uninterrupted run serves,
+/// and no `seg-NNNN` is left that no list names. Nine texts, one per
+/// segment, compacted as they come: three tail merges of three ones, and
+/// one of three threes.
+#[cfg(unix)]
+#[test]
+fn a_killed_tail_merge_recovers_through_a_symlinked_root() {
+    let texts = &ingest_texts()[..9];
+    let script = MERGE_AS_YOU_GO;
+    let count = KillPoints::count_only();
+    let whole = scratch("crash", "alias_whole");
+    let mut acked = 0u64;
+    drive_ingest(&whole, texts, script, Some(count.clone()), &mut acked).unwrap();
+    let want = serving_files(&whole);
+    let link = scratch_root("crash").join("alias_link");
+    let mut killed_mid_merge = 0;
+    for n in 0..count.checkpoints_seen() {
+        let root = scratch("crash", "alias_sweep");
+        let mut acked = 0u64;
+        drive_ingest(
+            &root,
+            texts,
+            script,
+            Some(KillPoints::at_checkpoint(n)),
+            &mut acked,
+        )
+        .expect_err("the ingest must crash");
+        let target = compact_gen(&root);
+        if target.is_empty() || !BuildJournal::path(&root.join(&target)).is_file() {
+            continue;
+        }
+        killed_mid_merge += 1;
+        std::fs::remove_file(&link).ok();
+        std::os::unix::fs::symlink(&root, &link).unwrap();
+        let mut resumed = 0u64;
+        drive_ingest(&link, texts, script, None, &mut resumed)
+            .unwrap_or_else(|e| panic!("checkpoint {n}: recovery through the link failed: {e}"));
+        assert_eq!(resumed, texts.len() as u64, "checkpoint {n}");
+        assert!(
+            serving_files(&root) == want,
+            "checkpoint {n}: the recovered store serves other bytes than an uninterrupted run"
+        );
+        let manifest = Store::open(&root).unwrap().manifest().unwrap();
+        for entry in std::fs::read_dir(&root).unwrap() {
+            let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+            if name.starts_with("seg-") {
+                let named = std::iter::once(&manifest.segments)
+                    .chain(&manifest.retained)
+                    .flatten()
+                    .any(|s| s.dir == name);
+                assert!(named, "checkpoint {n}: {name} is left unlisted");
+            }
+        }
+    }
+    assert!(
+        killed_mid_merge >= 3,
+        "only {killed_mid_merge} kill points fell inside a tail merge"
+    );
+    std::fs::remove_file(&link).ok();
+    for name in ["alias_whole", "alias_sweep"] {
+        std::fs::remove_dir_all(scratch_root("crash").join(name)).ok();
+    }
+}
