@@ -131,11 +131,14 @@ impl MinHasher {
     /// Returns an all-`u64::MAX` sketch for an empty sequence; callers that
     /// care should reject empty queries earlier.
     pub fn sketch(&self, tokens: &[TokenId]) -> Sketch {
-        let values = self
-            .functions
-            .iter()
-            .map(|f| f.min_hash(tokens).unwrap_or(HashValue::MAX))
-            .collect();
+        // Each token is spread once, then hashed under every function.
+        let mut values = vec![HashValue::MAX; self.functions.len()];
+        for &token in tokens {
+            let x = MultiplyShiftHash::spread(token);
+            for (min, f) in values.iter_mut().zip(&self.functions) {
+                *min = (*min).min(f.hash_spread(x));
+            }
+        }
         Sketch { values }
     }
 }
@@ -215,6 +218,21 @@ mod tests {
         let a = MinHasher::new(8, 42);
         let b = MinHasher::new(8, 42);
         assert_eq!(a.sketch(&[1, 2, 3]), b.sketch(&[1, 2, 3]));
+    }
+
+    /// Spreading each token once is bit-identical to taking each
+    /// function's min-hash on its own, the empty sequence included.
+    #[test]
+    fn sketch_equals_per_function_min_hash() {
+        let h = MinHasher::new(32, 7);
+        let mut rng = SplitMix64::new(11);
+        for len in [0usize, 1, 2, 17, 64, 300] {
+            let tokens: Vec<TokenId> = (0..len).map(|_| rng.next_u64() as TokenId).collect();
+            let expect: Vec<HashValue> = (0..h.k())
+                .map(|i| h.function(i).min_hash(&tokens).unwrap_or(HashValue::MAX))
+                .collect();
+            assert_eq!(h.sketch(&tokens).values(), &expect[..], "length {len}");
+        }
     }
 
     #[test]

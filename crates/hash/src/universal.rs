@@ -41,8 +41,20 @@ impl MultiplyShiftHash {
     /// Hashes one token id.
     #[inline]
     pub fn hash(&self, token: TokenId) -> HashValue {
-        // Spread the 32-bit id across 64 bits, then multiply-shift.
-        let x = (token as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ ((token as u64) << 32);
+        self.hash_spread(Self::spread(token))
+    }
+
+    /// Spreads a 32-bit token id across 64 bits: the first, seed-free half
+    /// of [`Self::hash`], which a caller hashing one token under many
+    /// functions computes once.
+    #[inline]
+    pub fn spread(token: TokenId) -> u64 {
+        (token as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ ((token as u64) << 32)
+    }
+
+    /// The multiply-shift step of [`Self::hash`] on a [`Self::spread`] id.
+    #[inline]
+    pub fn hash_spread(&self, x: u64) -> HashValue {
         let product = self
             .multiplier
             .wrapping_mul(x as u128)

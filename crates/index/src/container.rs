@@ -72,7 +72,7 @@ const OFF_STEP: usize = 40;
 /// Minimum zone-mapped list length (v3; zero otherwise).
 const OFF_ZONE_MIN_LEN: usize = 44;
 pub(crate) const OFF_SECTION1_LEN: usize = 48;
-const OFF_SECTION1_CRC: usize = 56;
+pub(crate) const OFF_SECTION1_CRC: usize = 56;
 pub(crate) const OFF_SECTION2_CRC: usize = 60;
 const OFF_DIR_CRC: usize = 64;
 pub(crate) const OFF_HEADER_CRC: usize = 76;
@@ -608,8 +608,8 @@ impl Reader {
         check_directory(&dir, encoding, num_postings, section2_entries)?;
         match &lists {
             Lists::Fixed => {}
-            Lists::Varint(blocks) => check_block_lists(&dir, blocks)?,
-            Lists::Packed(blocks) => check_block_lists(&dir, blocks)?,
+            Lists::Varint(blocks) => check_block_lists(&dir, blocks, step)?,
+            Lists::Packed(blocks) => check_block_lists(&dir, blocks, step)?,
         }
         let mut slots = vec![EMPTY_SLOT; (dir.len() * SLOTS_PER_KEY).next_power_of_two().max(2)];
         for (i, d) in dir.iter().enumerate() {
@@ -808,6 +808,24 @@ impl Reader {
         }
     }
 
+    /// [`Self::probe_texts`] over `list`, the whole of list `hash` already
+    /// decoded: one block of it per text on a packed file (seeking by the
+    /// skip entries), the whole of it otherwise.
+    pub(crate) fn probe_resident(
+        &self,
+        hash: HashValue,
+        list: &[Posting],
+        texts: &[TextId],
+        out: &mut Vec<Posting>,
+    ) {
+        match (&self.lists, self.find(hash)) {
+            (Lists::Packed(blocks), Some(i)) => {
+                packed::probe_resident(&blocks[self.dir[i].aux_range()], list, texts, out)
+            }
+            _ => crate::probe_sorted(list, texts, out),
+        }
+    }
+
     // What the encodings read through.
 
     pub(crate) fn path(&self) -> &Path {
@@ -937,9 +955,14 @@ fn check_directory(
 
 /// Cross-checks a block encoding's directory against its (already
 /// validated) block index: each list starts at its first block's byte
-/// offset and its blocks hold exactly its postings. `check_directory` has
-/// already bounded every block range.
-fn check_block_lists<B: BlockSpan>(dir: &[DirEntry], blocks: &[B]) -> Result<(), IndexError> {
+/// offset, its blocks hold exactly its postings, and every block but its
+/// last holds `block_len`. `check_directory` has already bounded every
+/// block range.
+fn check_block_lists<B: BlockSpan>(
+    dir: &[DirEntry],
+    blocks: &[B],
+    block_len: u32,
+) -> Result<(), IndexError> {
     for d in dir {
         let list = &blocks[d.aux_range()];
         if d.start != list[0].byte_offset() {
@@ -949,9 +972,11 @@ fn check_block_lists<B: BlockSpan>(dir: &[DirEntry], blocks: &[B]) -> Result<(),
             )));
         }
         let in_blocks: u64 = list.iter().map(|b| b.posting_count() as u64).sum();
-        if in_blocks != d.count {
+        let inner = &list[..list.len() - 1];
+        if in_blocks != d.count || inner.iter().any(|b| b.posting_count() != block_len) {
             return Err(IndexError::Malformed(format!(
-                "directory entry {:#x} claims {} postings but its blocks hold {in_blocks}",
+                "directory entry {:#x} claims {} postings but its blocks hold {in_blocks} \
+                 (every one but the last {block_len})",
                 d.hash, d.count
             )));
         }

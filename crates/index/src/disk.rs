@@ -222,7 +222,7 @@ impl IndexAccess for DiskIndex {
         // A resident full list answers the whole batch with zero IO.
         if let Some(hit) = self.list_cache.get(func, hash) {
             io.record_hit();
-            crate::probe_sorted(&hit, texts, out);
+            self.readers[func].probe_resident(hash, &hit, texts, out);
             return Ok(());
         }
         io.record_miss();

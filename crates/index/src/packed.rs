@@ -31,10 +31,16 @@
 //! seek directly to the first candidate block of a long list),
 //! `byte_offset`, `posting_count`, and the four bit widths.
 //!
+//! A probe seeks each text's first block by `max_text` and reads what it
+//! returns: of a list already decoded whole, that block's 128 postings
+//! ([`probe_resident`]); of a full block, the text plane and the returned
+//! rows' windows ([`probe_texts`]).
+//!
 //! All delta arithmetic on the read side is overflow-checked and the
 //! decoded last text id must equal the stored `max_text`, so corrupt widths
 //! or payload bytes surface as [`IndexError::Malformed`], never a panic or
-//! a wrapped posting.
+//! a wrapped posting. Every posting a read returns is checked; a probe does
+//! not read, so does not check, the window planes of rows it skips.
 
 use std::path::Path;
 
@@ -249,8 +255,8 @@ pub(crate) fn read_blocks(
 /// block whose range can contain the next text, so a long list costs
 /// O(log blocks) index work per text plus IO for the covering blocks only.
 /// Each covering block is read (into a stack buffer, or borrowed from the
-/// mapping) and unpacked at most once per call, however many of the texts
-/// it holds.
+/// mapping) at most once per call, however many of the texts it holds; a
+/// full block's text ids are decoded once, its windows per returned row.
 pub(crate) fn probe_texts(
     file: &Reader,
     index: &[Block],
@@ -259,9 +265,11 @@ pub(crate) fn probe_texts(
     out: &mut Vec<Posting>,
 ) -> Result<(), IndexError> {
     let mut bytes = [0u8; MAX_BLOCK_BYTES];
-    let mut block = [EMPTY_POSTING; BLOCK_LEN];
-    // `block[..count]` holds the decoded postings of `index[resident]`.
-    let (mut resident, mut count) = (usize::MAX, 0usize);
+    // `index[resident]` as last read, from the mapping (`None`: `bytes`),
+    // with its text ids when full and its postings when a tail.
+    let (mut resident, mut mapped) = (usize::MAX, None);
+    let mut ids = [0 as TextId; BLOCK_LEN];
+    let mut tail = [EMPTY_POSTING; BLOCK_LEN];
     // First block that can still hold a text at or past the current one.
     let mut blk = 0usize;
     for &text in texts {
@@ -270,25 +278,48 @@ pub(crate) fn probe_texts(
         // first block that starts past it.
         let mut b = blk;
         while b < index.len() && index[b].first_text <= text {
+            let e = &index[b];
+            let (len, count) = (e.byte_len(), e.posting_count as usize);
             if resident != b {
-                let e = &index[b];
-                let len = e.byte_len();
-                let packed = match file.mapped_payload(e.byte_offset, len, stats)? {
-                    Some(view) => view,
-                    None => {
-                        file.read_payload(e.byte_offset, &mut bytes[..len], stats)?;
-                        &bytes[..len]
-                    }
-                };
-                count = e.posting_count as usize;
-                decode_block(e, packed, &mut block[..count])?;
+                mapped = file.mapped_payload(e.byte_offset, len, stats)?;
+                if mapped.is_none() {
+                    file.read_payload(e.byte_offset, &mut bytes[..len], stats)?;
+                }
+                let packed = mapped.unwrap_or(&bytes[..len]);
+                match count {
+                    BLOCK_LEN => decode_ids(e, packed, &mut ids)?,
+                    _ => decode_block(e, packed, &mut tail[..count])?,
+                }
                 resident = b;
             }
-            crate::probe_sorted(&block[..count], &[text], out);
+            match count {
+                BLOCK_LEN => probe_rows(e, mapped.unwrap_or(&bytes[..len]), &ids, text, out)?,
+                _ => crate::probe_sorted(&tail[..count], &[text], out),
+            }
             b += 1;
         }
     }
     Ok(())
+}
+
+/// [`probe_texts`] over `list`, the list already decoded whole: only the
+/// 128 postings of each text's first block are searched, and its run is
+/// copied from there. Every block but a list's last is full (validated at
+/// open), so block `b` starts at `list[128·b]`.
+pub(crate) fn probe_resident(
+    index: &[Block],
+    list: &[Posting],
+    texts: &[TextId],
+    out: &mut Vec<Posting>,
+) {
+    let mut blk = 0usize;
+    for &text in texts {
+        blk += index[blk..].partition_point(|b| b.max_text < text);
+        let rest = list.get(blk * BLOCK_LEN..).unwrap_or_default();
+        let rest = &rest[rest[..rest.len().min(BLOCK_LEN)].partition_point(|p| p.text < text)..];
+        let run = rest.iter().take_while(|p| p.text == text).count();
+        out.extend_from_slice(&rest[..run]);
+    }
 }
 
 /// Largest packed block: four full planes at 32 bits.
@@ -337,6 +368,61 @@ fn decode_block(entry: &Block, packed: &[u8], block: &mut [Posting]) -> Result<(
     }
 }
 
+/// Unpacks a full block's text plane into `ids` and prefix-sums it, with
+/// the chain checks of [`decode_rows`].
+fn decode_ids(entry: &Block, packed: &[u8], ids: &mut [u32; BLOCK_LEN]) -> Result<(), IndexError> {
+    let bits = entry.bits[0];
+    bitpack::unpack(&packed[..bitpack::packed_len(bits)], bits, ids);
+    let (first_delta, mut text) = (ids[0], entry.first_text as u64);
+    for id in ids.iter_mut() {
+        text += *id as u64;
+        *id = text as u32;
+    }
+    check_chain(entry, first_delta, text)
+}
+
+/// Appends the postings of `text` in the full block `packed` (text ids in
+/// `ids`), reading `l`, `c − l` and `r − c` of those rows alone; `c` and
+/// `r` of each are overflow-checked.
+fn probe_rows(
+    entry: &Block,
+    packed: &[u8],
+    ids: &[TextId; BLOCK_LEN],
+    text: TextId,
+    out: &mut Vec<Posting>,
+) -> Result<(), IndexError> {
+    let [b0, b1, b2, b3] = entry.bits;
+    let (ls, rest) = packed[bitpack::packed_len(b0)..].split_at(bitpack::packed_len(b1));
+    let (cls, rcs) = rest.split_at(bitpack::packed_len(b2));
+    let start = ids.partition_point(|&t| t < text);
+    for i in (start..BLOCK_LEN).take_while(|&i| ids[i] == text) {
+        let l = bitpack::get(ls, b1, i) as u64;
+        let c = l + bitpack::get(cls, b2, i) as u64;
+        let r = c + bitpack::get(rcs, b3, i) as u64;
+        if r > u32::MAX as u64 {
+            return Err(IndexError::Malformed(
+                "packed delta chain overflows u32".into(),
+            ));
+        }
+        let window = CompactWindow::new(l as u32, c as u32, r as u32);
+        out.push(Posting { text, window });
+    }
+    Ok(())
+}
+
+/// A text chain must start with delta 0 and end at the `max_text` skip
+/// entry, which (ids never decrease) also bounds every id below 2³².
+fn check_chain(entry: &Block, first_delta: u32, last: u64) -> Result<(), IndexError> {
+    let err = if first_delta != 0 {
+        "first packed delta of a block is nonzero"
+    } else if last != entry.max_text as u64 {
+        "decoded block does not end at its max_text skip entry"
+    } else {
+        return Ok(());
+    };
+    Err(IndexError::Malformed(err.into()))
+}
+
 /// Turns one `[text delta, l, c − l, r − c]` row per posting into `block`.
 /// Every arithmetic step is overflow-checked and the first and last text
 /// ids are cross-checked against the block's index entry.
@@ -371,25 +457,18 @@ fn decode_rows(
             "packed delta chain overflows u32".into(),
         ));
     }
-    if block[0].text != entry.first_text {
-        return Err(IndexError::Malformed(
-            "first packed delta of a block is nonzero".into(),
-        ));
-    }
-    if text != entry.max_text as u64 {
-        return Err(IndexError::Malformed(
-            "decoded block does not end at its max_text skip entry".into(),
-        ));
-    }
-    Ok(())
+    check_chain(entry, block[0].text - entry.first_text, text)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::container::tests::{posting, temp, write_file};
-    use crate::container::{Encoding, OFF_HEADER_CRC, OFF_SECTION1_LEN, OFF_SECTION2_CRC};
+    use crate::container::{
+        Encoding, OFF_HEADER_CRC, OFF_SECTION1_CRC, OFF_SECTION1_LEN, OFF_SECTION2_CRC,
+    };
     use crate::fixed::ZoneCache;
+    use crate::pread::{FaultPlan, ReadOptions};
 
     fn probe_one(r: &Reader, hash: u64, text: u32, stats: &IoStats) -> Vec<Posting> {
         let mut out = Vec::new();
@@ -492,17 +571,22 @@ mod tests {
         start..start + u64_at(32) * BLOCK_ENTRY_LEN
     }
 
-    /// `bytes` with `edit` applied to its header and its block index, and
-    /// the section and header CRCs recomputed — what an attacker who fixes
-    /// the checksums would write.
-    fn edit_with_fixed_crcs(bytes: &[u8], edit: impl FnOnce(&mut [u8], &mut [u8])) -> Vec<u8> {
+    /// `bytes` with `edit` applied to its header, its blocks (section 1)
+    /// and its block index (section 2), and the section and header CRCs
+    /// recomputed — what an attacker who fixes the checksums would write.
+    fn edit_with_fixed_crcs(
+        bytes: &[u8],
+        edit: impl FnOnce(&mut [u8], &mut [u8], &mut [u8]),
+    ) -> Vec<u8> {
         let mut bytes = bytes.to_vec();
         let index = block_index_range(&bytes);
         let (header, rest) = bytes.split_at_mut(container::HEADER_LEN as usize);
-        let index = &mut rest[index.start - header.len()..index.end - header.len()];
-        edit(header, index);
-        let crc = crc32c::crc32c(index);
-        header[OFF_SECTION2_CRC..OFF_SECTION2_CRC + 4].copy_from_slice(&crc.to_le_bytes());
+        let (payload, rest) = rest.split_at_mut(index.start - header.len());
+        let index = &mut rest[..index.len()];
+        edit(header, payload, index);
+        for (at, section) in [(OFF_SECTION1_CRC, &*payload), (OFF_SECTION2_CRC, &*index)] {
+            header[at..at + 4].copy_from_slice(&crc32c::crc32c(section).to_le_bytes());
+        }
         let hcrc = crc32c::crc32c(&header[..OFF_HEADER_CRC]);
         header[OFF_HEADER_CRC..OFF_HEADER_CRC + 4].copy_from_slice(&hcrc.to_le_bytes());
         bytes
@@ -520,7 +604,7 @@ mod tests {
         // catches it even if an attacker fixes the checksum).
         let mut flipped = pristine.clone();
         flipped[block_index_range(&pristine).start + 20] = 33; // plane-0 width out of range
-        let fixed_crc = edit_with_fixed_crcs(&pristine, |_, index| index[20] = 33);
+        let fixed_crc = edit_with_fixed_crcs(&pristine, |_, _, index| index[20] = 33);
         for (bytes, fix_crc) in [(&flipped, false), (&fixed_crc, true)] {
             std::fs::write(&path, bytes).unwrap();
             assert!(
@@ -572,7 +656,7 @@ mod tests {
             // passes the prefix sum and falls to the directory cross-check.
             ("full block relabelled a 127-posting tail", 1, 16, -1),
         ] {
-            let bytes = edit_with_fixed_crcs(&pristine, |_, index| {
+            let bytes = edit_with_fixed_crcs(&pristine, |_, _, index| {
                 let at = block * BLOCK_ENTRY_LEN + offset;
                 index[at] = index[at].wrapping_add_signed(delta);
             });
@@ -591,6 +675,105 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A resident probe finds block `b` at posting `128·b`, so only a
+    /// list's last block may be short. Zero-width planes make every block
+    /// 0 bytes long, so moving a posting from the first block to the tail —
+    /// checksums recomputed — keeps the prefix sum and the list's total,
+    /// and is refused by the full-block check alone.
+    #[test]
+    fn short_inner_block_refused_at_open() {
+        let path = temp("packed_short_inner.ndsi");
+        let zero = Posting {
+            text: 1,
+            window: CompactWindow::new(0, 0, 0),
+        };
+        write_file(&path, Encoding::Packed, &[(7, vec![zero; 300])]);
+        let bytes = edit_with_fixed_crcs(&std::fs::read(&path).unwrap(), |_, _, index| {
+            assert_eq!(index[16..20], 128u32.to_le_bytes());
+            index[16] = 127;
+            index[2 * BLOCK_ENTRY_LEN + 16] += 1;
+        });
+        std::fs::write(&path, &bytes).unwrap();
+        match Reader::open(&path) {
+            Err(IndexError::Malformed(msg)) => {
+                assert!(msg.contains("every one but the last 128"), "{msg}")
+            }
+            other => panic!("a short inner block must be refused, got {other:?}"),
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The probe's decode contract on a full block: every posting it
+    /// returns is checked, and no posting is wrapped. A text chain that does
+    /// not start with delta 0, one that does not end at `max_text`, and a
+    /// returned row whose `r` overflows u32 are each `Malformed` on the
+    /// mapped and the pread path — checksums recomputed, so the decoder is
+    /// all that stands between them and the caller. A row the probe does not
+    /// return is not read, so it is not checked: the whole-list read, which
+    /// returns every row, refuses the block.
+    #[test]
+    fn probe_refuses_corrupt_full_blocks_on_both_read_paths() {
+        let path = temp("packed_probe_corrupt.ndsi");
+        // One full block of texts 1..=128; the last window ends at u32::MAX,
+        // so the l plane is 32 bits wide (row i in bytes 4i..4i + 4) and the
+        // c − l and r − c planes hold 1s.
+        let mut list: Vec<Posting> = (1..=128).map(|t| posting(t, t)).collect();
+        for p in &mut list {
+            p.window = CompactWindow::new(p.window.l, p.window.l + 1, p.window.l + 2);
+        }
+        list[127].window = CompactWindow::new(u32::MAX - 2, u32::MAX - 1, u32::MAX);
+        write_file(&path, Encoding::Packed, &[(7, list.clone())]);
+        let pristine = std::fs::read(&path).unwrap();
+        let entry = block_index_range(&pristine).start;
+        assert_eq!(pristine[entry + 20..entry + 24], [1, 32, 1, 1]);
+        // Row 5 (text 6) gets l = u32::MAX − 1: c = u32::MAX, r overflows.
+        let l_of_row_5 = 16 + 4 * 5;
+        let cases = [
+            edit_with_fixed_crcs(&pristine, |_, payload, _| payload[0] |= 1),
+            edit_with_fixed_crcs(&pristine, |_, _, index| index[4] += 1),
+            edit_with_fixed_crcs(&pristine, |_, payload, _| {
+                payload[l_of_row_5..l_of_row_5 + 4].copy_from_slice(&(u32::MAX - 1).to_le_bytes())
+            }),
+        ];
+        let all: Vec<TextId> = (1..=128).collect();
+        for (case, bytes) in [
+            "first delta nonzero",
+            "chain ends off max_text",
+            "r overflows",
+        ]
+        .into_iter()
+        .zip(&cases)
+        {
+            std::fs::write(&path, bytes).unwrap();
+            for pread in [false, true] {
+                let label = format!("{case}, pread = {pread}");
+                let io = match pread {
+                    true => ReadOptions::with_faults(FaultPlan::new("", 0)),
+                    false => ReadOptions::default(),
+                };
+                let r = Reader::open_with(&path, &io).unwrap();
+                let (zones, stats, mut out) =
+                    (ZoneCache::new(0, 1), IoStats::default(), Vec::new());
+                let got = r.probe_texts(7, &all, &zones, &stats, &mut out);
+                assert!(
+                    matches!(got, Err(IndexError::Malformed(_))),
+                    "{label}: {got:?}"
+                );
+                // What came out before the error is the pristine rows.
+                assert_eq!(out, list[..out.len()], "{label}");
+                assert!(
+                    matches!(r.read_list(7, &stats), Err(IndexError::Malformed(_))),
+                    "{label}"
+                );
+                if case == "r overflows" {
+                    assert_eq!(out.len(), 5, "{label}");
+                    assert_eq!(probe_one(&r, 7, 7, &stats), [list[6]], "{label}");
+                }
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
     /// Version 5 wrote the same header, directory and block entries over
     /// tails zero-filled to 128 entries; such a file is refused by its
     /// version, before any of its (valid) checksums or counts are believed.
@@ -598,7 +781,7 @@ mod tests {
     fn version_5_file_is_refused_by_version() {
         let path = temp("packed_v5.ndsi");
         write_file(&path, Encoding::Packed, &[(7, vec![posting(1, 2)])]);
-        let bytes = edit_with_fixed_crcs(&std::fs::read(&path).unwrap(), |header, _| {
+        let bytes = edit_with_fixed_crcs(&std::fs::read(&path).unwrap(), |header, _, _| {
             assert_eq!(header[4], 6);
             header[4] = 5;
         });

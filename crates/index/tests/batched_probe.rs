@@ -64,7 +64,23 @@ fn fixture() -> Vec<(HashValue, Vec<Posting>)> {
     .collect()
 }
 
-fn build(dir: &Path, format: &str) -> IndexConfig {
+/// Opens `dir` with the list cache off (`"off"`) or on, mapped or (under
+/// a disarmed fault plan, which taps every file) by pread.
+fn open(dir: &Path, cache: &str, pread: bool) -> DiskIndex {
+    let io = if pread {
+        ReadOptions::with_faults(FaultPlan::new("", 0))
+    } else {
+        ReadOptions::default()
+    };
+    let sizing = if cache == "off" {
+        CacheConfig::disabled()
+    } else {
+        CacheConfig::default()
+    };
+    DiskIndex::open_with_io(dir, sizing, io).unwrap()
+}
+
+fn build(dir: &Path, format: &str, lists: &[(HashValue, Vec<Posting>)]) -> IndexConfig {
     std::fs::remove_dir_all(dir).ok();
     std::fs::create_dir_all(dir).unwrap();
     let path = inv_file_path(dir, 0);
@@ -75,8 +91,8 @@ fn build(dir: &Path, format: &str) -> IndexConfig {
         _ => config.bit_packed(true),
     };
     let mut w = Writer::create(&path, 0, Encoding::of(&config)).unwrap();
-    for (hash, postings) in fixture() {
-        w.write_list(hash, &postings).unwrap();
+    for (hash, postings) in lists {
+        w.write_list(*hash, postings).unwrap();
     }
     w.finish().unwrap();
     DiskIndex::write_meta(dir, &config).unwrap();
@@ -115,25 +131,13 @@ fn batched_probe_equals_per_text_probes() {
     let lists = fixture();
     for format in ["v3", "v4", "packed"] {
         let dir = base.join(format);
-        build(&dir, format);
+        build(&dir, format, &lists);
         // Every open maps its files unless a fault plan is attached, so a
         // disarmed plan is the pread arm.
         for pread in [false, true] {
             for cache in ["off", "cold", "resident"] {
                 let label = format!("{format} pread={pread} cache={cache}");
-                let open = || {
-                    let io = if pread {
-                        ReadOptions::with_faults(FaultPlan::new("", 0))
-                    } else {
-                        ReadOptions::default()
-                    };
-                    let sizing = if cache == "off" {
-                        CacheConfig::disabled()
-                    } else {
-                        CacheConfig::default()
-                    };
-                    DiskIndex::open_with_io(&dir, sizing, io).unwrap()
-                };
+                let open = || open(&dir, cache, pread);
                 for (hash, postings) in &lists {
                     let mut present: Vec<TextId> = postings.iter().map(|p| p.text).collect();
                     present.dedup();
@@ -188,7 +192,7 @@ fn batched_probe_equals_per_text_probes() {
 #[test]
 fn packed_batch_reads_each_block_once() {
     let dir = std::env::temp_dir().join(format!("ndss_batched_probe_once_{}", std::process::id()));
-    build(&dir, "packed");
+    build(&dir, "packed", &fixture());
     let index = DiskIndex::open_with_cache(&dir, CacheConfig::disabled()).unwrap();
     let (hash, postings) = &fixture()[2];
     let mut texts: Vec<TextId> = postings.iter().map(|p| p.text).collect();
@@ -212,4 +216,130 @@ fn packed_batch_reads_each_block_once() {
     }
     assert!(single.snapshot().bytes > 50 * batch.snapshot().bytes);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Splitmix64, for seed-deterministic lists and candidate sets.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `lo..=hi`.
+    fn range(&mut self, lo: u32, hi: u32) -> u32 {
+        lo + (self.next() % u64::from(hi - lo + 1)) as u32
+    }
+}
+
+/// Random lists of 1–3 000 postings whose texts start above 0 and leave
+/// gaps, with runs of 1–300 postings: long runs straddle several full
+/// packed blocks and the last full block's boundary with the tail.
+fn random_lists(rng: &mut Rng) -> Vec<(HashValue, Vec<Posting>)> {
+    (0..40u64)
+        .map(|h| {
+            let len = match h % 4 {
+                0 => rng.range(1, 127),
+                1 => rng.range(128, 400),
+                _ => rng.range(401, 3000),
+            } as usize;
+            let mut runs = Vec::new();
+            let (mut text, mut total) = (rng.range(1, 40), 0);
+            while total < len {
+                let long = rng.next().is_multiple_of(5);
+                let run = rng
+                    .range(1, if long { 300 } else { 6 })
+                    .min((len - total) as u32);
+                runs.push((text, run));
+                total += run as usize;
+                text += rng.range(1, 4);
+            }
+            (h * 7 + 3, list(&runs))
+        })
+        .collect()
+}
+
+/// Random ascending candidate sets over `first − 3 ..= last + 3` at a few
+/// densities, so each holds present ids, absent ones between them, and
+/// (often) ids below the list's first text or above its last.
+fn random_sets(rng: &mut Rng, present: &[TextId]) -> Vec<Vec<TextId>> {
+    let (first, last) = (present[0], *present.last().unwrap());
+    [2u64, 8, 64]
+        .into_iter()
+        .map(|one_in| {
+            (first.saturating_sub(3)..=last + 3)
+                .filter(|_| rng.next().is_multiple_of(one_in))
+                .collect()
+        })
+        .collect()
+}
+
+/// Random sweep: on seeded lists and candidate sets, every encoding, both
+/// read paths and each cache state (off, cold, holding the whole list — the
+/// skip-guided resident search) return exactly the filtered list. The
+/// sweep checks that it built runs across two block ends and across the
+/// full→tail boundary.
+#[test]
+fn random_probe_sweep_equals_filtering_the_list() {
+    let base: PathBuf =
+        std::env::temp_dir().join(format!("ndss_probe_sweep_{}", std::process::id()));
+    let mut rng = Rng(42);
+    let lists = random_lists(&mut rng);
+    let (mut straddles, mut into_tail) = (0, 0);
+    for (_, postings) in &lists {
+        let tail_start = postings.len() / 128 * 128;
+        let mut start = 0;
+        for run in postings.chunk_by(|a, b| a.text == b.text) {
+            let end = start + run.len();
+            straddles += usize::from((end - 1) / 128 >= start / 128 + 2);
+            into_tail += usize::from(
+                tail_start > 0
+                    && tail_start < postings.len()
+                    && start < tail_start
+                    && end > tail_start,
+            );
+            start = end;
+        }
+    }
+    assert!(straddles > 0 && into_tail > 0, "{straddles} {into_tail}");
+    let sets: Vec<Vec<Vec<TextId>>> = lists
+        .iter()
+        .map(|(_, postings)| {
+            let mut present: Vec<TextId> = postings.iter().map(|p| p.text).collect();
+            present.dedup();
+            random_sets(&mut rng, &present)
+        })
+        .collect();
+    for format in ["v3", "v4", "packed"] {
+        let dir = base.join(format);
+        build(&dir, format, &lists);
+        for pread in [false, true] {
+            for cache in ["off", "cold", "resident"] {
+                let label = format!("{format} pread={pread} cache={cache}");
+                for ((hash, postings), sets) in lists.iter().zip(&sets) {
+                    for texts in sets {
+                        let index = open(&dir, cache, pread);
+                        if cache == "resident" {
+                            index.shared_list(0, *hash, &IoStats::default()).unwrap();
+                        }
+                        let mut got = Vec::new();
+                        index
+                            .probe_texts(0, *hash, texts, &IoStats::default(), &mut got)
+                            .unwrap();
+                        let filtered: Vec<Posting> = postings
+                            .iter()
+                            .filter(|p| texts.binary_search(&p.text).is_ok())
+                            .copied()
+                            .collect();
+                        assert_eq!(got, filtered, "{label} hash {hash} {texts:?}");
+                    }
+                }
+            }
+        }
+    }
+    std::fs::remove_dir_all(&base).ok();
 }
