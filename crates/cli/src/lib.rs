@@ -111,8 +111,8 @@ const COMMANDS: &[Command] = &[
         flags: commands::merge::FLAGS,
         run: commands::merge::run,
         usage: "  merge      merge shard indexes (built with identical parameters)
-               --out DIR --inputs DIR,DIR,...
-               [--resume (continue an interrupted merge)]",
+               --out DIR --inputs DIR,DIR,... (an interrupted merge is run
+               again: it takes no --resume)",
     },
     Command {
         name: "publish",

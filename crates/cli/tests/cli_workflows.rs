@@ -417,6 +417,44 @@ fn merge_workflow() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A merge is redone, not resumed: `ndss merge --resume` is refused as a
+/// flag the command does not read, while an external build still resumes.
+#[test]
+fn merge_refuses_resume_and_external_build_takes_it() {
+    let dir = workdir("merge_resume");
+    let corpus = dir.join("c.ndsc").display().to_string();
+    let idx = dir.join("idx").display().to_string();
+    let ext = dir.join("ext").display().to_string();
+    dispatch(
+        "synth",
+        &args(&["--out", &corpus, "--texts", "40", "--seed", "4"]),
+    )
+    .unwrap();
+    let index = |out: &str, extra: &[&str]| {
+        let mut flags = vec!["--corpus", &corpus, "--out", out, "--k", "4", "--t", "25"];
+        flags.extend_from_slice(extra);
+        dispatch("index", &args(&flags))
+    };
+    index(&idx, &[]).unwrap();
+    let inputs = format!("{idx},{idx}");
+    let merged = dir.join("merged").display().to_string();
+    let err = dispatch(
+        "merge",
+        &args(&["--out", &merged, "--inputs", &inputs, "--resume"]),
+    )
+    .unwrap_err();
+    assert!(err.contains("unknown flag --resume"), "{err}");
+    assert!(
+        !std::path::Path::new(&merged).exists(),
+        "refused before it ran"
+    );
+
+    let budget = ["--external", "--memory-budget", "8192", "--resume"];
+    index(&ext, &budget).unwrap();
+    assert!(std::path::Path::new(&ext).join("meta.json").exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn tokenize_and_memorize_workflow() {
     let dir = workdir("tok_mem");

@@ -32,7 +32,7 @@ use ndss_windows::{HashedWindow, WindowGenerator};
 
 use crate::container::{Encoding, Writer};
 use crate::disk::{inv_file_path, DiskIndex};
-use crate::journal::{self, BuildJournal, JournalKind, KillPoints};
+use crate::journal::{self, BuildJournal, KillPoints};
 use crate::memory::MemoryIndex;
 use crate::merge::MergeInputs;
 use crate::{IndexAccess, IndexConfig, IndexError, Posting};
@@ -373,8 +373,7 @@ impl ExternalIndexBuilder {
         let fsyncs_before = ndss_durable::fsync_count();
         std::fs::create_dir_all(dir)?;
         let fingerprint = self.build_fingerprint(&sized_for(self.config.clone(), corpus));
-        let mut state =
-            BuildJournal::begin(dir, JournalKind::ExternalBuild, fingerprint, self.resume)?;
+        let mut state = BuildJournal::begin(dir, fingerprint, self.resume)?;
         let threads = journal::threads_under(&self.kill, build_threads(self.parallel));
         let run_tokens = self.run_tokens();
 
@@ -406,7 +405,7 @@ impl ExternalIndexBuilder {
             runs.push(run_dir);
         }
         let runs: Vec<&Path> = runs.iter().map(PathBuf::as_path).collect();
-        MergeInputs::load(&runs)?.merge_into(dir, &mut state, threads, &self.kill)?;
+        MergeInputs::load(&runs)?.merge_into(dir, Some(&mut state), threads, &self.kill)?;
         if let Err(e) = std::fs::remove_dir_all(&spill_dir) {
             eprintln!(
                 "warning: could not remove run scratch {}: {e}",

@@ -6,7 +6,7 @@
 //! `.{name}.{pid}.{seq}.tmp` temporaries from interrupted
 //! [`ndss_durable::AtomicFile`] publications. Rather than accumulating
 //! silently, they are swept at the natural ownership-transfer points —
-//! build start, [`crate::DiskIndex::open`], and
+//! build or merge start, [`crate::DiskIndex::open`], and
 //! [`crate::Store::open`] — with every removed file counted in
 //! the `index.gc_files` counter so operators can see a crashy environment
 //! in the metrics.
@@ -142,7 +142,7 @@ pub(crate) fn sweep_memtable(root: &Path) -> u64 {
         return remove_dir_counting(&memtable);
     }
     let manifest = match crate::ingest::MemtableManifest::load(root) {
-        Ok(Some(m)) => m,
+        Ok(Some((m, _))) => m,
         // Corrupt manifests protect their WALs, like corrupt journals
         // protect their runs: never collect what recovery (or a
         // human) may still need to inspect.

@@ -1,5 +1,5 @@
 //! Crash-safe incremental ingest: a WAL-backed in-memory segment in front
-//! of a store, with resumable compaction into new segments.
+//! of a store, with crash-safe compaction into new segments.
 //!
 //! The immutable build pipeline (ROADMAP item 3's starting point) forces a
 //! full rebuild for any corpus change. This module adds the mutable path:
@@ -13,7 +13,7 @@
 //! * [`IngestIndex`] — the orchestrator: append → WAL + segment, rotate
 //!   full segments behind new WAL files, and **compact** each frozen one
 //!   into a new store segment, then merge short runs of the newest ones
-//!   ([`tail_run`]). Every step is resumable from any kill point, publish
+//!   ([`tail_run`]). Every step converges from any kill point, publish
 //!   is atomic, and a WAL is only trimmed after the covering segment has
 //!   been verified and published — so a text is durable from the moment
 //!   its append is acked, and never duplicated.
@@ -26,20 +26,22 @@
 //!           → create WAL S+1
 //! compact:  write segment S into a fresh seg-N → publish the list with
 //!           seg-N appended (verify seg-N + one atomic MANIFEST write)
-//!           → while tail_run picks a run: memtable compact_gen = seg-M
-//!             → merge(run) → seg-M → publish the run replaced by seg-M
+//!           → while tail_run picks a run: allocate seg-M → merge(run)
+//!             → seg-M → publish the run replaced by seg-M
 //!           → memtable trimmed_below = S+1 → delete WAL S
 //! ```
 //!
 //! Recovery derives everything from the store's `MANIFEST` + the memtable
 //! manifest + the WALs: replay skips records whose id is already covered by
-//! the published list (the crash landed between publish and trim), a
-//! segment never published is collected by the next publish, and an
-//! interrupted tail merge resumes from its own journal (or, when that
-//! names its inputs by another spelling of the root, is redone). The
-//! open-path GC (`gc.rs`) never touches a WAL referenced by a live
-//! manifest — even a corrupt manifest protects its WALs, exactly like a
-//! corrupt build journal protects its runs.
+//! the published list, and a segment never published (a compaction's, or
+//! a merge target) is collected by the next publish. A WAL the list fully
+//! covers is the one state in which a tail merge can be unsettled (the
+//! crash landed between publish and trim), so recovery then runs the tail
+//! rule before it advances the trim: an interrupted merge is redone from
+//! its published inputs, never resumed. The open-path GC (`gc.rs`) never
+//! touches a WAL referenced by a live manifest — even a corrupt manifest
+//! protects its WALs, exactly like a corrupt build journal protects its
+//! runs.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -51,7 +53,7 @@ use ndss_windows::{HashedWindow, WindowGenerator};
 
 use crate::disk::DiskIndex;
 use crate::journal::{self, KillPoints};
-use crate::merge::{self, merge_indexes_with, MergeOptions};
+use crate::merge::{merge_indexes_with, MergeOptions};
 use crate::store::Store;
 use crate::wal::{self, WalWriter};
 use crate::{build, record, IndexAccess, IndexConfig, IndexError, MemoryIndex};
@@ -135,9 +137,8 @@ pub(crate) fn tail_run(num_texts: &[u64]) -> Option<usize> {
 // Manifest
 // ---------------------------------------------------------------------------
 
-/// The memtable manifest: which WAL is active, how far trimming has
-/// progressed, and (during a compaction) which segment the merge is
-/// landing in. Atomically rewritten at every state transition; its mere
+/// The memtable manifest: which WAL is active and how far trimming has
+/// progressed. Atomically rewritten at every state transition; its mere
 /// existence marks the `wal/` directory as live for GC purposes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct MemtableManifest {
@@ -152,10 +153,6 @@ pub(crate) struct MemtableManifest {
     /// All WALs with `seq < trimmed_below` are covered by published
     /// segments and may be deleted.
     pub trimmed_below: u64,
-    /// The segment an in-flight tail merge lands in ("" when none), so
-    /// recovery resumes that merge and never writes into another build's
-    /// directory or a published segment.
-    pub compact_gen: String,
 }
 
 impl MemtableManifest {
@@ -171,15 +168,16 @@ impl MemtableManifest {
             .field("config", Json::Str(self.config_json.clone()))
             .field("active_wal", Json::UInt(self.active_wal))
             .field("trimmed_below", Json::UInt(self.trimmed_below))
-            .field("compact_gen", Json::Str(self.compact_gen.clone()))
             .build();
         record::save(&Self::path(root), payload)
     }
 
-    /// Loads the manifest. `Ok(None)` when absent; present-but-corrupt is
-    /// an error — the WALs it protects must not be reinterpreted by
+    /// Loads the manifest, and the tail-merge target ("" when none) that a
+    /// manifest written before merges were redone may name (see
+    /// [`IngestIndex::open`]). `Ok(None)` when absent; present-but-corrupt
+    /// is an error — the WALs it protects must not be reinterpreted by
     /// guesswork.
-    pub(crate) fn load(root: &Path) -> Result<Option<Self>, IndexError> {
+    pub(crate) fn load(root: &Path) -> Result<Option<(Self, String)>, IndexError> {
         let path = Self::path(root);
         let Some(doc) = record::load(&path)? else {
             return Ok(None);
@@ -201,12 +199,12 @@ impl MemtableManifest {
             config_json: str_field("config")?,
             active_wal: uint("active_wal")?,
             trimmed_below: uint("trimmed_below")?,
-            compact_gen: str_field("compact_gen")?,
         };
         if manifest.active_wal == 0 || manifest.trimmed_below > manifest.active_wal + 1 {
             return Err(malformed("inconsistent WAL watermarks"));
         }
-        Ok(Some(manifest))
+        let legacy = str_field("compact_gen").unwrap_or_default();
+        Ok(Some((manifest, legacy)))
     }
 }
 
@@ -360,7 +358,7 @@ impl IngestIndex {
         let manifest = MemtableManifest::load(root)?;
         let config = match (&disk_config, &manifest) {
             (Some(c), _) => template(c),
-            (None, Some(m)) => template(&IndexConfig::from_json(&m.config_json)?),
+            (None, Some((m, _))) => template(&IndexConfig::from_json(&m.config_json)?),
             (None, None) => template(&config_if_new.ok_or_else(|| {
                 IndexError::Malformed(format!(
                     "{}: empty store and no memtable; ingest needs an index configuration",
@@ -369,12 +367,21 @@ impl IngestIndex {
             })?),
         };
         let manifest = match manifest {
-            Some(m) => {
+            Some((m, legacy)) => {
                 if m.fingerprint != config_fingerprint(&config) {
                     return Err(IndexError::Malformed(format!(
                         "{}: memtable was written under a different index configuration",
                         root.display()
                     )));
+                }
+                // A manifest written before merges were redone may name an
+                // interrupted merge's journaled target (`compact_gen`), which
+                // `Store::publish` keeps: delete it once; the save drops it.
+                if !legacy.is_empty() {
+                    if !published.names(&legacy) {
+                        std::fs::remove_dir_all(root.join(&legacy)).ok();
+                    }
+                    m.save(root)?;
                 }
                 m
             }
@@ -384,7 +391,6 @@ impl IngestIndex {
                     config_json: config.to_json_pretty(),
                     active_wal: 1,
                     trimmed_below: 1,
-                    compact_gen: String::new(),
                 };
                 std::fs::create_dir_all(root.join(MEMTABLE_DIR).join(WAL_DIR))?;
                 m.save(root)?;
@@ -410,7 +416,7 @@ impl IngestIndex {
         store: Store,
         config: IndexConfig,
         covered: u64,
-        mut manifest: MemtableManifest,
+        manifest: MemtableManifest,
         opts: IngestOptions,
     ) -> Result<Self, IndexError> {
         std::fs::create_dir_all(root.join(MEMTABLE_DIR).join(WAL_DIR))?;
@@ -495,15 +501,6 @@ impl IngestIndex {
         }
         replays_counter().inc(replayed);
 
-        // The trim the crash interrupted: advance the watermark past
-        // fully-covered WALs, then sweep them (`Store::open` swept those
-        // below the old one).
-        if trimmed != manifest.trimmed_below {
-            manifest.trimmed_below = trimmed;
-            manifest.save(root)?;
-            crate::gc::gc_counter().inc(crate::gc::sweep_memtable(root));
-        }
-
         let mut ingest = IngestIndex {
             root: root.to_path_buf(),
             store,
@@ -520,11 +517,14 @@ impl IngestIndex {
             generator,
             windows_buf,
         };
-        // Settle a tail merge the crash interrupted before anything else
-        // runs. (A pointer to an older compaction's merge of a staged seal
-        // into the last segment is discarded; its segment replays.)
-        if !ingest.manifest.compact_gen.is_empty() {
-            ingest.merge_tail(false)?;
+        // A compaction published but did not trim: settle the tail (a merge
+        // the crash cut short is redone), then advance the watermark past
+        // the covered WALs and sweep them (`Store::open` swept the rest).
+        if trimmed != ingest.manifest.trimmed_below {
+            ingest.merge_tail()?;
+            ingest.manifest.trimmed_below = trimmed;
+            ingest.manifest.save(root)?;
+            crate::gc::gc_counter().inc(crate::gc::sweep_memtable(root));
         }
         ingest.publish_pending_gauge();
         Ok(ingest)
@@ -650,9 +650,9 @@ impl IngestIndex {
     /// Compacts the oldest frozen segment into the store: writes it into a
     /// fresh segment, publishes the list with that row appended, merges the
     /// runs [`tail_run`] picks, then trims the covering WAL. Returns `false`
-    /// when no frozen segment is pending. Resumable from any kill point —
-    /// rerunning after a crash continues (or deterministically redoes) the
-    /// interrupted step.
+    /// when no frozen segment is pending. Converges from any kill point —
+    /// rerunning after a crash deterministically redoes the interrupted
+    /// step.
     pub fn compact_once(&mut self) -> Result<bool, IndexError> {
         let Some(seg) = self.frozen.first() else {
             return Ok(false);
@@ -682,7 +682,7 @@ impl IngestIndex {
             compactions_counter().inc(1);
             journal::tick_checkpoint(&kill)?;
         }
-        self.merge_tail(true)?;
+        self.merge_tail()?;
         // Step 4: trim — watermark first (so a crash mid-delete is
         // finishable), then the WAL.
         let seg = self.frozen.remove(0);
@@ -697,59 +697,31 @@ impl IngestIndex {
     }
 
     /// Step 3 of [`Self::compact_once`]: while [`tail_run`] picks a run,
-    /// merge it (journaled) into a fresh segment and publish the list with
-    /// the run replaced by it. `compact_gen` names the target from before
-    /// its first byte until the next list is settled, so an interrupted
-    /// merge resumes there and nowhere else; a pointer to a listed segment
-    /// (its merge was published) is cleared, one whose journal does not
-    /// match the run (another run's, or the root spelled another way)
-    /// deleted with its directory and the run merged again. With `start`
-    /// off (recovery) only an interrupted merge, and the merges after it, run.
-    fn merge_tail(&mut self, mut start: bool) -> Result<(), IndexError> {
-        let kill = self.opts.kill.clone();
+    /// merge it into a freshly allocated segment and publish the list with
+    /// the run replaced by it. A crash leaves an unlisted target with no
+    /// journal, which the next publish collects; the run, still published,
+    /// is merged again.
+    fn merge_tail(&self) -> Result<(), IndexError> {
+        let kill = &self.opts.kill;
         loop {
             let manifest = self.store.manifest()?;
             let rows: Vec<u64> = manifest.segments.iter().map(|s| s.num_texts).collect();
-            let mut dirs = manifest.dirs();
-            let first = tail_run(&rows).unwrap_or(dirs.len());
-            let run: Vec<PathBuf> = dirs
-                .split_off(first)
-                .iter()
-                .map(|d| self.root.join(d))
-                .collect();
-            let run: Vec<&Path> = run.iter().map(PathBuf::as_path).collect();
-            let pointer = std::mem::take(&mut self.manifest.compact_gen);
-            let listed = manifest.names(&pointer);
-            let resume = !(pointer.is_empty() || listed || run.is_empty())
-                && merge::resumes_into(&run, &self.root.join(&pointer));
-            if !pointer.is_empty() && !resume {
-                if !listed {
-                    std::fs::remove_dir_all(self.root.join(&pointer)).ok();
-                }
-                self.manifest.save(&self.root)?;
-            }
-            let interrupted = !(pointer.is_empty() || listed);
-            if run.is_empty() || !(start || interrupted) {
+            let Some(first) = tail_run(&rows) else {
                 return Ok(());
-            }
-            start = true;
-            self.manifest.compact_gen = if resume {
-                pointer
-            } else {
-                self.store.allocate()?
             };
-            self.manifest.save(&self.root)?;
-            let target = self.root.join(&self.manifest.compact_gen);
-            journal::tick_checkpoint(&kill)?;
-            let options = kill
-                .clone()
-                .map_or_else(MergeOptions::new, |kp| MergeOptions::new().kill_points(kp));
-            merge_indexes_with(&run, &target, &options.resume(true))?;
-            journal::tick_checkpoint(&kill)?;
-            dirs.push(self.manifest.compact_gen.clone());
+            let mut dirs = manifest.dirs();
+            let run = dirs.split_off(first);
+            let run: Vec<PathBuf> = run.iter().map(|d| self.root.join(d)).collect();
+            let run: Vec<&Path> = run.iter().map(PathBuf::as_path).collect();
+            let target = self.store.allocate()?;
+            journal::tick_checkpoint(kill)?;
+            let options = MergeOptions { kill: kill.clone() };
+            merge_indexes_with(&run, &self.root.join(&target), &options)?;
+            journal::tick_checkpoint(kill)?;
+            dirs.push(target);
             self.store.publish(&dirs, self.opts.keep)?;
             tail_merges_counter().inc(1);
-            journal::tick_checkpoint(&kill)?;
+            journal::tick_checkpoint(kill)?;
         }
     }
 
@@ -796,7 +768,7 @@ pub struct MemtableReport {
 /// beyond the active WAL, ids out of order) are errors; a torn tail is not
 /// — it is exactly what recovery truncates.
 pub fn verify_memtable(root: &Path) -> Result<Option<MemtableReport>, IndexError> {
-    let Some(manifest) = MemtableManifest::load(root)? else {
+    let Some((manifest, _)) = MemtableManifest::load(root)? else {
         return Ok(None);
     };
     let config = template(&IndexConfig::from_json(&manifest.config_json)?);
@@ -1041,11 +1013,10 @@ mod tests {
             Store::open(&root).unwrap().verify().unwrap();
         }
         assert_serves_batch_build("compact", &root, &all);
-        // No WAL below the watermark survives, and no pointer either.
+        // No WAL below the watermark survives.
         for seq in 0..ingest.manifest.trimmed_below {
             assert!(!IngestIndex::wal_path(&root, seq).exists());
         }
-        assert_eq!(ingest.manifest.compact_gen, "");
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -1113,6 +1084,124 @@ mod tests {
         std::fs::remove_dir_all(&root).ok();
     }
 
+    /// What a compaction written before merges were redone left when it
+    /// crashed mid-merge into the directory `target`: a `merge` journal
+    /// there, and a memtable manifest whose `compact_gen` names it.
+    fn leave_a_legacy_merge_pointer(root: &Path, target: &str) {
+        let journal = ObjectBuilder::new()
+            .field("kind", Json::Str("merge".into()))
+            .field("fingerprint", Json::UInt(1))
+            .field("funcs_done", Json::Array(vec![Json::UInt(0)]))
+            .build();
+        record::save(
+            &crate::journal::BuildJournal::path(&root.join(target)),
+            journal,
+        )
+        .unwrap();
+        let (m, _) = MemtableManifest::load(root).unwrap().unwrap();
+        let manifest = ObjectBuilder::new()
+            .field("version", Json::UInt(1))
+            .field("fingerprint", Json::UInt(m.fingerprint))
+            .field("config", Json::Str(m.config_json))
+            .field("active_wal", Json::UInt(m.active_wal))
+            .field("trimmed_below", Json::UInt(m.trimmed_below))
+            .field("compact_gen", Json::Str(target.into()))
+            .build();
+        record::save(&MemtableManifest::path(root), manifest).unwrap();
+        assert_eq!(MemtableManifest::load(root).unwrap().unwrap().1, target);
+    }
+
+    /// Whether the memtable manifest on disk names no merge target.
+    fn carries_no_pointer(root: &Path) -> bool {
+        let doc = record::load(&MemtableManifest::path(root))
+            .unwrap()
+            .unwrap();
+        doc.get("compact_gen").is_none()
+    }
+
+    /// Every `seg-*` under `root` that no list of the store names.
+    fn unlisted(root: &Path) -> Vec<String> {
+        Store::open(root).unwrap().unpublished().unwrap()
+    }
+
+    /// The files of each serving segment, in text order (names aside).
+    fn serving_files(root: &Path) -> Vec<Vec<(String, Vec<u8>)>> {
+        let dirs = Store::open(root).unwrap().manifest().unwrap().dirs();
+        dirs.iter()
+            .map(|dir| {
+                let mut files: Vec<_> = std::fs::read_dir(root.join(dir))
+                    .unwrap()
+                    .map(|e| e.unwrap())
+                    .map(|e| (e.file_name().into_string().unwrap(), e.path()))
+                    .map(|(name, path)| (name, std::fs::read(path).unwrap()))
+                    .collect();
+                files.sort();
+                files
+            })
+            .collect()
+    }
+
+    /// A manifest written before merges were redone, whose `compact_gen`
+    /// names a journaled, half-merged target, with the compaction's WAL
+    /// covered (published, not trimmed). Recovery deletes the target once,
+    /// rewrites the manifest without the pointer, merges the run again and
+    /// trims: the store serves what an uninterrupted run serves, and no
+    /// `seg-*` is left unlisted.
+    #[test]
+    fn a_legacy_merge_pointer_is_deleted_and_the_merge_redone() {
+        let config = IndexConfig::new(3, 10, 5).bit_packed(true);
+        let all = texts(14, 9);
+        let drive = |root: &Path, last: Option<Arc<KillPoints>>| {
+            let mut ingest = IngestIndex::open(root, Some(config.clone()), opts()).unwrap();
+            for (i, chunk) in all.chunks(3).enumerate() {
+                for t in chunk {
+                    ingest.append(t).unwrap();
+                }
+                ingest.rotate().unwrap();
+                if i == 2 {
+                    ingest.opts.kill = last.clone();
+                }
+                if ingest.compact_all().is_err() {
+                    return;
+                }
+            }
+        };
+        let whole = temp_root("legacy_whole");
+        drive(&whole, None);
+        assert_eq!(rows(&whole), [9]);
+
+        // Checkpoint 2 of a compaction follows its publish: the third row
+        // serves, its WAL is covered, and the tail merge has not started.
+        let root = temp_root("legacy");
+        drive(&root, Some(KillPoints::at_checkpoint(2)));
+        assert_eq!(rows(&root), [3, 3, 3]);
+        let store = Store::open(&root).unwrap();
+        let run = store.manifest().unwrap().dirs();
+        let run: Vec<PathBuf> = run.iter().map(|d| root.join(d)).collect();
+        let run: Vec<&Path> = run.iter().map(PathBuf::as_path).collect();
+        let target = store.allocate().unwrap();
+        let crash = MergeOptions::new().kill_points(KillPoints::at_checkpoint(1));
+        assert!(merge_indexes_with(&run, &root.join(&target), &crash).is_err());
+        leave_a_legacy_merge_pointer(&root, &target);
+        assert_eq!(unlisted(&root), [target.as_str()]);
+
+        let ingest = IngestIndex::open(&root, None, opts()).unwrap();
+        assert_eq!((ingest.covered(), ingest.pending_texts()), (9, 0));
+        assert!(
+            carries_no_pointer(&root),
+            "the rewritten manifest names no target"
+        );
+        assert!(
+            unlisted(&root).is_empty(),
+            "{:?} left unlisted",
+            unlisted(&root)
+        );
+        assert!(serving_files(&root) == serving_files(&whole));
+        for r in [root, whole] {
+            std::fs::remove_dir_all(&r).ok();
+        }
+    }
+
     /// The state a compaction that staged the memtable in `memtable/seal-S/`
     /// and merged it into the store's last segment left when it crashed
     /// mid-merge: a pointer to the half-merged target, a journal for the
@@ -1144,13 +1233,10 @@ mod tests {
         let target = store.allocate().unwrap();
         let crash = MergeOptions::new().kill_points(KillPoints::at_checkpoint(1));
         assert!(merge_indexes_with(&[&last, &seal], &root.join(&target), &crash).is_err());
-        assert!(crate::journal::BuildJournal::path(&root.join(&target)).is_file());
-        let mut manifest = MemtableManifest::load(&root).unwrap().unwrap();
-        manifest.compact_gen = target.clone();
-        manifest.save(&root).unwrap();
+        leave_a_legacy_merge_pointer(&root, &target);
 
         let mut ingest = IngestIndex::open(&root, None, opts()).unwrap();
-        assert_eq!(ingest.manifest.compact_gen, "");
+        assert!(carries_no_pointer(&root));
         assert!(
             !root.join(&target).exists(),
             "the half-merged target is gone"

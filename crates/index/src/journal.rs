@@ -1,24 +1,27 @@
-//! Build journal: crash-safe progress manifests for long-running index
-//! construction, plus the deterministic kill-point injector the
-//! fault-injection harness drives.
+//! Build journal: crash-safe progress manifest of an external build, plus
+//! the deterministic kill-point injector the fault-injection harness
+//! drives.
 //!
-//! External builds and merges are the longest-running operations in the
-//! system — hours on a Pile-scale corpus — and would otherwise be
-//! all-or-nothing. Both end in the same k-way merge (an external build
-//! merges the runs it wrote under `tmp_spill/`, see [`crate::build`]), and
-//! the journal records that merge's units of work that are durably
-//! complete: the set of hash functions whose final `inv_<f>.ndsi` has been
-//! committed (the file writers publish through
-//! [`ndss_durable::AtomicFile`], so a committed function is a complete,
-//! checksummed artifact). Resume skips committed functions and re-merges
-//! the rest from the inputs, which a merge never modifies.
+//! An external (out-of-core) build is the longest-running operation in the
+//! system — hours on a Pile-scale corpus — and the one job whose progress
+//! is worth keeping: it ends in a k-way merge of the runs it wrote under
+//! `tmp_spill/` (see [`crate::build`]), and the journal records that
+//! merge's units of work that are durably complete: the set of hash
+//! functions whose final `inv_<f>.ndsi` has been committed (the file
+//! writers publish through [`ndss_durable::AtomicFile`], so a committed
+//! function is a complete, checksummed artifact). Resume skips committed
+//! functions and re-merges the rest from the runs, which a merge never
+//! modifies. Any other merge (`ndss merge`, an ingest tail merge) reads
+//! published inputs, so it writes no journal and is redone after a crash
+//! (`merge.rs`); a journal a merge wrote before that rule is refused by
+//! name.
 //!
-//! The runs of an external build need no journal entry: a run is an index
-//! directory published by its `meta.json`, last, so resume keeps a run
-//! whose `meta.json` is there and rewrites one whose is not. What the
-//! journal adds for them is the fingerprint — it is saved before the first
-//! run is written, so runs found beside a matching journal were cut from
-//! the same corpus with the same budget.
+//! The runs need no journal entry: a run is an index directory published
+//! by its `meta.json`, last, so resume keeps a run whose `meta.json` is
+//! there and rewrites one whose is not. What the journal adds for them is
+//! the fingerprint — it is saved before the first run is written, so runs
+//! found beside a matching journal were cut from the same corpus with the
+//! same budget.
 //!
 //! The journal itself is a self-checksummed record (`record.rs`):
 //! published atomically with a CRC-32C over its own serialization, so a
@@ -28,9 +31,9 @@
 //!
 //! A journal is only honoured when its **fingerprint** — a digest of the
 //! index configuration (including corpus dimensions) and the memory budget
-//! that cuts the runs, or of a merge's inputs — matches the resuming run.
-//! Anything else changed means the recorded progress describes a different
-//! build, and resume refuses rather than guessing.
+//! that cuts the runs — matches the resuming build. Anything else changed
+//! means the recorded progress describes a different build, and resume
+//! refuses rather than guessing.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -41,50 +44,16 @@ use ndss_json::{Json, ObjectBuilder};
 
 use crate::{gc, record, IndexError};
 
-/// File name of the build/merge journal inside the output directory.
+/// File name of the build journal inside the output directory.
 pub const JOURNAL_FILE: &str = "build.journal";
 
-/// Which pipeline wrote the journal. Resuming a merge with `ndss index
-/// --resume` (or vice versa) is a state mismatch, not a continuation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JournalKind {
-    /// External (out-of-core) index build.
-    ExternalBuild,
-    /// K-way shard merge.
-    Merge,
-}
+/// The `kind` every journal carries: the pipeline that resumes from it.
+const KIND: &str = "external_build";
 
-impl JournalKind {
-    fn as_str(self) -> &'static str {
-        match self {
-            JournalKind::ExternalBuild => "external_build",
-            JournalKind::Merge => "merge",
-        }
-    }
-
-    fn parse(s: &str) -> Option<Self> {
-        match s {
-            "external_build" => Some(JournalKind::ExternalBuild),
-            "merge" => Some(JournalKind::Merge),
-            _ => None,
-        }
-    }
-
-    /// How refusals name this pipeline.
-    fn noun(self) -> &'static str {
-        match self {
-            JournalKind::ExternalBuild => "an external build",
-            JournalKind::Merge => "a merge",
-        }
-    }
-}
-
-/// Progress manifest of one external build or merge. See the module docs
-/// for the resume semantics of each field.
+/// Progress manifest of one external build. See the module docs for the
+/// resume semantics of each field.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BuildJournal {
-    /// Which pipeline this journal belongs to.
-    pub kind: JournalKind,
     /// Digest of configuration + builder parameters + corpus dimensions;
     /// resume requires an exact match.
     pub fingerprint: u64,
@@ -94,50 +63,30 @@ pub struct BuildJournal {
 
 impl BuildJournal {
     /// A fresh journal with no recorded progress.
-    pub fn new(kind: JournalKind, fingerprint: u64) -> Self {
+    pub fn new(fingerprint: u64) -> Self {
         Self {
-            kind,
             fingerprint,
             funcs_done: BTreeSet::new(),
         }
     }
 
-    /// The journal a run of `kind` into `dir` starts from. A resumed run
-    /// continues from the journal on disk — refused when it belongs to the
-    /// other pipeline or its fingerprint differs. A fresh run (`resume`
-    /// off, or no journal to resume: the crash predated the first
-    /// checkpoint, or the run never started) owns the directory: residue of
-    /// crashed runs — which no journal vouches for — is swept instead of
-    /// accumulating, and the journal is empty.
-    pub(crate) fn begin(
-        dir: &Path,
-        kind: JournalKind,
-        fingerprint: u64,
-        resume: bool,
-    ) -> Result<Self, IndexError> {
+    /// The journal a build into `dir` starts from. A resumed build
+    /// continues from the journal on disk — refused when its fingerprint
+    /// differs. A fresh build (`resume` off, or no journal to resume: the
+    /// crash predated the first checkpoint, or the build never started)
+    /// owns the directory: residue of crashed builds — which no journal
+    /// vouches for — is swept instead of accumulating, and the journal is
+    /// empty.
+    pub(crate) fn begin(dir: &Path, fingerprint: u64, resume: bool) -> Result<Self, IndexError> {
         let loaded = if resume { Self::load(dir)? } else { None };
         let Some(loaded) = loaded else {
-            let removed = gc::sweep_build_residue(dir) + gc::sweep_atomic_temps(dir);
-            if removed > 0 {
-                gc::gc_counter().inc(removed);
-            }
-            return Ok(Self::new(kind, fingerprint));
+            gc::gc_counter().inc(gc::sweep_build_residue(dir) + gc::sweep_atomic_temps(dir));
+            return Ok(Self::new(fingerprint));
         };
-        if loaded.kind != kind {
-            return Err(IndexError::Malformed(format!(
-                "{}: journal belongs to {}, not {}",
-                dir.display(),
-                loaded.kind.noun(),
-                kind.noun()
-            )));
-        }
         if loaded.fingerprint != fingerprint {
-            let written = match kind {
-                JournalKind::ExternalBuild => "by a different configuration or corpus",
-                JournalKind::Merge => "for different merge inputs",
-            };
             return Err(IndexError::Malformed(format!(
-                "{}: journal was written {written}; re-run without --resume to start over",
+                "{}: journal was written by a different configuration or corpus; \
+                 re-run without --resume to start over",
                 dir.display()
             )));
         }
@@ -153,7 +102,7 @@ impl BuildJournal {
     /// directory sync). A crash during `save` leaves the previous journal.
     pub fn save(&self, dir: &Path) -> Result<(), IndexError> {
         let payload = ObjectBuilder::new()
-            .field("kind", Json::Str(self.kind.as_str().to_string()))
+            .field("kind", Json::Str(KIND.to_string()))
             .field("fingerprint", Json::UInt(self.fingerprint))
             .field(
                 "funcs_done",
@@ -183,18 +132,19 @@ impl BuildJournal {
     /// Loads the journal from `dir`. Returns `Ok(None)` when no journal
     /// exists; a present-but-corrupt journal (bad JSON, CRC mismatch,
     /// unknown kind, a field this version does not write) is an error —
-    /// resuming from it would be guessing.
+    /// resuming from it would be guessing. So is a merge's journal, written
+    /// before merges were redone rather than resumed.
     pub fn load(dir: &Path) -> Result<Option<Self>, IndexError> {
         let path = Self::path(dir);
         let Some(doc) = record::load(&path)? else {
             return Ok(None);
         };
         let malformed = |what: &str| IndexError::Malformed(format!("{}: {what}", path.display()));
-        let kind = doc
-            .get("kind")
-            .and_then(Json::as_str)
-            .and_then(JournalKind::parse)
-            .ok_or_else(|| malformed("missing or unknown kind"))?;
+        match doc.get("kind").and_then(Json::as_str) {
+            Some(KIND) => {}
+            Some("merge") => return Err(malformed("a merge's journal: merges are redone")),
+            _ => return Err(malformed("missing or unknown kind")),
+        }
         // A journal of the spill-file builder carries progress this one
         // cannot continue from; half-reading it would resume a build whose
         // inputs are not there.
@@ -220,7 +170,6 @@ impl BuildJournal {
             })
             .collect::<Result<BTreeSet<usize>, _>>()?;
         Ok(Some(Self {
-            kind,
             fingerprint,
             funcs_done,
         }))
@@ -258,10 +207,11 @@ pub fn fingerprint(parts: &[&str]) -> u64 {
 /// is for humans reading a sweep failure.
 pub const INJECTED_CRASH: &str = "injected crash (kill point)";
 
-/// Deterministic crash injector for the build/merge pipelines.
+/// Deterministic crash injector for the build, merge and ingest pipelines.
 ///
 /// The pipelines call `KillPoints::checkpoint` immediately before and
-/// after every journal publication and every run's `meta.json`, and
+/// after every journal publication and every run's `meta.json`, after each
+/// merged function's file commits, and
 /// `KillPoints::io_point` at fine-grained IO steps (per run file, per list
 /// merged). Each call bumps the matching counter; when a counter
 /// reaches the configured kill value the call returns an
@@ -385,7 +335,7 @@ mod tests {
     #[test]
     fn journal_roundtrips() {
         let dir = temp_dir("roundtrip");
-        let mut j = BuildJournal::new(JournalKind::ExternalBuild, 0xDEAD_BEEF_CAFE);
+        let mut j = BuildJournal::new(0xDEAD_BEEF_CAFE);
         j.funcs_done.insert(0);
         j.funcs_done.insert(2);
         j.save(&dir).unwrap();
@@ -404,7 +354,7 @@ mod tests {
     #[test]
     fn corrupt_journal_is_rejected() {
         let dir = temp_dir("corrupt");
-        let j = BuildJournal::new(JournalKind::Merge, 7);
+        let j = BuildJournal::new(7);
         j.save(&dir).unwrap();
         let path = BuildJournal::path(&dir);
         let mut bytes = std::fs::read(&path).unwrap();
@@ -443,9 +393,28 @@ mod tests {
                 matches!(&err, IndexError::Malformed(m) if m.contains(&key)),
                 "{key}: {err}"
             );
-            let begun = BuildJournal::begin(&dir, JournalKind::ExternalBuild, 7, true);
+            let begun = BuildJournal::begin(&dir, 7, true);
             assert!(begun.is_err(), "{key}: resume must not half-read it");
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A journal a merge wrote before merges were redone — valid CRC, kind
+    /// `merge` — is refused by name, never resumed from.
+    #[test]
+    fn a_merge_journal_is_refused_by_name() {
+        let dir = temp_dir("merge_kind");
+        let payload = ObjectBuilder::new()
+            .field("kind", Json::Str("merge".to_string()))
+            .field("fingerprint", Json::UInt(7))
+            .field("funcs_done", Json::Array(vec![Json::UInt(0)]))
+            .build();
+        record::save(&BuildJournal::path(&dir), payload).unwrap();
+        let err = BuildJournal::begin(&dir, 7, true).unwrap_err();
+        assert!(
+            matches!(&err, IndexError::Malformed(m) if m.contains("merges are redone")),
+            "{err}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -52,7 +52,7 @@ pub use build::{build_and_write, write_memory_index, ExternalIndexBuilder, DEFAU
 pub use cache::CacheConfig;
 pub use disk::{inv_file_path, DiskIndex};
 pub use ingest::{verify_memtable, IngestIndex, IngestOptions, MemSegment, MemtableReport};
-pub use journal::{BuildJournal, JournalKind, KillPoints};
+pub use journal::{BuildJournal, KillPoints};
 pub use memory::MemoryIndex;
 pub use merge::{merge_indexes, merge_indexes_with, MergeOptions};
 pub use pread::{FaultMode, FaultPlan, ReadOptions};

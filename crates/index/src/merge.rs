@@ -16,37 +16,32 @@
 //! lists sharing a hash concatenate in input order, which keeps postings
 //! sorted because re-based text ids of input `s` all precede those of input
 //! `s + 1`. The k functions are independent files, merged on every core.
+//!
+//! A merge writes no journal. Its inputs are never modified and its output
+//! is a function of them alone, so a merge that was interrupted is run
+//! again into the same directory (or a fresh one) and comes out byte for
+//! byte the same; only the external build, whose runs are its own
+//! scratch, journals the merge it ends in (`journal.rs`).
 
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use crate::container::{Encoding, Reader, Writer};
 use crate::disk::{inv_file_path, DiskIndex};
-use crate::journal::{self, BuildJournal, JournalKind, KillPoints};
-use crate::{IndexConfig, IndexError, IoStats, Posting};
+use crate::journal::{self, BuildJournal, KillPoints};
+use crate::{gc, IndexConfig, IndexError, IoStats, Posting};
 
-/// Knobs for [`merge_indexes_with`]: resume, and (in tests) a deterministic
-/// crash injector. Mirrors the corresponding options on
-/// [`crate::ExternalIndexBuilder`].
+/// Knobs for [`merge_indexes_with`]: (in tests) a deterministic crash
+/// injector, as on [`crate::ExternalIndexBuilder`].
 #[derive(Debug, Clone, Default)]
 pub struct MergeOptions {
-    resume: bool,
-    kill: Option<Arc<KillPoints>>,
+    pub(crate) kill: Option<Arc<KillPoints>>,
 }
 
 impl MergeOptions {
-    /// Default options: a fresh merge.
+    /// Default options.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Continues an interrupted merge: committed per-function
-    /// outputs are kept, the in-flight function is re-merged from the
-    /// (untouched) inputs. With no journal on disk this degrades to a fresh
-    /// merge.
-    pub fn resume(mut self, on: bool) -> Self {
-        self.resume = on;
-        self
     }
 
     /// Installs a deterministic crash injector; a fired injector behaves
@@ -69,11 +64,10 @@ pub fn merge_indexes(inputs: &[&Path], out_dir: &Path) -> Result<DiskIndex, Inde
 
 /// [`merge_indexes`] with explicit [`MergeOptions`].
 ///
-/// The merge journal records which functions' output files have committed
-/// (each commits atomically at `finish()`), keyed by a fingerprint over the
-/// input metadata and paths; resume skips committed functions and re-merges
-/// the rest from the inputs, which the merge never modifies — so a resumed
-/// merge is byte-identical to an uninterrupted one.
+/// The merge owns `out_dir`: it first sweeps what an interrupted run left
+/// there (atomic-write temporaries, a journal, run scratch), then commits
+/// each function's file atomically and `meta.json` last, so a crash leaves
+/// a directory that the next merge into it overwrites.
 pub fn merge_indexes_with(
     inputs: &[&Path],
     out_dir: &Path,
@@ -82,36 +76,15 @@ pub fn merge_indexes_with(
     let inputs = MergeInputs::load(inputs)?;
     let fsyncs_before = ndss_durable::fsync_count();
     std::fs::create_dir_all(out_dir)?;
-    let mut state = BuildJournal::begin(
-        out_dir,
-        JournalKind::Merge,
-        inputs.fingerprint(),
-        options.resume,
-    )?;
-    // From here on a failure (or an injected crash) cleans nothing up: the
-    // journal and the committed per-function outputs are the resumable state.
-    if state.funcs_done.is_empty() {
-        state.checkpoint(out_dir, &options.kill)?;
-    }
+    gc::gc_counter().inc(gc::sweep_build_residue(out_dir) + gc::sweep_atomic_temps(out_dir));
     let threads = journal::threads_under(&options.kill, ndss_parallel::default_threads());
-    inputs.merge_into(out_dir, &mut state, threads, &options.kill)?;
+    inputs.merge_into(out_dir, None, threads, &options.kill)?;
     crate::build::opened(out_dir, fsyncs_before)
-}
-
-/// Whether a merge of `inputs` may resume into `out_dir`: its journal, if
-/// any, was written for exactly these inputs.
-pub(crate) fn resumes_into(inputs: &[&Path], out_dir: &Path) -> bool {
-    let (Ok(inputs), Ok(journal)) = (MergeInputs::load(inputs), BuildJournal::load(out_dir)) else {
-        return false;
-    };
-    journal.is_none_or(|j| j.kind == JournalKind::Merge && j.fingerprint == inputs.fingerprint())
 }
 
 /// The inputs of one merge, loaded and found compatible.
 pub(crate) struct MergeInputs<'a> {
     dirs: &'a [&'a Path],
-    /// Each input's `meta.json` as read.
-    metas: Vec<String>,
     /// Input `s`'s text ids shift by the texts of inputs `0..s`.
     offsets: Vec<u32>,
     /// Input 0's configuration with the dimensions of the concatenation.
@@ -120,7 +93,6 @@ pub(crate) struct MergeInputs<'a> {
 
 impl<'a> MergeInputs<'a> {
     pub(crate) fn load(dirs: &'a [&'a Path]) -> Result<Self, IndexError> {
-        let mut metas = Vec::with_capacity(dirs.len());
         let mut offsets = Vec::with_capacity(dirs.len());
         let mut merged: Option<IndexConfig> = None;
         let mut total_texts = 0u64;
@@ -130,7 +102,6 @@ impl<'a> MergeInputs<'a> {
             let c = IndexConfig::from_json(&meta).map_err(|e| {
                 IndexError::Malformed(format!("bad meta.json in {}: {e}", dir.display()))
             })?;
-            metas.push(meta);
             offsets.push(total_texts as u32);
             total_texts += c.num_texts as u64;
             let Some(base) = &mut merged else {
@@ -162,47 +133,37 @@ impl<'a> MergeInputs<'a> {
         }
         Ok(Self {
             dirs,
-            metas,
             offsets,
             merged,
         })
     }
 
-    /// Covers every input's metadata (hence corpus dimensions and
-    /// configuration) and the input paths in shard order — resuming a merge
-    /// of a *different* shard list must be refused.
-    fn fingerprint(&self) -> u64 {
-        let paths: Vec<String> = self.dirs.iter().map(|d| d.display().to_string()).collect();
-        let mut parts = vec!["merge"];
-        for (path, meta) in paths.iter().zip(&self.metas) {
-            parts.extend([path.as_str(), meta.as_str()]);
-        }
-        journal::fingerprint(&parts)
-    }
-
-    /// The one merge: every function `journal` does not record as committed
-    /// is merged into `out_dir` on up to `threads` threads and recorded
-    /// (the journal, saved after each, sits behind a mutex — `funcs_done`
-    /// is a set, so completions serialize in any order); then `meta.json`
-    /// publishes the directory and the journal is removed. The caller has
-    /// begun `journal` in `out_dir` and saved it once.
+    /// The one merge: every function `journal` (an external build's, begun
+    /// and saved once by the caller) does not record as done is merged into
+    /// `out_dir` on up to `threads` threads, each followed by a kill
+    /// checkpoint or the journal's save (a set: completions serialize in any
+    /// order). Then `meta.json` publishes the directory and the journal is
+    /// removed.
     pub(crate) fn merge_into(
         &self,
         out_dir: &Path,
-        journal: &mut BuildJournal,
+        journal: Option<&mut BuildJournal>,
         threads: usize,
         kill: &Option<Arc<KillPoints>>,
     ) -> Result<(), IndexError> {
         let _span = ndss_obs::span("index.merge");
-        let todo: Vec<usize> = (0..self.merged.k)
-            .filter(|func| !journal.funcs_done.contains(func))
-            .collect();
+        let done = |f: &usize| journal.as_ref().is_some_and(|j| j.funcs_done.contains(f));
+        let todo: Vec<usize> = (0..self.merged.k).filter(|f| !done(f)).collect();
         let journal = Mutex::new(journal);
         ndss_parallel::try_map(&todo, threads, |_, &func| {
             self.merge_function(out_dir, func, kill)?;
-            let mut journal = journal.lock().expect("no panic under this lock");
-            journal.funcs_done.insert(func);
-            journal.checkpoint(out_dir, kill)
+            match &mut *journal.lock().expect("no panic under this lock") {
+                Some(journal) => {
+                    journal.funcs_done.insert(func);
+                    journal.checkpoint(out_dir, kill)
+                }
+                None => journal::tick_checkpoint(kill),
+            }
         })?;
         journal::tick_checkpoint(kill)?;
         DiskIndex::write_meta(out_dir, &self.merged)?;
@@ -213,7 +174,7 @@ impl<'a> MergeInputs<'a> {
 
     /// K-way merges one hash function's lists from every input into the
     /// output file. The output commits atomically at `finish()`, so this is
-    /// the unit of resumable work.
+    /// the unit of work an external build's journal records.
     fn merge_function(
         &self,
         out_dir: &Path,
@@ -374,11 +335,7 @@ mod tests {
             .iter()
             .map(|&threads| {
                 let out = temp_dir(&format!("thr_out_{threads}"));
-                let mut journal = BuildJournal::new(JournalKind::Merge, inputs.fingerprint());
-                inputs
-                    .merge_into(&out, &mut journal, threads, &None)
-                    .unwrap();
-                assert_eq!(journal.funcs_done.len(), 5);
+                inputs.merge_into(&out, None, threads, &None).unwrap();
                 assert!(!BuildJournal::path(&out).exists());
                 out
             })

@@ -17,8 +17,9 @@
 //! already name, writes the `MANIFEST` once with
 //! [`ndss_durable::write_atomic`] (readers see the old list or the new
 //! one), then deletes every `seg-*` no retained list names unless a build
-//! journal marks it resumable; an open deletes none, because an
-//! interrupted build resumes into them. [`Store::rollback`] serves the
+//! journal marks it resumable (only an external build writes one; an
+//! interrupted merge's target is collected). An open deletes none, because
+//! an interrupted build resumes into them. [`Store::rollback`] serves the
 //! newest retained list again. The layouts this replaced — a `CURRENT`
 //! pointer over `gen-NNNN/`, a version-1 `MANIFEST` over `shard-NNNN/` —
 //! are refused by name and left untouched.

@@ -1,15 +1,17 @@
-//! Kill-point fault-injection sweep over the journaled build pipelines.
+//! Kill-point fault-injection sweep over the build, merge and ingest
+//! pipelines.
 //!
 //! The builders expose two families of deterministic crash sites (see
 //! `ndss::index::KillPoints`): *checkpoints* bracketing every journal
-//! publication and every run's `meta.json`, and fine-grained *IO points*
-//! (per run file, per list merged). The harness first runs a
-//! counting pass to learn how many sites a given build exposes, then
-//! crashes at **every** checkpoint and a seeded sample of IO points,
-//! resumes with `--resume` semantics, and requires the resumed directory to
-//! be **byte-identical** to an uninterrupted build — on both the
-//! fixed-width (v3) and compressed (v4) index formats, for the external
-//! build and the k-way merge alike.
+//! publication and every run's `meta.json` and following every merged
+//! function's file, and fine-grained *IO points* (per run file, per list
+//! merged). The harness first runs a counting pass to learn how many sites
+//! a given build exposes, then crashes at **every** checkpoint and a
+//! seeded sample of IO points, and requires the finished directory to be
+//! **byte-identical** to an uninterrupted build — on both the fixed-width
+//! (v3) and compressed (v4) index formats. The external build resumes with
+//! `--resume` semantics from its journal; a k-way merge writes no journal
+//! and is simply run again into the same directory.
 //!
 //! Builds run serially (`parallel(false)`; a build or merge with an
 //! injector installed uses one thread whatever it is told): the sweep's
@@ -191,8 +193,13 @@ fn merge_sweep(compress: bool) {
             err.to_string().contains("injected crash"),
             "{label}: unexpected error {err}"
         );
-        ndss::index::merge_indexes_with(&inputs, &dir, &MergeOptions::new().resume(true))
-            .unwrap_or_else(|e| panic!("{label}: resume failed: {e}"));
+        assert!(
+            !dir.join("build.journal").exists(),
+            "{label}: a merge writes no journal"
+        );
+        // Run the same merge again into the same directory.
+        ndss::index::merge_indexes(&inputs, &dir)
+            .unwrap_or_else(|e| panic!("{label}: the merge run again failed: {e}"));
         assert_same_files(&label, &dir, &reference);
     };
 
@@ -209,12 +216,12 @@ fn merge_sweep(compress: bool) {
 }
 
 #[test]
-fn merge_resumes_byte_identical_fixed_width() {
+fn merge_redone_byte_identical_fixed_width() {
     merge_sweep(false);
 }
 
 #[test]
-fn merge_resumes_byte_identical_compressed() {
+fn merge_redone_byte_identical_compressed() {
     merge_sweep(true);
 }
 
@@ -502,7 +509,7 @@ fn sharded_build_resumes_byte_identical_per_shard() {
 // ---------------------------------------------------------------------------
 
 use ndss::index::{verify_memtable, IndexError, IngestIndex, IngestOptions};
-use ndss_integration::{assert_serves_batch_build, segment_files};
+use ndss_integration::{assert_serves_batch_build, assert_unchanged, serving_segments};
 use std::sync::Arc;
 
 fn ingest_texts() -> Vec<Vec<u32>> {
@@ -590,14 +597,10 @@ fn ingest_reference(texts: &[Vec<u32>], name: &str) -> PathBuf {
     dir
 }
 
-/// `compact_gen` as recorded in the memtable manifest ("" when unset).
-fn compact_gen(root: &Path) -> String {
-    let manifest = std::fs::read_to_string(root.join("memtable").join("MEMTABLE")).unwrap();
-    let doc = ndss::json::Json::parse(&manifest).expect("memtable manifest parses");
-    doc.get("compact_gen")
-        .and_then(|v| v.as_str())
-        .expect("manifest carries compact_gen")
-        .to_string()
+/// Asserts that no `seg-*` under `root` is left that no list names.
+fn assert_none_unlisted(label: &str, root: &Path) {
+    let unlisted = Store::open(root).unwrap().unpublished().unwrap();
+    assert!(unlisted.is_empty(), "{label}: {unlisted:?} left unlisted");
 }
 
 /// Crash the append → rotate → write → publish → tail merge → trim
@@ -659,17 +662,7 @@ fn ingest_sweep(name: &str, script: Script, texts: &[Vec<u32>], ref_dir: &Path) 
             err.to_string().contains("injected crash"),
             "{label}: unexpected error {err}"
         );
-        let serving: Vec<_> = Store::open(&root)
-            .unwrap()
-            .manifest()
-            .unwrap()
-            .dirs()
-            .into_iter()
-            .map(|dir| {
-                let files = segment_files(&root.join(&dir));
-                (dir, files)
-            })
-            .collect();
+        let serving = serving_segments(&root);
 
         // The dead process's durable state: every acked text, in order.
         // One append may be in flight when the crash lands (its WAL frame
@@ -695,12 +688,9 @@ fn ingest_sweep(name: &str, script: Script, texts: &[Vec<u32>], ref_dir: &Path) 
                 &texts[recovered.covered() as usize..next as usize],
                 "{label}: recovered texts differ from the appended prefix"
             );
-            let listed = Store::open(&root).unwrap().manifest().unwrap().dirs();
-            assert!(
-                !listed.contains(&compact_gen(&root)),
-                "{label}: recovery kept a merge pointer on a serving segment"
-            );
         }
+        // Recovery alone wrote no segment that served at the crash again.
+        assert_unchanged(&label, &root, &serving);
         // Offline verification holds in the crashed state too.
         verify_memtable(&root).unwrap_or_else(|e| panic!("{label}: verify failed: {e}"));
 
@@ -714,17 +704,11 @@ fn ingest_sweep(name: &str, script: Script, texts: &[Vec<u32>], ref_dir: &Path) 
             .unwrap()
             .expect("memtable manifest persists");
         assert_eq!(report.pending_texts, 0, "{label}: trim left pending texts");
-        // A segment that served at the crash and still exists was never
-        // written again — in particular never a merge target.
-        for (dir, files) in &serving {
-            let path = root.join(dir);
-            if path.is_dir() {
-                assert!(
-                    *files == segment_files(&path),
-                    "{label}: published segment {dir} was rewritten in place"
-                );
-            }
-        }
+        // Nor did the run to completion, and what it did not publish (a
+        // half-written merge target, a compaction's unpublished segment)
+        // is gone.
+        assert_unchanged(&label, &root, &serving);
+        assert_none_unlisted(&label, &root);
     };
 
     for n in 0..checkpoints {
@@ -797,14 +781,29 @@ fn serving_files(root: &Path) -> Vec<std::collections::BTreeMap<String, Vec<u8>>
         .collect()
 }
 
+/// Whether a crash left the store at `root` inside a tail merge: a
+/// `seg-NNNN` that no list names (the merge's target) while the serving
+/// rows end in a run the tail rule merges — the oldest of the newest three
+/// holds fewer than three times the texts of a newer one.
+fn inside_a_tail_merge(root: &Path) -> bool {
+    let store = Store::open(root).unwrap();
+    let manifest = store.manifest().unwrap();
+    let rows: Vec<u64> = manifest.segments.iter().map(|s| s.num_texts).collect();
+    let pending = rows.len() >= 3 && {
+        let tail = &rows[rows.len() - 3..];
+        tail[0] < 3 * tail[1].min(tail[2])
+    };
+    pending && !store.unpublished().unwrap().is_empty()
+}
+
 /// A tail merge killed part-way, then recovered through a second spelling
-/// of the store root — a symlink to it. The merge journal fingerprints its
-/// inputs as the crashed run spelled them, so recovery cannot resume the
-/// half-written target: it deletes it and merges the same run again. The
-/// converged store serves byte for byte what an uninterrupted run serves,
-/// and no `seg-NNNN` is left that no list names. Nine texts, one per
-/// segment, compacted as they come: three tail merges of three ones, and
-/// one of three threes.
+/// of the store root — a symlink to it. A merge writes no journal, so
+/// nothing on disk names the root as the crashed run spelled it: recovery
+/// merges the same run again into a fresh target, and the publish collects
+/// the half-written one. The converged store serves byte for byte what an
+/// uninterrupted run serves, and no `seg-NNNN` is left that no list names.
+/// Nine texts, one per segment, compacted as they come: three tail merges
+/// of three ones, and one of three threes.
 #[cfg(unix)]
 #[test]
 fn a_killed_tail_merge_recovers_through_a_symlinked_root() {
@@ -828,8 +827,7 @@ fn a_killed_tail_merge_recovers_through_a_symlinked_root() {
             &mut acked,
         )
         .expect_err("the ingest must crash");
-        let target = compact_gen(&root);
-        if target.is_empty() || !BuildJournal::path(&root.join(&target)).is_file() {
+        if !inside_a_tail_merge(&root) {
             continue;
         }
         killed_mid_merge += 1;
@@ -843,17 +841,7 @@ fn a_killed_tail_merge_recovers_through_a_symlinked_root() {
             serving_files(&root) == want,
             "checkpoint {n}: the recovered store serves other bytes than an uninterrupted run"
         );
-        let manifest = Store::open(&root).unwrap().manifest().unwrap();
-        for entry in std::fs::read_dir(&root).unwrap() {
-            let name = entry.unwrap().file_name().to_string_lossy().into_owned();
-            if name.starts_with("seg-") {
-                let named = std::iter::once(&manifest.segments)
-                    .chain(&manifest.retained)
-                    .flatten()
-                    .any(|s| s.dir == name);
-                assert!(named, "checkpoint {n}: {name} is left unlisted");
-            }
-        }
+        assert_none_unlisted(&format!("checkpoint {n}"), &root);
     }
     assert!(
         killed_mid_merge >= 3,

@@ -80,11 +80,13 @@ pub fn assert_serves_batch_build(context: &str, root: &Path, reference: &Path) {
     std::fs::remove_dir_all(&merged).ok();
 }
 
-/// Every file of a segment directory as `(name, inode, bytes)`, sorted. A
-/// published segment is never written again, so this does not change for
-/// as long as the directory exists.
+/// Every file of a segment directory as `(name, inode, bytes)`, sorted.
+pub type SegmentFiles = Vec<(String, u64, Vec<u8>)>;
+
+/// The [`SegmentFiles`] of `dir`. A published segment is never written
+/// again, so this does not change for as long as the directory exists.
 #[cfg(unix)]
-pub fn segment_files(dir: &Path) -> Vec<(String, u64, Vec<u8>)> {
+pub fn segment_files(dir: &Path) -> SegmentFiles {
     use std::os::unix::fs::MetadataExt;
     let mut files: Vec<_> = std::fs::read_dir(dir)
         .unwrap()
@@ -99,4 +101,37 @@ pub fn segment_files(dir: &Path) -> Vec<(String, u64, Vec<u8>)> {
         .collect();
     files.sort();
     files
+}
+
+/// Each serving segment of the store at `root` with its [`segment_files`].
+#[cfg(unix)]
+pub fn serving_segments(root: &Path) -> Vec<(String, SegmentFiles)> {
+    let manifest = ndss::index::Store::open(root)
+        .and_then(|store| store.manifest())
+        .unwrap();
+    manifest
+        .dirs()
+        .into_iter()
+        .map(|dir| {
+            let files = segment_files(&root.join(&dir));
+            (dir, files)
+        })
+        .collect()
+}
+
+/// Asserts that every segment of `serving` (taken by [`serving_segments`]
+/// at a crash) that still exists under `root` has the same files, inodes
+/// and bytes: a published segment is never written again — in particular
+/// never a merge target.
+#[cfg(unix)]
+pub fn assert_unchanged(label: &str, root: &Path, serving: &[(String, SegmentFiles)]) {
+    for (dir, files) in serving {
+        let path = root.join(dir);
+        if path.is_dir() {
+            assert!(
+                *files == segment_files(&path),
+                "{label}: published segment {dir} was rewritten in place"
+            );
+        }
+    }
 }

@@ -1,18 +1,18 @@
-//! The memtable manifest's `compact_gen` names the target of an in-flight
-//! tail merge, and a crash between that merge's publish and the pointer's
-//! clearing leaves it naming a segment the store serves. A recovery that
-//! kept such a pointer would let the next merge reuse it as its target —
-//! `merge(run) → serving`, rewriting a serving segment in place. This sweep
-//! crashes the ingest path at every kill point, across compactions that
-//! append rows and a tail merge, and pins that recovery drops a pointer to
-//! any listed segment and that a published segment is never written again.
+//! A tail merge lands in a freshly allocated segment, and an interrupted
+//! one is redone into another fresh segment from its published inputs: no
+//! merge ever takes a segment the store serves as its target, which would
+//! rewrite it in place (`merge(run) → serving`). This sweep crashes the
+//! ingest path at every kill point, across compactions that append rows
+//! and a tail merge, and pins that a published segment is never written
+//! again — neither by recovery alone nor by the run that finishes the work
+//! — and that what was never published is collected.
 
 use std::path::Path;
 use std::sync::Arc;
 
 use ndss::corpus::{CorpusSource, SyntheticCorpusBuilder};
 use ndss::index::{IndexConfig, IndexError, IngestIndex, IngestOptions, KillPoints};
-use ndss_integration::segment_files;
+use ndss_integration::{assert_unchanged, serving_segments};
 
 fn texts() -> Vec<Vec<u32>> {
     let (corpus, _) = SyntheticCorpusBuilder::new(93)
@@ -28,8 +28,8 @@ fn texts() -> Vec<Vec<u32>> {
 fn opts(kill: Option<Arc<KillPoints>>) -> IngestOptions {
     IngestOptions {
         // Small enough that five segments freeze before the first
-        // compaction: the stale pointer only bites with one still pending,
-        // and the compactions merge the tail.
+        // compaction: crashes then leave frozen segments pending behind a
+        // published one, and the compactions merge the tail.
         flush_bytes: 1_000,
         fsync_every: 1,
         keep: 1,
@@ -47,25 +47,6 @@ fn drive(root: &Path, kill: Option<Arc<KillPoints>>) -> Result<(), IndexError> {
     }
     ingest.seal_all()?;
     Ok(())
-}
-
-/// The store's serving segments (none before the first publish).
-fn serving(root: &Path) -> Vec<String> {
-    ndss::index::Manifest::load(root)
-        .unwrap()
-        .unwrap_or_default()
-        .dirs()
-}
-
-/// `compact_gen` as recorded in the memtable manifest ("" when unset).
-fn compact_gen(root: &Path) -> String {
-    let manifest =
-        std::fs::read_to_string(root.join("memtable").join("MEMTABLE")).unwrap_or_default();
-    let doc = ndss::json::Json::parse(&manifest).expect("memtable manifest parses");
-    doc.get("compact_gen")
-        .and_then(|v| v.as_str())
-        .expect("manifest carries compact_gen")
-        .to_string()
 }
 
 #[test]
@@ -90,23 +71,13 @@ fn published_generation_is_never_a_merge_target() {
         std::fs::create_dir_all(&root).unwrap();
         assert!(drive(&root, Some(KillPoints::at_checkpoint(n))).is_err());
 
-        // Recovery alone (no compaction yet) must already drop a pointer
-        // whose merge reached publish.
-        let before: Vec<(String, _)> = serving(&root)
-            .into_iter()
-            .map(|dir| {
-                let files = segment_files(&root.join(&dir));
-                (dir, files)
-            })
-            .collect();
+        // Recovery alone (no compaction yet) writes no serving segment
+        // again, even where it redoes a merge the crash interrupted.
+        let before = serving_segments(&root);
         let frozen = IngestIndex::open(&root, None, opts(None))
             .unwrap()
             .frozen_segments();
-        let pointer = compact_gen(&root);
-        assert!(
-            !serving(&root).contains(&pointer),
-            "kill point {n}: recovery kept compact_gen on serving segment {pointer} with {frozen} frozen segments"
-        );
+        assert_unchanged(&format!("kill point {n}, {frozen} frozen"), &root, &before);
         if !before.is_empty() && frozen > 0 {
             windows_hit += 1;
         }
@@ -115,15 +86,15 @@ fn published_generation_is_never_a_merge_target() {
         // retained (`keep: 1`) or collected once merged away; while it
         // exists it is the same files, byte for byte and inode for inode.
         drive(&root, None).unwrap();
-        for (dir, files) in &before {
-            let path = root.join(dir);
-            if path.is_dir() {
-                assert!(
-                    *files == segment_files(&path),
-                    "kill point {n}: published segment {dir} was rewritten in place"
-                );
-            }
-        }
+        assert_unchanged(&format!("kill point {n}"), &root, &before);
+        let unlisted = ndss::index::Store::open(&root)
+            .unwrap()
+            .unpublished()
+            .unwrap();
+        assert!(
+            unlisted.is_empty(),
+            "kill point {n}: {unlisted:?} left unlisted"
+        );
         let done = IngestIndex::open(&root, None, opts(None)).unwrap();
         assert_eq!(done.covered(), texts().len() as u64, "kill point {n}");
         assert_eq!(done.pending_texts(), 0, "kill point {n}");

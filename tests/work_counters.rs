@@ -21,7 +21,8 @@
 //! query; the novel set (windows of a second corpus) finds almost none.
 //! Publishing is counted apart from building: the fsyncs of one
 //! `Store::publish` of one built segment and of two, each one `MANIFEST`
-//! write.
+//! write. So is merging: the fsyncs and bytes written of one
+//! `merge_indexes` of the corpus's two halves, each built apart.
 //!
 //! The ingest script: the same corpus published as one segment, then
 //! `INGEST_TEXTS` texts of the second corpus appended with a WAL budget
@@ -37,15 +38,13 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use ndss::corpus::PlantedDuplicate;
-use ndss::index::{build_and_write, CacheConfig, IngestIndex, IngestOptions, KillPoints};
+use ndss::index::{build_and_write, merge_indexes, CacheConfig, IngestIndex, IngestOptions};
 use ndss::prelude::*;
 use ndss::query::QueryStats;
 use ndss_integration::scratch;
 
 /// `ndss_durable::fsync_count` is process-wide: every test in this binary
-/// that measures it holds this lock. The ingest script also changes the
-/// working directory while it holds it, so a test here that uses a
-/// relative path must hold it too.
+/// that measures it holds this lock.
 static FSYNCS: Mutex<()> = Mutex::new(());
 
 const K: usize = 32;
@@ -140,6 +139,9 @@ struct IndexWork {
     publish_fsyncs: u64,
     /// One `Store::publish` of two built segments.
     sharded_publish_fsyncs: u64,
+    /// One `merge_indexes` of two halves.
+    merge_fsyncs: u64,
+    merge_bytes: u64,
 }
 
 fn config() -> IndexConfig {
@@ -175,12 +177,31 @@ fn build(corpus: &InMemoryCorpus, dir: &Path) -> IndexWork {
     let publish_fsyncs = publish(1, "publish");
     let sharded_publish_fsyncs = publish(2, "sharded_publish");
 
+    let root = scratch("work_counters", "merge");
+    let halves: Vec<PathBuf> = partition_texts(corpus.num_texts(), 2)
+        .into_iter()
+        .enumerate()
+        .map(|(i, (first, len))| {
+            let half = root.join(format!("half_{i}"));
+            let slice = CorpusSlice::new(corpus, first, len as usize);
+            build_and_write(&slice, config(), &half, false).unwrap();
+            half
+        })
+        .collect();
+    let inputs: Vec<&Path> = halves.iter().map(PathBuf::as_path).collect();
+    let merge_bytes = ndss::durable::bytes_written();
+    let merge_fsyncs = fsyncs(|| merge_indexes(&inputs, &root.join("merged")).unwrap());
+    let merge_bytes = ndss::durable::bytes_written() - merge_bytes;
+    std::fs::remove_dir_all(&root).ok();
+
     IndexWork {
         tokens: corpus.total_tokens(),
         bytes: dir_bytes(dir),
         fsyncs: fsyncs_per_build,
         publish_fsyncs,
         sharded_publish_fsyncs,
+        merge_fsyncs,
+        merge_bytes,
     }
 }
 
@@ -224,20 +245,14 @@ fn user_bytes(texts: &[Vec<TokenId>]) -> u64 {
     texts.iter().map(|t| 4 * t.len() as u64).sum()
 }
 
-/// Runs the ingest script in `dir`. A merge journal records its input
-/// paths' fingerprint and the functions done so far, so two things keep its
-/// saves the same size on every run: the store is opened by a path
-/// relative to `dir`, not by the scratch path, and a never-firing kill-point
-/// injector runs every merge on one thread, so functions finish in order.
+/// Runs the ingest script in `dir`.
 fn ingest_work(corpus: &InMemoryCorpus, dir: &Path) -> IngestWork {
     let _serial = FSYNCS.lock().unwrap_or_else(|e| e.into_inner());
     let (second, _) = synth(SEED + 1, 0.0);
     let appended: Vec<Vec<TokenId>> = (0..INGEST_TEXTS as TextId)
         .map(|i| second.text_to_vec(i).unwrap())
         .collect();
-    let cwd = std::env::current_dir().unwrap();
-    std::env::set_current_dir(dir).unwrap();
-    let root = Path::new("store");
+    let root = &dir.join("store");
 
     let store = Store::open(root).unwrap();
     let base = store.allocate().unwrap();
@@ -257,7 +272,7 @@ fn ingest_work(corpus: &InMemoryCorpus, dir: &Path) -> IngestWork {
         flush_bytes: INGEST_FLUSH_BYTES,
         fsync_every: 4,
         keep: INGEST_KEEP,
-        kill: Some(KillPoints::count_only()),
+        kill: None,
     };
     let mut ingest = IngestIndex::open(root, None, opts).unwrap();
     let (mut compactions, mut peak) = (0, 1);
@@ -300,7 +315,7 @@ fn ingest_work(corpus: &InMemoryCorpus, dir: &Path) -> IngestWork {
     build_and_write(
         &InMemoryCorpus::from_texts(all.clone()),
         config(),
-        Path::new("batch"),
+        &dir.join("batch"),
         false,
     )
     .unwrap();
@@ -309,8 +324,7 @@ fn ingest_work(corpus: &InMemoryCorpus, dir: &Path) -> IngestWork {
         batch_bytes: ndss::durable::bytes_written() - before,
         ..work
     };
-    std::fs::remove_dir_all("batch").ok();
-    std::env::set_current_dir(cwd).unwrap();
+    std::fs::remove_dir_all(dir.join("batch")).ok();
     work
 }
 
@@ -348,7 +362,8 @@ fn render(
         out,
         "  \"index\": {{\"tokens\": {}, \"bytes\": {}, \"bytes_per_token\": {:.4}, \
          \"bytes_written_per_build\": {}, \"fsyncs_per_build\": {}, \
-         \"fsyncs_per_publish\": {}, \"fsyncs_per_publish_all_2_shards\": {}}},",
+         \"fsyncs_per_publish\": {}, \"fsyncs_per_publish_all_2_shards\": {}, \
+         \"fsyncs_per_merge\": {}, \"bytes_written_per_merge\": {}}},",
         index.tokens,
         index.bytes,
         index.bytes as f64 / index.tokens as f64,
@@ -356,6 +371,8 @@ fn render(
         index.fsyncs,
         index.publish_fsyncs,
         index.sharded_publish_fsyncs,
+        index.merge_fsyncs,
+        index.merge_bytes,
     )
     .unwrap();
     writeln!(
