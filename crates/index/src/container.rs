@@ -32,20 +32,25 @@
 //! half-index under the final name. [`Reader::open`] verifies the header
 //! checksum, checks every header-derived size against the file length, and
 //! verifies the checksum of every section it loads (the directory, and the
-//! block index of v4/v6); [`Reader::verify`] streams the sections `open`
-//! left on disk. Together they cover every byte of the file.
+//! block index of v4/v6); [`Reader::verify`] checks the sections `open`
+//! left unread. Together they cover every byte of the file.
+//!
+//! Every byte a reader takes from the file — header, sections, a list's
+//! blocks — comes through one primitive, `Reader::bytes`: a range borrowed
+//! from the file's mapping (module `file`), where an attached fault plan
+//! acts.
 
+use std::borrow::Cow;
 use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 use crc32c::Crc32c;
 use ndss_corpus::TextId;
 use ndss_durable::AtomicFile;
 use ndss_hash::HashValue;
 
+use crate::file::{IndexFile, ReadOptions};
 use crate::fixed::ZoneCache;
-use crate::pread::{ReadOptions, RetryingFile};
 use crate::{fixed, packed, varint, IndexConfig, IndexError, IoStats, Posting};
 
 const MAGIC: &[u8; 4] = b"NDSI";
@@ -452,14 +457,11 @@ enum Lists {
 }
 
 /// Read-only handle to one inverted-index file. The directory (and the
-/// block index of v4/v6) lives in memory; list bytes are read on demand
-/// with IO accounting.
-///
-/// All reads are *positioned* (memory copies from the file's mapping, or
-/// `pread` on a tapped or unmappable file), so a shared reader serves any
-/// number of threads with no lock.
+/// block index of v4/v6) lives in memory; list bytes are borrowed from the
+/// file's mapping on demand, with IO accounting, so a shared reader serves
+/// any number of threads with no lock.
 pub struct Reader {
-    file: RetryingFile,
+    file: IndexFile,
     path: PathBuf,
     encoding: Encoding,
     func_idx: u32,
@@ -488,8 +490,8 @@ impl std::fmt::Debug for Reader {
 }
 
 impl Reader {
-    /// Opens the file with default IO options (mapped, transient-error
-    /// retry on, fault injection off). See [`Self::open_with`].
+    /// Opens the file with default IO options (mapped, fault injection
+    /// off). See [`Self::open_with`].
     pub fn open(path: &Path) -> Result<Self, IndexError> {
         Self::open_with(path, &ReadOptions::default())
     }
@@ -498,15 +500,14 @@ impl Reader {
     /// every header-derived size validated against the real file length
     /// (overflow-checked, before any allocation), CRC-checked loads of the
     /// directory and the resident section-2 entries, and structural
-    /// validation of both. All reads go through the retrying layer
-    /// configured by `io`.
+    /// validation of both. Every check runs on ranges borrowed from the
+    /// file, which is mapped, with the fault plan of `io` attached.
     pub fn open_with(path: &Path, io: &ReadOptions) -> Result<Self, IndexError> {
         let malformed = |what: String| IndexError::Malformed(format!("{}: {what}", path.display()));
-        let file = RetryingFile::open(path, io)?;
+        let file = IndexFile::open(path, io)?;
         let file_len = file.len();
-        let mut header = [0u8; HEADER_LEN as usize];
         let have = HEADER_LEN.min(file_len) as usize;
-        file.read_exact_at(&mut header[..have], 0)?;
+        let header = file.bytes(0, have)?;
         // Magic before version, version before length and checksum: a
         // non-index file never reaches a parser, and a pre-checksum (v1/v2)
         // or zero-filled-tail (v5) file is named for what it is rather than
@@ -516,21 +517,26 @@ impl Reader {
         }
         let u32_at = |o: usize| u32::from_le_bytes(header[o..o + 4].try_into().expect("4 bytes"));
         let u64_at = |o: usize| u64::from_le_bytes(header[o..o + 8].try_into().expect("8 bytes"));
-        let step = u32_at(OFF_STEP);
-        let encoding = match u32_at(OFF_VERSION) {
-            3 => Encoding::Fixed {
-                zone_step: step,
-                zone_min_len: u32_at(OFF_ZONE_MIN_LEN),
-            },
-            4 => Encoding::Varint { block_len: step },
-            6 => Encoding::Packed,
-            v => return Err(malformed(format!("unsupported index file version {v}"))),
-        };
+        let version = u32_at(OFF_VERSION);
+        if ![3, 4, 6].contains(&version) {
+            return Err(malformed(format!(
+                "unsupported index file version {version}"
+            )));
+        }
         if (have as u64) < HEADER_LEN {
             return Err(malformed(format!(
                 "too short ({file_len} B) to hold an index header"
             )));
         }
+        let step = u32_at(OFF_STEP);
+        let encoding = match version {
+            3 => Encoding::Fixed {
+                zone_step: step,
+                zone_min_len: u32_at(OFF_ZONE_MIN_LEN),
+            },
+            4 => Encoding::Varint { block_len: step },
+            _ => Encoding::Packed,
+        };
         let stored = u32_at(OFF_HEADER_CRC);
         let actual = crc32c::crc32c(&header[..OFF_HEADER_CRC]);
         if stored != actual {
@@ -575,15 +581,14 @@ impl Reader {
         }
 
         let load = |offset: u64, len: u64, crc: u32, what: &str| {
-            let mut bytes = vec![0u8; len as usize];
-            file.read_exact_at(&mut bytes, offset)?;
+            let bytes = file.bytes(offset, len as usize)?;
             let actual = crc32c::crc32c(&bytes);
             if actual != crc {
                 return Err(crc_mismatch(what, path, crc, actual));
             }
             Ok(bytes)
         };
-        let section2_crc = u32_at(OFF_SECTION2_CRC);
+        let (section1_crc, section2_crc) = (u32_at(OFF_SECTION1_CRC), u32_at(OFF_SECTION2_CRC));
         let load_section2 = || {
             let name = encoding.section_names().1;
             load(section2_start, section2_len, section2_crc, name)
@@ -630,70 +635,29 @@ impl Reader {
             lists,
             section1_len,
             section2_len,
-            section1_crc: u32_at(OFF_SECTION1_CRC),
+            section1_crc,
             section2_crc,
         })
     }
 
-    /// Streams the sections `open` did not load — the payload, and the zone
+    /// Checks the sections `open` did not load — the payload, and the zone
     /// section of a v3 file — against their header checksums. `open` plus
     /// `verify` together cover every byte of the file.
     pub fn verify(&self, stats: &IoStats) -> Result<(), IndexError> {
         let (payload, section2) = self.encoding.section_names();
-        self.check_streamed_crc(
-            HEADER_LEN,
-            self.section1_len,
-            self.section1_crc,
-            payload,
-            stats,
-        )?;
+        let mut sections = vec![(HEADER_LEN, self.section1_len, self.section1_crc, payload)];
         if matches!(self.lists, Lists::Fixed) {
-            self.check_streamed_crc(
-                HEADER_LEN + self.section1_len,
-                self.section2_len,
-                self.section2_crc,
-                section2,
-                stats,
-            )?;
+            let at = HEADER_LEN + self.section1_len;
+            sections.push((at, self.section2_len, self.section2_crc, section2));
         }
-        Ok(())
-    }
-
-    /// Streams file range `[offset, offset + len)` through CRC-32C in
-    /// bounded chunks and compares with `expect`. Transient read faults are
-    /// absorbed by the [`RetryingFile`]; a read that still fails surfaces as
-    /// `Io` with its kind intact, so a breaker classifies it as the read
-    /// fault it is. Only a checksum mismatch is `Malformed`, and it is never
-    /// retried (re-reading corrupt bytes cannot fix them).
-    fn check_streamed_crc(
-        &self,
-        offset: u64,
-        len: u64,
-        expect: u32,
-        what: &str,
-        stats: &IoStats,
-    ) -> Result<(), IndexError> {
-        const CHUNK: u64 = 1 << 20;
-        let mut crc = Crc32c::new();
-        let mut buf = vec![0u8; CHUNK.min(len.max(1)) as usize];
-        let mut pos = offset;
-        let end = offset + len;
-        while pos < end {
-            let take = ((end - pos).min(CHUNK)) as usize;
-            let start = Instant::now();
-            self.file
-                .read_exact_at(&mut buf[..take], pos)
-                .map_err(|e| {
-                    let file = self.path.display();
-                    let msg = format!("cannot read {what} of {file} at offset {pos}: {e}");
-                    std::io::Error::new(e.kind(), msg)
-                })?;
-            stats.record(take as u64, start.elapsed().as_nanos() as u64);
-            crc.update(&buf[..take]);
-            pos += take as u64;
-        }
-        if crc.finalize() != expect {
-            return Err(crc_mismatch(what, &self.path, expect, crc.finalize()));
+        for (offset, len, expect, what) in sections {
+            // A failed read stays `Io` with its kind intact, so a breaker
+            // classifies it as the read fault it is; only a checksum
+            // mismatch is `Malformed`.
+            let actual = crc32c::crc32c(&self.bytes(offset, len as usize, stats)?);
+            if actual != expect {
+                return Err(crc_mismatch(what, &self.path, expect, actual));
+            }
         }
         Ok(())
     }
@@ -837,56 +801,28 @@ impl Reader {
         self.section1_len
     }
 
-    fn read_at(&self, offset: u64, buf: &mut [u8], stats: &IoStats) -> Result<(), IndexError> {
-        let start = Instant::now();
-        self.file.read_exact_at(buf, offset)?;
-        stats.record(buf.len() as u64, start.elapsed().as_nanos() as u64);
-        Ok(())
-    }
-
-    /// Fills `buf` from section 1 at byte `offset`, timed into `stats`.
-    pub(crate) fn read_payload(
-        &self,
-        offset: u64,
-        buf: &mut [u8],
-        stats: &IoStats,
-    ) -> Result<(), IndexError> {
-        self.read_at(HEADER_LEN + offset, buf, stats)
-    }
-
-    /// Fills `buf` from section 2 at byte `offset`, timed into `stats`.
-    pub(crate) fn read_section2(
-        &self,
-        offset: u64,
-        buf: &mut [u8],
-        stats: &IoStats,
-    ) -> Result<(), IndexError> {
-        self.read_at(HEADER_LEN + self.section1_len + offset, buf, stats)
-    }
-
-    /// Section-1 bytes `[offset, offset + len)` borrowed from the mapping
-    /// (accounted as a zero-time read), or `None` when the file is read
-    /// with `pread`.
-    pub(crate) fn mapped_payload(
+    /// File bytes `[offset, offset + len)`, borrowed from the mapping and
+    /// counted as one read into `stats`. A range outside the file is
+    /// `Malformed`: the header and block index that placed it lied. A failed
+    /// read is `Io`, its kind kept and the file named.
+    pub(crate) fn bytes(
         &self,
         offset: u64,
         len: usize,
         stats: &IoStats,
-    ) -> Result<Option<&[u8]>, IndexError> {
-        let Some(all) = self.file.mapped() else {
-            return Ok(None);
-        };
-        let view = usize::try_from(HEADER_LEN + offset)
-            .ok()
-            .and_then(|s| all.get(s..s.checked_add(len)?))
-            .ok_or_else(|| {
-                IndexError::Malformed(format!(
-                    "mapped {} is shorter than its header promises",
-                    self.path.display()
-                ))
-            })?;
+    ) -> Result<Cow<'_, [u8]>, IndexError> {
+        let path = self.path.display();
+        let end = offset.checked_add(len as u64);
+        if end.is_none_or(|end| end > self.file.len()) {
+            let msg = format!("{path} is shorter than its header promises");
+            return Err(IndexError::Malformed(msg));
+        }
+        let bytes = self.file.bytes(offset, len).map_err(|e| {
+            let msg = format!("cannot read {len} B of {path} at offset {offset}: {e}");
+            std::io::Error::new(e.kind(), msg)
+        })?;
         stats.record(len as u64, 0);
-        Ok(Some(view))
+        Ok(bytes)
     }
 }
 
@@ -987,7 +923,7 @@ fn check_block_lists<B: BlockSpan>(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::pread::{FaultMode, FaultPlan};
+    use crate::file::{FaultMode, FaultPlan};
     use ndss_windows::CompactWindow;
 
     /// One of each encoding, with zone/block parameters small enough that
@@ -1395,16 +1331,15 @@ pub(crate) mod tests {
         }
     }
 
-    /// Reads that keep failing transiently exhaust the retry budget and
-    /// surface from whichever call issued them: `open` for the header,
-    /// `read_list` and `verify` for the payload — all as `Io` with the
-    /// transient kind, never as `Malformed`.
+    /// Interrupted reads surface from whichever call issued them: `open`
+    /// for the header, `read_list` and `verify` for the payload — all as
+    /// `Io` with the interrupted kind, never as `Malformed`.
     #[test]
     fn persistent_read_faults_surface_from_open_read_and_verify() {
         for encoding in ENCODINGS {
             let path = temp(&format!("storm_v{}.ndsi", encoding.version()));
             write_file(&path, encoding, &sample_lists());
-            let plan = FaultPlan::new("", 1);
+            let plan = FaultPlan::new("");
             let options = ReadOptions::with_faults(plan.clone());
             plan.arm(FaultMode::Storm);
             assert!(
@@ -1420,31 +1355,6 @@ pub(crate) mod tests {
                 Err(IndexError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::Interrupted),
                 other => panic!("{encoding:?}: verify under a storm gave {other:?}"),
             }
-            std::fs::remove_file(&path).ok();
-        }
-    }
-
-    /// `open` reads through the retrying layer: under an armed `Flaky`
-    /// plan whose seed faults the very first read, the faults are absorbed,
-    /// counted by the plan, and the file opens and reads bit-identically.
-    #[test]
-    fn transient_fault_on_first_read_is_absorbed() {
-        for encoding in ENCODINGS {
-            let path = temp(&format!("faulty_v{}.ndsi", encoding.version()));
-            let lists = sample_lists();
-            write_file(&path, encoding, &lists);
-            // Seed 7's first `Flaky` roll faults.
-            let plan = FaultPlan::new("", 7);
-            plan.arm(FaultMode::Flaky);
-            let r = Reader::open_with(&path, &ReadOptions::with_faults(plan.clone())).unwrap();
-            let at_open = plan.injected();
-            assert!(at_open >= 1, "{encoding:?}: first read was not faulted");
-            let io = IoStats::default();
-            r.verify(&io).unwrap();
-            for (hash, postings) in &lists {
-                assert_eq!(&r.read_list(*hash, &io).unwrap(), postings, "{encoding:?}");
-            }
-            assert!(plan.injected() > at_open);
             std::fs::remove_file(&path).ok();
         }
     }

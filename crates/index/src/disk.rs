@@ -25,8 +25,8 @@ use ndss_hash::HashValue;
 
 use crate::cache::{CacheConfig, ShardedCache};
 use crate::container::Reader;
+use crate::file::ReadOptions;
 use crate::fixed::ZoneCache;
-use crate::pread::ReadOptions;
 use crate::{IndexAccess, IndexConfig, IndexError, IoStats, LengthHistogram, Posting, SharedList};
 
 /// File name of the metadata JSON inside an index directory.
@@ -89,8 +89,8 @@ impl DiskIndex {
     }
 
     /// Opens an index directory with explicit cache sizing **and** IO
-    /// options: memory-mapped or positioned reads, and (in tests) a
-    /// [`crate::FaultPlan`] attached to every index file it targets.
+    /// options: (in tests) a [`crate::FaultPlan`] attached to every index
+    /// file it targets. Every file is mapped, tapped or not.
     pub fn open_with_io(
         dir: &Path,
         cache: CacheConfig,

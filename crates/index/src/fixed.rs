@@ -14,7 +14,7 @@ use std::sync::Arc;
 use ndss_corpus::TextId;
 
 use crate::cache::ShardedCache;
-use crate::container::{DirEntry, Payload, Reader};
+use crate::container::{DirEntry, Payload, Reader, HEADER_LEN};
 use crate::{IndexError, IoStats, Posting};
 
 pub(crate) const ZONE_ENTRY_LEN: usize = 8;
@@ -79,9 +79,9 @@ pub(crate) fn read_range(
             file.path().display()
         )));
     }
-    let mut bytes = vec![0u8; (rel_hi - rel_lo) as usize * Posting::ENCODED_LEN];
+    let len = (rel_hi - rel_lo) as usize * Posting::ENCODED_LEN;
     let offset = (entry.start + rel_lo) * Posting::ENCODED_LEN as u64;
-    file.read_payload(offset, &mut bytes, stats)?;
+    let bytes = file.bytes(HEADER_LEN + offset, len, stats)?;
     out.reserve(bytes.len() / Posting::ENCODED_LEN);
     for chunk in bytes.chunks_exact(Posting::ENCODED_LEN) {
         out.push(Posting::decode_checked(chunk).ok_or_else(|| {
@@ -104,8 +104,9 @@ pub(crate) fn read_zone(
     if entry.aux_count == 0 {
         return Ok(Vec::new());
     }
-    let mut bytes = vec![0u8; entry.aux_count as usize * ZONE_ENTRY_LEN];
-    file.read_section2(entry.aux_start * ZONE_ENTRY_LEN as u64, &mut bytes, stats)?;
+    let len = entry.aux_count as usize * ZONE_ENTRY_LEN;
+    let offset = file.payload_len() + entry.aux_start * ZONE_ENTRY_LEN as u64;
+    let bytes = file.bytes(HEADER_LEN + offset, len, stats)?;
     Ok(bytes
         .chunks_exact(ZONE_ENTRY_LEN)
         .map(|c| ZoneEntry {

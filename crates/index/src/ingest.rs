@@ -13,7 +13,7 @@
 //! * [`IngestIndex`] — the orchestrator: append → WAL + segment, rotate
 //!   full segments behind new WAL files, and **compact** each frozen one
 //!   into a new store segment, then merge short runs of the newest ones
-//!   ([`tail_run`]). Every step converges from any kill point, publish
+//!   (`tail_run`). Every step converges from any kill point, publish
 //!   is atomic, and a WAL is only trimmed after the covering segment has
 //!   been verified and published — so a text is durable from the moment
 //!   its append is acked, and never duplicated.
@@ -649,7 +649,7 @@ impl IngestIndex {
 
     /// Compacts the oldest frozen segment into the store: writes it into a
     /// fresh segment, publishes the list with that row appended, merges the
-    /// runs [`tail_run`] picks, then trims the covering WAL. Returns `false`
+    /// runs `tail_run` picks, then trims the covering WAL. Returns `false`
     /// when no frozen segment is pending. Converges from any kill point —
     /// rerunning after a crash deterministically redoes the interrupted
     /// step.

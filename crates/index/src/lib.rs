@@ -33,6 +33,7 @@ pub mod build;
 pub mod cache;
 pub mod container;
 pub mod disk;
+mod file;
 pub mod fixed;
 mod gc;
 pub mod ingest;
@@ -41,7 +42,6 @@ pub mod memory;
 pub mod merge;
 mod metrics;
 pub mod packed;
-mod pread;
 mod record;
 pub mod shard;
 pub mod store;
@@ -51,11 +51,11 @@ pub mod wal;
 pub use build::{build_and_write, write_memory_index, ExternalIndexBuilder, DEFAULT_MEMORY_BUDGET};
 pub use cache::CacheConfig;
 pub use disk::{inv_file_path, DiskIndex};
+pub use file::{FaultMode, FaultPlan, ReadOptions};
 pub use ingest::{verify_memtable, IngestIndex, IngestOptions, MemSegment, MemtableReport};
 pub use journal::{BuildJournal, KillPoints};
 pub use memory::MemoryIndex;
 pub use merge::{merge_indexes, merge_indexes_with, MergeOptions};
-pub use pread::{FaultMode, FaultPlan, ReadOptions};
 pub use shard::{build_sharded, partition_texts, ShardedBuildOptions};
 pub use store::{resolve_index_dir, resolve_segments, verify_segment, Manifest, Segment, Store};
 

@@ -33,8 +33,8 @@
 //!
 //! A probe seeks each text's first block by `max_text` and reads what it
 //! returns: of a list already decoded whole, that block's 128 postings
-//! ([`probe_resident`]); of a full block, the text plane and the returned
-//! rows' windows ([`probe_texts`]).
+//! (`probe_resident`); of a full block, the text plane and the returned
+//! rows' windows (`probe_texts`).
 //!
 //! All delta arithmetic on the read side is overflow-checked and the
 //! decoded last text id must equal the stored `max_text`, so corrupt widths
@@ -42,12 +42,13 @@
 //! a wrapped posting. Every posting a read returns is checked; a probe does
 //! not read, so does not check, the window planes of rows it skips.
 
+use std::borrow::Cow;
 use std::path::Path;
 
 use ndss_corpus::TextId;
 use ndss_windows::CompactWindow;
 
-use crate::container::{self, BlockSpan, Payload, Reader};
+use crate::container::{self, BlockSpan, Payload, Reader, HEADER_LEN};
 use crate::{IndexError, IoStats, Posting};
 
 /// Postings per full block (fixed: the bitpack kernel's block size).
@@ -214,27 +215,10 @@ pub(crate) fn read_blocks(
         return Ok(());
     };
     let range_len = blocks.iter().map(Block::byte_len).sum();
-    // A mapped file hands out the block range as a borrowed slice —
-    // no intermediate buffer, no copy; the unpack kernel reads the
-    // packed planes straight out of the page cache. Otherwise a range the
-    // size of one block (nine lists in ten are a single short tail) is
-    // read into a stack buffer, and only a longer one into a heap buffer.
-    let mut stack = [0u8; MAX_BLOCK_BYTES];
-    let mut heap = Vec::new();
-    let bytes: &[u8] = match file.mapped_payload(first.byte_offset, range_len, stats)? {
-        Some(view) => view,
-        None => {
-            let buf = match stack.get_mut(..range_len) {
-                Some(buf) => buf,
-                None => {
-                    heap.resize(range_len, 0);
-                    &mut heap[..]
-                }
-            };
-            file.read_payload(first.byte_offset, buf, stats)?;
-            buf
-        }
-    };
+    // The block range is borrowed from the mapping: no intermediate
+    // buffer, no copy; the unpack kernel reads the packed planes straight
+    // out of the page cache.
+    let bytes = file.bytes(HEADER_LEN + first.byte_offset, range_len, stats)?;
     let total: usize = blocks.iter().map(|b| b.posting_count as usize).sum();
     let mut done = out.len();
     out.resize(done + total, EMPTY_POSTING);
@@ -254,9 +238,9 @@ pub(crate) fn read_blocks(
 /// `partition_point` over the blocks not yet passed lands on the first
 /// block whose range can contain the next text, so a long list costs
 /// O(log blocks) index work per text plus IO for the covering blocks only.
-/// Each covering block is read (into a stack buffer, or borrowed from the
-/// mapping) at most once per call, however many of the texts it holds; a
-/// full block's text ids are decoded once, its windows per returned row.
+/// Each covering block is borrowed from the mapping at most once per call,
+/// however many of the texts it holds; a full block's text ids are decoded
+/// once, its windows per returned row.
 pub(crate) fn probe_texts(
     file: &Reader,
     index: &[Block],
@@ -264,10 +248,9 @@ pub(crate) fn probe_texts(
     stats: &IoStats,
     out: &mut Vec<Posting>,
 ) -> Result<(), IndexError> {
-    let mut bytes = [0u8; MAX_BLOCK_BYTES];
-    // `index[resident]` as last read, from the mapping (`None`: `bytes`),
-    // with its text ids when full and its postings when a tail.
-    let (mut resident, mut mapped) = (usize::MAX, None);
+    // `index[resident]` as last read, with its text ids when full and its
+    // postings when a tail.
+    let (mut resident, mut packed) = (usize::MAX, Cow::Borrowed(&[][..]));
     let mut ids = [0 as TextId; BLOCK_LEN];
     let mut tail = [EMPTY_POSTING; BLOCK_LEN];
     // First block that can still hold a text at or past the current one.
@@ -281,19 +264,15 @@ pub(crate) fn probe_texts(
             let e = &index[b];
             let (len, count) = (e.byte_len(), e.posting_count as usize);
             if resident != b {
-                mapped = file.mapped_payload(e.byte_offset, len, stats)?;
-                if mapped.is_none() {
-                    file.read_payload(e.byte_offset, &mut bytes[..len], stats)?;
-                }
-                let packed = mapped.unwrap_or(&bytes[..len]);
+                packed = file.bytes(HEADER_LEN + e.byte_offset, len, stats)?;
                 match count {
-                    BLOCK_LEN => decode_ids(e, packed, &mut ids)?,
-                    _ => decode_block(e, packed, &mut tail[..count])?,
+                    BLOCK_LEN => decode_ids(e, &packed, &mut ids)?,
+                    _ => decode_block(e, &packed, &mut tail[..count])?,
                 }
                 resident = b;
             }
             match count {
-                BLOCK_LEN => probe_rows(e, mapped.unwrap_or(&bytes[..len]), &ids, text, out)?,
+                BLOCK_LEN => probe_rows(e, &packed, &ids, text, out)?,
                 _ => crate::probe_sorted(&tail[..count], &[text], out),
             }
             b += 1;
@@ -321,9 +300,6 @@ pub(crate) fn probe_resident(
         out.extend_from_slice(&rest[..run]);
     }
 }
-
-/// Largest packed block: four full planes at 32 bits.
-const MAX_BLOCK_BYTES: usize = PLANES * bitpack::packed_len(32);
 
 const EMPTY_POSTING: Posting = Posting {
     text: 0,
@@ -467,8 +443,8 @@ mod tests {
     use crate::container::{
         Encoding, OFF_HEADER_CRC, OFF_SECTION1_CRC, OFF_SECTION1_LEN, OFF_SECTION2_CRC,
     };
+    use crate::file::{FaultPlan, ReadOptions};
     use crate::fixed::ZoneCache;
-    use crate::pread::{FaultPlan, ReadOptions};
 
     fn probe_one(r: &Reader, hash: u64, text: u32, stats: &IoStats) -> Vec<Posting> {
         let mut out = Vec::new();
@@ -706,9 +682,10 @@ mod tests {
     /// The probe's decode contract on a full block: every posting it
     /// returns is checked, and no posting is wrapped. A text chain that does
     /// not start with delta 0, one that does not end at `max_text`, and a
-    /// returned row whose `r` overflows u32 are each `Malformed` on the
-    /// mapped and the pread path — checksums recomputed, so the decoder is
-    /// all that stands between them and the caller. A row the probe does not
+    /// returned row whose `r` overflows u32 are each `Malformed`, untapped
+    /// and through a tapped, disarmed reader (a dormant tap passes the
+    /// mapped bytes through) — checksums recomputed, so the decoder is all
+    /// that stands between them and the caller. A row the probe does not
     /// return is not read, so it is not checked: the whole-list read, which
     /// returns every row, refuses the block.
     #[test]
@@ -745,10 +722,10 @@ mod tests {
         .zip(&cases)
         {
             std::fs::write(&path, bytes).unwrap();
-            for pread in [false, true] {
-                let label = format!("{case}, pread = {pread}");
-                let io = match pread {
-                    true => ReadOptions::with_faults(FaultPlan::new("", 0)),
+            for tapped in [false, true] {
+                let label = format!("{case}, tapped and disarmed = {tapped}");
+                let io = match tapped {
+                    true => ReadOptions::with_faults(FaultPlan::new("")),
                     false => ReadOptions::default(),
                 };
                 let r = Reader::open_with(&path, &io).unwrap();

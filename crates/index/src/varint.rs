@@ -26,7 +26,7 @@ use std::path::Path;
 use ndss_corpus::TextId;
 use ndss_windows::CompactWindow;
 
-use crate::container::{BlockSpan, Payload, Reader};
+use crate::container::{BlockSpan, Payload, Reader, HEADER_LEN};
 use crate::{IndexError, IoStats, Posting};
 
 pub(crate) const BLOCK_ENTRY_LEN: usize = 16;
@@ -222,8 +222,8 @@ pub(crate) fn read_blocks(
     let byte_hi = blocks
         .get(blk_hi)
         .map_or(file.payload_len(), |b| b.byte_offset);
-    let mut bytes = vec![0u8; (byte_hi - byte_lo) as usize];
-    file.read_payload(byte_lo, &mut bytes, stats)?;
+    let len = (byte_hi - byte_lo) as usize;
+    let bytes = file.bytes(HEADER_LEN + byte_lo, len, stats)?;
     let mut pos = 0usize;
     for blk in blk_lo..blk_hi {
         pos += decode_block(&bytes[pos..], blocks[blk].posting_count as usize, out)?;

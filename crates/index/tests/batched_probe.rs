@@ -1,8 +1,8 @@
 //! Differential test of [`IndexAccess::probe_texts`]: one batched call
 //! must return exactly the concatenation of one per-text probe per entry
 //! (and both must equal filtering the list itself), for every on-disk
-//! format, both read paths (mapped, and pread under a disarmed fault plan),
-//! and with the list cache off, on but cold, and
+//! format, untapped and tapped by a disarmed fault plan (a dormant tap must
+//! pass the mapped bytes through), and with the list cache off, on but cold, and
 //! holding the whole list — on lists built to sit on the boundaries the
 //! forward pass has to get right.
 
@@ -64,11 +64,11 @@ fn fixture() -> Vec<(HashValue, Vec<Posting>)> {
     .collect()
 }
 
-/// Opens `dir` with the list cache off (`"off"`) or on, mapped or (under
-/// a disarmed fault plan, which taps every file) by pread.
-fn open(dir: &Path, cache: &str, pread: bool) -> DiskIndex {
-    let io = if pread {
-        ReadOptions::with_faults(FaultPlan::new("", 0))
+/// Opens `dir` with the list cache off (`"off"`) or on, untapped or with a
+/// disarmed fault plan tapping every file.
+fn open(dir: &Path, cache: &str, tapped: bool) -> DiskIndex {
+    let io = if tapped {
+        ReadOptions::with_faults(FaultPlan::new(""))
     } else {
         ReadOptions::default()
     };
@@ -132,12 +132,12 @@ fn batched_probe_equals_per_text_probes() {
     for format in ["v3", "v4", "packed"] {
         let dir = base.join(format);
         build(&dir, format, &lists);
-        // Every open maps its files unless a fault plan is attached, so a
-        // disarmed plan is the pread arm.
-        for pread in [false, true] {
+        // Every open maps its files; the tapped arm reads them through a
+        // dormant fault tap.
+        for tapped in [false, true] {
             for cache in ["off", "cold", "resident"] {
-                let label = format!("{format} pread={pread} cache={cache}");
-                let open = || open(&dir, cache, pread);
+                let label = format!("{format} tapped={tapped} cache={cache}");
+                let open = || open(&dir, cache, tapped);
                 for (hash, postings) in &lists {
                     let mut present: Vec<TextId> = postings.iter().map(|p| p.text).collect();
                     present.dedup();
@@ -317,12 +317,12 @@ fn random_probe_sweep_equals_filtering_the_list() {
     for format in ["v3", "v4", "packed"] {
         let dir = base.join(format);
         build(&dir, format, &lists);
-        for pread in [false, true] {
+        for tapped in [false, true] {
             for cache in ["off", "cold", "resident"] {
-                let label = format!("{format} pread={pread} cache={cache}");
+                let label = format!("{format} tapped={tapped} cache={cache}");
                 for ((hash, postings), sets) in lists.iter().zip(&sets) {
                     for texts in sets {
-                        let index = open(&dir, cache, pread);
+                        let index = open(&dir, cache, tapped);
                         if cache == "resident" {
                             index.shared_list(0, *hash, &IoStats::default()).unwrap();
                         }

@@ -3,8 +3,8 @@
 //! A sharded scatter-gather (PR 8) fails the whole query when any shard
 //! errors, and keeps re-failing on every subsequent request while the sick
 //! shard stays sick. This module gives each shard a **circuit breaker** so
-//! a runtime fault (bit rot surfacing mid-read, a torn disk, exhausted IO
-//! retries) is contained to the shard it happened on:
+//! a runtime fault (bit rot surfacing mid-read, a torn disk, an
+//! interrupted read) is contained to the shard it happened on:
 //!
 //! - **closed** — healthy; queries flow. Consecutive transient failures
 //!   count toward the trip threshold; one corruption or permanent fault
@@ -38,8 +38,8 @@ use crate::QueryError;
 /// What a per-shard query failure tells us about the shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Backoff-and-retry may heal it: interrupted syscalls, timeouts,
-    /// transient resource exhaustion that outlived the IO retry budget.
+    /// Backoff-and-retry may heal it: interrupted reads, timeouts,
+    /// transient resource exhaustion.
     Transient,
     /// The shard's bytes are wrong: malformed structures, failed
     /// checksums, truncation. Needs repair + re-verification, not retry.

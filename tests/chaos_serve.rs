@@ -5,15 +5,16 @@
 //! attached at open to one shard's files and armed/disarmed *while queries
 //! are in flight* — so these tests exercise exactly the failure the fault-
 //! isolation layer exists for: an already-serving shard going bad under a
-//! live reader. A tapped shard reads by pread, its untapped siblings through
-//! their mappings. The sweep grid is
+//! live reader. Tapped and untapped shards alike read through their
+//! mappings; the tap acts on each range a tapped shard borrows. The sweep
+//! grid is
 //!
 //! ```text
 //! 3 formats (v3, v4, v6)
 //!   × 4 armed fault kinds (transient storm, corruption, eof/truncation,
 //!                          permission denial)
 //!   × 2 corpus seeds  =  24 tap scenarios
-//! 3 formats × 2 read paths (mapped, pread) × deletion+repair
+//! 3 formats × 2 taps (untapped, tapped and disarmed) × deletion+repair
 //!   × 2 corpus seeds  =  12 deletion scenarios
 //! ```
 //!
@@ -198,18 +199,17 @@ fn assert_degraded_exactly(
     );
 }
 
-/// Fault kinds each armed mode may legitimately classify to. A transient
-/// storm exhausts the IO retry budget (transient); EOF means the file no
-/// longer matches its header (corruption); denial is permanent; XOR bit
-/// rot surfaces wherever a decode or bounds check first notices
-/// (corruption), or occasionally as a short/failed read (transient).
+/// Fault kinds each armed mode may legitimately classify to. An
+/// interrupted read is transient; EOF means the file no longer matches its
+/// header (corruption); denial is permanent; XOR bit rot surfaces wherever
+/// a decode or bounds check first notices (corruption).
 fn allowed_kinds(mode: FaultMode) -> &'static [FaultKind] {
     match mode {
         FaultMode::Storm => &[FaultKind::Transient],
         FaultMode::Eof => &[FaultKind::Corruption],
         FaultMode::Deny => &[FaultKind::Permanent],
-        FaultMode::Corrupt => &[FaultKind::Corruption, FaultKind::Transient],
-        FaultMode::Off | FaultMode::Flaky => &[],
+        FaultMode::Corrupt => &[FaultKind::Corruption],
+        FaultMode::Off => &[],
     }
 }
 
@@ -226,7 +226,7 @@ fn chaos_scenario(
     faulty: usize,
     ctx: &str,
 ) -> bool {
-    let plan = FaultPlan::new(&format!("seg-{faulty:04}"), 0);
+    let plan = FaultPlan::new(&format!("seg-{faulty:04}"));
     // Caching stays off: a warmed posting cache would satisfy the armed
     // rounds without ever touching the tapped files.
     let options = chaos_options(&plan, CacheConfig::disabled());
@@ -428,10 +428,11 @@ fn deletion_and_repair_round_trips_through_verification() {
                 packed,
                 &format!("del_oracle_{format}_{seed}"),
             );
-            // A disarmed plan on every file is what forces pread.
+            // Untapped, and through a dormant tap on every file, which
+            // must pass the mapped bytes through.
             for (path, io) in [
-                ("mapped", ReadOptions::default()),
-                ("pread", ReadOptions::with_faults(FaultPlan::new("", 0))),
+                ("untapped", ReadOptions::default()),
+                ("tapped", ReadOptions::with_faults(FaultPlan::new(""))),
             ] {
                 let ctx = format!("deletion/{format}/{path}/seed {seed}/shard {faulty}");
                 let work = scratch("chaos", &format!("del_work_{format}_{seed}_{path}"));
@@ -493,8 +494,8 @@ fn deletion_and_repair_round_trips_through_verification() {
     println!("chaos-deletion: {ran} scenarios, zero panics, full recovery");
 }
 
-/// `verify` reports the fault the read path saw: an exhausted transient
-/// storm classifies as transient, a denied read as permanent, and only
+/// `verify` reports the fault the read path saw: an interrupted read
+/// classifies as transient, a denied read as permanent, and only
 /// bytes that fail their checksum as corruption — so the health prober's
 /// path never mistakes a read fault for bit rot.
 #[test]
@@ -503,7 +504,7 @@ fn verify_failures_classify_as_the_read_fault() {
     for (compress, packed, format) in FORMATS {
         let dir = scratch("chaos", &format!("verify_classify_{format}"));
         build_and_write(&corpus, config(compress, packed), &dir, true).unwrap();
-        let plan = FaultPlan::new("", 0);
+        let plan = FaultPlan::new("");
         let io = ReadOptions::with_faults(plan.clone());
         let index = DiskIndex::open_with_io(&dir, CacheConfig::disabled(), io).unwrap();
         index.verify_integrity().unwrap();
@@ -531,7 +532,7 @@ fn verify_failures_classify_as_the_read_fault() {
 fn all_shards_faulting_is_an_error_not_an_empty_result() {
     let (corpus, queries) = workload(SEEDS[0], 0);
     let store = build_store(&corpus, false, true, "all_out");
-    let plan = FaultPlan::new("seg-", 0); // taps every segment
+    let plan = FaultPlan::new("seg-"); // taps every segment
     let view =
         ShardedIndex::open_with(&store, &chaos_options(&plan, CacheConfig::default())).unwrap();
     let searcher = view
@@ -578,7 +579,7 @@ fn all_shards_faulting_is_an_error_not_an_empty_result() {
 fn fail_fast_policy_still_propagates_shard_errors() {
     let (corpus, queries) = workload(SEEDS[1], 1);
     let store = build_store(&corpus, false, false, "failfast");
-    let plan = FaultPlan::new("seg-0001", 0);
+    let plan = FaultPlan::new("seg-0001");
     let view =
         ShardedIndex::open_with(&store, &chaos_options(&plan, CacheConfig::default())).unwrap();
     let searcher = view.searcher().unwrap().threads(SHARDS); // default policy
@@ -635,7 +636,7 @@ fn daemon_degrades_labels_exactly_and_self_heals() {
     let faulty = 2usize;
     let (corpus, queries) = workload(SEEDS[0], faulty);
     let store = build_store(&corpus, false, true, "daemon");
-    let plan = FaultPlan::new(&format!("seg-{faulty:04}"), 0);
+    let plan = FaultPlan::new(&format!("seg-{faulty:04}"));
     let server = chaos_server(&store, &plan, Some(Duration::from_millis(50)));
     let addr = server.handle().addr();
 

@@ -286,9 +286,9 @@ fn batch_equals_sequential_for_all_thread_counts() {
 /// and grid cell, v6 (bitpacked + SIMD unpack + skip gather) answers
 /// bit-identically to v4 (varint) and v3 (fixed width), whether the file is
 /// read cold (caches disabled), warm (second pass over populated caches),
-/// or by pread instead of through the mapping every other open reads — a
-/// disarmed fault plan is what forces pread — and batch execution over the
-/// v6 index agrees at 1/2/4/8 threads.
+/// or through a tapped, disarmed reader (a dormant fault tap must pass the
+/// mapped bytes through), and batch execution over the v6 index agrees at
+/// 1/2/4/8 threads.
 #[test]
 fn format_v6_matches_v4_and_v3_cold_warm_mmap_threaded() {
     use ndss::index::{FaultPlan, ReadOptions};
@@ -312,11 +312,11 @@ fn format_v6_matches_v4_and_v3_cold_warm_mmap_threaded() {
             let built = MemoryIndex::build(&corpus, config).unwrap();
             let warm = write_memory_index(&built, &dir).unwrap();
             let cold = DiskIndex::open_with_cache(&dir, CacheConfig::disabled()).unwrap();
-            let tapped = ReadOptions::with_faults(FaultPlan::new("", 0));
-            let pread = DiskIndex::open_with_io(&dir, CacheConfig::disabled(), tapped).unwrap();
+            let tapped = ReadOptions::with_faults(FaultPlan::new(""));
+            let tapped = DiskIndex::open_with_io(&dir, CacheConfig::disabled(), tapped).unwrap();
             let warm_s = NearDupSearcher::new(&warm).unwrap();
             let cold_s = NearDupSearcher::new(&cold).unwrap();
-            let pread_s = NearDupSearcher::new(&pread).unwrap();
+            let tapped_s = NearDupSearcher::new(&tapped).unwrap();
             for (qi, query) in queries.iter().enumerate() {
                 for &theta in &[0.5f64, 0.9] {
                     let want = mem_s.search(query, theta).unwrap().enumerate_all();
@@ -324,11 +324,11 @@ fn format_v6_matches_v4_and_v3_cold_warm_mmap_threaded() {
                     let cold_got = cold_s.search(query, theta).unwrap().enumerate_all();
                     let warm1 = warm_s.search(query, theta).unwrap().enumerate_all();
                     let warm2 = warm_s.search(query, theta).unwrap().enumerate_all();
-                    let pread_got = pread_s.search(query, theta).unwrap().enumerate_all();
+                    let tapped_got = tapped_s.search(query, theta).unwrap().enumerate_all();
                     assert_eq!(cold_got, want, "cold read diverged: {ctx}");
                     assert_eq!(warm1, want, "cache-warming read diverged: {ctx}");
                     assert_eq!(warm2, want, "cache-hit read diverged: {ctx}");
-                    assert_eq!(pread_got, want, "pread read diverged: {ctx}");
+                    assert_eq!(tapped_got, want, "tapped read diverged: {ctx}");
                 }
             }
             // Batch execution over this format at every thread count.

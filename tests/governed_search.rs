@@ -1,7 +1,6 @@
 //! Resource-governed query execution, end to end against disk indexes:
-//! deterministic fault injection absorbed by the retrying IO layer with
-//! bit-identical results, sound partial outcomes under budgets, and batch
-//! failure isolation.
+//! read faults that surface as errors and never as wrong answers, sound
+//! partial outcomes under budgets, and batch failure isolation.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -27,13 +26,6 @@ fn workload(seed: u64) -> (InMemoryCorpus, Vec<Vec<TokenId>>) {
     (corpus, queries)
 }
 
-/// A plan on every index file, armed `Flaky` with `seed`.
-fn flaky_plan(seed: u64) -> FaultPlan {
-    let plan = FaultPlan::new("", seed);
-    plan.arm(FaultMode::Flaky);
-    plan
-}
-
 fn build(corpus: &InMemoryCorpus, dir: &std::path::Path, compress: bool) {
     // Tiny zone thresholds so long-list probes (and their reads) engage.
     let config = IndexConfig::new(16, 25, 5)
@@ -42,113 +34,28 @@ fn build(corpus: &InMemoryCorpus, dir: &std::path::Path, compress: bool) {
     ndss::index::build_and_write(corpus, config, dir, true).unwrap();
 }
 
-/// Under a seeded `Flaky` plan the retry layer absorbs every transient
-/// error and queries return results bit-identical to a fault-free run —
-/// for both the fixed-width (v3) and compressed (v4) formats — while the
-/// `io.retries` counter proves retries really happened.
-#[test]
-fn faulty_reads_yield_bit_identical_results() {
-    let (corpus, queries) = workload(9001);
-    for (compress, sub) in [(false, "v3"), (true, "v4")] {
-        let dir = scratch("governed", &format!("flaky_{sub}"));
-        build(&corpus, &dir, compress);
-
-        let clean = DiskIndex::open_with_cache(&dir, CacheConfig::disabled()).unwrap();
-        let baseline = ShardedSearcher::single(&clean, PrefixFilter::Disabled)
-            .unwrap()
-            .threads(4)
-            .search_all(&queries, 0.8)
-            .unwrap();
-
-        let retries = Registry::global().counter("io.retries", "");
-        for seed in [1u64, 7, 0xDEAD_BEEF] {
-            let plan = flaky_plan(seed);
-            let flaky = DiskIndex::open_with_io(
-                &dir,
-                CacheConfig::disabled(),
-                ReadOptions::with_faults(plan.clone()),
-            )
-            .unwrap();
-            let retries_before = retries.get();
-            let outcomes = ShardedSearcher::single(&flaky, PrefixFilter::Disabled)
-                .unwrap()
-                .threads(4)
-                .search_all(&queries, 0.8)
-                .unwrap();
-            assert!(
-                plan.injected() > 0,
-                "seed {seed}: injector never fired ({sub})"
-            );
-            assert!(
-                retries.get() > retries_before,
-                "seed {seed}: io.retries did not rise ({sub})"
-            );
-            for (i, (got, want)) in outcomes.iter().zip(baseline.iter()).enumerate() {
-                assert_eq!(
-                    got.enumerate_all(),
-                    want.enumerate_all(),
-                    "seed {seed}: query {i} diverged under faults ({sub})"
-                );
-                assert_eq!(got.stats.io_bytes, want.stats.io_bytes);
-            }
-        }
-    }
-}
-
-/// The same seed injects the same fault sequence: two serial passes over
-/// the same query stream tally identical injected-fault counts.
-#[test]
-fn fault_injection_is_deterministic_across_runs() {
-    let (corpus, queries) = workload(9002);
-    let dir = scratch("governed", "deterministic");
-    build(&corpus, &dir, false);
-
-    let run = |seed: u64| {
-        let plan = flaky_plan(seed);
-        let index = DiskIndex::open_with_io(
-            &dir,
-            CacheConfig::disabled(),
-            ReadOptions::with_faults(plan.clone()),
-        )
-        .unwrap();
-        let searcher = NearDupSearcher::new(&index).unwrap();
-        let keys: Vec<_> = queries
-            .iter()
-            .map(|q| searcher.search(q, 0.8).unwrap().enumerate_all())
-            .collect();
-        (keys, plan.injected())
-    };
-    let (results_a, faults_a) = run(42);
-    let (results_b, faults_b) = run(42);
-    assert_eq!(results_a, results_b);
-    assert_eq!(faults_a, faults_b, "same seed must inject the same faults");
-    assert!(faults_a > 0);
-}
-
-/// Reads that never stop failing exhaust the retry budget: under a plan
-/// armed `Storm` at open the error surfaces (here at open, which reads the
-/// directory) instead of retrying forever, and `io.retry_exhausted`
-/// records it.
+/// A failed read is an IO error, not corruption: under a plan armed
+/// `Storm` at open, the index fails to open (its first header read is
+/// interrupted) with `IndexError::Io` of kind `Interrupted`.
 #[test]
 fn permanently_failing_range_exhausts_retries() {
     let (corpus, _) = workload(9003);
     let dir = scratch("governed", "exhaust");
     build(&corpus, &dir, false);
 
-    let exhausted = Registry::global().counter("io.retry_exhausted", "");
-    let before = exhausted.get();
-    let plan = FaultPlan::new("", 3);
+    let plan = FaultPlan::new("");
     plan.arm(FaultMode::Storm);
     let result = DiskIndex::open_with_io(
         &dir,
         CacheConfig::disabled(),
-        ReadOptions::with_faults(plan),
+        ReadOptions::with_faults(plan.clone()),
     );
-    assert!(result.is_err(), "an always-failing file must not open");
-    assert!(
-        exhausted.get() > before,
-        "io.retry_exhausted did not record the failure"
-    );
+    match result {
+        Err(IndexError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::Interrupted),
+        Err(other) => panic!("an interrupted read must stay an IO error, got {other}"),
+        Ok(_) => panic!("an always-failing file must not open"),
+    }
+    assert_eq!(plan.injected(), 1, "open stops at the first failed read");
 }
 
 /// A per-slot batch confines a poisoned query to its own slot: exactly one
@@ -264,9 +171,10 @@ fn zero_deadline_returns_empty_partial() {
     }
 }
 
-/// Budgets compose with fault injection: a governed batch over a flaky
-/// index still produces sound outcomes — completed queries exact, partial
-/// ones prefixes — because retries happen below the budget checkpoints.
+/// Budgets compose with fault injection: a governed batch over an index
+/// one of whose files is armed `Deny` or `Corrupt` gives, per slot, the
+/// exact outcome, a sound budget prefix, or an error — never a wrong
+/// answer.
 #[test]
 fn budgets_and_faults_compose() {
     let (corpus, queries) = workload(9008);
@@ -280,30 +188,39 @@ fn budgets_and_faults_compose() {
         .map(|q| serial.search(q, 0.8).unwrap())
         .collect();
 
-    let flaky = DiskIndex::open_with_io(
-        &dir,
-        CacheConfig::disabled(),
-        ReadOptions::with_faults(flaky_plan(77)),
-    )
-    .unwrap();
-    let results = ShardedSearcher::single(&flaky, PrefixFilter::Disabled)
-        .unwrap()
-        .threads(4)
-        .search_all_governed(&queries, 0.8, &QueryBudget::unlimited().max_candidates(2));
-    for (i, result) in results.iter().enumerate() {
-        match result {
-            Ok(outcome) => {
-                assert_eq!(outcome.enumerate_all(), full[i].enumerate_all());
+    for mode in [FaultMode::Deny, FaultMode::Corrupt] {
+        let plan = FaultPlan::new("inv_3.ndsi");
+        let faulty = DiskIndex::open_with_io(
+            &dir,
+            CacheConfig::disabled(),
+            ReadOptions::with_faults(plan.clone()),
+        )
+        .unwrap();
+        assert_eq!(plan.attached(), 1, "the plan taps one file");
+        plan.arm(mode);
+        let results = ShardedSearcher::single(&faulty, PrefixFilter::Disabled)
+            .unwrap()
+            .threads(4)
+            .search_all_governed(&queries, 0.8, &QueryBudget::unlimited().max_candidates(2));
+        let mut errors = 0;
+        for (i, result) in results.iter().enumerate() {
+            match result {
+                Ok(outcome) => {
+                    assert_eq!(outcome.enumerate_all(), full[i].enumerate_all(), "{mode:?}");
+                }
+                Err(QueryError::BudgetExceeded { partial, .. }) => {
+                    assert!(!partial.complete);
+                    assert_eq!(
+                        full[i].matches[..partial.matches.len()],
+                        partial.matches[..],
+                        "{mode:?}: query {i}"
+                    );
+                }
+                Err(_) => errors += 1,
             }
-            Err(QueryError::BudgetExceeded { partial, .. }) => {
-                assert!(!partial.complete);
-                assert_eq!(
-                    full[i].matches[..partial.matches.len()],
-                    partial.matches[..]
-                );
-            }
-            Err(e) => panic!("query {i}: unexpected error {e}"),
         }
+        assert!(plan.injected() > 0, "{mode:?}: no read reached the tap");
+        assert!(errors > 0, "{mode:?}: every faulted read was absorbed");
     }
 }
 

@@ -454,7 +454,7 @@ fn one_budget_is_split_across_disk_and_memory_lanes() {
 #[test]
 fn quarantined_disk_still_serves_the_memtable() {
     let (root, ingest) = planted_in_every_lane("disk_quarantined");
-    let plan = FaultPlan::new("seg-", 0);
+    let plan = FaultPlan::new("seg-");
     let options = ServingOptions {
         cache: CacheConfig::disabled(),
         io: ndss::index::ReadOptions::with_faults(plan.clone()),

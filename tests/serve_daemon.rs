@@ -539,7 +539,7 @@ fn drain_is_prompt_while_a_shard_is_quarantined() {
     let (corpus, queries) = corpus_a();
     build_sharded(&corpus, config(), &root, 2, &ShardedBuildOptions::default()).unwrap();
 
-    let plan = FaultPlan::new("seg-0001", 0);
+    let plan = FaultPlan::new("seg-0001");
     let serving = ServingIndex::open_with_options(
         &root,
         ServingOptions {
