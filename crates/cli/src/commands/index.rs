@@ -4,13 +4,14 @@
 //! `--out` is a *store*: the build lands in freshly allocated `seg-NNNN/`
 //! segment directories and is published (verified, then one atomic
 //! `MANIFEST` write) only after it completes. `--resume` continues an
-//! interrupted `--external` build from its journal.
+//! interrupted `--external` build: it reuses the runs that build published
+//! and redoes the merge.
 //!
 //! `--shards N` (requires `--store`; default 1) partitions the corpus by
 //! text-id range into N segments (`--shards auto` derives N from corpus
 //! size and core count; see `auto_shards`) and builds them in parallel.
 //! In store mode `--resume` works per segment: completed ones are reused
-//! as-is, journaled ones continue, so a killed build resumes
+//! as-is, the others reuse their published runs, so a killed build resumes
 //! byte-identically.
 
 use std::path::Path;
@@ -65,7 +66,9 @@ pub fn run(args: &Args) -> Result<(), String> {
         return Err("--shards requires --store (shards are segments of one store)".into());
     }
     if !store_mode && resume && !external {
-        return Err("--resume requires --external (only journaled builds can resume)".into());
+        return Err(
+            "--resume requires --external (only an external build leaves runs to reuse)".into(),
+        );
     }
 
     let config = super::with_format(IndexConfig::new(k, t, seed), args)?;

@@ -712,7 +712,7 @@ fn errors_are_reported_not_panicked() {
     )
     .unwrap_err();
     assert!(refused.contains("--thetas 1.5"), "{refused}");
-    // --resume is a journaled-external-build feature.
+    // --resume reuses the runs of an external build: nothing else has any.
     assert!(dispatch(
         "index",
         &args(&[

@@ -12,10 +12,12 @@
 //!   whose records fit the memory budget; each run goes through the pipeline
 //!   above into `tmp_spill/run-NNNNNN/`, an ordinary index directory that
 //!   numbers its texts from 0 and is published by its `meta.json`, last; the
-//!   journaled k-way merge of [`crate::merge`] joins the runs exactly as it
-//!   joins shards, and the scratch is removed. The paper aggregates by hash
-//!   with recursive partitioning \[52\]; sorted runs and a merge are the
-//!   sort-based dual — same memory bound, same bytes (DESIGN.md §3).
+//!   k-way merge of [`crate::merge`] joins the runs exactly as it joins
+//!   shards, and the scratch is removed. An interrupted build resumes by
+//!   keeping the runs that match and merging again from the start. The
+//!   paper aggregates by hash with recursive partitioning \[52\]; sorted
+//!   runs and a merge are the sort-based dual — same memory bound, same
+//!   bytes (DESIGN.md §3).
 //!
 //! Every path produces **byte-identical** index directories for the same
 //! corpus and configuration (lists sorted by hash, postings by
@@ -32,10 +34,10 @@ use ndss_windows::{HashedWindow, WindowGenerator};
 
 use crate::container::{Encoding, Writer};
 use crate::disk::{inv_file_path, DiskIndex};
-use crate::journal::{self, BuildJournal, KillPoints};
+use crate::kill::{self, KillPoints};
 use crate::memory::MemoryIndex;
 use crate::merge::MergeInputs;
-use crate::{IndexAccess, IndexConfig, IndexError, Posting};
+use crate::{gc, IndexAccess, IndexConfig, IndexError, Posting};
 
 /// Name of the scratch directory an external build keeps its runs in,
 /// inside its output directory.
@@ -92,7 +94,7 @@ fn write_dir(
     // keeps its core busy through them.
     let writers = if threads > 1 { 2 * threads } else { 1 };
     ndss_parallel::try_map(&funcs, writers, |_, &func| {
-        journal::tick_io(kill)?;
+        kill::tick_io(kill)?;
         let mut writer =
             Writer::create(&inv_file_path(dir, func), func as u32, Encoding::of(config))?;
         fill(func, &mut |hash, postings| {
@@ -102,9 +104,9 @@ fn write_dir(
         })?;
         writer.finish()
     })?;
-    journal::tick_checkpoint(kill)?;
+    kill::tick_checkpoint(kill)?;
     DiskIndex::write_meta(dir, config)?;
-    journal::tick_checkpoint(kill)
+    kill::tick_checkpoint(kill)
 }
 
 /// Counter of postings written by any builder (memory write-back, runs,
@@ -283,7 +285,7 @@ fn write_run<C: CorpusSource + ?Sized>(
 pub const DEFAULT_MEMORY_BUDGET: usize = 256 << 20;
 
 /// Out-of-core index builder: budget-sized runs through the in-memory
-/// pipeline, joined by the journaled merge (see the module docs).
+/// pipeline, joined by the merge (see the module docs).
 #[derive(Debug, Clone)]
 pub struct ExternalIndexBuilder {
     config: IndexConfig,
@@ -291,7 +293,7 @@ pub struct ExternalIndexBuilder {
     memory_budget: usize,
     /// Build runs and merge them on every core.
     parallel: bool,
-    /// Continue an interrupted build instead of starting over.
+    /// Reuse the runs an interrupted build published.
     resume: bool,
     /// Deterministic crash injector (fault-injection harnesses only).
     kill: Option<Arc<KillPoints>>,
@@ -323,13 +325,14 @@ impl ExternalIndexBuilder {
         self
     }
 
-    /// Continues an interrupted build. A build of more than one run saves
-    /// `build.journal` before its first run and after each merged index
-    /// file; a failed or killed build leaves that behind. Resume validates
-    /// the journal (exact fingerprint match), keeps the runs published by
-    /// their `meta.json` and the files the journal records, and redoes the
-    /// rest — byte-identical to an uninterrupted build. With no journal on
-    /// disk this is a fresh build (there is nothing to resume).
+    /// Continues an interrupted build. A failed or killed build of more
+    /// than one run leaves the runs it published under `tmp_spill/`.
+    /// Resume keeps them in order up to the first whose `meta.json` is not
+    /// the one this build would write for the same texts (same
+    /// configuration, same text and token counts), rewrites that run and
+    /// every later one, and merges from the start — byte-identical to an
+    /// uninterrupted build, whatever budget or configuration the
+    /// interrupted one had. Off, a build first sweeps such residue.
     pub fn resume(mut self, on: bool) -> Self {
         self.resume = on;
         self
@@ -341,17 +344,6 @@ impl ExternalIndexBuilder {
     pub fn kill_points(mut self, kill: Arc<KillPoints>) -> Self {
         self.kill = Some(kill);
         self
-    }
-
-    /// Digest of everything that shapes the runs and the output bytes: the
-    /// configuration (which embeds the corpus dimensions) and the budget
-    /// that places the run boundaries.
-    fn build_fingerprint(&self, config: &IndexConfig) -> u64 {
-        journal::fingerprint(&[
-            "external_build",
-            &config.to_json_pretty(),
-            &self.memory_budget.to_string(),
-        ])
     }
 
     /// Tokens per run: what the budget holds of a token's 4 bytes plus its
@@ -372,9 +364,10 @@ impl ExternalIndexBuilder {
         let _span = ndss_obs::span("index.build.external");
         let fsyncs_before = ndss_durable::fsync_count();
         std::fs::create_dir_all(dir)?;
-        let fingerprint = self.build_fingerprint(&sized_for(self.config.clone(), corpus));
-        let mut state = BuildJournal::begin(dir, fingerprint, self.resume)?;
-        let threads = journal::threads_under(&self.kill, build_threads(self.parallel));
+        if !self.resume {
+            gc::gc_counter().inc(gc::sweep_build_residue(dir) + gc::sweep_atomic_temps(dir));
+        }
+        let threads = kill::threads_under(&self.kill, build_threads(self.parallel));
         let run_tokens = self.run_tokens();
 
         // A corpus that is one run is that run, written where it belongs.
@@ -385,27 +378,30 @@ impl ExternalIndexBuilder {
             return opened(dir, fsyncs_before);
         }
 
-        // On failure (or an injected crash) nothing is cleaned up: the
-        // journal, the published runs and the committed index files *are*
-        // the resumable state, and a later fresh build sweeps them. The
-        // journal goes first: it vouches for every run written after it.
-        if state.funcs_done.is_empty() {
-            state.checkpoint(dir, &self.kill)?;
-        }
+        // On failure (or an injected crash) nothing is cleaned up: the runs
+        // published so far are what a resume keeps. Runs number their texts
+        // from 0 and follow one another, so a run whose predecessors were
+        // all kept and whose `meta.json` matches holds this batch. The first
+        // that does not goes, with every later one, before anything is
+        // written: a crash then cannot leave a later run looking kept.
         let spill_dir = dir.join(SPILL_DIR);
+        let mut keeping = self.resume;
         let mut runs: Vec<PathBuf> = Vec::new();
         for batch in BatchIter::new(corpus, run_tokens) {
-            let batch = batch?;
+            let run = InMemoryCorpus::from_texts(batch?.texts);
             let run_dir = spill_dir.join(format!("run-{:06}", runs.len()));
-            if !run_dir.join(crate::disk::META_FILE).exists() {
+            if keeping && !self.published(&run_dir, &run) {
+                keeping = false;
+                gc::gc_counter().inc(gc::sweep_runs_from(&spill_dir, runs.len()));
+            }
+            if !keeping {
                 let _span = ndss_obs::span("index.build.run");
-                let run = InMemoryCorpus::from_texts(batch.texts);
                 write_run(&run, self.config.clone(), &run_dir, threads, &self.kill)?;
             }
             runs.push(run_dir);
         }
         let runs: Vec<&Path> = runs.iter().map(PathBuf::as_path).collect();
-        MergeInputs::load(&runs)?.merge_into(dir, Some(&mut state), threads, &self.kill)?;
+        MergeInputs::load(&runs)?.merge_into(dir, threads, &self.kill)?;
         if let Err(e) = std::fs::remove_dir_all(&spill_dir) {
             eprintln!(
                 "warning: could not remove run scratch {}: {e}",
@@ -413,6 +409,14 @@ impl ExternalIndexBuilder {
             );
         }
         opened(dir, fsyncs_before)
+    }
+
+    /// Whether `run_dir` is published with the `meta.json` this build writes
+    /// for `run`: the same configuration, text count and token count.
+    fn published(&self, run_dir: &Path, run: &InMemoryCorpus) -> bool {
+        std::fs::read_to_string(run_dir.join(crate::disk::META_FILE)).is_ok_and(|meta| {
+            IndexConfig::from_json(&meta).ok() == Some(sized_for(self.config.clone(), run))
+        })
     }
 }
 
@@ -581,7 +585,6 @@ mod tests {
         );
         builder.build(&corpus, &dir).unwrap();
         assert!(!dir.join("tmp_spill").exists());
-        assert!(!dir.join("build.journal").exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 

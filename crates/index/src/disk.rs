@@ -97,8 +97,8 @@ impl DiskIndex {
         io: ReadOptions,
     ) -> Result<Self, IndexError> {
         // Crashed builds strand scratch in otherwise-valid index dirs;
-        // opening is the natural point to reclaim it. Resumable state (a
-        // directory with a journal) is left alone — see `gc`.
+        // opening is the natural point to reclaim it. Resumable state (runs
+        // with no `meta.json` beside them) is left alone — see `gc`.
         crate::gc::sweep_on_open(dir);
         let meta_path = dir.join(META_FILE);
         let meta = std::fs::read_to_string(&meta_path).map_err(|e| {

@@ -12,7 +12,7 @@
 //! each file whose path contains its target; a tapped file is mapped like
 //! any other. [`FaultPlan::arm`] switches every attached reader to a
 //! [`FaultMode`] while queries are in flight, and the armed mode acts inside
-//! `bytes`, once per read. (Write-side crashes are the build's `KillPoints`.)
+//! `bytes`, once per read. (Write-side crashes are `kill.rs`'s `KillPoints`.)
 
 use std::borrow::Cow;
 use std::fs::File;

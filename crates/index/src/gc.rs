@@ -1,34 +1,32 @@
 //! Garbage collection of build residue left by crashed runs.
 //!
-//! A crash can strand three kinds of garbage: the `tmp_spill/` directory of
-//! an external build (its runs), a `build.journal` whose build will never
-//! resume, and
-//! `.{name}.{pid}.{seq}.tmp` temporaries from interrupted
-//! [`ndss_durable::AtomicFile`] publications. Rather than accumulating
-//! silently, they are swept at the natural ownership-transfer points —
-//! build or merge start, [`crate::DiskIndex::open`], and
-//! [`crate::Store::open`] — with every removed file counted in
-//! the `index.gc_files` counter so operators can see a crashy environment
-//! in the metrics.
+//! A crash can strand two kinds of garbage: the `tmp_spill/` directory of
+//! an external build (its runs) and `.{name}.{pid}.{seq}.tmp` temporaries
+//! from interrupted [`ndss_durable::AtomicFile`] publications (plus a
+//! `build.journal` an older build left, now inert). Rather than
+//! accumulating silently, they are swept at the natural ownership-transfer
+//! points — build or merge start, [`crate::DiskIndex::open`], and
+//! [`crate::Store::open`] — with every removed file counted in the
+//! `index.gc_files` counter so operators can see a crashy environment in
+//! the metrics.
 //!
-//! The one thing GC must never do is destroy *resumable* state: a valid
-//! journal plus the runs it vouches for is exactly what `--resume` needs, so
-//! the open-path sweep leaves them alone and only a fresh build — the
-//! explicit decision to start over, or a resume that finds no journal —
-//! clears them.
+//! The one thing GC must never do is destroy *resumable* state: the runs of
+//! an interrupted build are exactly what `--resume` keeps, so the open-path
+//! sweep takes `tmp_spill/` only beside a published `meta.json`, and only a
+//! fresh build — the explicit decision to start over — clears it otherwise.
 
 use std::path::Path;
 
 use ndss_obs::Counter;
 
 use crate::build::SPILL_DIR;
-use crate::journal::JOURNAL_FILE;
+use crate::disk::META_FILE;
 
 /// Handle to the `index.gc_files` counter.
 pub(crate) fn gc_counter() -> Counter {
     ndss_obs::Registry::global().counter(
         "index.gc_files",
-        "stale build artifacts (run files, journals, atomic-write temps) removed by gc",
+        "stale build artifacts (run files, atomic-write temps) removed by gc",
     )
 }
 
@@ -82,20 +80,17 @@ fn count_files(path: &Path) -> u64 {
     n
 }
 
-/// Removes a stale `tmp_spill/` directory and `build.journal` from `dir`.
-/// Callers decide *when* this is safe (fresh build start, or open with no
-/// valid journal); this only performs the removal. Returns files removed.
+/// Removes a stale `tmp_spill/` directory from `dir`, and the
+/// `build.journal` an older build kept beside it. Callers decide *when*
+/// this is safe (fresh build start, or open of a published index); this
+/// only performs the removal. Returns files removed.
 pub(crate) fn sweep_build_residue(dir: &Path) -> u64 {
     let mut removed = 0;
     let spill = dir.join(SPILL_DIR);
     if spill.is_dir() {
-        let files = count_files(&spill);
-        match std::fs::remove_dir_all(&spill) {
-            Ok(()) => removed += files,
-            Err(e) => eprintln!("warning: gc could not remove {}: {e}", spill.display()),
-        }
+        removed += remove_dir_counting(&spill);
     }
-    let journal = dir.join(JOURNAL_FILE);
+    let journal = dir.join("build.journal");
     if journal.is_file() {
         match std::fs::remove_file(&journal) {
             Ok(()) => removed += 1,
@@ -118,10 +113,10 @@ pub(crate) fn remove_dir_counting(path: &Path) -> u64 {
     }
 }
 
-/// Store-root sweep for memtable residue. The rule mirrors the journal
-/// rule: a `MEMTABLE` manifest — even a corrupt one — protects everything
-/// under `memtable/`, because its WALs may hold acked-but-unpublished
-/// texts that only [`crate::ingest::IngestIndex`] recovery can interpret.
+/// Store-root sweep for memtable residue. A `MEMTABLE` manifest — even a
+/// corrupt one — protects everything under `memtable/`, because its WALs
+/// may hold acked-but-unpublished texts that only
+/// [`crate::ingest::IngestIndex`] recovery can interpret.
 /// What *is* garbage:
 ///
 /// * a `memtable/` directory with no manifest at all (the manifest is
@@ -143,9 +138,8 @@ pub(crate) fn sweep_memtable(root: &Path) -> u64 {
     }
     let manifest = match crate::ingest::MemtableManifest::load(root) {
         Ok(Some((m, _))) => m,
-        // Corrupt manifests protect their WALs, like corrupt journals
-        // protect their runs: never collect what recovery (or a
-        // human) may still need to inspect.
+        // Corrupt manifests protect their WALs: never collect what
+        // recovery (or a human) may still need to inspect.
         _ => return 0,
     };
     let mut removed = 0;
@@ -180,13 +174,32 @@ pub(crate) fn sweep_memtable(root: &Path) -> u64 {
     removed
 }
 
+/// Removes the runs numbered `first` and up from the run scratch `spill`.
+/// Returns files removed.
+pub(crate) fn sweep_runs_from(spill: &Path, first: usize) -> u64 {
+    let Ok(entries) = std::fs::read_dir(spill) else {
+        return 0;
+    };
+    entries
+        .flatten()
+        .filter(|entry| {
+            let name = entry.file_name();
+            let n = name
+                .to_str()
+                .and_then(|n| n.strip_prefix("run-")?.parse().ok());
+            n.is_some_and(|n: usize| n >= first)
+        })
+        .map(|entry| remove_dir_counting(&entry.path()))
+        .sum()
+}
+
 /// Open-path sweep for an index directory: always clears interrupted
-/// atomic-write temps; clears run + journal residue only when no journal
-/// is present at all (a journal — even a corrupt one — marks state a
-/// `--resume` or a human may still want). Counts into `index.gc_files`.
+/// atomic-write temps; clears run residue only beside a published
+/// `meta.json` (without one, `tmp_spill/` is an interrupted build that
+/// `--resume` continues). Counts into `index.gc_files`.
 pub(crate) fn sweep_on_open(dir: &Path) {
     let mut removed = sweep_atomic_temps(dir);
-    if !dir.join(JOURNAL_FILE).exists() && dir.join(SPILL_DIR).is_dir() {
+    if dir.join(META_FILE).is_file() {
         removed += sweep_build_residue(dir);
     }
     if removed > 0 {
@@ -299,16 +312,13 @@ mod tests {
             b"y",
         )
         .unwrap();
-        // Any journal file — valid or not — marks the run scratch as spoken
-        // for; only an explicit fresh build clears it.
-        std::fs::write(dir.join(JOURNAL_FILE), b"{}").unwrap();
+        // No `meta.json`: the runs belong to a build `--resume` continues.
         sweep_on_open(&dir);
         assert!(dir
             .join(SPILL_DIR)
             .join("run-000000")
             .join("inv_0.ndsi")
             .exists());
-        assert!(dir.join(JOURNAL_FILE).exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

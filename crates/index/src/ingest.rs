@@ -40,8 +40,7 @@
 //! rule before it advances the trim: an interrupted merge is redone from
 //! its published inputs, never resumed. The open-path GC (`gc.rs`) never
 //! touches a WAL referenced by a live manifest — even a corrupt manifest
-//! protects its WALs, exactly like a corrupt build journal protects its
-//! runs.
+//! protects its WALs.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -52,7 +51,7 @@ use ndss_json::{Json, ObjectBuilder};
 use ndss_windows::{HashedWindow, WindowGenerator};
 
 use crate::disk::DiskIndex;
-use crate::journal::{self, KillPoints};
+use crate::kill::{self, KillPoints};
 use crate::merge::{merge_indexes_with, MergeOptions};
 use crate::store::Store;
 use crate::wal::{self, WalWriter};
@@ -101,10 +100,11 @@ fn pending_gauge() -> ndss_obs::Gauge {
     )
 }
 
-/// Normalizes a configuration to its ingest template: corpus counts zeroed,
-/// so fingerprints compare the *shape* (k, t, seed, family, zones, format)
-/// rather than any particular corpus size.
-fn template(config: &IndexConfig) -> IndexConfig {
+/// Normalizes a configuration to its template: corpus counts zeroed, so
+/// fingerprints (and an external build's run check) compare the *shape*
+/// (k, t, seed, family, zones, format) rather than any particular corpus
+/// size.
+pub(crate) fn template(config: &IndexConfig) -> IndexConfig {
     let mut c = config.clone();
     c.num_texts = 0;
     c.total_tokens = 0;
@@ -113,7 +113,25 @@ fn template(config: &IndexConfig) -> IndexConfig {
 
 /// Fingerprint binding a memtable to its store's configuration shape.
 fn config_fingerprint(config: &IndexConfig) -> u64 {
-    journal::fingerprint(&["memtable", &template(config).to_json_pretty()])
+    fingerprint(&["memtable", &template(config).to_json_pretty()])
+}
+
+/// A 64-bit digest of `parts`. Collision resistance at CRC strength is
+/// plenty: the fingerprint guards against *accidental* mismatches (an
+/// edited configuration), not adversaries. Memtable manifests on disk
+/// store it, so it never changes.
+fn fingerprint(parts: &[&str]) -> u64 {
+    let mut crc_a = 0u32;
+    let mut crc_b = 0xFFFF_FFFFu32;
+    let mut len = 0u64;
+    for part in parts {
+        crc_a = crc32c::crc32c_append(crc_a, part.as_bytes());
+        // Second, differently-seeded stream widens the digest to 64 bits.
+        crc_b = crc32c::crc32c_append(crc_b, part.as_bytes());
+        crc_b = crc32c::crc32c_append(crc_b, &[0xA5]);
+        len = len.wrapping_add(part.len() as u64);
+    }
+    ((crc_a as u64) << 32) | (crc_b as u64 ^ (len << 7)) as u32 as u64
 }
 
 /// Segments a tail merge joins into one.
@@ -375,8 +393,8 @@ impl IngestIndex {
                     )));
                 }
                 // A manifest written before merges were redone may name an
-                // interrupted merge's journaled target (`compact_gen`), which
-                // `Store::publish` keeps: delete it once; the save drops it.
+                // interrupted merge's target (`compact_gen`): delete it
+                // once; the save drops it.
                 if !legacy.is_empty() {
                     if !published.names(&legacy) {
                         std::fs::remove_dir_all(root.join(&legacy)).ok();
@@ -590,7 +608,7 @@ impl IngestIndex {
             ));
         }
         let id = self.next_text;
-        journal::tick_io(&self.opts.kill)?;
+        kill::tick_io(&self.opts.kill)?;
         let frame = self.writer.append_text(id, tokens)?;
         wal_bytes_counter().inc(frame);
         self.active.insert(
@@ -628,11 +646,11 @@ impl IngestIndex {
             return Ok(());
         }
         self.sync()?;
-        journal::tick_checkpoint(&self.opts.kill)?;
+        kill::tick_checkpoint(&self.opts.kill)?;
         let next_seq = self.manifest.active_wal + 1;
         self.manifest.active_wal = next_seq;
         self.manifest.save(&self.root)?;
-        journal::tick_checkpoint(&self.opts.kill)?;
+        kill::tick_checkpoint(&self.opts.kill)?;
         let writer = wal::WalWriter::create(
             &Self::wal_path(&self.root, next_seq),
             next_seq,
@@ -665,9 +683,9 @@ impl IngestIndex {
         if manifest.num_texts() < seg.base() + seg.len() as u64 {
             // Steps 1–2: write the postings accumulated on append into a
             // fresh segment, then verify it and publish the list with it
-            // appended. A crash in between leaves a directory no list names
-            // and no journal holds; the next publish collects it.
-            journal::tick_checkpoint(&kill)?;
+            // appended. A crash in between leaves a directory no list
+            // names; the next publish collects it.
+            kill::tick_checkpoint(&kill)?;
             let dir = self.store.allocate()?;
             let index = &seg.index;
             build::write_lists(
@@ -675,12 +693,12 @@ impl IngestIndex {
                 |f| index.sorted_lists(f),
                 &self.root.join(&dir),
             )?;
-            journal::tick_checkpoint(&kill)?;
+            kill::tick_checkpoint(&kill)?;
             let mut dirs = manifest.dirs();
             dirs.push(dir);
             self.store.publish(&dirs, self.opts.keep)?;
             compactions_counter().inc(1);
-            journal::tick_checkpoint(&kill)?;
+            kill::tick_checkpoint(&kill)?;
         }
         self.merge_tail()?;
         // Step 4: trim — watermark first (so a crash mid-delete is
@@ -689,18 +707,17 @@ impl IngestIndex {
         self.covered += seg.len() as u64;
         self.manifest.trimmed_below = seg.wal_seq() + 1;
         self.manifest.save(&self.root)?;
-        journal::tick_checkpoint(&kill)?;
+        kill::tick_checkpoint(&kill)?;
         std::fs::remove_file(Self::wal_path(&self.root, seg.wal_seq())).ok();
-        journal::tick_checkpoint(&kill)?;
+        kill::tick_checkpoint(&kill)?;
         self.publish_pending_gauge();
         Ok(true)
     }
 
     /// Step 3 of [`Self::compact_once`]: while [`tail_run`] picks a run,
     /// merge it into a freshly allocated segment and publish the list with
-    /// the run replaced by it. A crash leaves an unlisted target with no
-    /// journal, which the next publish collects; the run, still published,
-    /// is merged again.
+    /// the run replaced by it. A crash leaves an unlisted target, which the
+    /// next publish collects; the run, still published, is merged again.
     fn merge_tail(&self) -> Result<(), IndexError> {
         let kill = &self.opts.kill;
         loop {
@@ -714,14 +731,14 @@ impl IngestIndex {
             let run: Vec<PathBuf> = run.iter().map(|d| self.root.join(d)).collect();
             let run: Vec<&Path> = run.iter().map(PathBuf::as_path).collect();
             let target = self.store.allocate()?;
-            journal::tick_checkpoint(kill)?;
+            kill::tick_checkpoint(kill)?;
             let options = MergeOptions { kill: kill.clone() };
             merge_indexes_with(&run, &self.root.join(&target), &options)?;
-            journal::tick_checkpoint(kill)?;
+            kill::tick_checkpoint(kill)?;
             dirs.push(target);
             self.store.publish(&dirs, self.opts.keep)?;
             tail_merges_counter().inc(1);
-            journal::tick_checkpoint(kill)?;
+            kill::tick_checkpoint(kill)?;
         }
     }
 
@@ -1091,13 +1108,8 @@ mod tests {
         let journal = ObjectBuilder::new()
             .field("kind", Json::Str("merge".into()))
             .field("fingerprint", Json::UInt(1))
-            .field("funcs_done", Json::Array(vec![Json::UInt(0)]))
             .build();
-        record::save(
-            &crate::journal::BuildJournal::path(&root.join(target)),
-            journal,
-        )
-        .unwrap();
+        record::save(&root.join(target).join("build.journal"), journal).unwrap();
         let (m, _) = MemtableManifest::load(root).unwrap().unwrap();
         let manifest = ObjectBuilder::new()
             .field("version", Json::UInt(1))
@@ -1249,6 +1261,18 @@ mod tests {
         assert!(!seal.exists(), "the trimmed seal is swept on open");
         assert_serves_batch_build("staged", &root, &all);
         std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// Memtable manifests on disk store the fingerprint, so its value for
+    /// given parts never changes.
+    #[test]
+    fn fingerprint_distinguishes_inputs() {
+        let a = fingerprint(&["config-a", "64"]);
+        let b = fingerprint(&["config-b", "64"]);
+        let c = fingerprint(&["config-a", "65"]);
+        assert_ne!(a, b);
+        assert_ne!(a, c);
+        assert_eq!(a, 0x5206_fa13_b9a7_05f0);
     }
 
     #[test]

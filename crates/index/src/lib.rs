@@ -21,7 +21,7 @@
 //! * the builders in [`build`] — [`build::write_memory_index`] (Algorithm 1)
 //!   and [`build::ExternalIndexBuilder`] (for corpora larger than memory:
 //!   budget-sized runs through the in-memory pipeline, joined by the
-//!   journaled merge of [`merge`]). Both emit byte-identical files for the
+//!   merge of [`merge`]). Both emit byte-identical files for the
 //!   same corpus and configuration, which integration tests assert.
 //!
 //! The layout of one inverted-index file (`inv_<i>.ndsi`) is documented in
@@ -37,7 +37,7 @@ mod file;
 pub mod fixed;
 mod gc;
 pub mod ingest;
-pub mod journal;
+pub mod kill;
 pub mod memory;
 pub mod merge;
 mod metrics;
@@ -53,7 +53,7 @@ pub use cache::CacheConfig;
 pub use disk::{inv_file_path, DiskIndex};
 pub use file::{FaultMode, FaultPlan, ReadOptions};
 pub use ingest::{verify_memtable, IngestIndex, IngestOptions, MemSegment, MemtableReport};
-pub use journal::{BuildJournal, KillPoints};
+pub use kill::KillPoints;
 pub use memory::MemoryIndex;
 pub use merge::{merge_indexes, merge_indexes_with, MergeOptions};
 pub use shard::{build_sharded, partition_texts, ShardedBuildOptions};
@@ -168,8 +168,7 @@ impl Posting {
 
 /// The one universal hash family ([`ndss_hash::MultiplyShiftHash`]) as
 /// `meta.json` names it. The field stays in the document — memtable
-/// manifests and build journals fingerprint its text — and any other value
-/// is refused.
+/// manifests fingerprint its text — and any other value is refused.
 const HASH_FAMILY: &str = "MultiplyShift";
 
 /// Everything needed to rebuild the query-side hashing and to sanity-check

@@ -17,18 +17,17 @@
 //! sorted because re-based text ids of input `s` all precede those of input
 //! `s + 1`. The k functions are independent files, merged on every core.
 //!
-//! A merge writes no journal. Its inputs are never modified and its output
-//! is a function of them alone, so a merge that was interrupted is run
-//! again into the same directory (or a fresh one) and comes out byte for
-//! byte the same; only the external build, whose runs are its own
-//! scratch, journals the merge it ends in (`journal.rs`).
+//! A merge keeps no record of its progress. Its inputs are never modified
+//! and its output is a function of them alone, so a merge that was
+//! interrupted — an external build's included — is run again from the
+//! start and comes out byte for byte the same.
 
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::container::{Encoding, Reader, Writer};
 use crate::disk::{inv_file_path, DiskIndex};
-use crate::journal::{self, BuildJournal, KillPoints};
+use crate::kill::{self, KillPoints};
 use crate::{gc, IndexConfig, IndexError, IoStats, Posting};
 
 /// Knobs for [`merge_indexes_with`]: (in tests) a deterministic crash
@@ -65,7 +64,7 @@ pub fn merge_indexes(inputs: &[&Path], out_dir: &Path) -> Result<DiskIndex, Inde
 /// [`merge_indexes`] with explicit [`MergeOptions`].
 ///
 /// The merge owns `out_dir`: it first sweeps what an interrupted run left
-/// there (atomic-write temporaries, a journal, run scratch), then commits
+/// there (atomic-write temporaries, run scratch), then commits
 /// each function's file atomically and `meta.json` last, so a crash leaves
 /// a directory that the next merge into it overwrites.
 pub fn merge_indexes_with(
@@ -77,8 +76,8 @@ pub fn merge_indexes_with(
     let fsyncs_before = ndss_durable::fsync_count();
     std::fs::create_dir_all(out_dir)?;
     gc::gc_counter().inc(gc::sweep_build_residue(out_dir) + gc::sweep_atomic_temps(out_dir));
-    let threads = journal::threads_under(&options.kill, ndss_parallel::default_threads());
-    inputs.merge_into(out_dir, None, threads, &options.kill)?;
+    let threads = kill::threads_under(&options.kill, ndss_parallel::default_threads());
+    inputs.merge_into(out_dir, threads, &options.kill)?;
     crate::build::opened(out_dir, fsyncs_before)
 }
 
@@ -138,43 +137,28 @@ impl<'a> MergeInputs<'a> {
         })
     }
 
-    /// The one merge: every function `journal` (an external build's, begun
-    /// and saved once by the caller) does not record as done is merged into
-    /// `out_dir` on up to `threads` threads, each followed by a kill
-    /// checkpoint or the journal's save (a set: completions serialize in any
-    /// order). Then `meta.json` publishes the directory and the journal is
-    /// removed.
+    /// The one merge: every function into `out_dir` on up to `threads`
+    /// threads, each followed by a kill checkpoint, then `meta.json`
+    /// publishes the directory.
     pub(crate) fn merge_into(
         &self,
         out_dir: &Path,
-        journal: Option<&mut BuildJournal>,
         threads: usize,
         kill: &Option<Arc<KillPoints>>,
     ) -> Result<(), IndexError> {
         let _span = ndss_obs::span("index.merge");
-        let done = |f: &usize| journal.as_ref().is_some_and(|j| j.funcs_done.contains(f));
-        let todo: Vec<usize> = (0..self.merged.k).filter(|f| !done(f)).collect();
-        let journal = Mutex::new(journal);
-        ndss_parallel::try_map(&todo, threads, |_, &func| {
+        let funcs: Vec<usize> = (0..self.merged.k).collect();
+        ndss_parallel::try_map(&funcs, threads, |_, &func| {
             self.merge_function(out_dir, func, kill)?;
-            match &mut *journal.lock().expect("no panic under this lock") {
-                Some(journal) => {
-                    journal.funcs_done.insert(func);
-                    journal.checkpoint(out_dir, kill)
-                }
-                None => journal::tick_checkpoint(kill),
-            }
+            kill::tick_checkpoint(kill)
         })?;
-        journal::tick_checkpoint(kill)?;
+        kill::tick_checkpoint(kill)?;
         DiskIndex::write_meta(out_dir, &self.merged)?;
-        journal::tick_checkpoint(kill)?;
-        BuildJournal::remove(out_dir)?;
-        journal::tick_checkpoint(kill)
+        kill::tick_checkpoint(kill)
     }
 
     /// K-way merges one hash function's lists from every input into the
-    /// output file. The output commits atomically at `finish()`, so this is
-    /// the unit of work an external build's journal records.
+    /// output file, which commits atomically at `finish()`.
     fn merge_function(
         &self,
         out_dir: &Path,
@@ -198,7 +182,7 @@ impl<'a> MergeInputs<'a> {
         let mut heads: Vec<Option<u64>> = readers.iter().map(|r| r.hash_at(0)).collect();
         let mut merged: Vec<Posting> = Vec::new();
         while let Some(hash) = heads.iter().flatten().min().copied() {
-            journal::tick_io(kill)?;
+            kill::tick_io(kill)?;
             merged.clear();
             for (r, reader) in readers.iter().enumerate() {
                 if heads[r] != Some(hash) {
@@ -335,8 +319,7 @@ mod tests {
             .iter()
             .map(|&threads| {
                 let out = temp_dir(&format!("thr_out_{threads}"));
-                inputs.merge_into(&out, None, threads, &None).unwrap();
-                assert!(!BuildJournal::path(&out).exists());
+                inputs.merge_into(&out, threads, &None).unwrap();
                 out
             })
             .collect();

@@ -1,5 +1,5 @@
 //! Self-checksummed JSON records: the on-disk convention shared by the
-//! build journal, the memtable manifest and the shard manifest.
+//! memtable manifest and the store manifest.
 //!
 //! A record is one pretty-printed JSON object whose last field, `crc`, is
 //! the CRC-32C of the pretty text of the object *without* that field. It is

@@ -24,7 +24,7 @@ use ndss_corpus::{CorpusSlice, CorpusSource, TextId};
 
 use crate::build::{build_and_write, ExternalIndexBuilder, DEFAULT_MEMORY_BUDGET};
 use crate::disk::META_FILE;
-use crate::journal::{self, KillPoints, JOURNAL_FILE};
+use crate::kill::{self, KillPoints};
 use crate::store::Store;
 use crate::{DiskIndex, IndexAccess, IndexConfig, IndexError};
 
@@ -49,12 +49,13 @@ pub fn partition_texts(num_texts: usize, shards: usize) -> Vec<(TextId, u64)> {
 /// cross-shard worker per core, keep 1.
 #[derive(Clone)]
 pub struct ShardedBuildOptions {
-    /// Use the journaled external (out-of-core) builder per shard.
+    /// Use the external (out-of-core) builder per shard.
     pub external: bool,
     /// Per-shard memory budget for external builds.
     pub memory_budget: usize,
-    /// Resume an interrupted build: its segments whose journal survives
-    /// continue from it, segments that already completed are reused as-is.
+    /// Resume an interrupted build: segments that already completed are
+    /// reused as-is, the others reuse the runs that match
+    /// ([`ExternalIndexBuilder::resume`]).
     pub resume: bool,
     /// Previous segment lists retained on publish.
     pub keep: usize,
@@ -116,7 +117,7 @@ pub fn build_sharded<C: CorpusSource + ?Sized>(
             .collect::<Result<_, _>>()?;
     }
     let dirs = &dirs[dirs.len() - num_shards..];
-    let workers = journal::threads_under(
+    let workers = kill::threads_under(
         &opts.kill,
         match opts.threads {
             0 => ndss_parallel::default_threads().min(num_shards),
@@ -128,8 +129,7 @@ pub fn build_sharded<C: CorpusSource + ?Sized>(
     ndss_parallel::try_map(&shard_ids, workers, |_, &i| {
         let ((first, len), dir) = (ranges[i], root.join(&dirs[i]));
         let slice = CorpusSlice::new(corpus, first, len as usize);
-        let journaled = dir.join(JOURNAL_FILE).is_file();
-        if opts.resume && !journaled && dir.join(META_FILE).is_file() {
+        if opts.resume && dir.join(META_FILE).is_file() {
             // This segment finished before the previous run was killed.
             // Reuse it unchanged (after checking it really is the requested
             // build) so resume is byte-identical per segment.
@@ -143,7 +143,7 @@ pub fn build_sharded<C: CorpusSource + ?Sized>(
             let mut builder = ExternalIndexBuilder::new(config.clone())
                 .memory_budget(opts.memory_budget)
                 .parallel(intra_parallel)
-                .resume(opts.resume && journaled);
+                .resume(opts.resume);
             if let Some(kill) = &opts.kill {
                 builder = builder.kill_points(kill.clone());
             }

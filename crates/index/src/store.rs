@@ -16,8 +16,8 @@
 //! [`Store::publish`] verifies every segment the serving list does not
 //! already name, writes the `MANIFEST` once with
 //! [`ndss_durable::write_atomic`] (readers see the old list or the new
-//! one), then deletes every `seg-*` no retained list names unless a build
-//! journal marks it resumable (only an external build writes one; an
+//! one), then deletes every `seg-*` no retained list names unless it holds
+//! a `tmp_spill/`: an external build's runs, which `--resume` keeps (an
 //! interrupted merge's target is collected). An open deletes none, because
 //! an interrupted build resumes into them. [`Store::rollback`] serves the
 //! newest retained list again. The layouts this replaced — a `CURRENT`
@@ -29,7 +29,7 @@ use std::path::{Path, PathBuf};
 use ndss_corpus::TextId;
 use ndss_json::{Json, ObjectBuilder};
 
-use crate::journal::JOURNAL_FILE;
+use crate::build::SPILL_DIR;
 use crate::{gc, record, DiskIndex, IndexAccess, IndexError};
 
 /// File in the store root holding the manifest.
@@ -382,8 +382,8 @@ impl Store {
     }
 
     /// Writes generation `previous + 1` — `segments` serving, `retained`
-    /// kept — then deletes every segment no list names, unless a build
-    /// journal marks it resumable.
+    /// kept — then deletes every segment no list names, unless it holds an
+    /// interrupted external build's runs.
     fn commit(
         &self,
         previous: u64,
@@ -399,7 +399,7 @@ impl Store {
         let mut removed = 0;
         for (_, name) in self.segment_dirs()? {
             let dir = self.root.join(&name);
-            if !manifest.names(&name) && !dir.join(JOURNAL_FILE).is_file() {
+            if !manifest.names(&name) && !dir.join(SPILL_DIR).is_dir() {
                 removed += gc::remove_dir_counting(&dir);
             }
         }

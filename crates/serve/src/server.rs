@@ -556,8 +556,8 @@ impl Server {
 /// The background compactor: compacts frozen memtable segments into the
 /// store and hot-swaps the serving view onto each new publication.
 /// Sleeps in short slices so drain is never blocked on a full interval
-/// (compactions in progress run to completion — they are resumable anyway,
-/// but finishing cleanly avoids pointless recovery work on restart).
+/// (compactions in progress run to completion — an interrupted one is
+/// redone on restart, but finishing cleanly saves that work).
 fn run_compactor(shared: &Shared, interval: Duration) {
     let Some(ingest) = &shared.ingest else { return };
     let slice = Duration::from_millis(20);

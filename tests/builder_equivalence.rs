@@ -21,8 +21,8 @@ fn read_inv_files(dir: &Path, k: usize) -> Vec<Vec<u8>> {
 /// `meta.json` included, nothing left over — equals `build_and_write`'s,
 /// serial and parallel. The serial build carries a counting injector, whose
 /// checkpoints say how many runs were cut: none for a corpus written
-/// straight into place beyond its `meta.json`'s two, else two for the
-/// journal, two per run, two per merged function and three to publish.
+/// straight into place beyond its `meta.json`'s two, else two per run, one
+/// per merged function and two to publish.
 fn external_grid(corpus: &InMemoryCorpus, config: &IndexConfig) {
     // The builder's estimate of a token's bytes in memory.
     let per_token = 4 + config.k * 2 * 24 / (config.t + 1);
@@ -76,7 +76,7 @@ fn external_grid(corpus: &InMemoryCorpus, config: &IndexConfig) {
             if !parallel {
                 let runs = match count.checkpoints_seen() as usize {
                     2 => 1,
-                    n => (n - 2 - 2 * config.k - 3) / 2,
+                    n => (n - config.k - 2) / 2,
                 };
                 assert!(runs_expected.contains(&runs), "{name}: {runs} runs");
             }

@@ -2,16 +2,16 @@
 //! pipelines.
 //!
 //! The builders expose two families of deterministic crash sites (see
-//! `ndss::index::KillPoints`): *checkpoints* bracketing every journal
-//! publication and every run's `meta.json` and following every merged
+//! `ndss::index::KillPoints`): *checkpoints* bracketing every `meta.json`
+//! (each run's and the merged output's) and following every merged
 //! function's file, and fine-grained *IO points* (per run file, per list
 //! merged). The harness first runs a counting pass to learn how many sites
 //! a given build exposes, then crashes at **every** checkpoint and a
 //! seeded sample of IO points, and requires the finished directory to be
 //! **byte-identical** to an uninterrupted build — on both the fixed-width
 //! (v3) and compressed (v4) index formats. The external build resumes with
-//! `--resume` semantics from its journal; a k-way merge writes no journal
-//! and is simply run again into the same directory.
+//! `--resume` semantics: it keeps the runs that match and merges again; a
+//! k-way merge is simply run again into the same directory.
 //!
 //! Builds run serially (`parallel(false)`; a build or merge with an
 //! injector installed uses one thread whatever it is told): the sweep's
@@ -20,9 +20,11 @@
 
 use std::path::{Path, PathBuf};
 
-use ndss::index::{build_and_write, BuildJournal, ExternalIndexBuilder, KillPoints};
+use ndss::index::{build_and_write, ExternalIndexBuilder, KillPoints};
 use ndss::prelude::*;
-use ndss_integration::{assert_same_files, dir_files, scratch, scratch_root};
+use ndss_integration::{
+    assert_same_files, assert_unchanged, dir_files, scratch, scratch_root, segment_files,
+};
 
 fn small_corpus() -> InMemoryCorpus {
     let (corpus, _) = SyntheticCorpusBuilder::new(91)
@@ -58,13 +60,13 @@ fn external_build_sweep(compress: bool) {
     let version = if compress { "v4" } else { "v3" };
     let corpus = small_corpus();
 
-    // Uninterrupted reference build (journal on, like every real build).
+    // Uninterrupted reference build.
     let clean_dir = scratch("crash", &format!("ext_{version}_clean"));
     builder(compress).build(&corpus, &clean_dir).unwrap();
     let reference = dir_files(&clean_dir);
     assert!(
-        !reference.contains_key("build.journal"),
-        "a completed build must remove its journal"
+        !reference.keys().any(|name| name.starts_with("tmp_spill")),
+        "a completed build must remove its runs"
     );
 
     // Counting pass: learn how many crash sites this build exposes, and
@@ -193,10 +195,6 @@ fn merge_sweep(compress: bool) {
             err.to_string().contains("injected crash"),
             "{label}: unexpected error {err}"
         );
-        assert!(
-            !dir.join("build.journal").exists(),
-            "{label}: a merge writes no journal"
-        );
         // Run the same merge again into the same directory.
         ndss::index::merge_indexes(&inputs, &dir)
             .unwrap_or_else(|e| panic!("{label}: the merge run again failed: {e}"));
@@ -229,34 +227,129 @@ fn merge_redone_byte_identical_compressed() {
 // Resume validation and garbage collection.
 // ---------------------------------------------------------------------------
 
-#[test]
-fn resume_rejects_mismatched_parameters() {
-    let corpus = small_corpus();
-    let dir = scratch("crash", "fingerprint");
-    builder(false)
-        .kill_points(KillPoints::at_checkpoint(4))
-        .build(&corpus, &dir)
-        .expect_err("build must crash");
-    assert!(BuildJournal::load(&dir).unwrap().is_some());
-    // Different run boundaries (memory budget) ⇒ the journal describes a
-    // different build; resuming must refuse rather than guess.
-    let err = builder(false)
-        .memory_budget(1 << 13)
-        .resume(true)
-        .build(&corpus, &dir)
-        .expect_err("mismatched resume must be rejected");
-    assert!(
-        err.to_string().contains("journal"),
-        "expected a journal mismatch error, got: {err}"
-    );
-    // Same parameters resume fine.
-    builder(false).resume(true).build(&corpus, &dir).unwrap();
+/// A fresh build at `budget` into a scratch directory: its files, and the
+/// checkpoints and IO points it passes.
+fn fresh_build(
+    config: IndexConfig,
+    budget: usize,
+    name: &str,
+) -> (std::collections::BTreeMap<String, Vec<u8>>, u64, u64) {
+    let count = KillPoints::count_only();
+    let dir = scratch("crash", name);
+    ExternalIndexBuilder::new(config)
+        .memory_budget(budget)
+        .kill_points(count.clone())
+        .build(&small_corpus(), &dir)
+        .unwrap();
+    let files = dir_files(&dir);
     std::fs::remove_dir_all(&dir).ok();
+    (files, count.checkpoints_seen(), count.io_seen())
+}
+
+/// A resume with another budget or another configuration than the
+/// interrupted build's finds no run that matches its own first batch: it
+/// rewrites every run, passing every checkpoint and IO point of a fresh
+/// build, and writes that fresh build's bytes.
+#[test]
+fn resume_at_another_budget_rewrites_its_runs() {
+    let corpus = small_corpus();
+    for (label, config, budget) in [
+        ("budget", config(false), 1 << 13),
+        ("configuration", config(true), 1 << 14),
+    ] {
+        let (reference, checkpoints, io_points) =
+            fresh_build(config.clone(), budget, "other_params_fresh");
+        let dir = scratch("crash", "other_params");
+        // Checkpoint 5 follows run 2's `meta.json`: three runs are published.
+        builder(false)
+            .kill_points(KillPoints::at_checkpoint(5))
+            .build(&corpus, &dir)
+            .expect_err("build must crash");
+        assert!(dir.join("tmp_spill/run-000002/meta.json").is_file());
+
+        let resumed = KillPoints::count_only();
+        ExternalIndexBuilder::new(config)
+            .memory_budget(budget)
+            .resume(true)
+            .kill_points(resumed.clone())
+            .build(&corpus, &dir)
+            .unwrap();
+        assert_same_files(&format!("resume at another {label}"), &dir, &reference);
+        assert_eq!(
+            (resumed.checkpoints_seen(), resumed.io_seen()),
+            (checkpoints, io_points),
+            "{label}: every run is rewritten"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// A run is reused only when every run before it was: a published run with
+/// the right text and token counts, cut at another text offset, follows a
+/// run that is rewritten, so it is rewritten too — also when the resume
+/// that rewrote its predecessor was itself killed before reaching it.
+#[test]
+fn a_run_cut_at_another_offset_is_rewritten() {
+    // Equal texts make every run the same size: three texts, 240 tokens.
+    let (varied, _) = SyntheticCorpusBuilder::new(93)
+        .num_texts(12)
+        .text_len(80, 80)
+        .vocab_size(400)
+        .build();
+    let corpus = InMemoryCorpus::from_texts(varied.iter().map(|(_, t)| t.to_vec()).collect());
+    let build = || {
+        ExternalIndexBuilder::new(config(false))
+            .memory_budget(240 * 11)
+            .parallel(false)
+    };
+    let clean = scratch("crash", "offset_clean");
+    build().build(&corpus, &clean).unwrap();
+    let reference = dir_files(&clean);
+
+    // Runs 0–2 published (checkpoint 5 follows run 2's `meta.json`), then
+    // run 1 torn and run 2 replaced by a copy of run 0: texts 0–2 where
+    // texts 6–8 belong, with the same counts.
+    let plant = |dir: &Path| {
+        build()
+            .kill_points(KillPoints::at_checkpoint(5))
+            .build(&corpus, dir)
+            .expect_err("build must crash");
+        let spill = dir.join("tmp_spill");
+        let meta = |run: &str| std::fs::read(spill.join(run).join("meta.json")).unwrap();
+        assert_eq!(meta("run-000000"), meta("run-000002"), "equal counts");
+        std::fs::remove_file(spill.join("run-000001/meta.json")).unwrap();
+        for (name, bytes) in dir_files(&spill.join("run-000000")) {
+            std::fs::write(spill.join("run-000002").join(name), bytes).unwrap();
+        }
+    };
+
+    let dir = scratch("crash", "offset");
+    plant(&dir);
+    build().resume(true).build(&corpus, &dir).unwrap();
+    assert_same_files("run at another offset", &dir, &reference);
+
+    // The same, with the resume killed as soon as it has republished run 1
+    // (its checkpoints 0 and 1 bracket that `meta.json`): the planted run
+    // must not look kept to the next resume.
+    let dir = scratch("crash", "offset");
+    plant(&dir);
+    build()
+        .resume(true)
+        .kill_points(KillPoints::at_checkpoint(1))
+        .build(&corpus, &dir)
+        .expect_err("resume must crash");
+    assert!(dir.join("tmp_spill/run-000001/meta.json").is_file());
+    build().resume(true).build(&corpus, &dir).unwrap();
+    assert_same_files("run at another offset, second resume", &dir, &reference);
+    for d in [clean, dir] {
+        std::fs::remove_dir_all(&d).ok();
+    }
 }
 
 /// A crash after run *i* is published resumes without rewriting runs
-/// `0..=i`: the resumed build passes no IO point for their files and no
-/// checkpoint for their `meta.json`.
+/// `0..=i`: they keep their names, inodes and bytes, and a resumed build
+/// passes no IO point for their files and no checkpoint for their
+/// `meta.json`. The merge is redone from the start.
 #[test]
 fn resume_keeps_published_runs() {
     let corpus = small_corpus();
@@ -267,18 +360,38 @@ fn resume_keeps_published_runs() {
         .build(&corpus, &dir)
         .unwrap();
     let reference = dir_files(&dir);
+    let k = config(false).k as u64;
+    // Two checkpoints per run, one per merged function, two to publish.
+    let runs = (full.checkpoints_seen() - k - 2) / 2;
 
-    // Checkpoints 0 and 1 bracket the first journal save, 2 + 2i and
-    // 3 + 2i run i's `meta.json`: die as soon as run 1 is published.
+    // Checkpoints 2i and 2i + 1 bracket run i's `meta.json`: die as soon as
+    // run 1 is published.
     let dir = scratch("crash", "keep_runs");
     builder(false)
-        .kill_points(KillPoints::at_checkpoint(5))
+        .kill_points(KillPoints::at_checkpoint(3))
         .build(&corpus, &dir)
         .expect_err("build must crash");
-    let spilled = dir_files(&dir.join("tmp_spill"));
+    let spill = dir.join("tmp_spill");
+    let spilled = dir_files(&spill);
     assert!(spilled.contains_key("run-000001/meta.json"));
     assert!(!spilled.keys().any(|name| name.starts_with("run-000002")));
+    let published: Vec<_> = ["run-000000", "run-000001"]
+        .iter()
+        .map(|run| (run.to_string(), segment_files(&spill.join(run))))
+        .collect();
 
+    // A resume killed once it has merged its first function (its
+    // checkpoint after the runs it writes) left runs 0 and 1 as they were.
+    builder(false)
+        .resume(true)
+        .kill_points(KillPoints::at_checkpoint(2 * (runs - 2)))
+        .build(&corpus, &dir)
+        .expect_err("resume must crash");
+    assert!(dir.join("inv_0.ndsi").is_file() && !dir.join("meta.json").exists());
+    assert!(published.iter().all(|(run, _)| spill.join(run).is_dir()));
+    assert_unchanged("resume", &spill, &published);
+
+    // Every run is published now: the last resume writes none of them.
     let resumed = KillPoints::count_only();
     builder(false)
         .resume(true)
@@ -286,11 +399,10 @@ fn resume_keeps_published_runs() {
         .build(&corpus, &dir)
         .unwrap();
     assert_same_files("resume after run 1", &dir, &reference);
-    let k = config(false).k as u64;
-    assert_eq!(full.io_seen() - resumed.io_seen(), 2 * k, "run files");
+    assert_eq!(full.io_seen() - resumed.io_seen(), runs * k, "run files");
     assert_eq!(
         full.checkpoints_seen() - resumed.checkpoints_seen(),
-        2 * 2,
+        2 * runs,
         "run meta.json checkpoints"
     );
     std::fs::remove_dir_all(&dir).ok();
@@ -305,7 +417,7 @@ fn resume_without_journal_degrades_to_fresh_build() {
 
     let dir = scratch("crash", "fresh_resume");
     builder(false).resume(true).build(&corpus, &dir).unwrap();
-    assert_same_files("resume with no journal", &dir, &reference);
+    assert_same_files("resume with no runs", &dir, &reference);
     std::fs::remove_dir_all(&clean).ok();
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -314,13 +426,14 @@ fn resume_without_journal_degrades_to_fresh_build() {
 fn fresh_build_sweeps_crash_residue() {
     let corpus = small_corpus();
     let dir = scratch("crash", "gc_residue");
-    // Crash a journaled build, leaving tmp_spill/ + build.journal behind.
+    // Crash a build after its second run, leaving tmp_spill/ behind, beside
+    // the journal a build of an older version kept there.
     builder(false)
         .kill_points(KillPoints::at_checkpoint(3))
         .build(&corpus, &dir)
         .expect_err("build must crash");
     assert!(dir.join("tmp_spill").is_dir());
-    assert!(dir.join("build.journal").is_file());
+    std::fs::write(dir.join("build.journal"), b"{}").unwrap();
 
     let gc_counter = ndss::obs::Registry::global().counter(
         "index.gc_files",
@@ -354,15 +467,16 @@ fn interrupted_build_is_reported_resumable_and_openable_after_resume() {
     let unpublished = store.unpublished().unwrap();
     assert_eq!(unpublished.len(), 1, "segment is kept");
     assert_eq!(root.join(&unpublished[0]), seg_dir);
-    assert!(
-        seg_dir.join("build.journal").is_file(),
-        "segment is resumable"
-    );
+    assert!(seg_dir.join("tmp_spill").is_dir(), "segment is resumable");
 
+    // A journal an older build left is not read: the resume ignores it,
+    // and the finished index sweeps it.
+    std::fs::write(seg_dir.join("build.journal"), b"not a journal").unwrap();
     builder(false)
         .resume(true)
         .build(&corpus, &seg_dir)
         .unwrap();
+    assert!(!seg_dir.join("build.journal").exists());
     store.publish(&unpublished, 1).unwrap();
     let opened = DiskIndex::open(&resolve_index_dir(&root)).unwrap();
     opened.verify_integrity().unwrap();
@@ -375,7 +489,7 @@ fn interrupted_build_is_reported_resumable_and_openable_after_resume() {
 
 /// A killed `--shards N` build resumes byte-identically, shard by shard:
 /// shards that finished before the crash are reused unchanged, the shard
-/// whose journal survived continues from it, and untouched shards build
+/// it interrupted keeps the runs it published, and untouched shards build
 /// fresh — the resumed store's bytes (every segment's files and
 /// the manifest itself) equal an uninterrupted build's.
 ///
@@ -413,8 +527,8 @@ fn sharded_build_resumes_byte_identical_per_shard() {
     assert!(reference.contains_key("MANIFEST"));
     for name in reference.keys() {
         assert!(
-            !name.ends_with("build.journal"),
-            "completed shards must remove their journals"
+            !name.contains("tmp_spill"),
+            "completed shards must remove their runs"
         );
     }
 
@@ -509,7 +623,7 @@ fn sharded_build_resumes_byte_identical_per_shard() {
 // ---------------------------------------------------------------------------
 
 use ndss::index::{verify_memtable, IndexError, IngestIndex, IngestOptions};
-use ndss_integration::{assert_serves_batch_build, assert_unchanged, serving_segments};
+use ndss_integration::{assert_serves_batch_build, serving_segments};
 use std::sync::Arc;
 
 fn ingest_texts() -> Vec<Vec<u32>> {

@@ -138,9 +138,10 @@ fn publish_rollback_lifecycle() {
     assert!(root.join(&g0).is_dir(), "previous list kept for rollback");
 
     // A third publish with keep = 1: exactly the serving segment, the
-    // previous list's and a journaled in-flight build survive.
+    // previous list's and an in-flight external build (its runs under
+    // `tmp_spill/`) survive.
     let in_flight = store.allocate().unwrap();
-    std::fs::write(root.join(&in_flight).join("build.journal"), b"{}").unwrap();
+    std::fs::create_dir_all(root.join(&in_flight).join("tmp_spill")).unwrap();
     let g2 = build_segment(&store, &a);
     store.publish(&[&g2], 1).unwrap();
     let mut survivors = vec![g1.clone(), in_flight.clone(), g2.clone()];
@@ -188,7 +189,7 @@ fn publish_rollback_lifecycle() {
     );
 
     // keep = 0 retains nothing: the retired segment is collected, the
-    // journaled one still survives, and a rollback with no retained list
+    // in-flight one still survives, and a rollback with no retained list
     // fails with the MANIFEST byte-identical.
     store.publish(&[&g2], 0).unwrap();
     assert_eq!(segment_dirs(&root), [in_flight, g2]);

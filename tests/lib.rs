@@ -42,7 +42,7 @@ pub fn dir_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
 }
 
 /// Asserts `dir` holds exactly the reference files: same names, same bytes,
-/// and in particular no leftover journal or run scratch.
+/// and in particular no leftover run scratch.
 pub fn assert_same_files(context: &str, dir: &Path, reference: &BTreeMap<String, Vec<u8>>) {
     let got = dir_files(dir);
     let got_names: Vec<&String> = got.keys().collect();

@@ -22,7 +22,9 @@
 //! Publishing is counted apart from building: the fsyncs of one
 //! `Store::publish` of one built segment and of two, each one `MANIFEST`
 //! write. So is merging: the fsyncs and bytes written of one
-//! `merge_indexes` of the corpus's two halves, each built apart.
+//! `merge_indexes` of the corpus's two halves, each built apart. So is the
+//! out-of-core build: the runs, fsyncs and bytes written of one
+//! `ExternalIndexBuilder` build of the corpus at `EXTERNAL_BUDGET`.
 //!
 //! The ingest script: the same corpus published as one segment, then
 //! `INGEST_TEXTS` texts of the second corpus appended with a WAL budget
@@ -38,7 +40,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use ndss::corpus::PlantedDuplicate;
-use ndss::index::{build_and_write, merge_indexes, CacheConfig, IngestIndex, IngestOptions};
+use ndss::index::{
+    build_and_write, merge_indexes, CacheConfig, ExternalIndexBuilder, IngestIndex, IngestOptions,
+};
 use ndss::prelude::*;
 use ndss::query::QueryStats;
 use ndss_integration::scratch;
@@ -59,6 +63,9 @@ const INGEST_FLUSH_BYTES: u64 = 3_000;
 /// Lists the script's store retains. Every list a compaction publishes
 /// is still in the `MANIFEST` when it returns, so the peak is exact.
 const INGEST_KEEP: usize = 3;
+/// Memory budget of the recorded out-of-core build: about 8 300 tokens a
+/// run at k = 32, t = 25, so the corpus is cut into four runs.
+const EXTERNAL_BUDGET: usize = 1 << 19;
 
 /// The counters recorded for each query, in this order.
 const FIELDS: [&str; 6] = [
@@ -142,6 +149,10 @@ struct IndexWork {
     /// One `merge_indexes` of two halves.
     merge_fsyncs: u64,
     merge_bytes: u64,
+    /// One `ExternalIndexBuilder` build at `EXTERNAL_BUDGET`.
+    external_runs: u64,
+    external_fsyncs: u64,
+    external_bytes: u64,
 }
 
 fn config() -> IndexConfig {
@@ -194,6 +205,27 @@ fn build(corpus: &InMemoryCorpus, dir: &Path) -> IndexWork {
     let merge_bytes = ndss::durable::bytes_written() - merge_bytes;
     std::fs::remove_dir_all(&root).ok();
 
+    // Each run is one `index.build.run` span; this binary builds nothing
+    // else while the lock is held.
+    let runs = || {
+        Registry::global()
+            .histogram("span.index.build.run", "span wall time", Unit::Seconds)
+            .snapshot()
+            .count
+    };
+    let external = scratch("work_counters", "external");
+    let (external_runs, external_bytes) = (runs(), ndss::durable::bytes_written());
+    let external_fsyncs = fsyncs(|| {
+        ExternalIndexBuilder::new(config())
+            .memory_budget(EXTERNAL_BUDGET)
+            .build(corpus, &external)
+            .unwrap()
+    });
+    let external_bytes = ndss::durable::bytes_written() - external_bytes;
+    let external_runs = runs() - external_runs;
+    assert!(external_runs >= 3, "the budget cuts {external_runs} runs");
+    std::fs::remove_dir_all(&external).ok();
+
     IndexWork {
         tokens: corpus.total_tokens(),
         bytes: dir_bytes(dir),
@@ -202,6 +234,9 @@ fn build(corpus: &InMemoryCorpus, dir: &Path) -> IndexWork {
         sharded_publish_fsyncs,
         merge_fsyncs,
         merge_bytes,
+        external_runs,
+        external_fsyncs,
+        external_bytes,
     }
 }
 
@@ -373,6 +408,13 @@ fn render(
         index.sharded_publish_fsyncs,
         index.merge_fsyncs,
         index.merge_bytes,
+    )
+    .unwrap();
+    writeln!(
+        out,
+        "  \"external\": {{\"memory_budget\": {EXTERNAL_BUDGET}, \"runs\": {}, \
+         \"fsyncs_per_external_build\": {}, \"bytes_written_per_external_build\": {}}},",
+        index.external_runs, index.external_fsyncs, index.external_bytes,
     )
     .unwrap();
     writeln!(
