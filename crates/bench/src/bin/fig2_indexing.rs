@@ -1,5 +1,5 @@
 //! Figure 2 — index construction: number of compact windows (a–d), index
-//! size (e–h), and index time split into window generation + disk IO (i–l),
+//! size (e–h), and index time split into window generation + index write (i–l),
 //! swept over the length threshold `t`, the number of hash functions `k`,
 //! the vocabulary size, and the corpus scale, for OpenWebText-like and
 //! Pile-like corpora.
@@ -23,7 +23,7 @@ struct BuildOutcome {
     postings: u64,
     index_bytes: u64,
     gen_ms: f64,
-    io_ms: f64,
+    write_ms: f64,
 }
 
 /// Builds (in memory, timed) then writes (timed) and measures.
@@ -33,12 +33,12 @@ fn build(corpus: &InMemoryCorpus, k: usize, t: usize, tag: &str) -> BuildOutcome
     std::fs::create_dir_all(&dir).unwrap();
     let (index, gen_time) =
         time(|| MemoryIndex::build_parallel(corpus, IndexConfig::new(k, t, 7)).expect("build"));
-    let (disk, io_time) = time(|| ndss::index::write_memory_index(&index, &dir).expect("write"));
+    let (disk, write_time) = time(|| ndss::index::write_memory_index(&index, &dir).expect("write"));
     let outcome = BuildOutcome {
         postings: index.total_postings(),
         index_bytes: disk.size_bytes().expect("size"),
         gen_ms: ms(gen_time),
-        io_ms: ms(io_time),
+        write_ms: ms(write_time),
     };
     drop(disk);
     std::fs::remove_dir_all(&dir).ok();
@@ -51,7 +51,7 @@ fn main() {
     // ---- Panels (a), (e), (i): sweep t × vocab (k = 1, scale 1). --------
     let mut csv_a = Csv::new("fig2a_windows_vs_t", "vocab,t,windows,expected");
     let mut csv_e = Csv::new("fig2e_size_vs_t", "vocab,t,index_bytes,corpus_bytes");
-    let mut csv_i = Csv::new("fig2i_time_vs_t", "vocab,t,gen_ms,io_ms");
+    let mut csv_i = Csv::new("fig2i_time_vs_t", "vocab,t,gen_ms,write_ms");
     let mut windows_at_t = std::collections::HashMap::new();
     for vocab in [32_000usize, 64_000] {
         let (corpus, _) = owt_like(1, vocab, 11);
@@ -71,7 +71,7 @@ fn main() {
                 out.index_bytes,
                 corpus.total_tokens() * 4
             );
-            ndss_bench::csv_row!(csv_i, "{vocab},{t},{:.2},{:.2}", out.gen_ms, out.io_ms);
+            ndss_bench::csv_row!(csv_i, "{vocab},{t},{:.2},{:.2}", out.gen_ms, out.write_ms);
         }
     }
     csv_a.flush();
@@ -97,14 +97,14 @@ fn main() {
     let (corpus, _) = owt_like(1, 64_000, 11);
     let mut csv_b = Csv::new("fig2b_windows_vs_k", "k,windows");
     let mut csv_f = Csv::new("fig2f_size_vs_k", "k,index_bytes");
-    let mut csv_j = Csv::new("fig2j_time_vs_k", "k,gen_ms,io_ms");
+    let mut csv_j = Csv::new("fig2j_time_vs_k", "k,gen_ms,write_ms");
     let mut windows_at_k = Vec::new();
     for k in [1usize, 2, 4, 8] {
         let out = build(&corpus, k, 50, &format!("b_k{k}"));
         windows_at_k.push((k, out.postings));
         ndss_bench::csv_row!(csv_b, "{k},{}", out.postings);
         ndss_bench::csv_row!(csv_f, "{k},{}", out.index_bytes);
-        ndss_bench::csv_row!(csv_j, "{k},{:.2},{:.2}", out.gen_ms, out.io_ms);
+        ndss_bench::csv_row!(csv_j, "{k},{:.2},{:.2}", out.gen_ms, out.write_ms);
     }
     csv_b.flush();
     csv_f.flush();
@@ -119,7 +119,7 @@ fn main() {
     // ---- Panels (c), (g), (k): OWT-like corpus-size sweep. ---------------
     let mut csv_c = Csv::new("fig2c_windows_vs_size_owt", "scale,texts,windows");
     let mut csv_g = Csv::new("fig2g_size_vs_size_owt", "scale,index_bytes");
-    let mut csv_k = Csv::new("fig2k_time_vs_size_owt", "scale,gen_ms,io_ms");
+    let mut csv_k = Csv::new("fig2k_time_vs_size_owt", "scale,gen_ms,write_ms");
     let mut windows_at_scale = Vec::new();
     for scale in [1usize, 2, 4, 8] {
         let (corpus, _) = owt_like(scale, 64_000, 11);
@@ -127,7 +127,7 @@ fn main() {
         windows_at_scale.push((scale, out.postings));
         ndss_bench::csv_row!(csv_c, "{scale},{},{}", corpus.num_texts(), out.postings);
         ndss_bench::csv_row!(csv_g, "{scale},{}", out.index_bytes);
-        ndss_bench::csv_row!(csv_k, "{scale},{:.2},{:.2}", out.gen_ms, out.io_ms);
+        ndss_bench::csv_row!(csv_k, "{scale},{:.2},{:.2}", out.gen_ms, out.write_ms);
     }
     csv_c.flush();
     csv_g.flush();
@@ -142,7 +142,7 @@ fn main() {
     // ---- Panels (d), (h), (l): Pile-like corpus-size sweep. --------------
     let mut csv_d = Csv::new("fig2d_windows_vs_size_pile", "scale,texts,windows");
     let mut csv_h = Csv::new("fig2h_size_vs_size_pile", "scale,index_bytes,corpus_bytes");
-    let mut csv_l = Csv::new("fig2l_time_vs_size_pile", "scale,gen_ms,io_ms");
+    let mut csv_l = Csv::new("fig2l_time_vs_size_pile", "scale,gen_ms,write_ms");
     let mut pile_sizes = Vec::new();
     for scale in [1usize, 2, 4] {
         let (corpus, _) = pile_like(scale, 13);
@@ -155,7 +155,7 @@ fn main() {
             out.index_bytes,
             corpus.total_tokens() * 4
         );
-        ndss_bench::csv_row!(csv_l, "{scale},{:.2},{:.2}", out.gen_ms, out.io_ms);
+        ndss_bench::csv_row!(csv_l, "{scale},{:.2},{:.2}", out.gen_ms, out.write_ms);
     }
     csv_d.flush();
     csv_h.flush();

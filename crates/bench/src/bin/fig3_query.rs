@@ -1,31 +1,66 @@
-//! Figure 3 — query processing: latency (stacked IO + CPU) and result
-//! counts, swept over the similarity threshold θ, the number of hash
-//! functions k, the corpus size, the prefix length, and the length
-//! threshold t. All numbers are averaged over a workload of 100 queries
-//! (half "memorized" planted copies, half fresh windows), like the paper's
-//! 100 random GPT-2/GPT-Neo generations.
+//! Figure 3 — query processing: latency and result counts, swept over
+//! the similarity threshold θ, the number of hash functions k, the corpus
+//! size, the prefix length, and the length threshold t. All numbers are
+//! averaged over a workload of 100 queries (half "memorized" planted
+//! copies, half fresh windows), like the paper's 100 random GPT-2/GPT-Neo
+//! generations.
 //!
 //! ```text
 //! cargo run -p ndss-bench --release --bin fig3_query
 //! ```
 //!
+//! The paper stacks each latency bar as IO + CPU. A mapped index has no
+//! separable IO clock, so a latency row holds the total and the gather,
+//! count and probe stage times (timed: `_ms`, like `timed-check` lines) and
+//! the bytes read per query (`avg_io_bytes`, exact), which stand for IO.
+//!
 //! Paper shapes this must reproduce (§4.2):
-//! * latency rises sharply as θ drops; the IO share grows at low θ;
+//! * latency and IO rise sharply as θ drops;
 //! * no clear monotone trend between k and latency;
 //! * more near-duplicates found at lower θ; none/few exact at θ = 1;
-//! * latency linear in corpus size, IO-dominated at large sizes;
+//! * latency linear in corpus size;
 //! * latency inversely related to t;
-//! * total latency roughly flat across prefix lengths 5%–20%, with the
-//!   IO/CPU split shifting.
+//! * total latency roughly flat across prefix lengths 5%–20%.
 
+use ndss::index::CacheConfig;
 use ndss::prelude::*;
-use ndss_bench::{ms, owt_like, pile_like, query_workload, scratch_root, shape_check, Csv};
+use ndss::query::QueryStats;
+use ndss_bench::{
+    ms, owt_like, pile_like, query_workload, scratch_root, shape_check, timed_check, Csv,
+};
 
+/// The columns [`QueryAverages::latency`] prints.
+const LATENCY: &str = "total_ms,gather_ms,count_ms,probe_ms,avg_io_bytes";
+
+/// One workload's query stats, summed, with its result counts.
 struct QueryAverages {
-    io_ms: f64,
-    cpu_ms: f64,
+    sum: QueryStats,
+    queries: f64,
     found_texts: f64,
     found_sequences: f64,
+}
+
+impl QueryAverages {
+    fn total_ms(&self) -> f64 {
+        ms(self.sum.total) / self.queries
+    }
+
+    fn postings_read(&self) -> f64 {
+        self.sum.postings_read as f64 / self.queries
+    }
+
+    /// The per-query averages of the [`LATENCY`] columns.
+    fn latency(&self) -> String {
+        let per = |d| ms(d) / self.queries;
+        format!(
+            "{:.3},{:.3},{:.3},{:.3},{:.0}",
+            self.total_ms(),
+            per(self.sum.stage_gather),
+            per(self.sum.stage_count),
+            per(self.sum.stage_probe),
+            self.sum.io_bytes as f64 / self.queries
+        )
+    }
 }
 
 fn run_queries<I: IndexAccess>(
@@ -33,21 +68,19 @@ fn run_queries<I: IndexAccess>(
     queries: &[Vec<TokenId>],
     theta: f64,
 ) -> QueryAverages {
-    let mut io = 0.0;
-    let mut cpu = 0.0;
+    let mut sum = QueryStats::default();
     let mut texts = 0usize;
     let mut seqs = 0u64;
     for q in queries {
         let outcome = searcher.search(q, theta).expect("search");
-        io += ms(outcome.stats.io_time);
-        cpu += ms(outcome.stats.cpu_time);
+        sum.accumulate(&outcome.stats);
         texts += outcome.num_texts();
         seqs += outcome.total_sequences();
     }
     let n = queries.len() as f64;
     QueryAverages {
-        io_ms: io / n,
-        cpu_ms: cpu / n,
+        sum,
+        queries: n,
         found_texts: texts as f64 / n,
         found_sequences: seqs as f64 / n,
     }
@@ -57,7 +90,10 @@ fn disk_index(corpus: &InMemoryCorpus, k: usize, t: usize, tag: &str) -> DiskInd
     let dir = scratch_root("fig3").join(tag);
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
-    ndss::index::build_and_write(corpus, IndexConfig::new(k, t, 7), &dir, true).expect("build")
+    ndss::index::build_and_write(corpus, IndexConfig::new(k, t, 7), &dir, true).expect("build");
+    // No hot cache: a query's bytes read are its own, not a product of the
+    // queries the sweep ran before it on the same index.
+    DiskIndex::open_with_cache(&dir, CacheConfig::disabled()).expect("open")
 }
 
 fn main() {
@@ -67,7 +103,7 @@ fn main() {
     // ---- Panels (a), (b): OWT-like, latency & found vs θ for several k. --
     let (corpus, planted) = owt_like(2, 64_000, 17);
     let queries = query_workload(&corpus, &planted, 100, 64, 23);
-    let mut csv_a = Csv::new("fig3a_latency_vs_theta_owt", "k,theta,io_ms,cpu_ms");
+    let mut csv_a = Csv::new("fig3a_latency_vs_theta_owt", &format!("k,theta,{LATENCY}"));
     let mut csv_b = Csv::new(
         "fig3b_found_vs_theta_owt",
         "k,theta,avg_texts,avg_sequences",
@@ -80,8 +116,8 @@ fn main() {
                 .expect("searcher");
         for theta in thetas {
             let avg = run_queries(&searcher, &queries, theta);
-            latency_by_theta.insert((k, (theta * 10.0) as u32), avg.io_ms + avg.cpu_ms);
-            ndss_bench::csv_row!(csv_a, "{k},{theta},{:.3},{:.3}", avg.io_ms, avg.cpu_ms);
+            latency_by_theta.insert((k, (theta * 10.0) as u32), avg.total_ms());
+            ndss_bench::csv_row!(csv_a, "{k},{theta},{}", avg.latency());
             ndss_bench::csv_row!(
                 csv_b,
                 "{k},{theta},{:.2},{:.1}",
@@ -92,7 +128,7 @@ fn main() {
     }
     csv_a.flush();
     csv_b.flush();
-    shape_check(
+    timed_check(
         "fig3a latency grows as θ drops (k=32)",
         latency_by_theta[&(32, 7)] > latency_by_theta[&(32, 10)],
         &format!(
@@ -105,7 +141,7 @@ fn main() {
     // ---- Panel (c): latency vs corpus size (k = 32, θ = 0.8). ------------
     let mut csv_c = Csv::new(
         "fig3c_latency_vs_size_owt",
-        "scale,io_ms,cpu_ms,avg_postings_read",
+        &format!("scale,{LATENCY},avg_postings_read"),
     );
     let mut work_by_scale = Vec::new();
     for scale in [1usize, 2, 4] {
@@ -116,18 +152,12 @@ fn main() {
             NearDupSearcher::with_prefix_filter(&index, PrefixFilter::FrequentFraction(0.05))
                 .expect("searcher");
         let avg = run_queries(&searcher, &queries_s, 0.8);
-        let mut postings = 0u64;
-        for q in &queries_s {
-            postings += searcher.search(q, 0.8).expect("search").stats.postings_read;
-        }
-        let avg_postings = postings as f64 / queries_s.len() as f64;
-        work_by_scale.push((scale, avg_postings));
+        work_by_scale.push((scale, avg.postings_read()));
         ndss_bench::csv_row!(
             csv_c,
-            "{scale},{:.3},{:.3},{:.0}",
-            avg.io_ms,
-            avg.cpu_ms,
-            avg_postings
+            "{scale},{},{:.0}",
+            avg.latency(),
+            avg.postings_read()
         );
     }
     csv_c.flush();
@@ -143,7 +173,7 @@ fn main() {
 
     // ---- Panel (d): latency vs prefix length (5%–20%). -------------------
     let index = disk_index(&corpus, 32, 25, "d_prefix");
-    let mut csv_d = Csv::new("fig3d_latency_vs_prefix", "prefix_pct,io_ms,cpu_ms");
+    let mut csv_d = Csv::new("fig3d_latency_vs_prefix", &format!("prefix_pct,{LATENCY}"));
     let mut totals = Vec::new();
     for pct in [5usize, 10, 15, 20] {
         let searcher = NearDupSearcher::with_prefix_filter(
@@ -152,13 +182,13 @@ fn main() {
         )
         .expect("searcher");
         let avg = run_queries(&searcher, &queries, 0.8);
-        totals.push(avg.io_ms + avg.cpu_ms);
-        ndss_bench::csv_row!(csv_d, "{pct},{:.3},{:.3}", avg.io_ms, avg.cpu_ms);
+        totals.push(avg.total_ms());
+        ndss_bench::csv_row!(csv_d, "{pct},{}", avg.latency());
     }
     csv_d.flush();
     let spread = totals.iter().cloned().fold(f64::MIN, f64::max)
         / totals.iter().cloned().fold(f64::MAX, f64::min);
-    shape_check(
+    timed_check(
         "fig3d total latency roughly flat across prefix lengths",
         spread < 3.0,
         &format!("max/min total latency = {spread:.2}"),
@@ -167,7 +197,7 @@ fn main() {
     // ---- Panels (e), (f): Pile-like, latency & found vs θ. ---------------
     let (pile, pile_planted) = pile_like(1, 19);
     let pile_queries = query_workload(&pile, &pile_planted, 100, 64, 31);
-    let mut csv_e = Csv::new("fig3e_latency_vs_theta_pile", "k,theta,io_ms,cpu_ms");
+    let mut csv_e = Csv::new("fig3e_latency_vs_theta_pile", &format!("k,theta,{LATENCY}"));
     let mut csv_f = Csv::new(
         "fig3f_found_vs_theta_pile",
         "k,theta,avg_texts,avg_sequences",
@@ -179,7 +209,7 @@ fn main() {
                 .expect("searcher");
         for theta in thetas {
             let avg = run_queries(&searcher, &pile_queries, theta);
-            ndss_bench::csv_row!(csv_e, "{k},{theta},{:.3},{:.3}", avg.io_ms, avg.cpu_ms);
+            ndss_bench::csv_row!(csv_e, "{k},{theta},{}", avg.latency());
             ndss_bench::csv_row!(
                 csv_f,
                 "{k},{theta},{:.2},{:.1}",
@@ -193,7 +223,10 @@ fn main() {
     csv_f.flush();
 
     // ---- Panels (g), (h): latency vs θ (already covered) and vs t. -------
-    let mut csv_h = Csv::new("fig3h_latency_vs_t", "t,io_ms,cpu_ms,avg_postings_read");
+    let mut csv_h = Csv::new(
+        "fig3h_latency_vs_t",
+        &format!("t,{LATENCY},avg_postings_read"),
+    );
     let mut postings_by_t = Vec::new();
     for t in [25usize, 50, 100] {
         let index = disk_index(&corpus, 32, t, &format!("h_t{t}"));
@@ -204,19 +237,8 @@ fn main() {
         // windows so every t qualifies.
         let queries_h = query_workload(&corpus, &planted, 60, 128, 37);
         let avg = run_queries(&searcher, &queries_h, 0.8);
-        let mut postings = 0u64;
-        for q in &queries_h {
-            postings += searcher.search(q, 0.8).expect("search").stats.postings_read;
-        }
-        let avg_postings = postings as f64 / queries_h.len() as f64;
-        postings_by_t.push((t, avg_postings));
-        ndss_bench::csv_row!(
-            csv_h,
-            "{t},{:.3},{:.3},{:.0}",
-            avg.io_ms,
-            avg.cpu_ms,
-            avg_postings
-        );
+        postings_by_t.push((t, avg.postings_read()));
+        ndss_bench::csv_row!(csv_h, "{t},{},{:.0}", avg.latency(), avg.postings_read());
     }
     csv_h.flush();
     // Wall times are sub-millisecond at this scale, so the shape check uses

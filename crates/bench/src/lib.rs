@@ -163,15 +163,25 @@ macro_rules! csv_row {
     };
 }
 
-/// A labelled PASS/WARN shape check printed at the end of each figure run
-/// and summarized in `EXPERIMENTS.md`.
+/// A labelled PASS/WARN check of a claim read from exact outputs (counts,
+/// sizes, postings, bytes, recall), printed at the end of each figure run
+/// and summarized in `EXPERIMENTS.md`. The whole line, detail included, is
+/// reproduced by every run.
 pub fn shape_check(name: &str, ok: bool, detail: &str) {
-    println!(
-        "shape-check [{}] {}: {}",
-        if ok { "PASS" } else { "WARN" },
-        name,
-        detail
-    );
+    check("shape-check", name, ok, detail);
+}
+
+/// [`shape_check`] for a claim read from wall time. Its detail, and on a
+/// loaded host its verdict, move from run to run, so a comparison of a run
+/// against the committed `results/*.txt` skips `timed-check` lines, as it
+/// skips every `_ms` column.
+pub fn timed_check(name: &str, ok: bool, detail: &str) {
+    check("timed-check", name, ok, detail);
+}
+
+fn check(kind: &str, name: &str, ok: bool, detail: &str) {
+    let verdict = if ok { "PASS" } else { "WARN" };
+    println!("{kind} [{verdict}] {name}: {detail}");
 }
 
 #[cfg(test)]

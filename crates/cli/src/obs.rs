@@ -95,16 +95,6 @@ pub fn print_profile(stats: &QueryStats, queries: usize) {
     }
     println!("  total    {:>12}", fmt_duration(total));
     println!(
-        "  io       {:>12}   {:>4.1}%   (overlaps the stages above)",
-        fmt_duration(stats.io_time),
-        pct(stats.io_time, total)
-    );
-    println!(
-        "  cpu      {:>12}   {:>4.1}%",
-        fmt_duration(stats.cpu_time),
-        pct(stats.cpu_time, total)
-    );
-    println!(
         "  io: {:.2} KiB read; posting cache {} hit / {} miss; zone cache {} hit / {} miss",
         stats.io_bytes as f64 / 1024.0,
         stats.cache_hits,

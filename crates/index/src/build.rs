@@ -72,9 +72,10 @@ pub(crate) fn write_lists<'a>(
 /// Publishes an index directory: one [`Writer`] per function, each filled by
 /// `fill(func, put)` calling `put(hash, postings)` in ascending hash order,
 /// on up to `threads` threads — the files are independent, so their
-/// encoding, writes and fsyncs overlap. The directory is garbage until
-/// `meta.json` lands, last. `kill` sees an IO point per file and a
-/// checkpoint either side of `meta.json`.
+/// encoding, writes and fsyncs overlap. An index already published there is
+/// unpublished first; the directory is garbage until `meta.json` lands,
+/// last. `kill` sees an IO point per file and a checkpoint either side of
+/// `meta.json`.
 fn write_dir(
     config: &IndexConfig,
     dir: &Path,
@@ -89,6 +90,7 @@ fn write_dir(
     let _span = ndss_obs::span("index.write");
     let postings_written = build_postings_counter();
     std::fs::create_dir_all(dir)?;
+    DiskIndex::unpublish(dir)?;
     let funcs: Vec<usize> = (0..config.k).collect();
     // A file's publish ends in two fsync waits; a second writer per thread
     // keeps its core busy through them.

@@ -821,7 +821,7 @@ impl Reader {
             let msg = format!("cannot read {len} B of {path} at offset {offset}: {e}");
             std::io::Error::new(e.kind(), msg)
         })?;
-        stats.record(len as u64, 0);
+        stats.record(len as u64);
         Ok(bytes)
     }
 }

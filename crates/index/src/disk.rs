@@ -134,6 +134,18 @@ impl DiskIndex {
         Ok(())
     }
 
+    /// Unpublishes the index in `dir` before a rebuild in place writes its
+    /// first file: removes `meta.json` and syncs the directory, so no open
+    /// pairs the old configuration with new files, and the rebuild's runs
+    /// stay resumable. A directory with no `meta.json` pays nothing.
+    pub(crate) fn unpublish(dir: &Path) -> Result<(), IndexError> {
+        match std::fs::remove_file(dir.join(META_FILE)) {
+            Ok(()) => Ok(ndss_durable::sync_dir(dir)?),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
+            Err(e) => Err(e.into()),
+        }
+    }
+
     /// Streams every inverted-index file against its stored checksums,
     /// verifying the sections `open` did not already load. Together with the
     /// validation done at open time this covers every byte of the index.

@@ -16,8 +16,8 @@
 //!   lists (fixed-width v3, varint blocks v4, bitpacked blocks v6), and
 //!   **zone maps** / block skip entries for long lists so a single text's
 //!   postings can be located without reading the whole list (§3.5). All
-//!   reads record into a caller-owned [`IoStats`], the source of the IO/CPU
-//!   split in the paper's latency figures.
+//!   reads record their bytes into a caller-owned [`IoStats`]: on a mapped
+//!   index, bytes read is the quantity a cold disk's IO time tracks.
 //! * the builders in [`build`] — [`build::write_memory_index`] (Algorithm 1)
 //!   and [`build::ExternalIndexBuilder`] (for corpora larger than memory:
 //!   budget-sized runs through the in-memory pipeline, joined by the
@@ -333,16 +333,15 @@ impl IndexConfig {
     }
 }
 
-/// Cumulative IO accounting (bytes and wall time spent in reads, plus hot
-/// cache hit/miss counters). Every read records into the accumulator its
-/// caller owns — one per query, so IO is attributed to the query that
-/// caused it even when many queries run concurrently — and the owner folds
-/// it into the process-wide registry once, with [`IoStats::publish`].
+/// Cumulative IO accounting (reads and bytes read, plus hot cache hit/miss
+/// counters). Every read records into the accumulator its caller owns — one
+/// per query, so IO is attributed to the query that caused it even when
+/// many queries run concurrently — and the owner folds it into the
+/// process-wide registry once, with [`IoStats::publish`].
 #[derive(Debug, Default)]
 pub struct IoStats {
     reads: std::sync::atomic::AtomicU64,
     bytes: std::sync::atomic::AtomicU64,
-    nanos: std::sync::atomic::AtomicU64,
     cache_hits: std::sync::atomic::AtomicU64,
     cache_misses: std::sync::atomic::AtomicU64,
     zone_hits: std::sync::atomic::AtomicU64,
@@ -356,8 +355,6 @@ pub struct IoSnapshot {
     pub reads: u64,
     /// Bytes read.
     pub bytes: u64,
-    /// Wall time spent in reads, in nanoseconds.
-    pub nanos: u64,
     /// Posting-list reads served from the hot cache.
     pub cache_hits: u64,
     /// Posting-list reads that had to go to disk.
@@ -371,20 +368,12 @@ pub struct IoSnapshot {
     pub zone_misses: u64,
 }
 
-impl IoSnapshot {
-    /// IO wall time as a `Duration`.
-    pub fn time(&self) -> std::time::Duration {
-        std::time::Duration::from_nanos(self.nanos)
-    }
-}
-
 impl IoStats {
-    /// Records one read of `bytes` bytes taking `nanos` wall nanoseconds.
-    pub fn record(&self, bytes: u64, nanos: u64) {
+    /// Records one read of `bytes` bytes.
+    pub fn record(&self, bytes: u64) {
         use std::sync::atomic::Ordering::Relaxed;
         self.reads.fetch_add(1, Relaxed);
         self.bytes.fetch_add(bytes, Relaxed);
-        self.nanos.fetch_add(nanos, Relaxed);
     }
 
     /// Records a hot-cache hit (no disk read performed).
@@ -417,7 +406,6 @@ impl IoStats {
         IoSnapshot {
             reads: self.reads.load(Relaxed),
             bytes: self.bytes.load(Relaxed),
-            nanos: self.nanos.load(Relaxed),
             cache_hits: self.cache_hits.load(Relaxed),
             cache_misses: self.cache_misses.load(Relaxed),
             zone_hits: self.zone_hits.load(Relaxed),
@@ -573,23 +561,19 @@ pub(crate) mod tests {
     #[test]
     fn io_stats_accumulate_and_diff() {
         let stats = IoStats::default();
-        stats.record(100, 5);
+        stats.record(100);
         let a = stats.snapshot();
-        stats.record(50, 3);
+        stats.record(50);
         let b = stats.snapshot();
-        assert_eq!((a.reads, a.bytes, a.nanos), (1, 100, 5));
-        assert_eq!((b.reads, b.bytes, b.nanos), (2, 150, 8));
-        assert_eq!(
-            (b.reads - a.reads, b.bytes - a.bytes, b.nanos - a.nanos),
-            (1, 50, 3)
-        );
-        assert_eq!(b.time(), std::time::Duration::from_nanos(8));
+        assert_eq!((a.reads, a.bytes), (1, 100));
+        assert_eq!((b.reads, b.bytes), (2, 150));
+        assert_eq!((b.reads - a.reads, b.bytes - a.bytes), (1, 50));
     }
 
     #[test]
     fn io_stats_add_and_cache_counters() {
         let stats = IoStats::default();
-        stats.record(64, 10);
+        stats.record(64);
         stats.record_hit();
         stats.record_miss();
         stats.record_zone_miss();
@@ -598,7 +582,6 @@ pub(crate) mod tests {
             IoSnapshot {
                 reads: 1,
                 bytes: 64,
-                nanos: 10,
                 cache_hits: 1,
                 cache_misses: 1,
                 zone_hits: 0,

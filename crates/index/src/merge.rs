@@ -137,9 +137,9 @@ impl<'a> MergeInputs<'a> {
         })
     }
 
-    /// The one merge: every function into `out_dir` on up to `threads`
-    /// threads, each followed by a kill checkpoint, then `meta.json`
-    /// publishes the directory.
+    /// The one merge: unpublishes what `out_dir` held, merges every function
+    /// into it on up to `threads` threads, each followed by a kill
+    /// checkpoint, then `meta.json` publishes the directory.
     pub(crate) fn merge_into(
         &self,
         out_dir: &Path,
@@ -147,6 +147,7 @@ impl<'a> MergeInputs<'a> {
         kill: &Option<Arc<KillPoints>>,
     ) -> Result<(), IndexError> {
         let _span = ndss_obs::span("index.merge");
+        DiskIndex::unpublish(out_dir)?;
         let funcs: Vec<usize> = (0..self.merged.k).collect();
         ndss_parallel::try_map(&funcs, threads, |_, &func| {
             self.merge_function(out_dir, func, kill)?;

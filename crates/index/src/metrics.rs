@@ -16,16 +16,12 @@ use crate::IoStats;
 
 /// Registry name and help text of each [`crate::IoSnapshot`] field, in
 /// field order.
-const COUNTERS: [(&str, &str); 7] = [
+const COUNTERS: [(&str, &str); 6] = [
     (
         "index.io.reads",
         "positioned reads issued by the index layer",
     ),
     ("index.io.bytes", "bytes read from index files"),
-    (
-        "index.io.nanos",
-        "wall nanoseconds spent inside index reads",
-    ),
     (
         "index.cache.posting.hits",
         "posting-list reads served from the hot cache",
@@ -61,7 +57,6 @@ impl IoStats {
         let values = [
             s.reads,
             s.bytes,
-            s.nanos,
             s.cache_hits,
             s.cache_misses,
             s.zone_hits,

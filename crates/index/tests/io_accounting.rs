@@ -56,7 +56,6 @@ fn registry_totals() -> IoSnapshot {
     IoSnapshot {
         reads: get("index.io.reads"),
         bytes: get("index.io.bytes"),
-        nanos: get("index.io.nanos"),
         cache_hits: get("index.cache.posting.hits"),
         cache_misses: get("index.cache.posting.misses"),
         zone_hits: get("index.cache.zone.hits"),
@@ -116,7 +115,6 @@ fn build_index(dir: &Path, packed: bool) -> IndexFixture {
 fn add(total: &mut IoSnapshot, d: &IoSnapshot) {
     total.reads += d.reads;
     total.bytes += d.bytes;
-    total.nanos += d.nanos;
     total.cache_hits += d.cache_hits;
     total.cache_misses += d.cache_misses;
     total.zone_hits += d.zone_hits;

@@ -18,7 +18,6 @@ struct QueryMetrics {
     stage_gather: Histogram,
     stage_count: Histogram,
     stage_probe: Histogram,
-    io_time: Histogram,
     io_bytes: Counter,
     postings_read: Counter,
     lists_loaded: Counter,
@@ -54,7 +53,6 @@ impl QueryMetrics {
                 "query.stage.probe.seconds",
                 "Time probing long lists through zone maps",
             ),
-            io_time: seconds("query.io.seconds", "Per-query wall time inside index reads"),
             io_bytes: reg.counter("query.io.bytes", "Bytes read from the index by queries"),
             postings_read: reg.counter("query.postings", "Postings materialized by queries"),
             lists_loaded: reg.counter("query.lists.loaded", "Short lists read in full"),
@@ -95,7 +93,6 @@ pub(crate) fn observe(result: &Result<SearchOutcome, QueryError>) {
     m.stage_gather.record_duration(stats.stage_gather);
     m.stage_count.record_duration(stats.stage_count);
     m.stage_probe.record_duration(stats.stage_probe);
-    m.io_time.record_duration(stats.io_time);
     m.io_bytes.inc(stats.io_bytes);
     m.postings_read.inc(stats.postings_read);
     m.lists_loaded.inc(stats.lists_loaded as u64);

@@ -59,11 +59,13 @@ fn main() {
         let outcome = searcher.search(&query, theta).expect("search");
         println!(
             "  θ = {theta:.1}: {:3} matched texts, {:6} qualifying sequences, \
-             {:.2?} total ({:.2?} CPU)",
+             {:.2?} total (gather {:.2?}, count {:.2?}, probe {:.2?})",
             outcome.num_texts(),
             outcome.total_sequences(),
             outcome.stats.total,
-            outcome.stats.cpu_time,
+            outcome.stats.stage_gather,
+            outcome.stats.stage_count,
+            outcome.stats.stage_probe,
         );
         if let Some(m) = outcome.matches.iter().find(|m| m.text == p.src.text) {
             let spans = m.merged_spans(outcome.t);

@@ -408,6 +408,46 @@ fn resume_keeps_published_runs() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A build into a directory that holds a published index unpublishes it
+/// before writing the first file. Killed inside its merge, the directory
+/// does not open as the old configuration over new files, the failed open
+/// leaves the runs alone, and a resume ends with a fresh build's bytes.
+#[test]
+fn a_rebuild_in_place_unpublishes_first() {
+    let corpus = small_corpus();
+    let count = KillPoints::count_only();
+    let clean = scratch("crash", "in_place_clean");
+    builder(false)
+        .kill_points(count.clone())
+        .build(&corpus, &clean)
+        .unwrap();
+    let reference = dir_files(&clean);
+    let k = config(false).k as u64;
+    let runs = (count.checkpoints_seen() - k - 2) / 2;
+
+    // A seed-12 index, rebuilt in place at seed 11 and killed at the
+    // checkpoint after merged function 1.
+    let dir = scratch("crash", "in_place");
+    build_and_write(&corpus, IndexConfig::new(3, 20, 12), &dir, false).unwrap();
+    builder(false)
+        .kill_points(KillPoints::at_checkpoint(2 * runs + 1))
+        .build(&corpus, &dir)
+        .expect_err("rebuild must crash");
+    assert_eq!(
+        std::fs::read(dir.join("inv_1.ndsi")).unwrap(),
+        reference["inv_1.ndsi"],
+        "function 1 is merged"
+    );
+    assert!(DiskIndex::open(&dir).is_err(), "nothing is published");
+    assert!(dir.join("tmp_spill").is_dir(), "the open keeps the runs");
+
+    builder(false).resume(true).build(&corpus, &dir).unwrap();
+    assert_same_files("rebuild in place", &dir, &reference);
+    for d in [clean, dir] {
+        std::fs::remove_dir_all(&d).ok();
+    }
+}
+
 #[test]
 fn resume_without_journal_degrades_to_fresh_build() {
     let corpus = small_corpus();
