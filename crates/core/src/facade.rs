@@ -150,31 +150,6 @@ impl CorpusIndex<MemoryIndex> {
 }
 
 impl CorpusIndex<DiskIndex> {
-    /// Incremental indexing: index `new_corpus` as a fresh shard and merge
-    /// it with the existing index at `existing_dir` into `out_dir`. The new
-    /// shard's texts get ids following the existing corpus's
-    /// (`existing.num_texts ..`), exactly as if the combined corpus had been
-    /// indexed at once — which the merge machinery guarantees byte-for-byte.
-    pub fn extend_index<C: CorpusSource + ?Sized>(
-        existing_dir: &Path,
-        new_corpus: &C,
-        out_dir: &Path,
-        prefix_filter: PrefixFilter,
-    ) -> Result<Self, NdssError> {
-        let existing = DiskIndex::open(existing_dir)?;
-        let config = existing.config().clone();
-        drop(existing);
-        let shard_dir = out_dir.join("tmp_extend_shard");
-        std::fs::create_dir_all(&shard_dir).map_err(ndss_index::IndexError::from)?;
-        build_and_write(new_corpus, config, &shard_dir, true)?;
-        let result = ndss_index::merge_indexes(&[existing_dir, &shard_dir], out_dir);
-        std::fs::remove_dir_all(&shard_dir).ok();
-        Ok(Self {
-            index: result?,
-            prefix_filter,
-        })
-    }
-
     /// Builds on disk via the in-memory path, then reopens (medium-scale
     /// corpora).
     pub fn build_on_disk<C: CorpusSource + ?Sized>(
@@ -332,36 +307,6 @@ mod tests {
         let reopened = CorpusIndex::open(&dir, PrefixFilter::Disabled).unwrap();
         assert_eq!(reopened.config().num_texts, 20);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn extend_index_equals_full_rebuild() {
-        let (corpus, _) = SyntheticCorpusBuilder::new(75)
-            .num_texts(50)
-            .vocab_size(600)
-            .build();
-        let all: Vec<Vec<u32>> = (0..50u32).map(|i| corpus.text(i).to_vec()).collect();
-        let old = ndss_corpus::InMemoryCorpus::from_texts(all[..30].to_vec());
-        let new = ndss_corpus::InMemoryCorpus::from_texts(all[30..].to_vec());
-
-        let d_old = temp_dir("ext_old");
-        let d_out = temp_dir("ext_out");
-        let d_full = temp_dir("ext_full");
-        let params = SearchParams::new(4, 20, 17);
-        CorpusIndex::build_on_disk(&old, params.clone(), &d_old).unwrap();
-        let extended =
-            CorpusIndex::extend_index(&d_old, &new, &d_out, PrefixFilter::Disabled).unwrap();
-        let full = CorpusIndex::build_on_disk(&corpus, params, &d_full).unwrap();
-        assert_eq!(extended.config().num_texts, 50);
-        // Same answers as indexing everything at once.
-        let query = corpus.text(40)[..30].to_vec();
-        assert_eq!(
-            extended.search(&query, 0.8).unwrap().enumerate_all(),
-            full.search(&query, 0.8).unwrap().enumerate_all()
-        );
-        for d in [d_old, d_out, d_full] {
-            std::fs::remove_dir_all(&d).ok();
-        }
     }
 
     #[test]

@@ -43,7 +43,8 @@ impl<'a> OverlaySearcher<'a> {
     }
 
     pub fn push_segment(&mut self, segment: &'a MemSegment) -> R<()> {
-        self.0.push_segment(segment)
+        self.0.push_segment(segment);
+        Ok(())
     }
 
     pub fn search(&self, query: &[TokenId], theta: f64) -> R<SearchOutcome> {

@@ -13,6 +13,11 @@
 //! order, and a text's match is only appended after its final collision
 //! count), so the partial result is always a subset of the full result.
 //!
+//! A query has one tracker whatever holds its postings: the lanes of a
+//! [`crate::ShardedSearcher`] share it in lane order, so its caps are the
+//! caller's caps over the whole query, and a lane may overshoot one by the
+//! text in flight, as a single index may.
+//!
 //! The same checkpoints observe a [`CancelToken`], which is how
 //! [`crate::ShardedSearcher::search_all`] makes a failed batch stop its
 //! in-flight queries promptly instead of letting them run to completion.
@@ -117,28 +122,6 @@ impl QueryBudget {
     pub fn max_result_matches(mut self, matches: usize) -> Self {
         self.max_result_matches = Some(matches);
         self
-    }
-
-    /// Splits this budget for a fan-out across `shards` shards. Wall-clock
-    /// limits (`time_limit`, `deadline`) are **shared** — every shard races
-    /// the same clock, since they run concurrently — while the work caps
-    /// (IO bytes, candidates, result matches) are **apportioned** with
-    /// floor division clamped to ≥ 1, so every shard can make progress and
-    /// the fan-out's total spend never exceeds `max(cap, shards)`. (Ceiling
-    /// division looks safer but over-apportions precisely when the cap is
-    /// small relative to the shard count: `cap = shards + 1` would give
-    /// every shard 2, doubling the caller's limit. Floor division's only
-    /// overshoot is the unavoidable ≥ 1 clamp.)
-    pub fn split_across(&self, shards: usize) -> QueryBudget {
-        assert!(shards > 0, "cannot split a budget across zero shards");
-        let per = shards as u64;
-        QueryBudget {
-            time_limit: self.time_limit,
-            deadline: self.deadline,
-            max_io_bytes: self.max_io_bytes.map(|v| (v / per).max(1)),
-            max_candidates: self.max_candidates.map(|v| (v / per).max(1)),
-            max_result_matches: self.max_result_matches.map(|v| (v / shards).max(1)),
-        }
     }
 
     /// Whether every dimension is unbounded.
@@ -284,58 +267,6 @@ impl<'c> BudgetTracker<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Apportioned caps divide down, never up: with a cap barely above the
-    /// shard count, ceiling division would hand every shard 2 and double
-    /// the caller's limit; floor division keeps the sum at the cap.
-    #[test]
-    fn split_across_never_over_apportions() {
-        let budget = QueryBudget::unlimited()
-            .max_io_bytes(5)
-            .max_candidates(5)
-            .max_result_matches(5);
-        let per = budget.split_across(4);
-        assert_eq!(per.max_io_bytes, Some(1));
-        assert_eq!(per.max_candidates, Some(1));
-        assert_eq!(per.max_result_matches, Some(1));
-        // Sum across shards (4) ≤ the caller's cap (5).
-        assert!(per.max_io_bytes.unwrap() * 4 <= 5);
-    }
-
-    /// A cap smaller than the shard count clamps to 1 per shard — every
-    /// shard can make progress, and the sum is bounded by the shard count
-    /// (the minimum possible spend when all shards run).
-    #[test]
-    fn split_across_clamps_tiny_caps_to_one() {
-        let budget = QueryBudget::unlimited()
-            .max_io_bytes(2)
-            .max_candidates(1)
-            .max_result_matches(3);
-        let per = budget.split_across(8);
-        assert_eq!(per.max_io_bytes, Some(1));
-        assert_eq!(per.max_candidates, Some(1));
-        assert_eq!(per.max_result_matches, Some(1));
-    }
-
-    /// Even splits stay exact and wall-clock limits are shared, not
-    /// divided.
-    #[test]
-    fn split_across_even_division_and_shared_clock() {
-        let budget = QueryBudget::unlimited()
-            .time_limit(Duration::from_secs(7))
-            .max_io_bytes(800)
-            .max_candidates(40)
-            .max_result_matches(12);
-        let per = budget.split_across(4);
-        assert_eq!(per.time_limit, Some(Duration::from_secs(7)));
-        assert_eq!(per.max_io_bytes, Some(200));
-        assert_eq!(per.max_candidates, Some(10));
-        assert_eq!(per.max_result_matches, Some(3));
-        // Uneven: floor division, so the sum stays under the cap.
-        let per = budget.split_across(3);
-        assert_eq!(per.max_io_bytes, Some(266));
-        assert!(per.max_io_bytes.unwrap() * 3 <= 800);
-    }
 
     #[test]
     fn unlimited_budget_always_proceeds() {

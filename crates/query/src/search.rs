@@ -7,8 +7,10 @@ use std::time::{Duration, Instant};
 use ndss_corpus::{CorpusSource, SeqRef, SeqSpan, TextId};
 use ndss_hash::jaccard::distinct_jaccard;
 use ndss_hash::minhash::collision_threshold;
-use ndss_hash::{MinHasher, TokenId};
-use ndss_index::{IndexAccess, IoStats, Posting, SharedList};
+use ndss_hash::{MinHasher, Sketch, TokenId};
+use ndss_index::{
+    IndexAccess, IndexConfig, IndexError, IoStats, LengthHistogram, Posting, SharedList,
+};
 
 use crate::collision::{collision_sweep, CollisionScratch, Rectangle};
 use crate::governor::{BudgetTracker, CancelToken, QueryBudget, Resource, Verdict};
@@ -121,10 +123,8 @@ pub struct QueryStats {
 }
 
 impl QueryStats {
-    /// Adds `other` into `self`, field by field: the one place stats are
-    /// summed, for the lanes of a scatter and the queries of a batch
-    /// profile alike. A caller that times the whole itself (the
-    /// scatter–merge: its lanes run concurrently) overwrites `total`.
+    /// Adds `other` into `self`, field by field: the one place the stats of
+    /// several queries are summed (a batch profile, a figure's row).
     pub fn accumulate(&mut self, other: &QueryStats) {
         self.total += other.total;
         self.io_bytes += other.io_bytes;
@@ -398,18 +398,352 @@ fn qualifying(
     }
 }
 
-/// The query processor. Holds the hash bank matching the index's
-/// configuration plus the per-function long-list cutoffs implied by the
-/// chosen [`PrefixFilter`].
-pub struct NearDupSearcher<'a, I: IndexAccess + ?Sized> {
-    index: &'a I,
-    hasher: MinHasher,
+/// What a query plans with, whatever holds its postings: the hash bank and
+/// length threshold of the index configuration and the long-list rule the
+/// chosen [`PrefixFilter`] implies. A lane set holds one for all its lanes, so a
+/// query is sketched once and its lists are classified by one rule however
+/// many indexes hold them.
+pub(crate) struct Plan {
+    pub(crate) hasher: MinHasher,
+    t: u32,
     /// `cutoffs[func]`: list length at or above which the list is long
     /// (`u64::MAX` = never). Ignored in adaptive mode.
     cutoffs: Vec<u64>,
     /// Whether to re-plan the long/short split per query with the cost
     /// model instead of the static cutoffs.
     adaptive: bool,
+}
+
+impl Plan {
+    /// The plan of `filter` for indexes built with `config`. Percentile
+    /// cutoffs are drawn from `histogram(func)`: function `func`'s
+    /// list-length histogram over everything the plan searches.
+    pub(crate) fn new(
+        config: &IndexConfig,
+        filter: PrefixFilter,
+        histogram: impl Fn(usize) -> Result<LengthHistogram, IndexError>,
+    ) -> Result<Self, QueryError> {
+        let k = config.k;
+        let cutoffs = match filter {
+            PrefixFilter::Disabled | PrefixFilter::Adaptive => vec![u64::MAX; k],
+            PrefixFilter::MaxListLen(len) => vec![len.max(1); k],
+            PrefixFilter::FrequentFraction(fraction) => {
+                assert!(
+                    (0.0..=1.0).contains(&fraction),
+                    "fraction must be in [0, 1]"
+                );
+                (0..k)
+                    .map(|func| Ok(fraction_cutoff(&histogram(func)?, fraction)))
+                    .collect::<Result<_, QueryError>>()?
+            }
+        };
+        Ok(Self {
+            hasher: config.hasher(),
+            t: config.t as u32,
+            cutoffs,
+            adaptive: matches!(filter, PrefixFilter::Adaptive),
+        })
+    }
+
+    /// One query, start to end: checks the arguments, sketches the query
+    /// (line 2), hands `lanes` the sketch, the query's one budget tracker
+    /// and IO accumulator and the outcome to fill, and folds the query's
+    /// cost into the registry once, however it ends. `lanes` returns the
+    /// resource that stopped it, if one did.
+    pub(crate) fn run(
+        &self,
+        query: &[TokenId],
+        theta: f64,
+        budget: &QueryBudget,
+        cancel: Option<&CancelToken>,
+        lanes: impl FnOnce(
+            &Sketch,
+            &BudgetTracker<'_>,
+            &IoStats,
+            &mut SearchOutcome,
+        ) -> Result<Option<Resource>, QueryError>,
+    ) -> Result<SearchOutcome, QueryError> {
+        if query.is_empty() {
+            return Err(QueryError::EmptyQuery);
+        }
+        if !(theta > 0.0 && theta <= 1.0) {
+            return Err(QueryError::BadThreshold(theta));
+        }
+        let start = Instant::now();
+        let tracker = BudgetTracker::start(budget, cancel, start);
+        // Every index read records into this query's own accumulator only.
+        let io_acc = IoStats::default();
+        let mut outcome = SearchOutcome {
+            matches: Vec::new(),
+            stats: QueryStats::default(),
+            beta: collision_threshold(self.hasher.k(), theta),
+            t: self.t,
+            complete: true,
+            degraded: Vec::new(),
+        };
+        let sketch = self.hasher.sketch(query);
+        outcome.stats.stage_sketch = start.elapsed();
+        let result = lanes(&sketch, &tracker, &io_acc, &mut outcome).and_then(|stopped| {
+            let io = io_acc.snapshot();
+            let stats = &mut outcome.stats;
+            stats.io_bytes = io.bytes;
+            stats.cache_hits = io.cache_hits;
+            stats.cache_misses = io.cache_misses;
+            stats.zone_hits = io.zone_hits;
+            stats.zone_misses = io.zone_misses;
+            stats.matched_texts = outcome.matches.len();
+            stats.total = start.elapsed();
+            outcome.complete = stopped.is_none() && outcome.degraded.is_empty();
+            match stopped {
+                None => Ok(outcome),
+                Some(resource) => Err(QueryError::BudgetExceeded {
+                    resource,
+                    partial: Box::new(outcome),
+                }),
+            }
+        });
+        io_acc.publish();
+        crate::metrics::observe(&result);
+        result
+    }
+}
+
+/// Algorithm 3 over one index whose texts start at global id `base`:
+/// classifies the sketch's k lists by `plan`, gathers, counts and probes,
+/// appends the verified matches to `out` re-based to global ids, and adds
+/// its work to `out.stats`. The checkpoints read `out`'s running totals and
+/// `io_acc`'s, so lanes that fill one outcome share the caller's caps.
+/// Returns the resource that stopped it, if one did: what it appended is
+/// then a sound text-order prefix of its answer.
+pub(crate) fn search_index<I: IndexAccess + ?Sized>(
+    index: &I,
+    base: TextId,
+    plan: &Plan,
+    sketch: &Sketch,
+    tracker: &BudgetTracker<'_>,
+    io_acc: &IoStats,
+    out: &mut SearchOutcome,
+) -> Result<Option<Resource>, QueryError> {
+    let config = index.config();
+    let (k, t, beta) = (config.k, out.t, out.beta);
+    let (matches, stats) = (&mut out.matches, &mut out.stats);
+    let mut probe_time = Duration::ZERO;
+
+    // The budget-governed pipeline. `checkpoint!` is the cooperative
+    // yield point: an unlimited budget resolves it to a single branch
+    // (plus one relaxed load when a cancel token is attached); a tripped
+    // budget records the exhausted resource and leaves the named block,
+    // keeping every fully-verified match accumulated so far. A stage
+    // interrupted mid-flight adds nothing to its `stage_*` duration — its
+    // time still shows up in `total`.
+    let mut stopped = None;
+    'run: {
+        macro_rules! checkpoint {
+            ($candidates:expr, $matches:expr, $leave:lifetime) => {
+                match tracker.check(
+                    if tracker.is_limited() {
+                        io_acc.snapshot().bytes
+                    } else {
+                        0
+                    },
+                    $candidates as u64,
+                    $matches as u64,
+                ) {
+                    Verdict::Proceed => {}
+                    Verdict::Cancelled => return Err(QueryError::Cancelled),
+                    Verdict::Over(resource) => {
+                        stopped = Some(resource);
+                        break $leave;
+                    }
+                }
+            };
+        }
+        checkpoint!(0, 0, 'run);
+        let plan_start = Instant::now();
+
+        // Classify lists. Soundness of the reduced threshold
+        // β − (k − p) ≥ 1 merely requires at most β − 1 long lists, but the
+        // filter's pruning power collapses as the reduced threshold
+        // approaches 1 (every text sharing a single short-list window
+        // becomes a candidate, and each candidate pays k − p probes). We cap
+        // the number of long lists at ⌊β/2⌋ — keeping the reduced threshold
+        // at ≥ ⌈β/2⌉ — retaining the longest lists as long; this is the
+        // cost-model role the paper delegates to prefix-length tuning
+        // ("a few works design cost-models to choose a good cutoff", §3.5).
+        let lens: Vec<u64> = (0..k)
+            .map(|func| index.list_len(func, sketch.value(func)))
+            .collect::<Result<_, _>>()?;
+        let long_funcs: Vec<usize> = if plan.adaptive {
+            // Cost-based per-query plan; its own soundness cap applies.
+            crate::planner::plan_query(&lens, beta, config.zone_step).deferred
+        } else {
+            let mut long: Vec<usize> = (0..k).filter(|&f| lens[f] >= plan.cutoffs[f]).collect();
+            long.sort_unstable_by_key(|&f| std::cmp::Reverse(lens[f]));
+            long.truncate(beta / 2);
+            long
+        };
+        let p = k - long_funcs.len();
+        let alpha0 = beta - (k - p);
+        debug_assert!(alpha0 >= 1);
+        stats.lists_long += long_funcs.len();
+        stats.stage_plan += plan_start.elapsed();
+
+        // Phase 1 (lines 3–4): fetch the short lists and keep the
+        // postings of every text that could reach the reduced threshold.
+        // A text reaches α₀ collisions only if α₀ of the p lists name it
+        // (Theorem 1: one function gives a sequence at most one window),
+        // so by pigeonhole one of any p − α₀ + 1 of them does. The lists
+        // are merged shortest first: the first p − α₀ + 1 *admit* texts —
+        // they hold a few percent of the postings — and every later
+        // list is only asked about the texts still `alive`, which are
+        // dropped as soon as the lists left cannot lift them to α₀. The
+        // lists are borrowed — a cache hit is the resident allocation,
+        // not a copy — and the long tail is looked up, not scanned. Once
+        // every admitting list is merged and `alive` is empty, the rest
+        // are not fetched: they can only drop texts, never add one, so
+        // the answer is already the empty set.
+        let gather_start = Instant::now();
+        let mut by_len: Vec<usize> = (0..k).filter(|f| !long_funcs.contains(f)).collect();
+        by_len.sort_by_key(|&f| lens[f]);
+        let mut lists: Vec<SharedList<'_>> = Vec::with_capacity(p);
+        // `(text, distinct lists so far naming it)`, ascending by text.
+        let mut alive: Vec<(TextId, usize)> = Vec::new();
+        let mut merged = Vec::new();
+        for (j, &func) in by_len.iter().enumerate() {
+            checkpoint!(0, 0, 'run);
+            let list = index.shared_list(func, sketch.value(func), io_acc)?;
+            stats.lists_loaded += 1;
+            stats.postings_read += list.len() as u64;
+            merge_list(&list, alpha0.saturating_sub(p - 1 - j), &alive, &mut merged);
+            std::mem::swap(&mut alive, &mut merged);
+            lists.push(list);
+            if alive.is_empty() && j >= p - alpha0 {
+                break;
+            }
+        }
+        // The survivors are the texts named by ≥ α₀ distinct lists. Only
+        // their postings are copied, grouped by ascending text: one
+        // forward cursor per list.
+        let mut kept: Vec<Posting> = Vec::with_capacity(alive.len() * p);
+        let mut runs: Vec<(TextId, std::ops::Range<usize>)> = Vec::with_capacity(alive.len());
+        let mut rests: Vec<&[Posting]> = lists.iter().map(|list| &list[..]).collect();
+        for &(text, _) in &alive {
+            let start = kept.len();
+            for rest in &mut rests {
+                let mut at = first_at_or_after(rest, text);
+                while let Some(posting) = rest.get(at).filter(|p| p.text == text) {
+                    kept.push(*posting);
+                    at += 1;
+                }
+                *rest = &rest[at..];
+            }
+            runs.push((text, start..kept.len()));
+        }
+        drop(rests);
+        drop(lists);
+        stats.stage_gather += gather_start.elapsed();
+
+        // Phase 2 (lines 5–6): CollisionCount at the reduced threshold
+        // over each kept text, in ascending id order, fixes the
+        // candidate set. With no long lists α₀ = β and the rectangles
+        // are already final: matches are appended here, so a trip
+        // between texts leaves a sound prefix of the full result set.
+        // With long lists this phase only decides candidacy — phase 4
+        // produces the rectangles — so a text's sweep stops at its
+        // first rectangle holding a sequence of length ≥ t.
+        let count_start = Instant::now();
+        let mut scratch = CollisionScratch::default();
+        let mut rect_buf: Vec<Rectangle> = Vec::new();
+        let decide_only = !long_funcs.is_empty();
+        // `(text, its run in kept)` per candidate.
+        let mut candidates: Vec<(TextId, std::ops::Range<usize>)> = Vec::new();
+        'select: for (text, range) in runs {
+            checkpoint!(stats.candidate_texts, matches.len(), 'select);
+            let run = &kept[range.clone()];
+            collision_sweep(
+                run.len(),
+                |i| run[i].window,
+                alpha0,
+                &mut scratch,
+                qualifying(t, &mut rect_buf, decide_only),
+            )?;
+            if rect_buf.is_empty() {
+                continue;
+            }
+            stats.candidate_texts += 1;
+            if decide_only {
+                candidates.push((text, range));
+            } else {
+                matches.push(TextMatch {
+                    text: base + text,
+                    rects: rect_buf.clone(),
+                });
+            }
+        }
+        // `max_candidates` caps how many texts are *admitted* to
+        // verification: the ones admitted before the trip are still
+        // verified below. Any other exhausted resource ends the query.
+        if stopped.is_some_and(|r| r != Resource::Candidates) || candidates.is_empty() {
+            stats.stage_count += count_start.elapsed();
+            break 'run;
+        }
+
+        // Phase 3 (lines 8–9): one batched probe per long list locates
+        // the windows of *all* candidates in it (ascending text ids: a
+        // single forward pass through zone maps / skip entries).
+        let probe_start = Instant::now();
+        let texts: Vec<TextId> = candidates.iter().map(|(text, _)| *text).collect();
+        let mut probed: Vec<Posting> = Vec::new();
+        for &func in &long_funcs {
+            checkpoint!(0, 0, 'run);
+            index.probe_texts(func, sketch.value(func), &texts, io_acc, &mut probed)?;
+            stats.long_probes += texts.len();
+        }
+        stats.postings_read += probed.len() as u64;
+        // Each list contributed an ascending slice; regroup by text.
+        probed.sort_unstable_by_key(|p| p.text);
+        probe_time = probe_start.elapsed();
+
+        // Phase 4 (lines 10–12): re-count each candidate at the full
+        // threshold over its short-list and long-list windows together.
+        // A text's match is appended only after this final count, so
+        // breaking between candidates keeps the verified prefix.
+        let mut extra_start = 0usize;
+        for (text, range) in candidates {
+            checkpoint!(0, matches.len(), 'run);
+            let run = &kept[range];
+            let rest = &probed[extra_start..];
+            let extra = &rest[..rest.partition_point(|p| p.text == text)];
+            extra_start += extra.len();
+            collision_sweep(
+                run.len() + extra.len(),
+                |i| match i.checked_sub(run.len()) {
+                    None => run[i].window,
+                    Some(j) => extra[j].window,
+                },
+                beta,
+                &mut scratch,
+                qualifying(t, &mut rect_buf, false),
+            )?;
+            if !rect_buf.is_empty() {
+                matches.push(TextMatch {
+                    text: base + text,
+                    rects: rect_buf.clone(),
+                });
+            }
+        }
+        stats.stage_count += count_start.elapsed().saturating_sub(probe_time);
+    }
+
+    stats.stage_probe += probe_time;
+    Ok(stopped)
+}
+
+/// The query processor over one index: the index and its plan (the hash
+/// bank and the long-list cutoffs its prefix filter implies).
+pub struct NearDupSearcher<'a, I: IndexAccess + ?Sized> {
+    index: &'a I,
+    plan: Plan,
 }
 
 impl<'a, I: IndexAccess + ?Sized> NearDupSearcher<'a, I> {
@@ -422,35 +756,13 @@ impl<'a, I: IndexAccess + ?Sized> NearDupSearcher<'a, I> {
     /// A searcher with the given prefix-filtering policy. Percentile
     /// cutoffs are computed once from the index's list-length histograms.
     pub fn with_prefix_filter(index: &'a I, filter: PrefixFilter) -> Result<Self, QueryError> {
-        let config = index.config();
-        let k = config.k;
-        let cutoffs = match filter {
-            PrefixFilter::Disabled | PrefixFilter::Adaptive => vec![u64::MAX; k],
-            PrefixFilter::MaxListLen(len) => vec![len.max(1); k],
-            PrefixFilter::FrequentFraction(fraction) => {
-                assert!(
-                    (0.0..=1.0).contains(&fraction),
-                    "fraction must be in [0, 1]"
-                );
-                let mut cutoffs = Vec::with_capacity(k);
-                for func in 0..k {
-                    let hist = index.list_length_histogram(func)?;
-                    cutoffs.push(fraction_cutoff(&hist, fraction));
-                }
-                cutoffs
-            }
-        };
-        Ok(Self {
-            index,
-            hasher: config.hasher(),
-            cutoffs,
-            adaptive: matches!(filter, PrefixFilter::Adaptive),
-        })
+        let plan = Plan::new(index.config(), filter, |f| index.list_length_histogram(f))?;
+        Ok(Self { index, plan })
     }
 
     /// The searcher's hash bank (shared with sketch-producing callers).
     pub fn hasher(&self) -> &MinHasher {
-        &self.hasher
+        &self.plan.hasher
     }
 
     /// Runs Algorithm 3: finds all sequences (length ≥ t) colliding with
@@ -478,9 +790,7 @@ impl<'a, I: IndexAccess + ?Sized> NearDupSearcher<'a, I> {
 
     /// [`Self::search_governed`] with a [`CancelToken`] observed at every
     /// checkpoint: when another thread cancels the token, the query
-    /// abandons work promptly and returns [`QueryError::Cancelled`]. This
-    /// is what [`crate::ShardedSearcher::search_all`] uses to stop a failed
-    /// batch from issuing further IO.
+    /// abandons work promptly and returns [`QueryError::Cancelled`].
     pub fn search_cancellable(
         &self,
         query: &[TokenId],
@@ -498,281 +808,17 @@ impl<'a, I: IndexAccess + ?Sized> NearDupSearcher<'a, I> {
         budget: &QueryBudget,
         cancel: Option<&CancelToken>,
     ) -> Result<SearchOutcome, QueryError> {
-        if query.is_empty() {
-            return Err(QueryError::EmptyQuery);
-        }
-        if !(theta > 0.0 && theta <= 1.0) {
-            return Err(QueryError::BadThreshold(theta));
-        }
-        // Every index read records into this query's own accumulator only;
-        // the query's cost is folded into the registry once, however it ends.
-        let io_acc = IoStats::default();
-        let result = self.run(query, theta, budget, cancel, &io_acc);
-        io_acc.publish();
-        crate::metrics::observe(&result);
-        result
-    }
-
-    /// Algorithm 3 proper, reading into `io_acc`.
-    fn run(
-        &self,
-        query: &[TokenId],
-        theta: f64,
-        budget: &QueryBudget,
-        cancel: Option<&CancelToken>,
-        io_acc: &IoStats,
-    ) -> Result<SearchOutcome, QueryError> {
-        let start = Instant::now();
-        let tracker = BudgetTracker::start(budget, cancel, start);
-        let config = self.index.config();
-        let (k, t) = (config.k, config.t as u32);
-        let beta = collision_threshold(k, theta);
-        let mut stats = QueryStats::default();
-        let mut matches: Vec<TextMatch> = Vec::new();
-        let mut probe_time = Duration::ZERO;
-
-        // Line 2: the query's k-mins sketch.
-        let sketch = self.hasher.sketch(query);
-        stats.stage_sketch = start.elapsed();
-
-        // The budget-governed pipeline. `checkpoint!` is the cooperative
-        // yield point: an unlimited budget resolves it to a single branch
-        // (plus one relaxed load when a cancel token is attached); a tripped
-        // budget records the exhausted resource and leaves the named block,
-        // keeping every fully-verified match accumulated so far. A stage
-        // interrupted mid-flight leaves its `stage_*` duration at zero — its
-        // time still shows up in `total`.
-        let mut stopped: Option<Resource> = None;
-        'run: {
-            macro_rules! checkpoint {
-                ($candidates:expr, $matches:expr, $leave:lifetime) => {
-                    match tracker.check(
-                        if tracker.is_limited() {
-                            io_acc.snapshot().bytes
-                        } else {
-                            0
-                        },
-                        $candidates as u64,
-                        $matches as u64,
-                    ) {
-                        Verdict::Proceed => {}
-                        Verdict::Cancelled => return Err(QueryError::Cancelled),
-                        Verdict::Over(resource) => {
-                            stopped = Some(resource);
-                            break $leave;
-                        }
-                    }
-                };
-            }
-            checkpoint!(0, 0, 'run);
-            let plan_start = Instant::now();
-
-            // Classify lists. Soundness of the reduced threshold
-            // β − (k − p) ≥ 1 merely requires at most β − 1 long lists, but the
-            // filter's pruning power collapses as the reduced threshold
-            // approaches 1 (every text sharing a single short-list window
-            // becomes a candidate, and each candidate pays k − p probes). We cap
-            // the number of long lists at ⌊β/2⌋ — keeping the reduced threshold
-            // at ≥ ⌈β/2⌉ — retaining the longest lists as long; this is the
-            // cost-model role the paper delegates to prefix-length tuning
-            // ("a few works design cost-models to choose a good cutoff", §3.5).
-            let lens: Vec<u64> = (0..k)
-                .map(|func| self.index.list_len(func, sketch.value(func)))
-                .collect::<Result<_, _>>()?;
-            let long_funcs: Vec<usize> = if self.adaptive {
-                // Cost-based per-query plan; its own soundness cap applies.
-                crate::planner::plan_query(&lens, beta, config.zone_step).deferred
-            } else {
-                let mut long: Vec<usize> = (0..k).filter(|&f| lens[f] >= self.cutoffs[f]).collect();
-                long.sort_unstable_by_key(|&f| std::cmp::Reverse(lens[f]));
-                long.truncate(beta / 2);
-                long
-            };
-            let p = k - long_funcs.len();
-            let alpha0 = beta - (k - p);
-            debug_assert!(alpha0 >= 1);
-            stats.lists_long = long_funcs.len();
-            stats.stage_plan = plan_start.elapsed();
-
-            // Phase 1 (lines 3–4): fetch the short lists and keep the
-            // postings of every text that could reach the reduced threshold.
-            // A text reaches α₀ collisions only if α₀ of the p lists name it
-            // (Theorem 1: one function gives a sequence at most one window),
-            // so by pigeonhole one of any p − α₀ + 1 of them does. The lists
-            // are merged shortest first: the first p − α₀ + 1 *admit* texts —
-            // they hold a few percent of the postings — and every later
-            // list is only asked about the texts still `alive`, which are
-            // dropped as soon as the lists left cannot lift them to α₀. The
-            // lists are borrowed — a cache hit is the resident allocation,
-            // not a copy — and the long tail is looked up, not scanned. Once
-            // every admitting list is merged and `alive` is empty, the rest
-            // are not fetched: they can only drop texts, never add one, so
-            // the answer is already the empty set.
-            let gather_start = Instant::now();
-            let mut by_len: Vec<usize> = (0..k).filter(|f| !long_funcs.contains(f)).collect();
-            by_len.sort_by_key(|&f| lens[f]);
-            let mut lists: Vec<SharedList<'_>> = Vec::with_capacity(p);
-            // `(text, distinct lists so far naming it)`, ascending by text.
-            let mut alive: Vec<(TextId, usize)> = Vec::new();
-            let mut merged = Vec::new();
-            for (j, &func) in by_len.iter().enumerate() {
-                checkpoint!(0, 0, 'run);
-                let list = self.index.shared_list(func, sketch.value(func), io_acc)?;
-                stats.lists_loaded += 1;
-                stats.postings_read += list.len() as u64;
-                merge_list(&list, alpha0.saturating_sub(p - 1 - j), &alive, &mut merged);
-                std::mem::swap(&mut alive, &mut merged);
-                lists.push(list);
-                if alive.is_empty() && j >= p - alpha0 {
-                    break;
-                }
-            }
-            // The survivors are the texts named by ≥ α₀ distinct lists. Only
-            // their postings are copied, grouped by ascending text: one
-            // forward cursor per list.
-            let mut kept: Vec<Posting> = Vec::with_capacity(alive.len() * p);
-            let mut runs: Vec<(TextId, std::ops::Range<usize>)> = Vec::with_capacity(alive.len());
-            let mut rests: Vec<&[Posting]> = lists.iter().map(|list| &list[..]).collect();
-            for &(text, _) in &alive {
-                let start = kept.len();
-                for rest in &mut rests {
-                    let mut at = first_at_or_after(rest, text);
-                    while let Some(posting) = rest.get(at).filter(|p| p.text == text) {
-                        kept.push(*posting);
-                        at += 1;
-                    }
-                    *rest = &rest[at..];
-                }
-                runs.push((text, start..kept.len()));
-            }
-            drop(rests);
-            drop(lists);
-            stats.stage_gather = gather_start.elapsed();
-
-            // Phase 2 (lines 5–6): CollisionCount at the reduced threshold
-            // over each kept text, in ascending id order, fixes the
-            // candidate set. With no long lists α₀ = β and the rectangles
-            // are already final: matches are appended here, so a trip
-            // between texts leaves a sound prefix of the full result set.
-            // With long lists this phase only decides candidacy — phase 4
-            // produces the rectangles — so a text's sweep stops at its
-            // first rectangle holding a sequence of length ≥ t.
-            let count_start = Instant::now();
-            let mut scratch = CollisionScratch::default();
-            let mut rect_buf: Vec<Rectangle> = Vec::new();
-            let decide_only = !long_funcs.is_empty();
-            // `(text, its run in kept)` per candidate.
-            let mut candidates: Vec<(TextId, std::ops::Range<usize>)> = Vec::new();
-            'select: for (text, range) in runs {
-                checkpoint!(stats.candidate_texts, matches.len(), 'select);
-                let run = &kept[range.clone()];
-                collision_sweep(
-                    run.len(),
-                    |i| run[i].window,
-                    alpha0,
-                    &mut scratch,
-                    qualifying(t, &mut rect_buf, decide_only),
-                )?;
-                if rect_buf.is_empty() {
-                    continue;
-                }
-                stats.candidate_texts += 1;
-                if decide_only {
-                    candidates.push((text, range));
-                } else {
-                    matches.push(TextMatch {
-                        text,
-                        rects: rect_buf.clone(),
-                    });
-                }
-            }
-            // `max_candidates` caps how many texts are *admitted* to
-            // verification: the ones admitted before the trip are still
-            // verified below. Any other exhausted resource ends the query.
-            if stopped.is_some_and(|r| r != Resource::Candidates) || candidates.is_empty() {
-                stats.stage_count = count_start.elapsed();
-                break 'run;
-            }
-
-            // Phase 3 (lines 8–9): one batched probe per long list locates
-            // the windows of *all* candidates in it (ascending text ids: a
-            // single forward pass through zone maps / skip entries).
-            let probe_start = Instant::now();
-            let texts: Vec<TextId> = candidates.iter().map(|(text, _)| *text).collect();
-            let mut probed: Vec<Posting> = Vec::new();
-            for &func in &long_funcs {
-                checkpoint!(0, 0, 'run);
-                self.index
-                    .probe_texts(func, sketch.value(func), &texts, io_acc, &mut probed)?;
-                stats.long_probes += texts.len();
-            }
-            stats.postings_read += probed.len() as u64;
-            // Each list contributed an ascending slice; regroup by text.
-            probed.sort_unstable_by_key(|p| p.text);
-            probe_time = probe_start.elapsed();
-
-            // Phase 4 (lines 10–12): re-count each candidate at the full
-            // threshold over its short-list and long-list windows together.
-            // A text's match is appended only after this final count, so
-            // breaking between candidates keeps the verified prefix.
-            let mut extra_start = 0usize;
-            for (text, range) in candidates {
-                checkpoint!(0, matches.len(), 'run);
-                let run = &kept[range];
-                let rest = &probed[extra_start..];
-                let extra = &rest[..rest.partition_point(|p| p.text == text)];
-                extra_start += extra.len();
-                collision_sweep(
-                    run.len() + extra.len(),
-                    |i| match i.checked_sub(run.len()) {
-                        None => run[i].window,
-                        Some(j) => extra[j].window,
-                    },
-                    beta,
-                    &mut scratch,
-                    qualifying(t, &mut rect_buf, false),
-                )?;
-                if !rect_buf.is_empty() {
-                    matches.push(TextMatch {
-                        text,
-                        rects: rect_buf.clone(),
-                    });
-                }
-            }
-            stats.stage_count = count_start.elapsed().saturating_sub(probe_time);
-        }
-
-        stats.stage_probe = probe_time;
-        stats.matched_texts = matches.len();
-        let io = io_acc.snapshot();
-        stats.io_bytes = io.bytes;
-        stats.cache_hits = io.cache_hits;
-        stats.cache_misses = io.cache_misses;
-        stats.zone_hits = io.zone_hits;
-        stats.zone_misses = io.zone_misses;
-        stats.total = start.elapsed();
-        let outcome = SearchOutcome {
-            matches,
-            stats,
-            beta,
-            t,
-            complete: stopped.is_none(),
-            degraded: Vec::new(),
-        };
-        match stopped {
-            None => Ok(outcome),
-            Some(resource) => Err(QueryError::BudgetExceeded {
-                resource,
-                partial: Box::new(outcome),
-            }),
-        }
+        self.plan
+            .run(query, theta, budget, cancel, |sketch, tracker, io, out| {
+                search_index(self.index, 0, &self.plan, sketch, tracker, io, out)
+            })
     }
 
     /// Ranks an outcome's matches by best collision count; callers outside
     /// the ledger use [`rank`].
     #[doc(hidden)]
     pub fn rank(&self, outcome: &SearchOutcome, limit: usize) -> Vec<RankedMatch> {
-        rank(outcome, self.hasher.k(), limit)
+        rank(outcome, self.plan.hasher.k(), limit)
     }
 
     /// Definition 1 mode: runs the approximate search, then verifies each

@@ -1,53 +1,57 @@
-//! The lane set and its one scatter–merge: every search over more than one
+//! The lane set and its one scatter: every search over more than one
 //! index — a store's segments, a disk view plus memtable segments, a batch, a
 //! served request — runs the code in this file (DESIGN.md §4d).
 //!
 //! Algorithm 3 and CollisionCount decide every text on its own (Theorem 2
 //! holds per text), so the answer over a corpus cut into contiguous
 //! text-id ranges is the per-range answers, re-based and concatenated. A
-//! **lane** is one such range: `(first global text id, text count, a
-//! searcher over the one index holding those texts)` — a disk shard or a
-//! memtable segment, behind `dyn` [`IndexAccess`].
+//! **lane** is one such range: `(first global text id, text count, the one
+//! index holding those texts)` — a disk shard or a memtable segment, behind
+//! `dyn` [`IndexAccess`].
 //!
 //! A [`ShardedIndex`] is the read-side view of a store: one opened
 //! [`DiskIndex`] per segment of its `MANIFEST` plus each segment's
-//! `first_text` offset, pinned to one view generation. A plain index
-//! directory opens as the same type with a single segment at offset 0.
-//! [`ShardedIndex::searcher_with_filter`] derives the lane set;
-//! [`ShardedSearcher::push_segment`] appends memory lanes to it, and
-//! [`ShardedSearcher::single`] is the lane set of one index. A lane set is
-//! never empty: a store with no shards does not open.
+//! `first_text` offset, pinned to one view generation, with each hash
+//! function's list-length histogram summed over the segments (memoised). A
+//! plain index directory opens as the same type with one segment at 0.
+//! [`ShardedIndex::searcher_with_filter`] derives the lane set and its one
+//! plan (hasher and cutoffs) from those sums;
+//! [`ShardedSearcher::push_segment`] appends memory lanes under the same
+//! cutoffs, and [`ShardedSearcher::single`] is the lane set of one index.
+//! A lane set is never empty: a store with no shards does not open.
 //!
-//! [`ShardedSearcher`] fans a query out across the lanes:
+//! A query is sketched, budgeted and counted once: one sketch, one budget
+//! tracker and one IO accumulator, which the lanes share in order on the
+//! caller's thread, and one fold into the registry. For each lane in order:
 //!
-//! * **Admission.** Under [`FaultPolicy::Isolate`] each disk lane asks its
-//!   circuit breaker; a quarantined lane is skipped and its range labelled
-//!   degraded. Memory lanes are always admitted and never feed a breaker.
-//! * **Budget.** The lanes that search share one
-//!   [`QueryBudget::split_across`]: every lane races the same deadline,
-//!   IO/candidate/result caps are apportioned, so the fan-out's total spend
-//!   never exceeds `max(cap, lanes)` whatever its mix of lanes.
-//! * **Merge.** Offset each lane's match text ids by its base and
-//!   concatenate in lane order, which *is* ascending global text order —
-//!   bit-identical to a single index over the whole corpus. A lane that
-//!   trips its budget contributes its sound partial and ends the merge: a
-//!   text-order prefix of the full result. Only when no lane at all can
-//!   answer is the query an error ([`QueryError::AllShardsQuarantined`]).
+//! * **Admit.** Under [`FaultPolicy::Isolate`] a disk lane asks its breaker
+//!   just before it is searched; a quarantined lane is skipped and its
+//!   range labelled degraded. Memory lanes never feed a breaker.
+//! * **Search.** Its matches are re-based by its first text id and
+//!   appended: lane order *is* ascending global text order, so the answer
+//!   is bit-identical to one index over the whole corpus. A classified
+//!   fault on a guarded lane drops its matches and labels its range.
+//! * **Stop** at the first lane that trips the budget (the caller's caps,
+//!   over the whole query): a sound text-order prefix of the answer. Only
+//!   when no lane can answer is the query an error
+//!   ([`QueryError::AllShardsQuarantined`]).
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use ndss_corpus::TextId;
 use ndss_hash::TokenId;
 use ndss_index::store::{parse_segment_name, ViewIdentity};
-use ndss_index::{resolve_segments, DiskIndex, IndexAccess, IndexConfig, MemSegment};
+use ndss_index::{
+    resolve_segments, DiskIndex, IndexAccess, IndexConfig, IndexError, LengthHistogram, MemSegment,
+};
 
 use crate::breaker::{classify, Admission, BreakerConfig, DegradedShard, ShardHealth};
 use crate::governor::{CancelToken, QueryBudget};
-use crate::search::{NearDupSearcher, PrefixFilter, RankedMatch, SearchOutcome};
+use crate::search::{search_index, Plan, PrefixFilter, RankedMatch, SearchOutcome};
 use crate::serving::ServingOptions;
-use crate::{QueryError, Resource};
+use crate::QueryError;
 
 /// What a scatter-gather does when one shard fails at runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -91,6 +95,10 @@ pub struct ShardedIndex {
     /// a reload opens a fresh view — which is exactly the re-admission
     /// path after a shard is repaired.
     health: Arc<ShardHealth>,
+    /// `histograms[func]`: function `func`'s list-length histogram summed
+    /// over the shards, computed on first use. A view's shards never
+    /// change, so neither does the sum.
+    histograms: Vec<OnceLock<LengthHistogram>>,
 }
 
 impl ShardedIndex {
@@ -122,10 +130,12 @@ impl ShardedIndex {
                 index: Arc::new(index),
             });
         }
+        let k = shards.first().map_or(0, |s| s.index.config().k);
         Ok(Self {
             health: Arc::new(ShardHealth::new(shards.len(), options.breaker.clone())),
             shards,
             generation,
+            histograms: (0..k).map(|_| OnceLock::new()).collect(),
         })
     }
 
@@ -187,70 +197,78 @@ impl ShardedIndex {
     }
 
     /// The view's lane set — one lane per shard — with the given
-    /// prefix-filter policy (each shard derives its own cutoffs from its
-    /// own list-length histogram — a pure optimization, so exactness is
-    /// unaffected).
+    /// prefix-filter policy. Its one plan draws the cutoffs from the
+    /// histograms summed over the shards, so a one-shard view plans as its
+    /// index does (any cutoff is exact: only work moves with it).
     pub fn searcher_with_filter(
         &self,
         filter: PrefixFilter,
     ) -> Result<ShardedSearcher<'_>, QueryError> {
+        let plan = Plan::new(self.config(), filter, |func| self.histogram(func))?;
         let lanes = self.shards.iter();
-        let lanes = lanes.map(|slot| Lane::new(slot.base, &*slot.index, filter));
-        let lanes = lanes.collect::<Result<_, _>>()?;
-        Ok(ShardedSearcher::new(lanes, Arc::clone(&self.health)))
+        let lanes = lanes.map(|slot| Lane {
+            base: slot.base,
+            index: &*slot.index,
+        });
+        Ok(ShardedSearcher::new(
+            lanes.collect(),
+            plan,
+            Arc::clone(&self.health),
+        ))
+    }
+
+    /// Function `func`'s list-length histogram summed over the shards:
+    /// ascending `(length, lists)` pairs, one per length.
+    fn histogram(&self, func: usize) -> Result<LengthHistogram, IndexError> {
+        if let Some(sum) = self.histograms[func].get() {
+            return Ok(sum.clone());
+        }
+        let mut sum = std::collections::BTreeMap::new();
+        for slot in &self.shards {
+            for &(len, lists) in slot.index.list_length_histogram(func)?.iter() {
+                *sum.entry(len).or_insert(0) += lists;
+            }
+        }
+        Ok(self.histograms[func]
+            .get_or_init(|| sum.into_iter().collect())
+            .clone())
     }
 }
 
-/// One contiguous global text-id range and the searcher over the one index
-/// — disk shard or memtable segment — that holds it.
+/// One contiguous global text-id range — from `base`, as many texts as
+/// `index` holds — and the one index, disk shard or memtable segment,
+/// that holds it.
 struct Lane<'a> {
     base: TextId,
-    num_texts: u64,
-    searcher: NearDupSearcher<'a, dyn IndexAccess + 'a>,
+    index: &'a dyn IndexAccess,
 }
 
-impl<'a> Lane<'a> {
-    fn new(
-        base: TextId,
-        index: &'a dyn IndexAccess,
-        filter: PrefixFilter,
-    ) -> Result<Self, QueryError> {
-        Ok(Lane {
-            base,
-            num_texts: index.config().num_texts as u64,
-            searcher: NearDupSearcher::with_prefix_filter(index, filter)?,
-        })
+impl Lane<'_> {
+    fn num_texts(&self) -> u64 {
+        self.index.config().num_texts as u64
     }
 }
 
-/// What one lane contributed to a scatter: a searched result, or a
-/// skip/containment record for a degraded shard.
-// One short-lived value per lane per query; boxing the hot Searched
-// variant would cost an allocation on every healthy lane.
-#[allow(clippy::large_enum_variant)]
-enum LaneOutcome {
-    Searched(Result<SearchOutcome, QueryError>),
-    Degraded(DegradedShard),
-}
-
-/// A lane set and the one scatter → classify → merge over it; see the
-/// module docs for the admission, budget and merge semantics.
+/// A lane set, its one plan and the scatter over it; see the module docs
+/// for the admission, budget and stop semantics.
 pub struct ShardedSearcher<'a> {
     /// Ascending, disjoint text ranges, never empty. The first
     /// `health.num_shards()` are the disk shards of the view the set was
     /// derived from, each guarded by the breaker of the same index; any
     /// after are memory lanes.
     lanes: Vec<Lane<'a>>,
+    plan: Plan,
     threads: usize,
     policy: FaultPolicy,
     health: Arc<ShardHealth>,
 }
 
 impl<'a> ShardedSearcher<'a> {
-    fn new(lanes: Vec<Lane<'a>>, health: Arc<ShardHealth>) -> Self {
+    fn new(lanes: Vec<Lane<'a>>, plan: Plan, health: Arc<ShardHealth>) -> Self {
         debug_assert!(!lanes.is_empty(), "a lane set has at least one lane");
         ShardedSearcher {
             lanes,
+            plan,
             threads: ndss_parallel::default_threads(),
             policy: FaultPolicy::FailFast,
             health,
@@ -260,13 +278,15 @@ impl<'a> ShardedSearcher<'a> {
     /// A lane set of one lane: all of `index` — in memory or on disk — at
     /// global text id 0, searched with `filter`. No breaker guards it.
     pub fn single(index: &'a dyn IndexAccess, filter: PrefixFilter) -> Result<Self, QueryError> {
+        let plan = Plan::new(index.config(), filter, |f| index.list_length_histogram(f))?;
+        let lane = Lane { base: 0, index };
         let health = Arc::new(ShardHealth::new(0, BreakerConfig::default()));
-        Ok(Self::new(vec![Lane::new(0, index, filter)?], health))
+        Ok(Self::new(vec![lane], plan, health))
     }
 
     /// The number of hash functions: collision counts are out of `k`.
     pub fn k(&self) -> usize {
-        self.lanes[0].searcher.hasher().k()
+        self.plan.hasher.k()
     }
 
     /// Number of lanes: the disk view's shards plus the overlaid segments.
@@ -274,8 +294,8 @@ impl<'a> ShardedSearcher<'a> {
         self.lanes.len()
     }
 
-    /// Overlays a memtable segment as one more lane, searched unfiltered (a
-    /// `HashMap` index's length histogram is a full walk of its lists).
+    /// Overlays a memtable segment as one more lane, classified by the
+    /// set's cutoffs like every other lane.
     ///
     /// The rule exactness under concurrent compaction hangs on: a segment
     /// joins **iff** `segment.base() >=` the end of the lanes already in the
@@ -287,19 +307,17 @@ impl<'a> ShardedSearcher<'a> {
     /// texts), and the segment-granular rule is exact under any
     /// interleaving of publish, trim and reload. Push segments in ascending text order, as
     /// [`ndss_index::IngestIndex::segments`] yields them.
-    pub fn push_segment(&mut self, segment: &'a MemSegment) -> Result<(), QueryError> {
+    pub fn push_segment(&mut self, segment: &'a MemSegment) {
         let last = &self.lanes[self.lanes.len() - 1];
-        if segment.is_empty() || segment.base() < last.base as u64 + last.num_texts {
-            return Ok(());
+        if segment.is_empty() || segment.base() < last.base as u64 + last.num_texts() {
+            return;
         }
         let (base, index) = (segment.base() as TextId, segment.index());
-        self.lanes
-            .push(Lane::new(base, index, PrefixFilter::Disabled)?);
-        Ok(())
+        self.lanes.push(Lane { base, index });
     }
 
-    /// Pins the worker-thread count: the scatter width for single queries,
-    /// and the query-level parallelism for batches.
+    /// Pins the batch width: how many queries of a batch run at once. A
+    /// single query runs its lanes in order on the caller's thread.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -316,9 +334,9 @@ impl<'a> ShardedSearcher<'a> {
         self.search_governed(query, theta, &QueryBudget::unlimited())
     }
 
-    /// [`Self::search`] under a budget: the deadline is shared across
-    /// lanes, work caps are apportioned per lane, and a tripped lane
-    /// yields a sound text-order prefix of the full result (carried in
+    /// [`Self::search`] under a budget: one tracker for the whole query,
+    /// its caps the caller's caps, and a tripped budget yields a sound
+    /// text-order prefix of the full result (carried in
     /// [`QueryError::BudgetExceeded`], exactly like the single-index
     /// searcher).
     pub fn search_governed(
@@ -327,7 +345,7 @@ impl<'a> ShardedSearcher<'a> {
         theta: f64,
         budget: &QueryBudget,
     ) -> Result<SearchOutcome, QueryError> {
-        self.scatter(query, theta, budget, self.threads, None)
+        self.scatter(query, theta, budget, None)
     }
 
     /// Runs every query at threshold `theta`; `results[i]` corresponds to
@@ -396,7 +414,7 @@ impl<'a> ShardedSearcher<'a> {
             if abort.is_some_and(CancelToken::is_cancelled) {
                 return Err(QueryError::Cancelled);
             }
-            let result = self.scatter(query, theta, budget, 1, abort);
+            let result = self.scatter(query, theta, budget, abort);
             if let (Err(_), Some(abort)) = (&result, abort) {
                 abort.cancel();
             }
@@ -428,168 +446,79 @@ impl<'a> ShardedSearcher<'a> {
         crate::search::rank(outcome, self.k(), limit)
     }
 
-    /// Whether lane `i` answers to a circuit breaker: a disk shard under
-    /// the isolating policy.
-    fn guarded(&self, i: usize) -> bool {
-        self.policy == FaultPolicy::Isolate && i < self.health.num_shards()
-    }
-
+    /// The scatter: one query through [`Plan::run`], the lanes searched in
+    /// order by the rules of the module docs.
     fn scatter(
         &self,
         query: &[TokenId],
         theta: f64,
         budget: &QueryBudget,
-        threads: usize,
         cancel: Option<&CancelToken>,
     ) -> Result<SearchOutcome, QueryError> {
-        let started = Instant::now();
-        // Admission runs before the split so quarantined shards neither do
-        // work nor consume budget: caps are apportioned across the lanes
-        // that will actually search.
-        let admissions: Vec<Admission> = (0..self.lanes.len())
-            .map(|i| {
-                if self.guarded(i) {
-                    self.health.admit(i)
-                } else {
-                    Admission::Admit
+        self.plan
+            .run(query, theta, budget, cancel, |sketch, tracker, io, out| {
+                let mut answered = false;
+                for (i, lane) in self.lanes.iter().enumerate() {
+                    let degraded = |(kind, reason)| DegradedShard {
+                        shard: i,
+                        first_text: lane.base,
+                        num_texts: lane.num_texts(),
+                        kind,
+                        reason,
+                    };
+                    let guarded =
+                        self.policy == FaultPolicy::Isolate && i < self.health.num_shards();
+                    if guarded && self.health.admit(i) == Admission::Quarantined {
+                        // Skipped: labelled with the breaker's last fault.
+                        out.degraded.push(degraded(self.health.last_fault(i)));
+                        continue;
+                    }
+                    let kept = out.matches.len();
+                    match search_index(lane.index, lane.base, &self.plan, sketch, tracker, io, out)
+                    {
+                        Ok(stopped) => {
+                            // A budget trip is the caller's limit, not a shard
+                            // fault: the shard's IO worked.
+                            if guarded {
+                                self.health.record_success(i);
+                            }
+                            answered = true;
+                            if stopped.is_some() {
+                                return Ok(stopped);
+                            }
+                        }
+                        Err(e) => {
+                            let Some(kind) = classify(&e).filter(|_| guarded) else {
+                                return Err(e);
+                            };
+                            let reason = e.to_string();
+                            self.health.record_failure(i, kind, &reason);
+                            out.matches.truncate(kept);
+                            out.degraded.push(degraded((kind, reason)));
+                        }
+                    }
                 }
+                if answered {
+                    return Ok(None);
+                }
+                // No lane could answer — every one is quarantined, or faulted in
+                // this very query: there is no healthy subset to build even a
+                // degraded answer from, so surface the (classified) fault instead
+                // of an empty "result". (The lane set is never empty.)
+                let d = &out.degraded[0];
+                Err(QueryError::AllShardsQuarantined {
+                    shards: self.lanes.len(),
+                    kind: d.kind,
+                    reason: d.reason.clone(),
+                })
             })
-            .collect();
-        let searching = admissions
-            .iter()
-            .filter(|a| **a != Admission::Quarantined)
-            .count();
-        let per_lane = budget.split_across(searching.max(1));
-        // Each worker classifies its own lane (feeding that lane's breaker),
-        // so every lane is accounted for even when the merge stops early.
-        let lanes = ndss_parallel::map(&self.lanes, threads, |i, lane| {
-            let result = match admissions[i] {
-                Admission::Quarantined => None,
-                Admission::Admit | Admission::Probe => Some(match cancel {
-                    Some(cancel) => lane
-                        .searcher
-                        .search_cancellable(query, theta, &per_lane, cancel),
-                    None => lane.searcher.search_governed(query, theta, &per_lane),
-                }),
-            };
-            self.classify_lane(i, result)
-        });
-        self.merge(lanes, started)
-    }
-
-    /// Applies the fault policy to one lane's raw result: feeds the
-    /// breaker and converts contained faults into [`LaneOutcome::Degraded`]
-    /// records labeling the lane's text range.
-    fn classify_lane(
-        &self,
-        i: usize,
-        result: Option<Result<SearchOutcome, QueryError>>,
-    ) -> LaneOutcome {
-        let degraded = |kind, reason| {
-            LaneOutcome::Degraded(DegradedShard {
-                shard: i,
-                first_text: self.lanes[i].base,
-                num_texts: self.lanes[i].num_texts,
-                kind,
-                reason,
-            })
-        };
-        let Some(result) = result else {
-            // Skipped at admission: label with the breaker's last fault.
-            let (kind, reason) = self.health.last_fault(i);
-            return degraded(kind, reason);
-        };
-        if !self.guarded(i) {
-            return LaneOutcome::Searched(result);
-        }
-        match result {
-            // A budget trip is the caller's limit, not a shard fault: the
-            // shard's IO worked, so it counts as breaker success.
-            Ok(_) | Err(QueryError::BudgetExceeded { .. }) => {
-                self.health.record_success(i);
-                LaneOutcome::Searched(result)
-            }
-            Err(e) => match classify(&e) {
-                Some(kind) => {
-                    let reason = e.to_string();
-                    self.health.record_failure(i, kind, &reason);
-                    degraded(kind, reason)
-                }
-                None => LaneOutcome::Searched(Err(e)),
-            },
-        }
-    }
-
-    /// Merges per-lane results in lane order (ascending global text
-    /// order). Stops at the first budget-tripped lane so the composition is
-    /// a sound prefix; any other error propagates as-is. Degraded lanes
-    /// contribute no matches — their text ranges are recorded on the
-    /// outcome and flip `complete` off.
-    fn merge(
-        &self,
-        lanes: Vec<LaneOutcome>,
-        started: Instant,
-    ) -> Result<SearchOutcome, QueryError> {
-        let mut merged: Option<SearchOutcome> = None;
-        let mut tripped: Option<Resource> = None;
-        let mut degraded: Vec<DegradedShard> = Vec::new();
-        for (lane, contribution) in self.lanes.iter().zip(lanes) {
-            let (mut outcome, resource) = match contribution {
-                LaneOutcome::Degraded(d) => {
-                    degraded.push(d);
-                    continue;
-                }
-                LaneOutcome::Searched(Ok(outcome)) => (outcome, None),
-                LaneOutcome::Searched(Err(QueryError::BudgetExceeded { resource, partial })) => {
-                    (*partial, Some(resource))
-                }
-                LaneOutcome::Searched(Err(e)) => return Err(e),
-            };
-            for m in &mut outcome.matches {
-                m.text += lane.base;
-            }
-            merged = Some(match merged.take() {
-                None => outcome,
-                Some(mut acc) => {
-                    acc.matches.append(&mut outcome.matches);
-                    acc.stats.accumulate(&outcome.stats);
-                    acc
-                }
-            });
-            if resource.is_some() {
-                tripped = resource;
-                break;
-            }
-        }
-        // No lane could answer — every one is quarantined, or faulted in
-        // this very scatter: there is no healthy subset to build even a
-        // degraded answer from, so surface the (classified) fault instead
-        // of an empty "result". (The lane set is never empty, so a missing
-        // merge means at least one degraded lane.)
-        let Some(mut outcome) = merged else {
-            let d = &degraded[0];
-            return Err(QueryError::AllShardsQuarantined {
-                shards: self.lanes.len(),
-                kind: d.kind,
-                reason: d.reason.clone(),
-            });
-        };
-        outcome.stats.total = started.elapsed();
-        outcome.complete = tripped.is_none() && degraded.is_empty();
-        outcome.degraded = degraded;
-        match tripped {
-            None => Ok(outcome),
-            Some(resource) => Err(QueryError::BudgetExceeded {
-                resource,
-                partial: Box::new(outcome),
-            }),
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NearDupSearcher;
     use ndss_corpus::{CorpusSource, InMemoryCorpus, SyntheticCorpusBuilder};
     use ndss_index::{IngestIndex, IngestOptions, MemoryIndex};
 
@@ -730,8 +659,8 @@ mod tests {
         let mut overlaid = stale.searcher().unwrap();
         let mut ahead = ShardedSearcher::single(&first15, PrefixFilter::Disabled).unwrap();
         for segment in ingest.segments() {
-            overlaid.push_segment(segment).unwrap();
-            ahead.push_segment(segment).unwrap();
+            overlaid.push_segment(segment);
+            ahead.push_segment(segment);
         }
         assert_eq!(
             overlaid.num_lanes(),

@@ -1282,9 +1282,8 @@ fn execute_search(shared: &Shared, parsed: &ParsedSearch) -> Result<SearchReply,
     // losing its texts; pinning under the lock makes snapshot + segments
     // mutually consistent, and the reload-on-lag heals the window where a
     // compaction published but its hot-swap failed or hasn't landed. The
-    // per-segment exactness rule (overlay a segment iff its base is ≥ the
-    // end of the lanes already in the set, here the snapshot's text count)
-    // lives in `ShardedSearcher::push_segment`.
+    // overlay rule (a segment joins iff its base is ≥ the snapshot's text
+    // count) lives in `ShardedSearcher::push_segment`.
     let internal = |e: QueryError| SearchFail::Internal(e.to_string());
     let memtable = shared
         .ingest
@@ -1300,13 +1299,14 @@ fn execute_search(shared: &Shared, parsed: &ParsedSearch) -> Result<SearchReply,
     }
     // Serving runs under the isolating fault policy: a sick shard is
     // contained by its circuit breaker and reported as a degraded range
-    // instead of failing the whole request.
+    // instead of failing the whole request. The lane set plans once, from
+    // the view's memoised histograms, and runs on this handler's thread.
     let mut lanes = snapshot
         .searcher_with_filter(shared.config.filter)
         .map_err(internal)?
         .fault_policy(FaultPolicy::Isolate);
     for segment in memtable.iter().flat_map(|m| m.segments()) {
-        lanes.push_segment(segment).map_err(internal)?;
+        lanes.push_segment(segment);
     }
     let (outcome, exhausted) = map_search_result(
         shared,

@@ -247,3 +247,39 @@ fn disabled_cache_never_hits_but_results_match() {
         assert_eq!(x.enumerate_all(), y.enumerate_all());
     }
 }
+
+/// The registry counts queries, not lanes: over a three-segment view with
+/// the cache off, searched one query at a time and as a batch, `query.count`
+/// moves by the number of queries and every other folded counter by the
+/// sum of the outcomes' stats, as over one index.
+#[test]
+fn a_multi_segment_view_folds_each_query_once() {
+    let _registry = registry_lock();
+    let (corpus, queries) = workload(2028);
+    let root = scratch("batch", "fold_segments");
+    let config = IndexConfig::new(16, 25, 5).bit_packed(true);
+    build_sharded(&corpus, config, &root, 3, &Default::default()).unwrap();
+    let options = ServingOptions {
+        cache: CacheConfig::disabled(),
+        ..ServingOptions::default()
+    };
+    let view = ShardedIndex::open_with(&root, &options).unwrap();
+    assert_eq!(view.num_shards(), 3);
+    let lanes = view.searcher_with_filter(PrefixFilter::default()).unwrap();
+
+    let before = folded();
+    let outcomes: Vec<SearchOutcome> = queries
+        .iter()
+        .map(|q| lanes.search(q, 0.8).unwrap())
+        .collect();
+    let delta = folded_since(before);
+    let reads = delta[0];
+    assert!(reads > 0, "disk searches must report IO");
+    assert_eq!(delta, expected_fold(&outcomes, reads), "one at a time");
+
+    let before = folded();
+    let outcomes = lanes.search_all(&queries, 0.8).unwrap();
+    let delta = folded_since(before);
+    assert_eq!(delta, expected_fold(&outcomes, reads), "batched");
+    std::fs::remove_dir_all(&root).ok();
+}

@@ -142,8 +142,8 @@ fn governed_partials_are_sound_prefixes_of_the_oracle() {
         let searcher = view.searcher().unwrap().threads(shards);
         for query in &queries {
             let full = oracle.search(query, THETA).unwrap();
-            // Caps are apportioned per shard, so sweep global caps around
-            // the shard count to make individual shards trip.
+            // One cap covers every shard: sweep it past the shard count so
+            // the trip lands in every shard in turn.
             for cap in 0..=(3 * shards as u64) {
                 let budget = QueryBudget::unlimited().max_candidates(cap);
                 match searcher.search_governed(query, THETA, &budget) {
@@ -271,4 +271,111 @@ fn one_shard_store_equals_plain_directory() {
     }
     std::fs::remove_dir_all(&root).ok();
     std::fs::remove_dir_all(&plain_dir).ok();
+}
+
+/// Query cost by lane count, printed rather than asserted: wall time on a
+/// shared host is not a test verdict. One synthetic corpus of about 1.6 M
+/// tokens is built at k = 32, t = 25 as one segment and as six. Each lane
+/// set is pinned once, default prefix filter; the six-segment set runs at
+/// the searcher's default threads and at one. A pass runs 400 memorised
+/// (windows of planted copies) and 400 novel (windows of an unseen corpus)
+/// 64-token queries at θ = 0.8 on every lane set in turn; a cell is the
+/// median over nine passes of each pass's p50 µs per query, then the
+/// range. Run with `cargo test --release -p ndss-integration --test
+/// sharded_exactness -- --ignored --nocapture lane_cost`.
+#[test]
+#[ignore = "timing probe: prints a table"]
+fn lane_cost_by_segment_count() {
+    const LEN: u32 = 64;
+    const QUERIES: usize = 400;
+    const PASSES: usize = 9;
+    let (corpus, planted) = SyntheticCorpusBuilder::new(4801).num_texts(3_600).build();
+    let memorized: Vec<Vec<TokenId>> = planted
+        .iter()
+        .filter(|p| p.dst.span.len() >= LEN)
+        .take(QUERIES)
+        .map(|p| {
+            let start = p.dst.span.start;
+            let window = SeqRef::new(p.dst.text, start, start + LEN - 1);
+            corpus.sequence_to_vec(window).unwrap()
+        })
+        .collect();
+    let (unseen, _) = SyntheticCorpusBuilder::new(4802).num_texts(QUERIES).build();
+    let novel: Vec<Vec<TokenId>> = (0..QUERIES as TextId)
+        .map(|i| unseen.text_to_vec(i).unwrap()[..LEN as usize].to_vec())
+        .collect();
+    assert_eq!(memorized.len(), QUERIES);
+
+    let config = IndexConfig::new(32, 25, 4803).bit_packed(true);
+    let roots: Vec<_> = [1usize, 6]
+        .iter()
+        .map(|&segments| {
+            let root = scratch("sharded", &format!("lane_cost_{segments}"));
+            build_sharded(
+                &corpus,
+                config.clone(),
+                &root,
+                segments,
+                &Default::default(),
+            )
+            .unwrap();
+            root
+        })
+        .collect();
+    let views: Vec<ShardedIndex> = roots
+        .iter()
+        .map(|r| ShardedIndex::open(r).unwrap())
+        .collect();
+    fn pin(view: &ShardedIndex) -> ShardedSearcher<'_> {
+        view.searcher_with_filter(PrefixFilter::default()).unwrap()
+    }
+    let sets = [
+        ("1 segment", pin(&views[0])),
+        ("6 segments, default threads", pin(&views[1])),
+        ("6 segments, .threads(1)", pin(&views[1]).threads(1)),
+    ];
+    for query in memorized.iter().chain(&novel) {
+        let want = sets[0].1.search(query, THETA).unwrap().matches;
+        for (name, set) in &sets[1..] {
+            assert_eq!(set.search(query, THETA).unwrap().matches, want, "{name}");
+        }
+    }
+
+    let p50 = |set: &ShardedSearcher<'_>, queries: &[Vec<TokenId>]| {
+        let mut micros: Vec<f64> = queries
+            .iter()
+            .map(|q| {
+                let start = std::time::Instant::now();
+                set.search(q, THETA).unwrap();
+                start.elapsed().as_secs_f64() * 1e6
+            })
+            .collect();
+        micros.sort_by(f64::total_cmp);
+        micros[micros.len() / 2]
+    };
+    // cells[set][0 = novel, 1 = memorised]: one p50 per pass.
+    let mut cells = vec![[Vec::new(), Vec::new()]; sets.len()];
+    for _ in 0..PASSES {
+        for (cell, (_, set)) in cells.iter_mut().zip(&sets) {
+            cell[0].push(p50(set, &novel));
+            cell[1].push(p50(set, &memorized));
+        }
+    }
+    let summary = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        format!("{:.1} ({:.1}–{:.1})", v[v.len() / 2], v[0], v[v.len() - 1])
+    };
+    println!(
+        "{} tokens, {} threads by default",
+        corpus.total_tokens(),
+        ndss::parallel::default_threads()
+    );
+    println!("| lane set | novel p50 µs | memorised p50 µs |");
+    println!("|---|---|---|");
+    for ((name, _), [novel, memorized]) in sets.iter().zip(cells) {
+        println!("| {name} | {} | {} |", summary(novel), summary(memorized));
+    }
+    for root in roots {
+        std::fs::remove_dir_all(root).ok();
+    }
 }

@@ -33,7 +33,11 @@
 //! index file and record, as `ndss_durable::bytes_written` counts them) per
 //! user byte (4 per appended token), the fsyncs, the compactions and tail
 //! merges, the serving list's peak and final length, and, for scale, what a
-//! batch build of all the texts writes per user byte.
+//! batch build of all the texts writes per user byte. The memorised set and
+//! a novel set cut from texts the script did not append then run, one query
+//! at a time, on the final store's lane set (its segments plus any overlaid
+//! memtable segment, default filter, cache off): what a query costs on a
+//! store that ingest grew.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -112,12 +116,13 @@ fn memorized_queries(corpus: &InMemoryCorpus, planted: &[PlantedDuplicate]) -> V
         .collect()
 }
 
-/// The first `QUERY_LEN` tokens of the first `QUERIES` texts of a corpus the
-/// index never saw.
-fn novel_queries() -> Vec<Vec<TokenId>> {
+/// The first `QUERY_LEN` tokens of `QUERIES` texts, from text `first` on,
+/// of a corpus the index never saw. The ingest script appends that corpus's
+/// first `INGEST_TEXTS` texts, so the store's novel set starts past them.
+fn novel_queries(first: usize) -> Vec<Vec<TokenId>> {
     let (other, _) = synth(SEED + 1, 0.0);
-    (0..QUERIES as TextId)
-        .map(|i| other.text_to_vec(i).unwrap()[..QUERY_LEN as usize].to_vec())
+    (first..first + QUERIES)
+        .map(|i| other.text_to_vec(i as TextId).unwrap()[..QUERY_LEN as usize].to_vec())
         .collect()
 }
 
@@ -274,14 +279,22 @@ struct IngestWork {
     final_segments: usize,
     batch_user_bytes: u64,
     batch_bytes: u64,
+    /// Lanes of the final store's lane set.
+    store_lanes: usize,
+    /// Per-query counters of `[memorised, novel]` on that lane set.
+    store_rows: [Vec<[u64; 6]>; 2],
 }
 
 fn user_bytes(texts: &[Vec<TokenId>]) -> u64 {
     texts.iter().map(|t| 4 * t.len() as u64).sum()
 }
 
-/// Runs the ingest script in `dir`.
-fn ingest_work(corpus: &InMemoryCorpus, dir: &Path) -> IngestWork {
+/// Runs the ingest script in `dir`, then `query_sets` on the final store.
+fn ingest_work(
+    corpus: &InMemoryCorpus,
+    dir: &Path,
+    query_sets: [&[Vec<TokenId>]; 2],
+) -> IngestWork {
     let _serial = FSYNCS.lock().unwrap_or_else(|e| e.into_inner());
     let (second, _) = synth(SEED + 1, 0.0);
     let appended: Vec<Vec<TokenId>> = (0..INGEST_TEXTS as TextId)
@@ -330,6 +343,19 @@ fn ingest_work(corpus: &InMemoryCorpus, dir: &Path) -> IngestWork {
     compact(&mut ingest);
     let manifest = store.manifest().unwrap();
     assert_eq!(manifest.num_texts(), (150 + INGEST_TEXTS) as u64);
+    let options = ServingOptions {
+        cache: CacheConfig::disabled(),
+        ..ServingOptions::default()
+    };
+    let view = ShardedIndex::open_with(root, &options).unwrap();
+    let mut lanes = view.searcher_with_filter(PrefixFilter::default()).unwrap();
+    for segment in ingest.segments() {
+        lanes.push_segment(segment);
+    }
+    let store_rows = query_sets.map(|queries| {
+        let search = |q: &Vec<TokenId>| counters(&lanes.search(q, THETA).unwrap().stats);
+        queries.iter().map(search).collect()
+    });
     let work = IngestWork {
         user_bytes: user_bytes(&appended),
         bytes: ndss::durable::bytes_written() - bytes,
@@ -340,7 +366,10 @@ fn ingest_work(corpus: &InMemoryCorpus, dir: &Path) -> IngestWork {
         final_segments: manifest.segments.len(),
         batch_user_bytes: 0,
         batch_bytes: 0,
+        store_lanes: lanes.num_lanes(),
+        store_rows,
     };
+    drop(lanes);
     drop(ingest);
     std::fs::remove_dir_all(root).ok();
 
@@ -434,6 +463,12 @@ fn render(
         ingest.batch_bytes as f64 / ingest.batch_user_bytes as f64,
     )
     .unwrap();
+    writeln!(out, "  \"store_queries\": {{").unwrap();
+    writeln!(out, "    \"lanes\": {},", ingest.store_lanes).unwrap();
+    render_rows(&mut out, "memorized", &ingest.store_rows[0]);
+    writeln!(out, ",").unwrap();
+    render_rows(&mut out, "novel", &ingest.store_rows[1]);
+    writeln!(out, "\n  }},").unwrap();
     let fields: Vec<String> = FIELDS.iter().map(|f| format!("\"{f}\"")).collect();
     writeln!(out, "  \"queries\": {{").unwrap();
     writeln!(out, "    \"fields\": [{}],", fields.join(", ")).unwrap();
@@ -456,11 +491,16 @@ fn work_counters_match_the_committed_record() {
     let (corpus, planted) = synth(SEED, 1.0);
     let dir = scratch("work_counters", "index");
     let index = build(&corpus, &dir);
+    let (memorized, novel) = (memorized_queries(&corpus, &planted), novel_queries(0));
     let ingest_dir = scratch("work_counters", "ingest");
-    let ingest = ingest_work(&corpus, &ingest_dir);
+    let ingest = ingest_work(
+        &corpus,
+        &ingest_dir,
+        [&memorized, &novel_queries(INGEST_TEXTS)],
+    );
     std::fs::remove_dir_all(&ingest_dir).ok();
-    let memorized = query_work(&dir, &memorized_queries(&corpus, &planted));
-    let novel = query_work(&dir, &novel_queries());
+    let memorized = query_work(&dir, &memorized);
+    let novel = query_work(&dir, &novel);
     std::fs::remove_dir_all(&dir).ok();
     assert!(
         memorized.iter().all(|r| r[2] > 0),
