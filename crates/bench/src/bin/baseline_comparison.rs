@@ -62,7 +62,7 @@ fn main() {
         // --- this paper: compact-window index, guaranteed Definition 2. ---
         let (index, _) =
             time(|| MemoryIndex::build_parallel(corpus, IndexConfig::new(32, 25, 5)).unwrap());
-        let searcher = NearDupSearcher::new(&index).unwrap();
+        let searcher = ShardedSearcher::single(&index, PrefixFilter::Disabled).unwrap();
         let t0 = Instant::now();
         let mut found = 0usize;
         for (src, q) in &queries {

@@ -63,8 +63,8 @@ impl QueryAverages {
     }
 }
 
-fn run_queries<I: IndexAccess>(
-    searcher: &NearDupSearcher<'_, I>,
+fn run_queries(
+    searcher: &ShardedSearcher<'_>,
     queries: &[Vec<TokenId>],
     theta: f64,
 ) -> QueryAverages {
@@ -111,9 +111,8 @@ fn main() {
     let mut latency_by_theta = std::collections::HashMap::new();
     for k in [16usize, 32, 64] {
         let index = disk_index(&corpus, k, 25, &format!("a_k{k}"));
-        let searcher =
-            NearDupSearcher::with_prefix_filter(&index, PrefixFilter::FrequentFraction(0.05))
-                .expect("searcher");
+        let searcher = ShardedSearcher::single(&index, PrefixFilter::FrequentFraction(0.05))
+            .expect("searcher");
         for theta in thetas {
             let avg = run_queries(&searcher, &queries, theta);
             latency_by_theta.insert((k, (theta * 10.0) as u32), avg.total_ms());
@@ -148,9 +147,8 @@ fn main() {
         let (corpus_s, planted_s) = owt_like(scale, 64_000, 17);
         let queries_s = query_workload(&corpus_s, &planted_s, 60, 64, 29);
         let index = disk_index(&corpus_s, 32, 25, &format!("c_s{scale}"));
-        let searcher =
-            NearDupSearcher::with_prefix_filter(&index, PrefixFilter::FrequentFraction(0.05))
-                .expect("searcher");
+        let searcher = ShardedSearcher::single(&index, PrefixFilter::FrequentFraction(0.05))
+            .expect("searcher");
         let avg = run_queries(&searcher, &queries_s, 0.8);
         work_by_scale.push((scale, avg.postings_read()));
         ndss_bench::csv_row!(
@@ -179,11 +177,9 @@ fn main() {
     );
     let mut totals = Vec::new();
     for pct in [5usize, 10, 15, 20] {
-        let searcher = NearDupSearcher::with_prefix_filter(
-            &index,
-            PrefixFilter::FrequentFraction(pct as f64 / 100.0),
-        )
-        .expect("searcher");
+        let searcher =
+            ShardedSearcher::single(&index, PrefixFilter::FrequentFraction(pct as f64 / 100.0))
+                .expect("searcher");
         let avg = run_queries(&searcher, &queries, 0.8);
         totals.push(avg.total_ms());
         // Which lists the fraction defers: at most ⌊β/2⌋ of them (13 at
@@ -210,9 +206,8 @@ fn main() {
     );
     for k in [16usize, 32] {
         let index = disk_index(&pile, k, 25, &format!("e_k{k}"));
-        let searcher =
-            NearDupSearcher::with_prefix_filter(&index, PrefixFilter::FrequentFraction(0.05))
-                .expect("searcher");
+        let searcher = ShardedSearcher::single(&index, PrefixFilter::FrequentFraction(0.05))
+            .expect("searcher");
         for theta in thetas {
             let avg = run_queries(&searcher, &pile_queries, theta);
             ndss_bench::csv_row!(csv_e, "{k},{theta},{}", avg.latency());
@@ -236,9 +231,8 @@ fn main() {
     let mut postings_by_t = Vec::new();
     for t in [25usize, 50, 100] {
         let index = disk_index(&corpus, 32, t, &format!("h_t{t}"));
-        let searcher =
-            NearDupSearcher::with_prefix_filter(&index, PrefixFilter::FrequentFraction(0.05))
-                .expect("searcher");
+        let searcher = ShardedSearcher::single(&index, PrefixFilter::FrequentFraction(0.05))
+            .expect("searcher");
         // Queries must be at least t long to be findable; use 128-token
         // windows so every t qualifies.
         let queries_h = query_workload(&corpus, &planted, 60, 128, 37);

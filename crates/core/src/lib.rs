@@ -9,10 +9,12 @@
 //! least θ" with guarantees (exactly, for the min-hash collision formulation
 //! of Definition 2).
 //!
-//! This crate is the facade: it re-exports the workspace layers and offers
-//! [`CorpusIndex`], a batteries-included API that covers the common paths —
-//! build (in memory, in parallel, or out of core), persist, reopen, search,
-//! verify, and run the paper's LLM-memorization evaluation.
+//! This crate re-exports the workspace layers and, in [`prelude`], the
+//! types an application needs: build an index in memory
+//! ([`index::MemoryIndex`]), on disk ([`index::build_and_write`]) or out of
+//! core ([`index::ExternalIndexBuilder`]), open a directory or store
+//! ([`query::ShardedIndex::open`]), and search it with the lane set
+//! ([`query::ShardedSearcher`]).
 //!
 //! ## Layers (each its own crate)
 //!
@@ -40,12 +42,13 @@
 //!     .build();
 //!
 //! // Index every sequence of ≥ 25 tokens with k = 16 hash functions.
-//! let index = CorpusIndex::build_in_memory(&corpus, SearchParams::new(16, 25, 42)).unwrap();
+//! let index = MemoryIndex::build(&corpus, IndexConfig::new(16, 25, 42)).unwrap();
+//! let searcher = ShardedSearcher::single(&index, PrefixFilter::default()).unwrap();
 //!
 //! // Query with a copy of a planted span: its source must be found.
 //! let p = &planted[0];
 //! let query = corpus.sequence_to_vec(p.dst).unwrap();
-//! let outcome = index.search(&query, 0.8).unwrap();
+//! let outcome = searcher.search(&query, 0.8).unwrap();
 //! assert!(outcome.matches.iter().any(|m| m.text == p.src.text));
 //! ```
 
@@ -71,20 +74,17 @@ pub mod index {
 
 /// The query layer (`ndss-query`).
 pub mod query {
-    pub use crate::ledger_compat::{BatchSearcher, OverlaySearcher};
+    pub use crate::ledger_compat::{BatchSearcher, NearDupSearcher, OverlaySearcher};
     pub use ndss_query::*;
 }
 
-pub mod facade;
 #[doc(hidden)]
 pub mod ledger_compat;
 
-pub use facade::{CorpusIndex, NdssError, SearchParams};
-pub use ledger_compat::ShardedCorpusIndex;
+pub use ledger_compat::{CorpusIndex, SearchParams, ShardedCorpusIndex};
 
 /// The common imports for applications built on ndss.
 pub mod prelude {
-    pub use crate::facade::{CorpusIndex, NdssError, SearchParams};
     pub use ndss_baseline::{LshParams, LshWindowIndex};
     pub use ndss_corpus::{
         CorpusSlice, CorpusSource, DiskCorpus, DiskCorpusWriter, InMemoryCorpus, PseudoWords,
@@ -102,9 +102,9 @@ pub mod prelude {
     pub use ndss_lm::{evaluate_memorization, GenerationStrategy, MemorizationConfig, NGramModel};
     pub use ndss_obs::{Registry, Unit};
     pub use ndss_query::{
-        CancelToken, DocumentMatch, DocumentScan, NearDupSearcher, PrefixFilter, QueryBudget,
-        QueryError, RankedMatch, Resource, SearchOutcome, ServingIndex, ServingOptions,
-        ShardedIndex, ShardedSearcher, TextMatch,
+        CancelToken, DocumentMatch, DocumentScan, PrefixFilter, QueryBudget, QueryError,
+        RankedMatch, Resource, SearchOutcome, ServingIndex, ServingOptions, ShardedIndex,
+        ShardedSearcher, TextMatch,
     };
     pub use ndss_tokenizer::{BpeTokenizer, BpeTrainer};
 }

@@ -1,6 +1,6 @@
 //! Scoped-thread work distribution.
 //!
-//! The index builder, the batch query engine, and the facade all need the
+//! The index builder and the batch query engine both need the
 //! same shape of parallelism: map a function over a slice on N threads and
 //! get the results back **in input order**, deterministically, regardless of
 //! which thread finished first. `std::thread::scope` gives us that without

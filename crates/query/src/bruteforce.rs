@@ -135,7 +135,7 @@ pub fn definition2_scan<C: CorpusSource + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::NearDupSearcher;
+    use crate::{PrefixFilter, ShardedSearcher};
     use ndss_corpus::{InMemoryCorpus, SyntheticCorpusBuilder};
     use ndss_hash::jaccard::distinct_jaccard;
     use ndss_index::{IndexAccess, IndexConfig, MemoryIndex};
@@ -183,7 +183,7 @@ mod tests {
             .build();
         let config = IndexConfig::new(8, 10, 777);
         let index = MemoryIndex::build(&corpus, config).unwrap();
-        let searcher = NearDupSearcher::new(&index).unwrap();
+        let searcher = ShardedSearcher::single(&index, PrefixFilter::Disabled).unwrap();
         let hasher = index.config().hasher();
 
         let query = corpus.text(3)[5..35].to_vec();

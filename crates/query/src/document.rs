@@ -17,6 +17,7 @@ use std::collections::BTreeMap;
 use ndss_corpus::{SeqSpan, TextId};
 use ndss_hash::TokenId;
 
+use crate::search::merge_spans;
 use crate::sharded::ShardedSearcher;
 use crate::QueryError;
 
@@ -117,19 +118,6 @@ impl ShardedSearcher<'_> {
         });
         Ok(out)
     }
-}
-
-/// Merges possibly-overlapping spans into maximal disjoint spans.
-fn merge_spans(mut spans: Vec<SeqSpan>) -> Vec<SeqSpan> {
-    spans.sort_unstable();
-    let mut merged: Vec<SeqSpan> = Vec::new();
-    for s in spans {
-        match merged.last_mut() {
-            Some(last) if last.touches(&s) => last.end = last.end.max(s.end),
-            _ => merged.push(s),
-        }
-    }
-    merged
 }
 
 #[cfg(test)]

@@ -22,10 +22,9 @@
 //! [`crate::ShardedSearcher::search_all`] makes a failed batch stop its
 //! in-flight queries promptly instead of letting them run to completion.
 //!
-//! An unlimited budget (the default for [`crate::NearDupSearcher::search`])
-//! costs one branch per checkpoint: limits are pre-resolved into a
-//! `limited` flag at query start, so the governed path is the only path:
-//! `search` is `search_governed` with an unlimited budget.
+//! [`crate::ShardedSearcher::search`] is `search_governed` with an
+//! unlimited budget, which costs one branch per checkpoint: limits are
+//! pre-resolved into a `limited` flag at query start.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -31,7 +31,7 @@
 //! ```
 //! use ndss_corpus::InMemoryCorpus;
 //! use ndss_index::{IndexConfig, MemoryIndex};
-//! use ndss_query::NearDupSearcher;
+//! use ndss_query::{PrefixFilter, ShardedSearcher};
 //!
 //! // Text 1 repeats a 30-token span of text 0.
 //! let shared: Vec<u32> = (1000..1030).collect();
@@ -42,7 +42,7 @@
 //! let corpus = InMemoryCorpus::from_texts(vec![t0, t1]);
 //!
 //! let index = MemoryIndex::build(&corpus, IndexConfig::new(16, 20, 7)).unwrap();
-//! let searcher = NearDupSearcher::new(&index).unwrap();
+//! let searcher = ShardedSearcher::single(&index, PrefixFilter::default()).unwrap();
 //! let outcome = searcher.search(&shared, 0.9).unwrap();
 //! let texts: Vec<u32> = outcome.matches.iter().map(|m| m.text).collect();
 //! assert_eq!(texts, vec![0, 1]);
@@ -72,9 +72,7 @@ pub use document::{DocumentMatch, DocumentScan};
 pub use governor::{CancelToken, QueryBudget, Resource};
 pub use interval::{interval_scan, Interval, ScanHit};
 pub use planner::{plan_query, QueryPlan};
-pub use search::{
-    rank, NearDupSearcher, PrefixFilter, QueryStats, RankedMatch, SearchOutcome, TextMatch,
-};
+pub use search::{rank, PrefixFilter, QueryStats, RankedMatch, SearchOutcome, TextMatch};
 pub use serving::{ServingIndex, ServingOptions};
 pub use sharded::{FaultPolicy, ShardedIndex, ShardedSearcher};
 

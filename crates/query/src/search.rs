@@ -4,8 +4,7 @@
 use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
-use ndss_corpus::{CorpusSource, SeqRef, SeqSpan, TextId};
-use ndss_hash::jaccard::distinct_jaccard;
+use ndss_corpus::{SeqRef, SeqSpan, TextId};
 use ndss_hash::minhash::collision_threshold;
 use ndss_hash::{MinHasher, Sketch, TokenId};
 use ndss_index::{
@@ -37,11 +36,8 @@ pub enum PrefixFilter {
 impl Default for PrefixFilter {
     /// The top 5% of each function's lists are long: the low end of the
     /// paper's Figure 3(d) sweep and what every ledger number is measured
-    /// with. `SearchParams::new`, `ndss search`, `ndss memorize` and the
-    /// daemon's default configuration use it. The two constructors that
-    /// take no filter, [`NearDupSearcher::new`] and
-    /// [`crate::ShardedIndex::searcher`], search unfiltered
-    /// ([`PrefixFilter::Disabled`]).
+    /// with. `ndss search`, `ndss memorize` and the daemon's default
+    /// configuration use it.
     fn default() -> Self {
         PrefixFilter::FrequentFraction(0.05)
     }
@@ -190,27 +186,32 @@ impl TextMatch {
     /// the paper's Remark ("we merge the overlapping near-duplicate
     /// sequences such that all the sequences we report are disjoint").
     pub fn merged_spans(&self, t: u32) -> Vec<SeqSpan> {
-        let mut spans: Vec<SeqSpan> = self
-            .rects
-            .iter()
-            .filter_map(|r| r.covered_span(t))
-            .map(|(lo, hi)| SeqSpan::new(lo, hi))
-            .collect();
-        spans.sort_unstable();
-        let mut merged: Vec<SeqSpan> = Vec::new();
-        for s in spans {
-            match merged.last_mut() {
-                Some(last) if last.touches(&s) => last.end = last.end.max(s.end),
-                _ => merged.push(s),
-            }
-        }
-        merged
+        merge_spans(
+            self.rects
+                .iter()
+                .filter_map(|r| r.covered_span(t))
+                .map(|(lo, hi)| SeqSpan::new(lo, hi))
+                .collect(),
+        )
     }
 
     /// The highest collision count among this text's rectangles.
     pub fn best_collisions(&self) -> u32 {
         self.rects.iter().map(|r| r.collisions).max().unwrap_or(0)
     }
+}
+
+/// Merges possibly-overlapping spans into maximal disjoint spans.
+pub(crate) fn merge_spans(mut spans: Vec<SeqSpan>) -> Vec<SeqSpan> {
+    spans.sort_unstable();
+    let mut merged: Vec<SeqSpan> = Vec::new();
+    for s in spans {
+        match merged.last_mut() {
+            Some(last) if last.touches(&s) => last.end = last.end.max(s.end),
+            _ => merged.push(s),
+        }
+    }
+    merged
 }
 
 /// One entry of a ranked search: a matched text with its best collision
@@ -739,129 +740,12 @@ pub(crate) fn search_index<I: IndexAccess + ?Sized>(
     Ok(stopped)
 }
 
-/// The query processor over one index: the index and its plan (the hash
-/// bank and the long-list cutoffs its prefix filter implies).
-pub struct NearDupSearcher<'a, I: IndexAccess + ?Sized> {
-    index: &'a I,
-    plan: Plan,
-}
-
-impl<'a, I: IndexAccess + ?Sized> NearDupSearcher<'a, I> {
-    /// A searcher with prefix filtering disabled
-    /// ([`PrefixFilter::Disabled`], not [`PrefixFilter::default`]).
-    pub fn new(index: &'a I) -> Result<Self, QueryError> {
-        Self::with_prefix_filter(index, PrefixFilter::Disabled)
-    }
-
-    /// A searcher with the given prefix-filtering policy. Percentile
-    /// cutoffs are computed once from the index's list-length histograms.
-    pub fn with_prefix_filter(index: &'a I, filter: PrefixFilter) -> Result<Self, QueryError> {
-        let plan = Plan::new(index.config(), filter, |f| index.list_length_histogram(f))?;
-        Ok(Self { index, plan })
-    }
-
-    /// The searcher's hash bank (shared with sketch-producing callers).
-    pub fn hasher(&self) -> &MinHasher {
-        &self.plan.hasher
-    }
-
-    /// Runs Algorithm 3: finds all sequences (length ≥ t) colliding with
-    /// `query` on at least `β = ⌈kθ⌉` hash functions. Sound and complete
-    /// for the approximate problem (Theorem 2). Equivalent to
-    /// [`Self::search_governed`] with an unlimited [`QueryBudget`].
-    pub fn search(&self, query: &[TokenId], theta: f64) -> Result<SearchOutcome, QueryError> {
-        self.search_inner(query, theta, &QueryBudget::unlimited(), None)
-    }
-
-    /// Like [`Self::search`], but checks `budget` cooperatively at stage
-    /// boundaries and inside the posting-list / candidate loops. When a
-    /// dimension runs out the query stops at the next checkpoint and
-    /// returns [`QueryError::BudgetExceeded`] carrying the verified
-    /// matches found so far (a sound subset of the full result set,
-    /// flagged [`SearchOutcome::complete`]` = false`).
-    pub fn search_governed(
-        &self,
-        query: &[TokenId],
-        theta: f64,
-        budget: &QueryBudget,
-    ) -> Result<SearchOutcome, QueryError> {
-        self.search_inner(query, theta, budget, None)
-    }
-
-    /// [`Self::search_governed`] with a [`CancelToken`] observed at every
-    /// checkpoint: when another thread cancels the token, the query
-    /// abandons work promptly and returns [`QueryError::Cancelled`].
-    pub fn search_cancellable(
-        &self,
-        query: &[TokenId],
-        theta: f64,
-        budget: &QueryBudget,
-        cancel: &CancelToken,
-    ) -> Result<SearchOutcome, QueryError> {
-        self.search_inner(query, theta, budget, Some(cancel))
-    }
-
-    fn search_inner(
-        &self,
-        query: &[TokenId],
-        theta: f64,
-        budget: &QueryBudget,
-        cancel: Option<&CancelToken>,
-    ) -> Result<SearchOutcome, QueryError> {
-        self.plan
-            .run(query, theta, budget, cancel, |sketch, tracker, io, out| {
-                search_index(self.index, 0, &self.plan, sketch, tracker, io, out)
-            })
-    }
-
-    /// Ranks an outcome's matches by best collision count; callers outside
-    /// the ledger use [`rank`].
-    #[doc(hidden)]
-    pub fn rank(&self, outcome: &SearchOutcome, limit: usize) -> Vec<RankedMatch> {
-        rank(outcome, self.plan.hasher.k(), limit)
-    }
-
-    /// Definition 1 mode: runs the approximate search, then verifies each
-    /// enumerated candidate's true distinct Jaccard similarity against the
-    /// corpus, returning only sequences with `J(Q, ·) ≥ θ`.
-    ///
-    /// Enumeration is quadratic in rectangle sides; `max_candidates` bounds
-    /// the work (an `Err` is returned when exceeded so callers never get
-    /// silently truncated results).
-    pub fn search_verified<C: CorpusSource + ?Sized>(
-        &self,
-        query: &[TokenId],
-        theta: f64,
-        corpus: &C,
-        max_candidates: usize,
-    ) -> Result<(Vec<SeqRef>, QueryStats), QueryError> {
-        let outcome = self.search(query, theta)?;
-        let total = outcome.total_sequences();
-        if total > max_candidates as u64 {
-            return Err(QueryError::TooManyCandidates {
-                found: total,
-                cap: max_candidates,
-            });
-        }
-        let mut verified = Vec::new();
-        let mut text_buf = Vec::new();
-        for m in &outcome.matches {
-            corpus.read_text(m.text, &mut text_buf)?;
-            for span in m.enumerate(outcome.t) {
-                let seq = span.slice(&text_buf);
-                if distinct_jaccard(query, seq) + 1e-12 >= theta {
-                    verified.push(SeqRef { text: m.text, span });
-                }
-            }
-        }
-        Ok((verified, outcome.stats))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ndss_corpus::{InMemoryCorpus, SyntheticCorpusBuilder};
+    use crate::ShardedSearcher;
+    use ndss_corpus::{CorpusSource, InMemoryCorpus, SyntheticCorpusBuilder};
+    use ndss_hash::jaccard::distinct_jaccard;
     use ndss_index::{IndexConfig, MemoryIndex};
 
     fn build_index(corpus: &InMemoryCorpus, k: usize, t: usize) -> MemoryIndex {
@@ -910,7 +794,7 @@ mod tests {
             .mutation_rate(0.0)
             .build();
         let index = build_index(&corpus, 16, 25);
-        let searcher = NearDupSearcher::new(&index).unwrap();
+        let searcher = ShardedSearcher::single(&index, PrefixFilter::Disabled).unwrap();
         let p = planted.first().expect("duplicates planted");
         let query = corpus.sequence_to_vec(p.dst).unwrap();
         let outcome = searcher.search(&query, 0.9).unwrap();
@@ -932,7 +816,7 @@ mod tests {
             .vocab_size(100_000)
             .build();
         let index = build_index(&corpus, 16, 25);
-        let searcher = NearDupSearcher::new(&index).unwrap();
+        let searcher = ShardedSearcher::single(&index, PrefixFilter::Disabled).unwrap();
         // A fresh random sequence over a huge vocab shares nothing.
         let query: Vec<u32> = (900_000..900_064).collect();
         let outcome = searcher.search(&query, 0.8).unwrap();
@@ -951,12 +835,10 @@ mod tests {
             .mutation_rate(0.05)
             .build();
         let index = build_index(&corpus, 16, 20);
-        let plain = NearDupSearcher::new(&index).unwrap();
+        let plain = ShardedSearcher::single(&index, PrefixFilter::Disabled).unwrap();
         let filtered =
-            NearDupSearcher::with_prefix_filter(&index, PrefixFilter::FrequentFraction(0.10))
-                .unwrap();
-        let strict =
-            NearDupSearcher::with_prefix_filter(&index, PrefixFilter::MaxListLen(8)).unwrap();
+            ShardedSearcher::single(&index, PrefixFilter::FrequentFraction(0.10)).unwrap();
+        let strict = ShardedSearcher::single(&index, PrefixFilter::MaxListLen(8)).unwrap();
         for p in planted.iter().take(10) {
             let query = corpus.sequence_to_vec(p.dst).unwrap();
             for theta in [0.7, 0.8, 0.95] {
@@ -980,7 +862,7 @@ mod tests {
             .duplicates_per_text(0.0)
             .build();
         let index = build_index(&corpus, 32, 25);
-        let searcher = NearDupSearcher::new(&index).unwrap();
+        let searcher = ShardedSearcher::single(&index, PrefixFilter::Disabled).unwrap();
         let text5 = corpus.text(5);
         let query = &text5[10..60]; // 50 tokens ≥ t
         let outcome = searcher.search(query, 1.0).unwrap();
@@ -1001,7 +883,7 @@ mod tests {
             .mutation_rate(0.0)
             .build();
         let index = build_index(&corpus, 32, 25);
-        let searcher = NearDupSearcher::new(&index).unwrap();
+        let searcher = ShardedSearcher::single(&index, PrefixFilter::Disabled).unwrap();
         let p = planted.first().unwrap();
         let query = corpus.sequence_to_vec(p.dst).unwrap();
         let (verified, _) = searcher
@@ -1022,7 +904,7 @@ mod tests {
             .mutation_rate(0.02)
             .build();
         let index = build_index(&corpus, 16, 25);
-        let searcher = NearDupSearcher::new(&index).unwrap();
+        let searcher = ShardedSearcher::single(&index, PrefixFilter::Disabled).unwrap();
         let p = planted.first().unwrap();
         let query = corpus.sequence_to_vec(p.dst).unwrap();
         let outcome = searcher.search(&query, 0.8).unwrap();
@@ -1048,7 +930,7 @@ mod tests {
     fn rejects_bad_inputs() {
         let (corpus, _) = SyntheticCorpusBuilder::new(47).num_texts(5).build();
         let index = build_index(&corpus, 4, 25);
-        let searcher = NearDupSearcher::new(&index).unwrap();
+        let searcher = ShardedSearcher::single(&index, PrefixFilter::Disabled).unwrap();
         assert!(matches!(
             searcher.search(&[], 0.8),
             Err(QueryError::EmptyQuery)
@@ -1071,7 +953,7 @@ mod tests {
             .mutation_rate(0.08)
             .build();
         let index = build_index(&corpus, 32, 25);
-        let searcher = NearDupSearcher::new(&index).unwrap();
+        let searcher = ShardedSearcher::single(&index, PrefixFilter::Disabled).unwrap();
         let p = planted.first().unwrap();
         let query = corpus.sequence_to_vec(p.dst).unwrap();
         let high = searcher.search(&query, 0.9).unwrap().total_sequences();
@@ -1088,8 +970,8 @@ mod tests {
             .mutation_rate(0.05)
             .build();
         let index = build_index(&corpus, 16, 20);
-        let plain = NearDupSearcher::new(&index).unwrap();
-        let adaptive = NearDupSearcher::with_prefix_filter(&index, PrefixFilter::Adaptive).unwrap();
+        let plain = ShardedSearcher::single(&index, PrefixFilter::Disabled).unwrap();
+        let adaptive = ShardedSearcher::single(&index, PrefixFilter::Adaptive).unwrap();
         for p in planted.iter().take(8) {
             let query = corpus.sequence_to_vec(p.dst).unwrap();
             for theta in [0.7, 0.9, 1.0] {
@@ -1110,7 +992,7 @@ mod tests {
             .mutation_rate(0.05)
             .build();
         let index = build_index(&corpus, 32, 25);
-        let searcher = NearDupSearcher::new(&index).unwrap();
+        let searcher = ShardedSearcher::single(&index, PrefixFilter::Disabled).unwrap();
         let p = planted.first().unwrap();
         let query = corpus.sequence_to_vec(p.dst).unwrap();
         let outcome = searcher.search(&query, 0.7).unwrap();
@@ -1161,11 +1043,8 @@ mod tests {
         let corpus = InMemoryCorpus::from_texts(vec![vec![1u32, 2, 3]]); // < t: no windows
         let index = build_index(&corpus, 8, 25);
         for fraction in [0.0, 0.05, 1.0] {
-            let s = NearDupSearcher::with_prefix_filter(
-                &index,
-                PrefixFilter::FrequentFraction(fraction),
-            )
-            .unwrap();
+            let s =
+                ShardedSearcher::single(&index, PrefixFilter::FrequentFraction(fraction)).unwrap();
             let outcome = s.search(&(0..40).collect::<Vec<u32>>(), 0.8).unwrap();
             assert_eq!(outcome.num_texts(), 0);
             assert!(outcome.complete);
@@ -1179,7 +1058,7 @@ mod tests {
             .duplicates_per_text(1.0)
             .build();
         let index = build_index(&corpus, 16, 25);
-        let searcher = NearDupSearcher::new(&index).unwrap();
+        let searcher = ShardedSearcher::single(&index, PrefixFilter::Disabled).unwrap();
         let p = planted.first().unwrap();
         let query = corpus.sequence_to_vec(p.dst).unwrap();
         let plain = searcher.search(&query, 0.8).unwrap();
@@ -1201,7 +1080,7 @@ mod tests {
             .mutation_rate(0.05)
             .build();
         let index = build_index(&corpus, 16, 25);
-        let searcher = NearDupSearcher::new(&index).unwrap();
+        let searcher = ShardedSearcher::single(&index, PrefixFilter::Disabled).unwrap();
         let p = planted.first().unwrap();
         let query = corpus.sequence_to_vec(p.dst).unwrap();
         let full = searcher.search(&query, 0.7).unwrap();
@@ -1243,7 +1122,7 @@ mod tests {
             .duplicates_per_text(1.0)
             .build();
         let index = build_index(&corpus, 8, 25);
-        let searcher = NearDupSearcher::new(&index).unwrap();
+        let searcher = ShardedSearcher::single(&index, PrefixFilter::Disabled).unwrap();
         let query = corpus.sequence_to_vec(planted[0].dst).unwrap();
         let budget = QueryBudget::unlimited().time_limit(Duration::ZERO);
         match searcher.search_governed(&query, 0.8, &budget) {
@@ -1263,7 +1142,7 @@ mod tests {
             .duplicates_per_text(1.0)
             .build();
         let index = build_index(&corpus, 8, 25);
-        let searcher = NearDupSearcher::new(&index).unwrap();
+        let searcher = ShardedSearcher::single(&index, PrefixFilter::Disabled).unwrap();
         let query = corpus.sequence_to_vec(planted[0].dst).unwrap();
         let token = CancelToken::new();
         token.cancel();
@@ -1280,7 +1159,7 @@ mod tests {
             .duplicates_per_text(1.0)
             .build();
         let index = build_index(&corpus, 8, 25);
-        let searcher = NearDupSearcher::new(&index).unwrap();
+        let searcher = ShardedSearcher::single(&index, PrefixFilter::Disabled).unwrap();
         let p = planted.first().unwrap();
         let query = corpus.sequence_to_vec(p.dst).unwrap();
         let outcome = searcher.search(&query, 0.8).unwrap();

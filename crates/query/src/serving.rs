@@ -8,13 +8,13 @@
 //! [`ServingIndex::reload`]. The view is a [`ShardedIndex`] — a plain
 //! directory is simply the one-segment case — so the whole serving stack
 //! runs one path. Queries *pin* a snapshot for their entire execution
-//! (`serving.snapshot().searcher()?…`: the lane set borrows the pinned
-//! `Arc`) — a batch runs start to finish against one view, so no query
-//! ever observes postings from two manifest generations — while new
-//! queries arriving after a reload see the new view immediately. The old
-//! view's memory and file handles drop when its last in-flight query
-//! finishes (plain `Arc` reference counting; there is no explicit drain
-//! step to get wrong).
+//! (`serving.snapshot().searcher_with_filter(filter)?…`: the lane set
+//! borrows the pinned `Arc`) — a batch runs start to finish against one
+//! view, so no query ever observes postings from two manifest
+//! generations — while new queries arriving after a reload see the new
+//! view immediately. The old view's memory and file handles drop when its
+//! last in-flight query finishes (plain `Arc` reference counting; there is
+//! no explicit drain step to get wrong).
 //!
 //! The resolved identity is the whole `(manifest generation, segment
 //! directories)` tuple read from the single atomically-published

@@ -1,6 +1,6 @@
-//! The lane set and its one scatter: every search over more than one
-//! index — a store's segments, a disk view plus memtable segments, a batch, a
-//! served request — runs the code in this file (DESIGN.md §4d).
+//! The lane set and its one scatter: every search — over one index, a
+//! store's segments, a disk view plus memtable segments, a batch, a served
+//! request — runs the code in this file (DESIGN.md §4d).
 //!
 //! Algorithm 3 and CollisionCount decide every text on its own (Theorem 2
 //! holds per text), so the answer over a corpus cut into contiguous
@@ -40,7 +40,8 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use ndss_corpus::TextId;
+use ndss_corpus::{CorpusSource, SeqRef, TextId};
+use ndss_hash::jaccard::distinct_jaccard;
 use ndss_hash::TokenId;
 use ndss_index::store::{parse_segment_name, ViewIdentity};
 use ndss_index::{
@@ -49,7 +50,7 @@ use ndss_index::{
 
 use crate::breaker::{classify, Admission, BreakerConfig, DegradedShard, ShardHealth};
 use crate::governor::{CancelToken, QueryBudget};
-use crate::search::{search_index, Plan, PrefixFilter, RankedMatch, SearchOutcome};
+use crate::search::{search_index, Plan, PrefixFilter, QueryStats, RankedMatch, SearchOutcome};
 use crate::serving::ServingOptions;
 use crate::QueryError;
 
@@ -187,13 +188,6 @@ impl ShardedIndex {
     /// it.
     pub fn health(&self) -> &Arc<ShardHealth> {
         &self.health
-    }
-
-    /// The view's lane set searched unfiltered ([`PrefixFilter::Disabled`],
-    /// not [`PrefixFilter::default`]); callers that want the default name it
-    /// through [`Self::searcher_with_filter`].
-    pub fn searcher(&self) -> Result<ShardedSearcher<'_>, QueryError> {
-        self.searcher_with_filter(PrefixFilter::Disabled)
     }
 
     /// The view's lane set — one lane per shard — with the given
@@ -337,8 +331,7 @@ impl<'a> ShardedSearcher<'a> {
     /// [`Self::search`] under a budget: one tracker for the whole query,
     /// its caps the caller's caps, and a tripped budget yields a sound
     /// text-order prefix of the full result (carried in
-    /// [`QueryError::BudgetExceeded`], exactly like the single-index
-    /// searcher).
+    /// [`QueryError::BudgetExceeded`]).
     pub fn search_governed(
         &self,
         query: &[TokenId],
@@ -346,6 +339,55 @@ impl<'a> ShardedSearcher<'a> {
         budget: &QueryBudget,
     ) -> Result<SearchOutcome, QueryError> {
         self.scatter(query, theta, budget, None)
+    }
+
+    /// [`Self::search_governed`] with a [`CancelToken`] observed at every
+    /// checkpoint: when another thread cancels the token, the query
+    /// abandons work promptly and returns [`QueryError::Cancelled`].
+    pub fn search_cancellable(
+        &self,
+        query: &[TokenId],
+        theta: f64,
+        budget: &QueryBudget,
+        cancel: &CancelToken,
+    ) -> Result<SearchOutcome, QueryError> {
+        self.scatter(query, theta, budget, Some(cancel))
+    }
+
+    /// Definition 1 mode: runs the approximate search, then verifies each
+    /// enumerated sequence's true distinct Jaccard similarity against
+    /// `corpus`, read by the global text ids the lanes return, keeping only
+    /// sequences with `J(Q, ·) ≥ θ`.
+    ///
+    /// Enumeration is quadratic in rectangle sides; `max_candidates` bounds
+    /// the work (an `Err` is returned when exceeded so callers never get
+    /// silently truncated results).
+    pub fn search_verified<C: CorpusSource + ?Sized>(
+        &self,
+        query: &[TokenId],
+        theta: f64,
+        corpus: &C,
+        max_candidates: usize,
+    ) -> Result<(Vec<SeqRef>, QueryStats), QueryError> {
+        let outcome = self.search(query, theta)?;
+        let total = outcome.total_sequences();
+        if total > max_candidates as u64 {
+            return Err(QueryError::TooManyCandidates {
+                found: total,
+                cap: max_candidates,
+            });
+        }
+        let mut verified = Vec::new();
+        let mut text_buf = Vec::new();
+        for m in &outcome.matches {
+            corpus.read_text(m.text, &mut text_buf)?;
+            for span in m.enumerate(outcome.t) {
+                if distinct_jaccard(query, span.slice(&text_buf)) + 1e-12 >= theta {
+                    verified.push(SeqRef { text: m.text, span });
+                }
+            }
+        }
+        Ok((verified, outcome.stats))
     }
 
     /// Runs every query at threshold `theta`; `results[i]` corresponds to
@@ -518,7 +560,6 @@ impl<'a> ShardedSearcher<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NearDupSearcher;
     use ndss_corpus::{CorpusSource, InMemoryCorpus, SyntheticCorpusBuilder};
     use ndss_index::{IngestIndex, IngestOptions, MemoryIndex};
 
@@ -541,7 +582,7 @@ mod tests {
         let (corpus, queries) = workload();
         let index = MemoryIndex::build(&corpus, IndexConfig::new(16, 25, 9)).unwrap();
 
-        let serial = NearDupSearcher::new(&index).unwrap();
+        let serial = ShardedSearcher::single(&index, PrefixFilter::Disabled).unwrap();
         let expected: Vec<_> = queries
             .iter()
             .map(|q| serial.search(q, 0.8).unwrap().enumerate_all())
@@ -584,7 +625,7 @@ mod tests {
     fn isolate_mode_confines_a_poisoned_query() {
         let (corpus, mut queries) = workload();
         let index = MemoryIndex::build(&corpus, IndexConfig::new(16, 25, 9)).unwrap();
-        let serial = NearDupSearcher::new(&index).unwrap();
+        let serial = ShardedSearcher::single(&index, PrefixFilter::Disabled).unwrap();
         let expected: Vec<_> = queries
             .iter()
             .map(|q| serial.search(q, 0.8).unwrap().enumerate_all())
@@ -652,11 +693,11 @@ mod tests {
             .unwrap()
         };
         let (first15, full) = (build(15), build(20));
-        let reference = NearDupSearcher::new(&full).unwrap();
+        let reference = ShardedSearcher::single(&full, PrefixFilter::Disabled).unwrap();
 
         let stale = ShardedIndex::open(&root).unwrap();
         assert_eq!(stale.num_texts(), 10);
-        let mut overlaid = stale.searcher().unwrap();
+        let mut overlaid = stale.searcher_with_filter(PrefixFilter::Disabled).unwrap();
         let mut ahead = ShardedSearcher::single(&first15, PrefixFilter::Disabled).unwrap();
         for segment in ingest.segments() {
             overlaid.push_segment(segment);
@@ -678,9 +719,9 @@ mod tests {
         std::fs::remove_dir_all(&root).ok();
     }
 
-    /// The constructors that take no filter search unfiltered; the default
-    /// filter is one callers name. On a skewed corpus the default defers
-    /// long lists, and the unfiltered searchers never do.
+    /// The unfiltered plan ([`PrefixFilter::Disabled`]) defers no list, on
+    /// one index or a view; the default filter, which callers name, defers
+    /// long lists on a skewed corpus. All three answer alike.
     #[test]
     fn unnamed_filter_is_disabled_and_the_default_defers_long_lists() {
         let (corpus, planted) = SyntheticCorpusBuilder::new(73)
@@ -693,16 +734,16 @@ mod tests {
         ndss_index::build_and_write(&corpus, IndexConfig::new(16, 25, 3), &dir, false).unwrap();
         let view = ShardedIndex::open(&dir).unwrap();
         let disk = DiskIndex::open(&dir).unwrap();
-        let plain = NearDupSearcher::new(&disk).unwrap();
-        let unfiltered = view.searcher().unwrap();
+        let plain = ShardedSearcher::single(&disk, PrefixFilter::Disabled).unwrap();
+        let unfiltered = view.searcher_with_filter(PrefixFilter::Disabled).unwrap();
         let default = view.searcher_with_filter(PrefixFilter::default()).unwrap();
         let mut deferred = 0;
         for p in planted.iter().take(8) {
             let query = corpus.sequence_to_vec(p.dst).unwrap();
             let want = plain.search(&query, 0.8).unwrap();
-            assert_eq!(want.stats.lists_long, 0, "NearDupSearcher::new");
+            assert_eq!(want.stats.lists_long, 0, "one index");
             let got = unfiltered.search(&query, 0.8).unwrap();
-            assert_eq!(got.stats.lists_long, 0, "ShardedIndex::searcher");
+            assert_eq!(got.stats.lists_long, 0, "a view");
             let filtered = default.search(&query, 0.8).unwrap();
             assert_eq!(filtered.matches, want.matches);
             deferred += filtered.stats.lists_long;

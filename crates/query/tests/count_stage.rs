@@ -1,4 +1,4 @@
-//! What the count stage of `search_inner` rests on, pinned from outside the
+//! What the count stage of `search::search_index` rests on, pinned from outside the
 //! crate:
 //!
 //! * the invariant behind its distinct-function bound — the windows one
@@ -26,7 +26,7 @@ use ndss_index::{
     MemoryIndex, Posting,
 };
 use ndss_query::bruteforce::definition2_scan;
-use ndss_query::{NearDupSearcher, PrefixFilter, TextMatch};
+use ndss_query::{PrefixFilter, ShardedSearcher, TextMatch};
 use ndss_windows::{CompactWindow, WindowGenerator};
 
 use common::{HandBuilt, Rng};
@@ -164,9 +164,8 @@ fn search_equals_the_oracle_where_postings_outnumber_functions() {
         let (k, t) = (12, 5 + (seed % 3) as usize);
         let index = MemoryIndex::build(&corpus, IndexConfig::new(k, t, 77 + seed)).unwrap();
         let hasher = index.config().hasher();
-        let plain = NearDupSearcher::new(&index).unwrap();
-        let filtered =
-            NearDupSearcher::with_prefix_filter(&index, PrefixFilter::MaxListLen(40)).unwrap();
+        let plain = ShardedSearcher::single(&index, PrefixFilter::Disabled).unwrap();
+        let filtered = ShardedSearcher::single(&index, PrefixFilter::MaxListLen(40)).unwrap();
         for _ in 0..6 {
             let from = &texts[rng.below(texts.len() as u64) as usize];
             let at = rng.below((from.len() - 12) as u64) as usize;
@@ -269,13 +268,13 @@ fn sparse_text_ids_are_answered_like_dense_ones() {
         PrefixFilter::MaxListLen(TEXTS as u64),
     ] {
         for theta in [0.3, 0.5] {
-            let want = NearDupSearcher::with_prefix_filter(&dense, filter)
+            let want = ShardedSearcher::single(&dense, filter)
                 .unwrap()
                 .search(&query, theta)
                 .unwrap();
             assert!(want.matches.len() > 20, "the lists produce too few matches");
             let start = Instant::now();
-            let got = NearDupSearcher::with_prefix_filter(&sparse, filter)
+            let got = ShardedSearcher::single(&sparse, filter)
                 .unwrap()
                 .search(&query, theta)
                 .unwrap();

@@ -1,4 +1,4 @@
-//! The gather stage of `search_inner` — candidate generation by the prefix
+//! The gather stage of `search::search_index` — candidate generation by the prefix
 //! bound — pinned from outside the crate over hand-built lists:
 //!
 //! * its candidate set is exactly the texts named by ≥ α₀ distinct short
@@ -30,7 +30,7 @@ use ndss_corpus::TextId;
 use ndss_hash::minhash::collision_threshold;
 use ndss_hash::TokenId;
 use ndss_index::{IndexConfig, Posting};
-use ndss_query::{collision_count, NearDupSearcher, PrefixFilter, SearchOutcome, TextMatch};
+use ndss_query::{collision_count, PrefixFilter, SearchOutcome, ShardedSearcher, TextMatch};
 use ndss_windows::CompactWindow;
 
 use common::{HandBuilt, Rng};
@@ -61,7 +61,7 @@ fn hand_built(lists: Vec<Vec<Posting>>) -> HandBuilt {
 }
 
 fn search(index: &HandBuilt, filter: PrefixFilter, theta: f64) -> SearchOutcome {
-    NearDupSearcher::with_prefix_filter(index, filter)
+    ShardedSearcher::single(index, filter)
         .unwrap()
         .search(&query(), theta)
         .unwrap()

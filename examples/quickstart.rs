@@ -33,18 +33,18 @@ fn main() {
     //    study).
     println!("building index (k = 32, t = 25)…");
     let start = std::time::Instant::now();
-    let index = CorpusIndex::build_in_memory_parallel(&corpus, SearchParams::new(32, 25, 7))
-        .expect("index build");
+    let index =
+        MemoryIndex::build_parallel(&corpus, IndexConfig::new(32, 25, 7)).expect("index build");
     println!(
         "  built in {:.2?}: {} postings across {} inverted indexes",
         start.elapsed(),
-        index.index().total_postings(),
+        index.total_postings(),
         index.config().k
     );
 
     // 3. Query with a mutated copy of a planted duplicate — the searcher
-    //    must find the original.
-    let searcher = index.searcher().expect("searcher");
+    //    (the paper's 5% prefix filter) must find the original.
+    let searcher = ShardedSearcher::single(&index, PrefixFilter::default()).expect("searcher");
     let p = &planted[0];
     let query = corpus.sequence_to_vec(p.dst).expect("planted span");
     println!(
@@ -79,7 +79,7 @@ fn main() {
 
     // 4. Verified mode: keep only sequences whose *true* distinct Jaccard
     //    similarity reaches the threshold.
-    let (verified, _) = index
+    let (verified, _) = searcher
         .search_verified(&query, 0.8, &corpus, 1_000_000)
         .expect("verified search");
     println!(

@@ -2,8 +2,8 @@
 //! (as separate machines would), merge them into one index, and verify the
 //! merged index answers exactly like an index built over the whole corpus.
 //!
-//! Also demonstrates the compressed (v4) storage format and the parallel
-//! batch-search API.
+//! Also demonstrates the compressed (v4) storage format and batch search
+//! on the lane set (`ShardedSearcher::search_all`).
 //!
 //! ```text
 //! cargo run -p ndss-examples --release --example shard_and_merge
@@ -64,8 +64,7 @@ fn main() {
     );
 
     // Reference: a direct build over the whole corpus.
-    let reference =
-        CorpusIndex::build_in_memory_parallel(&corpus, SearchParams::new(16, 25, 99)).unwrap();
+    let reference = MemoryIndex::build_parallel(&corpus, IndexConfig::new(16, 25, 99)).unwrap();
 
     // Compare on a batch of planted-duplicate queries (parallel search).
     let queries: Vec<Vec<TokenId>> = planted
@@ -73,12 +72,19 @@ fn main() {
         .take(50)
         .map(|p| corpus.sequence_to_vec(p.dst).unwrap())
         .collect();
-    let merged_index = CorpusIndex::open(&merged_dir, PrefixFilter::default()).unwrap();
-    let threads = ndss::parallel::default_threads();
+    let merged_index = ShardedIndex::open(&merged_dir).unwrap();
+    let filter = PrefixFilter::default();
     let t = std::time::Instant::now();
-    let merged_results = merged_index.search_batch(&queries, 0.8, threads).unwrap();
+    let merged_results = merged_index
+        .searcher_with_filter(filter)
+        .unwrap()
+        .search_all(&queries, 0.8)
+        .unwrap();
     let batch_time = t.elapsed();
-    let reference_results = reference.search_batch(&queries, 0.8, threads).unwrap();
+    let reference_results = ShardedSearcher::single(&reference, filter)
+        .unwrap()
+        .search_all(&queries, 0.8)
+        .unwrap();
 
     let mut agree = 0usize;
     for (a, b) in merged_results.iter().zip(&reference_results) {

@@ -87,9 +87,9 @@ fn workload(seed: u64) -> (InMemoryCorpus, Vec<Vec<TokenId>>) {
     (corpus, queries)
 }
 
-/// The same query set through `ShardedSearcher::single` at 1/4/8 threads returns
-/// results identical to a serial `NearDupSearcher` loop, in input order,
-/// against a disk index (positioned reads + shared caches).
+/// The same query set through `ShardedSearcher::single` at 1/4/8 threads
+/// returns results identical to a serial `search` loop, in input order,
+/// against a disk index (mapped reads + shared caches).
 #[test]
 fn batch_results_identical_to_serial_on_disk_index() {
     let _registry = registry_lock();
@@ -98,7 +98,7 @@ fn batch_results_identical_to_serial_on_disk_index() {
     ndss::index::build_and_write(&corpus, IndexConfig::new(16, 25, 5), &dir, true).unwrap();
     let index = DiskIndex::open(&dir).unwrap();
 
-    let serial = NearDupSearcher::new(&index).unwrap();
+    let serial = ShardedSearcher::single(&index, PrefixFilter::Disabled).unwrap();
     let expected: Vec<_> = queries
         .iter()
         .map(|q| {
@@ -145,7 +145,7 @@ fn per_query_io_sums_to_global_counters_without_bleed() {
         let index = DiskIndex::open_with_cache(&dir, CacheConfig::disabled()).unwrap();
         let filter = PrefixFilter::default();
 
-        let serial = NearDupSearcher::with_prefix_filter(&index, filter).unwrap();
+        let serial = ShardedSearcher::single(&index, filter).unwrap();
         let before = folded();
         let outcomes: Vec<SearchOutcome> = queries
             .iter()

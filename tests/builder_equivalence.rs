@@ -192,15 +192,17 @@ fn reopened_index_answers_identically() {
         .mutation_rate(0.03)
         .build();
     let dir = scratch("builders", "reopen");
-    let params = SearchParams::new(8, 25, 77);
-    let built = CorpusIndex::build_on_disk(&corpus, params, &dir).unwrap();
+    let built = build_and_write(&corpus, IndexConfig::new(8, 25, 77), &dir, true).unwrap();
     let p = &planted[0];
     let query = corpus.sequence_to_vec(p.dst).unwrap();
-    let before = built.search(&query, 0.8).unwrap().enumerate_all();
+    let search = |index: &DiskIndex, filter| {
+        let searcher = ShardedSearcher::single(index, filter).unwrap();
+        searcher.search(&query, 0.8).unwrap().enumerate_all()
+    };
+    let before = search(&built, PrefixFilter::default());
     drop(built);
 
-    let reopened = CorpusIndex::open(&dir, PrefixFilter::Disabled).unwrap();
-    let after = reopened.search(&query, 0.8).unwrap().enumerate_all();
+    let after = search(&DiskIndex::open(&dir).unwrap(), PrefixFilter::Disabled);
     assert_eq!(before, after);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -237,11 +239,10 @@ fn index_size_respects_paper_bound() {
         let corpus_bytes = corpus.total_tokens() as f64 * 4.0;
         for t in [25usize, 50, 100] {
             let dir = scratch("builders", &format!("size_{name}_t{t}"));
-            let disk =
-                CorpusIndex::build_on_disk(corpus, SearchParams::new(2, t, 1), &dir).unwrap();
+            let disk = build_and_write(corpus, IndexConfig::new(2, t, 1), &dir, true).unwrap();
             let bound = 8.0 / t as f64;
             for func in 0..2 {
-                let posting_bytes = disk.index().postings_for_function(func).unwrap() as f64 * 16.0;
+                let posting_bytes = disk.postings_for_function(func).unwrap() as f64 * 16.0;
                 assert!(
                     posting_bytes / corpus_bytes <= bound * slack,
                     "{name} t={t} func={func}: posting ratio {} exceeds {slack}×(8/t) = {}",
@@ -251,7 +252,7 @@ fn index_size_respects_paper_bound() {
             }
             // Whole files (directory + zones included) stay within 4× the
             // posting-only bound at this scale.
-            let file_bytes = disk.index().size_bytes().unwrap() as f64 / 2.0;
+            let file_bytes = disk.size_bytes().unwrap() as f64 / 2.0;
             assert!(file_bytes / corpus_bytes <= bound * 4.0);
             std::fs::remove_dir_all(&dir).ok();
         }

@@ -135,7 +135,7 @@ fn oracle_outcomes(
     let dir = scratch("chaos", tag);
     build_and_write(corpus, config(compress, packed), &dir, true).unwrap();
     let index = DiskIndex::open(&dir).unwrap();
-    let searcher = NearDupSearcher::new(&index).unwrap();
+    let searcher = ShardedSearcher::single(&index, PrefixFilter::Disabled).unwrap();
     let outcomes = queries
         .iter()
         .map(|q| searcher.search(q, THETA).unwrap())
@@ -235,7 +235,7 @@ fn chaos_scenario(
     assert!(plan.attached() > 0, "tap attached to no files ({ctx})");
     let (lo, hi) = text_bounds(&view, faulty);
     let searcher = view
-        .searcher()
+        .searcher_with_filter(PrefixFilter::Disabled)
         .unwrap()
         .threads(SHARDS)
         .fault_policy(FaultPolicy::Isolate);
@@ -443,7 +443,10 @@ fn deletion_and_repair_round_trips_through_verification() {
                     ..ServingOptions::default()
                 };
                 let view = ShardedIndex::open_with(&work, &options).unwrap();
-                let searcher = view.searcher().unwrap().threads(SHARDS);
+                let searcher = view
+                    .searcher_with_filter(PrefixFilter::Disabled)
+                    .unwrap()
+                    .threads(SHARDS);
 
                 // Delete the faulty shard's serving segment.
                 let manifest = Manifest::load(&work).unwrap().unwrap();
@@ -478,7 +481,10 @@ fn deletion_and_repair_round_trips_through_verification() {
                 verify()
                     .unwrap_or_else(|e| panic!("repaired shard failed verification ({ctx}): {e}"));
                 let reopened = ShardedIndex::open_with(&work, &options).unwrap();
-                let searcher = reopened.searcher().unwrap().threads(SHARDS);
+                let searcher = reopened
+                    .searcher_with_filter(PrefixFilter::Disabled)
+                    .unwrap()
+                    .threads(SHARDS);
                 for (q, want) in queries.iter().zip(&oracle) {
                     let got = searcher.search(q, THETA).unwrap();
                     assert!(got.complete && got.degraded.is_empty());
@@ -536,7 +542,7 @@ fn all_shards_faulting_is_an_error_not_an_empty_result() {
     let view =
         ShardedIndex::open_with(&store, &chaos_options(&plan, CacheConfig::default())).unwrap();
     let searcher = view
-        .searcher()
+        .searcher_with_filter(PrefixFilter::Disabled)
         .unwrap()
         .threads(SHARDS)
         .fault_policy(FaultPolicy::Isolate);
@@ -582,7 +588,10 @@ fn fail_fast_policy_still_propagates_shard_errors() {
     let plan = FaultPlan::new("seg-0001");
     let view =
         ShardedIndex::open_with(&store, &chaos_options(&plan, CacheConfig::default())).unwrap();
-    let searcher = view.searcher().unwrap().threads(SHARDS); // default policy
+    let searcher = view
+        .searcher_with_filter(PrefixFilter::Disabled)
+        .unwrap()
+        .threads(SHARDS); // default policy
 
     plan.arm(FaultMode::Deny);
     let err = searcher.search(&queries[0], THETA).expect_err("fail fast");

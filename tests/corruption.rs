@@ -1,14 +1,16 @@
 //! Failure injection: corrupted, truncated, or mismatched on-disk artifacts
 //! must surface typed errors — never panics, never silently wrong results.
 
+use ndss::index::build_and_write;
 use ndss::prelude::*;
 use ndss_integration::scratch;
 
 fn build_index(dir: &std::path::Path, compress: bool) {
     let (corpus, _) = SyntheticCorpusBuilder::new(161).num_texts(30).build();
-    let params =
-        SearchParams::new(2, 25, 5).index_config(|c| c.compressed(compress).zone_map(8, 16));
-    CorpusIndex::build_on_disk(&corpus, params, dir).unwrap();
+    let config = IndexConfig::new(2, 25, 5)
+        .compressed(compress)
+        .zone_map(8, 16);
+    build_and_write(&corpus, config, dir, true).unwrap();
 }
 
 #[test]
@@ -21,7 +23,7 @@ fn truncated_index_file_is_rejected() {
         // Cut the file in half: directory (stored at the tail) is gone.
         std::fs::write(&file, &bytes[..bytes.len() / 2]).unwrap();
         assert!(
-            CorpusIndex::open(&dir, PrefixFilter::Disabled).is_err(),
+            DiskIndex::open(&dir).is_err(),
             "truncated v{} file must fail to open",
             if compress { 4 } else { 3 }
         );
@@ -37,7 +39,7 @@ fn flipped_magic_is_rejected() {
     let mut bytes = std::fs::read(&file).unwrap();
     bytes[0] ^= 0xFF;
     std::fs::write(&file, &bytes).unwrap();
-    assert!(CorpusIndex::open(&dir, PrefixFilter::Disabled).is_err());
+    assert!(DiskIndex::open(&dir).is_err());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -49,7 +51,9 @@ fn unsupported_version_is_rejected() {
     let mut bytes = std::fs::read(&file).unwrap();
     bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
     std::fs::write(&file, &bytes).unwrap();
-    let err = CorpusIndex::open(&dir, PrefixFilter::Disabled).unwrap_err();
+    let Err(err) = DiskIndex::open(&dir) else {
+        panic!("the open succeeded")
+    };
     assert!(err.to_string().contains("version"), "got: {err}");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -59,7 +63,7 @@ fn missing_index_file_is_rejected() {
     let dir = scratch("corruption", "missing_file");
     build_index(&dir, false);
     std::fs::remove_file(dir.join("inv_1.ndsi")).unwrap();
-    assert!(CorpusIndex::open(&dir, PrefixFilter::Disabled).is_err());
+    assert!(DiskIndex::open(&dir).is_err());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -71,7 +75,9 @@ fn swapped_function_files_are_rejected() {
     build_index(&dir, false);
     std::fs::remove_file(dir.join("inv_0.ndsi")).unwrap();
     std::fs::copy(dir.join("inv_1.ndsi"), dir.join("inv_0.ndsi")).unwrap();
-    let err = CorpusIndex::open(&dir, PrefixFilter::Disabled).unwrap_err();
+    let Err(err) = DiskIndex::open(&dir) else {
+        panic!("the open succeeded")
+    };
     assert!(err.to_string().contains("claims function"), "got: {err}");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -81,7 +87,7 @@ fn corrupt_meta_json_is_rejected() {
     let dir = scratch("corruption", "meta");
     build_index(&dir, false);
     std::fs::write(dir.join("meta.json"), b"{ not json").unwrap();
-    assert!(CorpusIndex::open(&dir, PrefixFilter::Disabled).is_err());
+    assert!(DiskIndex::open(&dir).is_err());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -127,7 +133,7 @@ fn old_meta_without_compress_field_still_opens() {
     // Remove the trailing comma on the line before the removed field if any.
     let stripped = stripped.replace(",\n}", "\n}");
     std::fs::write(dir.join("meta.json"), stripped).unwrap();
-    let reopened = CorpusIndex::open(&dir, PrefixFilter::Disabled).unwrap();
+    let reopened = DiskIndex::open(&dir).unwrap();
     assert!(!reopened.config().compress);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -34,7 +34,7 @@ proptest! {
         let corpus = InMemoryCorpus::from_texts(texts);
         let config = IndexConfig::new(k, t, 0xABCD);
         let index = MemoryIndex::build(&corpus, config).unwrap();
-        let searcher = NearDupSearcher::new(&index).unwrap();
+        let searcher = ShardedSearcher::single(&index, PrefixFilter::Disabled).unwrap();
         let hasher = index.config().hasher();
 
         let indexed = searcher.search(&query, theta).unwrap().enumerate_all();
@@ -52,9 +52,9 @@ proptest! {
     ) {
         let corpus = InMemoryCorpus::from_texts(texts);
         let index = MemoryIndex::build(&corpus, IndexConfig::new(6, 5, 0xBEEF)).unwrap();
-        let plain = NearDupSearcher::new(&index).unwrap();
+        let plain = ShardedSearcher::single(&index, PrefixFilter::Disabled).unwrap();
         let filtered =
-            NearDupSearcher::with_prefix_filter(&index, PrefixFilter::MaxListLen(cutoff))
+            ShardedSearcher::single(&index, PrefixFilter::MaxListLen(cutoff))
                 .unwrap();
         let a = plain.search(&query, theta).unwrap().enumerate_all();
         let b = filtered.search(&query, theta).unwrap().enumerate_all();
@@ -151,7 +151,7 @@ proptest! {
     ) {
         let corpus = InMemoryCorpus::from_texts(texts);
         let index = MemoryIndex::build(&corpus, IndexConfig::new(4, 5, 0xFEED)).unwrap();
-        let searcher = NearDupSearcher::new(&index).unwrap();
+        let searcher = ShardedSearcher::single(&index, PrefixFilter::Disabled).unwrap();
         let outcome = searcher.search(&query, 0.5).unwrap();
         for m in &outcome.matches {
             let mut covered = std::collections::BTreeSet::new();
@@ -228,7 +228,7 @@ fn seeded_grid_sweep_matches_oracle() {
             for &k in &[2usize, 6, 12] {
                 let seed = 0x5EED ^ ((k as u64) << 8) ^ t as u64;
                 let index = MemoryIndex::build(&corpus, IndexConfig::new(k, t, seed)).unwrap();
-                let searcher = NearDupSearcher::new(&index).unwrap();
+                let searcher = ShardedSearcher::single(&index, PrefixFilter::Disabled).unwrap();
                 let hasher = index.config().hasher();
                 for (qi, query) in queries.iter().enumerate() {
                     for &theta in &[0.4f64, 0.7, 0.9, 1.0] {
@@ -251,7 +251,7 @@ fn seeded_grid_sweep_matches_oracle() {
 fn batch_equals_sequential_for_all_thread_counts() {
     let (_, corpus) = corpus_shapes().swap_remove(0);
     let index = MemoryIndex::build(&corpus, IndexConfig::new(8, 6, 0xC0FFEE)).unwrap();
-    let sequential = NearDupSearcher::new(&index).unwrap();
+    let sequential = ShardedSearcher::single(&index, PrefixFilter::Disabled).unwrap();
 
     let mut queries = Vec::new();
     for text in 0..corpus.num_texts().min(8) as u32 {
@@ -299,7 +299,7 @@ fn format_v6_matches_v4_and_v3_cold_warm_mmap_threaded() {
         let queries = grid_queries(&corpus);
         let base = IndexConfig::new(6, 5, 0xF0F5);
         let mem = MemoryIndex::build(&corpus, base.clone()).unwrap();
-        let mem_s = NearDupSearcher::new(&mem).unwrap();
+        let mem_s = ShardedSearcher::single(&mem, PrefixFilter::Disabled).unwrap();
 
         let configs = [
             ("v3", base.clone()),
@@ -314,9 +314,9 @@ fn format_v6_matches_v4_and_v3_cold_warm_mmap_threaded() {
             let cold = DiskIndex::open_with_cache(&dir, CacheConfig::disabled()).unwrap();
             let tapped = ReadOptions::with_faults(FaultPlan::new(""));
             let tapped = DiskIndex::open_with_io(&dir, CacheConfig::disabled(), tapped).unwrap();
-            let warm_s = NearDupSearcher::new(&warm).unwrap();
-            let cold_s = NearDupSearcher::new(&cold).unwrap();
-            let tapped_s = NearDupSearcher::new(&tapped).unwrap();
+            let warm_s = ShardedSearcher::single(&warm, PrefixFilter::Disabled).unwrap();
+            let cold_s = ShardedSearcher::single(&cold, PrefixFilter::Disabled).unwrap();
+            let tapped_s = ShardedSearcher::single(&tapped, PrefixFilter::Disabled).unwrap();
             for (qi, query) in queries.iter().enumerate() {
                 for &theta in &[0.5f64, 0.9] {
                     let want = mem_s.search(query, theta).unwrap().enumerate_all();
@@ -362,9 +362,9 @@ fn cached_and_cold_disk_reads_agree_with_memory() {
     let warm_index = write_memory_index(&mem, &dir).unwrap();
     let cold_index = DiskIndex::open_with_cache(&dir, CacheConfig::disabled()).unwrap();
 
-    let mem_s = NearDupSearcher::new(&mem).unwrap();
-    let warm_s = NearDupSearcher::new(&warm_index).unwrap();
-    let cold_s = NearDupSearcher::new(&cold_index).unwrap();
+    let mem_s = ShardedSearcher::single(&mem, PrefixFilter::Disabled).unwrap();
+    let warm_s = ShardedSearcher::single(&warm_index, PrefixFilter::Disabled).unwrap();
+    let cold_s = ShardedSearcher::single(&cold_index, PrefixFilter::Disabled).unwrap();
 
     for query in grid_queries(&corpus) {
         for &theta in &[0.5f64, 0.9] {

@@ -2,6 +2,7 @@
 //! builder paths and filter policies, validated against planted ground
 //! truth and the exact-Jaccard oracle.
 
+use ndss::index::build_and_write;
 use ndss::prelude::*;
 use ndss_integration::scratch;
 
@@ -18,9 +19,8 @@ fn exact_planted_duplicates_always_found() {
         .mutation_rate(0.0)
         .build();
     assert!(planted.len() > 50, "expected many planted duplicates");
-    let index =
-        CorpusIndex::build_in_memory_parallel(&corpus, SearchParams::new(16, 25, 5)).unwrap();
-    let searcher = index.searcher().unwrap();
+    let index = MemoryIndex::build_parallel(&corpus, IndexConfig::new(16, 25, 5)).unwrap();
+    let searcher = ShardedSearcher::single(&index, PrefixFilter::default()).unwrap();
     for p in &planted {
         let query = corpus.sequence_to_vec(p.dst).unwrap();
         let outcome = searcher.search(&query, 1.0).unwrap();
@@ -45,9 +45,8 @@ fn near_duplicate_recall_is_high() {
         .dup_len(60, 100)
         .mutation_rate(0.05)
         .build();
-    let index =
-        CorpusIndex::build_in_memory_parallel(&corpus, SearchParams::new(32, 25, 6)).unwrap();
-    let searcher = index.searcher().unwrap();
+    let index = MemoryIndex::build_parallel(&corpus, IndexConfig::new(32, 25, 6)).unwrap();
+    let searcher = ShardedSearcher::single(&index, PrefixFilter::default()).unwrap();
     let mut found = 0usize;
     for p in &planted {
         let query = corpus.sequence_to_vec(p.dst).unwrap();
@@ -76,17 +75,22 @@ fn all_paths_agree_on_results() {
         .duplicates_per_text(1.0)
         .mutation_rate(0.04)
         .build();
-    let params = SearchParams::new(16, 20, 11);
-    let mem = CorpusIndex::build_in_memory(&corpus, params.clone()).unwrap();
+    let config = IndexConfig::new(16, 20, 11);
+    let mem = MemoryIndex::build(&corpus, config.clone()).unwrap();
     let d1 = scratch("e2e", "disk");
-    let disk = CorpusIndex::build_on_disk(&corpus, params.clone(), &d1).unwrap();
+    let disk = build_and_write(&corpus, config.clone(), &d1, true).unwrap();
     let d2 = scratch("e2e", "ext");
-    let ext = CorpusIndex::build_external(&corpus, params, &d2, 1 << 16).unwrap();
+    let ext = ExternalIndexBuilder::new(config)
+        .memory_budget(1 << 16)
+        .parallel(true)
+        .build(&corpus, &d2)
+        .unwrap();
 
-    let mem_s = mem.searcher().unwrap();
-    let disk_s = disk.searcher().unwrap();
-    let ext_s = ext.searcher().unwrap();
-    let disk_nf = NearDupSearcher::new(disk.index()).unwrap();
+    let filter = PrefixFilter::default();
+    let mem_s = ShardedSearcher::single(&mem, filter).unwrap();
+    let disk_s = ShardedSearcher::single(&disk, filter).unwrap();
+    let ext_s = ShardedSearcher::single(&ext, filter).unwrap();
+    let disk_nf = ShardedSearcher::single(&disk, PrefixFilter::Disabled).unwrap();
 
     for p in planted.iter().take(8) {
         let query = corpus.sequence_to_vec(p.dst).unwrap();
@@ -116,11 +120,12 @@ fn verified_search_equals_definition1_on_exact_copies() {
         .dup_len(40, 60)
         .mutation_rate(0.0)
         .build();
-    let index = CorpusIndex::build_in_memory(&corpus, SearchParams::new(32, 30, 8)).unwrap();
+    let index = MemoryIndex::build(&corpus, IndexConfig::new(32, 30, 8)).unwrap();
     let p = &planted[0];
     let query = corpus.sequence_to_vec(p.dst).unwrap();
 
-    let (verified, _) = index
+    let (verified, _) = ShardedSearcher::single(&index, PrefixFilter::default())
+        .unwrap()
         .search_verified(&query, 0.95, &corpus, 5_000_000)
         .unwrap();
     let oracle = ndss::query::bruteforce::definition1_scan(&corpus, &query, 0.95, 30).unwrap();
@@ -148,8 +153,8 @@ fn prefix_filtering_reduces_io() {
         .mutation_rate(0.02)
         .build();
     let dir = scratch("e2e", "io");
-    let params = SearchParams::new(16, 20, 13).index_config(|c| c.zone_map(16, 64));
-    let disk = CorpusIndex::build_on_disk(&corpus, params, &dir).unwrap();
+    let config = IndexConfig::new(16, 20, 13).zone_map(16, 64);
+    let disk = build_and_write(&corpus, config, &dir, true).unwrap();
 
     let queries: Vec<Vec<TokenId>> = planted
         .iter()
@@ -157,7 +162,7 @@ fn prefix_filtering_reduces_io() {
         .map(|p| corpus.sequence_to_vec(p.dst).unwrap())
         .collect();
 
-    let run = |searcher: &NearDupSearcher<'_, DiskIndex>| -> u64 {
+    let run = |searcher: &ShardedSearcher<'_>| -> u64 {
         let mut bytes = 0;
         for q in &queries {
             let outcome = searcher.search(q, 0.8).unwrap();
@@ -165,10 +170,8 @@ fn prefix_filtering_reduces_io() {
         }
         bytes
     };
-    let unfiltered = NearDupSearcher::new(disk.index()).unwrap();
-    let filtered =
-        NearDupSearcher::with_prefix_filter(disk.index(), PrefixFilter::FrequentFraction(0.10))
-            .unwrap();
+    let unfiltered = ShardedSearcher::single(&disk, PrefixFilter::Disabled).unwrap();
+    let filtered = ShardedSearcher::single(&disk, PrefixFilter::FrequentFraction(0.10)).unwrap();
     let bytes_unfiltered = run(&unfiltered);
     let bytes_filtered = run(&filtered);
     assert!(
@@ -190,14 +193,12 @@ fn compressed_index_is_transparent_to_search() {
         .build();
     let d1 = scratch("e2e", "v1");
     let d2 = scratch("e2e", "v2");
-    let params = SearchParams::new(8, 20, 31);
-    let plain = CorpusIndex::build_on_disk(&corpus, params.clone(), &d1).unwrap();
-    let packed =
-        CorpusIndex::build_on_disk(&corpus, params.index_config(|c| c.compressed(true)), &d2)
-            .unwrap();
-    assert!(packed.index().size_bytes().unwrap() < plain.index().size_bytes().unwrap());
-    let s1 = plain.searcher().unwrap();
-    let s2 = packed.searcher().unwrap();
+    let config = IndexConfig::new(8, 20, 31);
+    let plain = build_and_write(&corpus, config.clone(), &d1, true).unwrap();
+    let packed = build_and_write(&corpus, config.compressed(true), &d2, true).unwrap();
+    assert!(packed.size_bytes().unwrap() < plain.size_bytes().unwrap());
+    let s1 = ShardedSearcher::single(&plain, PrefixFilter::default()).unwrap();
+    let s2 = ShardedSearcher::single(&packed, PrefixFilter::default()).unwrap();
     for p in planted.iter().take(10) {
         let query = corpus.sequence_to_vec(p.dst).unwrap();
         for theta in [0.7, 0.9, 1.0] {
@@ -210,11 +211,17 @@ fn compressed_index_is_transparent_to_search() {
     }
     // Reopening a v4 directory also works (the header names the encoding).
     drop(packed);
-    let reopened = CorpusIndex::open(&d2, PrefixFilter::FrequentFraction(0.1)).unwrap();
+    let reopened = ShardedIndex::open(&d2).unwrap();
+    assert_eq!(reopened.num_texts(), 80);
     let query = corpus.sequence_to_vec(planted[0].dst).unwrap();
     assert_eq!(
         s1.search(&query, 0.8).unwrap().enumerate_all(),
-        reopened.search(&query, 0.8).unwrap().enumerate_all()
+        reopened
+            .searcher_with_filter(PrefixFilter::FrequentFraction(0.1))
+            .unwrap()
+            .search(&query, 0.8)
+            .unwrap()
+            .enumerate_all()
     );
     std::fs::remove_dir_all(&d1).ok();
     std::fs::remove_dir_all(&d2).ok();
@@ -229,8 +236,8 @@ fn result_invariants_hold() {
         .duplicates_per_text(1.0)
         .mutation_rate(0.05)
         .build();
-    let index = CorpusIndex::build_in_memory(&corpus, SearchParams::new(16, 25, 14)).unwrap();
-    let searcher = index.searcher().unwrap();
+    let index = MemoryIndex::build(&corpus, IndexConfig::new(16, 25, 14)).unwrap();
+    let searcher = ShardedSearcher::single(&index, PrefixFilter::default()).unwrap();
     for p in planted.iter().take(10) {
         let query = corpus.sequence_to_vec(p.dst).unwrap();
         let outcome = searcher.search(&query, 0.75).unwrap();

@@ -67,12 +67,10 @@ fn assert_alloc_cap(context: &str) {
 /// Opens the index directory, streams every stored checksum, and runs the
 /// query set; any corruption must surface as `Err` before results differ.
 fn run_queries(dir: &Path, queries: &[Vec<TokenId>]) -> Result<Vec<SeqRef>, String> {
-    let index = CorpusIndex::open(dir, PrefixFilter::Disabled).map_err(|e| e.to_string())?;
-    index
-        .index()
-        .verify_integrity()
-        .map_err(|e| e.to_string())?;
-    let searcher = index.searcher().map_err(|e| e.to_string())?;
+    let index = DiskIndex::open(dir).map_err(|e| e.to_string())?;
+    index.verify_integrity().map_err(|e| e.to_string())?;
+    let searcher =
+        ShardedSearcher::single(&index, PrefixFilter::Disabled).map_err(|e| e.to_string())?;
     let mut out = Vec::new();
     for query in queries {
         let outcome = searcher.search(query, 0.8).map_err(|e| e.to_string())?;
@@ -92,9 +90,11 @@ fn index_sweep(version: &str, seeds: u64) {
     };
     let dir = scratch("faults", &format!("index_{version}"));
     let (corpus, planted) = SyntheticCorpusBuilder::new(41).num_texts(30).build();
-    let params = SearchParams::new(2, 25, 5)
-        .index_config(|c| c.compressed(compress).bit_packed(packed).zone_map(8, 16));
-    CorpusIndex::build_on_disk(&corpus, params, &dir).unwrap();
+    let config = IndexConfig::new(2, 25, 5)
+        .compressed(compress)
+        .bit_packed(packed)
+        .zone_map(8, 16);
+    ndss::index::build_and_write(&corpus, config, &dir, true).unwrap();
     let queries: Vec<Vec<TokenId>> = planted
         .iter()
         .take(4)
@@ -313,7 +313,9 @@ fn run_sharded_queries(root: &Path, queries: &[Vec<TokenId>]) -> Result<Vec<SeqR
     let store = Store::open(root).map_err(|e| e.to_string())?;
     store.verify().map_err(|e| e.to_string())?;
     let view = ShardedIndex::open(root).map_err(|e| e.to_string())?;
-    let searcher = view.searcher().map_err(|e| e.to_string())?;
+    let searcher = view
+        .searcher_with_filter(PrefixFilter::Disabled)
+        .map_err(|e| e.to_string())?;
     let mut out = Vec::new();
     for query in queries {
         let outcome = searcher.search(query, 0.8).map_err(|e| e.to_string())?;

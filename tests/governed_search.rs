@@ -116,7 +116,7 @@ fn partial_outcomes_are_sound_prefixes() {
     let dir = scratch("governed", "partial");
     build(&corpus, &dir, false);
     let index = DiskIndex::open(&dir).unwrap();
-    let searcher = NearDupSearcher::new(&index).unwrap();
+    let searcher = ShardedSearcher::single(&index, PrefixFilter::Disabled).unwrap();
 
     let mut partials = 0usize;
     for query in &queries {
@@ -158,7 +158,7 @@ fn zero_deadline_returns_empty_partial() {
     let dir = scratch("governed", "deadline");
     build(&corpus, &dir, false);
     let index = DiskIndex::open(&dir).unwrap();
-    let searcher = NearDupSearcher::new(&index).unwrap();
+    let searcher = ShardedSearcher::single(&index, PrefixFilter::Disabled).unwrap();
 
     let budget = QueryBudget::unlimited().time_limit(std::time::Duration::ZERO);
     match searcher.search_governed(&queries[0], 0.8, &budget) {
@@ -182,7 +182,7 @@ fn budgets_and_faults_compose() {
     build(&corpus, &dir, true);
 
     let clean = DiskIndex::open_with_cache(&dir, CacheConfig::disabled()).unwrap();
-    let serial = NearDupSearcher::new(&clean).unwrap();
+    let serial = ShardedSearcher::single(&clean, PrefixFilter::Disabled).unwrap();
     let full: Vec<_> = queries
         .iter()
         .map(|q| serial.search(q, 0.8).unwrap())
@@ -246,8 +246,7 @@ fn trips_between_phases_return_only_verified_matches() {
         ndss::index::build_and_write(&corpus, config, &dir, true).unwrap();
         // No cache: IO bytes are a deterministic function of the work done.
         let index = DiskIndex::open_with_cache(&dir, CacheConfig::disabled()).unwrap();
-        let searcher =
-            NearDupSearcher::with_prefix_filter(&index, PrefixFilter::MaxListLen(24)).unwrap();
+        let searcher = ShardedSearcher::single(&index, PrefixFilter::MaxListLen(24)).unwrap();
 
         let assert_sound = |full: &SearchOutcome, partial: &SearchOutcome, what: &str| {
             assert!(!partial.complete, "{sub} {what}");
@@ -407,7 +406,7 @@ fn trips_between_two_merged_lists_stop_the_merge_there() {
     // No cache: every fetched list costs IO bytes.
     let index = DiskIndex::open_with_cache(&dir, CacheConfig::disabled()).unwrap();
     let query = &queries[0];
-    let full = NearDupSearcher::new(&index)
+    let full = ShardedSearcher::single(&index, PrefixFilter::Disabled)
         .unwrap()
         .search(query, 0.8)
         .unwrap();
@@ -435,7 +434,7 @@ fn trips_between_two_merged_lists_stop_the_merge_there() {
             }
         });
         let budget = QueryBudget::unlimited().time_limit(Duration::from_millis(25));
-        let result = NearDupSearcher::new(&slow)
+        let result = ShardedSearcher::single(&slow, PrefixFilter::Disabled)
             .unwrap()
             .search_governed(query, 0.8, &budget);
         empty_partial(result, Resource::Deadline, after);
@@ -447,7 +446,7 @@ fn trips_between_two_merged_lists_stop_the_merge_there() {
                 token.cancel();
             }
         });
-        let result = NearDupSearcher::new(&cancelling)
+        let result = ShardedSearcher::single(&cancelling, PrefixFilter::Disabled)
             .unwrap()
             .search_cancellable(query, 0.8, &QueryBudget::unlimited(), &token);
         assert!(matches!(result, Err(QueryError::Cancelled)), "{result:?}");
@@ -460,7 +459,7 @@ fn trips_between_two_merged_lists_stop_the_merge_there() {
 
     // An IO allowance smaller than the short lists runs out among them.
     let plain = FetchHook::new(&index, |_| {});
-    let searcher = NearDupSearcher::new(&plain).unwrap();
+    let searcher = ShardedSearcher::single(&plain, PrefixFilter::Disabled).unwrap();
     for bytes in [1, full.stats.io_bytes / 3] {
         let budget = QueryBudget::unlimited().max_io_bytes(bytes);
         let before = plain.fetched.load(Ordering::SeqCst);

@@ -107,7 +107,10 @@ fn served_results(serving: &ServingIndex, queries: &[Vec<u32>]) -> Vec<Vec<SeqRe
 
 /// Batch results against one view.
 fn view_results(view: &ShardedIndex, queries: &[Vec<u32>]) -> Vec<Vec<SeqRef>> {
-    let searcher = view.searcher().unwrap().threads(2);
+    let searcher = view
+        .searcher_with_filter(PrefixFilter::Disabled)
+        .unwrap()
+        .threads(2);
     searcher
         .search_all(queries, 0.8)
         .unwrap()
@@ -312,7 +315,7 @@ fn reload_under_live_batch_queries_is_bit_identical_to_cold_open() {
     let snapshot = serving.snapshot();
     let swapped = snapshot.searcher_with_filter(filter).unwrap();
     let cold_index = DiskIndex::open(&resolve_index_dir(&root)).unwrap();
-    let cold = NearDupSearcher::with_prefix_filter(&cold_index, filter).unwrap();
+    let cold = ShardedSearcher::single(&cold_index, filter).unwrap();
     let mut deferred = 0;
     for query in &queries {
         for _ in 0..2 {
@@ -351,7 +354,7 @@ fn serving_index_on_plain_directory() {
     assert!(!serving.reload().unwrap(), "plain directory never swaps");
     let snapshot = serving.snapshot();
     let outcome = snapshot
-        .searcher()
+        .searcher_with_filter(PrefixFilter::Disabled)
         .unwrap()
         .search(&queries[0], 0.8)
         .unwrap();

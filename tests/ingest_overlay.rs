@@ -41,7 +41,7 @@ fn overlay<'a>(
     threads: usize,
 ) -> ShardedSearcher<'a> {
     let mut overlay = disk
-        .searcher()
+        .searcher_with_filter(PrefixFilter::Disabled)
         .unwrap()
         .threads(threads)
         .fault_policy(FaultPolicy::Isolate);
@@ -106,7 +106,7 @@ fn overlay_grid_with(version: &str, one_at_a_time: bool) {
     // The cold full rebuild the overlay must be indistinguishable from.
     let full =
         MemoryIndex::build(&InMemoryCorpus::from_texts(texts.clone()), config(version)).unwrap();
-    let reference = NearDupSearcher::new(&full).unwrap();
+    let reference = ShardedSearcher::single(&full, PrefixFilter::Disabled).unwrap();
 
     // Queries drawn from every population, plus the planted duplicates
     // (whose sources land across the published/frozen/active boundaries).
@@ -232,7 +232,7 @@ fn overlay_is_exact_across_a_concurrent_publish() {
     // the in-memory segment, but a pinned request in the daemon holds the
     // lock for its whole search — here we model the before/after states.
     let full = MemoryIndex::build(&InMemoryCorpus::from_texts(texts.clone()), cfg.clone()).unwrap();
-    let reference = NearDupSearcher::new(&full).unwrap();
+    let reference = ShardedSearcher::single(&full, PrefixFilter::Disabled).unwrap();
     let query = texts[14][10..60].to_vec();
     let want = reference.search(&query, 0.8).unwrap();
 
@@ -324,7 +324,11 @@ fn ingest_appends_after_every_segment_of_a_multi_segment_store() {
     assert_serves_batch_build("two segments + one appended", &root, &batch);
 
     let view = ShardedIndex::open(&root).unwrap();
-    let outcome = view.searcher().unwrap().search(&text[10..70], 0.8).unwrap();
+    let outcome = view
+        .searcher_with_filter(PrefixFilter::Disabled)
+        .unwrap()
+        .search(&text[10..70], 0.8)
+        .unwrap();
     let found: Vec<TextId> = outcome.matches.iter().map(|m| m.text).collect();
     assert_eq!(found, [40]);
     std::fs::remove_dir_all(&root).ok();
@@ -489,7 +493,10 @@ fn quarantined_disk_still_serves_the_memtable() {
         assert_eq!(memtable.len(), (LANES - 1) * PLANTED_PER_LANE);
         assert_eq!(got.matches.iter().collect::<Vec<_>>(), memtable);
     }
-    let disk_only = disk.searcher().unwrap().fault_policy(FaultPolicy::Isolate);
+    let disk_only = disk
+        .searcher_with_filter(PrefixFilter::Disabled)
+        .unwrap()
+        .fault_policy(FaultPolicy::Isolate);
     assert!(matches!(
         disk_only.search(&query, 0.8),
         Err(QueryError::AllShardsQuarantined { shards: 1, .. })

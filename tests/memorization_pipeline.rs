@@ -152,7 +152,7 @@ fn reference_reports(
     config: &MemorizationConfig,
     thetas: &[f64],
 ) -> Vec<MemorizationReport> {
-    let searcher = NearDupSearcher::new(index).unwrap();
+    let searcher = ShardedSearcher::single(index, PrefixFilter::Disabled).unwrap();
     let windows = generate_query_windows(model, config);
     thetas
         .iter()
@@ -269,7 +269,7 @@ fn examples_equal_the_serial_scan() {
     let model = NGramModel::train(&corpus, 5).unwrap();
     let config = MemorizationConfig::new(6, 160).window(32).seed(7);
     // Reference: search window after window until `limit` examples exist.
-    let serial = NearDupSearcher::new(&index).unwrap();
+    let serial = ShardedSearcher::single(&index, PrefixFilter::Disabled).unwrap();
     let mut expected = Vec::new();
     for window in generate_query_windows(&model, &config) {
         let outcome = serial.search(&window, 0.8).unwrap();
@@ -297,7 +297,7 @@ fn prompted_probe_equals_the_serial_scan() {
     let model = NGramModel::train(&corpus, 5).unwrap();
     let (trials, prompt_len, continuation_len, theta, seed) = (10, 24, 32, 0.8, 9);
     // Reference: the same draws, each continuation searched as it is made.
-    let serial = NearDupSearcher::new(&index).unwrap();
+    let serial = ShardedSearcher::single(&index, PrefixFilter::Disabled).unwrap();
     let mut rng = ndss::hash::Xoshiro256StarStar::new(seed);
     let (mut done, mut extracted) = (0, 0);
     while done < trials {

@@ -72,7 +72,7 @@ type Fingerprint = Vec<(u32, u32, Vec<(u32, u32)>)>;
 /// uses.
 fn cold_fingerprint(dir: &Path, query: &[u32]) -> Fingerprint {
     let index = DiskIndex::open(dir).unwrap();
-    let searcher = NearDupSearcher::with_prefix_filter(&index, PrefixFilter::default()).unwrap();
+    let searcher = ShardedSearcher::single(&index, PrefixFilter::default()).unwrap();
     let outcome = searcher.search(query, THETA).unwrap();
     ndss::query::search::rank(&outcome, config().k, usize::MAX)
         .into_iter()

@@ -79,7 +79,7 @@ fn sharded_results_match_single_index_oracle_across_grid() {
         let oracle_dir = scratch("sharded", &format!("oracle_{format}"));
         build_and_write(&corpus, config(compress, packed), &oracle_dir, true).unwrap();
         let oracle_index = DiskIndex::open(&oracle_dir).unwrap();
-        let oracle = NearDupSearcher::new(&oracle_index).unwrap();
+        let oracle = ShardedSearcher::single(&oracle_index, PrefixFilter::Disabled).unwrap();
         let expected: Vec<SearchOutcome> = queries
             .iter()
             .map(|q| oracle.search(q, THETA).unwrap())
@@ -105,7 +105,10 @@ fn sharded_results_match_single_index_oracle_across_grid() {
             assert_eq!(view.config().format_name(), format);
 
             for threads in THREAD_COUNTS {
-                let searcher = view.searcher().unwrap().threads(threads);
+                let searcher = view
+                    .searcher_with_filter(PrefixFilter::Disabled)
+                    .unwrap()
+                    .threads(threads);
                 for (i, (query, want)) in queries.iter().zip(&expected).enumerate() {
                     let got = searcher.search(query, THETA).unwrap();
                     assert_eq!(
@@ -123,6 +126,50 @@ fn sharded_results_match_single_index_oracle_across_grid() {
     }
 }
 
+/// Definition 1 mode over a lane set reads each match's text by its global
+/// id: a 3-segment store verifies exactly the sequences one index over the
+/// same corpus does, and those are the approximate answer's sequences whose
+/// true Jaccard similarity with the query reaches θ.
+#[test]
+fn verified_search_over_segments_matches_one_index() {
+    let (corpus, queries) = workload();
+    let dir = scratch("sharded", "verified_single");
+    build_and_write(&corpus, config(false, true), &dir, true).unwrap();
+    let index = DiskIndex::open(&dir).unwrap();
+    let single = ShardedSearcher::single(&index, PrefixFilter::default()).unwrap();
+    let root = build_store(&corpus, 3, false, true, "verified_s3");
+    let view = ShardedIndex::open(&root).unwrap();
+    assert_eq!(view.num_shards(), 3);
+    let sharded = view.searcher_with_filter(PrefixFilter::default()).unwrap();
+
+    let mut past_first = 0;
+    for query in &queries {
+        let (want, _) = single
+            .search_verified(query, THETA, &corpus, 1 << 22)
+            .unwrap();
+        let (got, _) = sharded
+            .search_verified(query, THETA, &corpus, 1 << 22)
+            .unwrap();
+        assert_eq!(got, want);
+        let approximate = single.search(query, THETA).unwrap().enumerate_all();
+        let similar = |s: &SeqRef| {
+            distinct_jaccard(query, &corpus.sequence_to_vec(*s).unwrap()) + 1e-12 >= THETA
+        };
+        let oracle: Vec<SeqRef> = approximate.into_iter().filter(similar).collect();
+        assert_eq!(want, oracle);
+        past_first += got
+            .iter()
+            .filter(|s| !view.texts_of(0).contains(&s.text))
+            .count();
+    }
+    assert!(
+        past_first > 0,
+        "no verified sequence past the first segment"
+    );
+    std::fs::remove_dir_all(&root).ok();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Budget trips compose soundly across shards: the merged partial is a
 /// text-order prefix of the full (oracle) result, flagged incomplete, no
 /// matter which shard tripped. Sweeping the cap upward reaches the
@@ -133,13 +180,16 @@ fn governed_partials_are_sound_prefixes_of_the_oracle() {
     let oracle_dir = scratch("sharded", "gov_oracle");
     build_and_write(&corpus, config(false, false), &oracle_dir, true).unwrap();
     let oracle_index = DiskIndex::open(&oracle_dir).unwrap();
-    let oracle = NearDupSearcher::new(&oracle_index).unwrap();
+    let oracle = ShardedSearcher::single(&oracle_index, PrefixFilter::Disabled).unwrap();
 
     let mut partials = 0usize;
     for shards in [2usize, 4, 8] {
         let root = build_store(&corpus, shards, false, false, &format!("gov_s{shards}"));
         let view = ShardedIndex::open(&root).unwrap();
-        let searcher = view.searcher().unwrap().threads(shards);
+        let searcher = view
+            .searcher_with_filter(PrefixFilter::Disabled)
+            .unwrap()
+            .threads(shards);
         for query in &queries {
             let full = oracle.search(query, THETA).unwrap();
             // One cap covers every shard: sweep it past the shard count so
@@ -182,14 +232,20 @@ fn batch_equals_sequential_over_shards() {
     let view = ShardedIndex::open(&root).unwrap();
 
     let sequential: Vec<SearchOutcome> = {
-        let searcher = view.searcher().unwrap().threads(1);
+        let searcher = view
+            .searcher_with_filter(PrefixFilter::Disabled)
+            .unwrap()
+            .threads(1);
         queries
             .iter()
             .map(|q| searcher.search(q, THETA).unwrap())
             .collect()
     };
     for threads in THREAD_COUNTS {
-        let searcher = view.searcher().unwrap().threads(threads);
+        let searcher = view
+            .searcher_with_filter(PrefixFilter::Disabled)
+            .unwrap()
+            .threads(threads);
         let batch = searcher.search_all(&queries, THETA).unwrap();
         assert_eq!(batch.len(), sequential.len());
         for (i, (got, want)) in batch.iter().zip(&sequential).enumerate() {
@@ -252,8 +308,14 @@ fn one_shard_store_equals_plain_directory() {
     assert!(sharded_view.generation().is_some());
     assert!(plain_view.generation().is_none());
 
-    let a = sharded_view.searcher().unwrap().threads(2);
-    let b = plain_view.searcher().unwrap().threads(2);
+    let a = sharded_view
+        .searcher_with_filter(PrefixFilter::Disabled)
+        .unwrap()
+        .threads(2);
+    let b = plain_view
+        .searcher_with_filter(PrefixFilter::Disabled)
+        .unwrap()
+        .threads(2);
     for query in &queries {
         let got = a.search(query, THETA).unwrap();
         let want = b.search(query, THETA).unwrap();

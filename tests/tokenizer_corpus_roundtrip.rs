@@ -44,7 +44,8 @@ fn tokenize_index_search_decode() {
     }
 
     // Index and query with the plagiarized chunk.
-    let index = CorpusIndex::build_in_memory(&corpus, SearchParams::new(16, 20, 42)).unwrap();
+    let index = MemoryIndex::build(&corpus, IndexConfig::new(16, 20, 42)).unwrap();
+    let searcher = ShardedSearcher::single(&index, PrefixFilter::default()).unwrap();
     let chunk: String = raw[0]
         .split(' ')
         .skip(20)
@@ -53,7 +54,7 @@ fn tokenize_index_search_decode() {
         .join(" ");
     let query = tokenizer.encode(&chunk);
     assert!(query.len() >= 20, "query must exceed the length threshold");
-    let outcome = index.search(&query, 0.8).unwrap();
+    let outcome = searcher.search(&query, 0.8).unwrap();
 
     // Both the original (text 0) and the plagiarizing text (last) match.
     let matched: Vec<TextId> = outcome.matches.iter().map(|m| m.text).collect();

@@ -249,7 +249,7 @@ fn build(corpus: &InMemoryCorpus, dir: &Path) -> IndexWork {
 /// checks that the lane set over the same directory reports the same.
 fn query_work(dir: &Path, queries: &[Vec<TokenId>]) -> Vec<[u64; 6]> {
     let index = DiskIndex::open_with_cache(dir, CacheConfig::disabled()).unwrap();
-    let searcher = NearDupSearcher::with_prefix_filter(&index, PrefixFilter::default()).unwrap();
+    let searcher = ShardedSearcher::single(&index, PrefixFilter::default()).unwrap();
     let rows: Vec<[u64; 6]> = queries
         .iter()
         .map(|q| counters(&searcher.search(q, THETA).unwrap().stats))
