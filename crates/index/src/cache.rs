@@ -1,9 +1,10 @@
-//! Bounded hot caches for the disk index.
+//! Cache sizing for the disk index, and the bounded cache of its zone maps.
 //!
-//! Two read-side structures are worth caching between queries: the zone maps
-//! of long lists (reread on every per-text probe of the same list) and the
-//! decoded posting lists themselves (skewed query workloads hit the same
-//! min-hash values repeatedly). Both caches here are:
+//! Two read-side structures are kept between queries. Decoded posting lists
+//! live in [`crate::DiskIndex`]'s write-once resident slots, admitted under
+//! [`CacheConfig::posting_budget`] and never evicted. The zone maps of long
+//! v3 lists (reread on every per-text probe of the same list) live in a
+//! [`ShardedCache`], which is:
 //!
 //! * **sharded** — the key hash picks one of N independently-locked shards,
 //!   so concurrent queries rarely contend on the same mutex;
@@ -11,26 +12,29 @@
 //!   cached values and evicts with the second-chance (clock) policy, which
 //!   approximates LRU with O(1) hits and no per-access list splicing.
 //!
-//! A cache with a zero budget stores nothing and always misses, which is how
-//! callers disable caching without changing code paths.
+//! A zero budget stores nothing and always misses, which is how callers
+//! disable caching without changing code paths.
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use ndss_hash::HashValue;
 
 /// Cache sizing for [`crate::DiskIndex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Total byte budget for cached decoded posting lists, across all
-    /// shards. Zero disables the posting cache.
+    /// Total byte budget for resident decoded posting lists. A list stays
+    /// resident from its first fetch while it fits; zero keeps none. The
+    /// write-once slots the lists live in are not counted: a nonzero
+    /// budget allocates one 24 B slot per directory key at open, a zero
+    /// budget none.
     pub posting_budget: usize,
     /// Total byte budget for cached zone maps. Zero disables the zone cache
     /// (every per-text probe then rereads its zone section).
     pub zone_budget: usize,
-    /// Number of independently-locked shards per cache. Rounded up to a
-    /// power of two; at least 1.
+    /// Number of independently-locked shards of the zone cache. Rounded up
+    /// to a power of two; at least 1.
     pub shards: usize,
 }
 
@@ -96,15 +100,15 @@ impl Hasher for KeyHasher {
     }
 }
 
-struct Entry<V> {
-    value: V,
+struct Entry<V: ?Sized> {
+    value: Arc<V>,
     weight: usize,
     /// Second-chance bit: set on hit, cleared (once) by the clock hand
     /// before eviction.
     referenced: bool,
 }
 
-struct Shard<V> {
+struct Shard<V: ?Sized> {
     map: HashMap<Key, Entry<V>, BuildHasherDefault<KeyHasher>>,
     /// Clock ring of resident keys. May contain stale keys for entries
     /// already replaced; those are skipped when the hand reaches them.
@@ -113,7 +117,7 @@ struct Shard<V> {
     budget: usize,
 }
 
-impl<V> Shard<V> {
+impl<V: ?Sized> Shard<V> {
     fn evict_one(&mut self) -> bool {
         while let Some(key) = self.ring.pop_front() {
             match self.map.get_mut(&key) {
@@ -133,18 +137,15 @@ impl<V> Shard<V> {
     }
 }
 
-/// A sharded clock cache mapping `(func, hash)` to a cheaply-cloneable
-/// value (in practice an `Arc` of the decoded data).
-pub struct ShardedCache<V> {
+/// A sharded clock cache mapping `(func, hash)` to a shared value (in
+/// practice a decoded zone map): a hit clones the `Arc`, never the value.
+pub struct ShardedCache<V: ?Sized> {
     shards: Vec<Mutex<Shard<V>>>,
     /// Bit mask selecting a shard from the key hash.
     mask: usize,
-    /// Whether any shard has a nonzero budget (fixed at construction), so
-    /// hot paths can skip admission work without taking a shard lock.
-    any_budget: bool,
 }
 
-impl<V: Clone> ShardedCache<V> {
+impl<V: ?Sized> ShardedCache<V> {
     /// A cache splitting `budget` bytes across `shards` shards. A zero
     /// budget yields a cache that never stores anything.
     pub fn new(budget: usize, shards: usize) -> Self {
@@ -162,14 +163,7 @@ impl<V: Clone> ShardedCache<V> {
                 })
                 .collect(),
             mask: shards - 1,
-            any_budget: per_shard > 0,
         }
-    }
-
-    /// Whether this cache can ever hold anything. Lock-free: budgets are
-    /// fixed at construction.
-    pub fn enabled(&self) -> bool {
-        self.any_budget
     }
 
     fn shard(&self, key: &Key) -> &Mutex<Shard<V>> {
@@ -177,7 +171,7 @@ impl<V: Clone> ShardedCache<V> {
     }
 
     /// Looks up `key`, marking it recently used on hit.
-    pub fn get(&self, func: usize, hash: HashValue) -> Option<V> {
+    pub fn get(&self, func: usize, hash: HashValue) -> Option<Arc<V>> {
         let key = (func, hash);
         let mut shard = self.shard(&key).lock().unwrap();
         let e = shard.map.get_mut(&key)?;
@@ -187,7 +181,7 @@ impl<V: Clone> ShardedCache<V> {
 
     /// Inserts `value` weighing `weight` bytes, evicting older entries as
     /// needed. Values heavier than a whole shard's budget are not cached.
-    pub fn insert(&self, func: usize, hash: HashValue, value: V, weight: usize) {
+    pub fn insert(&self, func: usize, hash: HashValue, value: Arc<V>, weight: usize) {
         let key = (func, hash);
         let mut shard = self.shard(&key).lock().unwrap();
         if weight > shard.budget {
@@ -228,8 +222,8 @@ mod tests {
     fn hit_after_insert_miss_before() {
         let cache: ShardedCache<u32> = ShardedCache::new(1024, 4);
         assert_eq!(cache.get(0, 42), None);
-        cache.insert(0, 42, 7, 16);
-        assert_eq!(cache.get(0, 42), Some(7));
+        cache.insert(0, 42, Arc::new(7), 16);
+        assert_eq!(cache.get(0, 42), Some(Arc::new(7)));
         assert_eq!(cache.get(1, 42), None, "keys are per-function");
     }
 
@@ -254,8 +248,7 @@ mod tests {
     #[test]
     fn zero_budget_never_stores() {
         let cache: ShardedCache<u32> = ShardedCache::new(0, 4);
-        assert!(!cache.enabled());
-        cache.insert(0, 1, 9, 8);
+        cache.insert(0, 1, Arc::new(9), 8);
         assert_eq!(cache.get(0, 1), None);
         assert_eq!(cache.resident_bytes(), 0);
     }
@@ -265,7 +258,7 @@ mod tests {
         // One shard so the budget applies to every key.
         let cache: ShardedCache<u64> = ShardedCache::new(100, 1);
         for i in 0..50u64 {
-            cache.insert(0, i, i, 10);
+            cache.insert(0, i, Arc::new(i), 10);
         }
         assert!(cache.resident_bytes() <= 100);
         // Exactly budget/weight entries survive.
@@ -277,12 +270,12 @@ mod tests {
     fn second_chance_protects_hot_entries() {
         let cache: ShardedCache<u64> = ShardedCache::new(40, 1);
         for i in 0..4u64 {
-            cache.insert(0, i, i, 10);
+            cache.insert(0, i, Arc::new(i), 10);
         }
         // Touch key 0 so it carries a reference bit, then overflow.
         assert!(cache.get(0, 0).is_some());
         for i in 4..7u64 {
-            cache.insert(0, i, i, 10);
+            cache.insert(0, i, Arc::new(i), 10);
         }
         assert!(
             cache.get(0, 0).is_some(),
@@ -294,7 +287,7 @@ mod tests {
     #[test]
     fn oversized_values_are_not_cached() {
         let cache: ShardedCache<u32> = ShardedCache::new(64, 1);
-        cache.insert(0, 5, 1, 1000);
+        cache.insert(0, 5, Arc::new(1), 1000);
         assert_eq!(cache.get(0, 5), None);
         assert_eq!(cache.resident_bytes(), 0);
     }
@@ -302,9 +295,9 @@ mod tests {
     #[test]
     fn reinsert_replaces_weight() {
         let cache: ShardedCache<u32> = ShardedCache::new(64, 1);
-        cache.insert(0, 1, 1, 30);
-        cache.insert(0, 1, 2, 50);
-        assert_eq!(cache.get(0, 1), Some(2));
+        cache.insert(0, 1, Arc::new(1), 30);
+        cache.insert(0, 1, Arc::new(2), 50);
+        assert_eq!(cache.get(0, 1), Some(Arc::new(2)));
         assert_eq!(cache.resident_bytes(), 50);
     }
 }

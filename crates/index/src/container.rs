@@ -748,22 +748,20 @@ impl Reader {
     }
 
     /// Appends to `out` the postings of each text of `texts` (strictly
-    /// ascending) in list `hash`, reading only the covering part of the
-    /// list: zone-bracketed posting ranges (v3, zone maps shared through
-    /// `zones`), covering blocks (v4), or one forward pass over the skip
-    /// entries (v6).
+    /// ascending) in the list at directory position `i`, reading only the
+    /// covering part of the list: zone-bracketed posting ranges (v3, zone
+    /// maps shared through `zones`), covering blocks (v4), or one forward
+    /// pass over the skip entries (v6).
     pub(crate) fn probe_texts(
         &self,
-        hash: HashValue,
+        i: usize,
         texts: &[TextId],
         zones: &ZoneCache,
         stats: &IoStats,
         out: &mut Vec<Posting>,
     ) -> Result<(), IndexError> {
         debug_assert!(texts.windows(2).all(|w| w[0] < w[1]));
-        let Some(entry) = self.find(hash).map(|i| &self.dir[i]) else {
-            return Ok(());
-        };
+        let entry = &self.dir[i];
         let aux = entry.aux_range();
         match &self.lists {
             Lists::Fixed => fixed::probe_texts(self, entry, texts, zones, stats, out),
@@ -772,18 +770,18 @@ impl Reader {
         }
     }
 
-    /// [`Self::probe_texts`] over `list`, the whole of list `hash` already
+    /// [`Self::probe_texts`] over `list`, the whole of list `i` already
     /// decoded: one block of it per text on a packed file (seeking by the
     /// skip entries), the whole of it otherwise.
     pub(crate) fn probe_resident(
         &self,
-        hash: HashValue,
+        i: usize,
         list: &[Posting],
         texts: &[TextId],
         out: &mut Vec<Posting>,
     ) {
-        match (&self.lists, self.find(hash)) {
-            (Lists::Packed(blocks), Some(i)) => {
+        match &self.lists {
+            Lists::Packed(blocks) => {
                 packed::probe_resident(&blocks[self.dir[i].aux_range()], list, texts, out)
             }
             _ => crate::probe_sorted(list, texts, out),
@@ -925,6 +923,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::file::{FaultMode, FaultPlan};
     use ndss_windows::CompactWindow;
+    use std::collections::BTreeMap;
 
     /// One of each encoding, with zone/block parameters small enough that
     /// test lists span several zone samples and v4 blocks.
@@ -1252,15 +1251,23 @@ pub(crate) mod tests {
         }
     }
 
-    /// The lookup table answers what a search over the sorted keys does,
-    /// in every encoding, for keys crafted against it: five share the last
-    /// slot as their home, so their probe sequences wrap past the table's
-    /// end into the three keys homed at slot 0 and the two at slot 1; the
-    /// keys 0 and `u64::MAX`; a skipped empty list. Each is asked for
-    /// present and absent (one file holds the extremes, the other not).
-    #[test]
-    fn directory_table_answers_like_a_sorted_key_search() {
-        // 16 lists: 32 slots, a key's home is its top five mixed bits.
+    /// `(reference, lists as written, keys asked)`: see [`table_fixture`].
+    pub(crate) type TableFixture = (
+        BTreeMap<u64, Vec<Posting>>,
+        Vec<(u64, Vec<Posting>)>,
+        Vec<u64>,
+    );
+
+    /// The lists of [`directory_table_answers_like_a_sorted_key_search`],
+    /// as a reference map and as written (with a skipped empty list), and
+    /// the keys it asks for. Sixteen lists fill a 32-slot table: five keys
+    /// share the last slot as their home, so their probe sequences wrap
+    /// past the table's end into the three keys homed at slot 0 and the two
+    /// at slot 1. With `extremes` the keys 0 and `u64::MAX` are present,
+    /// without they are absent; three more keys homed at the last slot are
+    /// always absent.
+    pub(crate) fn table_fixture(extremes: bool) -> TableFixture {
+        // A key's home in a 32-slot table is its top five mixed bits.
         let homed_at = |slot: usize, skip: usize, n: usize| -> Vec<u64> {
             (1_000u64..)
                 .filter(|&h| home_slot(h, 32) == slot)
@@ -1268,30 +1275,44 @@ pub(crate) mod tests {
                 .take(n)
                 .collect()
         };
-        let (last, first, second) = (homed_at(31, 0, 5), homed_at(0, 0, 3), homed_at(1, 0, 2));
-        let absent_wrapping = homed_at(31, 5, 3);
+        let mut keys: Vec<u64> =
+            [homed_at(31, 0, 5), homed_at(0, 0, 3), homed_at(1, 0, 2)].concat();
+        keys.extend([10, 20]);
+        keys.extend(if extremes {
+            [0, u64::MAX, 30, 40]
+        } else {
+            [30, 40, 50, 60]
+        });
+        let reference: BTreeMap<u64, Vec<Posting>> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, &key)| {
+                let len = 1 + (i as u32 * 7) % 40;
+                (
+                    key,
+                    (0..len).map(|j| posting(j / 2 + i as u32, j % 2)).collect(),
+                )
+            })
+            .collect();
+        assert_eq!(reference.len(), 16);
+        let mut lists: Vec<(u64, Vec<Posting>)> = reference.clone().into_iter().collect();
+        lists.insert(1, (lists[0].0 + 1, Vec::new()));
+        let mut asked = keys;
+        asked.extend(homed_at(31, 5, 3));
+        asked.extend([0, u64::MAX, 15, lists[1].0, 999]);
+        (reference, lists, asked)
+    }
+
+    /// The lookup table answers what a search over the sorted keys does,
+    /// in every encoding, for the keys of [`table_fixture`]: probe
+    /// sequences that wrap, the keys 0 and `u64::MAX`, a skipped empty
+    /// list. Each is asked for present and absent (one file holds the
+    /// extremes, the other not).
+    #[test]
+    fn directory_table_answers_like_a_sorted_key_search() {
         for encoding in ENCODINGS {
             for extremes in [true, false] {
-                let mut keys: Vec<u64> = [&last[..], &first, &second, &[10, 20]].concat();
-                keys.extend(if extremes {
-                    [0, u64::MAX, 30, 40]
-                } else {
-                    [30, 40, 50, 60]
-                });
-                let reference: std::collections::BTreeMap<u64, Vec<Posting>> = keys
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &key)| {
-                        let len = 1 + (i as u32 * 7) % 40;
-                        (
-                            key,
-                            (0..len).map(|j| posting(j / 2 + i as u32, j % 2)).collect(),
-                        )
-                    })
-                    .collect();
-                assert_eq!(reference.len(), 16);
-                let mut lists: Vec<(u64, Vec<Posting>)> = reference.clone().into_iter().collect();
-                lists.insert(1, (lists[0].0 + 1, Vec::new()));
+                let (reference, lists, asked) = table_fixture(extremes);
                 let path = temp(&format!("table_v{}_{extremes}.ndsi", encoding.version()));
                 write_file(&path, encoding, &lists);
                 let r = Reader::open(&path).unwrap();
@@ -1306,9 +1327,6 @@ pub(crate) mod tests {
                 assert_eq!(wrapped, 4, "{encoding:?}: no probe sequence wraps");
                 assert_eq!(r.slots.iter().filter(|&&i| i != EMPTY_SLOT).count(), 16);
 
-                let mut asked: Vec<u64> = keys.clone();
-                asked.extend(&absent_wrapping);
-                asked.extend([0, u64::MAX, 15, lists[1].0, 999]);
                 let texts: Vec<TextId> = (0..60).step_by(3).collect();
                 let stats = IoStats::default();
                 let zones = ZoneCache::new(1 << 20, 1);
@@ -1318,8 +1336,10 @@ pub(crate) mod tests {
                     assert_eq!(r.list_len(hash), want.len() as u64, "{context}");
                     assert_eq!(r.read_list(hash, &stats).unwrap(), want, "{context}");
                     let mut probed = Vec::new();
-                    r.probe_texts(hash, &texts, &zones, &stats, &mut probed)
-                        .unwrap();
+                    if let Some(i) = r.find(hash) {
+                        r.probe_texts(i, &texts, &zones, &stats, &mut probed)
+                            .unwrap();
+                    }
                     let want_probed: Vec<Posting> = want
                         .into_iter()
                         .filter(|p| texts.contains(&p.text))

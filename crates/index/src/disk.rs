@@ -14,16 +14,19 @@
 //! [`IndexAccess::probe_texts`] read `O(list / zone_count)` bytes per text
 //! instead of the entire list,
 //! which is exactly the §3.5 mechanism that keeps prefix-filtered probes of
-//! long lists cheap; [`IndexAccess::shared_list`] hands out the cached
-//! decoded list itself, so a hot list is never copied.
+//! long lists cheap. A list's first fetch decodes it into a write-once
+//! resident slot while the posting budget lasts, and every later
+//! [`IndexAccess::shared_list`] lends that slot: no lock, no refcount and
+//! no copy.
 
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::OnceLock;
 
 use ndss_corpus::TextId;
 use ndss_hash::HashValue;
 
-use crate::cache::{CacheConfig, ShardedCache};
+use crate::cache::CacheConfig;
 use crate::container::Reader;
 use crate::file::ReadOptions;
 use crate::fixed::ZoneCache;
@@ -53,13 +56,24 @@ pub struct DiskIndex {
     /// queries. Sharded so concurrent queries don't serialize on one lock;
     /// byte-budgeted so a long-running process can't grow it without bound.
     zone_cache: ZoneCache,
-    /// Hot decoded posting lists. Skewed workloads fetch the same min-hash
-    /// keys over and over; serving those from memory removes the reread
-    /// entirely. Hits and misses are tallied in the caller's [`IoStats`].
-    list_cache: ShardedCache<Arc<[Posting]>>,
+    /// `resident[func][i]`: the decoded list at directory position `i` of
+    /// function `func`'s file, filled by the list's first fetch while the
+    /// charged bytes fit `posting_budget` and never evicted. A hit is one
+    /// acquire load; hits and misses are tallied in the caller's
+    /// [`IoStats`]. The slots themselves (24 B per key) are not charged;
+    /// a zero budget allocates none.
+    resident: Vec<Slots>,
+    posting_budget: usize,
+    /// Weight of the filled slots: each is charged once, by its filler.
+    /// `Relaxed` throughout: it publishes no data, each slot's `OnceLock`
+    /// publishes its own list.
+    charged: AtomicUsize,
 }
 
-/// Approximate heap weight of a cached posting list, in bytes.
+/// One file's resident lists, one write-once slot per directory entry.
+type Slots = Box<[OnceLock<Box<[Posting]>>]>;
+
+/// Approximate heap weight of a resident posting list, in bytes.
 fn list_weight(postings: &[Posting]) -> usize {
     postings.len() * Posting::ENCODED_LEN + 64
 }
@@ -117,13 +131,23 @@ impl DiskIndex {
             }
             readers.push(reader);
         }
+        // A zero budget keeps no list, so it allocates no slot either.
+        let keep = cache.posting_budget > 0;
         Ok(Self {
             histograms: (0..config.k).map(|_| OnceLock::new()).collect(),
             config,
-            readers,
             dir: dir.to_owned(),
-            zone_cache: ShardedCache::new(cache.zone_budget, cache.shards),
-            list_cache: ShardedCache::new(cache.posting_budget, cache.shards),
+            resident: readers
+                .iter()
+                .map(|r| {
+                    let slots = if keep { r.num_keys() } else { 0 };
+                    (0..slots).map(|_| OnceLock::new()).collect()
+                })
+                .collect(),
+            readers,
+            zone_cache: ZoneCache::new(cache.zone_budget, cache.shards),
+            posting_budget: cache.posting_budget,
+            charged: AtomicUsize::new(0),
         })
     }
 
@@ -181,6 +205,13 @@ impl DiskIndex {
         Ok(self.readers[func].num_postings())
     }
 
+    /// Reserves `weight` bytes of the posting budget: false, and nothing
+    /// reserved, when they do not fit.
+    fn charge(&self, weight: usize) -> bool {
+        let fits = |c: usize| c.checked_add(weight).filter(|&c| c <= self.posting_budget);
+        self.charged.fetch_update(Relaxed, Relaxed, fits).is_ok()
+    }
+
     fn check_func(&self, func: usize) -> Result<(), IndexError> {
         if func >= self.config.k {
             Err(IndexError::FunctionOutOfRange(func, self.config.k))
@@ -200,6 +231,15 @@ impl IndexAccess for DiskIndex {
         Ok(self.readers[func].list_len(hash))
     }
 
+    fn list_lens(&self, hashes: &[HashValue], lens: &mut [u64]) -> Result<(), IndexError> {
+        debug_assert_eq!(hashes.len(), lens.len());
+        self.check_func(hashes.len().saturating_sub(1))?;
+        for ((reader, &hash), len) in self.readers.iter().zip(hashes).zip(lens) {
+            *len = reader.list_len(hash);
+        }
+        Ok(())
+    }
+
     fn shared_list(
         &self,
         func: usize,
@@ -207,18 +247,30 @@ impl IndexAccess for DiskIndex {
         io: &IoStats,
     ) -> Result<SharedList<'_>, IndexError> {
         self.check_func(func)?;
-        if let Some(hit) = self.list_cache.get(func, hash) {
+        // An absent list is a miss that reads nothing.
+        let Some(i) = self.readers[func].find(hash) else {
+            io.record_miss();
+            return Ok(SharedList::Borrowed(&[]));
+        };
+        let slot = self.resident[func].get(i);
+        if let Some(list) = slot.and_then(OnceLock::get) {
             io.record_hit();
-            return Ok(SharedList::Cached(hit));
+            return Ok(SharedList::Borrowed(list));
         }
         io.record_miss();
-        let list: Arc<[Posting]> = Arc::from(self.readers[func].read_list(hash, io)?);
-        // A disabled cache never admits anything; skip the shard lock.
-        if self.list_cache.enabled() {
-            self.list_cache
-                .insert(func, hash, list.clone(), list_weight(&list));
+        let mut list = Vec::new();
+        self.readers[func].read_list_at(i, &mut list, io)?;
+        let weight = list_weight(&list);
+        let Some(slot) = slot.filter(|_| self.charge(weight)) else {
+            return Ok(SharedList::Owned(list));
+        };
+        // A fetch that lost the race to fill the slot gives its charge back.
+        if slot.set(list.into_boxed_slice()).is_err() {
+            self.charged.fetch_sub(weight, Relaxed);
         }
-        Ok(SharedList::Cached(list))
+        Ok(SharedList::Borrowed(
+            slot.get().expect("the slot was just filled"),
+        ))
     }
 
     fn probe_texts(
@@ -231,14 +283,19 @@ impl IndexAccess for DiskIndex {
     ) -> Result<(), IndexError> {
         self.check_func(func)?;
         debug_assert!(texts.windows(2).all(|w| w[0] < w[1]));
+        let reader = &self.readers[func];
+        let Some(i) = reader.find(hash) else {
+            io.record_miss();
+            return Ok(());
+        };
         // A resident full list answers the whole batch with zero IO.
-        if let Some(hit) = self.list_cache.get(func, hash) {
+        if let Some(list) = self.resident[func].get(i).and_then(OnceLock::get) {
             io.record_hit();
-            self.readers[func].probe_resident(hash, &hit, texts, out);
+            reader.probe_resident(i, list, texts, out);
             return Ok(());
         }
         io.record_miss();
-        self.readers[func].probe_texts(hash, texts, &self.zone_cache, io, out)
+        reader.probe_texts(i, texts, &self.zone_cache, io, out)
     }
 
     fn list_length_histogram(&self, func: usize) -> Result<LengthHistogram, IndexError> {
@@ -413,6 +470,175 @@ mod tests {
         );
         std::fs::remove_dir_all(&v1_dir).ok();
         std::fs::remove_dir_all(&v2_dir).ok();
+    }
+
+    /// `list_lens`, which checks the function range once for all `k`
+    /// lookups, equals `k` calls of `list_len` in every encoding, on the lookup-table fixture (probe
+    /// sequences wrapping past the table's end, the keys 0 and `u64::MAX`
+    /// present under function 0 and absent under function 1, a skipped
+    /// empty list): every pair of asked keys is looked up together. So does
+    /// `MemoryIndex`'s provided `list_lens`, against its own `list_len` and
+    /// against the disk copy of the same index.
+    #[test]
+    fn batched_list_lens_equal_per_function_lookups() {
+        use crate::container::tests::{table_fixture, ENCODINGS};
+        use crate::container::Writer;
+        let fixtures = [table_fixture(true), table_fixture(false)];
+        let mut asked: Vec<HashValue> = [&fixtures[0].2[..], &fixtures[1].2].concat();
+        asked.sort_unstable();
+        asked.dedup();
+        for (e, encoding) in ENCODINGS.into_iter().enumerate() {
+            let dir = temp_dir(&format!("list_lens_{e}"));
+            for (func, (_, lists, _)) in fixtures.iter().enumerate() {
+                let mut w =
+                    Writer::create(&inv_file_path(&dir, func), func as u32, encoding).unwrap();
+                for (hash, postings) in lists {
+                    w.write_list(*hash, postings).unwrap();
+                }
+                w.finish().unwrap();
+            }
+            DiskIndex::write_meta(&dir, &IndexConfig::new(2, 25, 1)).unwrap();
+            let disk = DiskIndex::open(&dir).unwrap();
+            for &a in &asked {
+                for &b in &asked {
+                    let mut lens = [u64::MAX; 2];
+                    disk.list_lens(&[a, b], &mut lens).unwrap();
+                    let want = [disk.list_len(0, a).unwrap(), disk.list_len(1, b).unwrap()];
+                    assert_eq!(lens, want, "{encoding:?}: keys {a:#x}, {b:#x}");
+                    let reference = |f: usize, h| fixtures[f].0.get(&h).map_or(0, |l| l.len());
+                    assert_eq!(lens, [reference(0, a) as u64, reference(1, b) as u64]);
+                }
+            }
+            // Fewer hashes than functions look up only those; more is an error.
+            let mut one = [u64::MAX];
+            disk.list_lens(&[u64::MAX], &mut one).unwrap();
+            assert_eq!(one, [disk.list_len(0, u64::MAX).unwrap()]);
+            assert!(disk.list_lens(&[1, 2, 3], &mut [0; 3]).is_err());
+            std::fs::remove_dir_all(&dir).ok();
+        }
+
+        let (corpus, _) = SyntheticCorpusBuilder::new(26)
+            .num_texts(30)
+            .text_len(60, 120)
+            .vocab_size(200)
+            .build();
+        let mem = MemoryIndex::build(&corpus, IndexConfig::new(4, 10, 9)).unwrap();
+        let dir = temp_dir("list_lens_memory");
+        let disk = write_memory_index(&mem, &dir).unwrap();
+        let keys: Vec<Vec<HashValue>> = (0..4)
+            .map(|f| mem.sorted_lists(f).into_iter().map(|(h, _)| h).collect())
+            .collect();
+        for i in 0..keys[0].len() {
+            // Function f asks its (i + f)-th key, or an absent one.
+            let hashes: Vec<HashValue> = (0..4)
+                .map(|f| match (i + f) % 5 {
+                    0 => [0, u64::MAX][i % 2],
+                    _ => keys[f][(i + f) % keys[f].len()],
+                })
+                .collect();
+            let want: Vec<u64> = (0..4)
+                .map(|f| mem.list_len(f, hashes[f]).unwrap())
+                .collect();
+            let (mut from_mem, mut from_disk) = (vec![u64::MAX; 4], vec![u64::MAX; 4]);
+            mem.list_lens(&hashes, &mut from_mem).unwrap();
+            disk.list_lens(&hashes, &mut from_disk).unwrap();
+            assert_eq!((&from_mem, &from_disk), (&want, &want), "{hashes:x?}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Four threads fetch overlapping key sets at once under a budget that
+    /// holds about half the lists' weight: the charged bytes never pass the
+    /// budget, each filled slot is charged once (a fetch that loses the race
+    /// to fill a slot is refunded), and every list equals the memory
+    /// index's. Once the budget is spent, a list left out misses and reads
+    /// its bytes on every fetch, and a resident one hits and reads none. A
+    /// disabled cache allocates no slot and charges nothing.
+    #[test]
+    fn resident_slots_hold_the_budget_under_concurrent_first_fetches() {
+        let (corpus, _) = SyntheticCorpusBuilder::new(25)
+            .num_texts(60)
+            .text_len(80, 200)
+            .vocab_size(300)
+            .build();
+        let mem = MemoryIndex::build(&corpus, IndexConfig::new(2, 10, 3)).unwrap();
+        let dir = temp_dir("budget");
+        write_memory_index(&mem, &dir).unwrap();
+        let keys: Vec<(usize, HashValue, &[Posting])> = (0..2)
+            .flat_map(|f| mem.sorted_lists(f).into_iter().map(move |(h, l)| (f, h, l)))
+            .collect();
+        let budget = keys.iter().map(|k| list_weight(k.2)).sum::<usize>() / 2;
+        let sizing = CacheConfig {
+            posting_budget: budget,
+            ..CacheConfig::default()
+        };
+        let filled_weight = |disk: &DiskIndex| -> usize {
+            let slots = disk.resident.iter().flat_map(|f| f.iter());
+            slots
+                .filter_map(OnceLock::get)
+                .map(|l| list_weight(l))
+                .sum()
+        };
+        let disk = DiskIndex::open_with_cache(&dir, sizing).unwrap();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let (disk, keys, start) = (&disk, &keys, &start);
+                s.spawn(move || {
+                    start.wait();
+                    // Thread t skips every fourth key: three threads share each.
+                    for (_, &(func, hash, want)) in
+                        keys.iter().enumerate().filter(|(i, _)| i % 4 != t)
+                    {
+                        let io = IoStats::default();
+                        assert_eq!(&disk.shared_list(func, hash, &io).unwrap()[..], want);
+                        assert!(disk.charged.load(Relaxed) <= budget);
+                        let s = io.snapshot();
+                        assert_eq!(s.cache_hits + s.cache_misses, 1);
+                    }
+                });
+            }
+        });
+        let charged = disk.charged.load(Relaxed);
+        assert_eq!(
+            charged,
+            filled_weight(&disk),
+            "a slot charged twice or not at all"
+        );
+        assert!(0 < charged && charged <= budget);
+        // One more pass fills whatever still fits; from then on no slot
+        // changes, whatever is fetched.
+        for &(func, hash, _) in &keys {
+            disk.shared_list(func, hash, &IoStats::default()).unwrap();
+        }
+        let cold = DiskIndex::open_with_cache(&dir, CacheConfig::disabled()).unwrap();
+        let mut left_out = 0;
+        for &(func, hash, want) in &keys {
+            let i = disk.readers[func].find(hash).unwrap();
+            let resident = disk.resident[func][i].get().is_some();
+            let io = IoStats::default();
+            cold.shared_list(func, hash, &io).unwrap();
+            let list_bytes = io.snapshot().bytes;
+            for _ in 0..2 {
+                let io = IoStats::default();
+                assert_eq!(&disk.shared_list(func, hash, &io).unwrap()[..], want);
+                let s = io.snapshot();
+                let expect = if resident {
+                    (1, 0, 0)
+                } else {
+                    (0, 1, list_bytes)
+                };
+                assert_eq!((s.cache_hits, s.cache_misses, s.bytes), expect);
+            }
+            left_out += usize::from(!resident);
+        }
+        assert!(left_out > 0, "the budget must leave lists out");
+        assert_eq!(disk.charged.load(Relaxed), filled_weight(&disk));
+        assert!(filled_weight(&disk) <= budget);
+        // `cold` fetched every list, has no slot and charged nothing.
+        assert!(cold.resident.iter().all(|f| f.is_empty()));
+        assert_eq!(cold.charged.load(Relaxed), 0);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

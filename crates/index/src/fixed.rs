@@ -31,7 +31,7 @@ pub(crate) struct ZoneEntry {
 
 /// Zone maps read once per (function, hash) and reused across probes of the
 /// same long list, within a query and across queries.
-pub(crate) type ZoneCache = ShardedCache<Arc<Vec<ZoneEntry>>>;
+pub(crate) type ZoneCache = ShardedCache<[ZoneEntry]>;
 
 /// Approximate heap weight of a cached zone map, in bytes.
 fn zone_weight(zone: &[ZoneEntry]) -> usize {
@@ -139,7 +139,7 @@ pub(crate) fn probe_texts(
             }
             None => {
                 stats.record_zone_miss();
-                let zone = Arc::new(read_zone(file, entry, stats)?);
+                let zone: Arc<[ZoneEntry]> = Arc::from(read_zone(file, entry, stats)?);
                 zones.insert(func, entry.hash, zone.clone(), zone_weight(&zone));
                 zone
             }
@@ -245,7 +245,7 @@ mod tests {
         let stats = IoStats::default();
         for text in 0..=10u32 {
             let mut got = Vec::new();
-            r.probe_texts(1, &[text], &zones, &stats, &mut got).unwrap();
+            r.probe_texts(0, &[text], &zones, &stats, &mut got).unwrap();
             let expect: Vec<Posting> = list.iter().filter(|p| p.text == text).copied().collect();
             assert_eq!(got, expect, "text {text}");
         }
@@ -253,7 +253,7 @@ mod tests {
         assert_eq!((s.zone_misses, s.zone_hits), (1, 10));
 
         let one = IoStats::default();
-        r.probe_texts(1, &[3], &zones, &one, &mut Vec::new())
+        r.probe_texts(0, &[3], &zones, &one, &mut Vec::new())
             .unwrap();
         assert!(one.snapshot().bytes < (list.len() * Posting::ENCODED_LEN) as u64);
         std::fs::remove_file(&path).ok();

@@ -355,9 +355,9 @@ pub struct IoSnapshot {
     pub reads: u64,
     /// Bytes read.
     pub bytes: u64,
-    /// Posting-list reads served from the hot cache.
+    /// Posting-list consults served by a resident list.
     pub cache_hits: u64,
-    /// Posting-list reads that had to go to disk.
+    /// Posting-list consults that read the file, or found no list.
     pub cache_misses: u64,
     /// Zone-map consults served from the zone cache. Tracked separately
     /// from the posting-list counters: a long-list probe can miss the list
@@ -382,7 +382,8 @@ impl IoStats {
         self.cache_hits.fetch_add(1, Relaxed);
     }
 
-    /// Records a hot-cache miss (the read fell through to disk).
+    /// Records a hot-cache miss (the list was read from the file, or is
+    /// absent).
     pub fn record_miss(&self) {
         use std::sync::atomic::Ordering::Relaxed;
         self.cache_misses.fetch_add(1, Relaxed);
@@ -419,31 +420,11 @@ impl IoStats {
 pub type LengthHistogram = Arc<[(u64, u64)]>;
 
 /// A whole posting list as handed out by [`IndexAccess::shared_list`]:
-/// lent by a memory-resident index, or shared with the disk index's hot
-/// list cache. Either way the caller reads the index's own copy — nothing
-/// is cloned per query. Dereferences to the postings, ordered by
-/// `(text, l, c, r)`.
-#[derive(Debug)]
-pub enum SharedList<'a> {
-    /// A slice owned by the index itself (memory indexes, absent lists).
-    Borrowed(&'a [Posting]),
-    /// A decoded list co-owned with the list cache: a hit hands out the
-    /// resident allocation (count and postings in one), a miss decodes
-    /// once and the cache keeps the same allocation.
-    Cached(Arc<[Posting]>),
-}
-
-impl std::ops::Deref for SharedList<'_> {
-    type Target = [Posting];
-
-    #[inline]
-    fn deref(&self) -> &[Posting] {
-        match self {
-            SharedList::Borrowed(list) => list,
-            SharedList::Cached(list) => list,
-        }
-    }
-}
+/// lent by a memory-resident index or by a disk index's resident slot, so
+/// the caller reads the index's own copy and nothing is cloned per query;
+/// owned only when a disk index decodes a list its budget cannot keep.
+/// Dereferences to the postings, ordered by `(text, l, c, r)`.
+pub type SharedList<'a> = std::borrow::Cow<'a, [Posting]>;
 
 /// Appends to `out` the postings of every text in `texts` (strictly
 /// ascending) found in `list` (ordered by text): one forward pass, two
@@ -476,14 +457,27 @@ pub trait IndexAccess: Send + Sync {
     fn config(&self) -> &IndexConfig;
 
     /// Length (in postings) of list `hash` under function `func`; 0 when the
-    /// hash value is absent. Must be cheap: the query planner calls it `k`
-    /// times per query to split short from long lists.
+    /// hash value is absent. Must be cheap: the query planner reads all `k`
+    /// per query, through [`Self::list_lens`], to split short from long
+    /// lists.
     fn list_len(&self, func: usize, hash: HashValue) -> Result<u64, IndexError>;
+
+    /// [`Self::list_len`] of every function at once: `lens[f]` becomes the
+    /// length of list `hashes[f]` under function `f`. The two slices have
+    /// one entry per function looked up. An index may override it to
+    /// check the function range once for all of them.
+    fn list_lens(&self, hashes: &[HashValue], lens: &mut [u64]) -> Result<(), IndexError> {
+        debug_assert_eq!(hashes.len(), lens.len());
+        for (func, (&hash, len)) in hashes.iter().zip(lens).enumerate() {
+            *len = self.list_len(func, hash)?;
+        }
+        Ok(())
+    }
 
     /// The entire list `hash` under function `func` (empty when absent),
     /// ordered by `(text, l, c, r)`, without copying it out of its resident
-    /// form: memory indexes lend their slice, the disk index shares the
-    /// allocation its list cache holds. IO caused is recorded into `io`.
+    /// form: memory indexes lend their slice, the disk index its list's
+    /// resident slot. IO caused is recorded into `io`.
     fn shared_list(
         &self,
         func: usize,

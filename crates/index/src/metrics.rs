@@ -24,11 +24,11 @@ const COUNTERS: [(&str, &str); 6] = [
     ("index.io.bytes", "bytes read from index files"),
     (
         "index.cache.posting.hits",
-        "posting-list reads served from the hot cache",
+        "posting-list consults served by a resident list",
     ),
     (
         "index.cache.posting.misses",
-        "posting-list reads that went to disk",
+        "posting-list consults that read the file or found no list",
     ),
     (
         "index.cache.zone.hits",

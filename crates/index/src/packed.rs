@@ -448,8 +448,10 @@ mod tests {
 
     fn probe_one(r: &Reader, hash: u64, text: u32, stats: &IoStats) -> Vec<Posting> {
         let mut out = Vec::new();
-        r.probe_texts(hash, &[text], &ZoneCache::new(0, 1), stats, &mut out)
-            .unwrap();
+        if let Some(i) = r.find(hash) {
+            r.probe_texts(i, &[text], &ZoneCache::new(0, 1), stats, &mut out)
+                .unwrap();
+        }
         out
     }
 
@@ -731,7 +733,7 @@ mod tests {
                 let r = Reader::open_with(&path, &io).unwrap();
                 let (zones, stats, mut out) =
                     (ZoneCache::new(0, 1), IoStats::default(), Vec::new());
-                let got = r.probe_texts(7, &all, &zones, &stats, &mut out);
+                let got = r.probe_texts(r.find(7).unwrap(), &all, &zones, &stats, &mut out);
                 assert!(
                     matches!(got, Err(IndexError::Malformed(_))),
                     "{label}: {got:?}"

@@ -292,8 +292,10 @@ mod tests {
 
     fn probe_one(r: &Reader, hash: u64, text: u32, stats: &IoStats) -> Vec<Posting> {
         let mut out = Vec::new();
-        r.probe_texts(hash, &[text], &ZoneCache::new(0, 1), stats, &mut out)
-            .unwrap();
+        if let Some(i) = r.find(hash) {
+            r.probe_texts(i, &[text], &ZoneCache::new(0, 1), stats, &mut out)
+                .unwrap();
+        }
         out
     }
 

@@ -126,44 +126,60 @@ fn concurrent_accumulators_partition_global_totals_exactly() {
     let _registry = registry_lock();
     for (format, packed) in [("v3", false), ("v6", true)] {
         let dir = temp_dir(&format!("partition_{format}"));
-        let (_, keys, _) = build_index(&dir, packed);
+        let (_, mut keys, _) = build_index(&dir, packed);
         assert!(!keys.is_empty());
+        // Keys no list is filed under, interleaved with the present ones:
+        // each consult of one is a miss that reads nothing, every time.
+        let absent: Vec<(usize, HashValue)> = keys
+            .iter()
+            .map(|&(func, hash)| (func, hash ^ 1))
+            .filter(|key| !keys.contains(key))
+            .take(8)
+            .collect();
+        assert_eq!(absent.len(), 8);
+        for (i, key) in absent.iter().enumerate() {
+            keys.insert(i * 7, *key);
+        }
         for threads in [1usize, 4, 8] {
             // A cold cache per cell: every cell starts by missing.
             let disk = DiskIndex::open(&dir).unwrap();
             let before = registry_totals();
-            let per_thread: Vec<(IoSnapshot, u64)> = std::thread::scope(|s| {
+            let per_thread: Vec<([IoSnapshot; 2], [u64; 2])> = std::thread::scope(|s| {
                 let handles: Vec<_> = (0..threads)
                     .map(|t| {
-                        let (disk, keys) = (&disk, &keys);
+                        let (disk, keys, absent) = (&disk, &keys, &absent);
                         s.spawn(move || {
-                            let io = IoStats::default();
-                            let mut list_consults = 0u64;
+                            // Consults of present keys, and of absent ones.
+                            let accs = [IoStats::default(), IoStats::default()];
+                            let mut list_consults = [0u64; 2];
                             let mut probed = Vec::new();
                             for round in 0..2 {
                                 for (i, &(func, hash)) in keys.iter().enumerate() {
+                                    let side = usize::from(absent.contains(&(func, hash)));
+                                    let io = &accs[side];
                                     // Interleave full reads and batched probes.
                                     if (i + t + round) % 3 == 0 {
-                                        let postings = disk.shared_list(func, hash, &io).unwrap();
+                                        let postings = disk.shared_list(func, hash, io).unwrap();
                                         // One batched probe of the list's first
                                         // and last text: one consult, however
                                         // many texts.
-                                        let mut texts = vec![postings[0].text];
+                                        let mut texts =
+                                            vec![postings.first().map_or(0, |p| p.text)];
                                         texts.extend(postings.last().map(|p| p.text));
                                         texts.dedup();
                                         probed.clear();
-                                        disk.probe_texts(func, hash, &texts, &io, &mut probed)
+                                        disk.probe_texts(func, hash, &texts, io, &mut probed)
                                             .unwrap();
-                                        list_consults += 2;
+                                        list_consults[side] += 2;
                                     } else {
-                                        disk.shared_list(func, hash, &io).unwrap();
-                                        list_consults += 1;
+                                        disk.shared_list(func, hash, io).unwrap();
+                                        list_consults[side] += 1;
                                     }
                                 }
                             }
-                            // The owner folds its accumulator once.
-                            io.publish();
-                            (io.snapshot(), list_consults)
+                            // The owner folds each accumulator once.
+                            accs.iter().for_each(IoStats::publish);
+                            (accs.each_ref().map(IoStats::snapshot), list_consults)
                         })
                     })
                     .collect();
@@ -173,10 +189,16 @@ fn concurrent_accumulators_partition_global_totals_exactly() {
             let mut expected = before;
             let mut summed = IoSnapshot::default();
             let mut total_consults = 0u64;
-            for (snap, consults) in &per_thread {
-                add(&mut expected, snap);
-                add(&mut summed, snap);
-                total_consults += consults;
+            for (snaps, consults) in &per_thread {
+                for snap in snaps {
+                    add(&mut expected, snap);
+                    add(&mut summed, snap);
+                }
+                total_consults += consults[0] + consults[1];
+                // An absent list is one miss per consult and reads nothing.
+                let none = snaps[1];
+                assert_eq!((none.cache_hits, none.cache_misses), (0, consults[1]));
+                assert_eq!((none.reads, none.bytes), (0, 0), "{format}");
             }
             // 1. Exact attribution: the registry moved by precisely the sum
             // of the accumulators — no bleed, no double counting.

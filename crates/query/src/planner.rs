@@ -85,9 +85,8 @@ pub fn plan_for_sketch<I: IndexAccess + ?Sized>(
     beta: usize,
 ) -> Result<QueryPlan, QueryError> {
     let config = index.config();
-    let lens: Vec<u64> = (0..config.k)
-        .map(|f| index.list_len(f, sketch.value(f)))
-        .collect::<Result<_, _>>()?;
+    let mut lens = vec![0; config.k];
+    index.list_lens(&sketch.values()[..config.k], &mut lens)?;
     Ok(plan_query(&lens, beta, config.zone_step))
 }
 

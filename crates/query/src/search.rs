@@ -85,9 +85,9 @@ pub struct QueryStats {
     pub total: Duration,
     /// Bytes read from the index.
     pub io_bytes: u64,
-    /// Index reads served from the hot posting-list cache.
+    /// List consults served by a resident posting list.
     pub cache_hits: u64,
-    /// Index reads that went to disk.
+    /// List consults that read the file, or found no list.
     pub cache_misses: u64,
     /// Zone-map consults served by the zone cache.
     pub zone_hits: u64,
@@ -571,9 +571,8 @@ pub(crate) fn search_index<I: IndexAccess + ?Sized>(
         // at ≥ ⌈β/2⌉ — retaining the longest lists as long; this is the
         // cost-model role the paper delegates to prefix-length tuning
         // ("a few works design cost-models to choose a good cutoff", §3.5).
-        let lens: Vec<u64> = (0..k)
-            .map(|func| index.list_len(func, sketch.value(func)))
-            .collect::<Result<_, _>>()?;
+        let mut lens = vec![0; k];
+        index.list_lens(&sketch.values()[..k], &mut lens)?;
         let long_funcs: Vec<usize> = if plan.adaptive {
             // Cost-based per-query plan; its own soundness cap applies.
             crate::planner::plan_query(&lens, beta, config.zone_step).deferred
@@ -598,8 +597,8 @@ pub(crate) fn search_index<I: IndexAccess + ?Sized>(
         // they hold a few percent of the postings — and every later
         // list is only asked about the texts still `alive`, which are
         // dropped as soon as the lists left cannot lift them to α₀. The
-        // lists are borrowed — a cache hit is the resident allocation,
-        // not a copy — and the long tail is looked up, not scanned. Once
+        // lists are borrowed — a resident list is lent, not copied — and
+        // the long tail is looked up, not scanned. Once
         // every admitting list is merged and `alive` is empty, the rest
         // are not fetched: they can only drop texts, never add one, so
         // the answer is already the empty set.

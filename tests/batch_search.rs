@@ -220,16 +220,26 @@ fn warm_cache_cuts_io_and_reports_hits() {
 }
 
 /// Disabling the cache is equivalent to an unbounded miss stream: same
-/// results, no hits ever recorded.
+/// results, no hits ever recorded. A query whose lists are all absent
+/// misses on every list it consults and reads nothing, on both indexes and
+/// however often it is asked.
 #[test]
 fn disabled_cache_never_hits_but_results_match() {
     let _registry = registry_lock();
-    let (corpus, queries) = workload(2027);
+    let (corpus, mut queries) = workload(2027);
     let dir = scratch("batch", "disabled_cache");
-    ndss::index::build_and_write(&corpus, IndexConfig::new(16, 25, 5), &dir, true).unwrap();
+    let config = IndexConfig::new(16, 25, 5);
+    ndss::index::build_and_write(&corpus, config.clone(), &dir, true).unwrap();
 
     let cached = DiskIndex::open_with_cache(&dir, CacheConfig::default()).unwrap();
     let raw = DiskIndex::open_with_cache(&dir, CacheConfig::disabled()).unwrap();
+    // Tokens no text holds: every one of its k lists is absent.
+    let unseen: Vec<TokenId> = (1_000_000..1_000_040).collect();
+    let mut lens = [u64::MAX; 16];
+    raw.list_lens(config.hasher().sketch(&unseen).values(), &mut lens)
+        .unwrap();
+    assert_eq!(lens, [0; 16]);
+    queries.extend([unseen.clone(), unseen]);
 
     let a = ShardedSearcher::single(&cached, PrefixFilter::Disabled)
         .unwrap()
@@ -245,6 +255,20 @@ fn disabled_cache_never_hits_but_results_match() {
     assert_eq!(hits, 0, "disabled cache must never report hits");
     for (x, y) in a.iter().zip(b.iter()) {
         assert_eq!(x.enumerate_all(), y.enumerate_all());
+    }
+    let rerun = ShardedSearcher::single(&cached, PrefixFilter::Disabled)
+        .unwrap()
+        .search_all(&queries[queries.len() - 2..], 0.8)
+        .unwrap();
+    for o in a[a.len() - 2..]
+        .iter()
+        .chain(&b[b.len() - 2..])
+        .chain(&rerun)
+    {
+        let s = &o.stats;
+        assert!(o.matches.is_empty() && s.lists_loaded > 0);
+        assert_eq!((s.cache_hits, s.cache_misses), (0, s.lists_loaded as u64));
+        assert_eq!(s.io_bytes, 0);
     }
 }
 
